@@ -475,9 +475,9 @@ class BVScheme(AHEScheme):
         All terms hitting the same stacked ciphertext ``C`` are folded into a
         single combining polynomial ``P(x) = Σ scalar · x^shift``, so the whole
         shift-and-add chain of §4.2 collapses to one spectrum-domain product
-        ``C · P`` per distinct ciphertext: one forward NTT of ``P`` (or a cached
-        monomial spectrum when ``P`` is a lone monomial) replaces one shift and
-        one addition *per feature*.
+        ``C · P`` per distinct ciphertext.  Lone monomials use the plan's cached
+        spectra; every multi-term ``P`` is stacked into one ``(k, primes, n)``
+        forward NTT, and all products accumulate in one fancy-indexed pass.
         """
         primes_column = self.ring.primes_column
         num_primes, n = len(self.ring.primes), self.ring.n
@@ -487,33 +487,37 @@ class BVScheme(AHEScheme):
                 raise ParameterError("combining shifts must lie in [0, ring degree)")
             poly = combining.setdefault(row, {})
             poly[shift] = poly.get(shift, 0) + scalar
-        acc0 = np.zeros((num_primes, n), dtype=np.int64)
-        acc1 = np.zeros((num_primes, n), dtype=np.int64)
-        pending = 0
-        for row, poly in combining.items():
+        if not combining:
+            zeros = np.zeros((num_primes, n), dtype=np.int64)
+            return self._wrap_spectra(zeros, zeros.copy())
+        spectra = np.empty((len(combining), num_primes, n), dtype=np.int64)
+        dense: list[int] = []  # positions of the multi-term polynomials
+        entries: list[tuple[int, int, int]] = []  # their (dense slot, shift, scalar) coefficients
+        for at, poly in enumerate(combining.values()):
             if len(poly) == 1:
                 ((shift, scalar),) = poly.items()
                 mono = self.ring.monomial_spectra(shift)
-                spectrum = mono * self.ring.reduce_scalar(scalar) % primes_column
+                spectra[at] = mono * self.ring.reduce_scalar(scalar) % primes_column
             else:
-                coefficients = np.zeros((num_primes, n), dtype=np.int64)
-                for shift, scalar in poly.items():
-                    coefficients[:, shift] = (
-                        np.array([scalar % prime for prime in self.ring.primes], dtype=np.int64)
-                    )
-                spectrum = self.ring.forward_transform(coefficients)
-            # Each product is reduced below 2^31, so up to 2^32 terms can
-            # accumulate lazily before a reduction is needed.
-            acc0 += stack.c0[row] * spectrum % primes_column
-            acc1 += stack.c1[row] * spectrum % primes_column
-            pending += 1
-            if pending >= (1 << 31):
-                acc0 %= primes_column
-                acc1 %= primes_column
-                pending = 0
-        acc0 %= primes_column
-        acc1 %= primes_column
-        return self._wrap_spectra(acc0, acc1)
+                entries += [(len(dense), shift, scalar) for shift, scalar in poly.items()]
+                dense.append(at)
+        if dense:
+            slots, shifts, scalars = zip(*entries)
+            coefficients = np.zeros((len(dense), num_primes, n), dtype=np.int64)
+            coefficients[list(slots), :, list(shifts)] = [
+                [scalar % prime for prime in self.ring.primes] for scalar in scalars
+            ]
+            spectra[dense] = self.ring.forward_transform(coefficients)
+        # Each product is reduced below 2^31 before the sum, so the int64
+        # accumulator has room for 2^32 distinct ciphertexts.
+        index = np.asarray(list(combining), dtype=np.intp)
+        halves = []
+        for half in (stack.c0, stack.c1):
+            products = half[index]  # fancy indexing copies: safe to update in place
+            products *= spectra
+            products %= primes_column
+            halves.append(products.sum(axis=0) % primes_column)
+        return self._wrap_spectra(*halves)
 
     # -- wire codec ---------------------------------------------------------------------
     _WIRE_HEADER = ">IB"  # ring degree (u32), RNS prime count (u8)

@@ -17,8 +17,9 @@ constructions; the AND-gate count is what determines garbling cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from repro.exceptions import CircuitError
 from repro.utils.bitops import bits_to_int, int_to_bits
@@ -38,23 +39,62 @@ class Gate:
     output: int
 
 
+# Gate kinds of a compiled plan step (small ints compare faster than enums).
+PLAN_XOR, PLAN_NOT, PLAN_AND = 0, 1, 2
+_PLAN_KIND = {GateKind.XOR: PLAN_XOR, GateKind.NOT: PLAN_NOT, GateKind.AND: PLAN_AND}
+
+
+@dataclass(frozen=True)
+class GatePlan:
+    """A circuit's gate list flattened for the garbling/evaluation loops.
+
+    One ``(kind, input_a, input_b, output, index_bytes)`` tuple per gate, in
+    gate order; ``index_bytes`` is the gate's position as the 4 big-endian
+    bytes the gate hash binds.  The gate counts ride along so nothing rescans
+    the gate list per email.
+    """
+
+    steps: tuple[tuple[int, int, int, int, bytes], ...]
+    and_count: int
+    xor_count: int
+
+
 @dataclass
 class Circuit:
-    """A gate list with designated garbler/evaluator input wires and output wires."""
+    """A gate list with designated garbler/evaluator input wires and output wires.
+
+    A circuit is built once and never mutated afterwards (the builder hands
+    over an immutable gate tuple), so the compiled :attr:`plan` and the gate
+    counts are computed once and cached for the circuit's lifetime.
+    """
 
     num_wires: int
-    gates: list[Gate]
+    gates: tuple[Gate, ...]
     garbler_inputs: list[int]
     evaluator_inputs: list[int]
     outputs: list[int]
 
+    @cached_property
+    def plan(self) -> GatePlan:
+        kinds = [_PLAN_KIND[gate.kind] for gate in self.gates]
+        steps = tuple(
+            (kind, gate.input_a, gate.input_b, gate.output, position.to_bytes(4, "big"))
+            for position, (kind, gate) in enumerate(zip(kinds, self.gates))
+        )
+        return GatePlan(steps, and_count=kinds.count(PLAN_AND), xor_count=kinds.count(PLAN_XOR))
+
+    def __getstate__(self) -> dict:
+        # The plan is derived state: recompiled on first use after a pickle
+        # hop, so registrations do not ship it to every agent.
+        return {name: value for name, value in self.__dict__.items() if name != "plan"}
+
     @property
     def and_count(self) -> int:
-        return sum(1 for gate in self.gates if gate.kind is GateKind.AND)
+        return self.plan.and_count
 
     @property
     def xor_count(self) -> int:
-        return sum(1 for gate in self.gates if gate.kind is GateKind.XOR)
+        return self.plan.xor_count
 
     def evaluate_plain(self, garbler_bits: list[int], evaluator_bits: list[int]) -> list[int]:
         """Evaluate in the clear (used for testing and for the NoPriv baseline)."""
@@ -235,13 +275,17 @@ class CircuitBuilder:
         for wire in outputs:
             if wire not in self._assigned:
                 raise CircuitError(f"output wire {wire} is unassigned")
-        return Circuit(
+        circuit = Circuit(
             num_wires=self._num_wires,
-            gates=list(self._gates),
+            gates=tuple(self._gates),
             garbler_inputs=list(self._garbler_inputs),
             evaluator_inputs=list(self._evaluator_inputs),
             outputs=list(outputs),
         )
+        # The plan and gate counts are cached for good, which is only sound
+        # because nothing can append to or replace a gate of a built circuit.
+        assert isinstance(circuit.gates, tuple) and len(circuit.plan.steps) == len(circuit.gates)
+        return circuit
 
 
 @dataclass

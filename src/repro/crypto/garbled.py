@@ -21,25 +21,23 @@ the cost model needs.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
 
+from repro.crypto.circuits import PLAN_AND, PLAN_XOR, Circuit
 from repro.crypto.hashes import sha256
-from repro.crypto.circuits import Circuit, GateKind
+from repro.crypto.prg import Prg
 from repro.exceptions import CircuitError, ProtocolAbort, WireFormatError
-from repro.utils.bitops import xor_bytes
 from repro.utils.rand import secure_bytes
-from repro.utils.serialization import ByteReader, ByteWriter
+from repro.utils.serialization import ByteReader
 
 LABEL_BYTES = 16
 
-
-def _colour(label: bytes) -> int:
-    """Permute (colour) bit of a label: its lowest bit."""
-    return label[-1] & 1
-
-
-def _hash_gate(label_a: bytes, label_b: bytes, gate_index: int) -> bytes:
-    return sha256(b"garble-gate", label_a, label_b, gate_index.to_bytes(4, "big"))[:LABEL_BYTES]
+_GATE_TAG = b"garble-gate"
+_GATE_RECORD = struct.Struct(">I16s16s16s16s")  # gate position + the four rows
+_U32 = struct.Struct(">I")
+_FOUR_LABELS = [LABEL_BYTES] * 4
 
 
 @dataclass
@@ -58,58 +56,65 @@ class GarbledTables:
     output_decode: list[tuple[bytes, bytes]]  # per output wire: (hash of 0-label, hash of 1-label)
 
     def size_bytes(self) -> int:
-        table_bytes = sum(4 * LABEL_BYTES for _ in self.and_gates)
-        decode_bytes = len(self.output_decode) * 2 * LABEL_BYTES
-        return table_bytes + decode_bytes
+        return (4 * len(self.and_gates) + 2 * len(self.output_decode)) * LABEL_BYTES
 
     # -- wire codec (the garbled-tables message of Yao's protocol) ------------
     def to_bytes(self) -> bytes:
         """Exact wire encoding: gate positions + rows, then the decode digests."""
-        writer = ByteWriter()
-        writer.u32(len(self.and_gates))
+        parts = [_U32.pack(len(self.and_gates))]
         for position in sorted(self.and_gates):
-            gate = self.and_gates[position]
-            if len(gate.rows) != 4 or any(len(row) != LABEL_BYTES for row in gate.rows):
+            rows = self.and_gates[position].rows
+            # struct would silently pad or cut a mis-sized row: check first.
+            if [len(row) for row in rows] != _FOUR_LABELS:
                 raise CircuitError("garbled AND gate must carry four label-sized rows")
-            writer.u32(position)
-            for row in gate.rows:
-                writer.raw(row)
-        writer.u32(len(self.output_decode))
+            parts.append(_GATE_RECORD.pack(position, *rows))
+        parts.append(_U32.pack(len(self.output_decode)))
         for digest0, digest1 in self.output_decode:
             if len(digest0) != LABEL_BYTES or len(digest1) != LABEL_BYTES:
                 raise CircuitError("output decode digests must be label-sized")
-            writer.raw(digest0)
-            writer.raw(digest1)
-        return writer.getvalue()
+            parts += (digest0, digest1)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GarbledTables":
         reader = ByteReader(data)
         and_gates: dict[int, GarbledGate] = {}
-        for _ in range(reader.u32()):
-            position = reader.u32()
+        records = reader.raw(_GATE_RECORD.size * reader.u32())
+        for position, *rows in _GATE_RECORD.iter_unpack(records):
             if position in and_gates:
                 raise WireFormatError(f"duplicate garbled gate at position {position}")
-            rows = [reader.raw(LABEL_BYTES) for _ in range(4)]
             and_gates[position] = GarbledGate(gate_index=position, rows=rows)
-        output_decode = [
-            (reader.raw(LABEL_BYTES), reader.raw(LABEL_BYTES)) for _ in range(reader.u32())
-        ]
+        digests = reader.records(2 * reader.u32(), LABEL_BYTES)
         reader.expect_end()
-        return cls(and_gates=and_gates, output_decode=output_decode)
+        return cls(and_gates=and_gates, output_decode=list(zip(digests[::2], digests[1::2])))
 
 
 @dataclass
 class GarblingResult:
-    """Garbler-side result: tables to send plus the secret label assignments."""
+    """Garbler-side result: tables to send plus the secret label assignments.
+
+    Labels live as 128-bit integers (the big-endian value of the 16 wire
+    bytes, so the colour bit is ``& 1``); the accessors below are the only
+    place they turn back into bytes.
+    """
 
     tables: GarbledTables
-    wire_zero_labels: dict[int, bytes]
-    free_xor_offset: bytes
+    zero_labels: dict[int, int]  # wire -> its 0-label
+    offset: int  # the free-XOR offset R (lowest bit set)
+
+    @property
+    def wire_zero_labels(self) -> dict[int, bytes]:
+        return {
+            wire: label.to_bytes(LABEL_BYTES, "big") for wire, label in self.zero_labels.items()
+        }
+
+    @property
+    def free_xor_offset(self) -> bytes:
+        return self.offset.to_bytes(LABEL_BYTES, "big")
 
     def labels_for(self, wire: int, value: int) -> bytes:
-        zero = self.wire_zero_labels[wire]
-        return zero if value == 0 else xor_bytes(zero, self.free_xor_offset)
+        zero = self.zero_labels[wire]
+        return (zero if value == 0 else zero ^ self.offset).to_bytes(LABEL_BYTES, "big")
 
     def input_labels(self, wires: list[int], bits: list[int]) -> list[bytes]:
         if len(wires) != len(bits):
@@ -118,10 +123,7 @@ class GarblingResult:
 
     def label_pairs(self, wires: list[int]) -> list[tuple[bytes, bytes]]:
         """(0-label, 1-label) pairs for the given wires — the OT sender inputs."""
-        return [
-            (self.wire_zero_labels[wire], xor_bytes(self.wire_zero_labels[wire], self.free_xor_offset))
-            for wire in wires
-        ]
+        return [(self.labels_for(wire, 0), self.labels_for(wire, 1)) for wire in wires]
 
 
 def _output_digest(label: bytes, wire: int) -> bytes:
@@ -135,60 +137,63 @@ def garble(circuit: Circuit, seed: bytes | None = None) -> GarblingResult:
     snapshot needs only the seed to reproduce every label and table
     bit-identically on restore; ``None`` draws fresh system randomness.
     """
+    plan = circuit.plan
+    inputs = circuit.garbler_inputs + circuit.evaluator_inputs
+    # One label each for the offset, every input wire and every AND output,
+    # consumed in that order from one sequential read.
+    length = LABEL_BYTES * (1 + len(inputs) + plan.and_count)
     if seed is None:
-        rand = lambda: secure_bytes(LABEL_BYTES)  # noqa: E731 - tiny closure
+        stream = secure_bytes(length)
     else:
-        from repro.crypto.prg import Prg
+        stream = Prg(seed, domain=b"garble-labels").read(length)
+    as_int, sha, tag, size = int.from_bytes, hashlib.sha256, _GATE_TAG, LABEL_BYTES
+    fresh = iter([as_int(stream[at : at + size], "big") for at in range(0, length, size)])
+    offset = next(fresh) | 1  # ensure the colour bits of a 0/1 label pair differ
+    zero = {wire: next(fresh) for wire in inputs}
 
-        prg = Prg(seed, domain=b"garble-labels")
-        rand = lambda: prg.read(LABEL_BYTES)  # noqa: E731
-    offset = bytearray(rand())
-    offset[-1] |= 1  # ensure the colour bits of a 0/1 label pair differ
-    free_xor_offset = bytes(offset)
-
-    zero_labels: dict[int, bytes] = {}
-    for wire in circuit.garbler_inputs + circuit.evaluator_inputs:
-        zero_labels[wire] = rand()
+    def row(left: bytes, right: bytes, out_label: int) -> bytes:
+        """Encrypt *out_label* under the pad H(left || right), the digest's top half."""
+        pad = as_int(sha(left + right).digest(), "big") >> 128
+        return (pad ^ out_label).to_bytes(size, "big")
 
     and_gates: dict[int, GarbledGate] = {}
-    for position, gate in enumerate(circuit.gates):
-        if gate.kind is GateKind.XOR:
-            zero_labels[gate.output] = xor_bytes(
-                zero_labels[gate.input_a], zero_labels[gate.input_b]
-            )
-            continue
-        if gate.kind is GateKind.NOT:
-            # The output 0-label is the input 1-label; evaluation passes the
-            # active label through unchanged.
-            zero_labels[gate.output] = xor_bytes(zero_labels[gate.input_a], free_xor_offset)
-            continue
-        # AND gate: build the four-row table ordered by input colour bits.
-        zero_labels[gate.output] = rand()
-        a0 = zero_labels[gate.input_a]
-        b0 = zero_labels[gate.input_b]
-        out0 = zero_labels[gate.output]
-        rows: list[bytes | None] = [None] * 4
-        for value_a in (0, 1):
-            label_a = a0 if value_a == 0 else xor_bytes(a0, free_xor_offset)
-            for value_b in (0, 1):
-                label_b = b0 if value_b == 0 else xor_bytes(b0, free_xor_offset)
-                out_value = value_a & value_b
-                out_label = out0 if out_value == 0 else xor_bytes(out0, free_xor_offset)
-                row_index = (_colour(label_a) << 1) | _colour(label_b)
-                pad = _hash_gate(label_a, label_b, position)
-                rows[row_index] = xor_bytes(pad, out_label)
-        and_gates[position] = GarbledGate(gate_index=position, rows=[row for row in rows if row is not None])
-        if len(and_gates[position].rows) != 4:
-            raise CircuitError("internal garbling error: colour-bit collision")
+    for position, (kind, wire_a, wire_b, wire_out, index) in enumerate(plan.steps):
+        if kind == PLAN_XOR:
+            zero[wire_out] = zero[wire_a] ^ zero[wire_b]
+        elif kind != PLAN_AND:
+            # NOT: the output 0-label is the input 1-label; evaluation passes
+            # the active label through unchanged.
+            zero[wire_out] = zero[wire_a] ^ offset
+        else:
+            a0, b0 = zero[wire_a], zero[wire_b]
+            out0 = zero[wire_out] = next(fresh)
+            # The two halves of a gate-hash input: tag + label_a, label_b + index.
+            left0 = tag + a0.to_bytes(size, "big")
+            left1 = tag + (a0 ^ offset).to_bytes(size, "big")
+            right0 = b0.to_bytes(size, "big") + index
+            right1 = (b0 ^ offset).to_bytes(size, "big") + index
+            # Rows are ordered by the inputs' colour bits; flipping an input
+            # value flips its colour, so value pair (va, vb) lands on row
+            # ``first ^ (2·va + vb)`` and the four rows never collide.
+            first = ((a0 & 1) << 1) | (b0 & 1)
+            rows = [b""] * 4
+            rows[first] = row(left0, right0, out0)
+            rows[first ^ 1] = row(left0, right1, out0)
+            rows[first ^ 2] = row(left1, right0, out0)
+            rows[first ^ 3] = row(left1, right1, out0 ^ offset)
+            and_gates[position] = GarbledGate(gate_index=position, rows=rows)
 
     output_decode = []
     for wire in circuit.outputs:
-        zero = zero_labels[wire]
-        one = xor_bytes(zero, free_xor_offset)
-        output_decode.append((_output_digest(zero, wire), _output_digest(one, wire)))
-
+        label = zero[wire]
+        output_decode.append(
+            (
+                _output_digest(label.to_bytes(LABEL_BYTES, "big"), wire),
+                _output_digest((label ^ offset).to_bytes(LABEL_BYTES, "big"), wire),
+            )
+        )
     tables = GarbledTables(and_gates=and_gates, output_decode=output_decode)
-    return GarblingResult(tables=tables, wire_zero_labels=zero_labels, free_xor_offset=free_xor_offset)
+    return GarblingResult(tables=tables, zero_labels=zero, offset=offset)
 
 
 def evaluate(
@@ -202,26 +207,32 @@ def evaluate(
         raise ProtocolAbort("wrong number of garbler input labels")
     if len(evaluator_input_labels) != len(circuit.evaluator_inputs):
         raise ProtocolAbort("wrong number of evaluator input labels")
-    active: dict[int, bytes] = {}
-    for wire, label in zip(circuit.garbler_inputs, garbler_input_labels):
-        active[wire] = label
-    for wire, label in zip(circuit.evaluator_inputs, evaluator_input_labels):
-        active[wire] = label
-    for position, gate in enumerate(circuit.gates):
-        if gate.kind is GateKind.XOR:
-            active[gate.output] = xor_bytes(active[gate.input_a], active[gate.input_b])
-        elif gate.kind is GateKind.NOT:
-            active[gate.output] = active[gate.input_a]
+    as_int, sha, tag, size = int.from_bytes, hashlib.sha256, _GATE_TAG, LABEL_BYTES
+    active: dict[int, int] = {}
+    for wire, label in zip(
+        circuit.garbler_inputs + circuit.evaluator_inputs,
+        list(garbler_input_labels) + list(evaluator_input_labels),
+    ):
+        if len(label) != LABEL_BYTES:
+            raise ProtocolAbort(f"input label for wire {wire} is not {LABEL_BYTES} bytes")
+        active[wire] = as_int(label, "big")
+    and_gates = tables.and_gates
+    for position, (kind, wire_a, wire_b, wire_out, index) in enumerate(circuit.plan.steps):
+        if kind == PLAN_XOR:
+            active[wire_out] = active[wire_a] ^ active[wire_b]
+        elif kind != PLAN_AND:
+            active[wire_out] = active[wire_a]
         else:
-            garbled = tables.and_gates.get(position)
+            garbled = and_gates.get(position)
             if garbled is None:
                 raise ProtocolAbort(f"missing garbled table for AND gate at position {position}")
-            label_a = active[gate.input_a]
-            label_b = active[gate.input_b]
-            row_index = (_colour(label_a) << 1) | _colour(label_b)
-            pad = _hash_gate(label_a, label_b, position)
-            active[gate.output] = xor_bytes(pad, garbled.rows[row_index])
-    return [active[wire] for wire in circuit.outputs]
+            label_a, label_b = active[wire_a], active[wire_b]
+            rows = garbled.rows
+            if len(rows) != 4 or len(row := rows[((label_a & 1) << 1) | (label_b & 1)]) != size:
+                raise ProtocolAbort(f"malformed garbled table for AND gate at position {position}")
+            pad = sha(tag + label_a.to_bytes(size, "big") + label_b.to_bytes(size, "big") + index)
+            active[wire_out] = (as_int(pad.digest(), "big") >> 128) ^ as_int(row, "big")
+    return [active[wire].to_bytes(LABEL_BYTES, "big") for wire in circuit.outputs]
 
 
 def decode_outputs(circuit: Circuit, tables: GarbledTables, output_labels: list[bytes]) -> list[int]:

@@ -26,11 +26,14 @@ byte costs of an OT batch are measured.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.crypto.dh import DHGroup
-from repro.crypto.hashes import hash_to_group_element, sha256
-from repro.crypto.prg import Prg, prf
+from repro.crypto.hashes import sha256
+from repro.crypto.prg import prf, stretch
 from repro.exceptions import OTError
 from repro.twopc.session import (
     ProtocolSession,
@@ -95,7 +98,7 @@ def base_ot_sender_keys(setup: BaseOTSenderSetup, receiver_response: int) -> tup
         raise OTError("base OT receiver response out of range")
     key0_shared = group.power(receiver_response, setup.secret)
     # B / A = B * A^{-1}; exponentiating gives the key for choice 1.
-    a_inverse = pow(setup.public, group.p - 2, group.p)
+    a_inverse = pow(setup.public, -1, group.p)
     key1_shared = group.power((receiver_response * a_inverse) % group.p, setup.secret)
     key0 = sha256(b"base-ot-key", group.encode_element(key0_shared))
     key1 = sha256(b"base-ot-key", group.encode_element(key1_shared))
@@ -126,8 +129,111 @@ def base_ot_batch_send(
 # ---------------------------------------------------------------------------
 # Frame-driven party state machines
 # ---------------------------------------------------------------------------
-def _row_bits(columns: list[bytes] | tuple[bytes, ...], row: int, kappa: int) -> list[int]:
-    return [(columns[j][row // 8] >> (row % 8)) & 1 for j in range(kappa)]
+def _transpose_columns(matrix: bytes, count: int) -> bytes:
+    """Rows of the kappa x *count* bit matrix whose columns are concatenated in *matrix*.
+
+    Column ``j`` keeps bit ``i`` at ``(column[i // 8] >> (i % 8)) & 1``; row
+    ``i`` comes back as ``kappa / 8`` bytes with bit ``j`` at the same
+    little-endian position, rows concatenated.
+    """
+    columns = np.frombuffer(matrix, dtype=np.uint8).reshape(SECURITY_PARAMETER, -1)
+    bits = np.unpackbits(columns, axis=1, count=count, bitorder="little")
+    return np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+
+
+def _column_matrix(seeds: list[bytes], domain: bytes, column_bytes: int) -> bytes:
+    """One PRG-stretched column per seed, concatenated."""
+    return b"".join([stretch(seed, domain, column_bytes) for seed in seeds])
+
+
+def _pad(label: bytes, row: bytes, tag: bytes, length: int) -> bytes:
+    """The pad of one transfer: *label* binds its index, *row* its matrix row."""
+    return prf(hashlib.sha256(label + row).digest(), tag, length)
+
+
+def _extend_receiver(
+    seed_pairs: list[tuple[bytes, bytes]], choices: list[int], domain: bytes
+) -> tuple[bytes, tuple[bytes, ...]]:
+    """The receiver's T matrix and the U columns ``T_j XOR PRG(seed1_j) XOR r`` it publishes."""
+    column_bytes = (len(choices) + 7) // 8
+    t_matrix = _column_matrix([seed0 for seed0, _ in seed_pairs], domain, column_bytes)
+    g_matrix = _column_matrix([seed1 for _, seed1 in seed_pairs], domain, column_bytes)
+    u_matrix = xor_bytes(xor_bytes(t_matrix, g_matrix), bits_to_bytes(choices) * len(seed_pairs))
+    return t_matrix, tuple(
+        u_matrix[at : at + column_bytes] for at in range(0, len(u_matrix), column_bytes)
+    )
+
+
+def _extend_sender(
+    columns: tuple[bytes, ...],
+    seeds: list[bytes],
+    s_bits: list[int],
+    domain: bytes,
+    message_pairs: list[tuple[bytes, bytes]],
+    length: int,
+    labels: list[bytes],
+) -> tuple[tuple[bytes, bytes], ...]:
+    """Encrypt every message pair under the pads of its Q-matrix row (step 5)."""
+    count = len(message_pairs)
+    column_bytes = (count + 7) // 8
+    if any(len(column) != column_bytes for column in columns):
+        raise OTError("IKNP column length does not match the transfer batch")
+    # Q_j = PRG(seed_j) XOR (s_j * U_j).
+    unselected = bytes(column_bytes)
+    q_matrix = xor_bytes(
+        _column_matrix(seeds, domain, column_bytes),
+        b"".join([column if bit else unselected for column, bit in zip(columns, s_bits)]),
+    )
+    # Row i satisfies q_i = t_i XOR (r_i * s): pad 0 comes from q_i, pad 1 from q_i XOR s.
+    width = SECURITY_PARAMETER // 8
+    rows0 = _transpose_columns(q_matrix, count)
+    rows1 = xor_bytes(rows0, bits_to_bytes(s_bits) * count)
+    pads = []
+    for label, at in zip(labels, range(0, len(rows0), width)):
+        pads.append(_pad(label, rows0[at : at + width], b"0", length))
+        pads.append(_pad(label, rows1[at : at + width], b"1", length))
+    messages = [message for pair in message_pairs for message in pair]
+    encrypted = xor_bytes(b"".join(pads), b"".join(messages))
+    return tuple(
+        (encrypted[at : at + length], encrypted[at + length : at + 2 * length])
+        for at in range(0, len(encrypted), 2 * length)
+    )
+
+
+def _decrypt_chosen(
+    t_matrix: bytes,
+    choices: list[int],
+    pairs: tuple[tuple[bytes, bytes], ...],
+    labels: list[bytes],
+) -> list[bytes]:
+    """The receiver's last step: unpad the chosen message of every pair with its T row."""
+    width = SECURITY_PARAMETER // 8
+    rows = _transpose_columns(t_matrix, len(choices))
+    chosen = [pair[choice] for pair, choice in zip(pairs, choices)]
+    pads = [
+        _pad(label, rows[at : at + width], (b"0", b"1")[choice], len(message))
+        for label, at, choice, message in zip(labels, range(0, len(rows), width), choices, chosen)
+    ]
+    plain = xor_bytes(b"".join(pads), b"".join(chosen))
+    results, at = [], 0
+    for message in chosen:
+        results.append(plain[at : at + len(message)])
+        at += len(message)
+    return results
+
+
+def _one_shot_labels(count: int) -> list[bytes]:
+    return [b"iknp-pad" + index.to_bytes(4, "big") for index in range(count)]
+
+
+def _pool_labels(start: int, count: int) -> list[bytes]:
+    """Pads of pooled batches are bound to globally unique transfer indices."""
+    return [b"iknp-pool-pad" + index.to_bytes(8, "big") for index in range(start, start + count)]
+
+
+def _pool_domain(start_index: int) -> bytes:
+    """PRG domain of the T/U column chunk for the batch starting at *start_index*."""
+    return b"iknp-pool-column" + start_index.to_bytes(8, "big")
 
 
 class OtMachine(ProtocolSession):
@@ -249,34 +355,17 @@ class IknpSenderMachine(OtMachine):
                 raise OTError("IKNP columns arrived before the seed base OTs completed")
             if len(frame.columns) != self._kappa:
                 raise OTError("IKNP column count does not match the security parameter")
-            count = len(self.message_pairs)
-            column_bytes = (count + 7) // 8
-            # Q_j = PRG(seed_j) XOR (s_j * U_j).
-            q_columns = []
-            for j in range(self._kappa):
-                column = Prg(self._seeds[j], domain=b"iknp-column").read(column_bytes)
-                if len(frame.columns[j]) != column_bytes:
-                    raise OTError("IKNP column length does not match the transfer batch")
-                if self._s_bits[j]:
-                    column = xor_bytes(column, frame.columns[j])
-                q_columns.append(column)
-            # Row i satisfies q_i = t_i XOR (r_i * s): derive both pads, encrypt.
-            s_bytes = bits_to_bytes(self._s_bits)
-            encrypted_pairs = []
-            for i in range(count):
-                q_row = bits_to_bytes(_row_bits(q_columns, i, self._kappa))
-                pad0 = prf(
-                    sha256(b"iknp-pad", i.to_bytes(4, "big"), q_row), b"0", self.message_length
-                )
-                pad1 = prf(
-                    sha256(b"iknp-pad", i.to_bytes(4, "big"), xor_bytes(q_row, s_bytes)),
-                    b"1",
-                    self.message_length,
-                )
-                m0, m1 = self.message_pairs[i]
-                encrypted_pairs.append((xor_bytes(pad0, m0), xor_bytes(pad1, m1)))
+            encrypted_pairs = _extend_sender(
+                frame.columns,
+                self._seeds,
+                self._s_bits,
+                b"iknp-column",
+                self.message_pairs,
+                self.message_length,
+                _one_shot_labels(len(self.message_pairs)),
+            )
             self.finished = True
-            return [OtExtPairsFrame(tuple(encrypted_pairs))]
+            return [OtExtPairsFrame(encrypted_pairs)]
         return self._unexpected(frame)
 
 
@@ -297,7 +386,7 @@ class IknpReceiverMachine(OtMachine):
             (secure_bytes(16), secure_bytes(16)) for _ in range(self._kappa)
         ]
         self._base = BaseOtSenderMachine(group, self._seed_pairs)
-        self._t_columns: list[bytes] = []
+        self._t_matrix = b""
 
     def _start(self) -> list[Frame]:
         if not self.choices:
@@ -311,31 +400,18 @@ class IknpReceiverMachine(OtMachine):
             frames = self._base.handle(frame)
             # The seed transfer is done from this party's side; stretch both
             # seeds per column and publish U = T XOR PRG(seed1) XOR r.
-            column_bytes = (len(self.choices) + 7) // 8
-            choice_vector = bits_to_bytes(self.choices)
-            u_columns = []
-            for seed0, seed1 in self._seed_pairs:
-                t_col = Prg(seed0, domain=b"iknp-column").read(column_bytes)
-                g1 = Prg(seed1, domain=b"iknp-column").read(column_bytes)
-                self._t_columns.append(t_col)
-                u_columns.append(xor_bytes(xor_bytes(t_col, g1), choice_vector))
-            return frames + [OtExtColumnsFrame(tuple(u_columns))]
+            self._t_matrix, u_columns = _extend_receiver(
+                self._seed_pairs, self.choices, b"iknp-column"
+            )
+            return frames + [OtExtColumnsFrame(u_columns)]
         if isinstance(frame, OtExtPairsFrame):
-            if not self._t_columns:
+            if not self._t_matrix:
                 raise OTError("IKNP pairs arrived before the seed base OTs completed")
             if len(frame.pairs) != len(self.choices):
                 raise OTError("IKNP pair count does not match the transfer batch")
-            results = []
-            for i, choice in enumerate(self.choices):
-                t_row = bits_to_bytes(_row_bits(self._t_columns, i, self._kappa))
-                chosen = frame.pairs[i][choice]
-                pad = prf(
-                    sha256(b"iknp-pad", i.to_bytes(4, "big"), t_row),
-                    bytes([48 + choice]),
-                    len(chosen),
-                )
-                results.append(xor_bytes(pad, chosen))
-            self.result = results
+            self.result = _decrypt_chosen(
+                self._t_matrix, self.choices, frame.pairs, _one_shot_labels(len(self.choices))
+            )
             self.finished = True
             return []
         return self._unexpected(frame)
@@ -491,18 +567,6 @@ class OtExtensionPool:
         return cls(sender_state=sender_state, receiver_state=receiver_state)
 
 
-def _pool_column(seed: bytes, start_index: int, column_bytes: int) -> bytes:
-    """The T/U column chunk for the batch starting at *start_index*."""
-    domain = b"iknp-pool-column" + start_index.to_bytes(8, "big")
-    return Prg(seed, domain=domain).read(column_bytes)
-
-
-def _pool_pad(global_index: int, row: bytes, tag: bytes, length: int) -> bytes:
-    return prf(
-        sha256(b"iknp-pool-pad", global_index.to_bytes(8, "big"), row), tag, length
-    )
-
-
 def initialize_ot_pool(
     group: DHGroup,
     channel: FramedChannel | None = None,
@@ -589,31 +653,22 @@ class PooledIknpSenderMachine(OtMachine):
     def _handle(self, frame: Frame) -> list[Frame]:
         if not isinstance(frame, OtExtColumnsFrame):
             return self._unexpected(frame)
-        kappa = SECURITY_PARAMETER
-        if len(frame.columns) != kappa:
+        if len(frame.columns) != SECURITY_PARAMETER:
             raise OTError("IKNP column count does not match the security parameter")
         count = len(self.message_pairs)
-        column_bytes = (count + 7) // 8
         start = frame.start_index
         self.state.claim(start, count)
-        q_columns = []
-        for j in range(kappa):
-            column = _pool_column(self.state.seed_keys[j], start, column_bytes)
-            if len(frame.columns[j]) != column_bytes:
-                raise OTError("IKNP column length does not match the transfer batch")
-            if self.state.s_bits[j]:
-                column = xor_bytes(column, frame.columns[j])
-            q_columns.append(column)
-        s_bytes = bits_to_bytes(self.state.s_bits)
-        encrypted_pairs = []
-        for i in range(count):
-            q_row = bits_to_bytes(_row_bits(q_columns, i, kappa))
-            pad0 = _pool_pad(start + i, q_row, b"0", self.message_length)
-            pad1 = _pool_pad(start + i, xor_bytes(q_row, s_bytes), b"1", self.message_length)
-            m0, m1 = self.message_pairs[i]
-            encrypted_pairs.append((xor_bytes(pad0, m0), xor_bytes(pad1, m1)))
+        encrypted_pairs = _extend_sender(
+            frame.columns,
+            self.state.seed_keys,
+            self.state.s_bits,
+            _pool_domain(start),
+            self.message_pairs,
+            self.message_length,
+            _pool_labels(start, count),
+        )
         self.finished = True
-        return [OtExtPairsFrame(tuple(encrypted_pairs))]
+        return [OtExtPairsFrame(encrypted_pairs)]
 
 
 class PooledIknpReceiverMachine(OtMachine):
@@ -626,24 +681,18 @@ class PooledIknpReceiverMachine(OtMachine):
         self.choices = list(choices)
         self.state = state
         self._start_index = 0
-        self._t_columns: list[bytes] = []
+        self._t_matrix = b""
 
     def _start(self) -> list[Frame]:
         if not self.choices:
             self.result = []
             self.finished = True
             return []
-        count = len(self.choices)
-        self._start_index = self.state.allocate(count)
-        column_bytes = (count + 7) // 8
-        choice_vector = bits_to_bytes(self.choices)
-        u_columns = []
-        for seed0, seed1 in self.state.seed_pairs:
-            t_col = _pool_column(seed0, self._start_index, column_bytes)
-            g1 = _pool_column(seed1, self._start_index, column_bytes)
-            self._t_columns.append(t_col)
-            u_columns.append(xor_bytes(xor_bytes(t_col, g1), choice_vector))
-        return [OtExtColumnsFrame(tuple(u_columns), start_index=self._start_index)]
+        self._start_index = self.state.allocate(len(self.choices))
+        self._t_matrix, u_columns = _extend_receiver(
+            self.state.seed_pairs, self.choices, _pool_domain(self._start_index)
+        )
+        return [OtExtColumnsFrame(u_columns, start_index=self._start_index)]
 
     POOLED_OT_STATE_VERSION = 1
 
@@ -680,11 +729,11 @@ class PooledIknpReceiverMachine(OtMachine):
             # Re-derive the T columns exactly as ``_start`` did — the pool
             # seeds and the batch's start index pin them bit-identically,
             # and the already-allocated index range must NOT be re-reserved.
-            column_bytes = (count + 7) // 8
-            for seed0, _ in pool_state.seed_pairs:
-                machine._t_columns.append(
-                    _pool_column(seed0, machine._start_index, column_bytes)
-                )
+            machine._t_matrix = _column_matrix(
+                [seed0 for seed0, _ in pool_state.seed_pairs],
+                _pool_domain(machine._start_index),
+                (count + 7) // 8,
+            )
         return machine
 
     def _handle(self, frame: Frame) -> list[Frame]:
@@ -692,14 +741,12 @@ class PooledIknpReceiverMachine(OtMachine):
             return self._unexpected(frame)
         if len(frame.pairs) != len(self.choices):
             raise OTError("IKNP pair count does not match the transfer batch")
-        kappa = SECURITY_PARAMETER
-        results = []
-        for i, choice in enumerate(self.choices):
-            t_row = bits_to_bytes(_row_bits(self._t_columns, i, kappa))
-            chosen = frame.pairs[i][choice]
-            pad = _pool_pad(self._start_index + i, t_row, bytes([48 + choice]), len(chosen))
-            results.append(xor_bytes(pad, chosen))
-        self.result = results
+        self.result = _decrypt_chosen(
+            self._t_matrix,
+            self.choices,
+            frame.pairs,
+            _pool_labels(self._start_index, len(self.choices)),
+        )
         self.finished = True
         return []
 

@@ -70,15 +70,30 @@ class Prg:
         return self.read_int(2 * bound + 1) - bound
 
 
+def _counter_mode(key: bytes, prefix: bytes, counter_bytes: int, length: int) -> bytes:
+    """``HMAC(key, prefix || counter)`` blocks for counter 0, 1, ... cut to *length*."""
+    if length <= 32:  # one block: every label-sized pad and the OT columns of <= 256 transfers
+        return hmac.digest(key, prefix + bytes(counter_bytes), "sha256")[:length]
+    blocks = [
+        hmac.digest(key, prefix + counter.to_bytes(counter_bytes, "big"), "sha256")
+        for counter in range(-(-length // 32))
+    ]
+    return b"".join(blocks)[:length]
+
+
+def stretch(seed: bytes, domain: bytes, length: int) -> bytes:
+    """The first *length* bytes of ``Prg(seed, domain)``, without building the object.
+
+    The IKNP extension stretches hundreds of seeds per batch and reads each
+    stream exactly once; this is :meth:`Prg.read` for that case.
+    """
+    if not seed:
+        raise ParameterError("PRG seed must be non-empty")
+    return _counter_mode(hmac.digest(domain, seed, "sha256"), b"", 8, length)
+
+
 def prf(key: bytes, message: bytes, length: int = 32) -> bytes:
     """Fixed-length PRF output, ``HMAC(key, message)`` truncated/expanded to *length*."""
     if length <= 0:
         raise ParameterError("length must be positive")
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hmac.new(
-            key, message + counter.to_bytes(4, "big"), hashlib.sha256
-        ).digest()
-        counter += 1
-    return out[:length]
+    return _counter_mode(key, message, 4, length)

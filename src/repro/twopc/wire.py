@@ -356,14 +356,11 @@ class WireCodec:
                 writer.big_uint(element)
         elif isinstance(frame, (OtCipherPairsFrame, OtExtPairsFrame)):
             writer.u32(len(frame.pairs))
-            for first, second in frame.pairs:
-                writer.blob(first)
-                writer.blob(second)
+            writer.blobs(message for first, second in frame.pairs for message in (first, second))
         elif isinstance(frame, OtExtColumnsFrame):
             writer.u32(frame.start_index)
             writer.u32(len(frame.columns))
-            for column in frame.columns:
-                writer.blob(column)
+            writer.blobs(frame.columns)
         elif isinstance(frame, GarbledCircuitFrame):
             writer.blob(frame.tables.to_bytes())
             self._encode_labels(writer, frame.garbler_labels)
@@ -397,10 +394,9 @@ class WireCodec:
     @staticmethod
     def _encode_labels(writer: ByteWriter, labels: tuple[bytes, ...]) -> None:
         writer.u32(len(labels))
-        for label in labels:
-            if len(label) != LABEL_BYTES:
-                raise WireFormatError("wire labels must be exactly LABEL_BYTES long")
-            writer.raw(label)
+        if any(len(label) != LABEL_BYTES for label in labels):
+            raise WireFormatError("wire labels must be exactly LABEL_BYTES long")
+        writer.raw(b"".join(labels))
 
     # -- decoding ----------------------------------------------------------
     def decode(self, data: bytes) -> Frame:
@@ -428,13 +424,14 @@ class WireCodec:
                 return OtPublicsFrame(elements)
             return OtResponsesFrame(elements)
         if frame_type in (FrameType.OT_CIPHERPAIRS, FrameType.OT_EXT_PAIRS):
-            pairs = tuple((reader.blob(), reader.blob()) for _ in range(reader.u32()))
+            messages = reader.blobs(2 * reader.u32())
+            pairs = tuple(zip(messages[::2], messages[1::2]))
             if frame_type == FrameType.OT_CIPHERPAIRS:
                 return OtCipherPairsFrame(pairs)
             return OtExtPairsFrame(pairs)
         if frame_type == FrameType.OT_EXT_COLUMNS:
             start_index = reader.u32()
-            columns = tuple(reader.blob() for _ in range(reader.u32()))
+            columns = tuple(reader.blobs(reader.u32()))
             return OtExtColumnsFrame(columns, start_index)
         if frame_type == FrameType.GARBLED_CIRCUIT:
             tables = GarbledTables.from_bytes(reader.blob())
@@ -468,4 +465,4 @@ class WireCodec:
 
     @staticmethod
     def _decode_labels(reader: ByteReader) -> tuple[bytes, ...]:
-        return tuple(reader.raw(LABEL_BYTES) for _ in range(reader.u32()))
+        return tuple(reader.records(reader.u32(), LABEL_BYTES))

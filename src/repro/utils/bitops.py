@@ -9,6 +9,8 @@ little-endian bit lists that circuits consume.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import PackingError, ParameterError
 
 
@@ -104,24 +106,17 @@ def unpack_fields(packed: int, field_bits: int, count: int) -> list[int]:
 
 def bits_to_bytes(bits: list[int]) -> bytes:
     """Pack a little-endian bit list into bytes (final byte zero-padded)."""
-    out = bytearray(ceil_div(len(bits), 8))
-    for index, bit in enumerate(bits):
-        if bit:
-            out[index // 8] |= 1 << (index % 8)
-    return bytes(out)
+    return np.packbits(np.asarray(bits, dtype=bool), bitorder="little").tobytes()
 
 
 def bytes_to_bits(data: bytes, count: int | None = None) -> list[int]:
     """Expand bytes into a little-endian bit list, optionally truncated to *count*."""
-    bits = []
-    for byte in data:
-        for position in range(8):
-            bits.append((byte >> position) & 1)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     if count is not None:
         if count > len(bits):
             raise ParameterError("requested more bits than the data contains")
         bits = bits[:count]
-    return bits
+    return bits.tolist()
 
 
 def xor_bytes(left: bytes, right: bytes) -> bytes:
@@ -130,4 +125,4 @@ def xor_bytes(left: bytes, right: bytes) -> bytes:
         raise ParameterError(
             f"xor_bytes operands differ in length: {len(left)} vs {len(right)}"
         )
-    return bytes(a ^ b for a, b in zip(left, right))
+    return (int.from_bytes(left, "big") ^ int.from_bytes(right, "big")).to_bytes(len(left), "big")

@@ -15,7 +15,7 @@ keys.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Iterable
 
 from repro.exceptions import ParameterError, WireFormatError
 
@@ -191,6 +191,17 @@ class ByteWriter:
         self._buffer += data
         return self
 
+    def blobs(self, items: Iterable[bytes]) -> "ByteWriter":
+        """Append every item as :meth:`blob` would, in one pass over the buffer."""
+        buffer = self._buffer
+        try:
+            for data in items:
+                buffer += len(data).to_bytes(4, "big")
+                buffer += data
+        except OverflowError:
+            raise ParameterError("blob too long for a u32 wire length") from None
+        return self
+
     def big_uint(self, value: int) -> "ByteWriter":
         """Append a u32-length-prefixed big-endian non-negative integer."""
         if value < 0:
@@ -237,6 +248,24 @@ class ByteReader:
 
     def blob(self) -> bytes:
         return self.raw(self.u32())
+
+    def blobs(self, count: int) -> list[bytes]:
+        """Read *count* length-prefixed blobs (what *count* :meth:`blob` calls return)."""
+        data, offset, end = self.data, self.offset, len(self.data)
+        items = []
+        for _ in range(count):
+            start = offset + 4
+            offset = start + int.from_bytes(data[offset:start], "big")
+            if offset > end or start > end:
+                raise WireFormatError("truncated wire encoding")
+            items.append(data[start:offset])
+        self.offset = offset
+        return items
+
+    def records(self, count: int, size: int) -> list[bytes]:
+        """Read *count* fixed-width records of *size* bytes each."""
+        body = self.raw(count * size)
+        return [body[at : at + size] for at in range(0, len(body), size)]
 
     def big_uint(self) -> int:
         return int.from_bytes(self.blob(), "big")
