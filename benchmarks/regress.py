@@ -557,11 +557,11 @@ def run_fabric(ring_degree: int, repeat: int) -> dict:
                 runtime.register_spam(address, protocol, setups[address])
             spare = spawn_local_agent(shard_index=FABRIC_AGENTS)
             agents.append(spare)
-            target = runtime.attach_agent(spare)
+            target = runtime.attach_worker(spare)
 
             start = time.perf_counter()
             job_ids = runtime.submit_spam(waves[0])
-            resubmitted = runtime.migrate_agent(0, target)
+            resubmitted = runtime.migrate(0, target)
             for wave in waves[1:]:
                 job_ids += runtime.submit_spam(wave)
             runtime.drain()

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """The cross-host shard fabric: TCP agents, a control plane, live migration.
 
-The sharded runtime of ``sharded_serving.py`` keeps its workers on local
-pipes; the fabric puts real TCP under them so shards can run on remote
-hosts.  This example drives the three fabric layers on one machine:
+``sharded_serving.py`` reaches its workers over local pipes; the fabric
+gives the same shard driver TCP links so shards can run on remote hosts.
+This example drives the three fabric layers on one machine:
 
 1. **Worker agents** — two standalone processes, each serving one shard of
    the mailbox hash partition over a versioned control protocol (HELLO
    handshake, command/reply, heartbeats) on a reliable transport;
-2. **The control plane** — a :class:`FabricRuntime` parent that replays
-   registrations to its agents, routes emails by stable mailbox hash, and
-   aggregates each agent's streamed metrics snapshots fold-once;
+2. **The control plane** — the shard driver over one ``TcpLink`` per
+   agent: it replays registrations, routes emails by stable mailbox hash,
+   and aggregates each agent's streamed metrics snapshots fold-once;
 3. **Live shard migration** — mid-stream, with decrypt windows still open,
    agent 0's whole hash range is checkpointed, restored onto a freshly
    spawned third process and retired — zero emails resubmitted, verdicts
@@ -87,9 +87,9 @@ def main() -> None:
         # -- live migration: agent 0's hash range moves to a fresh process ----
         spare = spawn_local_agent(shard_index=2)
         agents.append(spare)
-        target = runtime.attach_agent(spare)
+        target = runtime.attach_worker(spare)
         moved = [slot for slot, owner in enumerate(runtime.slot_owners()) if owner == 0]
-        resubmitted = runtime.migrate_agent(0, target)
+        resubmitted = runtime.migrate(0, target)
         print(
             f"Live migration: slot(s) {moved} checkpointed on agent 0, restored "
             f"on agent {target} (pid {spare.pid}) — {resubmitted} emails "
@@ -117,11 +117,10 @@ def main() -> None:
         print(f"  throughput          : {total / elapsed:6.1f} emails/s (incl. migration)")
         print(f"  verdicts            : {spam_count} spam / {total - spam_count} ham")
         print(f"  emails_served_total : {served:.0f} (exactly-once across the handover)")
-        for stats in runtime.agent_stats():
+        for stats in runtime.shard_stats():
             print(
-                f"  agent {stats['agent']}: {stats['mailboxes']} mailbox(es), "
-                f"decrypt batches {stats['decrypt_batch_sizes']}, "
-                f"{stats['link']['retransmissions']} control retransmissions"
+                f"  agent {stats['worker']}: {stats['mailboxes']} mailbox(es), "
+                f"decrypt batches {stats['decrypt_batch_sizes']}"
             )
     finally:
         runtime.close()

@@ -33,11 +33,14 @@ Scaling past one loop (this PR's serving stack, cf. the §6.3 estimates):
 * :class:`ProviderRuntime.serve_burst`/:meth:`ProviderRuntime.drain` — the
   windowed serving entry points: jobs whose decrypts are still inside an
   open window stay parked between bursts and complete when it closes.
-* :class:`ShardedRuntime` — N worker processes, each owning the mailboxes
-  that hash to its shard (stable SHA-256 partition) with its own
+* :class:`ShardDriver` — N workers, each owning the mailboxes that hash to
+  its slots (stable SHA-256 partition) with its own
   :class:`MailboxDirectory` (warm OT pools, stacked model rows) and windowed
   :class:`ProviderRuntime`.  Shards are embarrassingly parallel because all
-  decrypt batching is per key pair, which never crosses a mailbox.
+  decrypt batching is per key pair, which never crosses a mailbox.  The
+  driver reaches a worker through a :class:`WorkerLink`:
+  :class:`ShardedRuntime` forks :class:`PipeLink` workers in this box,
+  :func:`repro.fabric.launch_fabric` dials agents on other hosts over TCP.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from repro.crypto.chacha import open_sealed, seal
 from repro.crypto.ot import OtExtensionPool
@@ -1787,58 +1790,170 @@ def _shard_worker_main(
 class _OutstandingItem:
     """Parent-side record of a submitted email, kept until its result lands.
 
-    This is all the state needed to resubmit the email after a shard restart
-    (frames never leave the worker, so an email in flight on a killed shard
-    simply re-runs from its features).
+    This is all the state needed to resubmit the email after a worker is
+    replaced (frames never leave the worker, so an email in flight on a
+    killed shard simply re-runs from its features).
     """
 
-    shard: int
+    slot: int
     kind: str
     address: str
     features: SparseVector
     candidates: Sequence[int] | None = None
 
 
-class ShardedRuntime:
-    """Partition the serving loop across worker processes by mailbox hash.
+class WorkerLink(Protocol):
+    """How the shard driver reaches one :class:`ShardWorkerCore`.
 
-    Each of the ``num_shards`` workers owns the mailboxes that
-    :func:`shard_of_address` maps to it: its own :class:`MailboxDirectory`
+    A link is a FIFO: every posted command is answered by exactly one
+    ``(tag, body)`` reply, and replies come back in posting order — so the
+    driver can post to many links before waiting on any of them, and the
+    workers compute their slices of a burst concurrently.  Two transports
+    implement it (:class:`PipeLink` here, ``TcpLink`` in
+    :mod:`repro.fabric.control`); the driver tests add an in-memory one.
+    """
+
+    #: OS pid of the worker process, once known (crash drills kill this).
+    pid: int | None
+    #: Latest *cumulative* metrics snapshot of the worker.  The driver
+    #: replaces it from every reply that carries one, a link may replace it
+    #: from a pushed scrape; it outlives the worker (its final value is what
+    #: the driver folds into the base when the worker is replaced).
+    metrics: dict | None
+
+    @property
+    def alive(self) -> bool:
+        """False once the worker can no longer answer."""
+
+    def post(self, command: str, payload: Any) -> None:
+        """Send one command; raises :class:`ProtocolError` if the worker is gone."""
+
+    def wait(self) -> tuple[str, Any]:
+        """The next reply in posting order; raises :class:`ProtocolError` on
+        worker death or when the link gives up waiting (the reply may still
+        arrive later — the driver absorbs it then)."""
+
+    def close(self) -> None:
+        """Dismiss the worker and release the transport (idempotent)."""
+
+
+#: Start method of pipe workers: fork where the platform has it (the worker
+#: inherits the imported program), spawn elsewhere.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+class PipeLink:
+    """A :class:`WorkerLink` to a worker process in this box, over a pipe.
+
+    The worker's *endpoint* is its checkpoint directory (or ``None``): the
+    one thing a replacement needs to find the state its predecessor left.
+    """
+
+    def __init__(
+        self, checkpoint_dir: str | None, index: int, scheduler_spec: tuple, incarnation: str
+    ) -> None:
+        context = multiprocessing.get_context(_START_METHOD)
+        self._connection, child_connection = context.Pipe()
+        self._process = context.Process(
+            target=_shard_worker_main,
+            args=(child_connection, scheduler_spec, checkpoint_dir, index, incarnation),
+            daemon=True,
+        )
+        self._process.start()
+        child_connection.close()
+        self._hung_up = False
+        self.metrics: dict | None = None
+
+    @property
+    def pid(self) -> int | None:
+        return self._process.pid
+
+    @property
+    def alive(self) -> bool:
+        return not self._hung_up and self._process.is_alive()
+
+    def _died(self, error: BaseException) -> ProtocolError:
+        self._hung_up = True
+        return ProtocolError(f"pipe worker {self.pid} died: {error!r}")
+
+    def post(self, command: str, payload: Any) -> None:
+        try:
+            self._connection.send((command, payload))
+        except (EOFError, OSError) as error:
+            raise self._died(error) from error
+
+    def wait(self) -> tuple[str, Any]:
+        try:
+            return self._connection.recv()
+        except (EOFError, OSError) as error:
+            raise self._died(error) from error
+
+    def join(self, timeout: float) -> None:
+        """Wait for the worker process to exit (after a kill)."""
+        self._process.join(timeout=timeout)
+
+    def close(self) -> None:
+        if not self._hung_up:
+            # Ask, then read until the worker hangs up: it must never find
+            # the pipe closed under a reply it is still writing.
+            try:
+                self._connection.send(("stop", None))
+                while self._connection.poll(10.0):
+                    self._connection.recv()
+            except (EOFError, OSError):
+                pass
+            self._hung_up = True
+        self._connection.close()
+        self._process.join(timeout=10.0)
+        if self._process.is_alive():
+            self._process.terminate()
+            self._process.join(timeout=10.0)
+
+
+class ShardDriver:
+    """Partition the serving loop across workers by mailbox hash.
+
+    The mailbox hash space is split into ``len(endpoints)`` **slots**
+    (:func:`shard_of_address`); each slot is served by one worker — a
+    :class:`ShardWorkerCore` with its own :class:`MailboxDirectory`
     (encrypted-model stacks and per-pair OT pools stay warm in the worker
     across bursts) and its own windowed :class:`ProviderRuntime`.  Because
-    decrypt batching is per key pair, shards never need to coordinate — the
+    decrypt batching is per key pair, workers never coordinate — the
     partition is embarrassingly parallel, which is the §6.3 scaling story.
 
-    The runtime survives worker loss two ways.  With a *checkpoint_dir*,
-    every worker persists its open decrypt windows as ``SessionState``
-    snapshots at each burst boundary, and :meth:`restart_shard` *resumes*
-    them — parked sessions come back bit-identically, with no re-execution
-    of completed protocol steps.  Without one (or for work the checkpoint
-    does not cover), the parent replays registrations and resubmits in-flight
-    emails from their features — the recompute fallback.  Either way a
-    mid-window crash never costs correctness.  Results are collected by job
-    id (:meth:`take_result`); :meth:`run_spam_stream` is the submit/drain
-    convenience the benchmarks use.
+    Everything that is not transport lives here, once: the scheduler spec
+    and incarnation every worker is built with, the mutable slot→worker
+    routing table, the registration log, job ids, outstanding emails and
+    landed results, and the replace-latest/fold-once metrics discipline.
+    How a worker is reached is a :class:`WorkerLink`; *connect* builds one
+    as ``connect(endpoint, index, scheduler_spec, incarnation)``.  The two
+    entry points differ only in that argument: :class:`ShardedRuntime`
+    forks pipe workers, :func:`repro.fabric.launch_fabric` dials TCP agents.
+
+    The driver survives worker loss two ways.  A worker with a checkpoint
+    store persists its open decrypt windows as ``SessionState`` snapshots
+    at each burst boundary, and its replacement *resumes* them — parked
+    sessions come back bit-identically, with no re-execution of completed
+    protocol steps.  Whatever a checkpoint does not cover is resubmitted
+    from features — the recompute fallback.  Either way a mid-window crash
+    never costs correctness.  :meth:`migrate` uses the same machinery to
+    move a live worker's open windows onto another worker.  Results are
+    collected by job id (:meth:`take_result`); :meth:`run_spam_stream` is
+    the submit/drain convenience the benchmarks use.
     """
 
     def __init__(
         self,
-        num_shards: int = 4,
+        connect: Callable[[Any, int, tuple, str], WorkerLink],
+        endpoints: Sequence[Any],
         window_bursts: int = 1,
         max_pending_ciphertexts: int | None = None,
         max_delay_seconds: float | None = None,
-        start_method: str | None = None,
-        checkpoint_dir: str | Path | None = None,
         adaptive: bool = False,
         adaptive_options: Mapping[str, Any] | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ProtocolError("a sharded runtime needs at least one shard")
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self.num_shards = num_shards
+        if not endpoints:
+            raise ProtocolError("a shard driver needs at least one worker")
         if adaptive:
             self._scheduler_spec: tuple = ("adaptive", dict(adaptive_options or {}))
         else:
@@ -1848,206 +1963,314 @@ class ShardedRuntime:
                 max_pending_ciphertexts,
                 max_delay_seconds,
             )
-        self._checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
         # Job ids restart from zero in every parent, so checkpoints are bound
-        # to this runtime instance: a leftover blob from an earlier parent in
-        # the same directory is refused at restore (recompute fallback)
-        # instead of resumed under colliding ids.
+        # to this driver instance: a leftover blob from an earlier parent is
+        # refused at restore (recompute fallback) instead of resumed under
+        # colliding ids.  All workers share it, so a checkpoint taken on one
+        # is admissible on another (migration).
         self._incarnation = os.urandom(8).hex()
-        self._context = multiprocessing.get_context(start_method)
-        self._connections: list[Any] = []
-        self._processes: list[Any] = []
-        self._registrations: list[tuple[int, str, tuple]] = []
+        self._connect = connect
+        self.num_slots = len(endpoints)
+        self._slot_owner = list(range(self.num_slots))
+        self._links: list[WorkerLink] = []
+        # Per worker: commands posted whose replies have not been absorbed.
+        self._owed: list[deque[str]] = []
+        self._registrations: list[tuple[int, str, tuple]] = []  # (slot, command, payload)
         self._registered: set[tuple[str, str]] = set()  # (kind, address)
         self._outstanding: dict[int, _OutstandingItem] = {}
         self._results: dict[int, Any] = {}
         self._job_ids = itertools.count()
+        # Cross-worker metrics aggregation.  Workers report *cumulative*
+        # registry snapshots; the driver keeps only each link's latest
+        # (replacing, never adding) plus this base of the final snapshots of
+        # replaced workers — so a replaced worker's counts are folded in
+        # exactly once and nothing double-counts.
+        self._metrics_base: list[dict] = []
         self._closed = False
-        # Cross-shard metrics aggregation.  Workers report *cumulative*
-        # registry snapshots; per shard the parent keeps only the live
-        # incarnation's latest (replacing, never adding) plus a base holding
-        # the final snapshots of dead incarnations — so a restarted worker's
-        # counts are folded in exactly once and nothing double-counts.
-        self._shard_metrics: dict[int, dict] = {}
-        self._shard_metrics_base: dict[int, dict] = {}
-        for shard in range(num_shards):
-            connection, process = self._spawn_worker(shard)
-            self._connections.append(connection)
-            self._processes.append(process)
+        try:
+            for endpoint in endpoints:
+                self.attach_worker(endpoint)
+        except BaseException:
+            self.close()
+            raise
 
-    # -- worker lifecycle ----------------------------------------------------
-    def _spawn_worker(self, shard: int) -> tuple[Any, Any]:
-        parent_connection, child_connection = self._context.Pipe()
-        process = self._context.Process(
-            target=_shard_worker_main,
-            args=(
-                child_connection,
-                self._scheduler_spec,
-                self._checkpoint_dir,
-                shard,
-                self._incarnation,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_connection.close()
-        return parent_connection, process
-
-    def _send(self, shard: int, command: str, payload: Any) -> None:
+    # -- command plumbing ----------------------------------------------------
+    def _link(self, worker: int) -> WorkerLink:
         if self._closed:
-            raise ProtocolError("the sharded runtime is closed")
-        try:
-            self._connections[shard].send((command, payload))
-        except (EOFError, OSError, BrokenPipeError) as error:
-            raise ProtocolError(
-                f"shard {shard} worker died (restart_shard can recover it): {error}"
-            ) from error
+            raise ProtocolError("the shard driver is closed")
+        if not 0 <= worker < len(self._links):
+            raise ProtocolError(f"no worker {worker} in a {len(self._links)}-worker driver")
+        return self._links[worker]
 
-    def _collect(self, shard: int, command: str) -> Any:
+    def _post(self, worker: int, command: str, payload: Any) -> None:
+        link = self._link(worker)
         try:
-            tag, body = self._connections[shard].recv()
-        except (EOFError, OSError, BrokenPipeError) as error:
+            link.post(command, payload)
+        except ProtocolError as error:
             raise ProtocolError(
-                f"shard {shard} worker died (restart_shard can recover it): {error}"
+                f"worker {worker} is gone (attach_replacement can recover it): {error}"
             ) from error
-        if tag == "error":
-            raise ProtocolError(f"shard {shard} rejected {command!r}: {body}")
-        if tag == "results":
-            results, metrics = body
-            for job_id, result in results:
-                self._results[job_id] = result
-                self._outstanding.pop(job_id, None)
-            self._shard_metrics[shard] = metrics
-        elif tag == "restored":
-            _resumed_ids, results, metrics = body
-            for job_id, result in results:
-                self._results[job_id] = result
-                self._outstanding.pop(job_id, None)
-            self._shard_metrics[shard] = metrics
-        elif tag == "stats" and isinstance(body, dict) and "metrics" in body:
-            self._shard_metrics[shard] = body["metrics"]
+        self._owed[worker].append(command)
+
+    def _collect(self, worker: int) -> Any:
+        """Absorb every reply *worker* owes, oldest first; return the last body.
+
+        Replies are FIFO, so a reply the driver once gave up on (a fan-out
+        that failed elsewhere, a wait that timed out) is still first in line
+        the next time this worker is touched: its results land and its
+        metrics replace — a late reply is absorbed, never discarded, and
+        never mistaken for the answer to a newer command.
+        """
+        link, owed = self._links[worker], self._owed[worker]
+        body = None
+        while owed:
+            try:
+                tag, body = link.wait()
+            except ProtocolError as error:
+                if not link.alive:
+                    owed.clear()  # a dead worker answers nothing more
+                raise ProtocolError(
+                    f"worker {worker} is gone or silent "
+                    f"(attach_replacement can recover a dead one): {error}"
+                ) from error
+            command = owed.popleft()
+            if tag in ("results", "restored", "checkpointed"):
+                *_, results, metrics = body
+                for job_id, result in results:
+                    self._results[job_id] = result
+                    self._outstanding.pop(job_id, None)
+                link.metrics = metrics
+            elif tag == "stats":
+                link.metrics = body["metrics"]
+            elif tag == "error" and not owed:
+                # Only the command being awaited raises; an error reply to a
+                # command whose caller already gave up has no one to tell.
+                raise ProtocolError(f"worker {worker} rejected {command!r}: {body}")
         return body
 
-    def _request(self, shard: int, command: str, payload: Any) -> Any:
-        self._send(shard, command, payload)
-        return self._collect(shard, command)
+    def _fanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
+        """Post to every worker, then collect from every worker.
 
-    def restart_shard(self, shard: int, resume: bool = True) -> int:
-        """Kill one worker and rebuild it: replay registrations, resume, resubmit.
+        Posting first lets the workers compute concurrently.  Every posted
+        command is collected before an error propagates, so one failing
+        worker can never leave another's reply unread.
+        """
+        posted: list[int] = []
+        errors: list[ProtocolError] = []
+        for worker, command, payload in work:
+            try:
+                self._post(worker, command, payload)
+                posted.append(worker)
+            except ProtocolError as error:
+                errors.append(error)
+        bodies = []
+        for worker in posted:
+            try:
+                bodies.append(self._collect(worker))
+            except ProtocolError as error:
+                errors.append(error)
+        if errors:
+            raise errors[0]
+        return bodies
+
+    def _request(self, worker: int, command: str, payload: Any) -> Any:
+        return self._fanout([(worker, command, payload)])[0]
+
+    def _serving(self) -> list[int]:
+        """Live workers that currently own at least one slot."""
+        owners = set(self._slot_owner)
+        return [
+            worker
+            for worker, link in enumerate(self._links)
+            if link.alive and worker in owners
+        ]
+
+    # -- worker membership ---------------------------------------------------
+    def attach_worker(self, endpoint: Any) -> int:
+        """Connect one more worker (owning no slots yet); returns its index.
+
+        The standard migration target: start a fresh worker, attach it, then
+        :meth:`migrate` a hash range onto it.
+        """
+        if self._closed:
+            raise ProtocolError("the shard driver is closed")
+        worker = len(self._links)
+        link = self._connect(endpoint, worker, self._scheduler_spec, self._incarnation)
+        self._links.append(link)
+        self._owed.append(deque())
+        return worker
+
+    def attach_replacement(self, worker: int, endpoint: Any) -> int:
+        """Rebuild one worker position from a fresh worker; resubmit the gaps.
 
         Models a provider process dying mid-window (§6.3 deployments restart
-        workers all the time).  With a checkpoint directory configured (and
-        *resume* left on), the fresh worker first restores the open-window
-        sessions from its :class:`FileSessionStore` snapshot — those emails
-        pick up exactly where they parked, with no re-execution of completed
-        protocol steps.  Anything not covered by the checkpoint (e.g. work
-        admitted after the last checkpointed boundary, or sessions that
-        declined to snapshot) is resubmitted from its features — the
-        recompute fallback.  Returns the number of resubmitted emails, so
-        ``0`` means every in-flight email was resumed from its snapshot.
+        workers all the time).  The old worker is dismissed and its final
+        cumulative snapshot joins the metrics base — folded exactly once;
+        the fresh worker starts a new cumulative series from zero.  When the
+        replacement can read its predecessor's checkpoint log (same
+        checkpoint directory, same index), the open-window sessions pick up
+        exactly where they parked.  Returns the number of resubmitted
+        emails, so ``0`` means every in-flight email resumed from its
+        snapshot.
         """
-        if not 0 <= shard < self.num_shards:
-            raise ProtocolError(f"no shard {shard} in a {self.num_shards}-shard runtime")
-        process = self._processes[shard]
-        process.terminate()
-        process.join(timeout=10.0)
-        self._connections[shard].close()
-        # The dying incarnation's cumulative snapshot becomes part of this
-        # shard's base — folded exactly once; the fresh worker starts a new
-        # cumulative series from zero.
-        final = self._shard_metrics.pop(shard, None)
-        if final is not None:
-            base = self._shard_metrics_base.get(shard)
-            self._shard_metrics_base[shard] = (
-                merge_snapshots(base, final) if base is not None else final
-            )
-        # Rebuild in place so shard indices (and the address partition) hold.
-        parent_connection, fresh = self._spawn_worker(shard)
-        self._connections[shard] = parent_connection
-        self._processes[shard] = fresh
-        resuming = resume and self._checkpoint_dir is not None
-        for registered_shard, command, payload in self._registrations:
-            if registered_shard == shard:
-                # When a checkpoint will be restored, defer the per-pair OT
-                # handshakes: restored pools replace them for checkpointed
-                # mailboxes, and ensure_pools backfills the rest — paying
-                # base OTs only to overwrite them would be dead recovery time.
-                self._request(shard, command, (*payload, True) if resuming else payload)
+        old = self._link(worker)
+        old.close()
+        if old.metrics is not None:
+            self._metrics_base.append(old.metrics)
+            old.metrics = None
+        self._links[worker] = self._connect(
+            endpoint, worker, self._scheduler_spec, self._incarnation
+        )
+        self._owed[worker] = deque()
+        return self._rebuild(worker, self._slots_of(worker), own_log=True)
+
+    def _slots_of(self, worker: int) -> set[int]:
+        return {slot for slot, owner in enumerate(self._slot_owner) if owner == worker}
+
+    def _rebuild(
+        self, worker: int, slots: set[int], blob: bytes | None = None, own_log: bool = False
+    ) -> int:
+        """Make *worker* the server of *slots*; returns the emails resubmitted.
+
+        Replay the slots' registrations, restore open windows — from *blob*
+        (a ``checkpoint`` reply handed over by :meth:`migrate`) or, with
+        *own_log*, from whatever checkpoint log the worker finds on disk —
+        backfill OT pools, then resubmit every outstanding email of those
+        slots that the restore did not resume.
+        """
+        for slot, command, payload in self._registrations:
+            if slot in slots:
+                # Defer the per-pair OT handshakes: restored pools replace
+                # them for checkpointed mailboxes (mid-stream cursors intact)
+                # and ensure_pools backfills the rest — paying base OTs only
+                # to overwrite them would be dead recovery time.
+                self._request(worker, command, (*payload, True))
         resumed: set[int] = set()
-        if resuming:
-            resumed_ids, _results, _metrics = self._request(shard, "restore", None)
+        if blob is not None or own_log:
+            resumed_ids, _results, _metrics = self._request(worker, "restore", blob)
             resumed = set(resumed_ids)
-            self._request(shard, "ensure_pools", None)
+        self._request(worker, "ensure_pools", None)
         resubmit = [
-            (job_id, item)
-            for job_id, item in self._outstanding.items()
-            if item.shard == shard and job_id not in resumed
+            (job_id, item.kind, item.address, item.features, item.candidates)
+            for job_id, item in sorted(self._outstanding.items())
+            if item.slot in slots and job_id not in resumed
         ]
         if resubmit:
-            self._request(
-                shard,
-                "burst",
-                [
-                    (job_id, item.kind, item.address, item.features, item.candidates)
-                    for job_id, item in resubmit
-                ],
-            )
+            self._request(worker, "burst", resubmit)
         return len(resubmit)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for connection, process in zip(self._connections, self._processes):
-            try:
-                connection.send(("stop", None))
-                connection.recv()
-            except (EOFError, OSError, BrokenPipeError):
-                pass
-            connection.close()
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=10.0)
+    def migrate(self, source: int, target: int) -> int:
+        """Move every slot *source* owns onto *target*, live; retire *source*.
 
-    def __enter__(self) -> "ShardedRuntime":
-        return self
+        No email is lost or re-run.  The ``checkpoint`` command quiesces the
+        source *before* serializing, so the blob, the stray finished results
+        and the final metrics snapshot riding its reply are a consistent
+        cut: no idle tick can fire a window the target is about to resume,
+        which is what makes "every email served exactly once" hold.  The
+        blob is admissible on the target because all workers of one driver
+        share its incarnation.  Resumed sessions restart bit-identically
+        mid-protocol (same OT pads, same window cursors).  Returns the
+        number of emails that had to be *resubmitted* on the target (work
+        that raced past the last sync, sessions that declined to snapshot);
+        ``0`` means the whole in-flight window state moved.
+        """
+        if source == target:
+            raise ProtocolError("cannot migrate a worker onto itself")
+        if not self._link(source).alive:
+            raise ProtocolError(
+                f"worker {source} is dead — use attach_replacement, not migrate"
+            )
+        if not self._link(target).alive:
+            raise ProtocolError(f"migration target worker {target} is dead")
+        slots = self._slots_of(source)
+        if not slots:
+            raise ProtocolError(f"worker {source} owns no slots; nothing to migrate")
+        blob, _results, _metrics = self._request(source, "checkpoint", None)
+        resubmitted = self._rebuild(target, slots, blob)
+        for slot in slots:
+            self._slot_owner[slot] = target
+        self._links[source].close()
+        return resubmitted
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def rebalance(self) -> tuple[int, int, int] | None:
+        """Migrate the hottest worker's hash range onto a spare.
 
-    def worker_pid(self, shard: int) -> int:
-        """The OS pid of one shard's worker (crash drills SIGKILL this)."""
-        if not 0 <= shard < self.num_shards:
-            raise ProtocolError(f"no shard {shard} in a {self.num_shards}-shard runtime")
-        return self._processes[shard].pid
+        Load is ``emails_served_total`` from each worker's latest cumulative
+        snapshot — the aggregation the driver already keeps, no extra round
+        trip.  Candidates to receive the range are live workers owning *no*
+        slots (freshly attached spares); with no spare, or with no load
+        contrast at all, this is a no-op returning ``None``.  Otherwise
+        returns ``(source, target, resubmitted)``.
+        """
 
-    def join_worker(self, shard: int, timeout: float = 10.0) -> None:
-        """Wait for one shard's worker process to exit (after a kill)."""
-        self._processes[shard].join(timeout=timeout)
+        def served(worker: int) -> float:
+            snapshot = self._links[worker].metrics or {}
+            return sum(
+                entry["value"]
+                for entry in snapshot.get("counters", [])
+                if entry["name"] == "emails_served_total"
+            )
+
+        serving = self._serving()
+        spares = [
+            worker
+            for worker, link in enumerate(self._links)
+            if link.alive and worker not in serving
+        ]
+        if not spares or not serving:
+            return None
+        hottest = max(serving, key=served)
+        if served(hottest) <= 0:
+            return None  # nobody has served anything; nothing is "hot" yet
+        return hottest, spares[0], self.migrate(hottest, spares[0])
+
+    def retire_worker(self, worker: int) -> None:
+        """Dismiss one worker; its final metrics stay in the aggregate.
+
+        The worker must not own any slots (migrate them away first) —
+        retiring a serving worker would orphan its mailboxes.
+        """
+        if self._slots_of(worker):
+            raise ProtocolError(
+                f"worker {worker} still owns slots {sorted(self._slots_of(worker))}; "
+                "migrate them away before retiring it"
+            )
+        self._link(worker).close()
+
+    def worker_alive(self, worker: int) -> bool:
+        return self._link(worker).alive
+
+    def worker_pid(self, worker: int) -> int:
+        """The OS pid of one worker (crash drills SIGKILL this)."""
+        pid = self._link(worker).pid
+        if pid is None:
+            raise ProtocolError(f"worker {worker} never announced its pid")
+        return pid
+
+    def slot_owners(self) -> list[int]:
+        """Routing table copy: ``slot -> worker index``, one entry per slot."""
+        return list(self._slot_owner)
 
     # -- registration --------------------------------------------------------
     def shard_of(self, address: str) -> int:
-        return shard_of_address(address, self.num_shards)
+        return shard_of_address(address, self.num_slots)
+
+    def _register(self, kind: str, address: str, protocol: Any, setup: Any) -> None:
+        slot = self.shard_of(address)
+        payload = (address, protocol, setup)
+        self._request(self._slot_owner[slot], f"register_{kind}", payload)
+        self._registrations.append((slot, f"register_{kind}", payload))
+        self._registered.add((kind, address))
 
     def register_spam(
         self, address: str, protocol: SpamFilterProtocol, setup: SpamSetup
     ) -> None:
-        shard = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(shard, "register_spam", payload)
-        self._registrations.append((shard, "register_spam", payload))
-        self._registered.add(("spam", address))
+        self._register("spam", address, protocol, setup)
 
     def register_topics(
         self, address: str, protocol: TopicExtractionProtocol, setup: TopicSetup
     ) -> None:
-        shard = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(shard, "register_topics", payload)
-        self._registrations.append((shard, "register_topics", payload))
-        self._registered.add(("topics", address))
+        self._register("topics", address, protocol, setup)
 
     def has_spam(self, address: str) -> bool:
         return ("spam", address) in self._registered
@@ -2058,35 +2281,28 @@ class ShardedRuntime:
     # -- submission / results ------------------------------------------------
     def _submit(self, items: list[_OutstandingItem]) -> list[int]:
         job_ids = []
-        by_shard: dict[int, list[tuple]] = {}
+        by_worker: dict[int, list[tuple]] = {}
         for item in items:
             job_id = next(self._job_ids)
             job_ids.append(job_id)
             self._outstanding[job_id] = item
-            by_shard.setdefault(item.shard, []).append(
+            by_worker.setdefault(self._slot_owner[item.slot], []).append(
                 (job_id, item.kind, item.address, item.features, item.candidates)
             )
-        # Fan out before collecting: every worker computes its slice of the
-        # burst concurrently; the replies are gathered only afterwards.
-        for shard, shard_items in by_shard.items():
-            self._send(shard, "burst", shard_items)
-        for shard in by_shard:
-            self._collect(shard, "burst")
+        self._fanout([(worker, "burst", batch) for worker, batch in by_worker.items()])
         return job_ids
 
     def submit_spam(self, emails: Sequence[tuple[str, SparseVector]]) -> list[int]:
         """Submit one burst of (address, features) emails; returns their job ids.
 
-        Each shard runs its slice of the burst through its windowed serving
+        Each worker runs its slice of the burst through its windowed serving
         loop; results that complete immediately (closed windows) are already
-        collected when this returns — the rest arrive with later bursts or
-        :meth:`drain`.
+        collected when this returns — the rest arrive with later bursts,
+        :meth:`poll` or :meth:`drain`.
         """
         return self._submit(
             [
-                _OutstandingItem(
-                    shard=self.shard_of(address), kind="spam", address=address, features=features
-                )
+                _OutstandingItem(self.shard_of(address), "spam", address, features)
                 for address, features in emails
             ]
         )
@@ -2097,69 +2313,57 @@ class ShardedRuntime:
         """Submit one burst of (address, features, candidates) topic emails."""
         return self._submit(
             [
-                _OutstandingItem(
-                    shard=self.shard_of(address),
-                    kind="topics",
-                    address=address,
-                    features=features,
-                    candidates=candidates,
-                )
+                _OutstandingItem(self.shard_of(address), "topics", address, features, candidates)
                 for address, features, candidates in emails
             ]
         )
 
     def poll(self) -> int:
-        """Tick every shard's age triggers; returns how many new results landed.
+        """Tick every serving worker's age triggers; returns how many new results landed.
 
-        Workers also self-tick while their pipe is idle, so calling this is
+        Workers also self-tick while their link is idle, so calling this is
         never *required* for progress — it exists so tests and latency-probe
         loops can force the flush deterministically and observe the results
-        synchronously (each shard's ``poll`` reply carries any jobs its idle
+        synchronously (each worker's ``poll`` reply carries any jobs its idle
         ticks finished since the last results-bearing reply).
         """
         before = len(self._results)
-        for shard in range(self.num_shards):
-            self._send(shard, "poll", None)
-        for shard in range(self.num_shards):
-            self._collect(shard, "poll")
+        self._fanout([(worker, "poll", None) for worker in self._serving()])
         return len(self._results) - before
 
     def drain(self) -> None:
-        """Close every shard's open windows; all outstanding results land."""
-        for shard in range(self.num_shards):
-            self._send(shard, "drain", None)
-        for shard in range(self.num_shards):
-            self._collect(shard, "drain")
+        """Close every serving worker's open windows; all outstanding results land."""
+        self._fanout([(worker, "drain", None) for worker in self._serving()])
 
     # -- reconnect-resume ----------------------------------------------------
+    def _owner_of_job(self, job_id: int) -> int:
+        item = self._outstanding.get(job_id)
+        if item is None:
+            raise ProtocolError(f"job {job_id} is not outstanding (finished or unknown)")
+        return self._slot_owner[item.slot]
+
     def disconnect_client(self, job_id: int) -> bytes:
         """Detach the client of an in-flight email; returns its snapshot bytes.
 
         Models a mail client losing its connection mid-protocol: the owning
-        shard parks the provider session (and its decrypt-window entries)
+        worker parks the provider session (and its decrypt-window entries)
         server-side and hands back the serialized client ``SessionState`` —
         the bytes the device carries offline.  The job stays outstanding (its
         result will land only after :meth:`reconnect_client`), and nothing is
         recomputed on either side.
         """
-        item = self._outstanding.get(job_id)
-        if item is None:
-            raise ProtocolError(f"job {job_id} is not outstanding (finished or unknown)")
-        return self._request(item.shard, "disconnect", job_id)
+        return self._request(self._owner_of_job(job_id), "disconnect", job_id)
 
     def reconnect_client(self, job_id: int, state: bytes) -> None:
         """Resume a disconnected email from its snapshot on a fresh channel.
 
-        The owning shard restores the client session from *state*, opens a
+        The owning worker restores the client session from *state*, opens a
         fresh channel, and re-attaches the parked provider session — the
         protocol picks up exactly where it stopped, with zero resubmissions.
         The result lands with the next burst or :meth:`drain` that closes the
         job's decrypt window.
         """
-        item = self._outstanding.get(job_id)
-        if item is None:
-            raise ProtocolError(f"job {job_id} is not outstanding (finished or unknown)")
-        self._request(item.shard, "reconnect", (job_id, bytes(state)))
+        self._request(self._owner_of_job(job_id), "reconnect", (job_id, bytes(state)))
 
     def take_result(self, job_id: int) -> Any:
         """Pop the protocol result for *job_id* (drain first if still open)."""
@@ -2176,29 +2380,87 @@ class ShardedRuntime:
     def run_spam_stream(
         self, bursts: Sequence[Sequence[tuple[str, SparseVector]]]
     ) -> list[SpamProtocolResult]:
-        """Feed bursts through the shards, drain, return results in order."""
+        """Feed bursts through the workers, drain, return results in order."""
         job_ids: list[int] = []
         for burst in bursts:
             job_ids.extend(self.submit_spam(burst))
         self.drain()
         return [self.take_result(job_id) for job_id in job_ids]
 
+    # -- telemetry -----------------------------------------------------------
     def shard_stats(self) -> list[dict[str, Any]]:
-        """Per-shard serving stats (mailboxes, decrypt batch sizes, backlog).
+        """Serving stats of every live worker, in worker order.
 
-        Each dict also carries the worker's cumulative registry snapshot
-        under ``"metrics"`` — a thin read of the worker-side registry.
+        Mailboxes, decrypt batch sizes, backlog, and the worker's cumulative
+        registry snapshot under ``"metrics"``; ``"worker"`` is its index.
         """
-        return [self._request(shard, "stats", None) for shard in range(self.num_shards)]
+        live = [worker for worker, link in enumerate(self._links) if link.alive]
+        replies = self._fanout([(worker, "stats", None) for worker in live])
+        return [dict(reply, worker=worker) for worker, reply in zip(live, replies)]
 
     def aggregated_metrics(self) -> dict:
         """One merged metrics snapshot covering every worker, past and present.
 
-        The sum of each shard's dead-incarnation base and the live
-        incarnation's latest cumulative snapshot.  Because workers report
-        cumulatively and the parent replaces (never adds) the live snapshot,
-        a SIGKILL + restore cycle cannot double-count — the property the
-        crash-recovery metrics test pins.
+        The sum of the replaced-worker base and every link's latest
+        cumulative snapshot (a dead or retired link keeps its final one).
+        Because workers report cumulatively and the driver replaces (never
+        adds) the latest, kills, replacements and migrations cannot
+        double-count — the property the crash-recovery metrics tests pin.
         """
-        snaps = list(self._shard_metrics_base.values()) + list(self._shard_metrics.values())
+        snaps = self._metrics_base + [
+            link.metrics for link in self._links if link.metrics is not None
+        ]
         return merge_snapshots(*snaps) if snaps else empty_snapshot()
+
+    # -- shutdown ------------------------------------------------------------
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for link in self._links:
+            link.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class ShardedRuntime(ShardDriver):
+    """A :class:`ShardDriver` over ``num_shards`` pipe workers it forks itself.
+
+    With a *checkpoint_dir*, every worker persists its open decrypt windows
+    there and :meth:`restart_shard` resumes them; without one it recomputes.
+    """
+
+    def __init__(
+        self,
+        num_shards: int = 4,
+        window_bursts: int = 1,
+        max_pending_ciphertexts: int | None = None,
+        max_delay_seconds: float | None = None,
+        checkpoint_dir: str | Path | None = None,
+        adaptive: bool = False,
+        adaptive_options: Mapping[str, Any] | None = None,
+    ) -> None:
+        if num_shards < 1:
+            raise ProtocolError("a sharded runtime needs at least one shard")
+        self._checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
+        super().__init__(
+            PipeLink,
+            [self._checkpoint_dir] * num_shards,
+            window_bursts=window_bursts,
+            max_pending_ciphertexts=max_pending_ciphertexts,
+            max_delay_seconds=max_delay_seconds,
+            adaptive=adaptive,
+            adaptive_options=adaptive_options,
+        )
+
+    def restart_shard(self, shard: int) -> int:
+        """Kill one worker and rebuild it in place; see :meth:`attach_replacement`."""
+        return self.attach_replacement(shard, self._checkpoint_dir)
+
+    def join_worker(self, shard: int, timeout: float = 10.0) -> None:
+        """Wait for one shard's worker process to exit (after a kill)."""
+        self._link(shard).join(timeout)

@@ -178,18 +178,20 @@ class PretzelSystem:
     ) -> dict[str, list[EmailProcessingReport]]:
         """One provider-wide serving pass across shard worker processes.
 
-        The sharded twin of :meth:`drain_all_mailboxes`: recipients partition
-        across a :class:`~repro.core.runtime.ShardedRuntime` by mailbox hash,
-        so each worker process runs the 2PC provider halves (spam, topics) for
-        its own mailboxes with warm per-mailbox state, accumulating decrypts
-        in its windowed scheduler.  Client-only modules (keyword search) have
-        no provider half to shard and run in-process as before.
+        :meth:`drain_all_mailboxes` over a
+        :class:`~repro.core.runtime.ShardDriver`: recipients partition across
+        its workers by mailbox hash, so each worker runs the 2PC provider
+        halves (spam, topics) for its own mailboxes with warm per-mailbox
+        state, accumulating decrypts in its windowed scheduler.  Client-only
+        modules (keyword search) have no provider half to shard and run
+        in-process as before.
 
         Pass a *runtime* to keep workers (and their warm OT pools) alive
-        across serving passes; otherwise one is created and torn down here.
-        Any object with the sharded drive API works — in particular a
-        :class:`repro.fabric.FabricRuntime`, whose shards are standalone
-        agent processes reached over TCP, serves this loop unchanged.
+        across serving passes — any shard driver, whatever its links (the one
+        :func:`repro.fabric.launch_fabric` returns reaches standalone agent
+        processes over TCP); otherwise a
+        :class:`~repro.core.runtime.ShardedRuntime` over pipe workers is
+        created and torn down here.
         """
         from repro.core.runtime import ShardedRuntime
         from repro.core.spam_module import SpamFunctionModule

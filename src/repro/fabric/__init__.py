@@ -1,64 +1,66 @@
-"""Cross-host shard fabric: TCP agents, a versioned control plane, migration.
+"""Cross-host shard fabric: TCP agents and a versioned control plane.
 
-The in-box :class:`~repro.core.runtime.ShardedRuntime` scales Pretzel's
-serving loop across *processes*; this package scales it across *hosts*.
-Each remote **agent** (:mod:`repro.fabric.agent`) is a standalone process
-serving one :class:`~repro.core.runtime.ShardWorkerCore` — the same shard
-brain the pipe workers run — over the reliable TCP control channel, so the
-two fabrics cannot drift in semantics.  The parent-side
-:class:`~repro.fabric.control.FabricRuntime` speaks the versioned CONTROL
-frame family of :mod:`repro.twopc.wire` (HELLO registration replay,
-seq-tagged COMMAND/REPLY, HEARTBEAT health, streamed METRICS snapshots) and
-mirrors the ``ShardedRuntime`` drive API, so
-:meth:`~repro.core.system.PretzelSystem.drain_all_mailboxes_sharded` runs
-unchanged on either.
-
-:mod:`repro.fabric.migrate` moves live shards between agents: checkpoint the
-open decrypt windows on host A, restore them bit-identically on host B,
-redirect the mailbox hash range, retire A — zero resubmissions, no email
-lost or served twice.  ``rebalance`` picks the migration itself, using the
-fabric's aggregated ``emails_served_total`` as the load signal.
+:class:`~repro.core.runtime.ShardDriver` scales Pretzel's serving loop
+across workers; this package puts a host boundary between the driver and a
+worker.  Each remote **agent** (:mod:`repro.fabric.agent`) is a standalone
+process serving one :class:`~repro.core.runtime.ShardWorkerCore` — the shard
+brain every worker runs — and :class:`~repro.fabric.control.TcpLink` is the
+driver's link to it: the versioned CONTROL frame family of
+:mod:`repro.twopc.wire` (HELLO handshake, seq-tagged COMMAND/REPLY,
+HEARTBEAT health, streamed METRICS snapshots) over a reliable TCP channel.
+Routing, registration replay, crash recovery, live migration
+(:meth:`~repro.core.runtime.ShardDriver.migrate`: checkpoint the open
+decrypt windows on host A, restore them bit-identically on host B, redirect
+the mailbox hash range, retire A — zero resubmissions, no email lost or
+served twice) and metrics aggregation are the driver's, whatever the link.
 """
+
+import functools
 
 from repro.fabric.agent import AgentProcess, spawn_local_agent
 from repro.fabric.control import (
     FabricRuntime,
+    TcpLink,
     metrics_projection,
     pack_control,
     unpack_control,
 )
-from repro.fabric.migrate import migrate, rebalance
 
 __all__ = [
     "AgentProcess",
     "FabricRuntime",
+    "TcpLink",
     "launch_fabric",
     "metrics_projection",
-    "migrate",
     "pack_control",
-    "rebalance",
     "spawn_local_agent",
     "unpack_control",
 ]
+
+_LINK_OPTIONS = ("heartbeat_interval", "heartbeat_timeout", "metrics_interval", "fault_spec")
 
 
 def launch_fabric(
     num_agents: int,
     checkpoint_dir=None,
-    **runtime_options,
+    **options,
 ) -> tuple[FabricRuntime, list[AgentProcess]]:
-    """Spawn *num_agents* localhost agents and a fabric runtime over them.
+    """Spawn *num_agents* localhost agents and a shard driver dialing them.
 
-    The two-line on-ramp the example, the bench suite and CI smoke use.  The
+    The two-line on-ramp the example, the bench suite and CI smoke use.
+    *options* are :class:`~repro.fabric.control.TcpLink`'s link options
+    (heartbeats, metrics interval, fault spec) and
+    :class:`~repro.core.runtime.ShardDriver`'s scheduler options.  The
     caller owns both halves: ``runtime.close()`` retires the agents (they
     exit on BYE), then ``agent.wait()``/``agent.kill()`` reaps the processes.
     """
+    link_options = {name: options.pop(name) for name in _LINK_OPTIONS if name in options}
     agents = [
         spawn_local_agent(shard_index=index, checkpoint_dir=checkpoint_dir)
         for index in range(num_agents)
     ]
     try:
-        runtime = FabricRuntime(agents, **runtime_options)
+        runtime = FabricRuntime(functools.partial(TcpLink, **link_options), agents, **options)
     except BaseException:
         for agent in agents:
             agent.kill()

@@ -1,14 +1,16 @@
-"""The fabric's control plane: versioned frames and the parent-side runtime.
+"""The fabric's control plane: versioned frames and the parent's TCP link.
 
-One ``FabricRuntime`` drives N remote agents over TCP the way a
-:class:`~repro.core.runtime.ShardedRuntime` drives N pipe workers — the
-command vocabulary is literally the same (both ends run a
-:class:`~repro.core.runtime.ShardWorkerCore`), only the envelope differs.
-Every message on the wire is a :class:`~repro.twopc.wire.ControlFrame`:
-a verb byte, the :data:`~repro.twopc.wire.CONTROL_VERSION` stamp both ends
-check before trusting a body, and an opaque payload this module pickles —
-the parent<->agent link is a trusted deployment channel, like the pipe it
+A remote agent runs the same :class:`~repro.core.runtime.ShardWorkerCore`
+a pipe worker runs, and the same :class:`~repro.core.runtime.ShardDriver`
+steers both; this module supplies what is particular to crossing a host
+boundary.  Every message on the wire is a
+:class:`~repro.twopc.wire.ControlFrame`: a verb byte, the
+:data:`~repro.twopc.wire.CONTROL_VERSION` stamp both ends check before
+trusting a body, and an opaque payload this module pickles — the
+parent<->agent link is a trusted deployment channel, like the pipe it
 replaces, so rich registration payloads (protocols, setups) ride whole.
+:class:`TcpLink` is the driver's :class:`~repro.core.runtime.WorkerLink`
+over that codec.
 
 The channel stack is ``ControlFrame`` over
 :class:`~repro.twopc.reliable.AsyncReliableTransport` over
@@ -18,28 +20,24 @@ them, which the migration-under-chaos tests exploit): commands survive
 drops, duplication and reordering, and arrive in order exactly once.
 
 Health and telemetry ride the same link.  Agents push HEARTBEAT beacons
-and streamed cumulative METRICS snapshots on configured intervals; the
-parent keeps only the *latest* snapshot per live agent and folds a retired
-or evicted agent's final snapshot into a base exactly once, so
-:meth:`FabricRuntime.aggregated_metrics` can never double-count — the same
-replace-per-shard/fold-once discipline the in-box runtime uses.  An agent
-that stays silent past ``heartbeat_timeout`` (and has no command in
-flight — a shard deep in a decrypt burst is busy, not dead) is evicted.
+and streamed cumulative METRICS snapshots on configured intervals; the link
+keeps only the *latest* snapshot, which is all the driver's
+replace-latest/fold-once aggregation needs.  An agent that stays silent
+past ``heartbeat_timeout`` (and has no command in flight — a shard deep in
+a decrypt burst is busy, not dead) is evicted.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import pickle
+import queue
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from repro.core.runtime import shard_of_address
+from repro.core.runtime import ShardDriver
 from repro.exceptions import ProtocolError, WireFormatError
-from repro.obs import empty_snapshot, merge_snapshots
 from repro.twopc.reliable import AsyncReliableTransport
 from repro.twopc.transport import AsyncFaultyTransport, AsyncTcpTransport, FaultSpec
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, WireCodec
@@ -147,160 +145,98 @@ def metrics_projection(snapshot: Mapping[str, Any]) -> dict:
     }
 
 
-@dataclass
-class _FabricItem:
-    """Parent-side record of one submitted email (resubmission capital)."""
-
-    slot: int
-    kind: str
-    address: str
-    features: Any
-    candidates: Sequence[int] | None = None
+#: How long dialing and the HELLO exchange may take, and how long a posted
+#: command may go unanswered before :meth:`TcpLink.wait` gives up on it (the
+#: driver still absorbs the reply if it arrives later).
+CONNECT_TIMEOUT_SECONDS = 10.0
+REQUEST_TIMEOUT_SECONDS = 300.0
 
 
-class _AgentLink:
-    """Parent-side state of one agent connection (loop-thread only)."""
+class TcpLink:
+    """A :class:`~repro.core.runtime.WorkerLink` to one remote agent.
 
-    def __init__(self, index: int, transport: AsyncReliableTransport) -> None:
-        self.index = index
-        self.transport = transport
-        self.alive = True
-        self.failure: BaseException | None = None
-        self.last_seen = time.monotonic()
-        self.metrics: dict | None = None  # latest cumulative snapshot
-        self.pid: int | None = None
-        self.shard_index: int | None = None
-        self.has_checkpoint = False
-        self.replies: asyncio.Queue = asyncio.Queue()
-        self.lock = asyncio.Lock()  # serializes request/reply on this link
-        self.reader: asyncio.Task | None = None
-        self.next_seq = 0
-
-
-class FabricRuntime:
-    """Drive remote TCP agents with the ``ShardedRuntime`` steering wheel.
-
-    *endpoints* name the agents: ``(host, port)`` pairs or any object with
+    *endpoint* names the agent: a ``(host, port)`` pair or any object with
     ``host``/``port`` attributes (an
-    :class:`~repro.fabric.agent.AgentProcess` qualifies).  The mailbox hash
-    space is split into ``len(endpoints)`` **slots** — the same
-    :func:`~repro.core.runtime.shard_of_address` partition the in-box
-    runtime uses — and the slot→agent routing table is *mutable*: live
-    migration (:func:`repro.fabric.migrate.migrate`) redirects a slot to a
-    different agent mid-stream with its open windows intact.
+    :class:`~repro.fabric.agent.AgentProcess` qualifies).  Construction
+    dials it and runs the HELLO handshake, which delivers the scheduler
+    spec and the driver's incarnation — the agent builds its worker core
+    only then — and refuses an agent that speaks another control version
+    or was launched as a different shard than position *index* (its
+    checkpoint log is keyed by that shard index, so a replacement could
+    never find its predecessor's).
 
-    The drive API (``register_spam``/``submit_spam``/``drain``/
-    ``take_result``/…) mirrors :class:`~repro.core.runtime.ShardedRuntime`
-    method for method, so
-    :meth:`~repro.core.system.PretzelSystem.drain_all_mailboxes_sharded`
-    accepts either via its ``runtime=`` parameter.  Network plumbing lives
-    on a private asyncio loop thread; the public surface is synchronous.
+    Network plumbing lives on a private asyncio loop thread: a reader task
+    that routes every inbound frame, and a keepalive task.  The public
+    surface is synchronous and is called from the driver's thread.
     """
 
     def __init__(
         self,
-        endpoints: Sequence[Any],
-        window_bursts: int = 1,
-        max_pending_ciphertexts: int | None = None,
-        max_delay_seconds: float | None = None,
-        adaptive: bool = False,
-        adaptive_options: Mapping[str, Any] | None = None,
+        endpoint: Any,
+        index: int,
+        scheduler_spec: tuple,
+        incarnation: str,
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float = 30.0,
         metrics_interval: float = 0.2,
-        request_timeout: float = 300.0,
-        connect_timeout: float = 10.0,
         fault_spec: FaultSpec | None = None,
     ) -> None:
-        if not endpoints:
-            raise ProtocolError("a fabric runtime needs at least one agent")
-        if adaptive:
-            self._scheduler_spec: tuple = ("adaptive", dict(adaptive_options or {}))
-        else:
-            self._scheduler_spec = (
-                "static",
-                window_bursts,
-                max_pending_ciphertexts,
-                max_delay_seconds,
-            )
-        # One incarnation shared by every agent of this fabric: a checkpoint
-        # taken on host A is admissible on host B (migration), while blobs
-        # from an earlier parent are still refused (job-id collision safety).
-        self._incarnation = os.urandom(8).hex()
-        self.num_slots = len(endpoints)
-        self._slot_owner = list(range(self.num_slots))
+        self.index = index
+        self.pid: int | None = None
+        self.metrics: dict | None = None
+        self.transport: AsyncReliableTransport | None = None
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
-        self._metrics_interval = metrics_interval
-        self._request_timeout = request_timeout
-        self._connect_timeout = connect_timeout
-        self._fault_spec = fault_spec
-        self._registrations: list[tuple[int, str, tuple]] = []  # (slot, cmd, payload)
-        self._registered: set[tuple[str, str]] = set()
-        self._outstanding: dict[int, _FabricItem] = {}
-        self._results: dict[int, Any] = {}
-        self._next_job_id = 0
-        self._links: list[_AgentLink | None] = []
-        self._metrics_base: dict[int, dict] = {}
-        self._closed = False
+        self._failure: BaseException | None = None
+        self._replies: queue.SimpleQueue = queue.SimpleQueue()
+        # Loop-thread state: commands sent, replies read, last frame heard.
+        self._next_seq = 0
+        self._next_reply = 0
+        self._last_seen = time.monotonic()
+        self._tasks: list[asyncio.Task] = []
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="fabric-control", daemon=True
+            target=self._loop.run_forever, name=f"fabric-link[{index}]", daemon=True
         )
         self._thread.start()
-        self._keepalive_task: asyncio.Future | None = None
+        if hasattr(endpoint, "host") and hasattr(endpoint, "port"):
+            host, port = endpoint.host, endpoint.port
+        else:
+            host, port = endpoint
+        hello = {
+            "version": CONTROL_VERSION,
+            "incarnation": incarnation,
+            "scheduler_spec": scheduler_spec,
+            "agent_index": index,
+            "heartbeat_interval": heartbeat_interval,
+            "metrics_interval": metrics_interval,
+            "parent_timeout": max(heartbeat_timeout * 4, 60.0),
+        }
         try:
-            for endpoint in endpoints:
-                host, port = self._endpoint_address(endpoint)
-                self._links.append(
-                    self._run(self._aconnect(len(self._links), host, port))
-                )
-            self._keepalive_task = asyncio.run_coroutine_threadsafe(
-                self._keepalive(), self._loop
-            )
+            self._call(self._handshake(host, port, hello, fault_spec))
         except BaseException:
-            self._shutdown_loop()
+            self.close()
             raise
 
-    # -- loop plumbing -------------------------------------------------------
-    @staticmethod
-    def _endpoint_address(endpoint: Any) -> tuple[str, int]:
-        if hasattr(endpoint, "host") and hasattr(endpoint, "port"):
-            return endpoint.host, endpoint.port
-        host, port = endpoint
-        return host, port
+    @property
+    def alive(self) -> bool:
+        return self._failure is None
 
-    def _run(self, coro, timeout: float | None = None):
+    # -- loop plumbing -------------------------------------------------------
+    def _call(self, coro, timeout: float = REQUEST_TIMEOUT_SECONDS):
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         try:
-            return future.result(timeout or self._request_timeout)
+            return future.result(timeout)
         except TimeoutError:
             future.cancel()
             raise ProtocolError(
-                f"fabric control operation timed out after "
-                f"{timeout or self._request_timeout:.0f}s"
+                f"agent {self.index}: control operation timed out after {timeout:.0f}s"
             ) from None
 
-    def _shutdown_loop(self) -> None:
-        async def _reap_tasks() -> None:
-            me = asyncio.current_task()
-            others = [task for task in asyncio.all_tasks() if task is not me]
-            for task in others:
-                task.cancel()
-            await asyncio.gather(*others, return_exceptions=True)
-
-        try:
-            asyncio.run_coroutine_threadsafe(_reap_tasks(), self._loop).result(5.0)
-        except Exception:  # noqa: BLE001 — shutdown is best-effort
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        # run_forever has returned; a close() on a live loop would raise.
-        if not self._loop.is_running():
-            self._loop.close()
-
-    # -- link lifecycle ------------------------------------------------------
-    async def _aconnect(self, index: int, host: str, port: int) -> _AgentLink:
+    async def _handshake(
+        self, host: str, port: int, hello: dict, fault_spec: FaultSpec | None
+    ) -> None:
+        index = self.index
         tcp = await asyncio.wait_for(
             AsyncTcpTransport.connect(
                 host,
@@ -308,34 +244,19 @@ class FabricRuntime:
                 local_party="parent",
                 parties=CONTROL_PARTIES,
                 name=f"fabric[{index}]",
-                timeout=self._connect_timeout,
+                timeout=CONNECT_TIMEOUT_SECONDS,
             ),
-            self._connect_timeout,
+            CONNECT_TIMEOUT_SECONDS,
         )
         inner: Any = tcp
-        if self._fault_spec is not None:
-            inner = AsyncFaultyTransport(tcp, self._fault_spec, name=f"fabric-chaos[{index}]")
-        transport = AsyncReliableTransport(
+        if fault_spec is not None:
+            inner = AsyncFaultyTransport(tcp, fault_spec, name=f"fabric-chaos[{index}]")
+        self.transport = AsyncReliableTransport(
             inner, name=f"fabric-link[{index}]", max_attempts=CONTROL_MAX_ATTEMPTS
         )
-        link = _AgentLink(index, transport)
-        await transport.send(
-            "parent",
-            pack_control(
-                ControlVerb.HELLO,
-                {
-                    "version": CONTROL_VERSION,
-                    "incarnation": self._incarnation,
-                    "scheduler_spec": self._scheduler_spec,
-                    "agent_index": index,
-                    "heartbeat_interval": self._heartbeat_interval,
-                    "metrics_interval": self._metrics_interval,
-                    "parent_timeout": max(self._heartbeat_timeout * 4, 60.0),
-                },
-            ),
-        )
+        await self.transport.send("parent", pack_control(ControlVerb.HELLO, hello))
         verb, body = unpack_control(
-            await transport.receive("parent", timeout_seconds=self._connect_timeout)
+            await self.transport.receive("parent", timeout_seconds=CONNECT_TIMEOUT_SECONDS)
         )
         if verb == ControlVerb.BYE:
             raise ProtocolError(
@@ -351,47 +272,50 @@ class FabricRuntime:
                 f"agent at {host}:{port} speaks control v{body.get('version')}, "
                 f"this parent speaks v{CONTROL_VERSION}"
             )
-        link.pid = body.get("pid")
-        link.shard_index = body.get("shard_index")
-        link.has_checkpoint = bool(body.get("has_checkpoint"))
-        link.last_seen = time.monotonic()
-        link.reader = asyncio.get_running_loop().create_task(self._reader(link))
-        return link
+        if body.get("shard_index") != index:
+            raise ProtocolError(
+                f"agent at {host}:{port} serves shard {body.get('shard_index')}, "
+                f"expected {index} (checkpoints would not line up)"
+            )
+        self.pid = body.get("pid")
+        self._last_seen = time.monotonic()
+        self._tasks = [
+            asyncio.ensure_future(self._reader()),
+            asyncio.ensure_future(self._keepalive()),
+        ]
 
-    async def _reader(self, link: _AgentLink) -> None:
-        """Route every inbound frame of one link (the only receive() caller)."""
+    async def _reader(self) -> None:
+        """Route every inbound frame (the only ``receive`` caller after HELLO)."""
         try:
             while True:
-                verb, body = unpack_control(await link.transport.receive("parent"))
-                link.last_seen = time.monotonic()
+                verb, body = unpack_control(await self.transport.receive("parent"))
+                self._last_seen = time.monotonic()
                 if verb == ControlVerb.REPLY:
-                    link.replies.put_nowait(body)
+                    seq, reply = body
+                    if seq != self._next_reply:
+                        raise ProtocolError(
+                            f"agent answered command {seq}, expected {self._next_reply}"
+                        )
+                    self._next_reply += 1
+                    self._replies.put(reply)
                 elif verb == ControlVerb.METRICS:
                     # Streamed scrape: cumulative, so replace — never add.
-                    link.metrics = body["metrics"]
-                elif verb == ControlVerb.HEARTBEAT:
-                    pass  # last_seen is the whole message
+                    self.metrics = body["metrics"]
                 elif verb == ControlVerb.BYE:
                     raise ProtocolError("agent said BYE")
+                # HEARTBEAT: last_seen is the whole message.
         except asyncio.CancelledError:
             raise
         except BaseException as error:  # noqa: BLE001 — any reader death ends the link
-            self._fail_link(link, error)
+            self._fail(error)
 
-    def _fail_link(self, link: _AgentLink, error: BaseException) -> None:
-        """Mark one link dead and fold its final metrics exactly once."""
-        if not link.alive:
-            return
-        link.alive = False
-        link.failure = error
-        if link.metrics is not None:
-            base = self._metrics_base.get(link.index)
-            self._metrics_base[link.index] = (
-                merge_snapshots(base, link.metrics) if base is not None else link.metrics
-            )
-            link.metrics = None
-        link.replies.put_nowait(None)  # wake any request waiting on this link
-        link.transport.close()
+    def _fail(self, error: BaseException) -> None:
+        """Mark the link dead (loop thread) and wake whoever waits on it."""
+        if self._failure is None:
+            self._failure = error
+            self._replies.put(None)
+            if self.transport is not None:
+                self.transport.close()
 
     async def _keepalive(self) -> None:
         """Parent-side heartbeats out, liveness policy in.
@@ -403,389 +327,83 @@ class FabricRuntime:
         shard mid-burst is compute-bound, not gone.
         """
         beacon = pack_control(ControlVerb.HEARTBEAT, {})
-        while True:
+        while self._failure is None:
             await asyncio.sleep(self._heartbeat_interval)
-            now = time.monotonic()
-            for link in self._links:
-                if link is None or not link.alive or link.lock.locked():
-                    continue
-                if now - link.last_seen > self._heartbeat_timeout:
-                    self._fail_link(
-                        link,
-                        ProtocolError(
-                            f"agent {link.index} unheard from for "
-                            f"{now - link.last_seen:.1f}s (> {self._heartbeat_timeout}s)"
-                        ),
+            if self._failure is not None or self._next_seq != self._next_reply:
+                continue
+            silent = time.monotonic() - self._last_seen
+            if silent > self._heartbeat_timeout:
+                self._fail(
+                    ProtocolError(
+                        f"agent {self.index} unheard from for "
+                        f"{silent:.1f}s (> {self._heartbeat_timeout}s)"
                     )
-                    continue
-                try:
-                    await link.transport.send("parent", beacon)
-                except BaseException as error:  # noqa: BLE001
-                    self._fail_link(link, error)
-
-    # -- command plumbing ----------------------------------------------------
-    def _link(self, index: int) -> _AgentLink:
-        if not 0 <= index < len(self._links) or self._links[index] is None:
-            raise ProtocolError(f"no agent {index} in this fabric")
-        return self._links[index]  # type: ignore[return-value]
-
-    async def _arequest(self, index: int, command: str, payload: Any) -> Any:
-        link = self._link(index)
-        async with link.lock:
-            if not link.alive:
-                raise ProtocolError(
-                    f"agent {index} is gone (attach_replacement can recover it): "
-                    f"{link.failure}"
                 )
-            seq = link.next_seq
-            link.next_seq += 1
-            await link.transport.send(
+                return
+            try:
+                await self.transport.send("parent", beacon)
+            except ProtocolError as error:
+                self._fail(error)
+
+    # -- the WorkerLink surface ----------------------------------------------
+    def post(self, command: str, payload: Any) -> None:
+        self._call(self._send_command(command, payload))
+
+    async def _send_command(self, command: str, payload: Any) -> None:
+        if self._failure is not None:
+            raise ProtocolError(f"agent {self.index} is gone: {self._failure}")
+        seq = self._next_seq
+        self._next_seq += 1
+        try:
+            await self.transport.send(
                 "parent",
                 pack_control(
                     ControlVerb.COMMAND,
                     {"seq": seq, "command": command, "payload": payload},
                 ),
             )
-            while True:
-                item = await link.replies.get()
-                if item is None:
-                    raise ProtocolError(
-                        f"agent {index} died mid-{command!r} "
-                        f"(attach_replacement can recover it): {link.failure}"
-                    )
-                got_seq, (tag, body) = item
-                if got_seq == seq:
-                    break
-        return self._absorb(link, command, tag, body)
+        except ProtocolError as error:
+            self._fail(error)
+            raise
 
-    def _absorb(self, link: _AgentLink, command: str, tag: str, body: Any) -> Any:
-        """Mirror of ``ShardedRuntime._collect``: land results, track metrics."""
-        if tag == "error":
-            raise ProtocolError(f"agent {link.index} rejected {command!r}: {body}")
-        if tag == "results":
-            results, metrics = body
-            self._land(results)
-            link.metrics = metrics
-        elif tag == "restored":
-            _resumed_ids, results, metrics = body
-            self._land(results)
-            link.metrics = metrics
-        elif tag == "checkpointed":
-            _blob, results, metrics = body
-            self._land(results)
-            link.metrics = metrics
-        elif tag == "stats" and isinstance(body, dict) and "metrics" in body:
-            link.metrics = body["metrics"]
-        return body
-
-    def _land(self, results: Sequence[tuple[int, Any]]) -> None:
-        for job_id, result in results:
-            self._results[job_id] = result
-            self._outstanding.pop(job_id, None)
-
-    def _request(self, index: int, command: str, payload: Any) -> Any:
-        if self._closed:
-            raise ProtocolError("the fabric runtime is closed")
-        return self._run(self._arequest(index, command, payload))
-
-    async def _afanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
-        results = await asyncio.gather(
-            *(self._arequest(index, command, payload) for index, command, payload in work),
-            return_exceptions=True,
-        )
-        for outcome in results:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return results
-
-    def _fanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
-        if self._closed:
-            raise ProtocolError("the fabric runtime is closed")
-        if not work:
-            return []
-        return self._run(self._afanout(work))
-
-    def _live_indexes(self) -> list[int]:
-        return [
-            index
-            for index, link in enumerate(self._links)
-            if link is not None and link.alive
-        ]
-
-    def _serving_indexes(self) -> list[int]:
-        """Live agents that currently own at least one slot."""
-        owners = set(self._slot_owner)
-        return [index for index in self._live_indexes() if index in owners]
-
-    # -- agent membership ----------------------------------------------------
-    def attach_agent(self, endpoint: Any) -> int:
-        """Connect one more agent (owning no slots yet); returns its index.
-
-        The standard migration target: spawn a fresh agent, attach it, then
-        :func:`repro.fabric.migrate.migrate` a hash range onto it.
-        """
-        if self._closed:
-            raise ProtocolError("the fabric runtime is closed")
-        host, port = self._endpoint_address(endpoint)
-        index = len(self._links)
-        self._links.append(self._run(self._aconnect(index, host, port)))
-        return index
-
-    def attach_replacement(self, index: int, endpoint: Any) -> int:
-        """Rebuild a dead agent position from a fresh process; resubmit gaps.
-
-        The cross-host twin of :meth:`ShardedRuntime.restart_shard`: replay
-        the position's registrations (OT pools deferred when a checkpoint
-        will cover them), restore from the agent's *own* on-disk log — the
-        replacement must be launched with the dead agent's checkpoint
-        directory and shard index — then resubmit whatever the checkpoint
-        did not cover.  Returns the number of resubmitted emails; ``0``
-        means every in-flight email resumed from its snapshot.
-        """
-        old = self._link(index)
-        if old.alive:
-            self._fail_link(old, ProtocolError("replaced by attach_replacement"))
-        host, port = self._endpoint_address(endpoint)
-        fresh = self._run(self._aconnect(index, host, port))
-        if fresh.shard_index != old.shard_index:
-            self._run(self._aretire(fresh))
+    def wait(self) -> tuple[str, Any]:
+        try:
+            reply = self._replies.get(timeout=REQUEST_TIMEOUT_SECONDS)
+        except queue.Empty:
             raise ProtocolError(
-                f"replacement for agent {index} serves shard {fresh.shard_index}, "
-                f"expected {old.shard_index} (checkpoints would not line up)"
-            )
-        self._links[index] = fresh
-        slots = {slot for slot, owner in enumerate(self._slot_owner) if owner == index}
-        resuming = fresh.has_checkpoint
-        for slot, command, payload in self._registrations:
-            if slot in slots:
-                self._request(
-                    index, command, (*payload, True) if resuming else payload
-                )
-        resumed: set[int] = set()
-        if resuming:
-            resumed_ids, _results, _metrics = self._request(index, "restore", None)
-            resumed = set(resumed_ids)
-            self._request(index, "ensure_pools", None)
-        resubmit = [
-            (job_id, item)
-            for job_id, item in sorted(self._outstanding.items())
-            if item.slot in slots and job_id not in resumed
-        ]
-        if resubmit:
-            self._request(
-                index,
-                "burst",
-                [
-                    (job_id, item.kind, item.address, item.features, item.candidates)
-                    for job_id, item in resubmit
-                ],
-            )
-        return len(resubmit)
+                f"agent {self.index} has not answered for {REQUEST_TIMEOUT_SECONDS:.0f}s"
+            ) from None
+        if reply is None:
+            self._replies.put(None)  # the link stays dead for the next waiter too
+            raise ProtocolError(f"agent {self.index} died mid-command: {self._failure}")
+        return reply
 
-    async def _aretire(self, link: _AgentLink) -> None:
-        if link.alive:
-            try:
-                await link.transport.send("parent", pack_control(ControlVerb.BYE, {}))
-            except BaseException:  # noqa: BLE001 — retirement is best-effort
-                pass
-        self._fail_link(link, ProtocolError(f"agent {link.index} retired"))
-        if link.reader is not None:
-            link.reader.cancel()
-
-    def retire_agent(self, index: int) -> None:
-        """Say BYE to one agent and fold its final metrics into the base.
-
-        The agent must not own any slots (migrate them away first) — retiring
-        a serving agent would orphan its mailboxes.
-        """
-        if index in set(self._slot_owner):
-            raise ProtocolError(
-                f"agent {index} still owns slots "
-                f"{[s for s, o in enumerate(self._slot_owner) if o == index]}; "
-                "migrate them away before retiring it"
-            )
-        self._run(self._aretire(self._link(index)))
-
-    def agent_alive(self, index: int) -> bool:
-        return self._link(index).alive
-
-    def agent_pid(self, index: int) -> int:
-        """The OS pid the agent announced in HELLO (crash drills kill this)."""
-        pid = self._link(index).pid
-        if pid is None:
-            raise ProtocolError(f"agent {index} never completed its HELLO")
-        return pid
-
-    def slot_owners(self) -> list[int]:
-        """Routing table copy: ``slot -> agent index``, one entry per slot."""
-        return list(self._slot_owner)
-
-    # -- registration (ShardedRuntime drive API) -----------------------------
-    def shard_of(self, address: str) -> int:
-        return shard_of_address(address, self.num_slots)
-
-    def _agent_of_slot(self, slot: int) -> int:
-        return self._slot_owner[slot]
-
-    def register_spam(self, address: str, protocol: Any, setup: Any) -> None:
-        slot = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(self._agent_of_slot(slot), "register_spam", payload)
-        self._registrations.append((slot, "register_spam", payload))
-        self._registered.add(("spam", address))
-
-    def register_topics(self, address: str, protocol: Any, setup: Any) -> None:
-        slot = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(self._agent_of_slot(slot), "register_topics", payload)
-        self._registrations.append((slot, "register_topics", payload))
-        self._registered.add(("topics", address))
-
-    def has_spam(self, address: str) -> bool:
-        return ("spam", address) in self._registered
-
-    def has_topics(self, address: str) -> bool:
-        return ("topics", address) in self._registered
-
-    # -- submission / results ------------------------------------------------
-    def _submit(self, items: list[_FabricItem]) -> list[int]:
-        job_ids = []
-        by_agent: dict[int, list[tuple]] = {}
-        for item in items:
-            job_id = self._next_job_id
-            self._next_job_id += 1
-            job_ids.append(job_id)
-            self._outstanding[job_id] = item
-            by_agent.setdefault(self._agent_of_slot(item.slot), []).append(
-                (job_id, item.kind, item.address, item.features, item.candidates)
-            )
-        self._fanout(
-            [(agent, "burst", batch) for agent, batch in by_agent.items()]
-        )
-        return job_ids
-
-    def submit_spam(self, emails: Sequence[tuple[str, Any]]) -> list[int]:
-        """Submit one burst of (address, features) emails; returns their job ids."""
-        return self._submit(
-            [
-                _FabricItem(
-                    slot=self.shard_of(address),
-                    kind="spam",
-                    address=address,
-                    features=features,
-                )
-                for address, features in emails
-            ]
-        )
-
-    def submit_topics(
-        self, emails: Sequence[tuple[str, Any, Sequence[int] | None]]
-    ) -> list[int]:
-        """Submit one burst of (address, features, candidates) topic emails."""
-        return self._submit(
-            [
-                _FabricItem(
-                    slot=self.shard_of(address),
-                    kind="topics",
-                    address=address,
-                    features=features,
-                    candidates=candidates,
-                )
-                for address, features, candidates in emails
-            ]
-        )
-
-    def poll(self) -> int:
-        """Tick every serving agent's age triggers; returns new results landed."""
-        before = len(self._results)
-        self._fanout([(index, "poll", None) for index in self._serving_indexes()])
-        return len(self._results) - before
-
-    def drain(self) -> None:
-        """Close every serving agent's open windows; all outstanding results land."""
-        self._fanout([(index, "drain", None) for index in self._serving_indexes()])
-
-    def take_result(self, job_id: int) -> Any:
-        """Pop the protocol result for *job_id* (drain first if still open)."""
-        if job_id not in self._results:
-            raise ProtocolError(
-                f"no result for job {job_id} yet "
-                f"({len(self._outstanding)} emails still inside open windows)"
-            )
-        return self._results.pop(job_id)
-
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)
-
-    def run_spam_stream(self, bursts: Sequence[Sequence[tuple[str, Any]]]) -> list[Any]:
-        """Feed bursts through the fabric, drain, return results in order."""
-        job_ids: list[int] = []
-        for burst in bursts:
-            job_ids.extend(self.submit_spam(burst))
-        self.drain()
-        return [self.take_result(job_id) for job_id in job_ids]
-
-    # -- telemetry -----------------------------------------------------------
-    def agent_stats(self) -> list[dict[str, Any]]:
-        """Per-agent serving stats from every live agent (by agent index)."""
-        indexes = self._live_indexes()
-        replies = self._fanout([(index, "stats", None) for index in indexes])
-        return [
-            dict(reply, agent=index, link=self._link(index).transport.stats)
-            for index, reply in zip(indexes, replies)
-        ]
-
-    def aggregated_metrics(self) -> dict:
-        """One merged snapshot covering every agent, past and present.
-
-        Sum of each position's dead-incarnation base and the live agents'
-        latest streamed/piggybacked snapshots — replace-per-agent, fold-once,
-        exactly the :meth:`ShardedRuntime.aggregated_metrics` discipline, so
-        migrations, evictions and replacements can never double-count.
-        """
-        return self._run(self._ametrics())
-
-    async def _ametrics(self) -> dict:
-        snaps = list(self._metrics_base.values()) + [
-            link.metrics
-            for link in self._links
-            if link is not None and link.alive and link.metrics is not None
-        ]
-        return merge_snapshots(*snaps) if snaps else empty_snapshot()
-
-    # -- migration (delegates to repro.fabric.migrate) -----------------------
-    def migrate_agent(self, source: int, target: int) -> int:
-        """Live-migrate every slot *source* owns onto *target*; see ``migrate``."""
-        from repro.fabric.migrate import migrate
-
-        return migrate(self, source, target)
-
-    def rebalance(self) -> tuple[int, int, int] | None:
-        """Move the hottest agent's range to a spare agent; see ``rebalance``."""
-        from repro.fabric.migrate import rebalance
-
-        return rebalance(self)
-
-    # -- shutdown ------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
+        """Say BYE (the agent exits on it), then stop the loop thread."""
+        if not self._thread.is_alive():
             return
-        self._closed = True
-        for index in self._live_indexes():
+        try:
+            self._call(self._retire(), 5.0)
+        except ProtocolError:
+            pass  # the BYE is best-effort; the loop stops either way
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10.0)
+        # run_forever has returned; a close() on a live loop would raise.
+        if not self._loop.is_running():
+            self._loop.close()
+
+    async def _retire(self) -> None:
+        if self._failure is None:
             try:
-                self._run(self._arequest(index, "stop", None), timeout=10.0)
+                await self.transport.send("parent", pack_control(ControlVerb.BYE, {}))
             except ProtocolError:
                 pass
-        for link in self._links:
-            if link is not None:
-                try:
-                    self._run(self._aretire(link), timeout=5.0)
-                except ProtocolError:
-                    pass
-        self._shutdown_loop()
+            self._fail(ProtocolError(f"agent {self.index} retired"))
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
 
-    def __enter__(self) -> "FabricRuntime":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+#: The fabric's runtime *is* the shard driver: built with :class:`TcpLink` as
+#: its ``connect`` it drives remote agents (see :func:`repro.fabric.launch_fabric`).
+FabricRuntime = ShardDriver

@@ -23,7 +23,6 @@ from repro.core.runtime import (
     DecryptScheduler,
     FileSessionStore,
     ProviderRuntime,
-    ShardedRuntime,
     spam_job,
 )
 from repro.crypto.chacha import open_sealed, seal
@@ -220,33 +219,6 @@ class TestReconnectResume:
         assert sorted(j.label for j in finished) == [0, 1]
         per_email = setup.encrypted_model.result_ciphertext_count()
         assert max(runtime.decrypt_batch_sizes) >= 2 * per_email
-
-    def test_sharded_disconnect_resume_zero_resubmissions(self, spam_setup):
-        protocol, setup = spam_setup
-        clean = protocol.classify_email(setup, SPAM_EMAILS[0])
-        with ShardedRuntime(num_shards=1, window_bursts=100) as runtime:
-            runtime.register_spam("mobile@example.com", protocol, setup)
-            (job_id,) = runtime.submit_spam([("mobile@example.com", SPAM_EMAILS[0])])
-            blob = runtime.disconnect_client(job_id)
-            assert isinstance(blob, bytes) and blob
-            stats = runtime.shard_stats()[0]
-            assert stats["disconnected_jobs"] == 1
-            runtime.reconnect_client(job_id, blob)
-            runtime.drain()
-            result = runtime.take_result(job_id)
-            assert result.is_spam == clean.is_spam
-            stats = runtime.shard_stats()[0]
-            # Zero resubmissions: nothing was recomputed, nothing restored
-            # from checkpoint — the parked session simply re-attached.
-            assert stats["disconnected_jobs"] == 0
-            assert stats["restored_jobs"] == 0
-
-    def test_sharded_disconnect_unknown_job_rejected(self, spam_setup):
-        protocol, setup = spam_setup
-        with ShardedRuntime(num_shards=1, window_bursts=100) as runtime:
-            runtime.register_spam("mobile@example.com", protocol, setup)
-            with pytest.raises(ProtocolError):
-                runtime.disconnect_client(999)
 
 
 # ---------------------------------------------------------------------------

@@ -440,33 +440,6 @@ class TestMidWindowCheckpointRestore:
 class TestCrashRecovery:
     """A SIGKILLed shard worker resumes from its FileSessionStore checkpoint."""
 
-    def test_sigkill_mid_window_resumes_bit_identical(
-        self, spam_setup, spam_truth, tmp_path
-    ):
-        protocol, setup = spam_setup
-        address = "sigkill@example.com"
-        with ShardedRuntime(
-            num_shards=1, window_bursts=100, checkpoint_dir=tmp_path
-        ) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            job_ids = runtime.submit_spam([(address, f) for f in SPAM_EMAILS])
-            assert runtime.outstanding_count() == len(SPAM_EMAILS)
-            # SIGKILL: the worker gets no chance to do anything at death; the
-            # only state that survives is the checkpoint it wrote when it
-            # acked the burst.
-            os.kill(runtime.worker_pid(0), signal.SIGKILL)
-            runtime.join_worker(0)
-            resubmitted = runtime.restart_shard(0)
-            # Zero resubmissions == every in-flight email resumed from its
-            # snapshot; nothing recomputed from features.
-            assert resubmitted == 0
-            runtime.drain()
-            verdicts = [runtime.take_result(job_id).is_spam for job_id in job_ids]
-            stats = runtime.shard_stats()
-        assert verdicts == spam_truth
-        assert stats[0]["restored_jobs"] == len(SPAM_EMAILS)
-        assert stats[0]["outstanding_jobs"] == 0
-
     def test_sigkill_recovery_for_topics(
         self, topic_setup, small_topic_model, tmp_path
     ):
@@ -489,54 +462,6 @@ class TestCrashRecovery:
                 runtime.take_result(job_id).extracted_topic for job_id in job_ids
             ]
         assert extracted == truths
-
-    def test_sigkill_restore_does_not_double_count_metrics(
-        self, spam_setup, tmp_path
-    ):
-        # The aggregation protocol under real process death: the killed
-        # incarnation served nothing (its emails were parked mid-window), the
-        # replacement resumes them from the checkpoint and serves each once.
-        # emails_served_total across incarnations must be exactly the stream
-        # size — folding the dead worker's snapshot twice, or counting a
-        # restored email in both incarnations, would inflate it.
-        protocol, setup = spam_setup
-        address = "sigkill-metrics@example.com"
-        with ShardedRuntime(
-            num_shards=1, window_bursts=100, checkpoint_dir=tmp_path
-        ) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            runtime.submit_spam([(address, f) for f in SPAM_EMAILS])
-            os.kill(runtime.worker_pid(0), signal.SIGKILL)
-            runtime.join_worker(0)
-            assert runtime.restart_shard(0) == 0  # resumed from the snapshot
-            runtime.drain()
-            runtime.shard_stats()  # extra refresh must not re-fold anything
-            snapshot = runtime.aggregated_metrics()
-        served = [
-            entry
-            for entry in snapshot["counters"]
-            if entry["name"] == "emails_served_total"
-        ]
-        assert served and served[0]["value"] == len(SPAM_EMAILS)
-        flushes = [
-            entry
-            for entry in snapshot["histograms"]
-            if entry["name"] == "window_flush_sessions"
-        ]
-        assert flushes and flushes[0]["count"] >= 1
-
-    def test_restart_without_checkpoint_still_recomputes(self, spam_setup, spam_truth):
-        # No checkpoint_dir: the legacy recompute path must keep working.
-        protocol, setup = spam_setup
-        address = "recompute@example.com"
-        with ShardedRuntime(num_shards=1, window_bursts=100) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            job_ids = runtime.submit_spam([(address, f) for f in SPAM_EMAILS])
-            resubmitted = runtime.restart_shard(0)
-            assert resubmitted == len(SPAM_EMAILS)
-            runtime.drain()
-            verdicts = [runtime.take_result(job_id).is_spam for job_id in job_ids]
-        assert verdicts == spam_truth
 
     def test_checkpoint_cleared_after_drain(self, spam_setup, tmp_path):
         protocol, setup = spam_setup

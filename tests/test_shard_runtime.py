@@ -7,8 +7,9 @@ decrypts run and *where* sessions live.  These tests pin:
 * output equivalence of the windowed serving loop against sequential runs
   under every window setting, including ``window_bursts=1`` (which must
   degenerate to the per-burst batching of the PR 2 loop);
-* the sharded runtime: stable partition, results identical to sequential,
-  and a forced mid-window shard restart that recomputes, never corrupts;
+* the sharded runtime's pipe-worker specifics: stable partition, topics,
+  idle-tick polling, adaptive windows, series-for-series telemetry (what
+  every shard-driver link must do is in ``test_shard_driver.py``);
 * the asyncio pump: sessions over real TCP produce the same verdicts, with
   cross-connection decrypt batching.
 """
@@ -522,25 +523,6 @@ class TestShardedRuntime:
         assert set(shards) == {0, 1, 2, 3}  # 64 addresses cover 4 shards w.h.p.
         assert all(0 <= shard < 4 for shard in shards)
 
-    def test_sharded_spam_matches_sequential(self, spam_setup, spam_truth):
-        protocol, setup = spam_setup
-        addresses = ["alice@example.com", "bob@example.com", "carol@example.com"]
-        with ShardedRuntime(num_shards=2, window_bursts=2) as runtime:
-            for address in addresses:
-                runtime.register_spam(address, protocol, setup)
-            bursts = [
-                [(addresses[index % 3], features) for index, features in burst]
-                for burst in (
-                    list(enumerate(SPAM_EMAILS[:3])),
-                    list(enumerate(SPAM_EMAILS[3:], start=3)),
-                )
-            ]
-            results = runtime.run_spam_stream(bursts)
-            assert [result.is_spam for result in results] == spam_truth
-            stats = runtime.shard_stats()
-        assert sum(stat["mailboxes"] for stat in stats) == len(addresses)
-        assert all(stat["outstanding_jobs"] == 0 for stat in stats)
-
     def test_sharded_topics_match_sequential(self, topic_setup, small_topic_model):
         protocol, setup = topic_setup
         truths = [small_topic_model.predict(features) for features in TOPIC_EMAILS]
@@ -556,59 +538,6 @@ class TestShardedRuntime:
             runtime.drain()
             extracted = [runtime.take_result(job_id).extracted_topic for job_id in job_ids]
         assert extracted == truths
-
-    def test_forced_mid_window_restart_recomputes_open_window(
-        self, spam_setup, spam_truth
-    ):
-        # Kill a worker while its decrypt window is open: the parent must
-        # replay registrations, resubmit the in-flight emails, and the final
-        # outputs must match the sequential truth exactly.
-        protocol, setup = spam_setup
-        address = "restartable@example.com"
-        with ShardedRuntime(num_shards=2, window_bursts=100) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            first_ids = runtime.submit_spam([(address, f) for f in SPAM_EMAILS[:3]])
-            assert runtime.outstanding_count() == 3  # parked inside the window
-            resubmitted = runtime.restart_shard(runtime.shard_of(address))
-            assert resubmitted == 3
-            second_ids = runtime.submit_spam([(address, f) for f in SPAM_EMAILS[3:]])
-            runtime.drain()
-            verdicts = [
-                runtime.take_result(job_id).is_spam for job_id in first_ids + second_ids
-            ]
-        assert verdicts == spam_truth
-
-    def test_restart_of_idle_shard_is_harmless(self, spam_setup, spam_truth):
-        protocol, setup = spam_setup
-        address = "idle-restart@example.com"
-        with ShardedRuntime(num_shards=2) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            assert runtime.restart_shard(runtime.shard_of(address)) == 0
-            results = runtime.run_spam_stream([[(address, SPAM_EMAILS[0])]])
-            assert results[0].is_spam == spam_truth[0]
-
-    def test_unregistered_mailbox_error_surfaces_in_parent(self, spam_setup):
-        with ShardedRuntime(num_shards=1) as runtime:
-            with pytest.raises(ProtocolError, match="rejected|no spam mailbox"):
-                runtime.submit_spam([("ghost@example.com", SPAM_EMAILS[0])])
-
-    def test_take_result_before_drain_raises(self, spam_setup):
-        protocol, setup = spam_setup
-        address = "early@example.com"
-        with ShardedRuntime(num_shards=1, window_bursts=100) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
-            with pytest.raises(ProtocolError, match="no result"):
-                runtime.take_result(job_id)
-            runtime.drain()
-            assert runtime.take_result(job_id) is not None
-
-    def test_closed_runtime_rejects_work(self, spam_setup):
-        runtime = ShardedRuntime(num_shards=1)
-        runtime.close()
-        with pytest.raises(ProtocolError):
-            runtime.submit_spam([("late@example.com", SPAM_EMAILS[0])])
-        runtime.close()  # idempotent
 
     def test_parent_poll_releases_aged_window_without_drain(
         self, spam_setup, spam_truth
@@ -745,25 +674,6 @@ class TestShardedTelemetry:
         sharded_hist = _histogram_entry(aggregated, "decrypt_batch_ciphertexts")
         single_hist = _histogram_entry(single, "decrypt_batch_ciphertexts")
         assert sharded_hist["sum"] == single_hist["sum"]
-
-    def test_restart_folds_dead_incarnation_exactly_once(self, spam_setup, spam_truth):
-        # Work served before a restart must survive in the aggregate (the
-        # dead incarnation's final snapshot folds into the per-shard base)
-        # and must never be folded twice by later stats refreshes.
-        protocol, setup = spam_setup
-        address = "fold-once@example.com"
-        with ShardedRuntime(num_shards=1, window_bursts=1) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            runtime.run_spam_stream([[(address, f) for f in SPAM_EMAILS[:3]]])
-            assert _counter_value(
-                runtime.aggregated_metrics(), "emails_served_total"
-            ) == 3
-            runtime.restart_shard(0)
-            runtime.run_spam_stream([[(address, f) for f in SPAM_EMAILS[3:]]])
-            runtime.shard_stats()  # a stats refresh must not re-fold the base
-            aggregated = runtime.aggregated_metrics()
-        assert _counter_value(aggregated, "emails_served_total") == len(SPAM_EMAILS)
-
 
 class TestAsyncSessionPump:
     def _run_tcp_sessions(
