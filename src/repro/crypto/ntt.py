@@ -1,39 +1,40 @@
-"""Number-theoretic transform (NTT) over NTT-friendly primes.
+"""Negacyclic number-theoretic transform (NTT) over NTT-friendly primes.
 
-The Ring-LWE cryptosystem of §4.1 works in the negacyclic polynomial ring
-``Z_q[x]/(x^n + 1)``.  Multiplying two degree-``n`` polynomials there is the
-inner loop of key generation, encryption and decryption, so it must be fast
-even in Python: we vectorise an iterative Cooley–Tukey NTT with NumPy int64
-arrays and reduce modulo a < 2^31 prime at every butterfly stage so products
-never overflow 64 bits.
+The Ring-LWE cryptosystem of §4.1 works in ``Z_q[x]/(x^n + 1)`` with ``q`` a
+product of < 2^31 primes; multiplying there is a pointwise product of
+negacyclic spectra ``X[k] = Σ_j x[j]·ψ^{j(2k+1)}`` (ψ a primitive ``2n``-th
+root of unity), so this transform is the inner loop of key generation,
+encryption and decryption.
 
-A negacyclic (negative-wrapped) convolution of length ``n`` is computed by
-pre-multiplying inputs by powers of a primitive ``2n``-th root of unity ψ,
-running a cyclic NTT with ω = ψ², and post-multiplying by powers of ψ⁻¹.
+There is one kernel, over a whole ``(batch, primes, n)`` stack, and it is the
+*four-step* decomposition ``n = n1·n2`` (1024 = 32 × 32)::
 
-Everything that depends only on ``(ring_degree, prime-set)`` — bit-reversal
-permutations, twiddle tables, the contexts themselves, and the spectra of
-monomials ``x^k`` used for evaluation-domain slot shifts — lives in an
-explicit per-``(degree, prime-set)`` :class:`NttPlan`, cached at module
-level, so repeated scheme instantiations (tests, benchmarks, one
-``BVScheme`` per protocol arm) never redo the setup work and batched slot
-shifts reuse one stacked monomial-spectra table.
+    X[k1 + n1·k2] = Σ_j2 (ψ^{2·n1})^{j2·k2} · ψ^{j2(2k1+1)} · Σ_j1 x[n2·j1 + j2] · ψ^{n2·j1(2k1+1)}
 
-Transforms are *pluggable*: the vectorised NumPy butterflies below are the
-default and the correctness reference, and an optional compiled backend
-(:mod:`repro.crypto.ntt_compiled`, numba ``@njit`` loops) is auto-detected
-and produces bit-identical residues.  Select explicitly with the
-``REPRO_NTT_BACKEND`` environment variable (``numpy`` or ``numba``) or the
-``backend`` argument of :func:`get_ntt_plan` / :class:`NttContext`.
+— a small matrix product, one twiddle pass, a second small matrix product.
+The ψ pre-weighting, the output ordering and (for the inverse, which is the
+same kernel over mirrored tables) ``n⁻¹`` are folded into the precomputed
+matrices.  The products run on float64 BLAS and are nevertheless *exact*:
+each operand is split into 16-bit limbs and the tables hold centred residues
+(``|entry| < p/2``), so every partial sum is an integer of magnitude below
+``2^16 · 2^30 · 2·max(n1, n2) ≤ 2^53`` — exactly representable, hence
+independent of summation order, BLAS build and thread count.  Reductions use
+a float reciprocal and stay lazy in ``(−p, 2p)`` between steps.  The stack is
+processed in chunks that keep the limb temporaries cache-resident.
+
+Everything that depends only on ``(ring_degree, prime-set)`` — the tables and
+the spectra of monomials ``x^k`` used for evaluation-domain slot shifts —
+lives in an :class:`NttPlan`, cached at module level and shared by every
+scheme instance over the same primes; :class:`NttContext` is the single-prime
+view of the same kernel.
 """
 
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.crypto import ntt_compiled
 from repro.crypto.numtheory import (
     find_primitive_root_of_unity,
     invmod,
@@ -46,42 +47,16 @@ from repro.exceptions import ParameterError
 # extends the same sequence and repeated calls agree across schemes.
 _PRIME_CACHE: dict[tuple[int, int], list[int]] = {}
 
-# Bit-reversal permutations keyed by transform length.
-_BITREV_CACHE: dict[int, np.ndarray] = {}
+# Fully initialised plans keyed by (ring_degree, prime-set).
+_PLAN_CACHE: dict[tuple[int, tuple[int, ...]], "NttPlan"] = {}
 
-# Fully initialised transform contexts keyed by (ring_degree, prime, backend).
-_CONTEXT_CACHE: dict[tuple[int, int, str], "NttContext"] = {}
+# Matrix-product operands are split into limbs of this many bits.
+_LIMB_BITS = 16
+_LIMB = float(1 << _LIMB_BITS)
 
-# Fully initialised plans keyed by (ring_degree, prime-set, backend).
-_PLAN_CACHE: dict[tuple[int, tuple[int, ...], str], "NttPlan"] = {}
-
-
-def available_ntt_backends() -> list[str]:
-    """Backends usable on this machine; ``numpy`` is always first."""
-    backends = ["numpy"]
-    if ntt_compiled.available():
-        backends.append("numba")
-    return backends
-
-
-def resolve_ntt_backend(backend: str = "auto") -> str:
-    """Resolve a backend request to a concrete backend name.
-
-    ``auto`` honours ``REPRO_NTT_BACKEND`` when set, otherwise picks the
-    compiled backend when numba is importable and falls back to numpy.
-    Requesting ``numba`` explicitly (argument or environment) on a machine
-    without numba is an error rather than a silent downgrade.
-    """
-    if backend == "auto":
-        requested = os.environ.get("REPRO_NTT_BACKEND", "").strip().lower()
-        if not requested:
-            return "numba" if ntt_compiled.available() else "numpy"
-        backend = requested
-    if backend not in ("numpy", "numba"):
-        raise ParameterError(f"unknown NTT backend {backend!r} (use numpy or numba)")
-    if backend == "numba" and not ntt_compiled.available():
-        raise ParameterError("numba NTT backend requested but numba is not importable")
-    return backend
+# Coefficients transformed per chunk: four float64 temporaries of this many
+# elements (0.5 MB) stay in L2, and one chunk amortises ~50 NumPy calls.
+_CHUNK_COEFFICIENTS = 1 << 14
 
 
 def ntt_friendly_primes(count: int, bits: int, ring_degree: int) -> list[int]:
@@ -90,12 +65,12 @@ def ntt_friendly_primes(count: int, bits: int, ring_degree: int) -> list[int]:
     The search walks candidates ``c ≡ 1 (mod 2n)`` downward from ``2**bits``,
     so it is deterministic, never revisits a candidate (every prime found is
     distinct by construction), and every returned prime is strictly below
-    ``2**bits`` — the bound the int64 butterflies rely on.
+    ``2**bits`` — the bound the transform's exactness argument relies on.
     """
     if ring_degree <= 0 or ring_degree & (ring_degree - 1):
         raise ParameterError("ring_degree must be a power of two")
     if bits > 31:
-        raise ParameterError("primes above 31 bits would overflow int64 butterflies")
+        raise ParameterError("primes above 31 bits would break the exact float64 transform")
     order = 2 * ring_degree
     key = (bits, order)
     cached = _PRIME_CACHE.setdefault(key, [])
@@ -114,230 +89,195 @@ def ntt_friendly_primes(count: int, bits: int, ring_degree: int) -> list[int]:
     return cached[:count]
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    cached = _BITREV_CACHE.get(n)
-    if cached is not None:
-        return cached
-    bits = n.bit_length() - 1
-    perm = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        reversed_index = 0
-        value = i
-        for _ in range(bits):
-            reversed_index = (reversed_index << 1) | (value & 1)
-            value >>= 1
-        perm[i] = reversed_index
-    perm.setflags(write=False)
-    _BITREV_CACHE[n] = perm
-    return perm
-
-
-def get_ntt_context(ring_degree: int, prime: int, backend: str = "auto") -> "NttContext":
-    """Shared, cached :class:`NttContext` for ``(ring_degree, prime, backend)``."""
-    resolved = resolve_ntt_backend(backend)
-    key = (ring_degree, prime, resolved)
-    cached = _CONTEXT_CACHE.get(key)
-    if cached is None:
-        cached = NttContext(ring_degree, prime, backend=resolved)
-        _CONTEXT_CACHE[key] = cached
-    return cached
-
-
-def get_ntt_plan(ring_degree: int, primes: "list[int] | tuple[int, ...]", backend: str = "auto") -> "NttPlan":
-    """Shared, cached :class:`NttPlan` for ``(ring_degree, prime-set, backend)``."""
-    resolved = resolve_ntt_backend(backend)
-    key = (ring_degree, tuple(primes), resolved)
+def get_ntt_plan(ring_degree: int, primes: "list[int] | tuple[int, ...]") -> "NttPlan":
+    """Shared, cached :class:`NttPlan` for ``(ring_degree, prime-set)``."""
+    key = (ring_degree, tuple(primes))
     cached = _PLAN_CACHE.get(key)
     if cached is None:
-        cached = NttPlan(ring_degree, primes, backend=resolved)
+        cached = NttPlan(ring_degree, primes)
         _PLAN_CACHE[key] = cached
     return cached
 
 
-class NttContext:
-    """Forward/inverse negacyclic NTT modulo a single prime.
+def _power_table(base: int, count: int, prime: int) -> np.ndarray:
+    table = np.zeros(count, dtype=np.int64)
+    value = 1
+    for index in range(count):
+        table[index] = value
+        value = (value * base) % prime
+    return table
 
-    Transforms accept arrays of shape ``(..., n)`` and operate along the last
-    axis, so a batch of polynomials (the four fresh samples of one encryption,
-    the rows of a packed model) costs one vectorised pass instead of one
-    Python-level call per polynomial.
 
-    ``backend`` selects the butterfly implementation: ``numpy`` (default,
-    reference) or ``numba`` (compiled, bit-identical output).  Only the
-    backend *name* is stored — never a compiled dispatcher — so contexts stay
-    picklable across shard-worker boundaries.
+class _Tables(NamedTuple):
+    """One direction of the four-step kernel, stacked per prime.
+
+    The input is viewed as ``rows × columns``.  Every table comes as a pair:
+    the centred residues themselves (multiplying an operand's low limb) and
+    the centred residues of ``table · 2^16`` (multiplying its high limb); all
+    are float64 with a broadcast axis for the chunk, ``(primes, 1, ·, ·)``.
     """
 
-    def __init__(self, ring_degree: int, prime: int, backend: str = "auto") -> None:
-        if ring_degree <= 1 or ring_degree & (ring_degree - 1):
-            raise ParameterError("ring degree must be a power of two > 1")
-        if (prime - 1) % (2 * ring_degree) != 0:
-            raise ParameterError("prime is not NTT-friendly for this ring degree")
-        self.n = ring_degree
-        self.prime = prime
-        self.backend = resolve_ntt_backend(backend)
-        psi = find_primitive_root_of_unity(2 * ring_degree, prime)
-        omega = (psi * psi) % prime
-        self._psi_powers = self._power_table(psi, ring_degree, prime)
-        self._psi_inv_powers = self._power_table(invmod(psi, prime), ring_degree, prime)
-        self._omega_powers = self._power_table(omega, ring_degree // 2, prime)
-        self._omega_inv_powers = self._power_table(invmod(omega, prime), ring_degree // 2, prime)
-        self._n_inverse = invmod(ring_degree, prime)
-        self._bitrev = _bit_reverse_permutation(ring_degree)
-        # Spectra of the monomials x^k, filled on demand by monomial_spectrum.
-        self._monomial_cache: dict[int, np.ndarray] = {}
-
-    @staticmethod
-    def _power_table(base: int, count: int, prime: int) -> np.ndarray:
-        table = np.zeros(count, dtype=np.int64)
-        value = 1
-        for index in range(count):
-            table[index] = value
-            value = (value * base) % prime
-        return table
-
-    def _cyclic_transform(self, values: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
-        """Iterative cyclic NTT along the last axis of ``values`` (shape (..., n)).
-
-        Butterfly sums are reduced *lazily*: only the multiplication operand is
-        reduced per stage (products must stay below 2^63), while the add/sub
-        results are left to grow.  Magnitudes after stage ``k`` are bounded by
-        ``(k + 1) * prime`` < 2^35 for the ≤ 2^31 primes and ≤ 2^10 stages used
-        here, so nothing overflows before the single final reduction.
-
-        With the ``numba`` backend the same butterflies run as compiled loops
-        (eagerly reduced); both paths end in canonical residues, so the
-        results are bit-identical.
-        """
-        prime = self.prime
-        data = values[..., self._bitrev].astype(np.int64)
-        batch_shape = data.shape[:-1]
-        data = data.reshape(-1, self.n)
-        if self.backend == "numba":
-            compiled = ntt_compiled.kernels()
-            if compiled is None:  # numba vanished since resolution (unlikely)
-                raise ParameterError("numba NTT backend is unavailable")
-            data = np.ascontiguousarray(data)
-            compiled.cyclic_ntt_inplace(data, twiddles, prime)
-            return data.reshape(*batch_shape, self.n)
-        length = 2
-        while length <= self.n:
-            half = length // 2
-            stride = self.n // length
-            stage_twiddles = twiddles[: half * stride : stride]
-            reshaped = data.reshape(data.shape[0], -1, length)
-            left = reshaped[:, :, :half]
-            right = reshaped[:, :, half:] % prime * stage_twiddles % prime
-            upper = left + right
-            lower = left - right
-            reshaped[:, :, :half] = upper
-            reshaped[:, :, half:] = lower
-            data = reshaped.reshape(data.shape[0], self.n)
-            length *= 2
-        return (data % prime).reshape(*batch_shape, self.n)
-
-    def forward(self, coefficients: np.ndarray) -> np.ndarray:
-        """Negacyclic forward transform of a coefficient vector (length n)."""
-        if coefficients.shape != (self.n,):
-            raise ParameterError("coefficient vector has the wrong length")
-        return self.forward_many(coefficients)
-
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward`."""
-        if spectrum.shape != (self.n,):
-            raise ParameterError("spectrum vector has the wrong length")
-        return self.inverse_many(spectrum)
-
-    def forward_many(self, coefficients: np.ndarray) -> np.ndarray:
-        """Forward transform along the last axis of an ``(..., n)`` array."""
-        if coefficients.shape[-1] != self.n:
-            raise ParameterError("coefficient vectors have the wrong length")
-        weighted = (coefficients.astype(np.int64) % self.prime * self._psi_powers) % self.prime
-        return self._cyclic_transform(weighted, self._omega_powers)
-
-    def inverse_many(self, spectra: np.ndarray) -> np.ndarray:
-        """Inverse transform along the last axis of an ``(..., n)`` array."""
-        if spectra.shape[-1] != self.n:
-            raise ParameterError("spectrum vectors have the wrong length")
-        data = self._cyclic_transform(spectra.astype(np.int64), self._omega_inv_powers)
-        data = (data * self._n_inverse) % self.prime
-        return (data * self._psi_inv_powers) % self.prime
-
-    def multiply(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Negacyclic polynomial product of two coefficient vectors."""
-        left_spectrum = self.forward(left)
-        right_spectrum = self.forward(right)
-        product = (left_spectrum * right_spectrum) % self.prime
-        return self.inverse(product)
-
-    def monomial_spectrum(self, exponent: int) -> np.ndarray:
-        """Spectrum of ``x^exponent`` (exponent taken mod 2n; ``x^n = -1``).
-
-        Pointwise multiplication by this vector shifts slots entirely in the
-        evaluation domain — the homomorphic "left shift" of §4.2 without any
-        transform.  Results are cached (and marked read-only) per exponent.
-        """
-        exponent %= 2 * self.n
-        cached = self._monomial_cache.get(exponent)
-        if cached is None:
-            one_hot = np.zeros(self.n, dtype=np.int64)
-            one_hot[exponent % self.n] = 1
-            cached = self.forward(one_hot)
-            if exponent >= self.n:
-                cached = (-cached) % self.prime
-            cached.setflags(write=False)
-            self._monomial_cache[exponent] = cached
-        return cached
+    rows: int
+    columns: int
+    first: tuple[np.ndarray, np.ndarray]    # rows × rows, contracts the slow input axis
+    twiddle: tuple[np.ndarray, np.ndarray]  # columns × rows, pointwise
+    second: tuple[np.ndarray, np.ndarray]   # columns × columns, contracts the other axis
 
 
 class NttPlan:
     """All reusable transform state for one ``(ring_degree, prime-set)``.
 
-    A plan bundles the per-prime :class:`NttContext` objects (twiddle tables,
-    bit-reversal permutation, backend choice) with the *stacked* monomial
-    spectra used by batched evaluation-domain slot shifts, so everything that
-    depends only on the parameter set is computed once per process and shared
-    by every :class:`~repro.crypto.ringlwe.RingContext` (and therefore every
-    scheme instance) over the same primes.  Obtain plans via
-    :func:`get_ntt_plan`, which caches them per (degree, prime-set, backend).
+    Transforms take ``(..., num_primes, n)`` integer arrays (any integer
+    dtype, any representative of the residues) and return canonical int64
+    residues in natural order.  Obtain plans via :func:`get_ntt_plan`; a plan
+    pickles as that call, so unpickled rings share the process-wide tables.
     """
 
-    def __init__(self, ring_degree: int, primes: "list[int] | tuple[int, ...]", backend: str = "auto") -> None:
+    def __init__(self, ring_degree: int, primes: "list[int] | tuple[int, ...]") -> None:
+        if ring_degree <= 1 or ring_degree & (ring_degree - 1):
+            raise ParameterError("ring degree must be a power of two > 1")
         if not primes:
             raise ParameterError("an NTT plan needs at least one prime")
+        order = 2 * ring_degree
+        if any((prime - 1) % order for prime in primes):
+            raise ParameterError("prime is not NTT-friendly for this ring degree")
         self.n = ring_degree
         self.primes = tuple(primes)
-        self.backend = resolve_ntt_backend(backend)
-        self.contexts = [
-            get_ntt_context(ring_degree, prime, self.backend) for prime in self.primes
-        ]
+        n1 = 1 << (ring_degree.bit_length() // 2)   # n1 >= n2, both powers of two
+        n2 = ring_degree // n1
+        # Exactness: a limb (< 2^16) times a centred entry (< p/2), summed over
+        # max(n1, n2) terms for each of the two limbs, must stay below 2^53
+        # (and lazily reduced values, below 2p, must split into two limbs).
+        if max(primes) >> 31 or _LIMB_BITS + max(primes).bit_length() + n1.bit_length() - 1 > 53:
+            raise ParameterError(
+                f"a degree-{ring_degree} transform modulo {max(primes).bit_length()}-bit "
+                "primes would not be exact in float64"
+            )
+        self._prime_column = np.array(self.primes, dtype=np.int64)[:, None]
+        self._prime = self._prime_column.astype(np.float64)[:, :, None]
+        # Rounded *up*, so a multiple of p never floors one short and reducing
+        # an already-small value lands exactly in [0, p).
+        self._prime_inverse = np.nextafter(1.0 / self._prime, 1.0)
+        # psi^e for e in [0, 2n), per prime.
+        self._psi_powers = np.stack([
+            _power_table(find_primitive_root_of_unity(order, prime), order, prime)
+            for prime in self.primes
+        ])
+        odd = 2 * np.arange(n1) + 1                                 # 2·k1 + 1
+        slow = n2 * np.arange(n1)[:, None] * odd                    # [j1, k1]
+        twist = np.arange(n2)[:, None] * odd                        # [j2, k1]
+        fast = 2 * n1 * np.arange(n2)[:, None] * np.arange(n2)      # [k2, j2]
+        n_inverse = np.array([invmod(ring_degree, prime) for prime in self.primes])
+        self._forward = _Tables(
+            n1, n2, self._limb_pair(slow), self._limb_pair(twist), self._limb_pair(fast)
+        )
+        self._inverse = _Tables(
+            n2, n1,
+            self._limb_pair(-fast),
+            self._limb_pair(-twist.T),
+            self._limb_pair(-slow, n_inverse[:, None, None]),
+        )
         # Stacked (num_primes, n) spectra of x^k, filled on demand.
         self._monomial_cache: dict[int, np.ndarray] = {}
+
+    def __reduce__(self):
+        return get_ntt_plan, (self.n, self.primes)
+
+    def _limb_pair(self, exponents: np.ndarray, scale: "np.ndarray | int" = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Centred float64 tables of ``scale·ψ^exponents`` and of ``2^16`` times it."""
+        primes = self._prime_column[:, :, None]
+        low = np.take(self._psi_powers, exponents % (2 * self.n), axis=1) * scale % primes
+        high = (low << _LIMB_BITS) % primes
+        return tuple(
+            np.where(table > primes // 2, table - primes, table).astype(np.float64)[:, None]
+            for table in (low, high)
+        )
+
+    # -- the kernel -----------------------------------------------------------
+    def _reduce(self, values: np.ndarray, spare: np.ndarray) -> None:
+        """``values -= floor(values / p) · p`` in place, off by at most one ``p``."""
+        np.multiply(values, self._prime_inverse, out=spare)
+        np.floor(spare, out=spare)
+        np.multiply(spare, self._prime, out=spare)
+        np.subtract(values, spare, out=values)
+
+    @staticmethod
+    def _split(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+        """``values = low + 2^16·high`` with ``0 <= low < 2^16`` (exact for integers)."""
+        np.multiply(values, 1.0 / _LIMB, out=high)
+        np.floor(high, out=high)
+        np.multiply(high, _LIMB, out=low)
+        np.subtract(values, low, out=low)
+
+    def _transform(self, values: np.ndarray, tables: _Tables) -> np.ndarray:
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            raise ParameterError("NTT operands must have an integer dtype")
+        primes = len(self.primes)
+        if values.shape[-2:] != (primes, self.n):
+            raise ParameterError("expected an array of shape (..., num_primes, n)")
+        if values.dtype == np.uint64:
+            values = values % self._prime_column.astype(np.uint64)
+        stack = values.astype(np.int64, copy=False).reshape(-1, primes, self.n)
+        # The limb bound needs operands in [0, 2^32); anything else (negative
+        # or wide representatives) is reduced first.
+        if stack.size and int(stack.view(np.uint64).max()) >> 32:
+            stack = stack % self._prime_column
+        result = np.empty(stack.shape, dtype=np.int64)
+        rows, columns = tables.rows, tables.columns
+        size = max(1, min(len(stack), _CHUNK_COEFFICIENTS // (primes * self.n)))
+        workspace = np.empty((4, primes, size, self.n))
+        for start in range(0, len(stack), size):
+            chunk = stack[start:start + size]
+            low, high, work, spare = workspace[:, :, :len(chunk)]
+            grid = (primes, len(chunk), columns, rows)
+            low_grid, high_grid = low.reshape(grid), high.reshape(grid)
+            work_grid, spare_grid = work.reshape(grid), spare.reshape(grid)
+            np.copyto(work, chunk.swapaxes(0, 1))
+            self._split(work, low, high)
+            by_row = (primes, len(chunk), rows, columns)
+            np.matmul(low.reshape(by_row).swapaxes(-1, -2), tables.first[0], out=work_grid)
+            np.matmul(high.reshape(by_row).swapaxes(-1, -2), tables.first[1], out=spare_grid)
+            np.add(work, spare, out=work)
+            self._reduce(work, spare)
+            self._split(work, low, high)
+            np.multiply(low_grid, tables.twiddle[0], out=work_grid)
+            np.multiply(high_grid, tables.twiddle[1], out=spare_grid)
+            np.add(work, spare, out=work)
+            self._reduce(work, spare)
+            self._split(work, low, high)
+            np.matmul(tables.second[0], low_grid, out=work_grid)
+            np.matmul(tables.second[1], high_grid, out=spare_grid)
+            np.add(work, spare, out=work)
+            self._reduce(work, spare)   # (-p, 2p)
+            self._reduce(work, spare)   # [0, p)
+            np.copyto(result[start:start + size].swapaxes(0, 1), work, casting="unsafe")
+        return result.reshape(values.shape)
 
     # -- batched transforms (shape (..., num_primes, n)) ----------------------
     def forward(self, residues: np.ndarray) -> np.ndarray:
         """Per-prime forward NTT of a ``(..., num_primes, n)`` residue array."""
-        spectra = np.empty_like(residues)
-        for index, context in enumerate(self.contexts):
-            spectra[..., index, :] = context.forward_many(residues[..., index, :])
-        return spectra
+        return self._transform(residues, self._forward)
 
     def inverse(self, spectra: np.ndarray) -> np.ndarray:
         """Per-prime inverse NTT of a ``(..., num_primes, n)`` spectrum array."""
-        residues = np.empty_like(spectra)
-        for index, context in enumerate(self.contexts):
-            residues[..., index, :] = context.inverse_many(spectra[..., index, :])
-        return residues
+        return self._transform(spectra, self._inverse)
 
     # -- monomial spectra -----------------------------------------------------
     def monomial_spectra(self, exponent: int) -> np.ndarray:
-        """Stacked per-prime spectra of ``x^exponent``, shape ``(num_primes, n)``."""
+        """Stacked per-prime spectra of ``x^exponent``, shape ``(num_primes, n)``.
+
+        The exponent is taken mod 2n (``x^n = -1``).  Pointwise multiplication
+        by this array shifts slots entirely in the evaluation domain — the
+        homomorphic "left shift" of §4.2 without any transform.  The spectrum
+        is ``ψ^{exponent·(2k+1)}``, a gather from the ψ power table; results
+        are cached (and marked read-only) per exponent.
+        """
         exponent %= 2 * self.n
         cached = self._monomial_cache.get(exponent)
         if cached is None:
-            cached = np.stack(
-                [context.monomial_spectrum(exponent) for context in self.contexts]
-            )
+            odd = 2 * np.arange(self.n) + 1
+            cached = np.take(self._psi_powers, exponent * odd % (2 * self.n), axis=1)
             cached.setflags(write=False)
             self._monomial_cache[exponent] = cached
         return cached
@@ -353,18 +293,49 @@ class NttPlan:
         return np.stack([self.monomial_spectra(exponent) for exponent in exponents])
 
 
-def negacyclic_multiply_reference(left: np.ndarray, right: np.ndarray, prime: int) -> np.ndarray:
-    """O(n²) schoolbook negacyclic product, used by tests to validate the NTT."""
-    n = len(left)
-    result = np.zeros(n, dtype=object)
-    for i in range(n):
-        if left[i] == 0:
-            continue
-        for j in range(n):
-            index = i + j
-            term = int(left[i]) * int(right[j])
-            if index >= n:
-                result[index - n] -= term
-            else:
-                result[index] += term
-    return np.array([int(value) % prime for value in result], dtype=np.int64)
+class NttContext:
+    """Forward/inverse negacyclic NTT modulo a single prime.
+
+    The single-prime view of the shared kernel: transforms accept arrays of
+    shape ``(..., n)`` and operate along the last axis.
+    """
+
+    def __init__(self, ring_degree: int, prime: int) -> None:
+        self._plan = get_ntt_plan(ring_degree, (prime,))
+        self.n = ring_degree
+        self.prime = prime
+
+    def _transform(self, values: np.ndarray, tables: _Tables) -> np.ndarray:
+        values = np.asarray(values)
+        if values.shape[-1:] != (self.n,):
+            raise ParameterError("vectors have the wrong length for this ring degree")
+        return self._plan._transform(values[..., None, :], tables)[..., 0, :]
+
+    def forward(self, coefficients: np.ndarray) -> np.ndarray:
+        """Negacyclic forward transform of a coefficient vector (length n)."""
+        if np.shape(coefficients) != (self.n,):
+            raise ParameterError("coefficient vector has the wrong length")
+        return self._transform(coefficients, self._plan._forward)
+
+    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`forward`."""
+        if np.shape(spectrum) != (self.n,):
+            raise ParameterError("spectrum vector has the wrong length")
+        return self._transform(spectrum, self._plan._inverse)
+
+    def forward_many(self, coefficients: np.ndarray) -> np.ndarray:
+        """Forward transform along the last axis of an ``(..., n)`` array."""
+        return self._transform(coefficients, self._plan._forward)
+
+    def inverse_many(self, spectra: np.ndarray) -> np.ndarray:
+        """Inverse transform along the last axis of an ``(..., n)`` array."""
+        return self._transform(spectra, self._plan._inverse)
+
+    def multiply(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Negacyclic polynomial product of two coefficient vectors."""
+        product = (self.forward(left) * self.forward(right)) % self.prime
+        return self.inverse(product)
+
+    def monomial_spectrum(self, exponent: int) -> np.ndarray:
+        """Spectrum of ``x^exponent`` — this prime's row of the plan's cached table."""
+        return self._plan.monomial_spectra(exponent)[0]

@@ -30,7 +30,7 @@ from repro.utils.rand import secure_bytes
 class RingContext:
     """Shared parameters for polynomials in ``Z_q[x]/(x^n + 1)`` with RNS modulus q."""
 
-    def __init__(self, ring_degree: int, primes: list[int], backend: str = "auto") -> None:
+    def __init__(self, ring_degree: int, primes: list[int]) -> None:
         if not primes:
             raise ParameterError("at least one RNS prime is required")
         self.n = ring_degree
@@ -38,10 +38,9 @@ class RingContext:
         self.modulus = 1
         for prime in primes:
             self.modulus *= prime
-        # All transform state (twiddles, bit-reversal, backend choice, stacked
-        # monomial spectra) lives in the shared per-(degree, prime-set) plan.
-        self.plan = get_ntt_plan(ring_degree, primes, backend)
-        self.ntt = self.plan.contexts
+        # All transform state (four-step tables, stacked monomial spectra)
+        # lives in the shared per-(degree, prime-set) plan.
+        self.plan = get_ntt_plan(ring_degree, primes)
         # Broadcast helper: shape (num_primes, 1) so (primes, n) arrays reduce
         # prime-wise with a single vectorised `%`.
         self.primes_column = np.array(self.primes, dtype=np.int64)[:, None]
@@ -80,11 +79,15 @@ class RingContext:
         ring_degree: int = 1024,
         prime_bits: int = 31,
         prime_count: int = 2,
-        backend: str = "auto",
     ) -> "RingContext":
         """Build a context with freshly discovered NTT-friendly primes."""
         primes = ntt_friendly_primes(prime_count, prime_bits, ring_degree)
-        return cls(ring_degree, primes, backend=backend)
+        return cls(ring_degree, primes)
+
+    def __reduce__(self):
+        # Everything here is derived from (degree, primes): pickles carry only
+        # those and an unpickled context shares the process-wide NTT plan.
+        return type(self), (self.n, self.primes)
 
     @property
     def modulus_bits(self) -> int:

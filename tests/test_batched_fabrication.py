@@ -2,19 +2,16 @@
 
 Every vectorised fast path added for the fabrication hot spots — batched
 encryption, stacked addition, gather-and-shift candidate extraction, the
-vectorised blinding entry points, Garner CRT, and the optional compiled NTT
-backend — promises *bit-identical* output to its scalar reference.  These
-tests hold each path to that promise under a shared seeded PRG, so any future
-"optimisation" that changes results (rather than just speed) fails loudly.
+vectorised blinding entry points and Garner CRT — promises *bit-identical*
+output to its scalar reference.  These tests hold each path to that promise
+under a shared seeded PRG, so any future "optimisation" that changes results
+(rather than just speed) fails loudly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import ntt_compiled
-from repro.crypto.bv import BVParameters, BVScheme
-from repro.crypto.ntt import get_ntt_plan, ntt_friendly_primes
 from repro.crypto.packing import PackedLinearModel
 from repro.crypto.prg import Prg
 from repro.crypto.ringlwe import RingContext, RingPolynomial
@@ -264,62 +261,4 @@ class TestGarnerCrt:
         residues = np.ones((len(ring.primes), ring.n), dtype=object)
         assert ring.crt_reconstruct_array(residues).tolist() == (
             ring.crt_reconstruct_array_reference(residues).tolist()
-        )
-
-
-# -- optional compiled backend -------------------------------------------------
-
-numba_required = pytest.mark.skipif(
-    not ntt_compiled.available(), reason="numba is not installed"
-)
-
-
-class TestCompiledBackend:
-    def test_probe_is_boolean_and_stable(self):
-        first = ntt_compiled.available()
-        assert isinstance(first, bool)
-        assert ntt_compiled.available() == first
-        if not first:
-            assert ntt_compiled.kernels() is None
-
-    def test_unavailable_backend_request_fails_cleanly(self):
-        if ntt_compiled.available():
-            pytest.skip("numba present; explicit-backend failure path not reachable")
-        with pytest.raises(ParameterError):
-            get_ntt_plan(64, ntt_friendly_primes(1, 31, 64), backend="numba")
-
-    @numba_required
-    def test_numba_forward_matches_numpy(self):
-        degree = 256
-        primes = ntt_friendly_primes(2, 31, degree)
-        numpy_plan = get_ntt_plan(degree, primes, backend="numpy")
-        numba_plan = get_ntt_plan(degree, primes, backend="numba")
-        rng = np.random.default_rng(41)
-        stack = rng.integers(0, min(primes), size=(5, len(primes), degree))
-        assert np.array_equal(numpy_plan.forward(stack), numba_plan.forward(stack))
-        spectra = numpy_plan.forward(stack)
-        assert np.array_equal(numpy_plan.inverse(spectra), numba_plan.inverse(spectra))
-
-    @numba_required
-    def test_numba_scheme_end_to_end_matches_numpy(self):
-        parameters = BVParameters.test_parameters()
-        numpy_scheme = BVScheme(parameters)
-        numba_scheme = BVScheme(parameters)
-        numba_scheme.ring = RingContext.create(
-            ring_degree=parameters.ring_degree,
-            prime_bits=parameters.prime_bits,
-            prime_count=parameters.prime_count,
-            backend="numba",
-        )
-        keys = numpy_scheme.generate_keypair(seed=b"backend-parity")
-        vectors = np.arange(3 * parameters.ring_degree, dtype=np.int64).reshape(3, -1)
-        numpy_cts = numpy_scheme.encrypt_slots_many(
-            keys.public, vectors, prg=Prg(b"parity", domain=b"pin")
-        )
-        numba_cts = numba_scheme.encrypt_slots_many(
-            keys.public, vectors, prg=Prg(b"parity", domain=b"pin")
-        )
-        assert _wire(numpy_scheme, numpy_cts) == _wire(numba_scheme, numba_cts)
-        assert numpy_scheme.decrypt_slots_many(keys, numpy_cts) == (
-            numba_scheme.decrypt_slots_many(keys, numba_cts)
         )
