@@ -11,10 +11,6 @@ the PR 2 single-loop drive (fresh per-pair OT handshake per burst, exactly
 the arrangement behind the committed runtime numbers), the same single loop
 with a warm :class:`MailboxDirectory`, and a 4-worker
 :class:`repro.core.runtime.ShardedRuntime` with windowed decrypt scheduling.
-``--suite restart`` measures crash recovery: a shard worker is SIGKILLed
-with an open decrypt window and the recovery latency is timed twice —
-resuming from the worker's ``SessionState`` checkpoint versus recomputing
-the in-flight emails from their features.
 ``--suite chaos`` measures goodput under degraded networks: the same spam
 stream classified over a clean pipe and over seeded fault cocktails (1% and
 5% drop/corrupt/reorder/duplicate per frame) with the
@@ -36,8 +32,7 @@ once through a localhost-TCP :class:`repro.fabric.FabricRuntime` whose
 first agent is **live-migrated to a fresh process mid-stream** with its
 decrypt windows open.
 The shard suite **hard-fails** if sharded throughput drops below the PR 2
-single-loop drive, the restart suite hard-fails if snapshot resume is
-not faster than recompute, the chaos suite hard-fails if any reliable
+single-loop drive, the chaos suite hard-fails if any reliable
 run fails to complete or its verdict diverges from the clean run, the
 micro suite hard-fails if decrypt batching stops being superlinear (batch-32
 per-ciphertext cost must beat batch 1) or, at n = 1024, if candidate blinding
@@ -59,7 +54,6 @@ Usage::
     PYTHONPATH=src python benchmarks/regress.py --ring-degree 256 --repeat 3
     PYTHONPATH=src python benchmarks/regress.py --suite runtime
     PYTHONPATH=src python benchmarks/regress.py --suite shard
-    PYTHONPATH=src python benchmarks/regress.py --suite restart
     PYTHONPATH=src python benchmarks/regress.py --suite chaos
     PYTHONPATH=src python benchmarks/regress.py --suite micro
     PYTHONPATH=src python benchmarks/regress.py --suite fabric
@@ -617,112 +611,6 @@ def run_fabric(ring_degree: int, repeat: int) -> dict:
     }
 
 
-RESTART_EMAILS = 6
-RESTART_WINDOW_BURSTS = 100  # the window stays open until drain — a true mid-window kill
-
-
-def run_restart(ring_degree: int, repeat: int) -> dict:
-    """Crash-recovery latency: resume-from-snapshot vs recompute-from-features.
-
-    One shard, one mailbox, RESTART_EMAILS emails submitted into a
-    wide-open decrypt window; the worker is then SIGKILLed (no shutdown
-    hook runs — the only surviving state is the checkpoint it wrote when it
-    acked the burst).  Two recovery arms, both timed from ``restart_shard``
-    through ``drain``:
-
-    * ``recompute`` — no checkpoint directory: the parent replays
-      registrations and resubmits every in-flight email from its features,
-      re-running the whole client side (dot products, blinding, Yao start);
-    * ``resume`` — a :class:`~repro.core.runtime.FileSessionStore`
-      checkpoint: the replacement worker restores the parked sessions from
-      their ``SessionState`` snapshots and only the not-yet-executed steps
-      (the batched decrypt and the Yao finish) run.
-
-    Both arms replay registrations (key-pair pickling, model re-stacking),
-    but they deliberately do NOT pay the same per-pair base-OT handshake:
-    recompute must rebuild a fresh OT pool, while resume restores the old
-    pool from the checkpoint and skips the handshake — that skipped work is
-    part of what the snapshot *is*, so it belongs inside the measured delta.
-    Verdicts of both arms are checked against the uninterrupted truth, the
-    resume arm must resubmit **zero** emails, and the suite hard-fails if
-    resume is not faster than recompute — the whole point of the
-    persistence layer.
-    """
-    import os
-    import signal
-    import tempfile
-
-    from repro.core.runtime import ShardedRuntime
-
-    parameters = BVParameters(ring_degree=ring_degree)
-    scheme = BVScheme(parameters)
-    group = generate_group(RUNTIME_DH_BITS)
-    rng = np.random.default_rng(23)
-    linear = LinearModel(
-        weights=rng.normal(size=(SPAM_FEATURE_ROWS, 2)),
-        biases=np.array([0.25, -0.25]),
-        category_names=["spam", "ham"],
-    )
-    quantized = QuantizedLinearModel.from_linear_model(
-        linear, value_bits=10, frequency_bits=4, max_features_per_email=4096
-    )
-    protocol = SpamFilterProtocol(scheme, group)
-    setup = protocol.setup(quantized)
-    address = "restart@bench.example"
-    emails = [
-        {int(row): 1 for row in rng.choice(SPAM_FEATURE_ROWS, size=EMAIL_FEATURES, replace=False)}
-        for _ in range(RESTART_EMAILS)
-    ]
-    # Uninterrupted truth (also warms circuits/stacks both arms share).
-    truth = [protocol.classify_email(setup, features).is_spam for features in emails]
-
-    def one_recovery(checkpoint_dir: str | None) -> float:
-        with ShardedRuntime(
-            num_shards=1,
-            window_bursts=RESTART_WINDOW_BURSTS,
-            checkpoint_dir=checkpoint_dir,
-        ) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            job_ids = runtime.submit_spam([(address, features) for features in emails])
-            os.kill(runtime.worker_pid(0), signal.SIGKILL)
-            runtime.join_worker(0)
-            begin = time.perf_counter()
-            resubmitted = runtime.restart_shard(0)
-            runtime.drain()
-            elapsed_ms = (time.perf_counter() - begin) * 1e3
-            verdicts = [runtime.take_result(job_id).is_spam for job_id in job_ids]
-        if verdicts != truth:
-            raise AssertionError("recovered verdicts disagree with the uninterrupted run")
-        if checkpoint_dir is not None and resubmitted != 0:
-            raise AssertionError(
-                f"resume arm resubmitted {resubmitted} emails; snapshots were not used"
-            )
-        return elapsed_ms
-
-    recompute_samples = []
-    resume_samples = []
-    for _ in range(repeat):
-        recompute_samples.append(one_recovery(None))
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
-            resume_samples.append(one_recovery(checkpoint_dir))
-
-    recompute_ms = statistics.median(recompute_samples)
-    resume_ms = statistics.median(resume_samples)
-    # The suite's reason to exist: resuming from snapshots must beat
-    # re-running the protocol.  Fail loudly (CI-visible) if it does not.
-    if resume_ms >= recompute_ms:
-        raise AssertionError(
-            f"snapshot resume regressed: {resume_ms:.1f} ms >= "
-            f"{recompute_ms:.1f} ms recompute for a mid-window worker kill"
-        )
-    return {
-        "restart_recompute_ms": recompute_ms,
-        "restart_resume_ms": resume_ms,
-        "restart_resume_speedup": recompute_ms / resume_ms,
-        "restart_inflight_emails": RESTART_EMAILS,
-    }
-
-
 CHAOS_EMAILS = 6
 CHAOS_RATES = (0.01, 0.05)
 CHAOS_SEED_BASE = 20170814  # deterministic by default; CI varies it per run
@@ -1194,12 +1082,11 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=9, help="samples per op (median reported)")
     parser.add_argument(
         "--suite",
-        choices=("hotpath", "runtime", "shard", "restart", "chaos", "micro", "latency", "fabric"),
+        choices=("hotpath", "runtime", "shard", "chaos", "micro", "latency", "fabric"),
         default="hotpath",
         help=(
             "hotpath = BV micro/protocol ops; runtime = serving-loop throughput; "
             "shard = sharded serving stack vs the single-loop drive; "
-            "restart = crash-recovery latency, snapshot resume vs recompute; "
             "chaos = goodput under seeded fault cocktails, reliable vs raw; "
             "micro = batched-fabrication scaling curves (decrypt-many, blinding); "
             "latency = p50/p95/p99 email latency on a bursty trace, static vs adaptive windows; "
@@ -1219,7 +1106,6 @@ def main() -> None:
         "hotpath": "bv_hotpath",
         "runtime": "runtime",
         "shard": "shard",
-        "restart": "restart",
         "chaos": "chaos",
         "micro": "micro",
         "latency": "latency",
@@ -1231,8 +1117,6 @@ def main() -> None:
         results = run(args.ring_degree, args.repeat)
     elif args.suite == "runtime":
         results = run_runtime(args.ring_degree, args.repeat)
-    elif args.suite == "restart":
-        results = run_restart(args.ring_degree, args.repeat)
     elif args.suite == "chaos":
         results = run_chaos(args.ring_degree, args.repeat)
     elif args.suite == "micro":

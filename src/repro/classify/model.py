@@ -153,9 +153,9 @@ class QuantizedLinearModel:
         log_l = max(1, math.ceil(math.log2(self.max_features_per_email + 1)))
         return log_l + self.value_bits + self.frequency_bits
 
-    def matrix_rows(self) -> list[list[int]]:
-        """Rows for :meth:`repro.crypto.packing.PackedLinearModel.encrypt`."""
-        return [[int(value) for value in row] for row in self.matrix]
+    def matrix_rows(self) -> np.ndarray:
+        """The ``(rows, columns)`` integer block :meth:`repro.crypto.packing.PackedLinearModel.encrypt` packs."""
+        return self.matrix
 
     # -- plaintext reference computation ------------------------------------------
     def clip_frequency(self, count: int) -> int:

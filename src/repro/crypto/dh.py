@@ -15,6 +15,7 @@ Two roles in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.hashes import sha256
 from repro.crypto.numtheory import find_generator, generate_safe_prime, is_probable_prime
@@ -35,6 +36,44 @@ _RFC3526_PRIME_2048 = int(
     "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
     16,
 )
+
+
+_WINDOW_BITS = 4  # 16 entries per window: ~32 KB of residues at 256 bits, ~2 MB at 2048
+
+
+class FixedBase:
+    """Windowed table of one order-q element's powers, for repeated exponentiation.
+
+    Row ``i`` holds ``base^(d · 16^i)`` for every hex digit ``d``, so
+    ``base^e`` is the product of one entry per digit of ``e``: ``bits/4``
+    multiplications and no squarings, against ``bits`` squarings plus
+    ``~bits/5`` multiplications inside a three-argument ``pow``.  Building the
+    table costs about as much as four ``pow`` calls, so it pays for a base
+    that is raised to many exponents (``g`` always; a base-OT sender's ``A``
+    once per handshake).
+    """
+
+    def __init__(self, group: "DHGroup", base: int) -> None:
+        self.p = p = group.p
+        self.q = group.q
+        rows, power = [], base % p
+        for _ in range(-(-group.q.bit_length() // _WINDOW_BITS)):
+            row = [1, power]
+            for _ in range(2, 1 << _WINDOW_BITS):
+                row.append(row[-1] * power % p)
+            rows.append(row)
+            power = row[-1] * power % p
+        self._rows = rows
+
+    def power(self, exponent: int) -> int:
+        """``base^exponent mod p`` for ``0 <= exponent < q``."""
+        if not 0 <= exponent < self.q:
+            raise ParameterError("fixed-base exponent outside [0, q)")
+        p, mask, result = self.p, (1 << _WINDOW_BITS) - 1, 1
+        for row in self._rows:
+            result = result * row[exponent & mask] % p
+            exponent >>= _WINDOW_BITS
+        return result
 
 
 @dataclass(frozen=True)
@@ -63,8 +102,21 @@ class DHGroup:
         return 1 + secure_randbelow(self.q - 1)
 
     def power(self, base: int, exponent: int) -> int:
-        """Group exponentiation ``base^exponent mod p``."""
+        """Group exponentiation ``base^exponent mod p`` of an arbitrary base."""
         return pow(base, exponent, self.p)
+
+    @cached_property
+    def _generator_table(self) -> FixedBase:
+        return FixedBase(self, self.g)
+
+    def generator_power(self, exponent: int) -> int:
+        """``g^exponent mod p`` for ``0 <= exponent < q``, from the group's cached table."""
+        return self._generator_table.power(exponent)
+
+    def __getstate__(self) -> dict:
+        # The generator table is derived state: a pickled group (worker
+        # registration, checkpoints) carries p, q and g only.
+        return {"p": self.p, "q": self.q, "g": self.g}
 
     def is_valid_element(self, element: int) -> bool:
         """Check that *element* lies in the order-q subgroup (subgroup-membership check).
@@ -121,7 +173,7 @@ class DHKeyPair:
     @classmethod
     def generate(cls, group: DHGroup) -> "DHKeyPair":
         secret = group.random_exponent()
-        return cls(group=group, secret=secret, public=group.power(group.g, secret))
+        return cls(group=group, secret=secret, public=group.generator_power(secret))
 
     def shared_secret(self, peer_public: int) -> bytes:
         """Raw DH shared secret with subgroup validation of the peer share."""

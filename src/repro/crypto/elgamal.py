@@ -36,7 +36,7 @@ class ElGamalPrivateKey:
     exponent: int
 
     def public_key(self) -> ElGamalPublicKey:
-        return ElGamalPublicKey(self.group, self.group.power(self.group.g, self.exponent))
+        return ElGamalPublicKey(self.group, self.group.generator_power(self.exponent))
 
 
 @dataclass

@@ -5,8 +5,23 @@ its own private input bits without the garbler learning those bits and
 without the evaluator learning the other labels — exactly a 1-out-of-2
 oblivious transfer per input bit.
 
-* The *base* OT is a Chou–Orlandi style DH-based OT ("simplest OT") over a
-  safe-prime group.  Each transfer costs a few modular exponentiations.
+* The *base* OT is Chou–Orlandi's "simplest OT" over a safe-prime group,
+  with **one sender key per batch**: the sender draws one ``a``, publishes
+  one ``A = g^a``, and for transfer ``i`` the receiver answers
+  ``B_i = g^{b_i}`` (choice 0) or ``A · g^{b_i}`` (choice 1) and keeps
+  ``A^{b_i}``; the sender derives ``B_i^a`` and ``B_i^a · (A^a)^-1``.  A batch
+  of ``m`` transfers costs the sender ``m + 2`` three-argument ``pow`` calls
+  (every ``B_i^a``, one ``A^a``, one inverse) plus ``g^a`` from the group's
+  cached generator table, and the receiver one ``pow`` (the subgroup check
+  of ``A``) plus ``2m`` exponentiations from fixed-base tables
+  (:class:`repro.crypto.dh.FixedBase` — the ``g`` table again and a table of
+  ``A`` built for the handshake): 131 ``pow`` calls for the 128 seed
+  transfers of a pool handshake, where drawing a fresh ``a`` per transfer
+  took 896.  Because ``a`` and ``A`` are shared by every transfer
+  of the batch, two transfers with equal ``B`` would share a DH value; the
+  key is therefore ``H(i, A, B_i, shared)`` — bound to the transfer index and
+  to the transcript, as the published protocol requires — and responses of
+  order 1 or 2 (``B ∈ {1, p-1}``) are refused.
 * The *IKNP extension* [71 in the paper, "Extending oblivious transfers
   efficiently"] stretches a small constant number of base OTs (128) run in
   the reverse direction, with only symmetric operations, into as many OTs as
@@ -31,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.crypto.dh import DHGroup
+from repro.crypto.dh import DHGroup, DHKeyPair, FixedBase
 from repro.crypto.hashes import sha256
 from repro.crypto.prg import prf, stretch
 from repro.exceptions import OTError
@@ -60,49 +75,38 @@ SECURITY_PARAMETER = 128  # number of base OTs backing the extension
 
 
 # ---------------------------------------------------------------------------
-# Base OT (Chou–Orlandi style, DH-based)
+# Base OT (Chou–Orlandi, DH-based)
 # ---------------------------------------------------------------------------
-@dataclass
-class BaseOTSenderSetup:
-    group: DHGroup
-    secret: int
-    public: int  # A = g^a
+def _base_ot_key(
+    group: DHGroup, index: int, encoded_public: bytes, response: int, shared: int
+) -> bytes:
+    """``H(i, A, B_i, shared)``: the key of one message of transfer *index*."""
+    return sha256(
+        b"base-ot-key",
+        index.to_bytes(4, "big"),
+        encoded_public,
+        group.encode_element(response),
+        group.encode_element(shared),
+    )
 
 
-def base_ot_sender_setup(group: DHGroup) -> BaseOTSenderSetup:
-    secret = group.random_exponent()
-    return BaseOTSenderSetup(group=group, secret=secret, public=group.power(group.g, secret))
-
-
-def base_ot_receiver_respond(
-    group: DHGroup, sender_public: int, choice_bit: int
-) -> tuple[int, bytes]:
-    """Receiver step: returns (response element B, derived key for the chosen message)."""
+def base_ot_batch_respond(
+    group: DHGroup, sender_public: int, choices: list[int]
+) -> tuple[list[int], list[bytes]]:
+    """Receiver step: the responses ``B_i`` and the key of every chosen message."""
     if not group.is_valid_element(sender_public):
         raise OTError("base OT sender share failed validation")
-    b = group.random_exponent()
-    g_b = group.power(group.g, b)
-    if choice_bit == 0:
-        response = g_b
-    else:
-        response = (sender_public * g_b) % group.p
-    shared = group.power(sender_public, b)
-    key = sha256(b"base-ot-key", group.encode_element(shared))
-    return response, key
-
-
-def base_ot_sender_keys(setup: BaseOTSenderSetup, receiver_response: int) -> tuple[bytes, bytes]:
-    """Sender step: derive the two message keys from the receiver's response."""
-    group = setup.group
-    if not 1 <= receiver_response < group.p:
-        raise OTError("base OT receiver response out of range")
-    key0_shared = group.power(receiver_response, setup.secret)
-    # B / A = B * A^{-1}; exponentiating gives the key for choice 1.
-    a_inverse = pow(setup.public, -1, group.p)
-    key1_shared = group.power((receiver_response * a_inverse) % group.p, setup.secret)
-    key0 = sha256(b"base-ot-key", group.encode_element(key0_shared))
-    key1 = sha256(b"base-ot-key", group.encode_element(key1_shared))
-    return key0, key1
+    public_table = FixedBase(group, sender_public)
+    encoded_public = group.encode_element(sender_public)
+    responses, keys = [], []
+    for index, choice in enumerate(choices):
+        b = group.random_exponent()
+        response = group.generator_power(b)
+        if choice:
+            response = sender_public * response % group.p
+        responses.append(response)
+        keys.append(_base_ot_key(group, index, encoded_public, response, public_table.power(b)))
+    return responses, keys
 
 
 def _ot_encrypt(key: bytes, message: bytes, index: int) -> bytes:
@@ -111,17 +115,24 @@ def _ot_encrypt(key: bytes, message: bytes, index: int) -> bytes:
 
 
 def base_ot_batch_send(
-    group: DHGroup,
-    message_pairs: list[tuple[bytes, bytes]],
-    responses: list[int],
-    setups: list[BaseOTSenderSetup],
+    keypair: DHKeyPair, message_pairs: list[tuple[bytes, bytes]], responses: list[int]
 ) -> list[tuple[bytes, bytes]]:
-    """Encrypt every message pair under the receiver-specific derived keys."""
-    if not (len(message_pairs) == len(responses) == len(setups)):
-        raise OTError("base OT batch length mismatch")
+    """Sender step: encrypt every message pair under the keys its response derives."""
+    if len(message_pairs) != len(responses):
+        raise OTError("base OT response count does not match the transfer batch")
+    group, a = keypair.group, keypair.secret
+    encoded_public = group.encode_element(keypair.public)
+    # Choice 1 shares (B / A)^a = B^a · (A^a)^-1: one inverse serves the batch.
+    unmask = pow(group.power(keypair.public, a), -1, group.p)
     encrypted = []
-    for index, ((m0, m1), response, setup) in enumerate(zip(message_pairs, responses, setups)):
-        key0, key1 = base_ot_sender_keys(setup, response)
+    for index, ((m0, m1), response) in enumerate(zip(message_pairs, responses)):
+        # ``a`` serves every transfer, so an order-1 or order-2 response
+        # (whose ``B^a`` is 1, or leaks a's parity) is refused with the range.
+        if not 1 < response < group.p - 1:
+            raise OTError("base OT receiver response out of range")
+        shared0 = group.power(response, a)
+        key0 = _base_ot_key(group, index, encoded_public, response, shared0)
+        key1 = _base_ot_key(group, index, encoded_public, response, shared0 * unmask % group.p)
         encrypted.append((_ot_encrypt(key0, m0, index), _ot_encrypt(key1, m1, index)))
     return encrypted
 
@@ -251,34 +262,30 @@ class OtMachine(ProtocolSession):
 
 
 class BaseOtSenderMachine(OtMachine):
-    """Chou–Orlandi sender: publics -> (responses) -> encrypted pairs."""
+    """Chou–Orlandi sender: one public key -> (responses) -> encrypted pairs."""
 
     def __init__(self, group: DHGroup, message_pairs: list[tuple[bytes, bytes]]) -> None:
         super().__init__(group)
         self.message_pairs = list(message_pairs)
-        self._setups: list[BaseOTSenderSetup] = []
+        self._keypair: DHKeyPair | None = None
 
     def _start(self) -> list[Frame]:
         if not self.message_pairs:
             self.finished = True
             return []
-        self._setups = [base_ot_sender_setup(self.group) for _ in self.message_pairs]
-        return [OtPublicsFrame(tuple(setup.public for setup in self._setups))]
+        self._keypair = DHKeyPair.generate(self.group)
+        return [OtPublicsFrame((self._keypair.public,))]
 
     def _handle(self, frame: Frame) -> list[Frame]:
         if not isinstance(frame, OtResponsesFrame):
             return self._unexpected(frame)
-        if len(frame.elements) != len(self.message_pairs):
-            raise OTError("base OT response count does not match the transfer batch")
-        encrypted = base_ot_batch_send(
-            self.group, self.message_pairs, list(frame.elements), self._setups
-        )
+        encrypted = base_ot_batch_send(self._keypair, self.message_pairs, list(frame.elements))
         self.finished = True
         return [OtCipherPairsFrame(tuple(encrypted))]
 
 
 class BaseOtReceiverMachine(OtMachine):
-    """Chou–Orlandi receiver: (publics) -> responses -> (pairs) -> messages."""
+    """Chou–Orlandi receiver: (one public key) -> responses -> (pairs) -> messages."""
 
     def __init__(self, group: DHGroup, choices: list[int]) -> None:
         super().__init__(group)
@@ -293,13 +300,13 @@ class BaseOtReceiverMachine(OtMachine):
 
     def _handle(self, frame: Frame) -> list[Frame]:
         if isinstance(frame, OtPublicsFrame):
-            if len(frame.elements) != len(self.choices):
-                raise OTError("base OT public count does not match the transfer batch")
-            responses = []
-            for public, choice in zip(frame.elements, self.choices):
-                response, key = base_ot_receiver_respond(self.group, public, choice)
-                responses.append(response)
-                self._keys.append(key)
+            if self._keys:
+                raise OTError("base OT sender's publics arrived twice")
+            if len(frame.elements) != 1:
+                raise OTError("base OT publics frame must carry exactly one sender key")
+            responses, self._keys = base_ot_batch_respond(
+                self.group, frame.elements[0], self.choices
+            )
             return [OtResponsesFrame(tuple(responses))]
         if isinstance(frame, OtCipherPairsFrame):
             if not self._keys:

@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.crypto.ahe import AHECiphertext, AHEKeyPair, AHEPublicKey, AHEScheme
 from repro.exceptions import PackingError, ParameterError
 
@@ -165,7 +167,7 @@ class PackedLinearModel:
         cls,
         scheme: AHEScheme,
         public_key: AHEPublicKey,
-        matrix_rows: Sequence[Sequence[int]],
+        matrix_rows: Sequence[Sequence[int]] | np.ndarray,
         across_rows: bool = True,
     ) -> "PackedLinearModel":
         """Encrypt a quantized model matrix (rows = features + prior row).
@@ -175,13 +177,13 @@ class PackedLinearModel:
         :mod:`repro.classify.model` — quantizes with the ``bin``/``fin``/``log L``
         budget of Fig. 3).
         """
-        if not matrix_rows:
-            raise PackingError("cannot pack an empty model matrix")
-        num_rows = len(matrix_rows)
-        num_columns = len(matrix_rows[0])
-        for index, row in enumerate(matrix_rows):
-            if len(row) != num_columns:
-                raise PackingError(f"row {index} has {len(row)} columns, expected {num_columns}")
+        try:
+            matrix = np.asarray(matrix_rows)
+        except ValueError as error:
+            raise PackingError("model matrix rows differ in length") from error
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise PackingError("cannot pack an empty or non-rectangular model matrix")
+        num_rows, num_columns = matrix.shape
         if across_rows and not scheme.supports_slot_shift and num_columns % scheme.num_slots:
             # Across-row packing needs slot shifts at dot-product time; fall
             # back to the legacy layout on schemes that cannot shift (Paillier).
@@ -192,32 +194,30 @@ class PackedLinearModel:
             slots_per_ciphertext=scheme.num_slots,
             across_rows=across_rows,
         )
-        # Collect every slot vector of the packed model first, then fabricate
-        # all ciphertexts in one batched call: for XPIR-BV the whole model is
-        # one stacked forward-NTT pass and one vectorised randomness draw.
+        # Lay every slot vector of the packed model out as one row of a single
+        # (ciphertexts, <= slots) block, then fabricate all ciphertexts in one
+        # batched call: for XPIR-BV the whole model is one vectorised range
+        # check, one stacked forward-NTT pass and one randomness draw.
         p = scheme.num_slots
-        vectors: list[list[int]] = []
-        for segment_index in range(layout.full_segments):
-            start = segment_index * p
-            vectors.extend(list(row[start : start + p]) for row in matrix_rows)
-        k = layout.leftover_columns
-        leftover_count = 0
+        full, k = layout.full_segments, layout.leftover_columns
+        rows_per_ct = layout.rows_per_leftover_ciphertext
+        leftover_count = layout.ciphertext_count() - full * num_rows
+        block = np.zeros(
+            (layout.ciphertext_count(), p if full else rows_per_ct * k), dtype=matrix.dtype
+        )
+        if full:
+            # Segment-major: all rows of column segment 0, then of segment 1, ...
+            block[: full * num_rows] = (
+                matrix[:, : full * p].reshape(num_rows, full, p).swapaxes(0, 1).reshape(-1, p)
+            )
         if k:
-            start = layout.full_segments * p
-            if across_rows:
-                rows_per_ct = layout.rows_per_leftover_ciphertext
-                for first_row in range(0, num_rows, rows_per_ct):
-                    block_rows = matrix_rows[first_row : first_row + rows_per_ct]
-                    packed: list[int] = []
-                    for row in block_rows:
-                        packed.extend(int(v) for v in row[start : start + k])
-                    vectors.append(packed)
-                    leftover_count += 1
-            else:
-                for row in matrix_rows:
-                    vectors.append(list(row[start : start + k]))
-                    leftover_count += 1
-        encrypted = scheme.encrypt_slots_many(public_key, vectors)
+            # rows_per_ct consecutive rows share a ciphertext in row-major order
+            # (Fig. 4; one row each in the legacy layout); the last ciphertext
+            # may be only partly filled and keeps zeros in its unused slots.
+            tail = np.zeros((leftover_count * rows_per_ct, k), dtype=matrix.dtype)
+            tail[:num_rows] = matrix[:, full * p :]
+            block[full * num_rows :, : rows_per_ct * k] = tail.reshape(leftover_count, -1)
+        encrypted = scheme.encrypt_slots_many(public_key, block)
         segments = [
             EncryptedModelColumnSegment(
                 segment_index,

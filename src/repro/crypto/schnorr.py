@@ -27,7 +27,7 @@ class SchnorrPrivateKey:
     exponent: int
 
     def public_key(self) -> SchnorrPublicKey:
-        return SchnorrPublicKey(self.group, self.group.power(self.group.g, self.exponent))
+        return SchnorrPublicKey(self.group, self.group.generator_power(self.exponent))
 
 
 @dataclass
@@ -70,8 +70,8 @@ def sign(private_key: SchnorrPrivateKey, message: bytes) -> SchnorrSignature:
     """Sign *message* (Fiat–Shamir transformed Schnorr identification)."""
     group = private_key.group
     nonce = group.random_exponent()
-    commitment = group.power(group.g, nonce)
-    public_element = group.power(group.g, private_key.exponent)
+    commitment = group.generator_power(nonce)
+    public_element = group.generator_power(private_key.exponent)
     challenge = _challenge(group, commitment, public_element, message)
     response = (nonce + challenge * private_key.exponent) % group.q
     return SchnorrSignature(challenge=challenge, response=response)
@@ -86,7 +86,7 @@ def verify(public_key: SchnorrPublicKey, message: bytes, signature: SchnorrSigna
         return False
     # commitment' = g^s * y^{-c}
     y_inv_c = pow(public_key.element, group.q - signature.challenge, group.p)
-    commitment = (group.power(group.g, signature.response) * y_inv_c) % group.p
+    commitment = (group.generator_power(signature.response) * y_inv_c) % group.p
     expected = _challenge(group, commitment, public_key.element, message)
     return expected == signature.challenge
 

@@ -80,7 +80,7 @@ class ExtractedCandidatesFrame:
 
 @dataclass(frozen=True)
 class OtPublicsFrame:
-    """Base-OT sender DH shares (one group element per transfer)."""
+    """Base-OT sender DH share(s); the Chou–Orlandi sender publishes one per batch."""
 
     elements: tuple[int, ...]
 

@@ -1,8 +1,18 @@
 """Tests for DH groups, joint parameter agreement, Schnorr signatures, ElGamal KEM."""
 
-import pytest
+import pickle
 
-from repro.crypto.dh import DHGroup, DHKeyPair, joint_parameter_seed, validate_group
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.dh import (
+    DHGroup,
+    DHKeyPair,
+    FixedBase,
+    joint_parameter_seed,
+    rfc3526_group_2048,
+    validate_group,
+)
 from repro.crypto.elgamal import ElGamalKeyPair, KemCiphertext, decapsulate, encapsulate
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, sign, verify, verify_or_raise
 from repro.exceptions import ParameterError, ProtocolAbort, SignatureError
@@ -39,6 +49,54 @@ class TestDHGroup:
 
     def test_validate_group_accepts_good_group(self, dh_group):
         validate_group(dh_group)
+
+
+# The 256-bit safe-prime group the end-to-end benchmark commits to.
+_BENCH_P = 0xEAF9F9953B86E8CC52DA8921348CF4AD786A5F3DB0BED3B7C1588F9BCEDB1F03
+_BENCH_G = 18906503934533127189041823383707208029840643372799600438332671013237248937478
+_GROUPS = {
+    256: DHGroup(p=_BENCH_P, q=(_BENCH_P - 1) // 2, g=_BENCH_G),
+    2048: rfc3526_group_2048(),
+}
+
+
+class TestFixedBase:
+    @pytest.mark.parametrize("bits", sorted(_GROUPS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_power_matches_pow(self, bits, data):
+        group = _GROUPS[bits]
+        exponent = data.draw(st.integers(min_value=0, max_value=group.q - 1))
+        assert group.generator_power(exponent) == pow(group.g, exponent, group.p)
+        base = pow(group.g, 0xC0FFEE, group.p)
+        assert FixedBase(group, base).power(exponent) == pow(base, exponent, group.p)
+
+    @pytest.mark.parametrize("bits", sorted(_GROUPS))
+    def test_edge_exponents(self, bits):
+        group = _GROUPS[bits]
+        table = FixedBase(group, group.g)
+        for exponent in (0, 1, 2, 15, 16, group.q - 1):
+            assert table.power(exponent) == pow(group.g, exponent, group.p)
+        assert table.power(group.q - 1) * group.g % group.p == 1
+
+    def test_out_of_range_exponent_refused(self):
+        group = _GROUPS[256]
+        for exponent in (-1, group.q, group.q + 1, 1 << 300):
+            with pytest.raises(ParameterError):
+                group.generator_power(exponent)
+
+    def test_generator_table_is_cached_but_never_pickled(self):
+        group = DHGroup(p=_BENCH_P, q=(_BENCH_P - 1) // 2, g=_BENCH_G)
+        bare = len(pickle.dumps(group))
+        group.generator_power(5)
+        assert group._generator_table is group._generator_table
+        assert len(pickle.dumps(group)) == bare
+        clone = pickle.loads(pickle.dumps(group))
+        assert clone == group and clone.generator_power(5) == pow(_BENCH_G, 5, _BENCH_P)
+
+    def test_key_generation_uses_the_same_arithmetic(self, dh_group):
+        keys = DHKeyPair.generate(dh_group)
+        assert keys.public == pow(dh_group.g, keys.secret, dh_group.p)
 
 
 class TestJointParameterSeed:

@@ -5,10 +5,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.circuits import CircuitBuilder, SpamCircuit, TopicCircuit
 from repro.crypto.garbled import decode_outputs, evaluate, garble
+from repro.crypto import ot
+from repro.crypto.dh import DHKeyPair
 from repro.crypto.ot import ObliviousTransfer
 from repro.crypto.yao import run_yao
 from repro.exceptions import OTError, ProtocolAbort
 from repro.twopc.transport import FramedChannel
+from repro.twopc.wire import OtCipherPairsFrame, OtPublicsFrame, OtResponsesFrame
 from repro.utils.bitops import int_to_bits
 
 
@@ -119,6 +122,110 @@ class TestObliviousTransfer:
         assert channel.total_bytes() > 0
         # Exact accounting: the total equals the sum of serialized frame sizes.
         assert channel.total_bytes() == sum(size for _, size in channel.transport.frame_log)
+
+
+class TestBaseOtConstruction:
+    """Chou–Orlandi with one sender key per batch (``crypto/ot.py``)."""
+
+    PAIRS = [(bytes([i]) * 16, bytes([i + 100]) * 16) for i in range(4)]
+
+    @pytest.mark.parametrize("choices", [int_to_bits(value, 4) for value in range(16)])
+    def test_chosen_message_and_only_the_chosen_message(self, dh_group, choices):
+        sender = DHKeyPair.generate(dh_group)
+        responses, keys = ot.base_ot_batch_respond(dh_group, sender.public, choices)
+        encrypted = ot.base_ot_batch_send(sender, self.PAIRS, responses)
+        for index, (choice, key) in enumerate(zip(choices, keys)):
+            assert ot._ot_encrypt(key, encrypted[index][choice], index) == self.PAIRS[index][choice]
+            other = ot._ot_encrypt(key, encrypted[index][1 - choice], index)
+            assert other != self.PAIRS[index][1 - choice]
+
+    def test_key_is_bound_to_index_and_transcript(self, dh_group):
+        # One ``a`` serves the whole batch, so equal responses share B^a: only
+        # the (i, A, B) binding keeps their keys apart.
+        sender = DHKeyPair.generate(dh_group)
+        (response,), _ = ot.base_ot_batch_respond(dh_group, sender.public, [0])
+        pair = (b"m" * 16, b"n" * 16)
+        first, second = ot.base_ot_batch_send(sender, [pair, pair], [response, response])
+        assert first != second
+        public = dh_group.encode_element(sender.public)
+        shared = dh_group.power(response, sender.secret)
+        keys = {
+            ot._base_ot_key(dh_group, 0, public, response, shared),
+            ot._base_ot_key(dh_group, 1, public, response, shared),
+            ot._base_ot_key(dh_group, 0, public, response * 4 % dh_group.p, shared),
+            ot._base_ot_key(dh_group, 0, dh_group.encode_element(4), response, shared),
+        }
+        assert len(keys) == 4
+
+    def test_sender_key_outside_the_subgroup_refused(self, dh_group):
+        for public in (0, dh_group.p - 1, dh_group.p, dh_group.p + 1):
+            receiver = ot.BaseOtReceiverMachine(dh_group, [0, 1])
+            receiver.start()
+            with pytest.raises(OTError, match="validation"):
+                receiver.handle(OtPublicsFrame((public,)))
+
+    def test_degenerate_response_refused(self, dh_group):
+        for response in (0, 1, dh_group.p - 1, dh_group.p):
+            sender = ot.BaseOtSenderMachine(dh_group, self.PAIRS[:2])
+            ((public,),) = [frame.elements for frame in sender.start()]
+            (good, _), _ = ot.base_ot_batch_respond(dh_group, public, [1, 0])
+            with pytest.raises(OTError, match="out of range"):
+                sender.handle(OtResponsesFrame((good, response)))
+
+    def test_publics_frame_must_carry_one_key_once(self, dh_group):
+        public = DHKeyPair.generate(dh_group).public
+        for elements in ((), (public, public)):
+            receiver = ot.BaseOtReceiverMachine(dh_group, [0, 1])
+            receiver.start()
+            with pytest.raises(OTError, match="exactly one"):
+                receiver.handle(OtPublicsFrame(elements))
+        receiver = ot.BaseOtReceiverMachine(dh_group, [0, 1])
+        receiver.start()
+        (responses,) = receiver.handle(OtPublicsFrame((public,)))
+        assert len(responses.elements) == 2
+        # A replay used to append a second set of keys, desynchronising
+        # keys from choices without any error.
+        with pytest.raises(OTError, match="twice"):
+            receiver.handle(OtPublicsFrame((public,)))
+        assert len(receiver._keys) == 2
+
+    def test_count_mismatches_refused(self, dh_group):
+        sender = ot.BaseOtSenderMachine(dh_group, self.PAIRS)
+        sender.start()
+        with pytest.raises(OTError, match="count"):
+            sender.handle(OtResponsesFrame((4, 9)))
+        receiver = ot.BaseOtReceiverMachine(dh_group, [0, 1])
+        receiver.start()
+        receiver.handle(OtPublicsFrame((4,)))
+        with pytest.raises(OTError, match="count"):
+            receiver.handle(OtCipherPairsFrame(((b"x" * 16, b"y" * 16),)))
+
+    def test_pool_handshake_exponentiation_budget(self, dh_group):
+        # 128 B_i^a + A^a + its inverse + the receiver's subgroup check of A;
+        # every g^x and A^b comes from a fixed-base table.  The construction
+        # this replaced made 896 pow calls here.
+        import cProfile
+        import pstats
+
+        dh_group.generator_power(1)  # the g table is per group, not per handshake
+        profiler = cProfile.Profile()
+        profiler.enable()
+        pool = ot.initialize_ot_pool(dh_group)
+        profiler.disable()
+        assert pool.ready
+        stats = pstats.Stats(profiler).stats
+        kappa = ot.SECURITY_PARAMETER
+        (pow_calls,) = [
+            count for (_, _, name), (count, *_) in stats.items() if "builtins.pow" in name
+        ]
+        assert pow_calls == kappa + 3
+        # DHGroup.power (variable base: B_i^a, A^a) and FixedBase.power (g^a, g^b_i, A^b_i).
+        power_calls = sorted(
+            count
+            for (file, _, name), (count, *_) in stats.items()
+            if name == "power" and file.endswith("dh.py")
+        )
+        assert power_calls == [kappa + 1, 2 * kappa + 1]
 
 
 class TestYaoDriver:

@@ -136,6 +136,63 @@ class TestPackedDotProducts:
         assert set(mapping) == {0, 1}
 
 
+def _all_slots(scheme, keys, model):
+    ciphertexts = [ct for segment in model.segments for ct in segment.row_ciphertexts]
+    if model.leftover is not None:
+        ciphertexts += model.leftover.ciphertexts
+    return [list(slots) for slots in scheme.decrypt_slots_many(keys, ciphertexts)]
+
+
+class TestArrayAndListInputsAgree:
+    """`encrypt` packs an ndarray by reshaping; a ``list[list[int]]`` goes through the same code."""
+
+    # (scheme, rows, columns relative to the slot count, across_rows)
+    CASES = {
+        "bv-across-row-last-ciphertext-partly-filled": ("bv", 100, lambda n: 3, True),
+        "bv-within-row": ("bv", 20, lambda n: 3, False),
+        "bv-full-segment-plus-leftover": ("bv", 9, lambda n: n + 7, True),
+        "bv-full-segments-only": ("bv", 5, lambda n: 2 * n, True),
+        "paillier-within-row": ("paillier", 12, lambda n: 2, False),
+        "paillier-full-segment-plus-leftover": ("paillier", 6, lambda n: n + 2, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_slots_and_same_dot_products(self, request, case):
+        name, rows, columns, across_rows = self.CASES[case]
+        scheme = request.getfixturevalue(f"{name}_scheme")
+        keys = request.getfixturevalue(f"{name}_keys")
+        matrix = np.random.default_rng(len(case)).integers(
+            0, 200, size=(rows, columns(scheme.num_slots))
+        )
+        from_array = PackedLinearModel.encrypt(scheme, keys.public, matrix, across_rows=across_rows)
+        from_lists = PackedLinearModel.encrypt(
+            scheme, keys.public, matrix.tolist(), across_rows=across_rows
+        )
+        assert from_array.layout == from_lists.layout
+        assert from_array.ciphertext_count() == from_array.layout.ciphertext_count()
+        slots = _all_slots(scheme, keys, from_array)
+        assert slots == _all_slots(scheme, keys, from_lists)
+        # Every model entry sits in exactly one slot and the padding is zero.
+        assert sum(sum(vector) for vector in slots) == int(matrix.sum())
+        features = [(0, 1), (rows - 2, 3), (rows // 2, 2)]
+        expected = _reference_dot_products(matrix, features)
+        for model in (from_array, from_lists):
+            assert decrypt_dot_products(scheme, keys, model.dot_products(features)) == expected
+
+    def test_partly_filled_last_ciphertext_keeps_zeros(self, bv_scheme, bv_keys):
+        matrix = np.arange(1, 301).reshape(100, 3)
+        model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=True)
+        first, last = _all_slots(bv_scheme, bv_keys, model)
+        assert first[: 85 * 3] == list(range(1, 256)) and last[: 15 * 3] == list(range(256, 301))
+        assert not any(last[15 * 3 :])
+
+    def test_out_of_range_entry_rejected_on_both_inputs(self, bv_scheme, bv_keys):
+        matrix = np.array([[1, 2], [3, bv_scheme.slot_modulus]], dtype=np.int64)
+        for rows in (matrix, matrix.tolist(), -matrix):
+            with pytest.raises(ParameterError):
+                PackedLinearModel.encrypt(bv_scheme, bv_keys.public, rows, across_rows=True)
+
+
 class TestBatchedAccumulation:
     """The vectorised dot-product path must be bit-identical to the generic chain."""
 

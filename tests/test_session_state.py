@@ -19,8 +19,10 @@ Timing (``seconds``) is the one payload field wall clocks touch; the golden
 builders zero it after driving a session mid-round.
 """
 
+import hashlib
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +46,9 @@ from repro.crypto.ot import (
     OtExtensionReceiverState,
     OtExtensionSenderState,
     PooledIknpReceiverMachine,
+    PooledIknpSenderMachine,
 )
+from repro.crypto.prg import Prg
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import SnapshotError, WireFormatError
 from repro.twopc.noprv import NoPrivClassifier, NoPrivClientSession, NoPrivProviderSession
@@ -286,6 +290,43 @@ class TestGoldenSessionStates:
         decoded = codec.decode(encoded)
         assert isinstance(decoded, SessionStateFrame)
         assert decoded.state == state
+
+
+class TestPoolSnapshotFromBeforeTheOneKeyBaseOt:
+    """A checkpoint written before the base-OT rewrite restores after it.
+
+    ``data/ot_pool_bfe22cc.bin`` is ``OtExtensionPool.snapshot().to_bytes()``
+    taken on commit bfe22cc — a pool seeded by that commit's per-transfer-key
+    handshake on the benchmark's 256-bit group and extended once (13
+    transfers), so the pad cursors are mid-stream.  The digests are the next
+    64-transfer extension of the restored pool *as that commit produced it*.
+    """
+
+    BLOB = Path(__file__).parent / "data" / "ot_pool_bfe22cc.bin"
+    NEXT_EXTENSION = (
+        "9b23f4be43cd3e4847a24d2b265f3ba077ebc961222a38fcd5ea266312a27953",  # OT_EXT_COLUMNS
+        "01f9bb96e6f99994b81243901dfc9436887088eca78a46cc083204faaeca191e",  # OT_EXT_PAIRS
+    )
+
+    def test_restores_and_extends_bit_identically(self):
+        blob = self.BLOB.read_bytes()
+        pool = OtExtensionPool.restore(SessionState.from_bytes(blob))
+        assert pool.ready and pool.snapshot().to_bytes() == blob
+        assert pool.receiver_state.next_index == 13 and pool.sender_state.claimed == [(0, 13)]
+        stream = Prg(b"parent-pool-batch" + (64).to_bytes(4, "big"), domain=b"pin-batch")
+        choices = stream.read_bits(64)
+        pairs = [(stream.read(16), stream.read(16)) for _ in range(64)]
+        receiver = PooledIknpReceiverMachine(None, choices, pool.receiver_state)
+        sender = PooledIknpSenderMachine(None, pairs, pool.sender_state)
+        (columns,) = receiver.start()
+        (encrypted,) = sender.handle(columns)
+        receiver.handle(encrypted)
+        assert receiver.result == [pair[choice] for pair, choice in zip(pairs, choices)]
+        codec = WireCodec()
+        assert (
+            hashlib.sha256(codec.encode(columns)).hexdigest(),
+            hashlib.sha256(codec.encode(encrypted)).hexdigest(),
+        ) == self.NEXT_EXTENSION
 
 
 class TestSessionStateValidation:

@@ -38,6 +38,8 @@ from repro.core.runtime import (
 from repro.exceptions import ProtocolError
 from repro.fabric import launch_fabric, metrics_projection, spawn_local_agent
 from repro.obs import MetricsRegistry, merge_snapshots, scoped_registry, scoped_telemetry
+from repro.twopc import spam as spam_module
+from repro.twopc import topics as topics_module
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 
@@ -90,6 +92,10 @@ def _stream(addresses: list[str]) -> list[tuple[str, dict]]:
 
 def _counter(snapshot: dict, name: str) -> float:
     return sum(entry["value"] for entry in snapshot["counters"] if entry["name"] == name)
+
+
+def _refuse_handshake(*_arguments, **_options):
+    raise AssertionError("a base-OT handshake ran where a restored pool should have served")
 
 
 def _wait_until(predicate, timeout: float = 15.0) -> bool:
@@ -250,7 +256,7 @@ class TestCrashRecovery:
     """SIGKILL a worker process mid-window; a fresh process takes its place."""
 
     def test_sigkill_mid_window_restores_with_zero_resubmissions(
-        self, make_fleet, tmp_path, spam_setup, spam_truth
+        self, make_fleet, tmp_path, spam_setup, spam_truth, monkeypatch
     ):
         # The worker gets no chance to do anything at death; the only state
         # that survives is the checkpoint log it wrote before acking the
@@ -269,6 +275,13 @@ class TestCrashRecovery:
         with pytest.raises(ProtocolError, match="gone|died"):
             runtime._request(victim, "stats", None)
 
+        # What the snapshot saves, as a count instead of a stopwatch: every
+        # mailbox of the victim had an open window, so its pools come back
+        # from the checkpoint and the replacement runs no base-OT handshake.
+        # (A forked pipe worker inherits this patch and would answer the
+        # rebuild with an error; a TCP agent is a separate program, so there
+        # the same statement is the in-process count over FakeLink below.)
+        monkeypatch.setattr(spam_module, "initialize_ot_pool", _refuse_handshake)
         assert fleet.replace(victim) == 0
         runtime.drain()
         verdicts = [runtime.take_result(job_id).is_spam for job_id in job_ids]
@@ -518,6 +531,58 @@ class TestDriverOverFakeLinks:
         assert fresh.core.restored_jobs == len(checkpointed)
         driver.drain()
         assert [driver.take_result(job_id).is_spam for job_id in range(3)] == spam_truth[:3]
+
+    def test_handshake_is_paid_once_per_pair_per_fleet_lifetime(
+        self, fake_driver, tmp_path, spam_setup, topic_setup, spam_truth, monkeypatch
+    ):
+        handshakes = []
+        for module in (spam_module, topics_module):
+            real = module.initialize_ot_pool
+            monkeypatch.setattr(
+                module,
+                "initialize_ot_pool",
+                lambda *a, _real=real, **k: handshakes.append(1) or _real(*a, **k),
+            )
+        protocol, setup = spam_setup
+        topic_protocol, topic_set = topic_setup
+        store = FileSessionStore(tmp_path)
+        driver, links = fake_driver([store], window_bursts=100)
+        driver.register_spam("a@example.com", protocol, setup)
+        driver.register_topics("a@example.com", topic_protocol, topic_set)
+        driver.register_spam("b@example.com", protocol, setup)
+        pairs = 3
+        assert len(handshakes) == pairs
+
+        # Every pair has an email parked in the open window, so every pool
+        # rides the checkpoint log and the migration blob.
+        spam_ids = driver.submit_spam(
+            [("a@example.com", SPAM_EMAILS[0]), ("b@example.com", SPAM_EMAILS[1])]
+        )
+        (topic_id,) = driver.submit_topics([("a@example.com", SPAM_EMAILS[2], [0, 1, 2])])
+        links[0].alive = False
+        assert driver.attach_replacement(0, store) == 0
+        spare_store = FileSessionStore(tmp_path / "spare")
+        spare = driver.attach_worker(spare_store)
+        assert driver.migrate(0, spare) == 0
+        spam_ids += driver.submit_spam([("b@example.com", SPAM_EMAILS[2])])
+        driver.drain()
+        assert [driver.take_result(job_id).is_spam for job_id in spam_ids] == spam_truth[:3]
+        assert driver.take_result(topic_id).extracted_topic in (0, 1, 2)
+        assert len(handshakes) == pairs  # restore, migration and serving paid nothing
+
+        # A pair with nothing in flight is in no checkpoint: its pool dies
+        # with the worker and ensure_pools rebuilds it — once, not per command.
+        driver.register_spam("c@example.com", protocol, setup)
+        pairs += 1
+        (parked,) = driver.submit_spam([("a@example.com", SPAM_EMAILS[3])])
+        links[-1].alive = False
+        assert driver.attach_replacement(spare, spare_store) == 0
+        uncovered = 3  # a/topics, b/spam, c/spam; a/spam came back with its parked email
+        assert len(handshakes) == pairs + uncovered
+        driver._request(spare, "ensure_pools", None)
+        driver.drain()
+        assert driver.take_result(parked).is_spam == spam_truth[3]
+        assert len(handshakes) == pairs + uncovered
 
     def test_worker_replaced_twice_is_folded_exactly_once(self, fake_driver, spam_setup):
         protocol, setup = spam_setup
