@@ -1,7 +1,8 @@
-"""Regression benchmark harness: BV hot path, serving runtime, sharded stack.
+"""Regression benchmark harness: serving runtime, sharded stack, fabric, gates.
 
-``--suite hotpath`` (default) times the operations that dominate Pretzel's
-per-email costs (Figs. 6, 7 and 10).  ``--suite runtime`` measures multi-user
+Per-email and per-layer *performance* is measured by ``benchmarks/e2e/run.py``
+(``BENCHMARK.json``), not here; what is left are suites whose hard-fail gates
+are not yet tests.  ``--suite runtime`` measures multi-user
 serving-loop throughput: 8 emails classified one-shot sequentially versus as
 8 concurrent sessions through :class:`repro.core.runtime.ProviderRuntime`
 (cross-session batched decrypts + the per-pair persistent OT extension).
@@ -50,14 +51,13 @@ trajectory instead of re-deriving it from one-off pytest-benchmark runs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/regress.py                 # full-size ring (n=1024)
-    PYTHONPATH=src python benchmarks/regress.py --ring-degree 256 --repeat 3
-    PYTHONPATH=src python benchmarks/regress.py --suite runtime
+    PYTHONPATH=src python benchmarks/regress.py --suite runtime   # full-size ring (n=1024)
+    PYTHONPATH=src python benchmarks/regress.py --suite runtime --ring-degree 256 --repeat 3
     PYTHONPATH=src python benchmarks/regress.py --suite shard
     PYTHONPATH=src python benchmarks/regress.py --suite chaos
     PYTHONPATH=src python benchmarks/regress.py --suite micro
     PYTHONPATH=src python benchmarks/regress.py --suite fabric
-    PYTHONPATH=src python benchmarks/regress.py --output BENCH_smoke.json
+    PYTHONPATH=src python benchmarks/regress.py --suite micro --output BENCH_smoke.json
 
 The JSON schema is flat on purpose: ``{"meta": {...}, "results": {name: ...}}``.
 Compare two files with any JSON diff tool; lower is better for ``*_ms`` rows,
@@ -88,17 +88,16 @@ from repro.core.runtime import (
 )
 from repro.crypto.bv import BVParameters, BVScheme
 from repro.crypto.dh import generate_group
-from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
+from repro.crypto.packing import PackedLinearModel
 from repro.fabric import launch_fabric, metrics_projection, spawn_local_agent
 from repro.obs import get_registry, get_tracer, scoped_telemetry
 from repro.obs.export import write_artifacts
-from repro.twopc.blinding import blind_dot_products, blind_extracted_candidates
+from repro.twopc.blinding import blind_extracted_candidates
 from repro.twopc.spam import SpamFilterProtocol
 
 SPAM_FEATURE_ROWS = 500
 EMAIL_FEATURES = 100
 TOPIC_CATEGORIES = 64
-TOPIC_CANDIDATES = 10
 RUNTIME_SESSIONS = 8
 RUNTIME_DH_BITS = 256
 
@@ -116,83 +115,6 @@ def _median_ms(function, repeat: int) -> float:
         function()
         samples.append((time.perf_counter() - start) * 1e3)
     return statistics.median(samples)
-
-
-def run(ring_degree: int, repeat: int) -> dict:
-    parameters = BVParameters(ring_degree=ring_degree)
-    scheme = BVScheme(parameters)
-    keys = scheme.generate_keypair()
-    results: dict[str, float] = {}
-
-    results["bv_keygen_ms"] = _median_ms(scheme.generate_keypair, repeat)
-    ciphertext = scheme.encrypt_slots(keys.public, [1, 2, 3])
-    results["bv_encrypt_ms"] = _median_ms(
-        lambda: scheme.encrypt_slots(keys.public, [1, 2, 3]), repeat
-    )
-    results["bv_decrypt_ms"] = _median_ms(
-        lambda: scheme.decrypt_slots(keys, ciphertext), repeat
-    )
-    batch = [scheme.encrypt_slots(keys.public, [index]) for index in range(8)]
-    results["bv_decrypt_many8_ms"] = _median_ms(
-        lambda: scheme.decrypt_slots_many(keys, batch), repeat
-    )
-    results["bv_add_ms"] = _median_ms(lambda: scheme.add(ciphertext, ciphertext), repeat)
-    results["bv_shift_up_ms"] = _median_ms(lambda: scheme.shift_up(ciphertext, 2), repeat)
-
-    # Spam arm (Fig. 7 client): across-row packed two-column model.
-    rng = np.random.default_rng(0)
-    spam_rows = rng.integers(0, 1000, size=(SPAM_FEATURE_ROWS + 1, 2)).tolist()
-    spam_model = PackedLinearModel.encrypt(scheme, keys.public, spam_rows, across_rows=True)
-    sparse = [
-        (int(row), int(freq))
-        for row, freq in zip(
-            rng.choice(SPAM_FEATURE_ROWS, size=EMAIL_FEATURES, replace=False),
-            rng.integers(1, 8, size=EMAIL_FEATURES),
-        )
-    ]
-    spam_dot = spam_model.dot_products(sparse)  # warm the model stacks
-    results["spam_dot_products_ms"] = _median_ms(lambda: spam_model.dot_products(sparse), repeat)
-    results["spam_blinding_ms"] = _median_ms(
-        lambda: blind_dot_products(
-            scheme, keys.public, spam_model, spam_dot, output_columns=[0, 1], dot_bits=20
-        ),
-        repeat,
-    )
-    results["spam_client_total_ms"] = (
-        results["spam_dot_products_ms"] + results["spam_blinding_ms"]
-    )
-    blinded = blind_dot_products(
-        scheme, keys.public, spam_model, spam_dot, output_columns=[0, 1], dot_bits=20
-    )
-    results["spam_provider_decrypt_ms"] = _median_ms(
-        lambda: scheme.decrypt_slots_many(keys, blinded.ciphertexts), repeat
-    )
-
-    # Topic arm (Fig. 10 client): candidate extraction over a wider model.
-    topic_rows = rng.integers(0, 1000, size=(101, TOPIC_CATEGORIES)).tolist()
-    topic_model = PackedLinearModel.encrypt(scheme, keys.public, topic_rows, across_rows=True)
-    topic_sparse = [(int(row), 1) for row in rng.choice(100, size=30, replace=False)]
-    topic_dot = topic_model.dot_products(topic_sparse)
-    candidates = list(range(TOPIC_CANDIDATES))
-    results["topic_dot_products_ms"] = _median_ms(
-        lambda: topic_model.dot_products(topic_sparse), repeat
-    )
-    results["topic_candidate_blinding_ms"] = _median_ms(
-        lambda: blind_extracted_candidates(
-            scheme, keys.public, topic_model, topic_dot, candidate_columns=candidates, dot_bits=20
-        ),
-        repeat,
-    )
-
-    # Sanity pin: the batched path must agree with the plaintext reference.
-    reference = np.array(spam_rows[-1], dtype=np.int64)
-    for row, freq in sparse:
-        reference = reference + freq * np.array(spam_rows[row], dtype=np.int64)
-    decrypted = decrypt_dot_products(scheme, keys, spam_dot)
-    if decrypted != [int(value) % scheme.slot_modulus for value in reference]:
-        raise AssertionError("batched dot products disagree with the plaintext reference")
-
-    return results
 
 
 def run_runtime(ring_degree: int, repeat: int) -> dict:
@@ -732,8 +654,8 @@ def run_chaos(ring_degree: int, repeat: int) -> dict:
 
 MICRO_DECRYPT_BATCHES = (1, 8, 32, 128)
 MICRO_CANDIDATE_COUNTS = (10, 20)
-# PR 1's committed BENCH_bv_hotpath_n1024.json row for topic_candidate_blinding_ms
-# (B' = 10, n = 1024).  The micro suite's blinding gate is pinned against it.
+# PR 1's measured topic_candidate_blinding_ms (B' = 10, n = 1024, the retired
+# hotpath suite's row).  The micro suite's blinding gate is pinned against it.
 MICRO_BLINDING_BASELINE_N1024_MS = 17.9272
 MICRO_BLINDING_REQUIRED_SPEEDUP = 2.0
 
@@ -750,9 +672,9 @@ def run_micro(ring_degree: int, repeat: int) -> dict:
       ciphertext cost is not strictly below batch 1.
 
     * **candidate blinding** — Pretzel's §4.3 extract-and-blind over
-      B' ∈ ``MICRO_CANDIDATE_COUNTS`` candidates on the hotpath suite's topic
-      model.  At the full-size ring the B' = 10 row is gated against the PR 1
-      committed baseline (``MICRO_BLINDING_BASELINE_N1024_MS``): the suite
+      B' ∈ ``MICRO_CANDIDATE_COUNTS`` candidates on a 64-topic model.
+      At the full-size ring the B' = 10 row is gated against the PR 1
+      baseline (``MICRO_BLINDING_BASELINE_N1024_MS``): the suite
       hard-fails unless it is at least ``MICRO_BLINDING_REQUIRED_SPEEDUP``×
       faster.
 
@@ -1082,10 +1004,10 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=9, help="samples per op (median reported)")
     parser.add_argument(
         "--suite",
-        choices=("hotpath", "runtime", "shard", "chaos", "micro", "latency", "fabric"),
-        default="hotpath",
+        choices=("runtime", "shard", "chaos", "micro", "latency", "fabric"),
+        required=True,
         help=(
-            "hotpath = BV micro/protocol ops; runtime = serving-loop throughput; "
+            "runtime = serving-loop throughput; "
             "shard = sharded serving stack vs the single-loop drive; "
             "chaos = goodput under seeded fault cocktails, reliable vs raw; "
             "micro = batched-fabrication scaling curves (decrypt-many, blinding); "
@@ -1102,20 +1024,9 @@ def main() -> None:
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    stem = {
-        "hotpath": "bv_hotpath",
-        "runtime": "runtime",
-        "shard": "shard",
-        "chaos": "chaos",
-        "micro": "micro",
-        "latency": "latency",
-        "fabric": "fabric",
-    }[args.suite]
-    output = args.output or Path(__file__).parent / f"BENCH_{stem}_n{args.ring_degree}.json"
+    output = args.output or Path(__file__).parent / f"BENCH_{args.suite}_n{args.ring_degree}.json"
 
-    if args.suite == "hotpath":
-        results = run(args.ring_degree, args.repeat)
-    elif args.suite == "runtime":
+    if args.suite == "runtime":
         results = run_runtime(args.ring_degree, args.repeat)
     elif args.suite == "chaos":
         results = run_chaos(args.ring_degree, args.repeat)
@@ -1136,7 +1047,6 @@ def main() -> None:
             "spam_feature_rows": SPAM_FEATURE_ROWS,
             "email_features": EMAIL_FEATURES,
             "topic_categories": TOPIC_CATEGORIES,
-            "topic_candidates": TOPIC_CANDIDATES,
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -1156,8 +1066,7 @@ def main() -> None:
     width = max(len(name) for name in results)
     print(f"{args.suite} suite (ring degree {args.ring_degree}, median of {args.repeat}):")
     for name, value in results.items():
-        unit = " ms" if args.suite == "hotpath" else ""
-        print(f"  {name.ljust(width)}  {value:10.3f}{unit}")
+        print(f"  {name.ljust(width)}  {value:10.3f}")
     print(f"wrote {output}")
     for path in artifact_paths:
         print(f"wrote {path}")

@@ -1308,6 +1308,14 @@ def run_topic_batch(
 # ---------------------------------------------------------------------------
 # Per-mailbox state kept warm between emails
 # ---------------------------------------------------------------------------
+# A pool is replaced while this many transfer indices remain, not when the
+# last one is spent: emails in flight finish on the pool they were built with,
+# and a topic email reserves its indices only when its decrypt window fires.
+# 2**24 transfers is ~50 000 topic emails at B' = 10 — more than any window
+# holds — and 0.4 % of a pool's range.
+POOL_RETIRE_HEADROOM = 1 << 24
+
+
 @dataclass
 class MailboxProtocols:
     """The protocol state a provider keeps per registered mailbox."""
@@ -1420,6 +1428,24 @@ class MailboxDirectory:
         else:
             raise ProtocolError(f"unknown pool kind {kind!r}")
 
+    def pool_for_new_jobs(self, kind: str, address: str) -> OtExtensionPool | None:
+        """The pair's pool for emails about to start, re-handshaken once if nearly spent.
+
+        A pool's transfer indices end where the wire's ``start_index`` does
+        (:data:`repro.crypto.ot.TRANSFER_INDEX_LIMIT`).  The replacement is
+        installed for later emails only: sessions already built keep the pool
+        object they were given, ledger and all, and finish on it.
+        """
+        entry = self._mailboxes[address]
+        pool = entry.spam_ot_pool if kind == "spam" else entry.topic_ot_pool
+        if pool is not None and pool.ready and (
+            pool.receiver_state.remaining < POOL_RETIRE_HEADROOM
+        ):
+            protocol, setup = entry.spam if kind == "spam" else entry.topics
+            pool = protocol.make_ot_pool(setup)
+            self.set_pool(kind, address, pool)
+        return pool
+
     def mailbox_count(self) -> int:
         return len(self._mailboxes)
 
@@ -1427,7 +1453,7 @@ class MailboxDirectory:
         self, address: str, feature_sets: Sequence[SparseVector]
     ) -> list[SessionJob]:
         protocol, setup = self.spam_of(address)
-        pool = self._mailboxes[address].spam_ot_pool
+        pool = self.pool_for_new_jobs("spam", address)
         return [
             spam_job(protocol, setup, features, label=(address, index), ot_pool=pool)
             for index, features in enumerate(feature_sets)
@@ -1440,7 +1466,7 @@ class MailboxDirectory:
         candidate_lists: Sequence[Sequence[int] | None] | None = None,
     ) -> list[SessionJob]:
         protocol, setup = self.topics_of(address)
-        pool = self._mailboxes[address].topic_ot_pool
+        pool = self.pool_for_new_jobs("topics", address)
         if candidate_lists is None:
             candidate_lists = [None] * len(feature_sets)
         return [
@@ -1474,7 +1500,11 @@ def _worker_build_job(
     if kind == "spam":
         protocol, setup = directory.spam_of(address)
         return spam_job(
-            protocol, setup, features, label=job_id, ot_pool=directory.spam_pool_of(address)
+            protocol,
+            setup,
+            features,
+            label=job_id,
+            ot_pool=directory.pool_for_new_jobs(kind, address),
         )
     if kind == "topics":
         protocol, setup = directory.topics_of(address)
@@ -1484,7 +1514,7 @@ def _worker_build_job(
             features,
             candidates,
             label=job_id,
-            ot_pool=directory.topic_pool_of(address),
+            ot_pool=directory.pool_for_new_jobs(kind, address),
         )
     raise ProtocolError(f"unknown job kind {kind!r}")
 

@@ -12,6 +12,12 @@ Classic point-and-permute garbling with the free-XOR optimisation:
   by the inputs' colour bits, so the evaluator decrypts exactly one row
   without learning anything about the plaintext values.
 
+A seeded garbling draws every fresh label — the offset ``R``, one 0-label per
+input wire, one per AND output, in that order — from one sequential read of
+``SHAKE-256("garble-labels" || seed)``: a single XOF call per email, and the
+seed alone reproduces every label and table bit-identically, which is what a
+garbler session snapshots.
+
 The paper's prototype uses Obliv-C with an actively-secure variant [71, 77];
 here we implement the standard passively-secure construction plus the
 correctness checks a malicious evaluator/garbler would be caught by at the
@@ -27,8 +33,7 @@ from dataclasses import dataclass
 
 from repro.crypto.circuits import PLAN_AND, PLAN_XOR, Circuit
 from repro.crypto.hashes import sha256
-from repro.crypto.prg import Prg
-from repro.exceptions import CircuitError, ProtocolAbort, WireFormatError
+from repro.exceptions import CircuitError, ParameterError, ProtocolAbort, WireFormatError
 from repro.utils.rand import secure_bytes
 from repro.utils.serialization import ByteReader
 
@@ -144,8 +149,10 @@ def garble(circuit: Circuit, seed: bytes | None = None) -> GarblingResult:
     length = LABEL_BYTES * (1 + len(inputs) + plan.and_count)
     if seed is None:
         stream = secure_bytes(length)
+    elif not seed:
+        raise ParameterError("garbling seed must be non-empty")
     else:
-        stream = Prg(seed, domain=b"garble-labels").read(length)
+        stream = hashlib.shake_256(b"garble-labels" + seed).digest(length)
     as_int, sha, tag, size = int.from_bytes, hashlib.sha256, _GATE_TAG, LABEL_BYTES
     fresh = iter([as_int(stream[at : at + size], "big") for at in range(0, length, size)])
     offset = next(fresh) | 1  # ensure the colour bits of a 0/1 label pair differ

@@ -29,6 +29,41 @@ oblivious transfer per input bit.
   and is the mechanism the paper's cost model charges as ``y_per-in`` /
   ``sz_per-in`` (Fig. 3).
 
+  *Stream indexing.*  Each base-OT seed is read as **one** stream for the
+  life of the pair (:class:`ColumnStream`): column ``j`` of the pair's bit
+  matrix is ``SHAKE-256(seed_j || domain || chunk_no)``, and transfer ``i`` —
+  the pool's global transfer index, the same number that labels its pads —
+  is bit ``i`` of every column.  A batch of ``m`` transfers starting at
+  index ``start`` is therefore rows ``start .. start + m - 1`` of that
+  matrix, whatever the batch's size, alignment or arrival order; the
+  receiver publishes ``U = T xor G xor r`` for those rows (as columns, the
+  frame's layout) and the sender rebuilds ``q_i = t_i xor r_i s``.
+
+  *Chunking.*  Streams are expanded :data:`CHUNK_TRANSFERS` transfers at a
+  time for all 128 seeds (128 SHAKE calls, one bit-matrix transpose,
+  ~0.3 ms) and the two most recent ``(1024, 16)`` row blocks per stream stay
+  resident — 96 KB for a pool's three streams — so a 64-transfer email costs
+  a row slice and a few array XORs.  The blocks are derived state: they are
+  rebuilt from the seeds on demand and never enter a snapshot, a pickle or
+  ``==``.
+
+  *Pads.*  The pad of message ``b`` of transfer ``i`` is one hash,
+  ``sha256(label_i || row || b)`` with ``row = q_i xor b s`` on the sender
+  and ``t_i`` on the receiver (for messages past 32 bytes, counter blocks
+  ``sha256(label_i || row || b || k)`` follow).  ``label_i`` binds the global
+  index, so a pad is a function of ``(pool, i, b)`` alone: encrypting two
+  different batches over the same index would reuse it.  Nothing else can —
+  rows of distinct indices are distinct stream positions under distinct
+  labels — which is why the sender's :meth:`~OtExtensionSenderState.claim`
+  ledger, refusing any overlap with an already-extended range, is all the
+  replay protection the extension needs.
+
+  *The ceiling.*  The index travels as the frame's ``u32 start_index``, so a
+  pool serves :data:`TRANSFER_INDEX_LIMIT` transfers (13 M topic emails at
+  B' = 10).  ``allocate`` and ``claim`` refuse a batch that would cross it,
+  reserving nothing, and the serving layer replaces the pool with one fresh
+  handshake shortly before (``MailboxDirectory.pool_for_new_jobs``).
+
 Each party of each variant is an explicit frame-driven state machine
 (:class:`BaseOtSenderMachine`, :class:`IknpReceiverMachine`, ...): it reacts
 to typed wire frames (:mod:`repro.twopc.wire`) with response frames and never
@@ -43,12 +78,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.crypto.dh import DHGroup, DHKeyPair, FixedBase
 from repro.crypto.hashes import sha256
-from repro.crypto.prg import prf, stretch
+from repro.crypto.prg import prf
 from repro.exceptions import OTError
 from repro.twopc.session import (
     ProtocolSession,
@@ -72,6 +108,16 @@ from repro.utils.bitops import bits_to_bytes, bytes_to_bits, xor_bytes
 from repro.utils.rand import secure_bytes
 
 SECURITY_PARAMETER = 128  # number of base OTs backing the extension
+ROW_BYTES = SECURITY_PARAMETER // 8
+# Transfers per expanded block of a column stream.  Sized from the traffic, not
+# tunable: an email takes 64 (spam) or 320 (topics, B' = 10) transfers, a
+# block costs ~0.3 ms per stream to build whatever its size from 1 024 to
+# 8 192, and the smallest keeps a pair's first email (which builds one per
+# stream) and a pool's resident memory (two 16 KB blocks per stream) low.
+CHUNK_TRANSFERS = 1024
+RESIDENT_CHUNKS = 2
+# ``OtExtColumnsFrame.start_index`` is a u32 on the wire.
+TRANSFER_INDEX_LIMIT = 1 << 32
 
 
 # ---------------------------------------------------------------------------
@@ -152,34 +198,112 @@ def _transpose_columns(matrix: bytes, count: int) -> bytes:
     return np.packbits(bits.T, axis=1, bitorder="little").tobytes()
 
 
-def _column_matrix(seeds: list[bytes], domain: bytes, column_bytes: int) -> bytes:
-    """One PRG-stretched column per seed, concatenated."""
-    return b"".join([stretch(seed, domain, column_bytes) for seed in seeds])
+def _row_block(matrix: bytes, count: int) -> np.ndarray:
+    """:func:`_transpose_columns` as a read-only ``(count, kappa / 8)`` array."""
+    return np.frombuffer(_transpose_columns(matrix, count), dtype=np.uint8).reshape(
+        count, ROW_BYTES
+    )
 
 
-def _pad(label: bytes, row: bytes, tag: bytes, length: int) -> bytes:
-    """The pad of one transfer: *label* binds its index, *row* its matrix row."""
-    return prf(hashlib.sha256(label + row).digest(), tag, length)
+class ColumnStream:
+    """The ``kappa x N`` bit matrix a list of kappa seeds expands to, read by row.
+
+    Column ``j`` is the byte stream ``SHAKE-256(seed_j || domain || chunk_no)``
+    for ``chunk_no = 0, 1, ...`` (8 bytes, big-endian), each chunk
+    :data:`CHUNK_TRANSFERS` bits long; transfer ``i`` owns bit ``i`` of every
+    column — bit ``i % CHUNK_TRANSFERS`` of chunk ``i // CHUNK_TRANSFERS``,
+    little-endian within a byte — so its row is ``kappa / 8`` bytes with
+    column ``j`` at the same little-endian position.  ``i`` is the pool's
+    *global* transfer index (0-based within a one-shot run): a batch is a row
+    slice wherever it starts, in whatever order batches are asked for.
+
+    A chunk is expanded for all seeds at once and transposed once into a
+    ``(CHUNK_TRANSFERS, kappa / 8)`` row block; the :data:`RESIDENT_CHUNKS`
+    most recently used blocks stay resident.  Everything here is a function
+    of the seeds, so a stream is derived state — never snapshotted, pickled
+    or compared — and a restored pool re-derives the same rows.
+
+    The index space ends at :data:`TRANSFER_INDEX_LIMIT` (the width of the
+    frame's ``start_index``); ``allocate`` and ``claim`` refuse a batch that
+    would cross it, and the pair re-handshakes.
+    """
+
+    def __init__(self, seeds: list[bytes], domain: bytes) -> None:
+        self._seeds = list(seeds)
+        self._domain = domain
+        self._chunks: dict[int, np.ndarray] = {}  # least recently used first
+
+    def _chunk(self, number: int) -> np.ndarray:
+        block = self._chunks.pop(number, None)
+        if block is None:
+            suffix = self._domain + number.to_bytes(8, "big")
+            matrix = b"".join(
+                [
+                    hashlib.shake_256(seed + suffix).digest(CHUNK_TRANSFERS // 8)
+                    for seed in self._seeds
+                ]
+            )
+            block = _row_block(matrix, CHUNK_TRANSFERS)
+        self._chunks[number] = block
+        while len(self._chunks) > RESIDENT_CHUNKS:
+            del self._chunks[next(iter(self._chunks))]
+        return block
+
+    def rows(self, start: int, count: int) -> np.ndarray:
+        """Rows ``start .. start + count - 1`` as a read-only ``(count, kappa / 8)`` array."""
+        first, last = start // CHUNK_TRANSFERS, (start + count - 1) // CHUNK_TRANSFERS
+        blocks = [self._chunk(number) for number in range(first, last + 1)]
+        block = blocks[0] if first == last else np.concatenate(blocks)
+        offset = start - first * CHUNK_TRANSFERS
+        return block[offset : offset + count]
+
+
+class _DerivedStreams:
+    """Mixin for a pool half: its cached streams are rebuilt on demand, never pickled."""
+
+    def __getstate__(self) -> dict:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not isinstance(value, ColumnStream)
+        }
+
+
+def _pad(material: bytes, length: int) -> bytes:
+    """``sha256(material)`` cut to *length*.
+
+    Past 32 bytes the pad continues with ``sha256(material || k)`` for
+    ``k = 1, 2, ...`` (4 bytes, big-endian).
+    """
+    pad = hashlib.sha256(material).digest()
+    if length > len(pad):
+        pad += b"".join(
+            hashlib.sha256(material + counter.to_bytes(4, "big")).digest()
+            for counter in range(1, -(-length // len(pad)))
+        )
+    return pad[:length]
 
 
 def _extend_receiver(
-    seed_pairs: list[tuple[bytes, bytes]], choices: list[int], domain: bytes
-) -> tuple[bytes, tuple[bytes, ...]]:
-    """The receiver's T matrix and the U columns ``T_j XOR PRG(seed1_j) XOR r`` it publishes."""
-    column_bytes = (len(choices) + 7) // 8
-    t_matrix = _column_matrix([seed0 for seed0, _ in seed_pairs], domain, column_bytes)
-    g_matrix = _column_matrix([seed1 for _, seed1 in seed_pairs], domain, column_bytes)
-    u_matrix = xor_bytes(xor_bytes(t_matrix, g_matrix), bits_to_bytes(choices) * len(seed_pairs))
-    return t_matrix, tuple(
-        u_matrix[at : at + column_bytes] for at in range(0, len(u_matrix), column_bytes)
-    )
+    stream0: ColumnStream, stream1: ColumnStream, start: int, choices: list[int]
+) -> tuple[bytes, ...]:
+    """The U columns the receiver publishes: ``U_j = T_j XOR G_j XOR r``.
+
+    ``T`` and ``G`` are the streams of the receiver's two seed lists; the
+    sender holds one seed of each pair and rebuilds ``Q_j = T_j XOR s_j r``.
+    """
+    count = len(choices)
+    selected = np.array(choices, dtype=np.uint8)[:, None] * np.uint8(0xFF)
+    u_rows = stream0.rows(start, count) ^ stream1.rows(start, count) ^ selected
+    bits = np.unpackbits(u_rows, axis=1, bitorder="little")
+    return tuple(map(bytes, np.packbits(bits.T, axis=1, bitorder="little")))
 
 
 def _extend_sender(
     columns: tuple[bytes, ...],
-    seeds: list[bytes],
+    stream: ColumnStream,
     s_bits: list[int],
-    domain: bytes,
+    start: int,
     message_pairs: list[tuple[bytes, bytes]],
     length: int,
     labels: list[bytes],
@@ -189,20 +313,16 @@ def _extend_sender(
     column_bytes = (count + 7) // 8
     if any(len(column) != column_bytes for column in columns):
         raise OTError("IKNP column length does not match the transfer batch")
-    # Q_j = PRG(seed_j) XOR (s_j * U_j).
-    unselected = bytes(column_bytes)
-    q_matrix = xor_bytes(
-        _column_matrix(seeds, domain, column_bytes),
-        b"".join([column if bit else unselected for column, bit in zip(columns, s_bits)]),
-    )
-    # Row i satisfies q_i = t_i XOR (r_i * s): pad 0 comes from q_i, pad 1 from q_i XOR s.
-    width = SECURITY_PARAMETER // 8
-    rows0 = _transpose_columns(q_matrix, count)
-    rows1 = xor_bytes(rows0, bits_to_bytes(s_bits) * count)
+    # Row i of Q is q_i = t_i XOR (r_i * s): this side's stream row, plus the
+    # published u_i wherever s selected the other seed of the pair.  Pad 0
+    # comes from q_i, pad 1 from q_i XOR s.
+    s_row = np.frombuffer(bits_to_bytes(s_bits), dtype=np.uint8)
+    rows0 = stream.rows(start, count) ^ (_row_block(b"".join(columns), count) & s_row)
+    flat0, flat1 = rows0.tobytes(), (rows0 ^ s_row).tobytes()
     pads = []
-    for label, at in zip(labels, range(0, len(rows0), width)):
-        pads.append(_pad(label, rows0[at : at + width], b"0", length))
-        pads.append(_pad(label, rows1[at : at + width], b"1", length))
+    for label, at in zip(labels, range(0, len(flat0), ROW_BYTES)):
+        pads.append(_pad(label + flat0[at : at + ROW_BYTES] + b"0", length))
+        pads.append(_pad(label + flat1[at : at + ROW_BYTES] + b"1", length))
     messages = [message for pair in message_pairs for message in pair]
     encrypted = xor_bytes(b"".join(pads), b"".join(messages))
     return tuple(
@@ -212,18 +332,19 @@ def _extend_sender(
 
 
 def _decrypt_chosen(
-    t_matrix: bytes,
+    t_rows: np.ndarray,
     choices: list[int],
     pairs: tuple[tuple[bytes, bytes], ...],
     labels: list[bytes],
 ) -> list[bytes]:
     """The receiver's last step: unpad the chosen message of every pair with its T row."""
-    width = SECURITY_PARAMETER // 8
-    rows = _transpose_columns(t_matrix, len(choices))
+    flat = t_rows.tobytes()
     chosen = [pair[choice] for pair, choice in zip(pairs, choices)]
     pads = [
-        _pad(label, rows[at : at + width], (b"0", b"1")[choice], len(message))
-        for label, at, choice, message in zip(labels, range(0, len(rows), width), choices, chosen)
+        _pad(label + flat[at : at + ROW_BYTES] + (b"0", b"1")[choice], len(message))
+        for label, at, choice, message in zip(
+            labels, range(0, len(flat), ROW_BYTES), choices, chosen
+        )
     ]
     plain = xor_bytes(b"".join(pads), b"".join(chosen))
     results, at = [], 0
@@ -242,9 +363,8 @@ def _pool_labels(start: int, count: int) -> list[bytes]:
     return [b"iknp-pool-pad" + index.to_bytes(8, "big") for index in range(start, start + count)]
 
 
-def _pool_domain(start_index: int) -> bytes:
-    """PRG domain of the T/U column chunk for the batch starting at *start_index*."""
-    return b"iknp-pool-column" + start_index.to_bytes(8, "big")
+_ONE_SHOT_DOMAIN = b"iknp-column"
+_POOL_DOMAIN = b"iknp-pool-column"
 
 
 class OtMachine(ProtocolSession):
@@ -364,9 +484,9 @@ class IknpSenderMachine(OtMachine):
                 raise OTError("IKNP column count does not match the security parameter")
             encrypted_pairs = _extend_sender(
                 frame.columns,
-                self._seeds,
+                ColumnStream(self._seeds, _ONE_SHOT_DOMAIN),
                 self._s_bits,
-                b"iknp-column",
+                0,
                 self.message_pairs,
                 self.message_length,
                 _one_shot_labels(len(self.message_pairs)),
@@ -393,7 +513,7 @@ class IknpReceiverMachine(OtMachine):
             (secure_bytes(16), secure_bytes(16)) for _ in range(self._kappa)
         ]
         self._base = BaseOtSenderMachine(group, self._seed_pairs)
-        self._t_matrix = b""
+        self._stream0: ColumnStream | None = None
 
     def _start(self) -> list[Frame]:
         if not self.choices:
@@ -405,19 +525,22 @@ class IknpReceiverMachine(OtMachine):
     def _handle(self, frame: Frame) -> list[Frame]:
         if isinstance(frame, OtResponsesFrame):
             frames = self._base.handle(frame)
-            # The seed transfer is done from this party's side; stretch both
-            # seeds per column and publish U = T XOR PRG(seed1) XOR r.
-            self._t_matrix, u_columns = _extend_receiver(
-                self._seed_pairs, self.choices, b"iknp-column"
-            )
+            # The seed transfer is done from this party's side; expand both
+            # seeds of every pair and publish U = T XOR G XOR r.
+            self._stream0 = ColumnStream([seed0 for seed0, _ in self._seed_pairs], _ONE_SHOT_DOMAIN)
+            stream1 = ColumnStream([seed1 for _, seed1 in self._seed_pairs], _ONE_SHOT_DOMAIN)
+            u_columns = _extend_receiver(self._stream0, stream1, 0, self.choices)
             return frames + [OtExtColumnsFrame(u_columns)]
         if isinstance(frame, OtExtPairsFrame):
-            if not self._t_matrix:
+            if self._stream0 is None:
                 raise OTError("IKNP pairs arrived before the seed base OTs completed")
             if len(frame.pairs) != len(self.choices):
                 raise OTError("IKNP pair count does not match the transfer batch")
             self.result = _decrypt_chosen(
-                self._t_matrix, self.choices, frame.pairs, _one_shot_labels(len(self.choices))
+                self._stream0.rows(0, len(self.choices)),
+                self.choices,
+                frame.pairs,
+                _one_shot_labels(len(self.choices)),
             )
             self.finished = True
             return []
@@ -432,16 +555,16 @@ class IknpReceiverMachine(OtMachine):
 # transfers as all later executions need.  The pool below is that pair-level
 # state: the extension sender keeps its secret column-choice vector ``s`` and
 # the kappa received seeds; the receiver keeps the kappa seed pairs and a
-# global transfer counter.  Each batch derives its T/U column chunk from a
-# per-batch domain-separated PRG (keyed by the batch's global start index),
-# so concurrent sessions of the same pair can extend in any arrival order,
-# and every pad is bound to a globally unique transfer index.
+# global transfer counter.  Every seed is one :class:`ColumnStream` indexed by
+# that counter, so a batch is a row slice of the pool's matrix: concurrent
+# sessions of the same pair can extend in any arrival order, and every pad is
+# bound to a globally unique transfer index.
 #
 # Reusing ``s`` across extensions is the standard amortised IKNP deployment
 # (passively secure, like the rest of this prototype).
 # ---------------------------------------------------------------------------
 @dataclass
-class OtExtensionSenderState:
+class OtExtensionSenderState(_DerivedStreams):
     """The extension sender's half of the pair state (holds ``s`` + seeds).
 
     ``next_index`` is a high-water mark mirroring the receiver's allocation
@@ -459,6 +582,10 @@ class OtExtensionSenderState:
     next_index: int = 0
     claimed: list[tuple[int, int]] = field(default_factory=list)
 
+    @cached_property
+    def stream(self) -> ColumnStream:
+        return ColumnStream(self.seed_keys, _POOL_DOMAIN)
+
     def claim(self, start: int, count: int) -> None:
         """Reserve ``[start, start + count)``; reject any overlap as a replay."""
         if start < 0:
@@ -466,6 +593,8 @@ class OtExtensionSenderState:
         if count <= 0:
             return
         end = start + count
+        if end > TRANSFER_INDEX_LIMIT:
+            raise OTError("IKNP extension batch runs past the pool's last transfer index")
         for begin, length in self.claimed:
             if start < begin + length and begin < end:
                 raise OTError(
@@ -489,20 +618,41 @@ class OtExtensionSenderState:
 
 
 @dataclass
-class OtExtensionReceiverState:
+class OtExtensionReceiverState(_DerivedStreams):
     """The extension receiver's half of the pair state (holds the seed pairs)."""
 
     seed_pairs: list[tuple[bytes, bytes]]
     next_index: int = 0
 
+    @cached_property
+    def stream0(self) -> ColumnStream:
+        return ColumnStream([seed0 for seed0, _ in self.seed_pairs], _POOL_DOMAIN)
+
+    @cached_property
+    def stream1(self) -> ColumnStream:
+        return ColumnStream([seed1 for _, seed1 in self.seed_pairs], _POOL_DOMAIN)
+
+    @property
+    def remaining(self) -> int:
+        """Transfer indices this pool can still hand out."""
+        return TRANSFER_INDEX_LIMIT - self.next_index
+
     def allocate(self, count: int) -> int:
-        """Reserve *count* globally unique transfer indices for one batch."""
+        """Reserve *count* globally unique transfer indices for one batch.
+
+        Refuses, reserving nothing, a batch that would leave the index range
+        the wire can address: the pair needs a fresh pool.
+        """
+        if count > self.remaining:
+            raise OTError("OT extension pool has run out of transfer indices")
         start = self.next_index
         self.next_index += count
         return start
 
 
-OT_POOL_STATE_VERSION = 1
+# 2: a pool's seeds are read as column streams indexed by the global transfer
+# index (version 1 re-keyed a PRG per batch) — same payload layout, other rows.
+OT_POOL_STATE_VERSION = 2
 
 
 @dataclass
@@ -667,9 +817,9 @@ class PooledIknpSenderMachine(OtMachine):
         self.state.claim(start, count)
         encrypted_pairs = _extend_sender(
             frame.columns,
-            self.state.seed_keys,
+            self.state.stream,
             self.state.s_bits,
-            _pool_domain(start),
+            start,
             self.message_pairs,
             self.message_length,
             _pool_labels(start, count),
@@ -688,7 +838,6 @@ class PooledIknpReceiverMachine(OtMachine):
         self.choices = list(choices)
         self.state = state
         self._start_index = 0
-        self._t_matrix = b""
 
     def _start(self) -> list[Frame]:
         if not self.choices:
@@ -696,8 +845,8 @@ class PooledIknpReceiverMachine(OtMachine):
             self.finished = True
             return []
         self._start_index = self.state.allocate(len(self.choices))
-        self._t_matrix, u_columns = _extend_receiver(
-            self.state.seed_pairs, self.choices, _pool_domain(self._start_index)
+        u_columns = _extend_receiver(
+            self.state.stream0, self.state.stream1, self._start_index, self.choices
         )
         return [OtExtColumnsFrame(u_columns, start_index=self._start_index)]
 
@@ -732,15 +881,6 @@ class PooledIknpReceiverMachine(OtMachine):
         machine._start_index = payload["start_index"]
         if payload["result"] is not None:
             machine.result = list(payload["result"])
-        if machine.started and not machine.finished and machine.choices:
-            # Re-derive the T columns exactly as ``_start`` did — the pool
-            # seeds and the batch's start index pin them bit-identically,
-            # and the already-allocated index range must NOT be re-reserved.
-            machine._t_matrix = _column_matrix(
-                [seed0 for seed0, _ in pool_state.seed_pairs],
-                _pool_domain(machine._start_index),
-                (count + 7) // 8,
-            )
         return machine
 
     def _handle(self, frame: Frame) -> list[Frame]:
@@ -748,8 +888,12 @@ class PooledIknpReceiverMachine(OtMachine):
             return self._unexpected(frame)
         if len(frame.pairs) != len(self.choices):
             raise OTError("IKNP pair count does not match the transfer batch")
+        # The T rows are read back from the pool's stream rather than kept:
+        # the seeds and the batch's start index pin them, so a machine
+        # restored mid-flight decrypts with the same rows and re-reserves
+        # nothing.
         self.result = _decrypt_chosen(
-            self._t_matrix,
+            self.state.stream0.rows(self._start_index, len(self.choices)),
             self.choices,
             frame.pairs,
             _pool_labels(self._start_index, len(self.choices)),

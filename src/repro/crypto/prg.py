@@ -1,10 +1,10 @@
 """Pseudorandom generation: HMAC-DRBG style PRG and a simple PRF.
 
-The IKNP OT extension (used to make Yao's protocol practical, §3.2) stretches
-short seeds into long pseudorandom bit strings; the garbled-circuit layer
-derives wire labels from a master seed; the BV cryptosystem samples its noise
-and its uniform polynomials from a seeded PRG so that ciphertexts can be
-regenerated deterministically in tests.
+The BV cryptosystem samples its noise and its uniform polynomials from a
+seeded PRG so that ciphertexts can be regenerated deterministically in tests;
+the base OT pads its messages with the PRF.  (The IKNP extension and the
+garbler expand their seeds through SHAKE-256 directly, see
+:mod:`repro.crypto.ot` and :mod:`repro.crypto.garbled`.)
 """
 
 from __future__ import annotations
@@ -70,30 +70,14 @@ class Prg:
         return self.read_int(2 * bound + 1) - bound
 
 
-def _counter_mode(key: bytes, prefix: bytes, counter_bytes: int, length: int) -> bytes:
-    """``HMAC(key, prefix || counter)`` blocks for counter 0, 1, ... cut to *length*."""
-    if length <= 32:  # one block: every label-sized pad and the OT columns of <= 256 transfers
-        return hmac.digest(key, prefix + bytes(counter_bytes), "sha256")[:length]
+def prf(key: bytes, message: bytes, length: int = 32) -> bytes:
+    """``HMAC(key, message || counter)`` blocks for counter 0, 1, ... cut to *length*."""
+    if length <= 0:
+        raise ParameterError("length must be positive")
+    if length <= 32:  # one block: every label- and seed-sized pad
+        return hmac.digest(key, message + bytes(4), "sha256")[:length]
     blocks = [
-        hmac.digest(key, prefix + counter.to_bytes(counter_bytes, "big"), "sha256")
+        hmac.digest(key, message + counter.to_bytes(4, "big"), "sha256")
         for counter in range(-(-length // 32))
     ]
     return b"".join(blocks)[:length]
-
-
-def stretch(seed: bytes, domain: bytes, length: int) -> bytes:
-    """The first *length* bytes of ``Prg(seed, domain)``, without building the object.
-
-    The IKNP extension stretches hundreds of seeds per batch and reads each
-    stream exactly once; this is :meth:`Prg.read` for that case.
-    """
-    if not seed:
-        raise ParameterError("PRG seed must be non-empty")
-    return _counter_mode(hmac.digest(domain, seed, "sha256"), b"", 8, length)
-
-
-def prf(key: bytes, message: bytes, length: int = 32) -> bytes:
-    """Fixed-length PRF output, ``HMAC(key, message)`` truncated/expanded to *length*."""
-    if length <= 0:
-        raise ParameterError("length must be positive")
-    return _counter_mode(key, message, 4, length)

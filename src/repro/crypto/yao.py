@@ -53,7 +53,10 @@ from repro.utils.rand import secure_bytes
 from repro.utils.timing import Stopwatch
 
 GARBLE_SEED_BYTES = 32
-YAO_STATE_VERSION = 1
+# 2: the garbler's seed expands through SHAKE-256 and the circuits use the
+# one-AND gadgets (version 1: an HMAC stream, two-AND gadgets) — same payload
+# layout, other labels, so an older snapshot is refused rather than resumed.
+YAO_STATE_VERSION = 2
 
 
 def _require_pool(ot_pool: OtExtensionPool | None) -> OtExtensionPool:

@@ -29,8 +29,8 @@ instantiates them with different schemes.
 The client's blinding step runs on the batched fabrication path: every noise
 ciphertext for an email is produced by one
 :meth:`~repro.crypto.ahe.AHEScheme.encrypt_slots_many` call and added in one
-stacked pass (``spam_blinding_ms`` in the hotpath bench), so this module only
-orchestrates frames — no per-ciphertext crypto loops live here.
+stacked pass (``twopc.blinding.blind_ms`` in the end-to-end budget), so this
+module only orchestrates frames — no per-ciphertext crypto loops live here.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class SpamClientSession(ProtocolSession):
         )
         _, _, spam_noise = blinded.output_noise[SPAM_COLUMN]
         _, _, ham_noise = blinded.output_noise[HAM_COLUMN]
-        circuit = protocol._spam_circuit(protocol.scheme.slot_bits)
+        circuit = SpamCircuit.build(protocol.scheme.slot_bits)
         self.yao_and_gates = circuit.circuit.and_count
         self._yao = YaoEvaluatorSession(
             circuit.circuit,
@@ -197,7 +197,7 @@ class SpamClientSession(ProtocolSession):
         session.is_spam = payload["is_spam"]
         session.yao_and_gates = int(payload["yao_and_gates"])
         if payload["yao"] is not None:
-            circuit = protocol._spam_circuit(protocol.scheme.slot_bits)
+            circuit = SpamCircuit.build(protocol.scheme.slot_bits)
             session._yao = YaoEvaluatorSession.restore(
                 SessionState.from_bytes(payload["yao"]),
                 circuit.circuit,
@@ -250,7 +250,7 @@ class SpamProviderSession(BufferedProviderSession):
         ham_ct, ham_slot = slot_map[HAM_COLUMN]
         blinded_spam = slot_lists[spam_ct][spam_slot]
         blinded_ham = slot_lists[ham_ct][ham_slot]
-        circuit = protocol._spam_circuit(protocol.scheme.slot_bits)
+        circuit = SpamCircuit.build(protocol.scheme.slot_bits)
         return YaoGarblerSession(
             circuit.circuit,
             circuit.garbler_bits(blinded_spam, blinded_ham),
@@ -273,7 +273,7 @@ class SpamProviderSession(BufferedProviderSession):
         return self.setup.keypair
 
     def _restore_inner(self, state: SessionState) -> YaoGarblerSession:
-        circuit = self.protocol._spam_circuit(self.protocol.scheme.slot_bits)
+        circuit = SpamCircuit.build(self.protocol.scheme.slot_bits)
         return YaoGarblerSession.restore(
             state, circuit.circuit, self.protocol.group, ot_pool=self.ot_pool
         )
@@ -305,7 +305,6 @@ class SpamFilterProtocol:
         self.group = group
         self.across_row_packing = across_row_packing
         self.ot_mode = ot_mode
-        self._circuit_cache: dict[int, SpamCircuit] = {}
 
     # -- setup phase -----------------------------------------------------------
     def setup(
@@ -405,10 +404,3 @@ class SpamFilterProtocol:
             network_messages=channel.total_messages() - messages_before,
             network_rounds=channel.rounds() - rounds_before,
         )
-
-    def _spam_circuit(self, width: int) -> SpamCircuit:
-        cached = self._circuit_cache.get(width)
-        if cached is None:
-            cached = SpamCircuit.build(width)
-            self._circuit_cache[width] = cached
-        return cached

@@ -159,7 +159,7 @@ class TopicClientSession(ProtocolSession):
             )
             scores_frame = BlindedScoresFrame(tuple(blinded.ciphertexts))
         noises = [blinded.output_noise[column][2] for column in self.candidates]
-        circuit = protocol._topic_circuit(
+        circuit = TopicCircuit.build(
             protocol.scheme.slot_bits,
             len(self.candidates),
             _topic_index_bits(model.num_categories),
@@ -224,7 +224,7 @@ class TopicClientSession(ProtocolSession):
         _restore_base_fields(session, payload)
         session.yao_and_gates = int(payload["yao_and_gates"])
         if payload["yao"] is not None:
-            circuit = protocol._topic_circuit(
+            circuit = TopicCircuit.build(
                 protocol.scheme.slot_bits,
                 len(candidates),
                 _topic_index_bits(setup.quantized_model.num_categories),
@@ -304,7 +304,7 @@ class TopicProviderSession(BufferedProviderSession):
             for column in range(num_topics):
                 ct_index, slot = slot_map[column]
                 blinded_scores.append(slot_lists[ct_index][slot])
-        circuit = protocol._topic_circuit(
+        circuit = TopicCircuit.build(
             protocol.scheme.slot_bits, len(blinded_scores), _topic_index_bits(num_topics)
         )
         self._inner_candidates = len(blinded_scores)
@@ -348,7 +348,7 @@ class TopicProviderSession(BufferedProviderSession):
     def _restore_inner(self, state: SessionState) -> YaoEvaluatorSession:
         if self._inner_candidates is None:
             raise SnapshotError("topic provider snapshot carries an inner session but no candidate count")
-        circuit = self.protocol._topic_circuit(
+        circuit = TopicCircuit.build(
             self.protocol.scheme.slot_bits,
             self._inner_candidates,
             _topic_index_bits(self.setup.quantized_model.num_categories),
@@ -377,7 +377,6 @@ class TopicExtractionProtocol:
         self.scheme = scheme
         self.group = group
         self.ot_mode = ot_mode
-        self._circuit_cache: dict[tuple[int, int, int], TopicCircuit] = {}
 
     # -- setup phase ----------------------------------------------------------------
     def setup(
@@ -504,11 +503,3 @@ class TopicExtractionProtocol:
             network_messages=channel.total_messages() - messages_before,
             network_rounds=channel.rounds() - rounds_before,
         )
-
-    def _topic_circuit(self, width: int, candidates: int, index_bits: int) -> TopicCircuit:
-        key = (width, candidates, index_bits)
-        cached = self._circuit_cache.get(key)
-        if cached is None:
-            cached = TopicCircuit.build(width, candidates, index_bits)
-            self._circuit_cache[key] = cached
-        return cached

@@ -170,3 +170,129 @@ class TestTopicCircuit:
     def test_zero_candidates_rejected(self):
         with pytest.raises(CircuitError):
             TopicCircuit.build(8, 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# The one-AND gadgets, proved against integer arithmetic (not against digests)
+# ---------------------------------------------------------------------------
+WORD_OPS = {
+    "add": (lambda c, x, y: c.add_words(x, y), lambda a, b, w: (a + b) % (1 << w)),
+    "subtract": (lambda c, x, y: c.subtract_words(x, y), lambda a, b, w: (a - b) % (1 << w)),
+    "greater_than": (lambda c, x, y: [c.greater_than(x, y)], lambda a, b, w: int(a > b)),
+    "greater_or_equal": (lambda c, x, y: [c.greater_or_equal(x, y)], lambda a, b, w: int(a >= b)),
+}
+# AND gates per gadget at width w: what a garbled email pays for.
+AND_BUDGET = {
+    "add": lambda w: w - 1,
+    "subtract": lambda w: w - 1,
+    "greater_than": lambda w: w,
+    "greater_or_equal": lambda w: w,
+}
+
+
+def _word_circuit(name, width):
+    builder = CircuitBuilder()
+    a_wires = builder.garbler_input(width)
+    b_wires = builder.evaluator_input(width)
+    return builder.build(WORD_OPS[name][0](builder, a_wires, b_wires))
+
+
+def _argmax_circuit(width, count, index_bits):
+    builder = CircuitBuilder()
+    values = [builder.evaluator_input(width) for _ in range(count)]
+    payloads = [builder.garbler_input(index_bits) for _ in range(count)]
+    return builder.build(builder.argmax(values, payloads))
+
+
+def _plain_argmax(values):
+    """Index of the maximum, ties to the earliest (``numpy.argmax``)."""
+    return max(range(len(values)), key=lambda j: (values[j], -j))
+
+
+WORD32 = st.integers(min_value=0, max_value=2**32 - 1)
+# Pairs that exercise the comparator's edge: equal words, neighbours, and
+# words that differ only above or only below a long equal run.
+PAIR32 = st.one_of(
+    st.tuples(WORD32, WORD32),
+    WORD32.map(lambda a: (a, a)),
+    WORD32.map(lambda a: (a, (a + 1) % 2**32)),
+    st.tuples(WORD32, st.integers(min_value=0, max_value=31)).map(
+        lambda ab: (ab[0], ab[0] ^ (1 << ab[1]))
+    ),
+)
+
+
+class TestGadgetsEqualIntegerArithmetic:
+    @pytest.mark.parametrize("name", sorted(WORD_OPS))
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_exhaustively_at_small_widths(self, name, width):
+        circuit = _word_circuit(name, width)
+        reference = WORD_OPS[name][1]
+        assert circuit.and_count == AND_BUDGET[name](width)
+        for a in range(1 << width):
+            for b in range(1 << width):
+                bits = circuit.evaluate_plain(int_to_bits(a, width), int_to_bits(b, width))
+                assert bits_to_int(bits) == reference(a, b, width), (name, width, a, b)
+
+    @pytest.mark.parametrize("name", sorted(WORD_OPS))
+    @given(pair=PAIR32)
+    @settings(max_examples=60, deadline=None)
+    def test_at_the_protocol_width(self, name, pair):
+        a, b = pair
+        circuit = _word_circuit(name, 32)
+        assert circuit.and_count == AND_BUDGET[name](32)
+        bits = circuit.evaluate_plain(int_to_bits(a, 32), int_to_bits(b, 32))
+        assert bits_to_int(bits) == WORD_OPS[name][1](a, b, 32)
+
+    @pytest.mark.parametrize("width,count", [(w, 2) for w in range(1, 7)] + [(1, 3), (2, 3), (3, 3)])
+    def test_argmax_exhaustively_with_ties_to_the_earliest(self, width, count):
+        index_bits = 2
+        circuit = _argmax_circuit(width, count, index_bits)
+        payload_bits = [bit for index in range(count) for bit in int_to_bits(index + 1, index_bits)]
+        for packed in range(1 << (width * count)):
+            values = [(packed >> (width * j)) & ((1 << width) - 1) for j in range(count)]
+            value_bits = [bit for value in values for bit in int_to_bits(value, width)]
+            bits = circuit.evaluate_plain(payload_bits, value_bits)
+            assert bits_to_int(bits) == _plain_argmax(values) + 1, values
+
+    @given(values=st.lists(WORD32, min_size=2, max_size=5), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_argmax_at_the_protocol_width(self, values, data):
+        # Force ties often: overwrite a random entry with a copy of another.
+        if data.draw(st.booleans()):
+            source = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+            target = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+            values[target] = values[source]
+        circuit = _argmax_circuit(32, len(values), 8)
+        payload_bits = [bit for index in range(len(values)) for bit in int_to_bits(index + 7, 8)]
+        value_bits = [bit for value in values for bit in int_to_bits(value, 32)]
+        bits = circuit.evaluate_plain(payload_bits, value_bits)
+        assert bits_to_int(bits) == _plain_argmax(values) + 7
+
+
+class TestAndBudgets:
+    """The AND count is the garbling cost; pinned as formulas, not as numbers."""
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 24, 32])
+    def test_spam_circuit_is_two_subtractors_and_a_comparator(self, width):
+        assert SpamCircuit.build(width).circuit.and_count == 3 * width - 2
+
+    @pytest.mark.parametrize(
+        "width,candidates,index_bits", [(32, 10, 8), (32, 1, 8), (24, 2, 4), (8, 5, 3), (32, 20, 11)]
+    )
+    def test_topic_circuit_is_subtractors_plus_compare_and_select(
+        self, width, candidates, index_bits
+    ):
+        circuit = TopicCircuit.build(width, candidates, index_bits).circuit
+        assert circuit.and_count == (
+            candidates * (width - 1) + (candidates - 1) * (2 * width + index_bits)
+        )
+
+    def test_the_benchmark_shapes(self):
+        assert SpamCircuit.build(32).circuit.and_count == 94
+        assert TopicCircuit.build(32, 10, 8).circuit.and_count == 958
+
+    def test_builds_are_shared_per_shape(self):
+        assert SpamCircuit.build(32) is SpamCircuit.build(32)
+        assert TopicCircuit.build(32, 10, 8) is TopicCircuit.build(32, 10, 8)
+        assert TopicCircuit.build(32, 10, 8) is not TopicCircuit.build(32, 9, 8)

@@ -236,6 +236,22 @@ class TestBatchedAccumulation:
         values = self._assert_paths_agree(bv_scheme, bv_keys, model, features)
         assert values == _reference_dot_products(small_matrix, features)
 
+    def test_hundred_features_over_a_multi_ciphertext_spam_model(self, bv_scheme, bv_keys):
+        # The shape (501 x 2 across rows, 100 features, frequencies 1..7) and the
+        # assertion of the retired ``regress.py`` hot-path suite.
+        rng = np.random.default_rng(0)
+        matrix = rng.integers(0, 1000, size=(501, 2)).tolist()
+        model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=True)
+        assert model.ciphertext_count() > 1
+        features = [
+            (int(row), int(frequency))
+            for row, frequency in zip(
+                rng.choice(500, size=100, replace=False), rng.integers(1, 8, size=100)
+            )
+        ]
+        values = self._assert_paths_agree(bv_scheme, bv_keys, model, features)
+        assert values == _reference_dot_products(matrix, features)
+
     def test_duplicate_feature_rows_accumulate(self, bv_scheme, bv_keys, small_matrix):
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, small_matrix, across_rows=True)
         features = [(4, 1), (4, 2), (9, 3)]

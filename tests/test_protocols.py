@@ -1,5 +1,7 @@
 """Integration tests for the spam-filtering and topic-extraction protocols."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import ProtocolError
@@ -165,6 +167,27 @@ class TestTopicProtocol:
         features = TOPIC_TEST_EMAILS[0]
         result = protocol.extract_topic(setup, features, candidate_topics=None)
         assert result.extracted_topic == small_topic_model.predict(features)
+
+
+class TestRegistrationPickle:
+    """A protocol object is what ``register_*`` ships to every worker and agent."""
+
+    def test_a_used_protocol_pickles_like_a_fresh_one(
+        self, spam_setup, topic_setup, bv_scheme, dh_group
+    ):
+        # Circuits are shared per shape at module level, not cached on the
+        # protocol: the instance-level cache rode along in every registration
+        # (18 161 bytes for a used spam protocol, 143 602 for topics at B = 10).
+        spam_protocol, spam = spam_setup
+        topic_protocol, topics = topic_setup
+        spam_protocol.classify_email(spam, SPAM_TEST_EMAILS[0])
+        topic_protocol.extract_topic(topics, TOPIC_TEST_EMAILS[0])
+        for used, fresh in (
+            (spam_protocol, SpamFilterProtocol(bv_scheme, dh_group)),
+            (topic_protocol, TopicExtractionProtocol(bv_scheme, dh_group)),
+        ):
+            assert len(pickle.dumps(used)) == len(pickle.dumps(fresh)) < 1024
+            assert not any("circuit" in name for name in vars(used))
 
 
 class TestNoPriv:

@@ -12,12 +12,22 @@ import pytest
 from repro.core.runtime import (
     MailboxDirectory,
     ProviderRuntime,
+    ShardWorkerCore,
     run_spam_batch,
     run_topic_batch,
     spam_job,
     topic_job,
 )
-from repro.crypto.ot import ObliviousTransfer, initialize_ot_pool, make_ot_receiver, make_ot_sender
+from repro.crypto.ot import (
+    TRANSFER_INDEX_LIMIT,
+    ObliviousTransfer,
+    initialize_ot_pool,
+    make_ot_receiver,
+    make_ot_sender,
+)
+from repro.exceptions import OTError
+from repro.obs import MetricsRegistry, scoped_registry
+from repro.twopc import spam as spam_module
 from repro.twopc.noprv import NoPrivClassifier, run_noprv_session
 from repro.twopc.session import run_session_pair
 from repro.twopc.spam import SpamFilterProtocol
@@ -173,6 +183,52 @@ class TestOtPooling:
             setup, TOPIC_EMAILS[0], candidate_topics=[truth, 0, 1], ot_pool=pool
         )
         assert result.extracted_topic == truth
+
+    @pytest.mark.parametrize("path", ["directory", "worker"])
+    def test_a_pool_out_of_transfer_indices_is_replaced_by_one_handshake(
+        self, path, spam_setup, small_spam_model, monkeypatch
+    ):
+        # The frame's start_index is a u32: 13 M topic emails of one pair reach
+        # it.  Ten indices from the end, a 64-transfer spam email cannot start.
+        protocol, setup = spam_setup
+        address = "spent@example.com"
+        emails = SPAM_EMAILS[:3]
+        with scoped_registry(MetricsRegistry()):
+            worker = ShardWorkerCore(("static", 1, None, None))
+            directory = worker.directory
+            directory.register_spam(address, protocol, setup)
+            spent = directory.spam_pool_of(address)
+            spent.receiver_state.next_index = TRANSFER_INDEX_LIMIT - 10
+            spent.sender_state.claim(0, TRANSFER_INDEX_LIMIT - 10)
+            ledger = spent.snapshot().to_bytes()
+            # On its own the pool refuses, before reserving anything (the
+            # codec used to fail after the range was gone, for good).
+            with pytest.raises(OTError, match="run out"):
+                ProviderRuntime().run([spam_job(protocol, setup, emails[0], ot_pool=spent)])
+            assert spent.snapshot().to_bytes() == ledger
+
+            handshakes = []
+            real_handshake = spam_module.initialize_ot_pool
+
+            def counted_handshake(*arguments, **options):
+                handshakes.append(1)
+                return real_handshake(*arguments, **options)
+
+            monkeypatch.setattr(spam_module, "initialize_ot_pool", counted_handshake)
+            if path == "directory":
+                jobs = directory.spam_jobs(address, emails)
+                ProviderRuntime().run(jobs)
+                verdicts = [job.client.is_spam for job in jobs]
+            else:
+                burst = [(index, "spam", address, features, None) for index, features in enumerate(emails)]
+                verb, (results, _metrics) = worker.handle("burst", burst)
+                assert verb == "results"
+                verdicts = [result.is_spam for _job_id, result in sorted(results)]
+        assert verdicts == [small_spam_model.predict_is_spam(features) for features in emails]
+        assert len(handshakes) == 1
+        fresh = directory.spam_pool_of(address)
+        assert fresh is not spent and fresh.receiver_state.next_index == 64 * len(emails)
+        assert spent.snapshot().to_bytes() == ledger  # the old pool's ledger is untouched
 
     def test_one_shot_ot_still_works_alongside_pool(self, dh_group):
         # The stateless driver remains the baseline arrangement.

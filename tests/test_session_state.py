@@ -34,6 +34,7 @@ from repro.core.runtime import (
     ProviderRuntime,
     ShardCheckpointLog,
     ShardedRuntime,
+    ShardWorkerCore,
     checkpoint_open_windows,
     restore_open_windows,
     spam_job,
@@ -51,6 +52,7 @@ from repro.crypto.ot import (
 from repro.crypto.prg import Prg
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import SnapshotError, WireFormatError
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.twopc.noprv import NoPrivClassifier, NoPrivClientSession, NoPrivProviderSession
 from repro.twopc.spam import SpamClientSession, SpamFilterProtocol, SpamProviderSession
 from repro.twopc.topics import (
@@ -66,6 +68,7 @@ from repro.twopc.wire import (
     WireCodec,
 )
 from repro.utils.bitops import bytes_to_bits
+from repro.utils.serialization import canonical_dumps, canonical_loads
 
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
@@ -139,11 +142,11 @@ def _zeroed(session):
 
 # Pinned encodings: regenerate ONLY together with a state-version bump.
 GOLDEN_STATES = {
-    "ot_pool": "0101000001d34d000000000000000253000000000000000872656365697665724d000000000000000253000000000000000a6e6578745f696e6465784900000000000000010853000000000000000a736565645f70616972734c00000000000000044c000000000000000242000000000000000400000000420000000000000004010101014c000000000000000242000000000000000401010101420000000000000004020202024c000000000000000242000000000000000402020202420000000000000004030303034c0000000000000002420000000000000004030303034200000000000000040404040453000000000000000673656e6465724d0000000000000005530000000000000007636c61696d65644c00000000000000014c000000000000000249000000000000000100490000000000000001085300000000000000056b617070614900000000000000010453000000000000000a6e6578745f696e64657849000000000000000108530000000000000006735f626974734200000000000000010d530000000000000009736565645f6b6579734c000000000000000442000000000000000400000000420000000000000004010101014200000000000000040202020242000000000000000403030303",  # noqa: E501
+    "ot_pool": "0102000001d34d000000000000000253000000000000000872656365697665724d000000000000000253000000000000000a6e6578745f696e6465784900000000000000010853000000000000000a736565645f70616972734c00000000000000044c000000000000000242000000000000000400000000420000000000000004010101014c000000000000000242000000000000000401010101420000000000000004020202024c000000000000000242000000000000000402020202420000000000000004030303034c0000000000000002420000000000000004030303034200000000000000040404040453000000000000000673656e6465724d0000000000000005530000000000000007636c61696d65644c00000000000000014c000000000000000249000000000000000100490000000000000001085300000000000000056b617070614900000000000000010453000000000000000a6e6578745f696e64657849000000000000000108530000000000000006735f626974734200000000000000010d530000000000000009736565645f6b6579734c000000000000000442000000000000000400000000420000000000000004010101014200000000000000040202020242000000000000000403030303",  # noqa: E501
     "pooled_ot_receiver_midround": "0301000000a54d000000000000000753000000000000000763686f696365734200000000000000010d530000000000000005636f756e744900000000000000010453000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e646578490000000000000001005300000000000000077374617274656454",  # noqa: E501
-    "yao_garbler": "1001000001314d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f744e5300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656446",  # noqa: E501
-    "yao_garbler_midround": "10010000037b4d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f7442000000000000024202010000023c4d000000000000000453000000000000000866696e69736865644653000000000000000d6d6573736167655f70616972734c00000000000000084c000000000000000242000000000000001031b78b9bf8a61f04a262b61e31e525994200000000000000108636ca6d57855da0960617ea8bf12ab84c0000000000000002420000000000000010b1d29c6b8c8258051b34d4259f43c1e94200000000000000100653dd9d23a11aa12f5075d12557cec84c00000000000000024200000000000000108aa21875de8357cbe6773fcd24a2c8444200000000000000103d23598371a0156fd2139e399eb6c7654c00000000000000024200000000000000103c226e3a4430077cd64ea643d45676204200000000000000108ba32fcceb1345d8e22a07b76e4279014c00000000000000024200000000000000106463407278a9126ea66f21b846fe7123420000000000000010d3e20184d78a50ca920b804cfcea7e024c0000000000000002420000000000000010267243ed5de565069ad69727eedcac9442000000000000001091f3021bf2c627a2aeb236d354c8a3b54c000000000000000242000000000000001096f26bda47880f22eb17d9f312e1b8e442000000000000001021732a2ce8ab4d86df737807a8f5b7c54c0000000000000002420000000000000010fb4f3c062dd585543997ebfbeb14445e4200000000000000104cce7df082f6c7f00df34a0f51004b7f5300000000000000077365636f6e647344000000000000000053000000000000000773746172746564545300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656454",  # noqa: E501
-    "yao_evaluator_midround": "11010000013d4d000000000000000653000000000000000866696e6973686564465300000000000000026f744200000000000000ab0301000000a54d000000000000000753000000000000000763686f6963657342000000000000000162530000000000000005636f756e744900000000000000010853000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e64657849000000000000000100530000000000000007737461727465645453000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e64734400000000000000005300000000000000077374617274656454",  # noqa: E501
+    "yao_garbler": "1002000001314d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f744e5300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656446",  # noqa: E501
+    "yao_garbler_midround": "10020000037b4d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f7442000000000000024202010000023c4d000000000000000453000000000000000866696e69736865644653000000000000000d6d6573736167655f70616972734c00000000000000084c0000000000000002420000000000000010d21efd347bc31f704d0f4411249a40f2420000000000000010fae8ffd73b9de98494c93e227247565d4c000000000000000242000000000000001070d833b160d5ee05a6dea2480e6bbee2420000000000000010582e3152208b18f17f18d87b58b6a84d4c00000000000000024200000000000000106ec608eedb6c7d05d1c81b0a46e2ab9842000000000000001046300a0d9b328bf1080e6139103fbd374c0000000000000002420000000000000010f0dfff0812d4601dfe29c9e6d0312360420000000000000010d829fdeb528a96e927efb3d586ec35cf4c0000000000000002420000000000000010b90d499e7d268e42bf49c046bcce718b42000000000000001091fb4b7d3d7878b6668fba75ea1367244c00000000000000024200000000000000100bd28bd5c40fa865d8243163037330664200000000000000102324893684515e9101e24b5055ae26c94c0000000000000002420000000000000010cb086b27764cb8b62e7c875ccbd95e76420000000000000010e3fe69c436124e42f7bafd6f9d0448d94c0000000000000002420000000000000010d2bb7504c925f6602c60042a1e494e30420000000000000010fa4d77e7897b0094f5a67e194894589f5300000000000000077365636f6e647344000000000000000053000000000000000773746172746564545300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656454",  # noqa: E501
+    "yao_evaluator_midround": "11020000013d4d000000000000000653000000000000000866696e6973686564465300000000000000026f744200000000000000ab0301000000a54d000000000000000753000000000000000763686f6963657342000000000000000162530000000000000005636f756e744900000000000000010853000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e64657849000000000000000100530000000000000007737461727465645453000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e64734400000000000000005300000000000000077374617274656454",  # noqa: E501
     "spam_client": "2001000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
     "spam_provider": "2101000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "topic_client": "22010000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
@@ -292,21 +295,35 @@ class TestGoldenSessionStates:
         assert decoded.state == state
 
 
-class TestPoolSnapshotFromBeforeTheOneKeyBaseOt:
-    """A checkpoint written before the base-OT rewrite restores after it.
+class TestPoolSnapshotsAcrossTheColumnStreamChange:
+    """A pool snapshot resumes only on the derivation that wrote it.
 
     ``data/ot_pool_bfe22cc.bin`` is ``OtExtensionPool.snapshot().to_bytes()``
-    taken on commit bfe22cc — a pool seeded by that commit's per-transfer-key
-    handshake on the benchmark's 256-bit group and extended once (13
-    transfers), so the pad cursors are mid-stream.  The digests are the next
-    64-transfer extension of the restored pool *as that commit produced it*.
+    taken on commit bfe22cc (state version 1: a column PRG re-keyed per
+    batch).  Its payload *layout* is unchanged, but this build reads the same
+    seeds as column streams, so resuming it would extend with other rows than
+    its in-flight sessions were started on: it is refused by version, and a
+    worker handed a checkpoint that carries it recomputes instead.
+
+    ``data/ot_pool_v2.bin`` is the same recipe on this build (state version
+    2): a pool seeded by a real handshake on the benchmark's 256-bit group and
+    extended once (13 transfers), so the pad cursors are mid-stream.  The
+    digests are the next 64-transfer extension of the restored pool as this
+    commit produced it — what a later same-bytes rewrite has to reproduce.
     """
 
-    BLOB = Path(__file__).parent / "data" / "ot_pool_bfe22cc.bin"
+    PARENT_BLOB = Path(__file__).parent / "data" / "ot_pool_bfe22cc.bin"
+    BLOB = Path(__file__).parent / "data" / "ot_pool_v2.bin"
     NEXT_EXTENSION = (
-        "9b23f4be43cd3e4847a24d2b265f3ba077ebc961222a38fcd5ea266312a27953",  # OT_EXT_COLUMNS
-        "01f9bb96e6f99994b81243901dfc9436887088eca78a46cc083204faaeca191e",  # OT_EXT_PAIRS
+        "6c07611ceb95532ffbc864305b917cda11d11dc5e35cbc2a138d380b19791a87",  # OT_EXT_COLUMNS
+        "17cb6be39dc057e0b517b855b5268b43141746e199c1a61d877e815e686fbc3e",  # OT_EXT_PAIRS
     )
+
+    def test_the_parent_commit_snapshot_is_refused_by_version(self):
+        state = SessionState.from_bytes(self.PARENT_BLOB.read_bytes())
+        assert (state.kind, state.version) == (SessionStateKind.OT_POOL, 1)
+        with pytest.raises(SnapshotError, match="version 1"):
+            OtExtensionPool.restore(state)
 
     def test_restores_and_extends_bit_identically(self):
         blob = self.BLOB.read_bytes()
@@ -327,6 +344,43 @@ class TestPoolSnapshotFromBeforeTheOneKeyBaseOt:
             hashlib.sha256(codec.encode(columns)).hexdigest(),
             hashlib.sha256(codec.encode(encrypted)).hexdigest(),
         ) == self.NEXT_EXTENSION
+
+    def test_a_worker_handed_a_parent_commit_checkpoint_recomputes(self, spam_setup, spam_truth):
+        protocol, setup = spam_setup
+        address = "upgraded@example.com"
+        burst = [
+            (job_id, "spam", address, features, None)
+            for job_id, features in enumerate(SPAM_EMAILS)
+        ]
+        with scoped_registry(MetricsRegistry()):
+            source = ShardWorkerCore(("static", 100, None, None))
+            source.handle("register_spam", (address, protocol, setup))
+            assert source.handle("burst", burst)[1][0] == []  # all parked mid-round
+            verb, (blob, _results, _metrics) = source.handle("checkpoint", None)
+            assert verb == "checkpointed"
+        # The same checkpoint as the parent commit would have written it: the
+        # pool record is a version-1 snapshot.
+        checkpoint = canonical_loads(blob)
+        assert [record["address"] for record in checkpoint["pools"]] == [address]
+        checkpoint["pools"][0]["state"] = self.PARENT_BLOB.read_bytes()
+        with scoped_registry(MetricsRegistry()):
+            target = ShardWorkerCore(("static", 100, None, None))
+            target.handle("register_spam", (address, protocol, setup, True))  # pool deferred
+            verb, (resumed, results, _metrics) = target.handle(
+                "restore", canonical_dumps(checkpoint)
+            )
+            assert (verb, resumed, results) == ("restored", [], [])  # nothing resumed
+            assert target.directory.spam_pool_of(address) is None  # least of all that pool
+            # ... so the driver backfills the pool and resubmits every email.
+            assert target.handle("ensure_pools", None) == ("ok", None)
+            assert target.handle("burst", burst)[1][0] == []
+            verb, (results, metrics) = target.handle("drain", None)
+        assert [result.is_spam for _job_id, result in sorted(results)] == spam_truth
+        served = [
+            entry["value"] for entry in metrics["counters"]
+            if entry["name"] == "emails_served_total"
+        ]
+        assert sum(served) == len(SPAM_EMAILS)  # each email counted once
 
 
 class TestSessionStateValidation:

@@ -1,26 +1,34 @@
-"""Bit-identity pins, properties and refusals for the symmetric hot path.
+"""Definitions, byte pins, properties and refusals for the symmetric hot path.
 
-The integer-label garbler/evaluator, the bit-matrix IKNP transpose and the
-stacked combining NTT must produce *the same bytes* as the per-byte code they
-replaced.  The digests below were produced by that code (the commit before the
-rewrite) with the recipes in this file, so they pin the rewrite without
-keeping a second implementation in ``src/``.
+The garbler's label stream, the IKNP column streams and the one-hash pads are
+first proved from their *definitions* (raw ``shake_256`` / ``sha256`` output,
+one bit at a time).  The digests (``GARBLING_PINS``, ``POOLED_PINS``,
+``ONE_SHOT_PINS``) were then produced by this commit's code with the recipes in
+this file: they say nothing about *which* derivation is right — the
+definition tests do — and exist so that a later rewrite meant to keep the
+bytes can show it did, without a second implementation in ``src/``.  A change
+that means to move them re-pins them once and bumps ``OT_POOL_STATE_VERSION``
+/ ``YAO_STATE_VERSION``, because snapshots written before it stop resuming.
 """
 
 import hashlib
 import hmac
+import pickle
+import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ot
-from repro.crypto.circuits import CircuitBuilder, SpamCircuit, TopicCircuit
-from repro.crypto.garbled import GarbledGate, GarbledTables, evaluate, garble
+from repro.crypto.circuits import Circuit, CircuitBuilder, SpamCircuit, TopicCircuit
+from repro.crypto.garbled import LABEL_BYTES, GarbledGate, GarbledTables, evaluate, garble
 from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
-from repro.crypto.prg import Prg, prf, stretch
+from repro.crypto.prg import Prg, prf
+from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import OTError, ParameterError, ProtocolAbort
-from repro.twopc.wire import WireCodec
+from repro.twopc.wire import SessionState, WireCodec
 from repro.utils.bitops import xor_bytes
 
 
@@ -53,27 +61,44 @@ def _garbling_digests(circuit, seed: bytes) -> dict[str, str]:
 
 GARBLING_PINS = {
     "spam32": {
-        "tables": "25478c10ba68af9285fd020a09cf8a6badcb33b74a81026ba408399749a0fbff",
-        "zero_labels": "1be69c7cff6b989a7ce225ac7a899f30d9e4696ecbdb59efa904f42ef2c29ae6",
-        "offset": "61afd41770d3e162fded5f42a1354b9d6e614a3e1e2b0c1f158fe59c971fda00",
-        "outputs": "5c16f30e2739bff0feece8fb9c5bd7498989bb159b17e003e16b06b8533917b4",
+        "tables": "6b43d108468996afe725de85a47d6bf8d0227ef487f0d8b0167d535f7692d08c",
+        "zero_labels": "93c56741fd8f3c1c3373c7864a5156134db9a2f18be78992e22ad6eb221aaf55",
+        "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
+        "outputs": "f92438a1a9428eed74790d8c9c25095fb8603a25dadfbad4aadfd1ecac04e6ca",
     },
     "topic32x10x8": {
-        "tables": "e6007f5cc74061883638de1ad069482d8d066706ea35025cdb9e417b03f87c32",
-        "zero_labels": "9b2c253bca92343bc633e7d911d099b29adf2c5886458e815966aa856145b40d",
-        "offset": "61afd41770d3e162fded5f42a1354b9d6e614a3e1e2b0c1f158fe59c971fda00",
-        "outputs": "1465313e91b0d3ae730202497b93be62ccf02847fb50d88e905c4bb60144a913",
+        "tables": "7dd088a9c2f2d31c56b3e21450279a6e8637b25fb9177a6d4b3ea68ca6b37547",
+        "zero_labels": "89b6c4d6995cdd3938fc11b561dde539e237f0ae4623b603b66696b699532c84",
+        "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
+        "outputs": "93a3b4e70beeb105a64eae7b39750b0f0a36178d34bf853c4da2f2a9de17257c",
     },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GARBLING_PINS))
-def test_garbling_bytes_match_the_per_byte_garbler(name):
+def test_garbling_bytes_are_pinned(name):
     circuit = {
         "spam32": lambda: SpamCircuit.build(32),
         "topic32x10x8": lambda: TopicCircuit.build(32, 10, 8),
     }[name]().circuit
     assert _garbling_digests(circuit, seed=b"symmetric-floor-pin") == GARBLING_PINS[name]
+
+
+def test_garbling_labels_are_one_sequential_shake_read():
+    """Offset, input wires, AND outputs — in that order, 16 bytes each, from one XOF."""
+    circuit = SpamCircuit.build(8).circuit
+    garbling = garble(circuit, seed=b"label-stream")
+    and_outputs = [gate.output for gate in circuit.gates if gate.kind.value == "and"]
+    wires = circuit.garbler_inputs + circuit.evaluator_inputs + and_outputs
+    stream = hashlib.shake_256(b"garble-labels" + b"label-stream").digest(
+        LABEL_BYTES * (1 + len(wires))
+    )
+    labels = [stream[at : at + LABEL_BYTES] for at in range(0, len(stream), LABEL_BYTES)]
+    assert garbling.free_xor_offset == labels[0][:-1] + bytes([labels[0][-1] | 1])
+    zero_labels = garbling.wire_zero_labels
+    assert [zero_labels[wire] for wire in wires] == labels[1:]
+    with pytest.raises(ParameterError):
+        garble(circuit, seed=b"")
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +136,21 @@ def _pooled_exchange(pool, count: int, message_bytes: int = 16):
 
 POOLED_PINS = {
     13: (
-        "bbaaefc1756e35ab4b56cdff99f1486592fa39cffe660bc3a59557954771e120",
-        "4e6ede5c341f2d920a2d2d8237a985abadd27c556431cdb40aafa0f201050da6",
+        "af8a5a487be0d6c6554d7179aa544c7a3a427c7771004dcf277bfd5e1a25bd3c",
+        "6be440b673c648321048470f78a6aa122d44ed52f8d4a62c4307f6e74ea002ef",
     ),
     64: (
-        "d19937c679b0a3bad0d886106b9798b11758f49c856d111578778cd60a69d72c",
-        "ed2a32212a99127b50feb2f2017419c24fb8434544935bb26aad8ecbfdc19da1",
+        "88cc4c0c357eaad8aa916a0ceba72c5a7bf487ddc4cf50b65a5b2ca7ef96e2c9",
+        "0dcd8ad2e104694361f042fc0538c5ee8a1b283c830a771dff9a2d8331da1e53",
     ),
     320: (
-        "7013c0301a2bae501038c3fd229ba72d15f9aa527297ff941c20d7e2e8f4dd95",
-        "920bb645e4604eecbec90491902fc5680c1c70f327d9494ee616fa98a336e689",
+        "f69fd9370d5c1c3010deb14390ffd656f507b067480e96c6af8125bc21465a3e",
+        "b467d274944040ae61116ab9960b62b5dea05d119b3ee56307e0a43ada4eb85a",
     ),
 }
 
 
-def test_pooled_iknp_frames_match_the_per_bit_transpose():
+def test_pooled_iknp_frames_are_pinned():
     pool, codec = _pinned_pool(), WireCodec()
     digests = {}
     for count in sorted(POOLED_PINS):  # one pool: start indices 0, 13, 77
@@ -139,6 +164,176 @@ def test_pooled_iknp_frames_match_the_per_bit_transpose():
 def test_pooled_iknp_handles_messages_longer_than_one_prf_block():
     *_, received, expected = _pooled_exchange(_pinned_pool(), 9, message_bytes=45)
     assert received == expected
+
+
+# -- the column streams, from their definition --------------------------------
+CHUNK = ot.CHUNK_TRANSFERS
+
+
+@lru_cache(maxsize=None)
+def _raw_columns(seeds: tuple[bytes, ...], domain: bytes, chunk: int) -> list[bytes]:
+    return [
+        hashlib.shake_256(seed + domain + chunk.to_bytes(8, "big")).digest(CHUNK // 8)
+        for seed in seeds
+    ]
+
+
+def _definition_row(seeds: tuple[bytes, ...], domain: bytes, index: int) -> bytes:
+    """Row *index*: bit ``index`` of every column's raw SHAKE-256 stream, one bit at a time."""
+    chunk, position = divmod(index, CHUNK)
+    row = bytearray(KAPPA // 8)
+    for j, column in enumerate(_raw_columns(seeds, domain, chunk)):
+        row[j // 8] |= ((column[position // 8] >> (position % 8)) & 1) << (j % 8)
+    return bytes(row)
+
+
+def _stream_seeds(tag: bytes) -> tuple[bytes, ...]:
+    stream = Prg(tag, domain=b"pin-stream")
+    return tuple(stream.read(16) for _ in range(KAPPA))
+
+
+# (start, count): aligned, unaligned, ending on / straddling one chunk boundary, and —
+# at 2 500 transfers — two or three of them.
+STREAM_REQUESTS = [
+    (0, 1), (0, 13), (0, 64), (0, 320), (0, 2500),
+    (5, 1), (77, 13), (999, 64), (CHUNK - 1, 1), (CHUNK - 1, 2), (CHUNK - 64, 64),
+    (CHUNK - 7, 13), (1000, 320), (3 * CHUNK - 100, 320), (CHUNK + 3, 2500), (4090, 2500),
+]
+
+
+@pytest.mark.parametrize("start,count", STREAM_REQUESTS)
+def test_column_stream_rows_equal_the_per_bit_definition(start, count):
+    seeds, domain = _stream_seeds(b"definition"), b"some-domain"
+    rows = ot.ColumnStream(list(seeds), domain).rows(start, count)
+    assert rows.shape == (count, KAPPA // 8) and rows.dtype == np.uint8
+    expected = b"".join(_definition_row(seeds, domain, start + i) for i in range(count))
+    assert rows.tobytes() == expected
+
+
+def test_column_stream_is_independent_of_request_order_and_keeps_two_chunks():
+    seeds = _stream_seeds(b"order")
+    in_order = ot.ColumnStream(list(seeds), b"d")
+    expected = {request: in_order.rows(*request).tobytes() for request in STREAM_REQUESTS}
+    shuffled = list(STREAM_REQUESTS) * 2
+    random.Random(5).shuffle(shuffled)
+    stream = ot.ColumnStream(list(seeds), b"d")
+    for request in shuffled:
+        assert stream.rows(*request).tobytes() == expected[request]
+        assert len(stream._chunks) <= ot.RESIDENT_CHUNKS == 2
+    # Another domain or another seed list is another matrix.
+    assert ot.ColumnStream(list(seeds), b"e").rows(0, 64).tobytes() != expected[(0, 64)]
+    assert ot.ColumnStream(list(seeds[::-1]), b"d").rows(0, 64).tobytes() != expected[(0, 64)]
+
+
+def test_column_streams_never_reach_a_pickle_a_snapshot_or_equality():
+    pool, twin = _pinned_pool(), _pinned_pool()
+    pickled, snapshot = pickle.dumps(pool), pool.snapshot().to_bytes()
+    for stream in (
+        pool.sender_state.stream, pool.receiver_state.stream0, pool.receiver_state.stream1
+    ):
+        stream.rows(CHUNK - 10, 64)
+        assert len(stream._chunks) == 2
+    assert pickle.dumps(pool) == pickled and pool.snapshot().to_bytes() == snapshot
+    assert pool == twin
+    # After a real exchange the cursors moved; a twin whose cursors were moved
+    # by hand (no stream ever built) still pickles and snapshots to the same bytes.
+    _pooled_exchange(pool, 64)
+    twin.receiver_state.allocate(64)
+    twin.sender_state.claim(0, 64)
+    assert pickle.dumps(pool) == pickle.dumps(twin)
+    assert pool.snapshot().to_bytes() == twin.snapshot().to_bytes() and pool == twin
+    copy = pickle.loads(pickle.dumps(pool))
+    assert copy == pool and "stream" not in vars(copy.sender_state)
+    assert _pooled_exchange(copy, 13)[0] == _pooled_exchange(pool, 13)[0]
+
+
+def test_pads_are_one_hash_of_label_row_and_bit():
+    """Both frames of a pooled batch, rebuilt from the definitions alone."""
+    pool, start, count = _pinned_pool(), 1000, 64  # straddles the first chunk boundary
+    pool.receiver_state.next_index = start
+    seeds0 = tuple(seed0 for seed0, _ in pool.receiver_state.seed_pairs)
+    seeds1 = tuple(seed1 for _, seed1 in pool.receiver_state.seed_pairs)
+    s_bits = pool.sender_state.s_bits
+    columns_frame, pairs_frame, received, expected = _pooled_exchange(pool, count)
+    assert received == expected and columns_frame.start_index == start
+    stream = Prg(b"symmetric-floor-batch" + count.to_bytes(4, "big"), domain=b"pin-batch")
+    choices = stream.read_bits(count)
+    pairs = [(stream.read(16), stream.read(16)) for _ in range(count)]
+    domain = b"iknp-pool-column"
+    s_row = bytes(
+        sum(bit << position for position, bit in enumerate(s_bits[at : at + 8]))
+        for at in range(0, KAPPA, 8)
+    )
+    for i in range(count):
+        t_row = _definition_row(seeds0, domain, start + i)
+        g_row = _definition_row(seeds1, domain, start + i)
+        u_row = xor_bytes(xor_bytes(t_row, g_row), bytes([0xFF * choices[i]]) * 16)
+        for j in range(KAPPA):  # U is published by column
+            assert (columns_frame.columns[j][i // 8] >> (i % 8)) & 1 == (u_row[j // 8] >> (j % 8)) & 1
+        label = b"iknp-pool-pad" + (start + i).to_bytes(8, "big")
+        # q_i = t_i XOR (r_i * s); message b is padded with H(label, q_i XOR b * s, b).
+        q_row = xor_bytes(t_row, s_row) if choices[i] else t_row
+        pad0 = hashlib.sha256(label + q_row + b"0").digest()[:16]
+        pad1 = hashlib.sha256(label + xor_bytes(q_row, s_row) + b"1").digest()[:16]
+        assert pairs_frame.pairs[i] == (xor_bytes(pad0, pairs[i][0]), xor_bytes(pad1, pairs[i][1]))
+
+
+def test_long_pads_continue_with_counter_blocks():
+    material = b"label" + bytes(16) + b"1"
+    blocks = [hashlib.sha256(material).digest()] + [
+        hashlib.sha256(material + counter.to_bytes(4, "big")).digest() for counter in (1, 2)
+    ]
+    for length in (1, 16, 32, 33, 64, 70):
+        assert ot._pad(material, length) == b"".join(blocks)[:length]
+
+
+def test_receiver_restored_across_a_chunk_boundary_rederives_its_rows():
+    pool, start = _pinned_pool(), CHUNK - 20
+    pool.receiver_state.next_index = start
+    stream = Prg(b"restore-batch", domain=b"pin-batch")
+    choices = stream.read_bits(64)
+    pairs = [(stream.read(16), stream.read(16)) for _ in range(64)]
+    receiver = ot.PooledIknpReceiverMachine(None, choices, pool.receiver_state)
+    (columns_frame,) = receiver.start()
+    # The process dies here: pool and machine come back from their snapshots,
+    # with no stream built yet and nothing re-reserved.
+    restored_pool = ot.OtExtensionPool.restore(
+        SessionState.from_bytes(pool.snapshot().to_bytes())
+    )
+    restored = ot.PooledIknpReceiverMachine.restore(
+        None, SessionState.from_bytes(receiver.snapshot().to_bytes()), restored_pool.receiver_state
+    )
+    assert restored_pool.receiver_state.next_index == start + 64
+    assert "stream0" not in vars(restored_pool.receiver_state)
+    sender = ot.PooledIknpSenderMachine(None, pairs, restored_pool.sender_state)
+    sender.start()
+    (pairs_frame,) = sender.handle(columns_frame)
+    for machine in (receiver, restored):
+        assert machine.handle(pairs_frame) == []
+        assert machine.result == [pair[choice] for pair, choice in zip(pairs, choices)]
+    assert (
+        restored_pool.receiver_state.stream0.rows(start, 64).tobytes()
+        == pool.receiver_state.stream0.rows(start, 64).tobytes()
+    )
+
+
+def test_a_pool_refuses_to_run_past_the_wire_index_range():
+    pool = _pinned_pool()
+    ceiling = ot.TRANSFER_INDEX_LIMIT
+    assert ceiling == 2**32
+    pool.receiver_state.next_index = ceiling - 10
+    assert pool.receiver_state.remaining == 10
+    receiver = ot.PooledIknpReceiverMachine(None, [1] * 64, pool.receiver_state)
+    with pytest.raises(OTError, match="run out"):
+        receiver.start()
+    assert pool.receiver_state.next_index == ceiling - 10  # nothing was reserved
+    with pytest.raises(OTError, match="last transfer index"):
+        pool.sender_state.claim(ceiling - 10, 64)
+    assert pool.sender_state.claimed == []
+    # The last ten indices are still good, and still fit the frame's u32.
+    *_, received, expected = _pooled_exchange(pool, 10)
+    assert received == expected
+    assert pool.receiver_state.remaining == 0 and pool.sender_state.claimed == [(ceiling - 10, 10)]
 
 
 def _one_shot_exchange(group, stream):
@@ -164,12 +359,12 @@ def _one_shot_exchange(group, stream):
 
 
 ONE_SHOT_PINS = (
-    "0ae93a3bb5f1c3eba28a3890162e8105b97878534f0b13a7f9d579f3f73a5f79",
-    "1951d1cbac2fd0b6b4b7d9f67b3eb61bcb9dc0db0aa4b9e126266a33cfae1f10",
+    "567627cf2a1a243c1445b0fe1bb8dead5b2035594edfe9b0cd3d5fa584565e11",
+    "d655f57f48e5cd48ba351da769ddf66a80e40eae6c7c9bb8c8e1af49100cab2a",
 )
 
 
-def test_one_shot_iknp_frames_match_the_per_bit_transpose(dh_group, monkeypatch):
+def test_one_shot_iknp_frames_are_pinned(dh_group, monkeypatch):
     stream = Prg(b"symmetric-floor-one-shot", domain=b"pin-one-shot")
     monkeypatch.setattr(ot, "secure_bytes", stream.read)
     assert _one_shot_exchange(dh_group, stream) == ONE_SHOT_PINS
@@ -261,11 +456,120 @@ def test_evaluate_refuses_a_short_table_row_and_a_missing_gate():
         evaluate(circuit, GarbledTables({}, tables.output_decode), garbler_labels, evaluator_labels)
 
 
-@pytest.mark.parametrize("length", [0, 1, 16, 32, 33, 100])
-def test_stretch_is_the_head_of_the_prg_stream(length):
-    assert stretch(b"seed", b"domain", length) == Prg(b"seed", domain=b"domain").read(length)
-    with pytest.raises(ParameterError):
-        stretch(b"", b"domain", length)
+# ---------------------------------------------------------------------------
+# A peer still on the previous derivations fails closed
+#
+# There is no negotiation layer: the gadgets and the column streams changed
+# without a wire-format change, so a mixed pair exchanges well-formed frames.
+# What must hold is that it ends in ``ProtocolAbort`` — never in a verdict.
+# The copies below are the previous build's derivations, kept here only.
+# ---------------------------------------------------------------------------
+class _TwoAndBuilder(CircuitBuilder):
+    """The two-ANDs-per-bit gadgets this build replaced."""
+
+    def subtract_words(self, a, b):
+        not_b = [self.not_(bit) for bit in b]
+        carry, result = None, []
+        for index, (bit_a, bit_nb) in enumerate(zip(a, not_b)):
+            axb = self.xor(bit_a, bit_nb)
+            if index == 0:
+                result.append(self.not_(axb))
+                carry = self.or_(self.and_(bit_a, bit_nb), axb)
+            else:
+                result.append(self.xor(axb, carry))
+                carry = self.xor(self.and_(bit_a, bit_nb), self.and_(carry, axb))
+        return result
+
+    def greater_than(self, a, b):
+        gt = None
+        for bit_a, bit_b in zip(a, b):
+            a_and_not_b = self.and_(bit_a, self.not_(bit_b))
+            if gt is None:
+                gt = a_and_not_b
+            else:
+                equal_here = self.not_(self.xor(bit_a, bit_b))
+                gt = self.xor(a_and_not_b, self.and_(equal_here, self.xor(gt, a_and_not_b)))
+        return gt
+
+
+def _previous_spam_circuit(width: int) -> Circuit:
+    builder = _TwoAndBuilder()
+    blinded_spam, blinded_ham = builder.garbler_input(width), builder.garbler_input(width)
+    noise_spam, noise_ham = builder.evaluator_input(width), builder.evaluator_input(width)
+    return builder.build(
+        [
+            builder.greater_than(
+                builder.subtract_words(blinded_spam, noise_spam),
+                builder.subtract_words(blinded_ham, noise_ham),
+            )
+        ]
+    )
+
+
+class _PerBatchHmacStream:
+    """The previous column derivation: an HMAC counter stream re-keyed per batch."""
+
+    def __init__(self, seeds):
+        self.seeds = seeds
+
+    def rows(self, start, count):
+        domain = b"iknp-pool-column" + start.to_bytes(8, "big")
+        columns = [Prg(seed, domain=domain).read((count + 7) // 8) for seed in self.seeds]
+        return np.frombuffer(
+            ot._transpose_columns(b"".join(columns), count), dtype=np.uint8
+        ).reshape(count, KAPPA // 8)
+
+
+def _run_spam_yao(garbler_circuit, evaluator_circuit, pool):
+    """Pump one pooled spam comparison by hand; returns the evaluator's output bits."""
+    shape = SpamCircuit.build(32)
+    garbler = YaoGarblerSession(
+        garbler_circuit, shape.garbler_bits(1500, 700), None, ot_pool=pool, garble_seed=b"m" * 32
+    )
+    evaluator = YaoEvaluatorSession(
+        evaluator_circuit, shape.evaluator_bits(200, 300), None, ot_pool=pool
+    )
+    to_evaluator, to_garbler = garbler.start(), evaluator.start()
+    while to_evaluator or to_garbler:
+        replies = [reply for frame in to_garbler for reply in garbler.handle(frame)]
+        to_garbler = [reply for frame in to_evaluator for reply in evaluator.handle(frame)]
+        to_evaluator = replies
+    assert garbler.finished and evaluator.finished
+    return evaluator.output_bits
+
+
+def test_the_previous_gadgets_compute_the_same_function_with_twice_the_gates():
+    current, previous = SpamCircuit.build(32).circuit, _previous_spam_circuit(32)
+    assert (current.and_count, previous.and_count) == (94, 191)
+    assert (current.garbler_inputs, current.evaluator_inputs) == (
+        previous.garbler_inputs, previous.evaluator_inputs
+    )
+    assert _run_spam_yao(current, current, _pinned_pool()) == [1]
+    assert _run_spam_yao(previous, previous, _pinned_pool()) == [1]
+
+
+@pytest.mark.parametrize("new_side", ["garbler", "evaluator"])
+def test_a_peer_on_the_previous_gadgets_aborts(new_side):
+    current, previous = SpamCircuit.build(32).circuit, _previous_spam_circuit(32)
+    circuits = (current, previous) if new_side == "garbler" else (previous, current)
+    with pytest.raises(ProtocolAbort):
+        _run_spam_yao(*circuits, _pinned_pool())
+
+
+@pytest.mark.parametrize("new_side", ["sender", "receiver"])
+def test_a_peer_on_the_previous_column_derivation_aborts(new_side):
+    pool = _pinned_pool()
+    if new_side == "sender":
+        state = pool.receiver_state
+        state.stream0 = _PerBatchHmacStream([seed0 for seed0, _ in state.seed_pairs])
+        state.stream1 = _PerBatchHmacStream([seed1 for _, seed1 in state.seed_pairs])
+    else:
+        pool.sender_state.stream = _PerBatchHmacStream(pool.sender_state.seed_keys)
+    circuit = SpamCircuit.build(32).circuit
+    # The OT hands the evaluator labels that are neither of a wire's two, so
+    # the output label authenticates to nothing.
+    with pytest.raises(ProtocolAbort, match="does not decode"):
+        _run_spam_yao(circuit, circuit, pool)
 
 
 @pytest.mark.parametrize("length", [1, 16, 32, 33, 70])
