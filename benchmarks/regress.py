@@ -18,9 +18,6 @@ stream classified over a clean pipe and over seeded fault cocktails (1% and
 :class:`repro.twopc.reliable.ReliableChannel` ack/retransmit layer in
 between, plus a raw (unreliable) control arm driven through the identical
 cocktails.
-``--suite micro`` measures the batched-fabrication scaling curves behind the
-PR 6 tentpole: decrypt-many ms-per-ciphertext at batch 1/8/32/128 and the
-§4.3 candidate extract-and-blind at B' ∈ {10, 20}.
 ``--suite latency`` measures end-to-end email latency SLOs: a seeded
 bursty/diurnal trace over heavy-tailed mailboxes is replayed against the
 windowed serving runtime under a virtual clock with a calibrated
@@ -34,10 +31,7 @@ first agent is **live-migrated to a fresh process mid-stream** with its
 decrypt windows open.
 The shard suite **hard-fails** if sharded throughput drops below the PR 2
 single-loop drive, the chaos suite hard-fails if any reliable
-run fails to complete or its verdict diverges from the clean run, the
-micro suite hard-fails if decrypt batching stops being superlinear (batch-32
-per-ciphertext cost must beat batch 1) or, at n = 1024, if candidate blinding
-loses its ≥2x margin over the PR 1 committed baseline, the latency
+run fails to complete or its verdict diverges from the clean run, the latency
 suite hard-fails unless the adaptive arm's p99 beats every static arm's,
 and the fabric suite hard-fails if the migration loses, duplicates or
 re-executes any email (verdicts must equal the uninterrupted in-box run's,
@@ -55,9 +49,8 @@ Usage::
     PYTHONPATH=src python benchmarks/regress.py --suite runtime --ring-degree 256 --repeat 3
     PYTHONPATH=src python benchmarks/regress.py --suite shard
     PYTHONPATH=src python benchmarks/regress.py --suite chaos
-    PYTHONPATH=src python benchmarks/regress.py --suite micro
     PYTHONPATH=src python benchmarks/regress.py --suite fabric
-    PYTHONPATH=src python benchmarks/regress.py --suite micro --output BENCH_smoke.json
+    PYTHONPATH=src python benchmarks/regress.py --suite chaos --output BENCH_smoke.json
 
 The JSON schema is flat on purpose: ``{"meta": {...}, "results": {name: ...}}``.
 Compare two files with any JSON diff tool; lower is better for ``*_ms`` rows,
@@ -88,16 +81,13 @@ from repro.core.runtime import (
 )
 from repro.crypto.bv import BVParameters, BVScheme
 from repro.crypto.dh import generate_group
-from repro.crypto.packing import PackedLinearModel
 from repro.fabric import launch_fabric, metrics_projection, spawn_local_agent
 from repro.obs import get_registry, get_tracer, scoped_telemetry
 from repro.obs.export import write_artifacts
-from repro.twopc.blinding import blind_extracted_candidates
 from repro.twopc.spam import SpamFilterProtocol
 
 SPAM_FEATURE_ROWS = 500
 EMAIL_FEATURES = 100
-TOPIC_CATEGORIES = 64
 RUNTIME_SESSIONS = 8
 RUNTIME_DH_BITS = 256
 
@@ -106,15 +96,6 @@ SHARD_MAILBOXES = 4
 SHARD_WAVES = 4
 SHARD_EMAILS_PER_WAVE = 8  # 2 per mailbox per wave; 32 emails per stream
 SHARD_WINDOW_BURSTS = 2
-
-
-def _median_ms(function, repeat: int) -> float:
-    samples = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        function()
-        samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
 
 
 def run_runtime(ring_degree: int, repeat: int) -> dict:
@@ -652,121 +633,6 @@ def run_chaos(ring_degree: int, repeat: int) -> dict:
     return results
 
 
-MICRO_DECRYPT_BATCHES = (1, 8, 32, 128)
-MICRO_CANDIDATE_COUNTS = (10, 20)
-# PR 1's measured topic_candidate_blinding_ms (B' = 10, n = 1024, the retired
-# hotpath suite's row).  The micro suite's blinding gate is pinned against it.
-MICRO_BLINDING_BASELINE_N1024_MS = 17.9272
-MICRO_BLINDING_REQUIRED_SPEEDUP = 2.0
-
-
-def run_micro(ring_degree: int, repeat: int) -> dict:
-    """Batched-fabrication scaling curves with hard-fail regression gates.
-
-    Two curves, two gates:
-
-    * **decrypt-many scaling** — one stacked decrypt at batch sizes
-      ``MICRO_DECRYPT_BATCHES``, reported as *ms per ciphertext*.  With the
-      Garner int64 CRT the per-ciphertext cost must fall as the batch grows
-      (superlinear batching); the suite hard-fails if the batch-32 per-
-      ciphertext cost is not strictly below batch 1.
-
-    * **candidate blinding** — Pretzel's §4.3 extract-and-blind over
-      B' ∈ ``MICRO_CANDIDATE_COUNTS`` candidates on a 64-topic model.
-      At the full-size ring the B' = 10 row is gated against the PR 1
-      baseline (``MICRO_BLINDING_BASELINE_N1024_MS``): the suite
-      hard-fails unless it is at least ``MICRO_BLINDING_REQUIRED_SPEEDUP``×
-      faster.
-
-    The suite also pins correctness inline: the batched blinding path must be
-    byte-identical to the per-candidate reference loop on a shared PRG stream
-    before any timing is trusted.
-    """
-    from repro.crypto.prg import Prg
-    from repro.twopc.blinding import blind_extracted_candidates_reference
-
-    parameters = BVParameters(ring_degree=ring_degree)
-    scheme = BVScheme(parameters)
-    keys = scheme.generate_keypair()
-    results: dict[str, float] = {}
-
-    # -- fabrication: one batched encryption vs the per-vector loop ---------
-    vectors = [[index + 1] for index in range(10)]
-    results["micro_encrypt_loop10_ms"] = _median_ms(
-        lambda: [scheme.encrypt_slots(keys.public, vector) for vector in vectors], repeat
-    )
-    results["micro_encrypt_many10_ms"] = _median_ms(
-        lambda: scheme.encrypt_slots_many(keys.public, vectors), repeat
-    )
-
-    # -- decrypt-many scaling curve -----------------------------------------
-    largest = max(MICRO_DECRYPT_BATCHES)
-    pool = scheme.encrypt_slots_many(
-        keys.public, [[index, index + 1] for index in range(largest)]
-    )
-    per_ciphertext: dict[int, float] = {}
-    for batch in MICRO_DECRYPT_BATCHES:
-        subset = pool[:batch]
-        total_ms = _median_ms(lambda: scheme.decrypt_slots_many(keys, subset), repeat)
-        per_ciphertext[batch] = total_ms / batch
-        results[f"micro_decrypt_batch{batch}_ms_per_ct"] = per_ciphertext[batch]
-    # Gate 1: batching must buy more than the Python-loop savings.
-    if per_ciphertext[32] >= per_ciphertext[1]:
-        raise AssertionError(
-            f"decrypt-many batching regressed: {per_ciphertext[32]:.4f} ms/ct at "
-            f"batch 32 >= {per_ciphertext[1]:.4f} ms/ct at batch 1"
-        )
-    results["micro_decrypt_batch32_scaling"] = per_ciphertext[1] / per_ciphertext[32]
-
-    # -- candidate blinding at B' ∈ {10, 20} --------------------------------
-    rng = np.random.default_rng(0)
-    topic_rows = rng.integers(0, 1000, size=(101, TOPIC_CATEGORIES)).tolist()
-    topic_model = PackedLinearModel.encrypt(scheme, keys.public, topic_rows, across_rows=True)
-    topic_sparse = [(int(row), 1) for row in rng.choice(100, size=30, replace=False)]
-    topic_dot = topic_model.dot_products(topic_sparse)
-    # Correctness pin before timing: batched path byte-identical to the
-    # per-candidate reference loop on one shared PRG stream.
-    candidates = list(range(MICRO_CANDIDATE_COUNTS[0]))
-    seed = bytes(range(32))
-    batched = blind_extracted_candidates(
-        scheme, keys.public, topic_model, topic_dot, candidates, dot_bits=20,
-        prg=Prg(seed, domain=b"micro-blind"),
-    )
-    reference = blind_extracted_candidates_reference(
-        scheme, keys.public, topic_model, topic_dot, candidates, dot_bits=20,
-        prg=Prg(seed, domain=b"micro-blind"),
-    )
-    if batched.output_noise != reference.output_noise or any(
-        scheme.serialize_ciphertext(b) != scheme.serialize_ciphertext(r)
-        for b, r in zip(batched.ciphertexts, reference.ciphertexts)
-    ):
-        raise AssertionError("vectorised blinding diverged from the reference loop")
-    for count in MICRO_CANDIDATE_COUNTS:
-        candidate_columns = list(range(count))
-        results[f"micro_candidate_blinding_b{count}_ms"] = _median_ms(
-            lambda: blind_extracted_candidates(
-                scheme, keys.public, topic_model, topic_dot,
-                candidate_columns=candidate_columns, dot_bits=20,
-            ),
-            repeat,
-        )
-    # Gate 2 (full-size ring only — the baseline is an n=1024 number): the
-    # B' = 10 row must beat PR 1's committed 17.93 ms by at least 2x.
-    b10 = results[f"micro_candidate_blinding_b{MICRO_CANDIDATE_COUNTS[0]}_ms"]
-    if ring_degree == 1024:
-        speedup = MICRO_BLINDING_BASELINE_N1024_MS / b10
-        results["micro_blinding_speedup_vs_pr1"] = speedup
-        if speedup < MICRO_BLINDING_REQUIRED_SPEEDUP:
-            raise AssertionError(
-                f"candidate blinding regressed: {b10:.2f} ms is only "
-                f"{speedup:.2f}x the PR 1 baseline "
-                f"({MICRO_BLINDING_BASELINE_N1024_MS} ms); need "
-                f"{MICRO_BLINDING_REQUIRED_SPEEDUP}x"
-            )
-    results["micro_gates_checked"] = 2.0 if ring_degree == 1024 else 1.0
-    return results
-
-
 LATENCY_MAILBOXES = 120
 LATENCY_EVENTS_PER_REPEAT = 60
 LATENCY_MAX_EVENTS = 360
@@ -1004,13 +870,12 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=9, help="samples per op (median reported)")
     parser.add_argument(
         "--suite",
-        choices=("runtime", "shard", "chaos", "micro", "latency", "fabric"),
+        choices=("runtime", "shard", "chaos", "latency", "fabric"),
         required=True,
         help=(
             "runtime = serving-loop throughput; "
             "shard = sharded serving stack vs the single-loop drive; "
             "chaos = goodput under seeded fault cocktails, reliable vs raw; "
-            "micro = batched-fabrication scaling curves (decrypt-many, blinding); "
             "latency = p50/p95/p99 email latency on a bursty trace, static vs adaptive windows; "
             "fabric = localhost-TCP shard fabric vs in-box sharded, with a live mid-stream migration"
         ),
@@ -1030,8 +895,6 @@ def main() -> None:
         results = run_runtime(args.ring_degree, args.repeat)
     elif args.suite == "chaos":
         results = run_chaos(args.ring_degree, args.repeat)
-    elif args.suite == "micro":
-        results = run_micro(args.ring_degree, args.repeat)
     elif args.suite == "latency":
         results = run_latency(args.ring_degree, args.repeat)
     elif args.suite == "fabric":
@@ -1046,7 +909,6 @@ def main() -> None:
             "repeat": args.repeat,
             "spam_feature_rows": SPAM_FEATURE_ROWS,
             "email_features": EMAIL_FEATURES,
-            "topic_categories": TOPIC_CATEGORIES,
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),

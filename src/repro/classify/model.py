@@ -163,13 +163,23 @@ class QuantizedLinearModel:
         return max(0, min(count, (1 << self.frequency_bits) - 1))
 
     def sparse_features(self, features: SparseVector) -> list[tuple[int, int]]:
-        """Protocol-ready (row, frequency) pairs with out-of-vocabulary indices dropped."""
+        """Protocol-ready (row, frequency) pairs with out-of-vocabulary indices dropped.
+
+        More than ``max_features_per_email`` in-vocabulary features are
+        refused: ``dot_product_bits`` — the width of the Yao circuit — holds a
+        score only within that budget, and a wider one would wrap silently.
+        """
         pairs = []
         for index, count in features.items():
             if 0 <= index < self.num_features:
                 clipped = self.clip_frequency(count)
                 if clipped:
                     pairs.append((int(index), clipped))
+        if len(pairs) > self.max_features_per_email:
+            raise ClassifierError(
+                f"email has {len(pairs)} in-vocabulary features; the model's dot-product "
+                f"width budgets for at most {self.max_features_per_email}"
+            )
         return pairs
 
     def integer_scores(self, features: SparseVector) -> np.ndarray:

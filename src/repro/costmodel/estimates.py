@@ -5,7 +5,7 @@ client CPU, network, client storage — setup and per-email), these functions
 evaluate the formulas of Fig. 3 with the microbenchmark constants of Fig. 6.
 The benchmark harness uses them both to print the Fig. 3 table and to
 extrapolate the scaled-down measured runs to the paper's headline parameters
-(N = 5M features, B = 2048 topics) in EXPERIMENTS.md.
+(N = 5M features, B = 2048 topics).
 """
 
 from __future__ import annotations

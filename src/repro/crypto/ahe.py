@@ -119,7 +119,8 @@ class AHEScheme(ABC):
 
     @abstractmethod
     def decrypt_slots(self, keypair: AHEKeyPair, ciphertext: AHECiphertext) -> list[int]:
-        """Decrypt and return all :attr:`num_slots` slot values."""
+        """Decrypt and return the slot values of :meth:`ciphertext_run` (all of them,
+        unless *ciphertext* is a score sample)."""
 
     def decrypt_slots_many(
         self, keypair: AHEKeyPair, ciphertexts: Sequence[AHECiphertext]
@@ -151,23 +152,32 @@ class AHEScheme(ABC):
             raise ParameterError("add_many requires equal-length batches")
         return [self.add(left, right) for left, right in zip(lefts, rights)]
 
-    def extract_shift_many(
+    def blind_samples(
         self,
+        public_key: AHEPublicKey,
         ciphertexts: Sequence[AHECiphertext],
-        indices: Sequence[int],
+        sources: Sequence[int],
         shifts: Sequence[int],
+        runs: Sequence[tuple[int, int]],
+        noise: np.ndarray,
+        prg=None,
     ) -> list[AHECiphertext]:
-        """Gather ``ciphertexts[indices[k]]`` and shift each up by ``shifts[k]``.
+        """Blinded *score samples* — what a slot-shifting scheme sends the provider.
 
-        This is the candidate-extraction primitive of §4.3: the same source
-        ciphertext may be gathered many times with different shifts.  The
-        default is a per-candidate :meth:`shift_up` loop; slot-shifting array
-        schemes override it with one stacked gather and a batched
-        monomial-spectra multiply (bit-identical to the loop).
+        Sample ``k`` opens only the slot run ``runs[k] = (start, length)`` of
+        ``shift_up(ciphertexts[sources[k]], shifts[k])`` plus a fresh
+        encryption of *noise* (one value per run slot, flat, in sample order);
+        the other slots are neither computed nor sent.  This is the
+        candidate-extraction primitive of §4.3 and the blinding step of Fig. 2
+        in one call; schemes without slot shifts send whole ciphertexts.
+        *prg* (tests only) replaces the encryption randomness with a stream.
         """
-        if len(indices) != len(shifts):
-            raise ParameterError("extract_shift_many requires equal-length indices/shifts")
-        return [self.shift_up(ciphertexts[index], shift) for index, shift in zip(indices, shifts)]
+        raise ParameterError(f"{self.name} does not support slot shifts")
+
+    def ciphertext_run(self, ciphertext: AHECiphertext) -> tuple[int, int]:
+        """The ``(start, length)`` slot run *ciphertext* decrypts to: every slot,
+        unless it is a score sample (:meth:`blind_samples`)."""
+        return 0, self.num_slots
 
     # -- batched accumulation (optional fast path) -------------------------
     @property

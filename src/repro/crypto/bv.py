@@ -18,16 +18,38 @@ protocol (Fig. 5) use to realign and extract dot products.
 
 Performance model (the client hot path of Figs. 6–7): ciphertexts are kept
 resident in the **evaluation (NTT) domain**.  Key material is transformed
-once at key generation, encryption batches the four fresh samples through one
+once at key generation, encryption batches the fresh samples through one
 vectorised forward pass per prime and finishes with pointwise products, and
 every homomorphic operation — addition, scalar multiplication, slot shifts,
 and the batched dot-product accumulator behind
 :meth:`BVScheme.combine_stacked` — is pointwise on int64 arrays with lazy
-modular reduction.  Only decryption runs inverse transforms, followed by one
-vectorised CRT reconstruction.
+modular reduction.  Only the decryption of a *whole* ciphertext runs an
+inverse transform, followed by one vectorised CRT reconstruction.
+
+**Score samples (LWE sample extraction).**  ``Dec(c0, c1)[j] = c0[j] +
+(c1·s)[j]``: opening slot ``j`` takes all of ``c1`` but *one coefficient* of
+``c0``.  What a client sends the provider to open is therefore not a
+ciphertext but a :class:`BVSamplePayload` — ``c1``'s spectra plus the ``c0``
+coefficients of the one contiguous slot run the protocol reads
+(:meth:`BVScheme.blind_samples`).  Coefficient ``j`` of an inverse transform
+is an inner product with ``n⁻¹`` times the spectrum of ``x^{-j} = -x^{n-j}``
+(:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`), so the client
+computes ``c0[j]`` without ever forming the polynomial — one forward
+transform over ``(u, t·e2)``, ``e1`` and the message at the run only — and
+the provider decrypts ``c0[j] + ⟨ĉ1, ŝ ⊙ row_j⟩`` per prime with no inverse
+transform and a CRT over the run alone.  The provider's view (``c1`` in full,
+the run of ``c0``) is a strict subset of the blinded whole ciphertext it
+replaces, with ``(u, e1, e2)`` fresh per sample, so no assumption is added;
+the slots that never leave need no noise.  Caches: per ring, the plan's
+monomial spectra (one ``(primes, n)`` row per distinct shift or opened slot,
+at most ``2n`` rows, shared by every scheme over the same primes); per scheme,
+two residue tables of ``3`` and ``2·noise_bound + 1`` columns; per key pair,
+nothing (``ŝ ⊙ row_j`` is ``n`` multiplications, recomputed per batch).
 
 Ciphertext size with the default parameters (n = 1024, two 31-bit RNS primes)
-is ~16 KB, matching the 16 KB XPIR-BV ciphertexts reported in §4.1.
+is ~16 KB, matching the 16 KB XPIR-BV ciphertexts reported in §4.1; a score
+sample of run length ``r`` is ``13 + 4·primes·(n + r)`` bytes — 8 213 for one
+extracted candidate.
 """
 
 from __future__ import annotations
@@ -96,6 +118,25 @@ class BVCiphertextPayload:
 
 
 @dataclass
+class BVSamplePayload:
+    """A *score sample*: all of ``c1`` and the ``c0`` coefficients of one slot run.
+
+    ``Dec(c0, c1)[j] = c0[j] + (c1·s)[j]``, so whoever opens only slots
+    ``start .. start + length - 1`` needs nothing else of ``c0`` (LWE sample
+    extraction).  ``c1`` is evaluation-domain, shape ``(primes, n)``; ``c0``
+    is coefficient-domain, shape ``(primes, length)``.
+    """
+
+    c1: np.ndarray
+    start: int
+    c0: np.ndarray
+
+    @property
+    def run(self) -> tuple[int, int]:
+        return self.start, self.c0.shape[-1]
+
+
+@dataclass
 class BVCiphertextStack:
     """A batch of ciphertexts as dense evaluation-domain int64 arrays.
 
@@ -123,6 +164,15 @@ class BVScheme(AHEScheme):
         self._plain_modulus = 1 << self.parameters.slot_bits
         # t reduced per prime, shaped for broadcasting against (primes, n).
         self._t_column = self.ring.reduce_scalar(self._plain_modulus)
+        # Residues of the few values fresh randomness takes, shape (primes, ·):
+        # ternary u in {-1, 0, 1} and t·e for e in [-bound, bound], indexed by
+        # the raw draw — a gather instead of `%` passes over whole polynomials.
+        bound = self.parameters.noise_bound
+        self._ternary_residues = np.arange(-1, 2) % self.ring.primes_column
+        self._scaled_noise_residues = (
+            self._t_column * (np.arange(-bound, bound + 1) % self.ring.primes_column)
+            % self.ring.primes_column
+        )
 
     # -- AHEScheme properties ------------------------------------------------
     @property
@@ -324,23 +374,45 @@ class BVScheme(AHEScheme):
         return (centered % t).tolist()
 
     def decrypt_slots(self, keypair: AHEKeyPair, ciphertext: AHECiphertext) -> list[int]:
-        secret: BVSecret = keypair.secret.payload
-        payload: BVCiphertextPayload = ciphertext.payload
-        primes_column = self.ring.primes_column
-        phase = (payload.c0.spectra + payload.c1.spectra * secret.s.spectra % primes_column) % primes_column
-        return self._phase_slots(self.ring.inverse_transform(phase))
+        """All ``n`` slots of a full ciphertext; the run's values of a score sample."""
+        return self.decrypt_slots_many(keypair, [ciphertext])[0]
 
     def decrypt_slots_many(
         self, keypair: AHEKeyPair, ciphertexts: Sequence[AHECiphertext]
     ) -> list[list[int]]:
-        """Decrypt a batch in one vectorised pass (provider hot path, Figs. 7/10)."""
-        if not ciphertexts:
-            return []
+        """Decrypt a batch in one vectorised pass (provider hot path, Figs. 7/10).
+
+        Score samples of one run decrypt together as
+        ``c0[j] + (c1·s)[j]`` — inner products, no inverse transform and a CRT
+        over the run only — and yield the run's values; full ciphertexts
+        yield all ``n`` slots.
+        """
         secret: BVSecret = keypair.secret.payload
-        stack = self.stack_ciphertexts(ciphertexts)
-        primes_column = self.ring.primes_column
-        phases = (stack.c0 + stack.c1 * secret.s.spectra % primes_column) % primes_column
-        return self._phase_slots(self.ring.inverse_transform(phases))
+        ring = self.ring
+        primes_column = ring.primes_column
+        # One vectorised pass per payload form: None = full, else the run.
+        forms: dict[tuple[int, int] | None, list[int]] = {}
+        for position, ciphertext in enumerate(ciphertexts):
+            payload = ciphertext.payload
+            run = payload.run if isinstance(payload, BVSamplePayload) else None
+            forms.setdefault(run, []).append(position)
+        slot_lists: list[list[int]] = [[]] * len(ciphertexts)
+        for run, positions in forms.items():
+            members = [ciphertexts[position] for position in positions]
+            if run is None:
+                stack = self.stack_ciphertexts(members)
+                phases = ring.inverse_transform(
+                    (stack.c0 + stack.c1 * secret.s.spectra % primes_column) % primes_column
+                )
+            else:
+                c0 = np.stack([member.payload.c0 for member in members])
+                c1 = np.stack([member.payload.c1 for member in members])
+                phases = (
+                    c0 + ring.coefficient_run(c1, *run, weight=secret.s.spectra)
+                ) % primes_column
+            for position, slots in zip(positions, self._phase_slots(phases)):
+                slot_lists[position] = slots
+        return slot_lists
 
     # -- homomorphic operations ----------------------------------------------------
     def add(self, left: AHECiphertext, right: AHECiphertext) -> AHECiphertext:
@@ -374,33 +446,99 @@ class BVScheme(AHEScheme):
         c1 = (left_stack.c1 + right_stack.c1) % primes_column
         return [self._wrap_spectra(c0[b], c1[b]) for b in range(len(lefts))]
 
-    def extract_shift_many(
+    def blind_samples(
         self,
+        public_key: AHEPublicKey,
         ciphertexts: Sequence[AHECiphertext],
-        indices: Sequence[int],
+        sources: Sequence[int],
         shifts: Sequence[int],
+        runs: Sequence[tuple[int, int]],
+        noise: np.ndarray,
+        prg: Prg | None = None,
     ) -> list[AHECiphertext]:
-        """Gather + shift a whole candidate batch in one spectrum-domain pass.
+        """Sample ``k`` = slots ``runs[k]`` of ``x^shifts[k] · ciphertexts[sources[k]] + Enc(noise)``.
 
-        The sources are stacked once, the gather is one fancy-index, and all
-        shifts apply as a single batched multiply against the plan's cached
-        monomial spectra — no per-candidate Python work beyond wrapping the
-        result rows.  Bit-identical to the base-class :meth:`shift_up` loop.
+        *noise* holds one slot value per run slot, flat, in sample order; it
+        is the message of a fresh encryption added to the shifted source, of
+        which only ``c1`` and the run of ``c0`` are ever computed:
+
+        * one forward transform over ``(u, t·e2)`` — ``2·len(sources)``
+          polynomials; ``e1`` and the message exist at the run only;
+        * ``c1 = x^shift·c1_src + p1·u + t·e2``, pointwise in the evaluation
+          domain;
+        * ``c0[j] = (x^shift·c0_src + p0·u)[j] + t·e1[j] + noise[j]`` for ``j``
+          in the run, each an inner product
+          (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
+
+        Randomness is one bulk read: per sample ``n`` bytes of ternary ``u``
+        then ``2n`` of ``e2``, for all samples, followed by two bytes of
+        ``e1`` per run slot in sample order.
         """
-        if len(indices) != len(shifts):
-            raise ParameterError("extract_shift_many requires equal-length indices/shifts")
-        if not indices:
+        count = len(sources)
+        if not count == len(shifts) == len(runs):
+            raise ParameterError("blind_samples requires equal-length sources/shifts/runs")
+        if not count:
             return []
-        for shift in shifts:
-            if shift < 0:
-                raise ParameterError("shift amount must be non-negative")
-        stack = self.stack_ciphertexts(ciphertexts)
-        idx = np.asarray(indices, dtype=np.intp)
-        mono = self.ring.monomial_spectra_many(list(shifts))
-        primes_column = self.ring.primes_column
-        c0 = stack.c0[idx] * mono % primes_column
-        c1 = stack.c1[idx] * mono % primes_column
-        return [self._wrap_spectra(c0[b], c1[b]) for b in range(len(indices))]
+        public: BVPublic = public_key.payload
+        ring = self.ring
+        n = ring.n
+        primes_column = ring.primes_column
+        if min(shifts) < 0:
+            raise ParameterError("shift amount must be non-negative")
+        for start, length in runs:
+            if not 0 <= start < start + length <= n:
+                raise ParameterError(f"slot run ({start}, {length}) outside [0, {n})")
+        ends = np.cumsum([length for _, length in runs])
+        noise = np.asarray(noise)
+        if noise.shape != (ends[-1],) or noise.dtype.kind not in "iu":
+            raise ParameterError("blinding noise must be one integer per run slot")
+        if int(noise.min()) < 0 or int(noise.max()) >= self.slot_modulus:
+            raise ParameterError(f"slot value outside [0, 2^{self.slot_bits})")
+        head = 3 * n * count
+        size = head + 2 * int(ends[-1])
+        raw = secure_bytes(size) if prg is None else prg.read(size)
+        block = np.frombuffer(raw, dtype=np.uint8, count=head).reshape(count, 3 * n)
+        spread = np.uint16(2 * self.parameters.noise_bound + 1)
+        e2_raw = np.ascontiguousarray(block[:, n:]).view(">u2")
+        e1_raw = np.frombuffer(raw, dtype=">u2", offset=head)
+        # (primes, 2·count, n): u then t·e2, handed to the transform batch-major.
+        fresh = ring.forward_transform(
+            np.concatenate(
+                [
+                    self._ternary_residues[:, block[:, :n] % np.uint8(3)],
+                    self._scaled_noise_residues[:, e2_raw % spread],
+                ],
+                axis=1,
+            ).swapaxes(0, 1)
+        )
+        u_s, b_s = fresh[:count], fresh[count:]
+        mono = ring.monomial_spectra_many(list(shifts))
+        shifted = self.stack_ciphertexts([ciphertexts[source] for source in sources])
+        # Two products of residues plus a residue stay below 2^63: one `%` each.
+        c1 = (shifted.c1 * mono + public.p1.spectra * u_s + b_s) % primes_column
+        c0 = (shifted.c0 * mono + public.p0.spectra * u_s) % primes_column
+        # What is fresh at the run itself: t·e1 + noise, shape (primes, Σ length).
+        at_run = self._scaled_noise_residues[:, e1_raw % spread] + noise
+        samples: list[AHECiphertext | None] = [None] * count
+        by_run: dict[tuple[int, int], list[int]] = {}
+        for position, run in enumerate(runs):
+            by_run.setdefault(tuple(run), []).append(position)
+        for (start, length), positions in by_run.items():
+            coefficients = ring.coefficient_run(c0[positions], start, length)
+            for row, position in zip(coefficients, positions):
+                end = ends[position]
+                run_c0 = (row + at_run[:, end - length : end]) % primes_column
+                payload = BVSamplePayload(c1=c1[position], start=start, c0=run_c0)
+                samples[position] = AHECiphertext(
+                    self.name, payload, self.sample_size_bytes(length)
+                )
+        return samples
+
+    def ciphertext_run(self, ciphertext: AHECiphertext) -> tuple[int, int]:
+        payload = ciphertext.payload
+        if isinstance(payload, BVSamplePayload):
+            return payload.run
+        return 0, self.ring.n
 
     def shift_up(self, ciphertext: AHECiphertext, positions: int) -> AHECiphertext:
         """Move slot ``i`` to slot ``i + positions`` via multiplication by ``x^positions``.
@@ -521,6 +659,9 @@ class BVScheme(AHEScheme):
 
     # -- wire codec ---------------------------------------------------------------------
     _WIRE_HEADER = ">IB"  # ring degree (u32), RNS prime count (u8)
+    # A score sample sets the top bit of the prime-count byte and names its run.
+    _SAMPLE_FLAG = 0x80
+    _SAMPLE_HEADER = ">IBII"  # ring degree, flag | prime count, run start, run length
 
     def serialize_ciphertext(self, ciphertext: AHECiphertext) -> bytes:
         """Exact wire bytes: header + the (c0, c1) evaluation-domain residues.
@@ -530,10 +671,22 @@ class BVScheme(AHEScheme):
         spectra *are* the canonical wire form — serialization never pays a
         transform.  Each residue is a u32 (< 2^31 prime), so the encoding is
         ``5 + 8·primes·n`` bytes and round-trips bit-identically.
+
+        A score sample is the second form: its header names the run, then
+        ``c1``'s spectra and the run's ``c0`` coefficients follow —
+        ``13 + 4·primes·(n + length)`` bytes.
         """
         if ciphertext.scheme_name != self.name:
             raise ParameterError(f"cannot serialize a {ciphertext.scheme_name!r} ciphertext")
-        payload: BVCiphertextPayload = ciphertext.payload
+        payload = ciphertext.payload
+        if isinstance(payload, BVSamplePayload):
+            header = struct.pack(
+                self._SAMPLE_HEADER,
+                self.ring.n,
+                self._SAMPLE_FLAG | len(self.ring.primes),
+                *payload.run,
+            )
+            return header + payload.c1.astype(">u4").tobytes() + payload.c0.astype(">u4").tobytes()
         header = struct.pack(self._WIRE_HEADER, self.ring.n, len(self.ring.primes))
         return (
             header
@@ -544,18 +697,17 @@ class BVScheme(AHEScheme):
     def deserialize_ciphertext(
         self, data: bytes, public_key: AHEPublicKey | None = None
     ) -> AHECiphertext:
+        header_size = struct.calcsize(self._WIRE_HEADER)
+        if len(data) >= header_size and data[header_size - 1] & self._SAMPLE_FLAG:
+            return self._deserialize_sample(data)
         if len(data) != self.ciphertext_size_bytes():
             raise WireFormatError(
                 f"BV ciphertext frame is {len(data)} bytes, expected "
                 f"{self.ciphertext_size_bytes()}"
             )
         n, num_primes = struct.unpack_from(self._WIRE_HEADER, data)
-        if n != self.ring.n or num_primes != len(self.ring.primes):
-            raise WireFormatError(
-                f"BV ciphertext parameters (n={n}, primes={num_primes}) do not match "
-                f"the scheme (n={self.ring.n}, primes={len(self.ring.primes)})"
-            )
-        body = np.frombuffer(data, dtype=">u4", offset=struct.calcsize(self._WIRE_HEADER))
+        self._check_wire_parameters(n, num_primes)
+        body = np.frombuffer(data, dtype=">u4", offset=header_size)
         halves = body.astype(np.int64).reshape(2, num_primes, n)
         if (halves >= self.ring.primes_column).any():
             raise WireFormatError("BV ciphertext residue exceeds its RNS prime")
@@ -565,10 +717,45 @@ class BVScheme(AHEScheme):
         )
         return AHECiphertext(self.name, payload, self.ciphertext_size_bytes())
 
+    def _deserialize_sample(self, data: bytes) -> AHECiphertext:
+        header_size = struct.calcsize(self._SAMPLE_HEADER)
+        if len(data) < header_size:
+            raise WireFormatError(f"BV score sample of {len(data)} bytes has no run header")
+        n, tagged, start, length = struct.unpack_from(self._SAMPLE_HEADER, data)
+        self._check_wire_parameters(n, tagged ^ self._SAMPLE_FLAG)
+        if not 0 <= start < start + length <= n:
+            raise WireFormatError(f"BV score sample run ({start}, {length}) outside [0, {n})")
+        if len(data) != self.sample_size_bytes(length):
+            raise WireFormatError(
+                f"BV score sample of run length {length} is {len(data)} bytes, "
+                f"expected {self.sample_size_bytes(length)}"
+            )
+        num_primes = len(self.ring.primes)
+        body = np.frombuffer(data, dtype=">u4", offset=header_size).astype(np.int64)
+        c1 = body[: num_primes * n].reshape(num_primes, n)
+        c0 = body[num_primes * n :].reshape(num_primes, length)
+        if (c1 >= self.ring.primes_column).any() or (c0 >= self.ring.primes_column).any():
+            raise WireFormatError("BV score sample residue exceeds its RNS prime")
+        payload = BVSamplePayload(c1=c1, start=start, c0=c0)
+        return AHECiphertext(self.name, payload, len(data))
+
+    def _check_wire_parameters(self, n: int, num_primes: int) -> None:
+        if n != self.ring.n or num_primes != len(self.ring.primes):
+            raise WireFormatError(
+                f"BV ciphertext parameters (n={n}, primes={num_primes}) do not match "
+                f"the scheme (n={self.ring.n}, primes={len(self.ring.primes)})"
+            )
+
     # -- sizes -------------------------------------------------------------------------
     def ciphertext_size_bytes(self) -> int:
         """Exact serialized size: the wire-codec header plus 2·primes·n u32 residues."""
         return struct.calcsize(self._WIRE_HEADER) + 8 * len(self.ring.primes) * self.ring.n
+
+    def sample_size_bytes(self, length: int) -> int:
+        """Exact serialized size of a score sample whose run is *length* slots."""
+        return struct.calcsize(self._SAMPLE_HEADER) + 4 * len(self.ring.primes) * (
+            self.ring.n + length
+        )
 
     # -- misc ---------------------------------------------------------------------------
     def encrypt_zero(self, public_key: AHEPublicKey) -> AHECiphertext:

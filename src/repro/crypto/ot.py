@@ -59,10 +59,11 @@ oblivious transfer per input bit.
   replay protection the extension needs.
 
   *The ceiling.*  The index travels as the frame's ``u32 start_index``, so a
-  pool serves :data:`TRANSFER_INDEX_LIMIT` transfers (13 M topic emails at
-  B' = 10).  ``allocate`` and ``claim`` refuse a batch that would cross it,
-  reserving nothing, and the serving layer replaces the pool with one fresh
-  handshake shortly before (``MailboxDirectory.pool_for_new_jobs``).
+  pool serves :data:`TRANSFER_INDEX_LIMIT` transfers (16 M topic emails at
+  B' = 10 and 27-bit scores).  ``allocate`` and ``claim`` refuse a batch that
+  would cross it, reserving nothing, and the serving layer replaces the pool
+  with one fresh handshake shortly before
+  (``MailboxDirectory.pool_for_new_jobs``).
 
 Each party of each variant is an explicit frame-driven state machine
 (:class:`BaseOtSenderMachine`, :class:`IknpReceiverMachine`, ...): it reacts

@@ -79,6 +79,18 @@ class PackingLayout:
             return 0
         return (self.rows_per_leftover_ciphertext - 1) * self.leftover_columns
 
+    def result_runs(self) -> list[tuple[int, int]]:
+        """The ``(start, length)`` slot run that carries columns, per result ciphertext.
+
+        Full segments use every slot; the leftover result carries its columns
+        in the output region and garbage below it.  Order follows
+        :meth:`DotProductCiphertexts.all_ciphertexts`.
+        """
+        runs = [(0, self.slots_per_ciphertext)] * self.full_segments
+        if self.leftover_columns:
+            runs.append((self.leftover_output_offset, self.leftover_columns))
+        return runs
+
     def ciphertext_count(self) -> int:
         """Total ciphertexts needed to store the encrypted model."""
         count = self.full_segments * self.num_rows

@@ -26,6 +26,11 @@ from repro.crypto.prg import Prg
 from repro.exceptions import ParameterError
 from repro.utils.rand import secure_bytes
 
+# Slot runs up to this long are read as inner products with cached monomial
+# spectra.  Measured at n = 1024: one inverse transform costs a lone polynomial
+# what ~4 rows do (a batch of ten, ~12), and the protocols' short runs are 1 and 2.
+ROW_RUN_LIMIT = 4
+
 
 class RingContext:
     """Shared parameters for polynomials in ``Z_q[x]/(x^n + 1)`` with RNS modulus q."""
@@ -45,6 +50,12 @@ class RingContext:
         # prime-wise with a single vectorised `%`.
         self.primes_column = np.array(self.primes, dtype=np.int64)[:, None]
         self.primes_column.setflags(write=False)
+        if max(primes) * ring_degree >> 47:
+            raise ParameterError("ring too large for exact int64 inner products")
+        # n⁻¹ per prime, the scale of one inverse-transform coefficient.
+        self._degree_inverse = np.array(
+            [[invmod(ring_degree, prime)] for prime in primes], dtype=np.int64
+        )
         # Precompute CRT reconstruction coefficients: for residues r_i,
         # value = sum_i r_i * M_i * (M_i^{-1} mod p_i) mod q, where M_i = q / p_i.
         # (Used by the object-dtype reference path and pinned by tests.)
@@ -109,6 +120,41 @@ class RingContext:
     def monomial_spectra_many(self, exponents: list[int] | tuple[int, ...]) -> np.ndarray:
         """Stacked spectra for many shifts, shape ``(len(exponents), num_primes, n)``."""
         return self.plan.monomial_spectra_many(exponents)
+
+    def coefficient_run(
+        self, spectra: np.ndarray, start: int, length: int, weight: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Coefficients ``start .. start + length - 1`` of ``inverse_transform(spectra ⊙ weight)``.
+
+        Coefficient ``j`` of an inverse transform is ``n⁻¹ · Σ_k X[k]·ψ^{-j(2k+1)}``:
+        an inner product with ``n⁻¹`` times the spectrum of ``x^{-j}``
+        (``= -x^{n-j}``), which the plan's monomial table already caches.  A
+        short run is therefore ``length`` inner products and no transform; the
+        *weight* (one ``(num_primes, n)`` spectrum, e.g. a secret key) folds
+        into the rows, not into the batch.  A run longer than
+        :data:`ROW_RUN_LIMIT` slots costs more that way than one inverse
+        transform and a slice.  *spectra* must be canonical residues, shape
+        ``(..., num_primes, n)``; the result is ``(..., num_primes, length)``.
+
+        No product is reduced on the way: each row is split into 16-bit limbs,
+        so a partial sum is below ``n · 2^16 · max(prime) < 2^63`` (checked at
+        construction) and only the ``length`` sums see a ``%``.
+        """
+        if not 0 <= start < start + length <= self.n:
+            raise ParameterError(f"slot run ({start}, {length}) outside [0, {self.n})")
+        if length > ROW_RUN_LIMIT:
+            if weight is not None:
+                spectra = spectra * weight % self.primes_column
+            return self.inverse_transform(spectra)[..., start : start + length]
+        rows = self.monomial_spectra_many([-slot for slot in range(start, start + length)])
+        if weight is not None:
+            rows = rows * weight % self.primes_column
+        primes = self.primes_column[:, 0]
+        batch = spectra[..., None, :, :]
+        low = (batch * (rows & 0xFFFF)).sum(axis=-1) % primes
+        high = (batch * (rows >> 16)).sum(axis=-1) % primes
+        sums = (low + (high << 16)) % primes * self._degree_inverse[:, 0] % primes
+        return np.swapaxes(sums, -1, -2)
 
     def reduce_scalar(self, scalar: int) -> np.ndarray:
         """Reduce an integer modulo every prime; shape ``(num_primes, 1)``."""

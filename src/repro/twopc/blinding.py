@@ -1,51 +1,63 @@
 """Blinding of homomorphic dot-product results (Fig. 2 step 2, Fig. 5 step 3).
 
-Before the client returns any ciphertext to the provider it adds noise so the
+Before the client returns anything to the provider it adds noise so the
 decrypted values reveal nothing beyond what the subsequent Yao step is meant
-to output:
+to output.  What it returns depends on the scheme's slot arithmetic.
 
-* *output slots* (the ones carrying real dot products the protocol will
-  unblind inside Yao) get additive noise the client remembers;
-* every *other* slot — including the garbage slots produced by the across-row
-  shift-and-add — gets full-range noise the client forgets, so decryption of
-  those slots is statistically meaningless.
+**Slot-shifting schemes (XPIR-BV): score samples.**  In BV,
+``Dec(c0, c1)[j] = c0[j] + (c1·s)[j]``: to open slot ``j`` the provider needs
+all of ``c1`` but one coefficient of ``c0`` (LWE sample extraction).  So the
+client sends, per result, ``c1`` and the ``c0`` coefficients of the one
+contiguous slot *run* the protocol opens — the extraction slot of a candidate
+(run of 1), spam's adjacent spam/ham slots (run of 2), the output region of an
+undecomposed topic result — and never computes, blinds or sends the other
+``n - length`` coefficients
+(:meth:`~repro.crypto.ahe.AHEScheme.blind_samples`).  Slots are modular
+(coefficients mod ``t = 2^slot_bits``), so every run slot gets noise uniform
+over the whole slot — perfect hiding; the client remembers it for the output
+columns and the Yao circuit removes it with a subtraction mod
+``2^dot_bits``.  Security: the provider's view (``c1`` in full, the run of
+``c0``) is a strict subset of a fully blinded ciphertext's, ``(u, e1, e2)``
+stay fresh per sample and the run's noise stays uniform, so nothing new is
+assumed; the slots that used to need full-range noise no longer leave the
+client.  One coefficient of ``x^shift·c0 + p0·u`` is an inner product with a
+cached monomial spectrum
+(:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`), so blinding B'
+candidates is one forward transform over ``(u, t·e2)`` — 2B' polynomials —
+and no other transform.  Cached per ring: the monomial spectra (one
+``(primes, n)`` row per distinct shift or opened slot, at most ``2n``);
+nothing is cached per key pair.
 
-If the scheme's slot arithmetic is modular (XPIR-BV: slots are coefficients
-mod ``t = 2^slot_bits``), the output-slot noise is drawn uniformly over the
-whole slot, giving perfect hiding; the Yao circuit removes it with a
-subtraction mod ``2^slot_bits``.  For Paillier the slots are bit fields in one
-big integer and a full-range addition could carry into the neighbouring slot,
-so the noise is limited to ``slot_bits - 1`` bits (value + noise still fits in
-the slot), giving statistical hiding with the guard bits of Fig. 3's ``δ``.
+**Other schemes (Paillier): whole ciphertexts.**  Slots are bit fields in one
+big integer; every slot of every result ciphertext is blinded and the full
+ciphertext travels.  Output slots get noise limited to ``slot_bits - 1`` bits
+(value + noise still fits the slot: statistical hiding with the guard bits of
+Fig. 3's ``δ``), every other slot full-range noise the client forgets.
 
-Performance model (the client hot path behind ``topic_candidate_blinding_ms``):
-both entry points are *vectorised fabrication* — candidate extraction is one
-stacked gather plus a batched cached-monomial multiply
-(:meth:`~repro.crypto.ahe.AHEScheme.extract_shift_many`), all noise ciphertexts
-for a call are fabricated by one
-:meth:`~repro.crypto.ahe.AHEScheme.encrypt_slots_many` (for XPIR-BV: a single
-``(3B', primes, n)`` forward-NTT pass and one bulk randomness read), and the final
-blinding additions are one stacked
-:meth:`~repro.crypto.ahe.AHEScheme.add_many`.  Schemes without array
-ciphertexts (Paillier) run the same code through the base-class loop
-fallbacks.
+The provider half lives here too: :func:`score_runs` is what a provider
+expects of each result ciphertext, :func:`check_score_runs` refuses anything
+else before a decrypt is parked, and :func:`open_columns` reads columns off
+the decrypted runs.
 
-Randomness draw order is canonical and shared with the ``*_reference``
-per-candidate loops below, so the batched paths are pinned bit-identical to
-the loops under a seeded PRG:
+Randomness draw order is canonical (pinned under a seeded PRG in
+``tests/test_batched_fabrication.py``).  Score samples:
 
-1. every full-range slot-noise vector, in one ``secure_uniform_array`` call,
-   ordered by blinded-ciphertext position;
-2. every recorded output-slot noise, in one ``secure_uniform_array`` call, in
-   output order (this replaces the former per-output-slot ``secure_randbelow``
-   loop);
-3. the noise-ciphertext encryption randomness, consumed by the scheme in
-   per-ciphertext chunks (see :meth:`repro.crypto.bv.BVScheme.encrypt_slots`).
+1. the run noise, one ``secure_uniform_array(2^slot_bits, Σ length)`` call,
+   in sample order then slot order — the recorded noise of an output column
+   is its slot's draw;
+2. the encryption randomness, one read: per sample ``n`` bytes of ternary
+   ``u`` then ``2n`` bytes of ``e2``, for all samples, then two bytes of
+   ``e1`` per run slot in the order of step 1.
+
+Whole ciphertexts: full-range noise for every slot of every ciphertext (one
+call, by position), then the recorded output noises (one call, by ciphertext
+position then slot), then the scheme's own encryption randomness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,19 +65,6 @@ from repro.crypto.ahe import AHECiphertext, AHEPublicKey, AHEScheme
 from repro.crypto.packing import DotProductCiphertexts, PackedLinearModel
 from repro.exceptions import ProtocolError
 from repro.utils.rand import secure_uniform_array
-
-
-def _noise_bound(scheme: AHEScheme, dot_bits: int) -> int:
-    """Exclusive upper bound for output-slot blinding noise."""
-    if getattr(scheme, "supports_slot_shift", False):
-        # Modular slot arithmetic (XPIR-BV): uniform over the whole slot.
-        return scheme.slot_modulus
-    guard_bound = 1 << (scheme.slot_bits - 1)
-    if dot_bits >= scheme.slot_bits - 1:
-        raise ProtocolError(
-            "dot products leave no guard bits for blinding under this scheme"
-        )
-    return guard_bound
 
 
 @dataclass
@@ -80,60 +79,6 @@ class BlindedResult:
         return sum(ct.size_bytes for ct in self.ciphertexts)
 
 
-def _encrypt_noise_vectors(
-    scheme: AHEScheme,
-    public_key: AHEPublicKey,
-    noise_matrix: np.ndarray,
-    prg,
-) -> list[AHECiphertext]:
-    """Fabricate all noise ciphertexts for one blinding call in one batch."""
-    if prg is None:
-        return scheme.encrypt_slots_many(public_key, noise_matrix)
-    # Deterministic mode (bit-identity tests): only schemes whose batched
-    # encryption accepts a shared stream (XPIR-BV) can honour it.
-    return scheme.encrypt_slots_many(public_key, noise_matrix, prg=prg)
-
-
-def _dot_product_noise_plan(
-    scheme: AHEScheme,
-    model: PackedLinearModel,
-    num_ciphertexts: int,
-    output_columns: list[int],
-    dot_bits: int,
-    prg,
-) -> tuple[np.ndarray, dict[int, tuple[int, int, int]]]:
-    """Draw every noise value for :func:`blind_dot_products` (canonical order)."""
-    slot_map = model.column_slot_map()
-    for column in set(output_columns):
-        if column not in slot_map:
-            raise ProtocolError(f"column {column} is not part of the model")
-    bound = _noise_bound(scheme, dot_bits)
-    full_range = scheme.slot_modulus
-    num_slots = scheme.num_slots
-    # Group requested columns by the ciphertext that carries them.
-    per_ciphertext: dict[int, dict[int, int]] = {}
-    for column in output_columns:
-        ct_index, slot = slot_map[column]
-        per_ciphertext.setdefault(ct_index, {})[slot] = column
-    # Draw order 1: full-range noise for every slot of every ciphertext.
-    noise_matrix = secure_uniform_array(
-        full_range, num_ciphertexts * num_slots, prg
-    ).reshape(num_ciphertexts, num_slots)
-    # Draw order 2: all recorded output-slot noises in one vectorised call,
-    # ordered by ciphertext position then slot insertion order.
-    outputs = [
-        (ct_index, slot, column)
-        for ct_index in range(num_ciphertexts)
-        for slot, column in per_ciphertext.get(ct_index, {}).items()
-    ]
-    recorded = secure_uniform_array(bound, len(outputs), prg)
-    output_noise: dict[int, tuple[int, int, int]] = {}
-    for (ct_index, slot, column), noise in zip(outputs, recorded):
-        noise_matrix[ct_index, slot] = noise
-        output_noise[column] = (ct_index, slot, int(noise))
-    return noise_matrix, output_noise
-
-
 def blind_dot_products(
     scheme: AHEScheme,
     public_key: AHEPublicKey,
@@ -145,86 +90,35 @@ def blind_dot_products(
 ) -> BlindedResult:
     """Blind all result ciphertexts (spam filtering and B' = B topics).
 
-    Every slot of every result ciphertext receives noise; the noise added to
-    the slots carrying *output_columns* is recorded so the client can cancel
-    it inside Yao.  All noise ciphertexts are fabricated in one batched
-    encryption and added in one stacked pass.  *prg* (tests only) makes every
-    draw deterministic; see the module docstring for the draw order.
+    Everything that reaches the provider carries noise; the noise added to
+    the slots of *output_columns* is recorded so the client can cancel it
+    inside Yao.  A slot-shifting scheme sends one score sample per result
+    ciphertext, opened at :func:`score_runs`; any other scheme sends the
+    ciphertexts whole.  *prg* (tests only) makes every draw deterministic;
+    see the module docstring for the draw order.
     """
-    ciphertexts = result.all_ciphertexts()
-    noise_matrix, output_noise = _dot_product_noise_plan(
-        scheme, model, len(ciphertexts), output_columns, dot_bits, prg
-    )
-    noise_ciphertexts = _encrypt_noise_vectors(scheme, public_key, noise_matrix, prg)
-    blinded = scheme.add_many(ciphertexts, noise_ciphertexts)
-    return BlindedResult(ciphertexts=blinded, output_noise=output_noise)
-
-
-def blind_dot_products_reference(
-    scheme: AHEScheme,
-    public_key: AHEPublicKey,
-    model: PackedLinearModel,
-    result: DotProductCiphertexts,
-    output_columns: list[int],
-    dot_bits: int,
-    prg=None,
-) -> BlindedResult:
-    """Per-ciphertext loop reference for :func:`blind_dot_products`.
-
-    Same noise plan (identical draw order), but each noise ciphertext is
-    encrypted on its own and added with a scalar :meth:`add` — the correctness
-    pin the bit-identity tests compare the batched path against.
-    """
-    ciphertexts = result.all_ciphertexts()
-    noise_matrix, output_noise = _dot_product_noise_plan(
-        scheme, model, len(ciphertexts), output_columns, dot_bits, prg
-    )
-    blinded = []
-    for ciphertext, noise_row in zip(ciphertexts, noise_matrix):
-        noise_vector = [int(value) for value in noise_row]
-        if prg is None:
-            noise_ciphertext = scheme.encrypt_slots(public_key, noise_vector)
-        else:
-            noise_ciphertext = scheme.encrypt_slots(public_key, noise_vector, prg=prg)
-        blinded.append(scheme.add(ciphertext, noise_ciphertext))
-    return BlindedResult(ciphertexts=blinded, output_noise=output_noise)
-
-
-def _candidate_noise_plan(
-    scheme: AHEScheme,
-    model: PackedLinearModel,
-    candidate_columns: list[int],
-    dot_bits: int,
-    prg,
-) -> tuple[list[int], list[int], np.ndarray, dict[int, tuple[int, int, int]]]:
-    """Resolve candidate locations and draw every noise value (canonical order)."""
-    if not scheme.supports_slot_shift:
-        raise ProtocolError("candidate extraction requires a slot-shifting AHE scheme")
     slot_map = model.column_slot_map()
-    extraction_slot = scheme.num_slots - 1
-    indices: list[int] = []
-    shifts: list[int] = []
-    for column in candidate_columns:
+    for column in set(output_columns):
         if column not in slot_map:
-            raise ProtocolError(f"candidate column {column} is not part of the model")
+            raise ProtocolError(f"column {column} is not part of the model")
+    ciphertexts = result.all_ciphertexts()
+    if not scheme.supports_slot_shift:
+        return _blind_whole_ciphertexts(
+            scheme, public_key, ciphertexts, slot_map, output_columns, dot_bits, prg
+        )
+    runs = score_runs(scheme, model)
+    offsets = np.cumsum([0] + [length for _, length in runs])
+    noise = secure_uniform_array(scheme.slot_modulus, int(offsets[-1]), prg)
+    output_noise = {}
+    for column in output_columns:
         ct_index, slot = slot_map[column]
-        indices.append(ct_index)
-        shifts.append(extraction_slot - slot)
-    bound = _noise_bound(scheme, dot_bits)
-    full_range = scheme.slot_modulus
-    num_slots = scheme.num_slots
-    count = len(candidate_columns)
-    # Draw order 1: full-range noise for every slot of every candidate copy.
-    noise_matrix = secure_uniform_array(full_range, count * num_slots, prg).reshape(
-        count, num_slots
+        at = offsets[ct_index] + slot - runs[ct_index][0]
+        output_noise[column] = (ct_index, slot, int(noise[at]))
+    positions = range(len(ciphertexts))
+    samples = scheme.blind_samples(
+        public_key, ciphertexts, positions, [0] * len(ciphertexts), runs, noise, prg=prg
     )
-    # Draw order 2: all recorded extraction-slot noises in one call.
-    recorded = secure_uniform_array(bound, count, prg)
-    output_noise: dict[int, tuple[int, int, int]] = {}
-    for position, column in enumerate(candidate_columns):
-        noise_matrix[position, extraction_slot] = recorded[position]
-        output_noise[column] = (position, extraction_slot, int(recorded[position]))
-    return indices, shifts, noise_matrix, output_noise
+    return BlindedResult(ciphertexts=samples, output_noise=output_noise)
 
 
 def blind_extracted_candidates(
@@ -238,60 +132,121 @@ def blind_extracted_candidates(
 ) -> BlindedResult:
     """Pretzel's candidate extraction + blinding (Fig. 5 step 3, §4.3).
 
-    For each candidate topic the client copies the packed ciphertext holding
-    that topic's dot product, homomorphically shifts the value to the *top*
-    slot (the fixed extraction slot), and blinds: the extraction slot with
-    recorded noise, everything else with full-range noise.  The provider
-    therefore learns exactly B' blinded values and nothing about which
-    columns they came from.
-
-    The whole batch is three vectorised scheme calls: one stacked
-    gather-and-shift over the source ciphertexts, one batched fabrication of
-    all B' noise ciphertexts, and one stacked addition.
+    For each candidate topic the client homomorphically shifts that topic's
+    dot product to the *top* slot (the fixed extraction slot) and sends a
+    score sample opened at that one slot, blinded with recorded noise.  The
+    provider therefore learns exactly B' blinded values and nothing about
+    which columns they came from.
     """
-    ciphertexts = result.all_ciphertexts()
-    indices, shifts, noise_matrix, output_noise = _candidate_noise_plan(
-        scheme, model, candidate_columns, dot_bits, prg
+    if not scheme.supports_slot_shift:
+        raise ProtocolError("candidate extraction requires a slot-shifting AHE scheme")
+    slot_map = model.column_slot_map()
+    extraction_slot = scheme.num_slots - 1
+    sources: list[int] = []
+    shifts: list[int] = []
+    for column in candidate_columns:
+        if column not in slot_map:
+            raise ProtocolError(f"candidate column {column} is not part of the model")
+        ct_index, slot = slot_map[column]
+        sources.append(ct_index)
+        shifts.append(extraction_slot - slot)
+    noise = secure_uniform_array(scheme.slot_modulus, len(candidate_columns), prg)
+    samples = scheme.blind_samples(
+        public_key, result.all_ciphertexts(), sources, shifts,
+        [candidate_run(scheme)] * len(candidate_columns), noise, prg=prg,
     )
-    extracted = scheme.extract_shift_many(ciphertexts, indices, shifts)
-    noise_ciphertexts = _encrypt_noise_vectors(scheme, public_key, noise_matrix, prg)
-    blinded = scheme.add_many(extracted, noise_ciphertexts)
-    return BlindedResult(ciphertexts=blinded, output_noise=output_noise)
+    output_noise = {
+        column: (position, extraction_slot, int(noise[position]))
+        for position, column in enumerate(candidate_columns)
+    }
+    return BlindedResult(ciphertexts=samples, output_noise=output_noise)
 
 
-def blind_extracted_candidates_reference(
+def _blind_whole_ciphertexts(
     scheme: AHEScheme,
     public_key: AHEPublicKey,
-    model: PackedLinearModel,
-    result: DotProductCiphertexts,
-    candidate_columns: list[int],
+    ciphertexts: list[AHECiphertext],
+    slot_map: dict[int, tuple[int, int]],
+    output_columns: list[int],
     dot_bits: int,
-    prg=None,
+    prg,
 ) -> BlindedResult:
-    """Per-candidate loop reference for :func:`blind_extracted_candidates`.
+    """Blind every slot of every ciphertext (schemes whose slots are not modular).
 
-    Same noise plan (identical draw order), but every candidate runs the
-    scalar :meth:`shift_up` → :meth:`encrypt_slots` → :meth:`add` chain — the
-    correctness pin for the vectorised path.
+    *prg* reaches the noise draws only; Paillier's own encryption randomness
+    does not take a stream.
     """
-    ciphertexts = result.all_ciphertexts()
-    indices, shifts, noise_matrix, output_noise = _candidate_noise_plan(
-        scheme, model, candidate_columns, dot_bits, prg
+    if dot_bits >= scheme.slot_bits - 1:
+        raise ProtocolError(
+            "dot products leave no guard bits for blinding under this scheme"
+        )
+    num_slots = scheme.num_slots
+    # Group requested columns by the ciphertext that carries them.
+    per_ciphertext: dict[int, dict[int, int]] = {}
+    for column in output_columns:
+        ct_index, slot = slot_map[column]
+        per_ciphertext.setdefault(ct_index, {})[slot] = column
+    noise_matrix = secure_uniform_array(
+        scheme.slot_modulus, len(ciphertexts) * num_slots, prg
+    ).reshape(len(ciphertexts), num_slots)
+    outputs = [
+        (ct_index, slot, column)
+        for ct_index in range(len(ciphertexts))
+        for slot, column in per_ciphertext.get(ct_index, {}).items()
+    ]
+    recorded = secure_uniform_array(1 << (scheme.slot_bits - 1), len(outputs), prg)
+    output_noise: dict[int, tuple[int, int, int]] = {}
+    for (ct_index, slot, column), noise in zip(outputs, recorded):
+        noise_matrix[ct_index, slot] = noise
+        output_noise[column] = (ct_index, slot, int(noise))
+    noise_ciphertexts = scheme.encrypt_slots_many(public_key, noise_matrix)
+    return BlindedResult(
+        ciphertexts=scheme.add_many(ciphertexts, noise_ciphertexts), output_noise=output_noise
     )
-    blinded = []
-    for ct_index, shift, noise_row in zip(indices, shifts, noise_matrix):
-        extracted = ciphertexts[ct_index]
-        if shift:
-            extracted = scheme.shift_up(extracted, shift)
-        noise_vector = [int(value) for value in noise_row]
-        if prg is None:
-            noise_ciphertext = scheme.encrypt_slots(public_key, noise_vector)
-        else:
-            noise_ciphertext = scheme.encrypt_slots(public_key, noise_vector, prg=prg)
-        blinded.append(scheme.add(extracted, noise_ciphertext))
-    return BlindedResult(ciphertexts=blinded, output_noise=output_noise)
 
 
-def unblind_reference(blinded_value: int, noise: int, scheme: AHEScheme) -> int:
-    """Plaintext unblinding used by tests: ``(blinded - noise) mod 2^slot_bits``."""
-    return (blinded_value - noise) % scheme.slot_modulus
+# -- the provider's half -------------------------------------------------------
+def candidate_run(scheme: AHEScheme) -> tuple[int, int]:
+    """The run of an extracted candidate: the top slot alone."""
+    return scheme.num_slots - 1, 1
+
+
+def score_runs(scheme: AHEScheme, model: PackedLinearModel) -> list[tuple[int, int]]:
+    """The slot run each blinded result ciphertext opens, in result order."""
+    if scheme.supports_slot_shift:
+        return model.layout.result_runs()
+    return [(0, scheme.num_slots)] * model.result_ciphertext_count()
+
+
+def check_score_runs(
+    scheme: AHEScheme,
+    ciphertexts: Sequence[AHECiphertext],
+    runs: Sequence[tuple[int, int]],
+) -> None:
+    """Refuse blinded scores that are not opened exactly where the protocol reads."""
+    if len(ciphertexts) != len(runs):
+        raise ProtocolError(
+            f"expected {len(runs)} blinded score ciphertexts, got {len(ciphertexts)}"
+        )
+    for position, (ciphertext, run) in enumerate(zip(ciphertexts, runs)):
+        found = scheme.ciphertext_run(ciphertext)
+        if found != run:
+            raise ProtocolError(
+                f"blinded score {position} opens slot run {found}, the protocol reads {run}"
+            )
+
+
+def open_columns(
+    scheme: AHEScheme,
+    model: PackedLinearModel,
+    slot_lists: list[list[int]],
+    columns: Sequence[int],
+) -> list[int]:
+    """The blinded value of each of *columns*, read off the decrypted runs."""
+    runs = score_runs(scheme, model)
+    slot_map = model.column_slot_map()
+    values = []
+    for column in columns:
+        ct_index, slot = slot_map[column]
+        values.append(slot_lists[ct_index][slot - runs[ct_index][0]])
+    return values

@@ -208,8 +208,10 @@ class BufferedProviderSession(DecryptingSession):
         if self._is_request(frame):
             if not self._awaiting_request:
                 return self._unexpected(frame)
+            # A refused request raises here and leaves the session as it was.
+            frames = self._handle_request(frame)
             self._awaiting_request = False
-            return self._handle_request(frame)
+            return frames
         if self._inner is None:
             self._buffered.append(frame)
             return []
@@ -250,7 +252,7 @@ class BufferedProviderSession(DecryptingSession):
     # The whole park/buffer/replay skeleton snapshots here exactly once;
     # subclasses contribute their kind byte, the ciphertext-capable codec,
     # protocol-specific extras, and the inner-session rebuild.
-    STATE_VERSION = 1
+    STATE_VERSION = 2  # 2: pending BV blobs are score samples, the inner circuit narrower
 
     _state_kind: int | None = None  # subclasses set a SessionStateKind value
 

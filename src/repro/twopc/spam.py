@@ -26,11 +26,11 @@ The same classes implement the paper's Baseline (Paillier + legacy packing)
 and Pretzel (XPIR-BV + across-row packing) arms; the benchmark harness just
 instantiates them with different schemes.
 
-The client's blinding step runs on the batched fabrication path: every noise
-ciphertext for an email is produced by one
-:meth:`~repro.crypto.ahe.AHEScheme.encrypt_slots_many` call and added in one
-stacked pass (``twopc.blinding.blind_ms`` in the end-to-end budget), so this
-module only orchestrates frames — no per-ciphertext crypto loops live here.
+Under XPIR-BV the blinded scores travel as one *score sample* opened at the
+two adjacent spam/ham slots (:mod:`repro.twopc.blinding`), and the Yao
+comparison is sized to the dot product (``dot_product_bits``), not to the
+slot: ``(blinded - noise) mod 2^b`` needs only the low ``b`` bits of each
+input.  This module only orchestrates frames — no crypto loops live here.
 """
 
 from __future__ import annotations
@@ -47,7 +47,12 @@ from repro.crypto.ot import OtExtensionPool, initialize_ot_pool
 from repro.crypto.packing import PackedLinearModel
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import ProtocolError
-from repro.twopc.blinding import blind_dot_products
+from repro.twopc.blinding import (
+    blind_dot_products,
+    check_score_runs,
+    open_columns,
+    score_runs,
+)
 from repro.twopc.session import (
     BufferedProviderSession,
     DecryptionRequest,
@@ -66,7 +71,7 @@ from repro.twopc.wire import (
     WireCodec,
 )
 
-SESSION_STATE_VERSION = 1
+SESSION_STATE_VERSION = 2  # 2: the Yao circuit is dot_product_bits wide, not slot_bits
 
 SparseVector = Mapping[int, int]
 
@@ -137,7 +142,7 @@ class SpamClientSession(ProtocolSession):
         )
         _, _, spam_noise = blinded.output_noise[SPAM_COLUMN]
         _, _, ham_noise = blinded.output_noise[HAM_COLUMN]
-        circuit = SpamCircuit.build(protocol.scheme.slot_bits)
+        circuit = SpamCircuit.build(setup.quantized_model.dot_product_bits)
         self.yao_and_gates = circuit.circuit.and_count
         self._yao = YaoEvaluatorSession(
             circuit.circuit,
@@ -197,7 +202,7 @@ class SpamClientSession(ProtocolSession):
         session.is_spam = payload["is_spam"]
         session.yao_and_gates = int(payload["yao_and_gates"])
         if payload["yao"] is not None:
-            circuit = SpamCircuit.build(protocol.scheme.slot_bits)
+            circuit = SpamCircuit.build(setup.quantized_model.dot_product_bits)
             session._yao = YaoEvaluatorSession.restore(
                 SessionState.from_bytes(payload["yao"]),
                 circuit.circuit,
@@ -230,13 +235,12 @@ class SpamProviderSession(BufferedProviderSession):
         return isinstance(frame, BlindedScoresFrame)
 
     def _handle_request(self, frame: BlindedScoresFrame) -> list[Frame]:
-        expected = self.setup.encrypted_model.result_ciphertext_count()
-        if len(frame.ciphertexts) != expected:
-            raise ProtocolError(
-                f"expected {expected} blinded score ciphertexts, got {len(frame.ciphertexts)}"
-            )
+        scheme = self.protocol.scheme
+        check_score_runs(
+            scheme, frame.ciphertexts, score_runs(scheme, self.setup.encrypted_model)
+        )
         self._decryption_request = DecryptionRequest(
-            scheme=self.protocol.scheme,
+            scheme=scheme,
             keypair=self.setup.keypair,
             ciphertexts=list(frame.ciphertexts),
         )
@@ -245,12 +249,10 @@ class SpamProviderSession(BufferedProviderSession):
     def _build_inner_session(self, slot_lists: list[list[int]]) -> YaoGarblerSession:
         setup = self.setup
         protocol = self.protocol
-        slot_map = setup.encrypted_model.column_slot_map()
-        spam_ct, spam_slot = slot_map[SPAM_COLUMN]
-        ham_ct, ham_slot = slot_map[HAM_COLUMN]
-        blinded_spam = slot_lists[spam_ct][spam_slot]
-        blinded_ham = slot_lists[ham_ct][ham_slot]
-        circuit = SpamCircuit.build(protocol.scheme.slot_bits)
+        blinded_spam, blinded_ham = open_columns(
+            protocol.scheme, setup.encrypted_model, slot_lists, [SPAM_COLUMN, HAM_COLUMN]
+        )
+        circuit = SpamCircuit.build(setup.quantized_model.dot_product_bits)
         return YaoGarblerSession(
             circuit.circuit,
             circuit.garbler_bits(blinded_spam, blinded_ham),
@@ -273,7 +275,7 @@ class SpamProviderSession(BufferedProviderSession):
         return self.setup.keypair
 
     def _restore_inner(self, state: SessionState) -> YaoGarblerSession:
-        circuit = SpamCircuit.build(self.protocol.scheme.slot_bits)
+        circuit = SpamCircuit.build(self.setup.quantized_model.dot_product_bits)
         return YaoGarblerSession.restore(
             state, circuit.circuit, self.protocol.group, ot_pool=self.ot_pool
         )

@@ -28,12 +28,13 @@ type whose decrypt step is separable for cross-session batching, mirroring
 :mod:`repro.twopc.spam`.  The provider learns how many candidates there are
 from the frame itself (one ciphertext per candidate), never *which* ones.
 
-Step 2 is the client hot path (``topic_candidate_blinding_ms``): candidate
-extraction and blinding run entirely on the batched fabrication primitives —
-one stacked gather-and-shift (:meth:`~repro.crypto.ahe.AHEScheme.extract_shift_many`),
-one batched noise encryption (:meth:`~repro.crypto.ahe.AHEScheme.encrypt_slots_many`)
-and one stacked addition for all B' candidates, instead of a per-candidate
-shift/encrypt/add chain.
+Step 2 is the client hot path: each candidate travels as a *score sample*
+opened at the extraction slot alone (:mod:`repro.twopc.blinding` — half a
+ciphertext on the wire, one forward transform over 2B' polynomials to blind
+them all), and the provider refuses a frame whose samples open anything else,
+or more of them than the model has categories, before it parks a decrypt.
+The Yao argmax is sized to the dot product (``dot_product_bits``), not to the
+slot.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ from repro.crypto.ot import OtExtensionPool, initialize_ot_pool
 from repro.crypto.packing import PackedLinearModel
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import ProtocolError, SnapshotError
-from repro.twopc.blinding import blind_dot_products, blind_extracted_candidates
+from repro.twopc.blinding import (
+    blind_dot_products,
+    blind_extracted_candidates,
+    candidate_run,
+    check_score_runs,
+    open_columns,
+    score_runs,
+)
 from repro.twopc.session import (
     BufferedProviderSession,
     DecryptionRequest,
@@ -71,7 +79,7 @@ from repro.twopc.wire import (
     WireCodec,
 )
 
-SESSION_STATE_VERSION = 1
+SESSION_STATE_VERSION = 2  # 2: the Yao circuit is dot_product_bits wide, not slot_bits
 
 SparseVector = Mapping[int, int]
 
@@ -160,9 +168,7 @@ class TopicClientSession(ProtocolSession):
             scores_frame = BlindedScoresFrame(tuple(blinded.ciphertexts))
         noises = [blinded.output_noise[column][2] for column in self.candidates]
         circuit = TopicCircuit.build(
-            protocol.scheme.slot_bits,
-            len(self.candidates),
-            _topic_index_bits(model.num_categories),
+            dot_bits, len(self.candidates), _topic_index_bits(model.num_categories)
         )
         self.yao_and_gates = circuit.circuit.and_count
         self._yao = YaoGarblerSession(
@@ -225,7 +231,7 @@ class TopicClientSession(ProtocolSession):
         session.yao_and_gates = int(payload["yao_and_gates"])
         if payload["yao"] is not None:
             circuit = TopicCircuit.build(
-                protocol.scheme.slot_bits,
+                setup.quantized_model.dot_product_bits,
                 len(candidates),
                 _topic_index_bits(setup.quantized_model.num_categories),
             )
@@ -267,23 +273,28 @@ class TopicProviderSession(BufferedProviderSession):
         return isinstance(frame, (BlindedScoresFrame, ExtractedCandidatesFrame))
 
     def _handle_request(self, frame: Frame) -> list[Frame]:
-        self._decomposed = isinstance(frame, ExtractedCandidatesFrame)
-        if self._decomposed:
-            if not frame.ciphertexts:
-                raise ProtocolError("candidate extraction frame carries no ciphertexts")
-            if not self.protocol.scheme.supports_slot_shift:
+        scheme = self.protocol.scheme
+        decomposed = isinstance(frame, ExtractedCandidatesFrame)
+        if decomposed:
+            if not scheme.supports_slot_shift:
                 raise ProtocolError(
                     "decomposed candidate extraction needs a slot-shifting scheme (XPIR-BV)"
                 )
-        else:
-            expected = self.setup.encrypted_model.result_ciphertext_count()
-            if len(frame.ciphertexts) != expected:
+            # B' is the client's claim (a u16 on the wire) and sizes both the
+            # decrypt and the circuit this session builds: bound it first.
+            num_topics = self.setup.quantized_model.num_categories
+            if not 1 <= len(frame.ciphertexts) <= num_topics:
                 raise ProtocolError(
-                    f"expected {expected} blinded score ciphertexts, got "
-                    f"{len(frame.ciphertexts)}"
+                    f"candidate extraction frame carries {len(frame.ciphertexts)} "
+                    f"ciphertexts; the model has {num_topics} topics"
                 )
+            runs = [candidate_run(scheme)] * len(frame.ciphertexts)
+        else:
+            runs = score_runs(scheme, self.setup.encrypted_model)
+        check_score_runs(scheme, frame.ciphertexts, runs)
+        self._decomposed = decomposed
         self._decryption_request = DecryptionRequest(
-            scheme=self.protocol.scheme,
+            scheme=scheme,
             keypair=self.setup.keypair,
             ciphertexts=list(frame.ciphertexts),
         )
@@ -293,19 +304,18 @@ class TopicProviderSession(BufferedProviderSession):
         protocol = self.protocol
         num_topics = self.setup.quantized_model.num_categories
         if self._decomposed:
-            # One ciphertext per candidate; every score sits in the fixed
-            # extraction slot (the top slot), so B' = the frame's length.
-            extraction_slot = protocol.scheme.num_slots - 1
-            blinded_scores = [slots[extraction_slot] for slots in slot_lists]
+            # One sample per candidate, opened at the extraction slot alone,
+            # so B' = the frame's length.
+            blinded_scores = [slots[0] for slots in slot_lists]
         else:
             # B' = B: scores for all columns, located via the packing layout.
-            slot_map = self.setup.encrypted_model.column_slot_map()
-            blinded_scores = []
-            for column in range(num_topics):
-                ct_index, slot = slot_map[column]
-                blinded_scores.append(slot_lists[ct_index][slot])
+            blinded_scores = open_columns(
+                protocol.scheme, self.setup.encrypted_model, slot_lists, range(num_topics)
+            )
         circuit = TopicCircuit.build(
-            protocol.scheme.slot_bits, len(blinded_scores), _topic_index_bits(num_topics)
+            self.setup.quantized_model.dot_product_bits,
+            len(blinded_scores),
+            _topic_index_bits(num_topics),
         )
         self._inner_candidates = len(blinded_scores)
         return YaoEvaluatorSession(
@@ -349,7 +359,7 @@ class TopicProviderSession(BufferedProviderSession):
         if self._inner_candidates is None:
             raise SnapshotError("topic provider snapshot carries an inner session but no candidate count")
         circuit = TopicCircuit.build(
-            self.protocol.scheme.slot_bits,
+            self.setup.quantized_model.dot_product_bits,
             self._inner_candidates,
             _topic_index_bits(self.setup.quantized_model.num_categories),
         )

@@ -1,26 +1,34 @@
-"""Bit-identity pins for the batched ciphertext-fabrication paths.
+"""Pins for the batched ciphertext-fabrication paths and for score samples.
 
-Every vectorised fast path added for the fabrication hot spots — batched
-encryption, stacked addition, gather-and-shift candidate extraction, the
-vectorised blinding entry points and Garner CRT — promises *bit-identical*
-output to its scalar reference.  These tests hold each path to that promise
-under a shared seeded PRG, so any future "optimisation" that changes results
-(rather than just speed) fails loudly.
+Every vectorised fast path for the fabrication hot spots — batched
+encryption, stacked addition and Garner CRT — promises *bit-identical* output
+to its scalar reference, under a shared seeded PRG.
+
+Score samples (what an XPIR-BV client sends instead of a blinded ciphertext:
+``c1`` and one slot run of ``c0``) are held to the *full-ciphertext path as
+oracle*: the scalar ``shift_up → encrypt_slots → add → decrypt_slots → pick
+the slot`` chain, kept here and no longer in ``src/``.  A sample must decrypt
+to the oracle's slots, unblind to the plaintext scores, come out of the
+documented randomness draw order bit for bit, and cost the transforms the
+module docstrings say it costs.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.classify.model import LinearModel, QuantizedLinearModel
+from repro.crypto.bv import BVParameters, BVScheme
+from repro.crypto.ntt import NttPlan
 from repro.crypto.packing import PackedLinearModel
 from repro.crypto.prg import Prg
-from repro.crypto.ringlwe import RingContext, RingPolynomial
+from repro.crypto.ringlwe import ROW_RUN_LIMIT, RingContext, RingPolynomial
 from repro.exceptions import ParameterError
 from repro.twopc.blinding import (
+    BlindedResult,
     blind_dot_products,
-    blind_dot_products_reference,
     blind_extracted_candidates,
-    blind_extracted_candidates_reference,
+    score_runs,
 )
 from repro.utils.rand import secure_uniform_array, secure_uniform_ints
 
@@ -121,52 +129,6 @@ class TestBatchedHomomorphicOps:
         with pytest.raises(ParameterError):
             bv_scheme.add_many([ct], [])
 
-    def test_extract_shift_many_matches_shift_up_loop(self, bv_scheme, bv_keys):
-        rng = np.random.default_rng(22)
-        sources = bv_scheme.encrypt_slots_many(
-            bv_keys.public,
-            rng.integers(0, bv_scheme.slot_modulus, size=(3, bv_scheme.num_slots), dtype=np.uint64),
-        )
-        n = bv_scheme.num_slots
-        indices = [0, 2, 1, 0, 2, 2]
-        shifts = [0, 1, n - 1, n // 2, 5, n - 1]
-        batched = bv_scheme.extract_shift_many(sources, indices, shifts)
-        loop = [bv_scheme.shift_up(sources[i], s) for i, s in zip(indices, shifts)]
-        assert _wire(bv_scheme, batched) == _wire(bv_scheme, loop)
-        assert bv_scheme.extract_shift_many(sources, [], []) == []
-
-    def test_extract_shift_many_validates_arguments(self, bv_scheme, bv_keys):
-        ct = bv_scheme.encrypt_slots(bv_keys.public, [1])
-        with pytest.raises(ParameterError):
-            bv_scheme.extract_shift_many([ct], [0], [0, 1])
-        with pytest.raises(ParameterError):
-            bv_scheme.extract_shift_many([ct], [0], [-1])
-
-    @given(
-        slot=st.integers(min_value=0, max_value=255),
-        shift=st.integers(min_value=0, max_value=255),
-        value=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_batched_shift_slot_semantics(self, bv_scheme, bv_keys, slot, shift, value):
-        """Slot ``s`` lands at ``s + shift``; past-the-top wraps *negated* mod t.
-
-        ``x^n = -1`` in the negacyclic ring, so a value pushed past the last
-        slot reappears at the bottom as ``t - value`` — the wraparound the
-        across-row packing relies on callers treating as garbage.
-        """
-        n = bv_scheme.num_slots
-        vector = [0] * n
-        vector[slot] = value
-        source = bv_scheme.encrypt_slots(bv_keys.public, vector)
-        (shifted,) = bv_scheme.extract_shift_many([source], [0], [shift])
-        decrypted = bv_scheme.decrypt_slots(bv_keys, shifted)
-        target = slot + shift
-        if target < n:
-            assert decrypted[target] == value
-        else:
-            assert decrypted[target - n] == (-value) % bv_scheme.slot_modulus
-
     @given(exponents=st.lists(st.integers(min_value=0, max_value=2 * 256 - 1), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
     def test_monomial_spectra_many_matches_per_exponent(self, exponents):
@@ -175,6 +137,73 @@ class TestBatchedHomomorphicOps:
         assert stacked.shape == (len(exponents), len(ring.primes), ring.n)
         for row, exponent in enumerate(exponents):
             assert np.array_equal(stacked[row], ring.monomial_spectra(exponent))
+
+
+# ---------------------------------------------------------------------------
+# Score samples, with the full-ciphertext path as the oracle
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module", params=[256, 1024], ids=lambda n: f"n{n}")
+def ring_scheme(request, bv_scheme, bv_keys):
+    """``(scheme, key pair)`` at both ring degrees the protocols run at."""
+    if request.param == bv_scheme.num_slots:
+        return bv_scheme, bv_keys
+    scheme = BVScheme(BVParameters(ring_degree=request.param))
+    return scheme, scheme.generate_keypair()
+
+
+def _noise_vector(scheme, fixed: dict[int, int]) -> list[int]:
+    """Full-range noise in every slot, except the *fixed* slot values."""
+    vector = secure_uniform_array(scheme.slot_modulus, scheme.num_slots).tolist()
+    for slot, value in fixed.items():
+        vector[slot] = int(value)
+    return vector
+
+
+def oracle_slots(scheme, keypair, source, shift, run, noise) -> list[int]:
+    """What a sample's run must decrypt to, by the full-ciphertext path, scalar."""
+    start, length = run
+    shifted = scheme.shift_up(source, shift) if shift else source
+    fresh = scheme.encrypt_slots(
+        keypair.public, _noise_vector(scheme, dict(zip(range(start, start + length), noise)))
+    )
+    return scheme.decrypt_slots(keypair, scheme.add(shifted, fresh))[start : start + length]
+
+
+def blind_dot_products_reference(scheme, public_key, result, output_noise) -> BlindedResult:
+    """The replaced path, one ciphertext at a time: every slot of every result
+    ciphertext blinded and sent whole, the output slots with *output_noise*."""
+    blinded = []
+    for position, ciphertext in enumerate(result.all_ciphertexts()):
+        fixed = {slot: noise for at, slot, noise in output_noise.values() if at == position}
+        fresh = scheme.encrypt_slots(public_key, _noise_vector(scheme, fixed))
+        blinded.append(scheme.add(ciphertext, fresh))
+    return BlindedResult(ciphertexts=blinded, output_noise=dict(output_noise))
+
+
+def blind_extracted_candidates_reference(
+    scheme, public_key, model, result, candidate_columns, output_noise
+) -> BlindedResult:
+    """The replaced path per candidate: ``shift_up`` to the top slot, a whole
+    noise ciphertext (recorded noise on top, full-range below), ``add``."""
+    ciphertexts = result.all_ciphertexts()
+    slot_map = model.column_slot_map()
+    top = scheme.num_slots - 1
+    blinded = []
+    for column in candidate_columns:
+        ct_index, slot = slot_map[column]
+        extracted = ciphertexts[ct_index]
+        if top - slot:
+            extracted = scheme.shift_up(extracted, top - slot)
+        fresh = scheme.encrypt_slots(
+            public_key, _noise_vector(scheme, {top: output_noise[column][2]})
+        )
+        blinded.append(scheme.add(extracted, fresh))
+    return BlindedResult(ciphertexts=blinded, output_noise=dict(output_noise))
+
+
+def unblind_reference(blinded_value: int, noise: int, scheme) -> int:
+    """Plaintext unblinding: ``(blinded - noise) mod 2^slot_bits``."""
+    return (blinded_value - noise) % scheme.slot_modulus
 
 
 @pytest.fixture(scope="module")
@@ -186,43 +215,265 @@ def blinding_setup(bv_scheme, bv_keys):
     return model, result
 
 
-class TestBlindingBitIdentity:
-    def test_blind_dot_products_matches_reference(self, bv_scheme, bv_keys, blinding_setup):
-        model, result = blinding_setup
-        columns = [0, 3, 7, 11]
-        batched = blind_dot_products(
-            bv_scheme, bv_keys.public, model, result, columns, dot_bits=20,
-            prg=Prg(b"blind-dp", domain=b"pin"),
-        )
-        reference = blind_dot_products_reference(
-            bv_scheme, bv_keys.public, model, result, columns, dot_bits=20,
-            prg=Prg(b"blind-dp", domain=b"pin"),
-        )
-        assert batched.output_noise == reference.output_noise
-        assert _wire(bv_scheme, batched.ciphertexts) == _wire(bv_scheme, reference.ciphertexts)
+class TestScoreSamplesAgainstTheOracle:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_sample_decrypts_to_the_oracles_slots(self, ring_scheme, data):
+        """Any slot run of any shift — also past the negacyclic wrap, where the
+        value comes back negated — opens to what the whole ciphertext would."""
+        scheme, keys = ring_scheme
+        n, t = scheme.num_slots, scheme.slot_modulus
+        length = data.draw(st.sampled_from([1, 2, ROW_RUN_LIMIT, ROW_RUN_LIMIT + 1, 12]))
+        start = data.draw(st.integers(0, n - length))
+        shift = data.draw(st.sampled_from([0, 1, n // 2, n - 1]) | st.integers(0, n - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(0, t, size=n).tolist()
+        noise = rng.integers(0, t, size=length)
+        source = scheme.encrypt_slots(keys.public, values)
+        (sample,) = scheme.blind_samples(keys.public, [source], [0], [shift], [(start, length)], noise)
+        assert scheme.ciphertext_run(sample) == (start, length)
+        assert sample.size_bytes == len(scheme.serialize_ciphertext(sample))
+        opened = scheme.decrypt_slots(keys, sample)
+        assert opened == oracle_slots(scheme, keys, source, shift, (start, length), noise)
+        # ... and to the plaintext it stands for: slot j of x^shift · m is
+        # m[j - shift], negated when it wrapped past the top (x^n = -1).
+        expected = [
+            ((values[slot - shift] if slot >= shift else -values[slot - shift + n]) + int(extra)) % t
+            for slot, extra in zip(range(start, start + length), noise)
+        ]
+        assert opened == expected
 
-    def test_blind_extracted_candidates_matches_reference(self, bv_scheme, bv_keys, blinding_setup):
-        model, result = blinding_setup
-        columns = [1, 5, 5, 9, 0]  # repeated candidates gather the same source
-        batched = blind_extracted_candidates(
-            bv_scheme, bv_keys.public, model, result, columns, dot_bits=20,
-            prg=Prg(b"blind-cand", domain=b"pin"),
+    def test_samples_of_unequal_runs_blind_and_decrypt_in_one_call(self, ring_scheme):
+        scheme, keys = ring_scheme
+        n = scheme.num_slots
+        rng = np.random.default_rng(5)
+        sources = scheme.encrypt_slots_many(
+            keys.public, rng.integers(0, scheme.slot_modulus, size=(2, n), dtype=np.uint64)
+        )
+        picks = [(1, 0, (0, n)), (0, 3, (n - 1, 1)), (1, n - 2, (n - 2, 2)), (0, 3, (n - 1, 1))]
+        noise = rng.integers(0, scheme.slot_modulus, size=sum(run[1] for *_, run in picks))
+        samples = scheme.blind_samples(
+            keys.public, sources, *zip(*picks), noise
+        )
+        full = scheme.encrypt_slots(keys.public, [9, 8, 7])
+        opened = scheme.decrypt_slots_many(keys, samples[:2] + [full] + samples[2:])
+        assert opened.pop(2)[:3] == [9, 8, 7]
+        at = 0
+        for (source, shift, run), slots in zip(picks, opened):
+            assert slots == oracle_slots(
+                scheme, keys, sources[source], shift, run, noise[at : at + run[1]]
+            )
+            at += run[1]
+
+    def test_blind_samples_validates_arguments(self, bv_scheme, bv_keys):
+        source = bv_scheme.encrypt_slots(bv_keys.public, [1])
+        n = bv_scheme.num_slots
+        blind = lambda *arguments: bv_scheme.blind_samples(bv_keys.public, [source], *arguments)  # noqa: E731
+        assert blind([], [], [], np.zeros(0, dtype=np.int64)) == []
+        for sources, shifts, runs, noise in (
+            ([0], [0, 1], [(0, 1)], [1]),            # unequal lengths
+            ([0], [-1], [(0, 1)], [1]),              # negative shift
+            ([0], [0], [(0, 0)], []),                # empty run
+            ([0], [0], [(n - 1, 2)], [1, 2]),        # run past the top slot
+            ([0], [0], [(0, 2)], [1]),               # one noise value short
+            ([0], [0], [(0, 1)], [bv_scheme.slot_modulus]),
+            ([0], [0], [(0, 1)], [0.5]),
+        ):
+            with pytest.raises(ParameterError):
+                blind(sources, shifts, runs, np.asarray(noise))
+
+    @pytest.mark.parametrize("categories", [2, 12])
+    def test_unblinded_samples_equal_the_integer_scores(self, ring_scheme, categories):
+        """``(sample - recorded noise) mod 2^slot_bits`` is the plaintext score,
+        for spam's run of 2, an output region, and extracted candidates — and
+        it is what the replaced full-ciphertext path unblinds to."""
+        scheme, keys = ring_scheme
+        rng = np.random.default_rng(categories)
+        linear = LinearModel(
+            weights=rng.normal(size=(60, categories)),
+            biases=rng.normal(size=categories),
+            category_names=[f"c{index}" for index in range(categories)],
+        )
+        quantized = QuantizedLinearModel.from_linear_model(
+            linear, value_bits=10, frequency_bits=4, max_features_per_email=512
+        )
+        model = PackedLinearModel.encrypt(scheme, keys.public, quantized.matrix_rows())
+        features = {3: 2, 17: 15, 44: 1, 59: 7}
+        scores = quantized.integer_scores(features).tolist()
+        result = model.dot_products(quantized.sparse_features(features))
+        columns = list(range(categories))
+
+        blinded = blind_dot_products(scheme, keys.public, model, result, columns, dot_bits=24)
+        runs = score_runs(scheme, model)
+        assert [scheme.ciphertext_run(ct) for ct in blinded.ciphertexts] == runs
+        reference = blind_dot_products_reference(scheme, keys.public, result, blinded.output_noise)
+        for column in columns:
+            at, slot, noise = blinded.output_noise[column]
+            sample_slots = scheme.decrypt_slots(keys, blinded.ciphertexts[at])
+            whole_slots = scheme.decrypt_slots(keys, reference.ciphertexts[at])
+            assert sample_slots[slot - runs[at][0]] == whole_slots[slot]
+            assert unblind_reference(whole_slots[slot], noise, scheme) == scores[column]
+
+        candidates = columns[::-1][: max(2, categories // 2)]
+        extracted = blind_extracted_candidates(
+            scheme, keys.public, model, result, candidates, dot_bits=24
         )
         reference = blind_extracted_candidates_reference(
-            bv_scheme, bv_keys.public, model, result, columns, dot_bits=20,
-            prg=Prg(b"blind-cand", domain=b"pin"),
+            scheme, keys.public, model, result, candidates, extracted.output_noise
         )
-        assert batched.output_noise == reference.output_noise
-        assert _wire(bv_scheme, batched.ciphertexts) == _wire(bv_scheme, reference.ciphertexts)
+        top = scheme.num_slots - 1
+        for position, column in enumerate(candidates):
+            assert extracted.output_noise[column][:2] == (position, top)
+            (opened,) = scheme.decrypt_slots(keys, extracted.ciphertexts[position])
+            assert opened == scheme.decrypt_slots(keys, reference.ciphertexts[position])[top]
+            assert unblind_reference(opened, extracted.output_noise[column][2], scheme) == scores[column]
 
-    def test_reference_paths_still_unblind(self, bv_scheme, bv_keys, blinding_setup):
+    def test_a_repeated_candidate_is_extracted_once_per_mention(self, bv_scheme, bv_keys, blinding_setup):
         model, result = blinding_setup
-        blinded = blind_extracted_candidates_reference(
-            bv_scheme, bv_keys.public, model, result, [4], dot_bits=20
+        columns = [1, 5, 5, 9, 0]
+        blinded = blind_extracted_candidates(
+            bv_scheme, bv_keys.public, model, result, columns, dot_bits=20
         )
-        ct_index, slot, _ = blinded.output_noise[4]
-        assert slot == bv_scheme.num_slots - 1
-        assert len(blinded.ciphertexts) == 1
+        assert len(blinded.ciphertexts) == len(columns)
+        assert blinded.output_noise[5][0] == 2  # the record is the last mention's
+        assert blinded.network_bytes() == len(columns) * bv_scheme.sample_size_bytes(1)
+
+    @pytest.mark.parametrize("entry", ["dot_products", "candidates"])
+    def test_randomness_is_read_in_the_documented_order(
+        self, bv_scheme, bv_keys, blinding_setup, entry
+    ):
+        """Replay ``blinding.py``'s canonical draw order from one seeded stream and
+        rebuild every sample from the scheme's definition, whole polynomials and
+        all: ``c1`` and the run of ``c0`` must come out bit for bit."""
+        model, result = blinding_setup
+        scheme, ring = bv_scheme, bv_scheme.ring
+        n, t, bound = ring.n, scheme.slot_modulus, scheme.parameters.noise_bound
+        top = n - 1
+        if entry == "candidates":
+            columns = [1, 5, 9, 0]
+            blinded = blind_extracted_candidates(
+                scheme, bv_keys.public, model, result, columns, dot_bits=20,
+                prg=Prg(b"draw-order", domain=b"pin"),
+            )
+            slot_of = model.column_slot_map()
+            picks = [(slot_of[column][0], top - slot_of[column][1], (top, 1)) for column in columns]
+        else:
+            columns = [0, 3, 7, 11]
+            blinded = blind_dot_products(
+                scheme, bv_keys.public, model, result, columns, dot_bits=20,
+                prg=Prg(b"draw-order", domain=b"pin"),
+            )
+            picks = [(position, 0, run) for position, run in enumerate(score_runs(scheme, model))]
+        stream = Prg(b"draw-order", domain=b"pin")
+        lengths = [length for _source, _shift, (_start, length) in picks]
+        total = sum(lengths)
+        # Step 1: the run noise, one call; an output column's record is its slot's draw.
+        noise = secure_uniform_array(t, total, stream)
+        for column in columns:
+            at, slot, recorded = blinded.output_noise[column]
+            offset = sum(lengths[:at]) + slot - picks[at][2][0]
+            assert recorded == noise[offset]
+        # Step 2: per sample n bytes of u then 2n of e2, then two bytes of e1 per run slot.
+        fresh = [
+            (RingPolynomial.sample_ternary(ring, stream), RingPolynomial.sample_noise(ring, bound, stream))
+            for _ in picks
+        ]
+        e1 = (np.frombuffer(stream.read(2 * total), dtype=">u2") % (2 * bound + 1)).astype(np.int64) - bound
+        public = bv_keys.public.payload
+        sources = result.all_ciphertexts()
+        at = 0
+        for (source, shift, (start, length)), (u, e2), sample in zip(picks, fresh, blinded.ciphertexts):
+            payload = sources[source].payload
+            c1 = payload.c1.monomial_multiply(shift).add(public.p1.multiply(u)).add(e2.scalar_multiply(t))
+            assert np.array_equal(sample.payload.c1, c1.spectra)
+            c0 = payload.c0.monomial_multiply(shift).add(public.p0.multiply(u)).residues
+            at_run = t * e1[at : at + length] + noise[at : at + length]
+            assert np.array_equal(
+                sample.payload.c0, (c0[:, start : start + length] + at_run) % ring.primes_column
+            )
+            at += length
+
+    def test_transform_counts(self, bv_scheme, bv_keys, blinding_setup, monkeypatch):
+        """The two gates of the retired ``regress.py --suite micro``, as exact
+        counts: blinding B' candidates is one forward transform over 2B'
+        polynomials, decrypting k score samples is no transform at all."""
+        model, result = blinding_setup
+        transforms = []
+        for direction in ("forward", "inverse"):
+            def counted(plan, values, _direction=direction, _real=getattr(NttPlan, direction)):
+                transforms.append((_direction, np.shape(values)[:-2]))
+                return _real(plan, values)
+            monkeypatch.setattr(NttPlan, direction, counted)
+        blinded = blind_extracted_candidates(
+            bv_scheme, bv_keys.public, model, result, [1, 5, 9, 0, 11], dot_bits=20
+        )
+        assert transforms == [("forward", (10,))]
+        spam_like = bv_scheme.blind_samples(
+            bv_keys.public, result.all_ciphertexts(), [0], [0], [(240, 2)], np.array([3, 4])
+        )
+        assert transforms == [("forward", (10,)), ("forward", (2,))]
+        del transforms[:]
+        opened = bv_scheme.decrypt_slots_many(bv_keys, blinded.ciphertexts + spam_like)
+        assert [len(slots) for slots in opened] == [1] * 5 + [2]
+        assert transforms == []
+
+
+class TestCoefficientRuns:
+    """``RingContext.coefficient_run``: inverse-transform coefficients as inner products."""
+
+    @pytest.mark.parametrize("degree", [256, 1024])
+    def test_every_row_equals_the_inverse_transform(self, degree):
+        ring = RingContext.create(ring_degree=degree)
+        rng = np.random.default_rng(degree)
+        spectra = rng.integers(0, min(ring.primes), size=(2, len(ring.primes), degree))
+        weight = rng.integers(0, min(ring.primes), size=(len(ring.primes), degree))
+        plain = ring.inverse_transform(spectra)
+        weighted = ring.inverse_transform(spectra * weight % ring.primes_column)
+        for slot in range(degree):
+            assert np.array_equal(ring.coefficient_run(spectra, slot, 1)[..., 0], plain[..., slot])
+            assert np.array_equal(
+                ring.coefficient_run(spectra, slot, 1, weight)[..., 0], weighted[..., slot]
+            )
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_runs_on_both_sides_of_the_row_limit(self, data):
+        ring = RingContext.create(ring_degree=256)
+        length = data.draw(st.integers(1, 3 * ROW_RUN_LIMIT))
+        start = data.draw(st.integers(0, ring.n - length))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        spectra = rng.integers(0, min(ring.primes), size=(3, len(ring.primes), ring.n))
+        assert np.array_equal(
+            ring.coefficient_run(spectra, start, length),
+            ring.inverse_transform(spectra)[..., start : start + length],
+        )
+
+    @pytest.mark.parametrize("degree", [256, 1024])
+    def test_no_int64_overflow_at_worst_case_residues(self, degree):
+        """Every spectrum value and every (weighted) row entry at ``p - 1``: the
+        limb sums peak here, and must still equal exact integer arithmetic."""
+        ring = RingContext.create(ring_degree=degree)
+        primes = ring.primes
+        spectra = np.broadcast_to(ring.primes_column - 1, (len(primes), degree)).copy()
+        for slot in (0, 1, degree // 2, degree - 1):
+            rows = ring.monomial_spectra(-slot).astype(object)
+            # The weight that drives every entry of n⁻¹ · row ⊙ weight to p - 1.
+            weight = np.array(
+                [
+                    [(prime - 1) * pow(int(entry) * pow(degree, -1, prime), -1, prime) % prime for entry in row]
+                    for prime, row in zip(primes, rows)
+                ],
+                dtype=np.int64,
+            )
+            expected = [[degree * (prime - 1) * (prime - 1) % prime] for prime in primes]
+            assert ring.coefficient_run(spectra, slot, 1, weight).tolist() == expected
+
+    def test_a_run_outside_the_ring_is_refused(self):
+        ring = RingContext.create(ring_degree=256)
+        spectra = np.zeros((len(ring.primes), ring.n), dtype=np.int64)
+        for start, length in ((0, 0), (-1, 1), (255, 2), (256, 1), (0, 257)):
+            with pytest.raises(ParameterError):
+                ring.coefficient_run(spectra, start, length)
 
 
 class TestUniformDraws:

@@ -188,8 +188,9 @@ class TestOtPooling:
     def test_a_pool_out_of_transfer_indices_is_replaced_by_one_handshake(
         self, path, spam_setup, small_spam_model, monkeypatch
     ):
-        # The frame's start_index is a u32: 13 M topic emails of one pair reach
-        # it.  Ten indices from the end, a 64-transfer spam email cannot start.
+        # The frame's start_index is a u32: 16 M topic emails of one pair reach
+        # it.  Ten indices from the end, a spam email (one transfer per input bit of
+        # the client: two dot_product_bits-wide noises) cannot start.
         protocol, setup = spam_setup
         address = "spent@example.com"
         emails = SPAM_EMAILS[:3]
@@ -227,7 +228,9 @@ class TestOtPooling:
         assert verdicts == [small_spam_model.predict_is_spam(features) for features in emails]
         assert len(handshakes) == 1
         fresh = directory.spam_pool_of(address)
-        assert fresh is not spent and fresh.receiver_state.next_index == 64 * len(emails)
+        assert fresh is not spent and fresh.receiver_state.next_index == (
+            2 * small_spam_model.dot_product_bits * len(emails)
+        )
         assert spent.snapshot().to_bytes() == ledger  # the old pool's ledger is untouched
 
     def test_one_shot_ot_still_works_alongside_pool(self, dh_group):

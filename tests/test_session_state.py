@@ -147,10 +147,10 @@ GOLDEN_STATES = {
     "yao_garbler": "1002000001314d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f744e5300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656446",  # noqa: E501
     "yao_garbler_midround": "10020000037b4d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f7442000000000000024202010000023c4d000000000000000453000000000000000866696e69736865644653000000000000000d6d6573736167655f70616972734c00000000000000084c0000000000000002420000000000000010d21efd347bc31f704d0f4411249a40f2420000000000000010fae8ffd73b9de98494c93e227247565d4c000000000000000242000000000000001070d833b160d5ee05a6dea2480e6bbee2420000000000000010582e3152208b18f17f18d87b58b6a84d4c00000000000000024200000000000000106ec608eedb6c7d05d1c81b0a46e2ab9842000000000000001046300a0d9b328bf1080e6139103fbd374c0000000000000002420000000000000010f0dfff0812d4601dfe29c9e6d0312360420000000000000010d829fdeb528a96e927efb3d586ec35cf4c0000000000000002420000000000000010b90d499e7d268e42bf49c046bcce718b42000000000000001091fb4b7d3d7878b6668fba75ea1367244c00000000000000024200000000000000100bd28bd5c40fa865d8243163037330664200000000000000102324893684515e9101e24b5055ae26c94c0000000000000002420000000000000010cb086b27764cb8b62e7c875ccbd95e76420000000000000010e3fe69c436124e42f7bafd6f9d0448d94c0000000000000002420000000000000010d2bb7504c925f6602c60042a1e494e30420000000000000010fa4d77e7897b0094f5a67e194894589f5300000000000000077365636f6e647344000000000000000053000000000000000773746172746564545300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656454",  # noqa: E501
     "yao_evaluator_midround": "11020000013d4d000000000000000653000000000000000866696e6973686564465300000000000000026f744200000000000000ab0301000000a54d000000000000000753000000000000000763686f6963657342000000000000000162530000000000000005636f756e744900000000000000010853000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e64657849000000000000000100530000000000000007737461727465645453000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e64734400000000000000005300000000000000077374617274656454",  # noqa: E501
-    "spam_client": "2001000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
-    "spam_provider": "2101000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
-    "topic_client": "22010000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
-    "topic_provider": "2301000001004d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000053000000000000000565787472614d000000000000000353000000000000000a6465636f6d706f7365645453000000000000000f6578747261637465645f746f7069634e530000000000000010696e6e65725f63616e646964617465734900000000000000010253000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
+    "spam_client": "2002000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
+    "spam_provider": "2102000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
+    "topic_client": "22020000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
+    "topic_provider": "2302000001004d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000053000000000000000565787472614d000000000000000353000000000000000a6465636f6d706f7365645453000000000000000f6578747261637465645f746f7069634e530000000000000010696e6e65725f63616e646964617465734900000000000000010253000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "noprv_client": "2401000000b54d000000000000000553000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001094900000000000000010253000000000000000866696e6973686564465300000000000000127072656469637465645f63617465676f72794e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "noprv_provider": "2501000000554d000000000000000453000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
 }
@@ -381,6 +381,60 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
             if entry["name"] == "emails_served_total"
         ]
         assert sum(served) == len(SPAM_EMAILS)  # each email counted once
+
+
+class TestCheckpointsAcrossTheScoreSampleChange:
+    """A parked email resumes only on the build that parked it.
+
+    ``data/shard_checkpoint_8bb011a.bin`` is the ``checkpoint`` reply of a
+    ``ShardWorkerCore`` on commit 8bb011a with this module's three spam emails
+    parked mid-round: session states of version 1, each provider holding one
+    *whole* blinded ciphertext and expecting a ``slot_bits``-wide circuit.
+    This build parks score samples and garbles ``dot_product_bits`` wide, so
+    the states are refused by version and the worker recomputes — resuming
+    them would pair a 32-bit evaluator with a 24-bit garbler.
+    """
+
+    PARENT_CHECKPOINT = Path(__file__).parent / "data" / "shard_checkpoint_8bb011a.bin"
+
+    def test_the_parent_commit_states_are_refused_by_version(self, spam_setup, bv_scheme):
+        protocol, setup = spam_setup
+        checkpoint = canonical_loads(self.PARENT_CHECKPOINT.read_bytes())
+        assert len(checkpoint["jobs"]) == len(SPAM_EMAILS)
+        for record in checkpoint["jobs"]:
+            provider = SessionState.from_bytes(record["provider"])
+            client = SessionState.from_bytes(record["client"])
+            assert (provider.version, client.version) == (1, 1)
+            (parked,) = canonical_loads(provider.payload)["pending"]
+            assert len(parked) == bv_scheme.ciphertext_size_bytes()  # not a sample
+            with pytest.raises(SnapshotError, match="version 1"):
+                SpamProviderSession.restore(protocol, setup, provider)
+            with pytest.raises(SnapshotError, match="version 1"):
+                SpamClientSession.restore(protocol, setup, client)
+
+    def test_a_worker_handed_the_parent_commit_checkpoint_recomputes(self, spam_setup, spam_truth):
+        protocol, setup = spam_setup
+        address = "upgraded@example.com"
+        burst = [
+            (job_id, "spam", address, features, None)
+            for job_id, features in enumerate(SPAM_EMAILS)
+        ]
+        with scoped_registry(MetricsRegistry()):
+            target = ShardWorkerCore(("static", 100, None, None))
+            target.handle("register_spam", (address, protocol, setup))
+            verb, (resumed, results, _metrics) = target.handle(
+                "restore", self.PARENT_CHECKPOINT.read_bytes()
+            )
+            assert (verb, resumed, results) == ("restored", [], [])  # nothing resumed
+            # ... so the driver resubmits every email, and each is served once.
+            assert target.handle("burst", burst)[1][0] == []
+            verb, (results, metrics) = target.handle("drain", None)
+        assert [result.is_spam for _job_id, result in sorted(results)] == spam_truth
+        served = [
+            entry["value"] for entry in metrics["counters"]
+            if entry["name"] == "emails_served_total"
+        ]
+        assert sum(served) == len(SPAM_EMAILS)
 
 
 class TestSessionStateValidation:

@@ -16,13 +16,18 @@ failure; every assertion message carries the seed):
 * single-bit flips of valid frames, exhaustively for the small frames and
   seeded-sampled for the multi-kilobyte ciphertext frames.
 
+Ciphertext frames are fuzzed in both blob forms the XPIR-BV codec reads: the
+whole ciphertext and the score sample (``c1`` plus one slot run of ``c0``).
+
 The whole suite is marked ``fuzz`` so CI can run it as its own job
 (``pytest -m fuzz``) with a fresh seed per run.
 """
 
 import os
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from repro.exceptions import WireFormatError
@@ -33,6 +38,7 @@ from repro.twopc.wire import (
     ClassifyResultFrame,
     ControlFrame,
     ControlVerb,
+    ExtractedCandidatesFrame,
     FeaturesFrame,
     FrameType,
     GarbledCircuitFrame,
@@ -57,6 +63,17 @@ ALL_FRAME_TYPES = [
 ]
 
 schemeless_codec = WireCodec()
+
+
+def _score_samples(scheme, keys):
+    """Two honest score samples: a candidate's run of 1 and spam's run of 2."""
+    source = scheme.encrypt_slots(keys.public, [7, 11, 13])
+    n = scheme.num_slots
+    return tuple(
+        scheme.blind_samples(
+            keys.public, [source], [0, 0], [n - 1, 0], [(n - 1, 1), (1, 2)], np.array([5, 6, 7])
+        )
+    )
 
 
 def _valid_frames():
@@ -156,6 +173,33 @@ class TestRandomBytes:
             )
             _decode_never_escapes(codec, data, f"ciphertext-header case {case}")
 
+    def test_random_bodies_behind_sample_header(self, bv_scheme, bv_keys):
+        # Past the frame header, the blob length and the sample's own header
+        # (valid, or with any of its fields drawn at random): the run checks
+        # and the length check see fuzz before the residues do.
+        codec = WireCodec(scheme=bv_scheme, public_key=bv_keys.public)
+        rng = random.Random(FUZZ_SEED + 5)
+        n, primes = bv_scheme.num_slots, len(bv_scheme.ring.primes)
+        for case in range(300):
+            length = rng.choice([0, 1, 2, n, n + 1, rng.randrange(2**32)])
+            start = rng.choice([0, n - 1, n - length, n, rng.randrange(2**32)]) % 2**32
+            header = struct.pack(
+                ">IBII",
+                rng.choice([n, n, n, 2 * n, rng.randrange(2**32)]),
+                0x80 | rng.choice([primes, primes, primes, rng.randrange(128)]),
+                start,
+                length,
+            )
+            honest_size = bv_scheme.sample_size_bytes(length if length <= n else 1)
+            size = rng.choice([honest_size - len(header), rng.randint(0, 400)])
+            blob = header + rng.randbytes(size)
+            data = (
+                bytes([WIRE_MAGIC, WIRE_VERSION, FrameType.EXTRACTED_CANDIDATES])
+                + struct.pack(">HI", 1, len(blob))
+                + blob
+            )
+            _decode_never_escapes(codec, data, f"sample-header case {case}")
+
 
 class TestTruncatedFrames:
     @pytest.mark.parametrize(
@@ -174,6 +218,18 @@ class TestTruncatedFrames:
         ciphertext = bv_scheme.encrypt_slots(bv_keys.public, [7, 11, 13])
         encoded = codec.encode(BlindedScoresFrame((ciphertext,)))
         rng = random.Random(FUZZ_SEED + 3)
+        lengths = set(range(0, 64)) | {
+            rng.randrange(len(encoded)) for _ in range(200)
+        } | {len(encoded) - 1}
+        for length in sorted(lengths):
+            with pytest.raises(WireFormatError):
+                codec.decode(encoded[:length])
+
+    def test_bv_sample_frame_prefixes(self, bv_scheme, bv_keys):
+        codec = WireCodec(scheme=bv_scheme, public_key=bv_keys.public)
+        encoded = codec.encode(ExtractedCandidatesFrame(_score_samples(bv_scheme, bv_keys)))
+        assert codec.encode(codec.decode(encoded)) == encoded
+        rng = random.Random(FUZZ_SEED + 6)
         lengths = set(range(0, 64)) | {
             rng.randrange(len(encoded)) for _ in range(200)
         } | {len(encoded) - 1}
@@ -209,4 +265,20 @@ class TestBitFlips:
         for bit in sorted(bits):
             encoded[bit // 8] ^= 1 << (bit % 8)
             _decode_never_escapes(codec, bytes(encoded), f"bv frame bit {bit}")
+            encoded[bit // 8] ^= 1 << (bit % 8)
+
+    def test_sampled_bit_flips_of_bv_sample_frame(self, bv_scheme, bv_keys):
+        codec = WireCodec(scheme=bv_scheme, public_key=bv_keys.public)
+        samples = _score_samples(bv_scheme, bv_keys)
+        encoded = bytearray(codec.encode(ExtractedCandidatesFrame(samples)))
+        rng = random.Random(FUZZ_SEED + 7)
+        bits = {rng.randrange(8 * len(encoded)) for _ in range(400)}
+        # Every bit of the frame header, the count, the first blob's length
+        # and its sample header (form flag, run start, run length) — and of the
+        # second blob's, where a flipped run can only disagree with the length.
+        second = 3 + 2 + 4 + samples[0].size_bytes
+        bits |= set(range(8 * (3 + 2 + 4 + 13))) | set(range(8 * second, 8 * (second + 4 + 13)))
+        for bit in sorted(bits):
+            encoded[bit // 8] ^= 1 << (bit % 8)
+            _decode_never_escapes(codec, bytes(encoded), f"bv sample frame bit {bit}")
             encoded[bit // 8] ^= 1 << (bit % 8)
