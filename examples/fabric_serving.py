@@ -46,6 +46,12 @@ def train_protocol(config):
     return protocol, quantized, data.test_vectors
 
 
+def _batches(metrics: dict) -> str:
+    """One worker's decrypt batches, read from its metrics snapshot."""
+    (batch,) = [h for h in metrics["histograms"] if h["name"] == "decrypt_batch_ciphertexts"]
+    return f"{batch['count']} decrypt batches, {batch['sum']:.0f} ciphertexts"
+
+
 def main() -> None:
     config = PretzelConfig.test()
     print("Training a GR-NB spam model ...")
@@ -120,7 +126,7 @@ def main() -> None:
         for stats in runtime.shard_stats():
             print(
                 f"  agent {stats['worker']}: {stats['mailboxes']} mailbox(es), "
-                f"decrypt batches {stats['decrypt_batch_sizes']}"
+                f"{_batches(stats['metrics'])}"
             )
     finally:
         runtime.close()

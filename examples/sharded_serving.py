@@ -74,6 +74,12 @@ async def one_session_over_tcp(protocol, setup, features):
     return stats
 
 
+def _batches(metrics: dict) -> str:
+    """One worker's decrypt batches, read from its metrics snapshot."""
+    (batch,) = [h for h in metrics["histograms"] if h["name"] == "decrypt_batch_ciphertexts"]
+    return f"{batch['count']} decrypt batches, {batch['sum']:.0f} ciphertexts"
+
+
 def main() -> None:
     config = PretzelConfig.test()
     print("Training a GR-NB spam model ...")
@@ -144,7 +150,7 @@ def main() -> None:
     for shard, stat in enumerate(stats):
         print(
             f"  shard {shard}: {stat['mailboxes']} mailbox(es), "
-            f"decrypt batches {stat['decrypt_batch_sizes']}"
+            f"{_batches(stat['metrics'])}"
         )
     spam_count = sum(1 for verdict in sharded_verdicts if verdict)
     print(f"  verdicts             : {spam_count} spam / {total - spam_count} ham")

@@ -9,11 +9,12 @@ the runtime layer that makes the provider half scale:
   job carries *all* of its protocol state).
 * :class:`ProviderRuntime` — the serving loop.  It multiplexes any number of
   jobs, delivering frames round-robin, and *parks* provider sessions at
-  their decrypt step: all parked decryption requests that share a key pair
-  are folded into one ``decrypt_slots_many`` call, so the provider-side BV
-  inverse transforms amortise across sessions (the batching behind
-  Figs. 7/10) instead of running once per email.  Batch CPU time is
-  attributed back to sessions proportionally to their ciphertext counts.
+  their decrypt step: the parked decryption requests of one delivery pass
+  that share a key pair are folded into one ``decrypt_slots_many`` call.
+  (A BV score sample decrypts with no transform, so the fold saves almost
+  nothing per request; it is kept because it costs nothing either.)  Batch
+  CPU time is attributed back to sessions proportionally to their
+  ciphertext counts.
 * :class:`MailboxDirectory` — per-user protocol state kept warm between
   emails: the setup objects (key pairs, encrypted models) and, through
   :meth:`~repro.crypto.packing.PackedLinearModel.ensure_stacks`, the dense
@@ -24,12 +25,13 @@ the runtime layer that makes the provider half scale:
 used by the benchmarks, tests and function modules: N feature vectors in,
 N protocol results out, with every frame serialized and every byte counted.
 
-Scaling past one loop (this PR's serving stack, cf. the §6.3 estimates):
+Scaling past one loop (cf. the §6.3 estimates):
 
-* :class:`DecryptScheduler` — the time/size-windowed accumulator that lets a
-  provider hold parked decrypts *across bursts* and per key pair before
-  folding them into one ``decrypt_slots_many`` call (latency/throughput
-  knob; ``window_bursts=1`` degenerates to the per-burst batching above).
+* :class:`DecryptScheduler` — when a parked decrypt fires.  The default
+  fires on arrival (at the end of the burst that parked it); a wider window
+  (``window_bursts``, ``max_delay_seconds``) holds parked decrypts *across
+  bursts*, per key pair, which only adds latency now but gives the
+  checkpoint, migration and reconnect paths a place where an email waits.
 * :class:`ProviderRuntime.serve_burst`/:meth:`ProviderRuntime.drain` — the
   windowed serving entry points: jobs whose decrypts are still inside an
   open window stay parked between bursts and complete when it closes.
@@ -47,7 +49,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import multiprocessing
+import numbers
 import os
 import time
 from abc import ABC, abstractmethod
@@ -86,98 +90,114 @@ from repro.twopc.topics import (
 )
 from repro.twopc.wire import SessionState
 from repro.utils.serialization import canonical_dumps, canonical_loads
-from repro.utils.timing import AdaptiveWindowController
 
 SparseVector = Mapping[int, int]
 
-#: Recent decrypt-age samples kept verbatim on the scheduler (per-window
-#: latency ledger); the unbounded distribution lives in the registry
-#: histogram ``decrypt_age_seconds``.
-DECRYPT_AGE_SAMPLE_CAP = 4096
-
 
 # ---------------------------------------------------------------------------
-# The windowed decrypt scheduler
+# The decrypt scheduler
 # ---------------------------------------------------------------------------
 @dataclass
 class _DecryptWindow:
     """Parked decrypts for one key pair, accumulating until the window closes."""
 
     entries: list[_ParkedDecryption] = field(default_factory=list)
-    #: Enqueue time of each entry, parallel to ``entries`` (latency ledger).
+    #: Enqueue time of each entry, parallel to ``entries`` (for the age histogram).
     entry_times: list[float] = field(default_factory=list)
     ciphertext_count: int = 0
     opened_at: float = 0.0
     opened_burst: int = 0
 
 
+def _check_window(window_bursts: Any, max_delay_seconds: Any) -> None:
+    """Refuse a decrypt window no scheduler can honour, with :class:`ProtocolError`.
+
+    ``window_bursts`` must be an integer of at least 1 (not a ``bool``);
+    ``max_delay_seconds`` must be ``None`` or a finite number of at least 0.
+    A ``nan`` or ``inf`` delay would quote a deadline no timer can sleep
+    to, and turn a worker's idle loop into a busy loop.
+    """
+    if (
+        isinstance(window_bursts, bool)
+        or not isinstance(window_bursts, numbers.Integral)
+        or window_bursts < 1
+    ):
+        raise ProtocolError(f"window_bursts must be an integer >= 1, got {window_bursts!r}")
+    if max_delay_seconds is not None and (
+        isinstance(max_delay_seconds, bool)
+        or not isinstance(max_delay_seconds, numbers.Real)
+        or not math.isfinite(max_delay_seconds)
+        or max_delay_seconds < 0
+    ):
+        raise ProtocolError(
+            f"max_delay_seconds must be None or a finite number >= 0, got {max_delay_seconds!r}"
+        )
+
+
+def checked_scheduler_spec(spec: Any) -> tuple[int, float | None]:
+    """A worker's ``(window_bursts, max_delay_seconds)``, checked before any use.
+
+    The spec crosses a process boundary (a pipe worker's arguments, an
+    agent's HELLO body), so a worker refuses a malformed one here instead
+    of failing somewhere inside its serving loop.
+    """
+    if not isinstance(spec, (tuple, list)) or len(spec) != 2:
+        raise ProtocolError(
+            f"a scheduler spec is (window_bursts, max_delay_seconds), got {spec!r}"
+        )
+    window_bursts, max_delay_seconds = spec
+    _check_window(window_bursts, max_delay_seconds)
+    return window_bursts, max_delay_seconds
+
+
 class DecryptScheduler:
-    """Accumulate parked provider decrypts across bursts, per key pair.
+    """When parked provider decrypts fire, per key pair.
 
-    The per-burst serving loop already folds the decrypts of one burst into
-    one ``decrypt_slots_many`` per key pair.  This scheduler generalises that
-    into a *window*: requests parked in burst *b* stay parked until any of
+    Requests parked in burst *b* are held in a per-key-pair *window* until
 
-    * ``window_bursts`` bursts have completed since the window opened,
-    * the window holds ``max_pending_ciphertexts`` or more ciphertexts,
+    * ``window_bursts`` bursts have completed since the window opened, or
     * ``max_delay_seconds`` have elapsed since the window opened,
 
-    whichever trigger is observed first — the latency/throughput knob of the
-    §6.3 serving stack.  The scheduler is *poll-driven*: triggers are
-    evaluated when the serving loop calls :meth:`take_due` — from
-    ``serve_burst``, ``drain``, *and* :meth:`ProviderRuntime.poll`, the
-    traffic-free flush tick.  The poll tick is what makes ``max_delay_seconds``
-    a real latency bound: an idle provider with parked decrypts and no further
-    bursts used to hold its windows (and the clients' emails) until ``drain``;
-    now any driver with a timer (the shard workers' idle tick, a test's fake
-    clock) closes aged windows on schedule.  ``window_bursts=1`` (the
-    default, with no size/time triggers) closes every window at the end of
-    the burst that opened it, i.e. exactly the per-burst batching of the
-    PR 2 serving loop.  Windows are per key pair by construction, so nothing
-    here ever mixes mailboxes.
+    whichever trigger is observed first.  The defaults (``window_bursts=1``,
+    no age trigger) fire on arrival: every window closes at the end of the
+    burst that opened it, folding that burst's decrypts into one
+    ``decrypt_slots_many`` call per key pair.  Nothing is gained by waiting
+    longer — a BV score sample decrypts with no transform, and Paillier's
+    batch call is a loop — so a wider window only adds its width to every
+    email's latency.  The knobs stay for callers that want emails parked: a
+    fleet that passes its window explicitly, and the checkpoint, migration
+    and reconnect paths, which need a place where an email waits.  The
+    scheduler honours exactly the arguments it is given.
 
-    Every window close records each released entry's enqueue→fired age in
-    :attr:`decrypt_ages` — the per-window latency ledger the SLO suite reads
-    (``regress.py --suite latency``).
+    The scheduler is *poll-driven*: triggers are evaluated when the serving
+    loop calls :meth:`take_due` — from ``serve_burst``, ``drain``, *and*
+    :meth:`ProviderRuntime.poll`, the traffic-free flush tick, so an idle
+    provider still closes aged windows on schedule (the shard workers' idle
+    tick, a test's fake clock).  Windows are per key pair by construction, so
+    nothing here ever mixes mailboxes.  Every release observes each entry's
+    enqueue→fired age in the ``decrypt_age_seconds`` histogram.
     """
 
     def __init__(
         self,
         window_bursts: int = 1,
-        max_pending_ciphertexts: int | None = None,
         max_delay_seconds: float | None = None,
         clock=time.monotonic,
     ) -> None:
-        if window_bursts < 1:
-            raise ProtocolError("window_bursts must be at least 1")
-        if max_pending_ciphertexts is not None and max_pending_ciphertexts < 1:
-            raise ProtocolError("max_pending_ciphertexts must be at least 1")
-        if max_delay_seconds is not None and max_delay_seconds < 0:
-            raise ProtocolError("max_delay_seconds must be non-negative")
+        _check_window(window_bursts, max_delay_seconds)
         self.window_bursts = window_bursts
-        self.max_pending_ciphertexts = max_pending_ciphertexts
         self.max_delay_seconds = max_delay_seconds
         self._clock = clock
         self._windows: dict[tuple[int, int], _DecryptWindow] = {}
         self._burst = 0
-        #: Recent enqueue→fired ages (the latency ledger) — bounded so a
-        #: long-running server never grows it; the full distribution lives in
-        #: the registry histogram.
-        self._decrypt_ages: deque[float] = deque(maxlen=DECRYPT_AGE_SAMPLE_CAP)
         registry = get_registry()
         self._metric_age = registry.histogram("decrypt_age_seconds")
         self._metric_flush_ciphertexts = registry.histogram("window_flush_ciphertexts")
         self._metric_flush_sessions = registry.histogram("window_flush_sessions")
         self._metric_pending = registry.gauge("pending_window_ciphertexts")
 
-    @property
-    def decrypt_ages(self) -> list[float]:
-        """The most recent released-entry ages, oldest first (bounded window)."""
-        return list(self._decrypt_ages)
-
     def enqueue(self, entry: _ParkedDecryption) -> None:
         now = self._clock()
-        self._observe_arrival(len(entry.request.ciphertexts), now)
         key = decrypt_group_key(entry.request)
         window = self._windows.get(key)
         if window is None:
@@ -188,9 +208,6 @@ class DecryptScheduler:
         window.ciphertext_count += len(entry.request.ciphertexts)
         self._metric_pending.inc(len(entry.request.ciphertexts))
 
-    def _observe_arrival(self, ciphertexts: int, now: float) -> None:
-        """Hook for adaptive subclasses: one arrival of *ciphertexts* at *now*."""
-
     def end_burst(self) -> None:
         """Mark a burst boundary (ages every open window by one burst)."""
         self._burst += 1
@@ -198,37 +215,23 @@ class DecryptScheduler:
     def _is_due(self, window: _DecryptWindow, now: float) -> bool:
         if self._burst - window.opened_burst >= self.window_bursts:
             return True
-        if (
-            self.max_pending_ciphertexts is not None
-            and window.ciphertext_count >= self.max_pending_ciphertexts
-        ):
-            return True
-        if (
+        # Same expression as next_deadline(), so polling exactly at the quoted
+        # deadline fires (now - opened >= delay can round the other way).
+        return (
             self.max_delay_seconds is not None
-            # Same expression as next_deadline(), so polling exactly at the
-            # quoted deadline fires (now - opened >= delay can round the
-            # other way at the boundary).
             and now >= window.opened_at + self.max_delay_seconds
-        ):
-            return True
-        return False
+        )
 
     def take_due(self, now: float | None = None) -> list[list[_ParkedDecryption]]:
         """Pop and return every window whose trigger has fired."""
         now = self._clock() if now is None else now
-        self._observe_poll(now)
         due = [key for key, window in self._windows.items() if self._is_due(window, now)]
         return [self._release(self._windows.pop(key), now) for key in due]
-
-    def _observe_poll(self, now: float) -> None:
-        """Hook for adaptive subclasses: the loop polled triggers at *now*."""
 
     def _release(self, window: _DecryptWindow, now: float) -> list[_ParkedDecryption]:
         """Record the released entries' ages and hand the entries back."""
         for enqueued in window.entry_times:
-            age = now - enqueued
-            self._decrypt_ages.append(age)
-            self._metric_age.observe(age)
+            self._metric_age.observe(now - enqueued)
         self._metric_flush_ciphertexts.observe(window.ciphertext_count)
         self._metric_flush_sessions.observe(len(window.entries))
         self._metric_pending.dec(window.ciphertext_count)
@@ -303,81 +306,6 @@ class DecryptScheduler:
             for entry in window.entries:
                 requests[id(entry.session)] = entry.request
         return requests
-
-
-class AdaptiveDecryptScheduler(DecryptScheduler):
-    """A :class:`DecryptScheduler` whose delay window follows the load.
-
-    Static windows force one tradeoff on every traffic regime: a wide
-    ``max_delay_seconds`` batches well during bursts but taxes every
-    idle-period email with the full delay, while a tight one releases idle
-    emails fast but shreds the batches a burst could have formed.  This
-    scheduler retunes ``max_delay_seconds`` continuously from an EWMA of the
-    observed ciphertext arrival rate (the
-    :class:`~repro.utils.timing.AdaptiveWindowController` law: window width
-    proportional to how much of a target batch the current rate can fill
-    within the cap), so bursts see wide windows and quiet periods see
-    near-immediate release.  ``max_pending_ciphertexts`` doubles as the
-    controller's target batch size: during a hot burst the size trigger
-    fires first and the delay cap never binds.
-
-    The controller observes time only through the injected ``clock`` (and
-    the explicit ``now=`` of :meth:`take_due`), so the whole control loop is
-    unit-testable with a fake clock — no wall time anywhere.
-    """
-
-    def __init__(
-        self,
-        min_delay_seconds: float = 0.002,
-        max_delay_seconds: float = 0.25,
-        target_batch_ciphertexts: int = 32,
-        alpha: float = 0.3,
-        clock=time.monotonic,
-    ) -> None:
-        super().__init__(
-            # Burst count never closes an adaptive window: the time and size
-            # triggers are the control surface.
-            window_bursts=_NEVER_BURSTS,
-            max_pending_ciphertexts=target_batch_ciphertexts,
-            max_delay_seconds=max_delay_seconds,
-            clock=clock,
-        )
-        self.controller = AdaptiveWindowController(
-            min_delay_seconds=min_delay_seconds,
-            max_delay_seconds=max_delay_seconds,
-            target_batch_items=target_batch_ciphertexts,
-            alpha=alpha,
-        )
-        #: (time, retuned delay) after every arrival — the control-loop trace.
-        self.window_history: list[tuple[float, float]] = []
-        self.max_delay_seconds = self.controller.delay_seconds(clock())
-
-    def _observe_arrival(self, ciphertexts: int, now: float) -> None:
-        self.max_delay_seconds = self.controller.observe(ciphertexts, now)
-        self.window_history.append((now, self.max_delay_seconds))
-
-    def _observe_poll(self, now: float) -> None:
-        # Idle decay: a poll with no arrivals shrinks the window toward
-        # min_delay, so a burst's wide setting cannot strand the tail emails
-        # parked after the burst died down.
-        self.max_delay_seconds = self.controller.delay_seconds(now)
-
-    def observed_rate(self, now: float | None = None) -> float:
-        """The controller's current (decayed) ciphertexts/second estimate."""
-        return self.controller.estimator.rate(self._clock() if now is None else now)
-
-    def next_deadline(self) -> float | None:
-        # ``self.max_delay_seconds`` is the delay as of the *last* retune; by
-        # the time the oldest window would fire under it, idle decay will
-        # have shrunk it further.  Quoting the decayed value keeps a timer
-        # from sleeping out a burst-width delay on a stream that just died.
-        if not self._windows:
-            return None
-        opened = min(window.opened_at for window in self._windows.values())
-        return opened + self.controller.delay_seconds(max(self._clock(), opened))
-
-
-_NEVER_BURSTS = 10**9  # a burst count no stream reaches: time/size triggers govern
 
 
 @dataclass
@@ -488,8 +416,6 @@ class ProviderRuntime(SessionLoop):
         sharded deployments expose comparable views.
         """
         return {
-            "decrypt_batch_sizes": list(self.decrypt_batch_sizes),
-            "decrypt_ages": self.scheduler.decrypt_ages,
             "outstanding_jobs": self.outstanding_jobs(),
             "disconnected_jobs": self.disconnected_jobs(),
             "pending_window_ciphertexts": self.scheduler.pending_ciphertexts(),
@@ -1531,28 +1457,6 @@ def _worker_results(
     return results
 
 
-def _make_scheduler(spec: tuple) -> DecryptScheduler:
-    """Build a worker's scheduler from its picklable spec.
-
-    ``("static", window_bursts, max_pending, max_delay)`` builds the classic
-    fixed-knob :class:`DecryptScheduler`; ``("adaptive", options)`` builds an
-    :class:`AdaptiveDecryptScheduler` with *options* as keyword arguments.
-    A spec (not a scheduler) crosses the fork/spawn boundary because the
-    adaptive controller's state is per-process by design.
-    """
-    kind = spec[0]
-    if kind == "static":
-        _, window_bursts, max_pending, max_delay = spec
-        return DecryptScheduler(
-            window_bursts=window_bursts,
-            max_pending_ciphertexts=max_pending,
-            max_delay_seconds=max_delay,
-        )
-    if kind == "adaptive":
-        return AdaptiveDecryptScheduler(**spec[1])
-    raise ProtocolError(f"unknown scheduler spec kind {kind!r}")
-
-
 class ShardWorkerCore:
     """One shard's brain, divorced from its transport.
 
@@ -1578,6 +1482,9 @@ class ShardWorkerCore:
     or from a checkpoint blob handed over by the parent — the live-migration
     path, where host A's ``checkpoint`` reply becomes host B's ``restore``
     payload.
+
+    *scheduler_spec* is the parent's ``(window_bursts, max_delay_seconds)``;
+    a malformed one raises :class:`ProtocolError` before anything is built.
     """
 
     def __init__(
@@ -1587,8 +1494,13 @@ class ShardWorkerCore:
         shard_index: int = 0,
         incarnation: str = "",
     ) -> None:
+        window_bursts, max_delay_seconds = checked_scheduler_spec(scheduler_spec)
         self.directory = MailboxDirectory()
-        self.runtime = ProviderRuntime(scheduler=_make_scheduler(scheduler_spec))
+        self.runtime = ProviderRuntime(
+            scheduler=DecryptScheduler(
+                window_bursts=window_bursts, max_delay_seconds=max_delay_seconds
+            )
+        )
         self._incarnation = incarnation
         self._log = (
             ShardCheckpointLog(checkpoint_store, f"shard-{shard_index}", incarnation)
@@ -1722,11 +1634,9 @@ class ShardWorkerCore:
                 "stats",
                 {
                     "mailboxes": directory.mailbox_count(),
-                    "decrypt_batch_sizes": list(runtime.decrypt_batch_sizes),
                     "outstanding_jobs": runtime.outstanding_jobs(),
                     "disconnected_jobs": runtime.disconnected_jobs(),
                     "pending_window_ciphertexts": runtime.scheduler.pending_ciphertexts(),
-                    "decrypt_ages": list(runtime.scheduler.decrypt_ages),
                     "restored_jobs": self.restored_jobs,
                     "metrics": get_registry().snapshot(),
                 },
@@ -1790,7 +1700,19 @@ def _shard_worker_main(
     :meth:`ProviderRuntime.poll` so aged decrypt windows fire with no new
     traffic (the idle-starvation fix — before this tick, a quiet shard held
     parked decrypts until the next burst or drain).
+
+    A malformed *scheduler_spec* builds no core: the worker answers the
+    first command with the refusal and exits.
     """
+    try:
+        checked_scheduler_spec(scheduler_spec)
+    except ProtocolError as error:
+        try:
+            connection.recv()
+            connection.send(("error", f"refused scheduler spec: {error}"))
+        except (EOFError, OSError):
+            pass
+        return
     # A fresh registry/tracer per worker process: under the fork start method
     # the child would otherwise inherit (and re-report) every count the
     # parent accumulated before the spawn.
@@ -1977,22 +1899,12 @@ class ShardDriver:
         connect: Callable[[Any, int, tuple, str], WorkerLink],
         endpoints: Sequence[Any],
         window_bursts: int = 1,
-        max_pending_ciphertexts: int | None = None,
         max_delay_seconds: float | None = None,
-        adaptive: bool = False,
-        adaptive_options: Mapping[str, Any] | None = None,
     ) -> None:
         if not endpoints:
             raise ProtocolError("a shard driver needs at least one worker")
-        if adaptive:
-            self._scheduler_spec: tuple = ("adaptive", dict(adaptive_options or {}))
-        else:
-            self._scheduler_spec = (
-                "static",
-                window_bursts,
-                max_pending_ciphertexts,
-                max_delay_seconds,
-            )
+        _check_window(window_bursts, max_delay_seconds)
+        self._scheduler_spec = (window_bursts, max_delay_seconds)
         # Job ids restart from zero in every parent, so checkpoints are bound
         # to this driver instance: a leftover blob from an earlier parent is
         # refused at restore (recompute fallback) instead of resumed under
@@ -2468,11 +2380,8 @@ class ShardedRuntime(ShardDriver):
         self,
         num_shards: int = 4,
         window_bursts: int = 1,
-        max_pending_ciphertexts: int | None = None,
         max_delay_seconds: float | None = None,
         checkpoint_dir: str | Path | None = None,
-        adaptive: bool = False,
-        adaptive_options: Mapping[str, Any] | None = None,
     ) -> None:
         if num_shards < 1:
             raise ProtocolError("a sharded runtime needs at least one shard")
@@ -2481,10 +2390,7 @@ class ShardedRuntime(ShardDriver):
             PipeLink,
             [self._checkpoint_dir] * num_shards,
             window_bursts=window_bursts,
-            max_pending_ciphertexts=max_pending_ciphertexts,
             max_delay_seconds=max_delay_seconds,
-            adaptive=adaptive,
-            adaptive_options=adaptive_options,
         )
 
     def restart_shard(self, shard: int) -> int:

@@ -47,10 +47,11 @@ def launch_fabric(
 ) -> tuple[FabricRuntime, list[AgentProcess]]:
     """Spawn *num_agents* localhost agents and a shard driver dialing them.
 
-    The two-line on-ramp the example, the bench suite and CI smoke use.
-    *options* are :class:`~repro.fabric.control.TcpLink`'s link options
+    The two-line on-ramp the example, the end-to-end benchmark and the tests
+    use.  *options* are :class:`~repro.fabric.control.TcpLink`'s link options
     (heartbeats, metrics interval, fault spec) and
-    :class:`~repro.core.runtime.ShardDriver`'s scheduler options.  The
+    :class:`~repro.core.runtime.ShardDriver`'s scheduler options
+    (``window_bursts``, ``max_delay_seconds``).  The
     caller owns both halves: ``runtime.close()`` retires the agents (they
     exit on BYE), then ``agent.wait()``/``agent.kill()`` reaps the processes.
     """

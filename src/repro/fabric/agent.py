@@ -10,8 +10,9 @@ parent connection, and speaks the versioned control protocol of
 a lossy link exactly once, in order.
 
 Lifecycle: the parent's HELLO delivers the scheduler spec and fabric
-incarnation (the agent builds its core only then — the parent owns serving
-policy), after which two tasks share the single connection: the *command
+incarnation (the agent checks the spec and builds its core only then — the
+parent owns serving policy; a malformed spec is refused with BYE and no core
+is built), after which two tasks share the single connection: the *command
 loop* turns COMMANDs into REPLYs one at a time, and *housekeeping* fires
 aged decrypt windows between commands, pushes HEARTBEAT beacons, and
 streams cumulative METRICS snapshots on the configured interval.  The agent
@@ -36,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from repro.core.runtime import FileSessionStore, ShardWorkerCore
+from repro.core.runtime import FileSessionStore, ShardWorkerCore, checked_scheduler_spec
 from repro.exceptions import ProtocolError, ReliabilityError, TransportClosedError
 from repro.fabric.control import (
     CONTROL_MAX_ATTEMPTS,
@@ -84,6 +85,13 @@ async def _serve_connection(
                     )
                 },
             ),
+        )
+        return
+    try:
+        checked_scheduler_spec(hello.get("scheduler_spec"))
+    except ProtocolError as error:
+        await link.send(
+            "agent", pack_control(ControlVerb.BYE, {"error": f"bad scheduler spec: {error}"})
         )
         return
     store = FileSessionStore(checkpoint_dir) if checkpoint_dir is not None else None

@@ -90,8 +90,8 @@ def unpack_control(data: bytes) -> tuple[int, Any]:
 #
 # Serving metrics split into two families: pure *work accounting* (emails,
 # decrypt batches, protocol frames — identical however the stream is
-# partitioned) and *timing* (decrypt ages, adaptive delays — wall-clock
-# noise by nature).  Cross-fabric equivalence is asserted on the first
+# partitioned) and *timing* (decrypt ages, latencies — wall-clock noise by
+# nature).  Cross-fabric equivalence is asserted on the first
 # family; byte counters are excluded too, because big-integer wire encodings
 # vary by a byte when a random group element happens to have leading zeros.
 _DETERMINISTIC_COUNTERS = frozenset(
@@ -116,8 +116,8 @@ def metrics_projection(snapshot: Mapping[str, Any]) -> dict:
 
     Two runs that served the same emails — whatever mix of in-box shards and
     remote agents did the serving, and however many migrations happened in
-    between — must agree on this projection exactly.  The fabric equivalence
-    tests and the ``regress.py --suite fabric`` gate compare these.
+    between — must agree on this projection exactly.  The shard-driver
+    equivalence and migration tests compare these.
     """
     counters: dict[tuple, float] = {}
     for entry in snapshot.get("counters", []):
@@ -159,11 +159,12 @@ class TcpLink:
     ``host``/``port`` attributes (an
     :class:`~repro.fabric.agent.AgentProcess` qualifies).  Construction
     dials it and runs the HELLO handshake, which delivers the scheduler
-    spec and the driver's incarnation — the agent builds its worker core
-    only then — and refuses an agent that speaks another control version
-    or was launched as a different shard than position *index* (its
-    checkpoint log is keyed by that shard index, so a replacement could
-    never find its predecessor's).
+    spec ``(window_bursts, max_delay_seconds)`` and the driver's
+    incarnation — the agent checks the spec and builds its worker core only
+    then, or refuses the HELLO — and refuses an agent that speaks another
+    control version or was launched as a different shard than position
+    *index* (its checkpoint log is keyed by that shard index, so a
+    replacement could never find its predecessor's).
 
     Network plumbing lives on a private asyncio loop thread: a reader task
     that routes every inbound frame, and a keepalive task.  The public

@@ -9,21 +9,18 @@ from a Zipf distribution and per-sender sequence numbers (plus a configurable
 sprinkle of injected duplicates, so the §4.4 :class:`~repro.mail.replay.ReplayGuard`
 finally has live traffic to police).
 
-:func:`serve_trace` replays a trace against a windowed serving runtime under
-a :class:`VirtualClock`: the clock jumps to each arrival, provider *compute*
-is charged to it (measured CPU, or a calibrated deterministic batch cost
-model), and between arrivals the clock advances to the scheduler's next age
-deadline and ticks ``poll()`` — which is exactly the idle-window flush this
-trace harness exists to exercise (before the poll tick, a lull in arrivals
-left parked decrypts waiting for the next burst).  The result couples
-batching efficiency to queueing delay, so end-to-end email latency
-percentiles are meaningful: a wide window really does hold the tail email
-longer, and a too-narrow window really does pay per-batch decrypt overhead
-that backs up the queue.
+:func:`serve_trace` replays a trace against a serving runtime under a
+:class:`VirtualClock`: the clock jumps to each arrival, provider *compute* is
+charged to it (measured CPU, or a deterministic per-batch cost model), and
+between arrivals the clock advances to the scheduler's next age deadline and
+ticks ``poll()`` — the idle-window flush (before the poll tick, a lull in
+arrivals left parked decrypts waiting for the next burst).  Queueing delay
+and window waits both land in the email latencies, so a wide window really
+does hold the tail email longer.
 
 The trace itself is deterministic given the :class:`TraceSpec` seed, and a
-replay under a ``cost_model`` is deterministic end to end; the latency
-regression gate depends on both.
+replay under a ``cost_model`` is deterministic end to end; the bit-identical
+telemetry tests depend on both.
 """
 
 from __future__ import annotations
@@ -232,7 +229,7 @@ class TraceReport:
     decrypt_batch_sizes: list[float] = field(default_factory=list)
 
     def summary(self) -> dict[str, float]:
-        """Flat row: latency percentiles plus throughput, for the bench JSON."""
+        """Flat row: latency percentiles plus throughput and batch sizes."""
         row = {
             f"latency_{key}": value for key, value in summarize_latencies(self.latencies).items()
         }
@@ -268,7 +265,9 @@ def serve_trace(
     """Replay *events* against *runtime* under *clock*; measure email latency.
 
     *runtime* is a :class:`~repro.core.runtime.ProviderRuntime` whose
-    scheduler was built with ``clock=clock`` — the harness owns time.  For
+    scheduler was built with ``clock=clock`` — the harness owns time — under
+    the current metrics registry (its ``decrypt_batches_total`` counter says
+    how many batches each call flushed).  For
     each arrival the clock first advances through every scheduler age
     deadline that falls before it, ticking ``runtime.poll()`` at each (this
     is how aged windows fire during a lull — the idle-starvation fix made
@@ -280,16 +279,14 @@ def serve_trace(
     Service time can be charged to the virtual clock two ways.  Without
     *cost_model*, real CPU spent inside each runtime call flows into the
     clock as measured — realistic, but every latency sample inherits the
-    machine's scheduling jitter, which a hard-fail regression gate cannot
-    sit on.  With *cost_model* — a callable mapping a flushed decrypt
-    batch's ciphertext count to virtual service seconds — the clock is
-    instead advanced by ``cost_model(size)`` for each batch the call
-    flushed: the replay becomes **deterministic** given the trace and the
-    scheduler policy, while real CPU is still measured separately for the
-    throughput figures.  Calibrate the model from the live protocol (a
-    fixed per-batch cost plus a per-ciphertext cost captures the
-    decrypt-many amortization) so the virtual economics match the real
-    ones.
+    machine's scheduling jitter.  With *cost_model* — a callable mapping a
+    flushed decrypt batch's ciphertext count to virtual service seconds —
+    the clock is instead advanced by ``cost_model(size)`` for each batch the
+    call flushed: the replay becomes **deterministic** given the trace and
+    the scheduler policy, while real CPU is still measured separately for
+    the throughput figures.  The batches a call flushed are the last Δ
+    entries of ``runtime.decrypt_batch_sizes``, Δ read from the counter;
+    that is exact while Δ stays within the ledger's ``RECENT_SAMPLE_CAP``.
 
     *batch_seconds* coalesces arrivals closer together than the given gap
     into one ``serve_burst`` call, modelling a front-end that picks up every
@@ -300,7 +297,9 @@ def serve_trace(
     """
     report = TraceReport()
     arrivals: dict[int, float] = {}  # id(job) → arrival time
-    metric_latency = get_registry().histogram("trace_email_latency_seconds")
+    registry = get_registry()
+    metric_latency = registry.histogram("trace_email_latency_seconds")
+    batches = registry.counter("decrypt_batches_total")
 
     def note_finished(finished: Sequence[Any]) -> None:
         now = clock()
@@ -311,19 +310,23 @@ def serve_trace(
             report.served += 1
 
     def timed(call: Callable[[], Any]) -> Any:
+        before = batches.value
         if cost_model is None:
             result, elapsed = clock.charge(call)
             report.provider_cpu_seconds += elapsed
-            return result
-        # Deterministic charging: the clock holds still during the call
-        # (windows opened by an arrival are stamped with the arrival time),
-        # then advances by the modelled cost of each batch that flushed.
-        before = len(runtime.decrypt_batch_sizes)
-        start = time.perf_counter()
-        result = call()
-        report.provider_cpu_seconds += time.perf_counter() - start
-        for size in runtime.decrypt_batch_sizes[before:]:
-            clock.advance(cost_model(size))
+        else:
+            # Deterministic charging: the clock holds still during the call
+            # (windows opened by an arrival are stamped with the arrival
+            # time), then advances by the modelled cost of each flushed batch.
+            start = time.perf_counter()
+            result = call()
+            report.provider_cpu_seconds += time.perf_counter() - start
+        flushed = int(batches.value - before)
+        sizes = runtime.decrypt_batch_sizes[-flushed:] if flushed else []
+        report.decrypt_batch_sizes.extend(float(size) for size in sizes)
+        if cost_model is not None:
+            for size in sizes:
+                clock.advance(cost_model(size))
         return result
 
     def poll_until(horizon: float | None) -> None:
@@ -367,5 +370,4 @@ def serve_trace(
         note_finished(timed(lambda: runtime.serve_burst(batch)))
     poll_until(None)  # serve out every remaining age deadline
     note_finished(timed(runtime.drain))  # windows with no age trigger
-    report.decrypt_batch_sizes = [float(size) for size in runtime.decrypt_batch_sizes]
     return report

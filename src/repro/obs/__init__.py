@@ -24,8 +24,8 @@ transports, schedulers and ``stats()`` dicts.  This package supplies:
   validators CI's obs smoke job runs against a live registry.
 
 Everything here is stdlib-only and imports nothing from the rest of the
-repository, so any module (transports, schedulers, the controller in
-``utils.timing``) can instrument itself without an import cycle.
+repository, so any module (transports, schedulers, crypto) can instrument
+itself without an import cycle.
 """
 
 from repro.obs.metrics import (

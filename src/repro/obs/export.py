@@ -7,8 +7,7 @@ snapshot pair so bench JSON and flight recordings can never disagree:
   (``# TYPE`` lines, cumulative ``_bucket{le=...}`` series ending in
   ``+Inf``, ``_sum``/``_count``).  Scrape-ready.
 * :func:`json_text` — one JSON document bundling the metrics snapshot and
-  the span list; the machine-readable artifact `regress.py` writes next
-  to each suite's bench JSON.
+  the span list; the machine-readable flight recording.
 * :func:`chrome_trace` — Chrome Trace Event JSON (``chrome://tracing`` /
   Perfetto): complete events (``ph: "X"``) with integer-microsecond
   timestamps, one synthetic ``tid`` per trace id in first-appearance
@@ -214,8 +213,8 @@ def write_artifacts(prefix: str | Path, snapshot: dict, spans: list[dict]) -> li
     """Write all three artifacts under ``prefix`` and return their paths.
 
     ``<prefix>.prom`` (Prometheus text), ``<prefix>.metrics.json`` (bundled
-    JSON), ``<prefix>.trace.json`` (Chrome trace) — the trio `regress.py`
-    emits beside each suite's bench JSON and CI uploads.
+    JSON), ``<prefix>.trace.json`` (Chrome trace); the fabric tests write and
+    validate the trio for a real two-agent run.
     """
     prefix = Path(prefix)
     paths = {

@@ -12,7 +12,8 @@ Provider halves that decrypt AHE ciphertexts additionally split the decrypt
 step out of :meth:`ProtocolSession.handle` (see :class:`DecryptingSession`):
 the session *requests* a decryption and is later *supplied* with the slot
 values, so the loop can fold requests across sessions into one
-``decrypt_slots_many`` call — the provider-side amortisation of Figs. 7/10.
+``decrypt_slots_many`` call, and can hold a parked session (to checkpoint,
+migrate or reconnect it) without blocking anything.
 
 :class:`SessionLoop` is the single frame pump every in-process driver shares;
 a one-email run (:func:`run_session_pair`) and the multi-user serving loop
@@ -34,10 +35,10 @@ from typing import Any, Sequence
 from repro.crypto.ahe import AHECiphertext, AHEKeyPair, AHEScheme
 from repro.exceptions import ProtocolError, SnapshotError
 from repro.obs import get_registry
+from repro.obs.metrics import RECENT_SAMPLE_CAP
 from repro.twopc.transport import FramedChannel
 from repro.twopc.wire import Frame, SessionState, WireCodec
 from repro.utils.serialization import canonical_dumps, canonical_loads
-from repro.utils.timing import AdaptiveWindowController
 
 
 class ProtocolSession(ABC):
@@ -398,12 +399,13 @@ class SessionLoop:
     deliverable frames of every job, collecting the decryption requests of
     sessions that parked; (2) fold the parked requests into one
     ``decrypt_slots_many`` call per distinct key pair and resume the parked
-    sessions.  Phase 2 is where concurrency pays: eight emails for one
-    mailbox decrypt in one vectorised pass instead of eight.  Batch CPU time
-    is attributed back to sessions proportionally to their ciphertext counts.
+    sessions.  Batch CPU time is attributed back to sessions proportionally
+    to their ciphertext counts.
 
-    ``decrypt_batch_sizes`` records the size of every batched call — tests
-    and benchmarks use it to verify that batching actually happened.
+    ``decrypt_batch_sizes`` records the size of the last
+    ``RECENT_SAMPLE_CAP`` batched calls — tests use it to verify that
+    batching actually happened; the ``decrypt_batch_ciphertexts`` histogram
+    and the ``decrypt_batches_total`` counter hold the whole history.
     """
 
     def __init__(self) -> None:
@@ -470,7 +472,7 @@ class SessionLoop:
         ciphertexts = [
             ciphertext for entry in entries for ciphertext in entry.request.ciphertexts
         ]
-        self.decrypt_batch_sizes.append(len(ciphertexts))
+        _note_batch(self.decrypt_batch_sizes, len(ciphertexts))
         self._metric_batches.inc()
         self._metric_batch_sizes.observe(len(ciphertexts))
         slot_lists, per_ciphertext_seconds = batch_decrypt(
@@ -483,6 +485,13 @@ class SessionLoop:
             frames = entry.session.supply_decrypted(slot_lists[offset : offset + count])
             offset += count
             entry.job.dispatch(entry.party, frames)
+
+
+def _note_batch(ledger: list[int], size: int) -> None:
+    """Append one batch size to a ledger that keeps the last ``RECENT_SAMPLE_CAP``."""
+    ledger.append(size)
+    if len(ledger) > RECENT_SAMPLE_CAP:
+        del ledger[0]
 
 
 def decrypt_group_key(request: DecryptionRequest) -> tuple[int, int]:
@@ -564,30 +573,17 @@ class AsyncSessionPump:
     decrypts across arrivals at the cost of that much added latency.
     ``max_pending_ciphertexts`` (if set) flushes early once enough work has
     piled up, bounding the latency a deep queue can add.
-
-    Passing a *controller*
-    (:class:`~repro.utils.timing.AdaptiveWindowController`) makes the window
-    adaptive: every parked arrival retunes ``window_seconds`` from the
-    observed arrival rate, and an already-armed timer is pulled *earlier*
-    when the stream goes quiet (never pushed later — an armed deadline is a
-    promise to the sessions already waiting on it).  With a controller and
-    no explicit ``max_pending_ciphertexts``, the controller's
-    ``target_batch_items`` doubles as the size trigger.
     """
 
     def __init__(
         self,
         window_seconds: float = 0.0,
         max_pending_ciphertexts: int | None = None,
-        controller: "AdaptiveWindowController | None" = None,
     ) -> None:
         if window_seconds < 0:
             raise ProtocolError("window_seconds must be non-negative")
         if max_pending_ciphertexts is not None and max_pending_ciphertexts < 1:
             raise ProtocolError("max_pending_ciphertexts must be at least 1")
-        self.controller = controller
-        if controller is not None and max_pending_ciphertexts is None:
-            max_pending_ciphertexts = controller.target_batch_items
         self.window_seconds = window_seconds
         self.max_pending_ciphertexts = max_pending_ciphertexts
         self.decrypt_batch_sizes: list[int] = []
@@ -624,17 +620,14 @@ class AsyncSessionPump:
                 return
             future = asyncio.get_running_loop().create_future()
             self._pending.append((request, future))
-            self._arm_flush(new_ciphertexts=len(request.ciphertexts))
+            self._arm_flush()
             slot_lists, attributed_seconds = await future
             session.add_seconds(attributed_seconds)
             for frame in session.supply_decrypted(slot_lists):
                 await channel.send(party, frame)
 
     # -- the windowed flusher ------------------------------------------------
-    def _arm_flush(self, new_ciphertexts: int = 0) -> None:
-        loop = asyncio.get_running_loop()
-        if self.controller is not None and new_ciphertexts:
-            self.window_seconds = self.controller.observe(new_ciphertexts, loop.time())
+    def _arm_flush(self) -> None:
         if self.max_pending_ciphertexts is not None:
             pending = sum(len(request.ciphertexts) for request, _ in self._pending)
             if pending >= self.max_pending_ciphertexts:
@@ -643,14 +636,10 @@ class AsyncSessionPump:
                     self._flush_handle = None
                 self._flush()
                 return
-        deadline = loop.time() + self.window_seconds
-        if self._flush_handle is not None and self._flush_handle.when() > deadline:
-            # The retuned window is tighter than the armed one: pull the
-            # timer in.  (The converse never delays an armed flush.)
-            self._flush_handle.cancel()
-            self._flush_handle = None
         if self._flush_handle is None:
-            self._flush_handle = loop.call_at(deadline, self._timer_fired)
+            self._flush_handle = asyncio.get_running_loop().call_later(
+                self.window_seconds, self._timer_fired
+            )
 
     def _timer_fired(self) -> None:
         self._flush_handle = None
@@ -665,7 +654,7 @@ class AsyncSessionPump:
             ciphertexts = [
                 ciphertext for request, _ in entries for ciphertext in request.ciphertexts
             ]
-            self.decrypt_batch_sizes.append(len(ciphertexts))
+            _note_batch(self.decrypt_batch_sizes, len(ciphertexts))
             self._metric_batches.inc()
             self._metric_batch_sizes.observe(len(ciphertexts))
             try:

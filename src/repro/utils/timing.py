@@ -5,13 +5,9 @@ CPU times (Figs. 7, 10).  :class:`Stopwatch` accumulates named intervals so a
 protocol run can attribute time to the provider and the client separately,
 mirroring how the paper separates provider-side and client-side costs.
 
-The latency-SLO layer adds two more pieces: :func:`percentile` /
-:func:`summarize_latencies` (the p50/p95/p99 rows every latency suite
-reports) and :class:`AdaptiveWindowController` — the small control loop that
-derives a decrypt-batching window from an EWMA of the observed arrival rate.
-The controller lives here, away from any scheduler, because both the
-synchronous :class:`~repro.core.runtime.AdaptiveDecryptScheduler` and the
-asyncio :class:`~repro.twopc.session.AsyncSessionPump` drive the same law.
+:func:`percentile` / :func:`summarize_latencies` are the latency rows the
+end-to-end benchmark and the trace replay of :mod:`repro.mail.traces`
+report (p50/p95/p99 plus mean/max/count).
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
-
-from repro.obs import get_registry
 
 
 @dataclass
@@ -83,7 +77,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
     """The *q*-th percentile of *samples* by linear interpolation.
 
     ``q`` is in percent (``50`` is the median).  Pure Python on purpose: the
-    latency suites call this on a few thousand floats, and keeping it free of
+    benchmark calls this on a few thousand floats, and keeping it free of
     numpy means the serving runtime can report percentiles without importing
     an array stack into a worker process.
     """
@@ -106,9 +100,9 @@ def percentile(samples: Sequence[float], q: float) -> float:
 def summarize_latencies(samples: Sequence[float]) -> dict[str, float]:
     """The standard latency summary: p50/p95/p99 plus mean/max/count.
 
-    This is the schema every latency SLO row uses (``regress.py --suite
-    latency``, the trace-replay report), so the keys live in exactly one
-    place.
+    This is the schema of the trace-replay report
+    (:meth:`repro.mail.traces.TraceReport.summary`), so the keys live in
+    exactly one place.
     """
     if not samples:
         return {"count": 0.0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
@@ -120,145 +114,6 @@ def summarize_latencies(samples: Sequence[float]) -> dict[str, float]:
         "p95": percentile(samples, 95),
         "p99": percentile(samples, 99),
     }
-
-
-class EwmaArrivalRate:
-    """Exponentially weighted arrival-rate estimate with idle decay.
-
-    ``observe(count, now)`` folds an arrival of *count* items into the
-    estimate; ``rate(now)`` reads it back, decayed for the time elapsed since
-    the last estimate update so a stream that has gone quiet does not keep
-    reporting its burst-time rate forever.  Time comes in through the
-    arguments (never a wall clock), which is what makes the control loop
-    unit-testable with a fake clock.
-
-    Arrivals are **aggregated over a minimum observation interval** before
-    they touch the EWMA: the estimate folds in ``accumulated count /
-    elapsed`` only once at least ``min_interval_seconds`` have passed since
-    the window opened.  Naive per-gap instantaneous rates (``1 / gap``) read
-    a three-email clump with millisecond gaps as hundreds of items per
-    second — one clump would saturate any controller built on the estimate,
-    even though the stream's real rate is a trickle.  Aggregation makes the
-    estimator report what actually matters to a batching controller: how
-    many items arrive per control-loop horizon.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        half_life_seconds: float = 0.5,
-        min_interval_seconds: float | None = None,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if half_life_seconds <= 0.0:
-            raise ValueError("half_life_seconds must be positive")
-        if min_interval_seconds is not None and min_interval_seconds <= 0.0:
-            raise ValueError("min_interval_seconds must be positive")
-        self.alpha = alpha
-        self.half_life_seconds = half_life_seconds
-        self.min_interval_seconds = (
-            half_life_seconds / 4.0 if min_interval_seconds is None else min_interval_seconds
-        )
-        self._rate = 0.0
-        self._window_start: float | None = None
-        self._window_count = 0.0
-        self._last_update: float | None = None
-
-    def observe(self, count: int, now: float) -> None:
-        """Fold an arrival of *count* items at time *now* into the estimate."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if self._window_start is None:
-            # First arrival: opens the observation window, no rate yet.
-            self._window_start = now
-            self._last_update = now
-            return
-        self._window_count += count
-        elapsed = now - self._window_start
-        if elapsed < self.min_interval_seconds:
-            return
-        instantaneous = self._window_count / max(elapsed, 1e-9)
-        self._rate = self.alpha * instantaneous + (1.0 - self.alpha) * self._rate
-        self._window_start = now
-        self._window_count = 0.0
-        self._last_update = now
-
-    def rate(self, now: float) -> float:
-        """Items/second, decayed by a half-life per idle period since the last update."""
-        if self._last_update is None or self._rate == 0.0:
-            return 0.0
-        idle = max(0.0, now - self._last_update)
-        return self._rate * 0.5 ** (idle / self.half_life_seconds)
-
-
-class AdaptiveWindowController:
-    """Derive a decrypt-batching delay window from the observed arrival rate.
-
-    The law: the window should be wide enough to collect
-    ``target_batch_items`` at the *observed* rate, but never wider than
-    ``max_delay_seconds`` — and when the stream cannot plausibly fill a batch
-    within the cap, waiting buys nothing, so the window collapses toward
-    ``min_delay_seconds``.  Concretely::
-
-        fill  = min(1, rate / (target_batch_items / max_delay_seconds))
-        delay = min_delay + (max_delay - min_delay) * fill ** response_exponent
-
-    A hot stream (rate ≥ target/cap) gets the full cap — which in practice
-    never binds, because the size trigger fires at ``target_batch_items``
-    first.  A quiet stream gets ``min_delay_seconds``, so an idle-tail email
-    is released almost immediately instead of serving out a throughput
-    knob's worth of delay.  The response is *convex* (exponent 2 by
-    default): at marginal rates a window cannot collect more than a couple
-    of requests, so the delay it charges every one of them is nearly pure
-    latency loss — the window should only open up once the rate can fill a
-    meaningful fraction of the batch within the cap.  This is the
-    batching/latency control loop of the §6.3 serving stack, in ~20 lines,
-    driven entirely by injected time.
-    """
-
-    def __init__(
-        self,
-        min_delay_seconds: float = 0.002,
-        max_delay_seconds: float = 0.25,
-        target_batch_items: int = 32,
-        alpha: float = 0.3,
-        response_exponent: float = 2.0,
-    ) -> None:
-        if min_delay_seconds < 0:
-            raise ValueError("min_delay_seconds must be non-negative")
-        if max_delay_seconds < min_delay_seconds:
-            raise ValueError("max_delay_seconds must be at least min_delay_seconds")
-        if target_batch_items < 1:
-            raise ValueError("target_batch_items must be at least 1")
-        if response_exponent < 1.0:
-            raise ValueError("response_exponent must be at least 1")
-        self.min_delay_seconds = min_delay_seconds
-        self.max_delay_seconds = max_delay_seconds
-        self.target_batch_items = target_batch_items
-        self.response_exponent = response_exponent
-        self.estimator = EwmaArrivalRate(
-            alpha=alpha, half_life_seconds=max(max_delay_seconds, 1e-6)
-        )
-        registry = get_registry()
-        self._metric_rate = registry.gauge("adaptive_arrival_rate_per_s")
-        self._metric_delay = registry.histogram("adaptive_window_delay_seconds")
-
-    def observe(self, count: int, now: float) -> float:
-        """Fold one arrival into the estimate; returns the retuned delay."""
-        self.estimator.observe(count, now)
-        delay = self.delay_seconds(now)
-        self._metric_rate.set(self.estimator.rate(now))
-        self._metric_delay.observe(delay)
-        return delay
-
-    def delay_seconds(self, now: float) -> float:
-        """The delay window the current (decayed) arrival rate warrants."""
-        full_batch_rate = self.target_batch_items / max(self.max_delay_seconds, 1e-9)
-        fill = min(1.0, self.estimator.rate(now) / full_batch_rate)
-        return self.min_delay_seconds + (
-            self.max_delay_seconds - self.min_delay_seconds
-        ) * fill**self.response_exponent
 
 
 def format_duration(seconds: float) -> str:

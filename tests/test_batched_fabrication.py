@@ -394,9 +394,9 @@ class TestScoreSamplesAgainstTheOracle:
             at += length
 
     def test_transform_counts(self, bv_scheme, bv_keys, blinding_setup, monkeypatch):
-        """The two gates of the retired ``regress.py --suite micro``, as exact
-        counts: blinding B' candidates is one forward transform over 2B'
-        polynomials, decrypting k score samples is no transform at all."""
+        """The two transform gates, as exact counts: blinding B' candidates is
+        one forward transform over 2B' polynomials, decrypting k score
+        samples is no transform at all."""
         model, result = blinding_setup
         transforms = []
         for direction in ("forward", "inverse"):

@@ -6,8 +6,10 @@ asserted once for both transports in ``test_shard_driver.py``.  These tests
 pin the rest of the fabric's contract:
 
 * the versioned control codec (roundtrip, foreign-version refusal, junk);
-* the deterministic metrics projection and the streamed METRICS scrape;
-* HELLO refusal of an agent launched as the wrong shard;
+* the deterministic metrics projection, the streamed METRICS scrape, and
+  the telemetry artifacts a real two-agent run exports;
+* HELLO refusal of an agent launched as the wrong shard, and of a HELLO
+  carrying a malformed scheduler spec;
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent;
 * live migration under a 1% chaos cocktail on the control channel, and
   ``rebalance`` choosing the migration from streamed load; and
@@ -15,6 +17,8 @@ pin the rest of the fabric's contract:
   a fabric runtime as its ``runtime=``.
 """
 
+import json
+import math
 import os
 import pickle
 import signal
@@ -25,12 +29,14 @@ import pytest
 from repro.core.runtime import shard_of_address
 from repro.exceptions import ProtocolError, WireFormatError
 from repro.fabric import (
+    TcpLink,
     launch_fabric,
     metrics_projection,
     pack_control,
     spawn_local_agent,
     unpack_control,
 )
+from repro.obs.export import validate_chrome_trace, validate_snapshot, write_artifacts
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.transport import FaultSpec
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, OtPublicsFrame, WireCodec
@@ -196,6 +202,30 @@ class TestFabricEquivalence:
             _reap(agents)
 
 
+class TestFabricTelemetryArtifacts:
+    def test_two_agent_run_exports_valid_artifacts(self, spam_setup, spam_truth, tmp_path):
+        """What an operator exports after a fleet run: the Prometheus text,
+        the bundled JSON and the Chrome trace, each schema-valid, and every
+        email of the stream counted exactly once in them."""
+        addresses = _slot_addresses(2)
+        runtime, agents = launch_fabric(2, window_bursts=2)
+        try:
+            _register_all(runtime, addresses, spam_setup)
+            stream = _stream(addresses)
+            results = runtime.run_spam_stream([stream[:3], stream[3:]])
+            aggregated = runtime.aggregated_metrics()
+        finally:
+            runtime.close()
+            _reap(agents)
+        assert [result.is_spam for result in results] == spam_truth
+        prom, bundle_path, trace_path = write_artifacts(tmp_path / "fabric", aggregated, [])
+        bundle = json.loads(bundle_path.read_text())
+        validate_snapshot(bundle["metrics"])
+        validate_chrome_trace(json.loads(trace_path.read_text()))
+        assert _served_total(bundle["metrics"]) == len(SPAM_EMAILS)
+        assert f"emails_served_total {len(SPAM_EMAILS)}" in prom.read_text()
+
+
 class TestFabricRecovery:
     def test_hello_refuses_an_agent_launched_as_another_shard(self):
         """A worker's checkpoint log is keyed by its shard index, so position
@@ -211,6 +241,20 @@ class TestFabricRecovery:
         finally:
             runtime.close()
             _reap(agents)
+
+    @pytest.mark.parametrize(
+        "spec", [(1, math.nan), ("static", 1, None, None), (True, None)], ids=repr
+    )
+    def test_hello_with_a_malformed_scheduler_spec_is_refused(self, spec):
+        """The spec rides the HELLO body: the agent checks it before it builds
+        a worker core, says BYE with the reason, and exits."""
+        agent = spawn_local_agent(shard_index=0)
+        try:
+            with pytest.raises(ProtocolError, match="refused registration: bad scheduler spec"):
+                TcpLink(agent, 0, spec, "incarnation")
+            assert agent.wait(timeout=10.0) == 0
+        finally:
+            _reap([agent])
 
     def test_heartbeat_timeout_evicts_a_hung_agent(self, spam_setup):
         """A SIGSTOPped agent keeps its socket open but goes silent; only the

@@ -395,8 +395,7 @@ class TestSpanChain:
             clock = VirtualClock()
             runtime = ProviderRuntime(
                 scheduler=DecryptScheduler(
-                    window_bursts=10**9,
-                    max_pending_ciphertexts=8,
+                    window_bursts=2,
                     max_delay_seconds=0.05,
                     clock=clock,
                 )
@@ -477,12 +476,13 @@ class TestMidDrainScrape:
 
     def test_runtime_stats_reads_the_registry(self, spam_setup):
         protocol, setup = spam_setup
-        with scoped_telemetry():
+        with scoped_telemetry() as (registry, _):
             runtime = ProviderRuntime()
             runtime.serve_burst([spam_job(protocol, setup, SPAM_EMAILS[0], label=0)])
             stats = runtime.stats()
+            snapshot = registry.snapshot()
         assert stats["emails_served"] == 1
         assert stats["outstanding_jobs"] == 0
         assert stats["pending_window_ciphertexts"] == 0
-        assert len(stats["decrypt_batch_sizes"]) == 1
-        assert len(stats["decrypt_ages"]) >= 1
+        assert histogram_entry(snapshot, "decrypt_batch_ciphertexts")["count"] == 1
+        assert histogram_entry(snapshot, "decrypt_age_seconds")["count"] >= 1

@@ -238,7 +238,7 @@ class TestBatchedAccumulation:
 
     def test_hundred_features_over_a_multi_ciphertext_spam_model(self, bv_scheme, bv_keys):
         # The shape (501 x 2 across rows, 100 features, frequencies 1..7) and the
-        # assertion of the retired ``regress.py`` hot-path suite.
+        # assertion of the retired hot-path benchmark suite.
         rng = np.random.default_rng(0)
         matrix = rng.integers(0, 1000, size=(501, 2)).tolist()
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=True)

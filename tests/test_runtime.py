@@ -195,7 +195,7 @@ class TestOtPooling:
         address = "spent@example.com"
         emails = SPAM_EMAILS[:3]
         with scoped_registry(MetricsRegistry()):
-            worker = ShardWorkerCore(("static", 1, None, None))
+            worker = ShardWorkerCore((1, None))
             directory = worker.directory
             directory.register_spam(address, protocol, setup)
             spent = directory.spam_pool_of(address)

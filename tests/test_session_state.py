@@ -353,7 +353,7 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
             for job_id, features in enumerate(SPAM_EMAILS)
         ]
         with scoped_registry(MetricsRegistry()):
-            source = ShardWorkerCore(("static", 100, None, None))
+            source = ShardWorkerCore((100, None))
             source.handle("register_spam", (address, protocol, setup))
             assert source.handle("burst", burst)[1][0] == []  # all parked mid-round
             verb, (blob, _results, _metrics) = source.handle("checkpoint", None)
@@ -364,7 +364,7 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
         assert [record["address"] for record in checkpoint["pools"]] == [address]
         checkpoint["pools"][0]["state"] = self.PARENT_BLOB.read_bytes()
         with scoped_registry(MetricsRegistry()):
-            target = ShardWorkerCore(("static", 100, None, None))
+            target = ShardWorkerCore((100, None))
             target.handle("register_spam", (address, protocol, setup, True))  # pool deferred
             verb, (resumed, results, _metrics) = target.handle(
                 "restore", canonical_dumps(checkpoint)
@@ -420,7 +420,7 @@ class TestCheckpointsAcrossTheScoreSampleChange:
             for job_id, features in enumerate(SPAM_EMAILS)
         ]
         with scoped_registry(MetricsRegistry()):
-            target = ShardWorkerCore(("static", 100, None, None))
+            target = ShardWorkerCore((100, None))
             target.handle("register_spam", (address, protocol, setup))
             verb, (resumed, results, _metrics) = target.handle(
                 "restore", self.PARENT_CHECKPOINT.read_bytes()

@@ -407,8 +407,15 @@ class TestMigration:
         assert runtime.outstanding_count() == 0
         # Exactly-once accounting across the handover: the quiesced source's
         # final snapshot plus the target's series sum to one serving.
-        assert _counter(runtime.aggregated_metrics(), "emails_served_total") == len(SPAM_EMAILS)
+        aggregated = runtime.aggregated_metrics()
+        assert _counter(aggregated, "emails_served_total") == len(SPAM_EMAILS)
         assert [stat["worker"] for stat in runtime.shard_stats()] == sorted({1 - source, target})
+        # Nothing moved, repeated or lost: the partition-invariant slice of the
+        # merged telemetry equals an uninterrupted run of the same stream.
+        reference = _per_slot_reference(
+            spam_setup, addresses, [stream[:4], stream[4:]], 2, window_bursts=100
+        )
+        assert metrics_projection(aggregated) == metrics_projection(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -3,36 +3,43 @@
 The §6.3 scaling layers must never change protocol outputs — only *when*
 decrypts run and *where* sessions live.  These tests pin:
 
-* :class:`DecryptScheduler` trigger semantics (burst window, size, time);
+* :class:`DecryptScheduler` trigger semantics (burst window, time), the
+  fire-on-arrival default, and the window values it refuses;
 * output equivalence of the windowed serving loop against sequential runs
   under every window setting, including ``window_bursts=1`` (which must
   degenerate to the per-burst batching of the PR 2 loop);
 * the sharded runtime's pipe-worker specifics: stable partition, topics,
-  idle-tick polling, adaptive windows, series-for-series telemetry (what
-  every shard-driver link must do is in ``test_shard_driver.py``);
+  idle-tick polling, series-for-series telemetry (what every shard-driver
+  link must do is in ``test_shard_driver.py``);
 * the asyncio pump: sessions over real TCP produce the same verdicts, with
   cross-connection decrypt batching.
 """
 
 import asyncio
+import copy
+import math
+import pickle
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.runtime import (
-    AdaptiveDecryptScheduler,
     DecryptScheduler,
+    PipeLink,
     ProviderRuntime,
     ShardedRuntime,
+    ShardWorkerCore,
+    checked_scheduler_spec,
     shard_of_address,
     spam_job,
     topic_job,
 )
 from repro.exceptions import ProtocolError
+from repro.mail import VirtualClock
 from repro.obs import scoped_telemetry
-from repro.twopc.session import AsyncSessionPump
-from repro.utils.timing import AdaptiveWindowController
+from repro.obs.metrics import RECENT_SAMPLE_CAP
+from repro.twopc.session import AsyncSessionPump, _ParkedDecryption
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 from repro.twopc.transport import AsyncFramedChannel, AsyncTcpTransport
@@ -104,13 +111,6 @@ class TestDecryptScheduler:
         assert len(due) == 1 and len(due[0]) == 1
         assert scheduler.pending_sessions() == 0
 
-    def test_size_trigger_fires_within_a_burst(self):
-        scheduler = DecryptScheduler(window_bursts=10, max_pending_ciphertexts=3)
-        scheduler.enqueue(_FakeEntry(count=2))
-        assert scheduler.take_due() == []
-        scheduler.enqueue(_FakeEntry(count=1))
-        assert len(scheduler.take_due()) == 1
-
     def test_time_trigger_uses_clock(self):
         clock = _FakeClock()
         scheduler = DecryptScheduler(window_bursts=10, max_delay_seconds=5.0, clock=clock)
@@ -122,13 +122,14 @@ class TestDecryptScheduler:
         assert len(scheduler.take_due()) == 1
 
     def test_windows_are_per_keypair(self):
-        scheduler = DecryptScheduler(window_bursts=1, max_pending_ciphertexts=2)
+        scheduler = DecryptScheduler(window_bursts=1)
         scheduler.enqueue(_FakeEntry(keypair="a"))
+        scheduler.enqueue(_FakeEntry(keypair="a"))
+        scheduler.end_burst()
         scheduler.enqueue(_FakeEntry(keypair="b"))
-        assert scheduler.pending_sessions() == 2
-        scheduler.enqueue(_FakeEntry(keypair="a"))
+        assert scheduler.pending_sessions() == 3
         due = scheduler.take_due()
-        assert [len(entries) for entries in due] == [2]  # only keypair a is full
+        assert [len(entries) for entries in due] == [2]  # only keypair a is a burst old
         assert scheduler.pending_ciphertexts() == 1
 
     def test_flush_empties_everything(self):
@@ -139,12 +140,14 @@ class TestDecryptScheduler:
         assert scheduler.flush() == []
 
     def test_invalid_settings_rejected(self):
-        with pytest.raises(ProtocolError):
-            DecryptScheduler(window_bursts=0)
-        with pytest.raises(ProtocolError):
-            DecryptScheduler(max_pending_ciphertexts=0)
-        with pytest.raises(ProtocolError):
-            DecryptScheduler(max_delay_seconds=-1.0)
+        for window_bursts in (0, -1, True, False, 1.0, 2.5, "2", None):
+            with pytest.raises(ProtocolError, match="window_bursts"):
+                DecryptScheduler(window_bursts=window_bursts)
+        # nan < 0 is False, so a bare sign check once accepted nan (and inf):
+        # next_deadline() then quoted nan and a worker's idle loop spun.
+        for max_delay_seconds in (-1.0, -1e-9, math.nan, math.inf, -math.inf, True, "0.25"):
+            with pytest.raises(ProtocolError, match="max_delay_seconds"):
+                DecryptScheduler(max_delay_seconds=max_delay_seconds)
 
     def test_next_deadline_tracks_oldest_window(self):
         clock = _FakeClock()
@@ -165,113 +168,30 @@ class TestDecryptScheduler:
 
     def test_latency_ledger_records_enqueue_to_fired_ages(self):
         clock = _FakeClock()
-        scheduler = DecryptScheduler(window_bursts=10, max_delay_seconds=1.0, clock=clock)
-        scheduler.enqueue(_FakeEntry())
-        clock.now = 0.4
-        scheduler.enqueue(_FakeEntry())
-        clock.now = 1.0
-        assert len(scheduler.take_due()) == 1
-        assert scheduler.decrypt_ages == [1.0, pytest.approx(0.6)]
+        with scoped_telemetry() as (registry, _):
+            scheduler = DecryptScheduler(window_bursts=10, max_delay_seconds=1.0, clock=clock)
+            scheduler.enqueue(_FakeEntry())
+            clock.now = 0.4
+            scheduler.enqueue(_FakeEntry())
+            clock.now = 1.0
+            assert len(scheduler.take_due()) == 1
+        ages = registry.histogram("decrypt_age_seconds")
+        assert list(ages.recent) == [1.0, pytest.approx(0.6)]
 
     def test_latency_ledger_covers_flush_and_survives_detach(self):
         clock = _FakeClock()
-        scheduler = DecryptScheduler(window_bursts=10, clock=clock)
-        detached_job = object()
-        scheduler.enqueue(_FakeEntry(job=detached_job))
-        clock.now = 0.25
-        scheduler.enqueue(_FakeEntry(job=object()))
-        assert len(scheduler.detach_job(detached_job)) == 1
-        assert scheduler.pending_ciphertexts() == 1
-        clock.now = 1.0
-        assert len(scheduler.flush()) == 1
+        with scoped_telemetry() as (registry, _):
+            scheduler = DecryptScheduler(window_bursts=10, clock=clock)
+            detached_job = object()
+            scheduler.enqueue(_FakeEntry(job=detached_job))
+            clock.now = 0.25
+            scheduler.enqueue(_FakeEntry(job=object()))
+            assert len(scheduler.detach_job(detached_job)) == 1
+            assert scheduler.pending_ciphertexts() == 1
+            clock.now = 1.0
+            assert len(scheduler.flush()) == 1
         # Only the non-detached entry is released; its age is intact.
-        assert scheduler.decrypt_ages == [0.75]
-
-
-class TestAdaptiveDecryptScheduler:
-    """The control loop, driven entirely by a fake clock."""
-
-    def _ramp(self, scheduler, clock, gap, count=20):
-        for _ in range(count):
-            clock.now += gap
-            scheduler.enqueue(_FakeEntry())
-
-    def test_fast_arrivals_widen_the_window(self):
-        clock = _FakeClock()
-        scheduler = AdaptiveDecryptScheduler(
-            min_delay_seconds=0.002,
-            max_delay_seconds=0.25,
-            target_batch_ciphertexts=16,
-            clock=clock,
-        )
-        idle_delay = scheduler.max_delay_seconds
-        assert idle_delay == pytest.approx(0.002)  # no traffic: minimum delay
-        # ~200 ciphertexts/s sustained, far above target/cap = 64/s: the
-        # window opens up (the ramp spans several observation intervals).
-        self._ramp(scheduler, clock, gap=0.005, count=80)
-        scheduler.take_due()  # consume the hot windows so only the knob remains
-        assert scheduler.max_delay_seconds == pytest.approx(0.25)
-
-    def test_idle_decay_shrinks_the_window_at_polls(self):
-        clock = _FakeClock()
-        scheduler = AdaptiveDecryptScheduler(
-            min_delay_seconds=0.002,
-            max_delay_seconds=0.25,
-            target_batch_ciphertexts=16,
-            clock=clock,
-        )
-        self._ramp(scheduler, clock, gap=0.005, count=80)
-        hot_delay = scheduler.max_delay_seconds
-        clock.now += 10.0  # a long lull: ~40 half-lives of decay
-        scheduler.take_due()
-        assert scheduler.max_delay_seconds < hot_delay
-        assert scheduler.max_delay_seconds == pytest.approx(0.002, abs=1e-3)
-
-    def test_slow_stream_releases_promptly(self):
-        # One email every 2 s can never fill a batch: the window must sit at
-        # ~min_delay so each email fires at most a few ms after parking.
-        clock = _FakeClock()
-        scheduler = AdaptiveDecryptScheduler(
-            min_delay_seconds=0.002, max_delay_seconds=0.25, clock=clock
-        )
-        for _ in range(5):
-            clock.now += 2.0
-            scheduler.enqueue(_FakeEntry())
-            deadline = scheduler.next_deadline()
-            assert deadline is not None and deadline - clock.now < 0.01
-            clock.now = deadline
-            assert len(scheduler.take_due()) == 1
-        assert all(age < 0.01 for age in scheduler.decrypt_ages)
-
-    def test_arrival_clump_does_not_widen_the_window(self):
-        # Three emails with millisecond gaps read as hundreds/s to a
-        # per-gap estimator — one clump would saturate the controller and
-        # park the clump itself behind the widest window.  The aggregated
-        # estimator must see a trickle and keep the window tight.
-        clock = _FakeClock()
-        scheduler = AdaptiveDecryptScheduler(
-            min_delay_seconds=0.002, max_delay_seconds=0.25, clock=clock
-        )
-        clock.now = 1.0
-        for _ in range(3):
-            clock.now += 0.001
-            scheduler.enqueue(_FakeEntry())
-        assert scheduler.max_delay_seconds < 0.01
-
-    def test_window_history_traces_the_control_loop(self):
-        clock = _FakeClock()
-        scheduler = AdaptiveDecryptScheduler(clock=clock)
-        self._ramp(scheduler, clock, gap=0.01, count=3)
-        assert len(scheduler.window_history) == 3
-        times = [when for when, _ in scheduler.window_history]
-        assert times == sorted(times)
-
-    def test_observed_rate_reads_the_estimator(self):
-        clock = _FakeClock()
-        scheduler = AdaptiveDecryptScheduler(clock=clock)
-        assert scheduler.observed_rate() == 0.0
-        self._ramp(scheduler, clock, gap=0.01)
-        assert scheduler.observed_rate() > 0.0
+        assert list(registry.histogram("decrypt_age_seconds").recent) == [0.75]
 
 
 class TestSchedulerTriggerInvariants:
@@ -293,6 +213,14 @@ class TestSchedulerTriggerInvariants:
     @given(ops=_OPS)
     @settings(max_examples=60, deadline=None)
     def test_age_trigger_and_bookkeeping(self, ops):
+        with scoped_telemetry() as (registry, _):
+            released_entries = self._drive(ops)
+        # Every released entry's age is observed once; detached ones never.
+        assert registry.histogram("decrypt_age_seconds").count == released_entries
+
+    @staticmethod
+    def _drive(ops) -> int:
+        """Apply *ops*, checking the invariants; returns the entries released."""
         clock = _FakeClock()
         scheduler = DecryptScheduler(
             window_bursts=10**9, max_delay_seconds=1.0, clock=clock
@@ -338,7 +266,7 @@ class TestSchedulerTriggerInvariants:
             released_ciphertexts += sum(len(entry.request.ciphertexts) for entry in entries)
         assert scheduler.pending_ciphertexts() == 0
         assert released_ciphertexts + detached_ciphertexts == enqueued_ciphertexts
-        assert len(scheduler.decrypt_ages) == enqueued_entries - detached_entries
+        return enqueued_entries - detached_entries
 
 
 class TestWindowedServing:
@@ -363,10 +291,10 @@ class TestWindowedServing:
             lambda: DecryptScheduler(window_bursts=1),
             lambda: DecryptScheduler(window_bursts=2),
             lambda: DecryptScheduler(window_bursts=100),  # only drain() closes it
-            lambda: DecryptScheduler(window_bursts=100, max_pending_ciphertexts=3),
+            lambda: DecryptScheduler(window_bursts=3),
             lambda: DecryptScheduler(window_bursts=100, max_delay_seconds=0.0),
         ],
-        ids=["bursts1", "bursts2", "drain-only", "size3", "delay0"],
+        ids=["bursts1", "bursts2", "drain-only", "bursts3", "delay0"],
     )
     def test_every_window_setting_matches_sequential(
         self, spam_setup, spam_truth, make_scheduler
@@ -496,23 +424,175 @@ class TestIdleWindowStarvation:
         )
         assert runtime.poll() == []
 
-    def test_adaptive_runtime_poll_releases_idle_tail(self, spam_setup, spam_truth):
-        # End-to-end with the adaptive scheduler: one email on a quiet
-        # stream parks, and the poll tick releases it near min_delay.
+
+class TestFireOnArrival:
+    """The default policy, pinned by exact counts on a clock that only moves between calls."""
+
+    def test_every_burst_finishes_inside_its_own_call(self, spam_setup, spam_truth, monkeypatch):
         protocol, setup = spam_setup
-        clock = _FakeClock()
-        runtime = ProviderRuntime(
-            scheduler=AdaptiveDecryptScheduler(
-                min_delay_seconds=0.002, max_delay_seconds=0.25, clock=clock
-            )
+        setups = [setup, copy.deepcopy(setup)]  # two mailboxes, two key pairs
+        keypairs = sorted(id(each.keypair) for each in setups)
+        calls: list[int] = []
+        original = type(protocol.scheme).decrypt_slots_many
+
+        def counting(scheme, keypair, ciphertexts):
+            calls.append(id(keypair))
+            return original(scheme, keypair, ciphertexts)
+
+        monkeypatch.setattr(type(protocol.scheme), "decrypt_slots_many", counting)
+        clock = VirtualClock()
+        with scoped_telemetry() as (_, tracer):
+            runtime = ProviderRuntime(scheduler=DecryptScheduler(clock=clock))
+            verdicts = {}
+            for first, burst in ((0, SPAM_EMAILS[:4]), (4, SPAM_EMAILS[4:])):
+                jobs = [
+                    spam_job(protocol, setups[index % 2], features, label=index)
+                    for index, features in enumerate(burst, start=first)
+                ]
+                finished = runtime.serve_burst(jobs)
+                assert len(finished) == len(jobs)
+                assert runtime.outstanding_jobs() == 0
+                assert runtime.scheduler.next_deadline() is None
+                assert sorted(calls) == keypairs  # one decrypt call per key pair
+                calls.clear()
+                verdicts.update((job.label, job.client.is_spam) for job in finished)
+                clock.advance(1.0)
+            parks = [span for span in tracer.snapshot() if span["name"] == "window_park"]
+        assert [verdicts[index] for index in range(len(SPAM_EMAILS))] == spam_truth
+        assert len(parks) == len(SPAM_EMAILS)
+        assert all(span["end_seconds"] == span["start_seconds"] for span in parks)
+
+
+class _StubSession:
+    def add_seconds(self, seconds: float) -> None:
+        pass
+
+    def supply_decrypted(self, slot_lists):
+        return []
+
+
+class _StubJob:
+    label = "stub"
+    trace_id = None
+
+    def dispatch(self, party, frames) -> None:
+        pass
+
+
+class _StubScheme:
+    def decrypt_slots_many(self, keypair, ciphertexts):
+        return [[0] for _ in ciphertexts]
+
+
+class TestBoundedLedgers:
+    def test_batch_ledger_and_stats_reply_stop_growing_at_the_cap(self):
+        request = _FakeEntry._Request(scheme=_StubScheme(), keypair="kp", count=1)
+        entry = _ParkedDecryption(
+            job=_StubJob(), party="provider", session=_StubSession(), request=request
         )
-        assert runtime.serve_burst([spam_job(protocol, setup, SPAM_EMAILS[0], label=0)]) == []
-        deadline = runtime.scheduler.next_deadline()
-        assert deadline is not None and deadline <= 0.01  # quiet stream: ~min_delay
-        clock.now = deadline
-        finished = runtime.poll()
-        assert [job.client.is_spam for job in finished] == spam_truth[:1]
-        assert runtime.scheduler.decrypt_ages == [pytest.approx(deadline)]
+        with scoped_telemetry():
+            core = ShardWorkerCore((1, None))
+
+            def stats_bytes_after(batches: int) -> int:
+                for _ in range(batches):
+                    core.runtime._service_group([entry])
+                return len(pickle.dumps(core.handle("stats", None)))
+
+            first = stats_bytes_after(RECENT_SAMPLE_CAP + 1)
+            assert len(core.runtime.decrypt_batch_sizes) == RECENT_SAMPLE_CAP
+            second = stats_bytes_after(RECENT_SAMPLE_CAP)
+            stats = core.handle("stats", None)[1]
+            runtime_stats = core.runtime.stats()
+        assert len(core.runtime.decrypt_batch_sizes) == RECENT_SAMPLE_CAP
+        assert second == first
+        assert set(stats) == {
+            "mailboxes",
+            "outstanding_jobs",
+            "disconnected_jobs",
+            "pending_window_ciphertexts",
+            "restored_jobs",
+            "metrics",
+        }
+        assert set(runtime_stats) == {
+            "outstanding_jobs",
+            "disconnected_jobs",
+            "pending_window_ciphertexts",
+            "emails_served",
+        }
+        assert _counter_value(stats["metrics"], "decrypt_batches_total") == (
+            2 * RECENT_SAMPLE_CAP + 1
+        )
+
+
+class TestWorkerSchedulerSpec:
+    """The spec crosses a process boundary: a worker checks it before building anything."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            (1,),
+            (1, None, None),
+            ("static", 1, None, None),
+            ("static", True, None, "x"),
+            (True, None),
+            (0, None),
+            (1, math.nan),
+            (1, math.inf),
+            (1, -0.5),
+            None,
+            "1,",
+        ],
+        ids=repr,
+    )
+    def test_malformed_spec_builds_no_core(self, spec):
+        with pytest.raises(ProtocolError):
+            checked_scheduler_spec(spec)
+        with scoped_telemetry() as (registry, _):
+            with pytest.raises(ProtocolError):
+                ShardWorkerCore(spec)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == snapshot["histograms"] == snapshot["gauges"] == []
+
+    def test_driver_refuses_a_window_before_forking(self):
+        with pytest.raises(ProtocolError, match="max_delay_seconds"):
+            ShardedRuntime(num_shards=1, max_delay_seconds=math.nan)
+
+    def test_pipe_worker_answers_a_malformed_spec_with_a_refusal(self):
+        link = PipeLink(None, 0, (1, math.nan), "incarnation")
+        try:
+            link.post("stats", None)
+            tag, body = link.wait()
+            assert tag == "error" and "refused scheduler spec" in body
+            link.join(10.0)
+            assert not link.alive
+        finally:
+            link.close()
+
+    @pytest.mark.parametrize("delay, expected_ticks", [(0.0, 0), (0.05, 1)])
+    def test_aged_window_fires_on_the_next_tick_without_spinning(
+        self, spam_setup, spam_truth, delay, expected_ticks
+    ):
+        # The worker's loop: sleep until next_timeout(), then idle_tick().  A
+        # zero delay fires inside the burst itself; a positive one after
+        # exactly one tick, after which no timer is armed at all.
+        protocol, setup = spam_setup
+        address = "ticker@example.com"
+        with scoped_telemetry():
+            core = ShardWorkerCore((100, delay))
+            assert core.handle("register_spam", (address, protocol, setup)) == ("ok", None)
+            tag, (results, _) = core.handle(
+                "burst", [(0, "spam", address, SPAM_EMAILS[0], None)]
+            )
+            assert tag == "results"
+            ticks = 0
+            while (timeout := core.next_timeout()) is not None:
+                assert math.isfinite(timeout) and ticks < 3
+                time.sleep(timeout)
+                core.idle_tick()
+                ticks += 1
+            results += core.handle("poll", None)[1][0]
+        assert ticks == expected_ticks
+        assert [(job_id, result.is_spam) for job_id, result in results] == [(0, spam_truth[0])]
 
 
 class TestShardedRuntime:
@@ -560,32 +640,6 @@ class TestShardedRuntime:
             assert released == 1
             assert runtime.take_result(job_id).is_spam == spam_truth[0]
             assert runtime.outstanding_count() == 0
-
-    def test_adaptive_sharded_runtime_matches_sequential(
-        self, spam_setup, spam_truth
-    ):
-        protocol, setup = spam_setup
-        addresses = ["ada@example.com", "bert@example.com"]
-        with ShardedRuntime(
-            num_shards=2,
-            adaptive=True,
-            adaptive_options={"min_delay_seconds": 0.001, "max_delay_seconds": 0.05},
-        ) as runtime:
-            for address in addresses:
-                runtime.register_spam(address, protocol, setup)
-            bursts = [
-                [(addresses[index % 2], features) for index, features in burst]
-                for burst in (
-                    list(enumerate(SPAM_EMAILS[:3])),
-                    list(enumerate(SPAM_EMAILS[3:], start=3)),
-                )
-            ]
-            results = runtime.run_spam_stream(bursts)
-            assert [result.is_spam for result in results] == spam_truth
-            stats = runtime.shard_stats()
-        # The workers report their latency ledgers up through shard_stats.
-        assert all("decrypt_ages" in stat for stat in stats)
-        assert sum(len(stat["decrypt_ages"]) for stat in stats) > 0
 
 
 def _counter_value(snapshot, name):
@@ -676,15 +730,11 @@ class TestShardedTelemetry:
         assert sharded_hist["sum"] == single_hist["sum"]
 
 class TestAsyncSessionPump:
-    def _run_tcp_sessions(
-        self, protocol, setup, feature_sets, window_seconds=0.02, controller=None
-    ):
+    def _run_tcp_sessions(self, protocol, setup, feature_sets, window_seconds=0.02):
         """Run N spam sessions over real TCP through one provider pump."""
 
         async def scenario():
-            provider_pump = AsyncSessionPump(
-                window_seconds=window_seconds, controller=controller
-            )
+            provider_pump = AsyncSessionPump(window_seconds=window_seconds)
             client_pump = AsyncSessionPump()
             pool = protocol.make_ot_pool(setup)
 
@@ -740,18 +790,3 @@ class TestAsyncSessionPump:
             AsyncSessionPump(window_seconds=-0.1)
         with pytest.raises(ProtocolError):
             AsyncSessionPump(max_pending_ciphertexts=0)
-
-    def test_controller_driven_pump_matches_plain(self, spam_setup, spam_truth):
-        # An adaptive pump (window retuned per arrival by the controller)
-        # must still serve every session correctly over real TCP.
-        controller = AdaptiveWindowController(
-            min_delay_seconds=0.001, max_delay_seconds=0.05, target_batch_items=64
-        )
-        protocol, setup = spam_setup
-        outcomes, batches = self._run_tcp_sessions(
-            protocol, setup, SPAM_EMAILS[:3], controller=controller
-        )
-        assert [verdict for verdict, _ in outcomes] == spam_truth[:3]
-        per_email = setup.encrypted_model.result_ciphertext_count()
-        assert sum(batches) == 3 * per_email
-        assert controller.estimator._last_update is not None  # arrivals observed

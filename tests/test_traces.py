@@ -1,12 +1,11 @@
-"""Trace-driven workload tests: generation, virtual time, replay, control law.
+"""Trace-driven workload tests: generation, virtual time, replay, percentiles.
 
-The latency-SLO layer stands on three legs — a seeded trace generator, a
-virtual clock that owns replay time, and the small rate-estimation/control
-utilities — and the regression gate in ``benchmarks/regress.py`` assumes all
-three are deterministic and honest.  These tests pin each leg down.
+Trace replay stands on three legs — a seeded trace generator, a virtual
+clock that owns replay time, and the latency summaries — and the
+bit-identical telemetry pins in ``test_obs.py`` assume all three are
+deterministic and honest.  These tests pin each leg down.
 """
 
-import math
 import time
 
 import pytest
@@ -20,13 +19,10 @@ from repro.mail import (
     generate_trace,
     serve_trace,
 )
+from repro.obs import scoped_telemetry
+from repro.obs.metrics import RECENT_SAMPLE_CAP
 from repro.twopc.spam import SpamFilterProtocol
-from repro.utils.timing import (
-    AdaptiveWindowController,
-    EwmaArrivalRate,
-    percentile,
-    summarize_latencies,
-)
+from repro.utils.timing import percentile, summarize_latencies
 
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
@@ -52,8 +48,8 @@ class TestGenerateTrace:
     )
 
     def test_same_seed_same_schedule(self):
-        # The latency gate replays one trace across every arm; determinism
-        # is what makes that comparison paired.
+        # Replays of one trace under two policies are paired only if the
+        # schedule itself is deterministic.
         assert generate_trace(self.SPEC) == generate_trace(self.SPEC)
 
     def test_different_seeds_differ(self):
@@ -175,83 +171,6 @@ class TestPercentiles:
         assert empty["count"] == 0.0 and empty["p99"] == 0.0
 
 
-class TestEwmaArrivalRate:
-    def test_sustained_stream_converges_to_true_rate(self):
-        estimator = EwmaArrivalRate(alpha=0.3, half_life_seconds=0.25)
-        for step in range(1, 201):
-            estimator.observe(1, step * 0.01)  # 100 items/s for 2 s
-        assert estimator.rate(2.0) == pytest.approx(100.0, rel=0.1)
-
-    def test_clump_does_not_spike_the_estimate(self):
-        # The regression that motivated interval aggregation: three arrivals
-        # with millisecond gaps must not read as hundreds per second.
-        estimator = EwmaArrivalRate(alpha=0.3, half_life_seconds=0.25)
-        for gap_index in range(3):
-            estimator.observe(1, 1.0 + 0.001 * gap_index)
-        assert estimator.rate(1.01) < 1.0
-
-    def test_idle_decay_halves_per_half_life(self):
-        estimator = EwmaArrivalRate(alpha=1.0, half_life_seconds=1.0)
-        estimator.observe(1, 0.0)
-        for step in range(1, 11):
-            estimator.observe(10, step * 1.0)  # 10 items/s, slow enough to fold
-        hot = estimator.rate(10.0)
-        assert estimator.rate(11.0) == pytest.approx(hot / 2.0)
-        assert estimator.rate(12.0) == pytest.approx(hot / 4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EwmaArrivalRate(alpha=0.0)
-        with pytest.raises(ValueError):
-            EwmaArrivalRate(half_life_seconds=0.0)
-        with pytest.raises(ValueError):
-            EwmaArrivalRate(min_interval_seconds=0.0)
-        with pytest.raises(ValueError):
-            EwmaArrivalRate().observe(-1, 0.0)
-
-
-class TestAdaptiveWindowController:
-    def _controller(self):
-        return AdaptiveWindowController(
-            min_delay_seconds=0.002,
-            max_delay_seconds=0.25,
-            target_batch_items=16,
-        )
-
-    def test_quiet_stream_gets_min_delay(self):
-        controller = self._controller()
-        assert controller.delay_seconds(0.0) == pytest.approx(0.002)
-        controller.observe(1, 0.0)
-        controller.observe(1, 5.0)  # one item every 5 s
-        assert controller.delay_seconds(5.0) < 0.01
-
-    def test_hot_stream_gets_max_delay(self):
-        controller = self._controller()
-        # 200 items/s sustained, far above target/cap = 64/s.
-        for step in range(1, 101):
-            controller.observe(1, step * 0.005)
-        assert controller.observe(1, 0.505) == pytest.approx(0.25)
-
-    def test_convex_response_keeps_marginal_rates_cheap(self):
-        controller = self._controller()
-        # Force a mid-scale estimate: fill 0.25 squared is ~6% of the span.
-        controller.estimator._rate = 16.0  # fill = 16 / 64
-        controller.estimator._last_update = 0.0
-        delay = controller.delay_seconds(0.0)
-        assert delay < 0.002 + (0.25 - 0.002) * 0.25  # well under a linear law
-        assert delay == pytest.approx(0.002 + (0.25 - 0.002) * 0.25**2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveWindowController(min_delay_seconds=-0.001)
-        with pytest.raises(ValueError):
-            AdaptiveWindowController(max_delay_seconds=0.001, min_delay_seconds=0.002)
-        with pytest.raises(ValueError):
-            AdaptiveWindowController(target_batch_items=0)
-        with pytest.raises(ValueError):
-            AdaptiveWindowController(response_exponent=0.5)
-
-
 class TestServeTrace:
     SPEC = TraceSpec(
         mailboxes=3,
@@ -262,7 +181,7 @@ class TestServeTrace:
         seed=7,
     )
 
-    def _replay(self, spam_setup, cost_model):
+    def _replay(self, spam_setup, cost_model, ledger=()):
         protocol, setup = spam_setup
         events = generate_trace(self.SPEC)
         clock = VirtualClock()
@@ -271,6 +190,7 @@ class TestServeTrace:
                 window_bursts=10**9, max_delay_seconds=0.05, clock=clock
             )
         )
+        runtime.decrypt_batch_sizes.extend(ledger)
         features_by_mailbox = {
             f"user{index}@trace.example": SPAM_EMAILS[index % len(SPAM_EMAILS)]
             for index in range(self.SPEC.mailboxes)
@@ -305,8 +225,8 @@ class TestServeTrace:
         cost_model = lambda size: 0.01 + 0.002 * size
         _, first = self._replay(spam_setup, cost_model)
         _, second = self._replay(spam_setup, cost_model)
-        # Bit-identical virtual timelines: this is what lets a hard-fail
-        # regression gate compare policies without wall-clock jitter.
+        # Bit-identical virtual timelines: policies compare without
+        # wall-clock jitter.
         assert first.latencies == second.latencies
         assert first.decrypt_batch_sizes == second.decrypt_batch_sizes
 
@@ -321,3 +241,15 @@ class TestServeTrace:
         # below the mean's floor and must bound the observed maximum.
         assert row["p95_decrypt_batch"] >= 1.0
         assert row["p95_decrypt_batch"] <= max(report.decrypt_batch_sizes)
+
+    def test_a_full_batch_ledger_still_charges_every_flushed_batch(self, spam_setup):
+        # A long-lived runtime's ledger sits at RECENT_SAMPLE_CAP and no longer
+        # grows, so the replay reads how many batches each call flushed off
+        # the decrypt_batches_total counter.
+        cost_model = lambda size: 0.01 + 0.002 * size
+        _, fresh = self._replay(spam_setup, cost_model)
+        with scoped_telemetry() as (registry, _):
+            _, full = self._replay(spam_setup, cost_model, ledger=[1] * RECENT_SAMPLE_CAP)
+        assert full.latencies == fresh.latencies
+        assert full.decrypt_batch_sizes == fresh.decrypt_batch_sizes
+        assert len(full.decrypt_batch_sizes) == registry.counter("decrypt_batches_total").value
