@@ -32,8 +32,9 @@ subtractors and ``B' - 1`` compare-and-select steps of ``w + w + k``,
 ``B'(w - 1) + (B' - 1)(2w + k)`` (958 at ``w = 32, B' = 10, k = 8``).
 
 Both parties must build the *same* gate list: the garbled tables are keyed by
-gate position, so a peer on different gadgets fails closed (a missing table
-or an output label that decodes to neither value raises ``ProtocolAbort``).
+gate position, so a peer on different gadgets fails closed (tables whose AND
+positions are not this circuit's, or an output label that decodes to neither
+value, raise ``ProtocolAbort``).
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+
+import numpy as np
 
 from repro.exceptions import CircuitError
 from repro.utils.bitops import bits_to_int, int_to_bits
@@ -65,19 +68,37 @@ PLAN_XOR, PLAN_NOT, PLAN_AND = 0, 1, 2
 _PLAN_KIND = {GateKind.XOR: PLAN_XOR, GateKind.NOT: PLAN_NOT, GateKind.AND: PLAN_AND}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GatePlan:
     """A circuit's gate list flattened for the garbling/evaluation loops.
 
-    One ``(kind, input_a, input_b, output, index_bytes)`` tuple per gate, in
-    gate order; ``index_bytes`` is the gate's position as the 4 big-endian
-    bytes the gate hash binds.  The gate counts ride along so nothing rescans
-    the gate list per email.
+    * ``steps``: one ``(kind, input_a, input_b, output, position)`` tuple per
+      gate, in gate order — what the evaluator walks.
+    * ``free_steps``: the XOR and NOT gates alone, as ``(input_a, input_b,
+      output)``, for the garbler's label pass.  A NOT reads wire
+      ``num_wires`` as its second input: a constant whose 0-label is the
+      free-XOR offset, so the output's 0-label is the input's 1-label.
+    * ``and_positions``: the AND gates' positions, ascending — the garbled
+      table's record keys; ``and_index_block`` is the same positions as a
+      read-only ``(ANDs, 4)`` block of the big-endian bytes the gate hash
+      binds.  ``and_inputs`` is every AND's first input wire, then every
+      AND's second; ``and_outputs`` their output wires.
+
+    All of it is computed once per circuit shape, so nothing rescans the gate
+    list per email.
     """
 
-    steps: tuple[tuple[int, int, int, int, bytes], ...]
-    and_count: int
+    steps: tuple[tuple[int, int, int, int, int], ...]
+    free_steps: tuple[tuple[int, int, int], ...]
+    and_positions: tuple[int, ...]
+    and_index_block: np.ndarray
+    and_inputs: tuple[int, ...]
+    and_outputs: tuple[int, ...]
     xor_count: int
+
+    @property
+    def and_count(self) -> int:
+        return len(self.and_positions)
 
 
 @dataclass
@@ -97,12 +118,28 @@ class Circuit:
 
     @cached_property
     def plan(self) -> GatePlan:
-        kinds = [_PLAN_KIND[gate.kind] for gate in self.gates]
         steps = tuple(
-            (kind, gate.input_a, gate.input_b, gate.output, position.to_bytes(4, "big"))
-            for position, (kind, gate) in enumerate(zip(kinds, self.gates))
+            (_PLAN_KIND[gate.kind], gate.input_a, gate.input_b, gate.output, position)
+            for position, gate in enumerate(self.gates)
         )
-        return GatePlan(steps, and_count=kinds.count(PLAN_AND), xor_count=kinds.count(PLAN_XOR))
+        ands = [step for step in steps if step[0] == PLAN_AND]
+        free = [
+            (wire_a, wire_b if kind == PLAN_XOR else self.num_wires, wire_out)
+            for kind, wire_a, wire_b, wire_out, _ in steps
+            if kind != PLAN_AND
+        ]
+        index_block = np.array([step[4] for step in ands], dtype=">u4").view(np.uint8)
+        index_block = index_block.reshape(len(ands), 4)
+        index_block.setflags(write=False)
+        return GatePlan(
+            steps=steps,
+            free_steps=tuple(free),
+            and_positions=tuple(step[4] for step in ands),
+            and_index_block=index_block,
+            and_inputs=tuple(step[1] for step in ands) + tuple(step[2] for step in ands),
+            and_outputs=tuple(step[3] for step in ands),
+            xor_count=sum(1 for step in steps if step[0] == PLAN_XOR),
+        )
 
     def __getstate__(self) -> dict:
         # The plan is derived state: recompiled on first use after a pickle

@@ -56,14 +56,7 @@ class RingContext:
         self._degree_inverse = np.array(
             [[invmod(ring_degree, prime)] for prime in primes], dtype=np.int64
         )
-        # Precompute CRT reconstruction coefficients: for residues r_i,
-        # value = sum_i r_i * M_i * (M_i^{-1} mod p_i) mod q, where M_i = q / p_i.
-        # (Used by the object-dtype reference path and pinned by tests.)
-        self._crt_terms = []
-        for prime in primes:
-            partial = self.modulus // prime
-            self._crt_terms.append(partial * invmod(partial % prime, prime))
-        # Garner mixed-radix precomputation for the int64 fast path:
+        # Garner mixed-radix precomputation for CRT reconstruction:
         # prefix_i = p_0 * ... * p_{i-1} (prefix_0 = 1), each reduced modulo
         # every later prime, plus the inverse of prefix_j mod p_j that the
         # digit extraction divides by.
@@ -171,11 +164,13 @@ class RingContext:
         the default two-prime parameter set — so a whole decrypt stack never
         leaves machine words.  When ``q`` exceeds 62 bits only the single
         final combination touches object dtype (once per stack, not once per
-        element).  Output values and shape ``(..., n)`` are bit-identical to
-        :meth:`crt_reconstruct_array_reference`.
+        element).  Residues must be machine integers — every caller holds
+        int64 residues — so object-dtype input is refused.  The tests pin the
+        output values and shape ``(..., n)`` against the textbook
+        ``Σ r_i·M_i·(M_i⁻¹ mod p_i) mod q`` over Python integers.
         """
         if residues.dtype == object:
-            return self.crt_reconstruct_array_reference(residues)
+            raise ParameterError("CRT reconstruction takes integer residue arrays, not object dtype")
         q = self.modulus
         half = q // 2
         primes = self.primes
@@ -199,23 +194,6 @@ class RingContext:
                 total = total + digits[j].astype(object) * self._garner_prefixes[j]
         # Mixed-radix recombination is exact and already below q — no final
         # big-integer modulo is needed, only the centering.
-        return np.where(total > half, total - q, total)
-
-    def crt_reconstruct_array_reference(self, residues: np.ndarray) -> np.ndarray:
-        """Object-dtype CRT reference (the pre-Garner implementation).
-
-        Returns an object-dtype array of Python integers in ``(-q/2, q/2]``
-        with shape ``(..., n)``.  Kept as the correctness pin for
-        :meth:`crt_reconstruct_array` and as the fallback for object-dtype
-        inputs wider than int64.
-        """
-        q = self.modulus
-        half = q // 2
-        stacked = residues.astype(object)
-        total = stacked[..., 0, :] * self._crt_terms[0]
-        for index in range(1, len(self.primes)):
-            total = total + stacked[..., index, :] * self._crt_terms[index]
-        total = total % q
         return np.where(total > half, total - q, total)
 
     def crt_reconstruct(self, residues: np.ndarray) -> list[int]:

@@ -25,8 +25,6 @@ provider halves multiplex across many concurrent email sessions.
   in-order frames over lossy transports (sequence numbers, CRC32, cumulative
   acks), plus :class:`FaultyTransport` in :mod:`repro.twopc.transport`, the
   seeded fault injector the chaos suite drives it with.
-* :mod:`repro.twopc.channel` — a legacy untyped in-process channel kept for
-  tests and ad-hoc size estimates.
 """
 
 # The protocol modules import crypto modules that in turn build on the wire /
@@ -37,7 +35,6 @@ provider halves multiplex across many concurrent email sessions.
 from importlib import import_module
 
 _EXPORTS = {
-    "TwoPartyChannel": "repro.twopc.channel",
     "NoPrivClassifier": "repro.twopc.noprv",
     "SpamFilterProtocol": "repro.twopc.spam",
     "SpamProtocolResult": "repro.twopc.spam",

@@ -1,4 +1,4 @@
-"""Tests for the two-party channel and the blinding step."""
+"""Tests for the blinding step: what leaves the client is blinded and unblinds exactly."""
 
 import numpy as np
 import pytest
@@ -6,67 +6,11 @@ import pytest
 from repro.crypto.packing import PackedLinearModel
 from repro.exceptions import ProtocolError
 from repro.twopc.blinding import blind_dot_products, blind_extracted_candidates, score_runs
-from repro.twopc.channel import TwoPartyChannel, estimate_message_bytes
 
 
 def unblind_reference(blinded_value: int, noise: int, scheme) -> int:
     """Plaintext unblinding: ``(blinded - noise) mod 2^slot_bits``."""
     return (blinded_value - noise) % scheme.slot_modulus
-
-
-class TestChannel:
-    def test_fifo_delivery_between_parties(self):
-        channel = TwoPartyChannel()
-        channel.send("client", "first")
-        channel.send("client", "second")
-        assert channel.receive("provider") == "first"
-        assert channel.receive("provider") == "second"
-
-    def test_receive_skips_own_messages(self):
-        channel = TwoPartyChannel()
-        channel.send("provider", "from-provider")
-        channel.send("client", "from-client")
-        assert channel.receive("provider") == "from-client"
-        assert channel.receive("client") == "from-provider"
-
-    def test_empty_receive_raises(self):
-        channel = TwoPartyChannel()
-        with pytest.raises(ProtocolError):
-            channel.receive("client")
-
-    def test_byte_accounting_accumulates(self):
-        channel = TwoPartyChannel()
-        size = channel.send("client", b"x" * 100)
-        assert size == 100
-        channel.send("provider", b"y" * 50)
-        assert channel.total_bytes() == 150
-        assert channel.bytes_by_sender["client"] == 100
-        assert channel.total_messages() == 2
-
-    def test_reset_accounting(self):
-        channel = TwoPartyChannel()
-        channel.send("client", b"x" * 10)
-        channel.reset_accounting()
-        assert channel.total_bytes() == 0
-
-    def test_ciphertext_sizes_use_wire_size(self, bv_scheme, bv_keys):
-        ciphertext = bv_scheme.encrypt_slots(bv_keys.public, [1])
-        assert estimate_message_bytes(ciphertext) == bv_scheme.ciphertext_size_bytes()
-        assert estimate_message_bytes([ciphertext, ciphertext]) == 2 * bv_scheme.ciphertext_size_bytes()
-
-    def test_structured_message_size_positive(self):
-        assert estimate_message_bytes({"key": [1, 2, 3], "blob": b"abc"}) > 0
-
-    def test_unsized_object_raises_instead_of_guessing(self):
-        # The flat 64-byte fallback is gone: protocol objects belong in a
-        # typed wire frame with a real codec, not in a guess.
-        class Opaque:
-            pass
-
-        with pytest.raises(ProtocolError):
-            estimate_message_bytes(Opaque())
-        with pytest.raises(ProtocolError):
-            TwoPartyChannel().send("client", Opaque())
 
 
 @pytest.fixture(scope="module")

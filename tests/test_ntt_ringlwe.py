@@ -273,11 +273,13 @@ class TestEvaluationDomain:
         a = RingPolynomial.sample_uniform(ring_context, Prg(b"ev-h"))
         q = ring_context.modulus
         half = q // 2
+        # value = Σ r_i·M_i·(M_i⁻¹ mod p_i) mod q, where M_i = q / p_i.
+        terms = [q // prime * pow(q // prime, -1, prime) for prime in ring_context.primes]
         expected = []
         for column in range(ring_context.n):
             value = 0
             for prime_index in range(len(ring_context.primes)):
-                value += int(a.residues[prime_index, column]) * ring_context._crt_terms[prime_index]
+                value += int(a.residues[prime_index, column]) * terms[prime_index]
             value %= q
             expected.append(value - q if value > half else value)
         assert a.to_centered_coefficients() == expected

@@ -1,13 +1,15 @@
 """Integration tests for the spam-filtering and topic-extraction protocols."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolAbort, ProtocolError
 from repro.twopc.noprv import NoPrivClassifier
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
+from repro.twopc.wire import GarbledCircuitFrame, WireCodec
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +169,57 @@ class TestTopicProtocol:
         features = TOPIC_TEST_EMAILS[0]
         result = protocol.extract_topic(setup, features, candidate_topics=None)
         assert result.extracted_topic == small_topic_model.predict(features)
+
+
+def _resize_decode_tables_in_transit(monkeypatch, change):
+    """Re-size the decode table of every garbled-circuit frame a channel delivers."""
+    original, tampered = WireCodec.decode, []
+
+    def decode(self, data):
+        frame = original(self, data)
+        if isinstance(frame, GarbledCircuitFrame):
+            digests = change(frame.tables.output_decode)
+            frame = replace(frame, tables=replace(frame.tables, output_decode=digests))
+            tampered.append(frame)
+        return frame
+
+    monkeypatch.setattr(WireCodec, "decode", decode)
+    return tampered
+
+
+DECODE_TABLE_CHANGES = {
+    "short": lambda digests: digests[:-1],
+    "empty": lambda digests: [],
+    "long": lambda digests: digests + digests[:1],
+}
+
+
+class TestMisSizedDecodeTable:
+    """A decode table was zipped against the outputs: a short one was truncated.
+
+    The topic provider then decoded ``bits_to_int([]) = 0`` — a wrong topic and
+    no error — and the spam client hit a raw ``IndexError``.
+    """
+
+    @pytest.mark.parametrize("change", sorted(DECODE_TABLE_CHANGES))
+    def test_spam_client_aborts(self, spam_setup, monkeypatch, change):
+        protocol, setup = spam_setup
+        tampered = _resize_decode_tables_in_transit(monkeypatch, DECODE_TABLE_CHANGES[change])
+        with pytest.raises(ProtocolAbort, match="decode table"):
+            protocol.classify_email(setup, SPAM_TEST_EMAILS[0])
+        assert len(tampered) == 1 and tampered[0].decode_at_evaluator
+
+    @pytest.mark.parametrize("change", sorted(DECODE_TABLE_CHANGES))
+    def test_topic_provider_aborts(self, topic_setup, small_topic_model, monkeypatch, change):
+        protocol, setup = topic_setup
+        features = TOPIC_TEST_EMAILS[0]
+        truth = small_topic_model.predict(features)
+        candidates = sorted({truth, 0, 1, 2})
+        assert protocol.extract_topic(setup, features, candidates).extracted_topic == truth
+        tampered = _resize_decode_tables_in_transit(monkeypatch, DECODE_TABLE_CHANGES[change])
+        with pytest.raises(ProtocolAbort, match="decode table"):
+            protocol.extract_topic(setup, features, candidates)
+        assert len(tampered) == 1 and tampered[0].decode_at_evaluator
 
 
 class TestRegistrationPickle:

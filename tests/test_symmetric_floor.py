@@ -15,6 +15,7 @@ import hashlib
 import hmac
 import pickle
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ot
 from repro.crypto.circuits import Circuit, CircuitBuilder, SpamCircuit, TopicCircuit
-from repro.crypto.garbled import LABEL_BYTES, GarbledGate, GarbledTables, evaluate, garble
+from repro.crypto.garbled import LABEL_BYTES, GarbledTables, decode_outputs, evaluate, garble
 from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
 from repro.crypto.prg import Prg, prf
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
@@ -439,21 +440,79 @@ def test_evaluate_refuses_a_mis_sized_input_label(bad, side):
 
 def test_evaluate_refuses_a_short_table_row_and_a_missing_gate():
     circuit, tables, garbler_labels, evaluator_labels = _small_garbling()
-    (position,) = tables.and_gates
-    short = GarbledTables(
-        and_gates={position: GarbledGate(position, [row[:-1] for row in tables.and_gates[position].rows])},
-        output_decode=tables.output_decode,
+    (position,) = tables.positions
+    for rows in (tables.rows[:-1], tables.rows[: 3 * LABEL_BYTES], tables.rows + bytes(16)):
+        short = GarbledTables((position,), rows, tables.output_decode)
+        with pytest.raises(ProtocolAbort):
+            evaluate(circuit, short, garbler_labels, evaluator_labels)
+    with pytest.raises(ProtocolAbort):
+        evaluate(circuit, GarbledTables((), b"", tables.output_decode), garbler_labels, evaluator_labels)
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """Every ``hashlib.sha256`` call the garbling code makes, gate hashes and digests alike."""
+    calls, real = [], hashlib.sha256
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SpamCircuit.build(27), lambda: TopicCircuit.build(27, 10, 8), lambda: TopicCircuit.build(8, 3, 2)],
+    ids=["spam27", "topic27x10x8", "topic8x3x2"],
+)
+def test_hash_budgets_are_exact(build, sha256_calls):
+    circuit = build().circuit
+    garbling = garble(circuit, seed=b"budget")
+    # Four gate hashes per AND, two decode digests per output — nothing else.
+    assert len(sha256_calls) == 4 * circuit.and_count + 2 * len(circuit.outputs)
+    sha256_calls.clear()
+    labels = evaluate(
+        circuit,
+        garbling.tables,
+        garbling.input_labels(circuit.garbler_inputs, [1] * len(circuit.garbler_inputs)),
+        garbling.input_labels(circuit.evaluator_inputs, [0] * len(circuit.evaluator_inputs)),
     )
-    with pytest.raises(ProtocolAbort):
-        evaluate(circuit, short, garbler_labels, evaluator_labels)
-    three_rows = GarbledTables(
-        and_gates={position: GarbledGate(position, tables.and_gates[position].rows[:3])},
-        output_decode=tables.output_decode,
+    assert len(sha256_calls) == circuit.and_count
+    sha256_calls.clear()
+    decode_outputs(circuit, garbling.tables, labels)
+    assert len(sha256_calls) == len(circuit.outputs)
+
+
+def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_hash(sha256_calls):
+    circuit = SpamCircuit.build(32).circuit
+    garbling = garble(circuit, seed=b"refusals")
+    tables, positions = garbling.tables, garbling.tables.positions
+    foreign = garble(_previous_spam_circuit(32), seed=b"refusals").tables
+    # Another circuit's AND positions, cut to this circuit's count and block size.
+    foreign = replace(
+        foreign, positions=foreign.positions[: len(positions)], rows=foreign.rows[: len(tables.rows)]
     )
-    with pytest.raises(ProtocolAbort):
-        evaluate(circuit, three_rows, garbler_labels, evaluator_labels)
-    with pytest.raises(ProtocolAbort):
-        evaluate(circuit, GarbledTables({}, tables.output_decode), garbler_labels, evaluator_labels)
+    assert foreign.positions != positions
+    refused = [
+        replace(tables, positions=positions[:-1]),
+        replace(tables, positions=positions[:-1] + (positions[-1] + 1,)),
+        replace(tables, positions=(positions[0] + 1,) + positions[1:]),
+        replace(tables, rows=tables.rows[:-1]),
+        replace(tables, rows=tables.rows[: -4 * LABEL_BYTES]),
+        replace(tables, rows=tables.rows + bytes(4 * LABEL_BYTES)),
+        foreign,
+    ]
+    garbler_labels = garbling.input_labels(circuit.garbler_inputs, [0] * 64)
+    evaluator_labels = garbling.input_labels(circuit.evaluator_inputs, [1] * 64)
+    sha256_calls.clear()
+    for bad in refused:
+        with pytest.raises(ProtocolAbort, match="AND gate"):
+            evaluate(circuit, bad, garbler_labels, evaluator_labels)
+    assert sha256_calls == []
+    evaluate(circuit, tables, garbler_labels, evaluator_labels)
+    assert len(sha256_calls) == circuit.and_count
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.garbled import LABEL_BYTES, GarbledGate, GarbledTables
-from repro.exceptions import WireFormatError
+from repro.crypto.garbled import LABEL_BYTES, GarbledTables
+from repro.exceptions import CircuitError, WireFormatError
 from repro.twopc.wire import (
     WIRE_VERSION,
     BlindedScoresFrame,
@@ -121,29 +121,61 @@ class TestRoundTrips:
     @settings(max_examples=25, deadline=None)
     def test_garbled_circuit(self, positions, outputs, garbler_labels, decode_flag, rnd):
         tables = GarbledTables(
-            and_gates={
-                position: GarbledGate(
-                    gate_index=position,
-                    rows=[bytes(rnd.getrandbits(8) for _ in range(LABEL_BYTES)) for _ in range(4)],
-                )
-                for position in positions
-            },
+            positions=tuple(sorted(positions)),
+            rows=rnd.randbytes(4 * LABEL_BYTES * len(positions)),
             output_decode=[
-                (
-                    bytes(rnd.getrandbits(8) for _ in range(LABEL_BYTES)),
-                    bytes(rnd.getrandbits(8) for _ in range(LABEL_BYTES)),
-                )
-                for _ in range(outputs)
+                (rnd.randbytes(LABEL_BYTES), rnd.randbytes(LABEL_BYTES)) for _ in range(outputs)
             ],
         )
         frame = GarbledCircuitFrame(tables, garbler_labels, decode_flag)
-        decoded = codec.decode(codec.encode(frame))
-        assert decoded.garbler_labels == frame.garbler_labels
-        assert decoded.decode_at_evaluator == frame.decode_at_evaluator
-        assert decoded.tables.output_decode == tables.output_decode
-        assert set(decoded.tables.and_gates) == set(tables.and_gates)
-        for position, gate in tables.and_gates.items():
-            assert decoded.tables.and_gates[position].rows == gate.rows
+        assert codec.decode(codec.encode(frame)) == frame
+
+
+class TestGarbledTableBlock:
+    """The garbled circuit travels as one row block keyed by increasing positions."""
+
+    TABLES = GarbledTables(
+        positions=(3, 9),
+        rows=bytes(range(4 * LABEL_BYTES)) + bytes(4 * LABEL_BYTES),
+        output_decode=[(b"\xaa" * LABEL_BYTES, b"\xbb" * LABEL_BYTES)],
+    )
+
+    @staticmethod
+    def _with_positions(data: bytes, first: int, second: int) -> bytes:
+        record = 4 + 4 * LABEL_BYTES
+        patched = bytearray(data)
+        patched[4:8], patched[4 + record : 8 + record] = first.to_bytes(4, "big"), second.to_bytes(4, "big")
+        return bytes(patched)
+
+    def test_the_layout_is_one_record_per_gate(self):
+        data = self.TABLES.to_bytes()
+        assert data[:4] == (2).to_bytes(4, "big")
+        assert data[4:8] == (3).to_bytes(4, "big") and data[8:72] == self.TABLES.rows[:64]
+        assert data[72:76] == (9).to_bytes(4, "big") and data[76:140] == self.TABLES.rows[64:]
+        assert GarbledTables.from_bytes(data) == self.TABLES
+        assert self.TABLES.size_bytes() == 2 * 4 * LABEL_BYTES + 2 * LABEL_BYTES
+
+    @pytest.mark.parametrize("first,second", [(9, 3), (3, 3), (9, 9)])
+    def test_positions_that_do_not_increase_are_refused(self, first, second):
+        data = self._with_positions(self.TABLES.to_bytes(), first, second)
+        with pytest.raises(WireFormatError, match="strictly increasing"):
+            GarbledTables.from_bytes(data)
+        assert GarbledTables.from_bytes(self._with_positions(data, 3, 4)).positions == (3, 4)
+
+    @pytest.mark.parametrize("count", [3, 2**32 - 1])
+    def test_a_record_count_larger_than_the_body_is_refused(self, count):
+        data = count.to_bytes(4, "big") + self.TABLES.to_bytes()[4:]
+        with pytest.raises(WireFormatError, match="truncated"):
+            GarbledTables.from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "positions,rows",
+        [((3, 9), bytes(127)), ((3,), bytes(128)), ((9, 3), bytes(128)), ((3, 3), bytes(128)),
+         ((-1, 3), bytes(128)), ((3, 2**32), bytes(128))],
+    )
+    def test_the_encoder_refuses_what_the_decoder_would(self, positions, rows):
+        with pytest.raises(CircuitError):
+            GarbledTables(positions, rows, self.TABLES.output_decode).to_bytes()
 
 
 class TestCiphertextFrames:
@@ -287,9 +319,8 @@ def _golden_frame(name):
     if name == "garbled_circuit":
         return GarbledCircuitFrame(
             tables=GarbledTables(
-                and_gates={
-                    3: GarbledGate(gate_index=3, rows=[bytes([i]) * 16 for i in range(4)])
-                },
+                positions=(3,),
+                rows=b"".join(bytes([i]) * 16 for i in range(4)),
                 output_decode=[(b"\xaa" * 16, b"\xbb" * 16)],
             ),
             garbler_labels=(b"\xcc" * 16,),

@@ -78,7 +78,7 @@ def _score_samples(scheme, keys):
 
 def _valid_frames():
     """One representative valid frame per schemeless frame type."""
-    from repro.crypto.garbled import LABEL_BYTES, GarbledGate, GarbledTables
+    from repro.crypto.garbled import LABEL_BYTES, GarbledTables
 
     return [
         OtPublicsFrame((1, 255, 2**40, 0)),
@@ -91,10 +91,8 @@ def _valid_frames():
         ClassifyResultFrame(5),
         GarbledCircuitFrame(
             tables=GarbledTables(
-                and_gates={
-                    3: GarbledGate(gate_index=3, rows=[bytes([i]) * LABEL_BYTES for i in range(4)]),
-                    9: GarbledGate(gate_index=9, rows=[bytes([i + 8]) * LABEL_BYTES for i in range(4)]),
-                },
+                positions=(3, 9),
+                rows=b"".join(bytes([i]) * LABEL_BYTES for i in range(8)),
                 output_decode=[(b"\xaa" * LABEL_BYTES, b"\xbb" * LABEL_BYTES)],
             ),
             garbler_labels=(b"\xcc" * LABEL_BYTES,),
@@ -199,6 +197,40 @@ class TestRandomBytes:
                 + blob
             )
             _decode_never_escapes(codec, data, f"sample-header case {case}")
+
+
+    def test_random_garbled_table_blocks(self):
+        # Past the frame header and the tables blob's length: record counts,
+        # positions (increasing or not) and decode counts drawn at random, so
+        # the block decoder's count and order checks see fuzz.
+        rng = random.Random(FUZZ_SEED + 8)
+        for case in range(300):
+            count = rng.choice([0, 1, 2, 5, rng.randrange(2**32)])
+            positions = sorted(rng.sample(range(50), min(count, 5)))
+            if rng.random() < 0.5:
+                rng.shuffle(positions)
+            records = b"".join(
+                struct.pack(">I", position) + rng.randbytes(64) for position in positions
+            )
+            decode = rng.choice([0, 1, 2, rng.randrange(2**32)])
+            tables = (
+                struct.pack(">I", count)
+                + records[: rng.choice([len(records), rng.randint(0, len(records))])]
+                + struct.pack(">I", decode)
+                + rng.randbytes(32 * rng.choice([0, 1, 2]))
+            )
+            data = (
+                bytes([WIRE_MAGIC, WIRE_VERSION, FrameType.GARBLED_CIRCUIT])
+                + struct.pack(">I", len(tables))
+                + tables
+                + struct.pack(">I", 1)
+                + rng.randbytes(16)
+                + b"\x01"
+            )
+            frame = _decode_never_escapes(schemeless_codec, data, f"garbled-table case {case}")
+            if frame is not None:
+                assert list(frame.tables.positions) == sorted(set(frame.tables.positions))
+                assert len(frame.tables.rows) == 64 * len(frame.tables.positions)
 
 
 class TestTruncatedFrames:
