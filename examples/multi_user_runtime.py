@@ -6,8 +6,7 @@ not one synchronous call at a time.  This example shows the runtime layer
 introduced for that:
 
 1. every protocol message travels as a typed, versioned wire frame with a
-   real codec, so network costs are exact serialized byte counts (including
-   one session driven over an actual OS socket pair);
+   real codec, so network costs are exact serialized byte counts;
 2. two mailboxes are registered in a :class:`MailboxDirectory` (encrypted
    models stacked once, per-pair OT extension handshake done once);
 3. a burst of emails for both users runs as concurrent sessions through
@@ -24,8 +23,6 @@ from repro.classify.model import QuantizedLinearModel
 from repro.core import MailboxDirectory, PretzelConfig, ProviderRuntime
 from repro.datasets import lingspam_like, prepare_classification_data
 from repro.twopc.spam import SpamFilterProtocol
-from repro.twopc.transport import FramedChannel, SocketTransport
-from repro.twopc.wire import WireCodec
 
 
 def main() -> None:
@@ -54,18 +51,13 @@ def main() -> None:
     emails = data.test_vectors[:8]
     alice_emails, bob_emails = emails[:4], emails[4:]
 
-    # -- one session over a real socket: the frames are genuine wire bytes ----
+    # -- one session over a framed channel: the frames are genuine wire bytes -
     _, alice_setup = directory.spam_of("alice@example.com")
-    socket_channel = FramedChannel(
-        SocketTransport(),
-        WireCodec(scheme=protocol.scheme, public_key=alice_setup.keypair.public),
+    result = protocol.classify_email(
+        alice_setup, alice_emails[0], channel=protocol.make_channel(alice_setup)
     )
-    try:
-        result = protocol.classify_email(alice_setup, alice_emails[0], channel=socket_channel)
-    finally:
-        socket_channel.close()
     print(
-        f"\nOne session over an OS socket pair: verdict={'spam' if result.is_spam else 'ham'}, "
+        f"\nOne session over a framed channel: verdict={'spam' if result.is_spam else 'ham'}, "
         f"{result.network_bytes} bytes in {result.network_messages} frames "
         f"({result.network_rounds} rounds)"
     )

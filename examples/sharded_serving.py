@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
-"""The sharded serving stack: TCP sessions, worker shards, windowed decrypts.
+"""The sharded serving stack: worker shards and windowed decrypts.
 
 Pretzel's deployability argument (§6.3) has a provider serving millions of
-mailboxes.  This example drives the three layers this repository adds for
-that scale:
+mailboxes.  This example drives the two layers this repository adds for
+that scale (``fabric_serving.py`` runs the same shards as TCP agents):
 
-1. **Real TCP** — one spam classification runs between an asyncio provider
-   server and a client endpoint over an actual TCP connection, each side
-   pumping its own reentrant session (frames are genuine wire bytes, counted
-   exactly at both endpoints);
-2. **Shard worker processes** — mailboxes partition across a
+1. **Shard worker processes** — mailboxes partition across a
    :class:`ShardedRuntime` by stable hash; each worker keeps its own warm
    :class:`MailboxDirectory` (encrypted-model stacks, per-pair OT pools);
-3. **Windowed decrypt scheduling** — each worker's
+2. **Windowed decrypt scheduling** — each worker's
    :class:`DecryptScheduler` accumulates parked provider decrypts *across*
    email waves before one ``decrypt_slots_many`` folds them, and a forced
    worker restart mid-window shows the parent recovering in-flight emails.
@@ -20,7 +16,6 @@ that scale:
 Run with:  python examples/sharded_serving.py
 """
 
-import asyncio
 import time
 
 from repro.classify.naive_bayes import GrahamRobinsonNaiveBayes
@@ -28,10 +23,7 @@ from repro.classify.model import QuantizedLinearModel
 from repro.core import PretzelConfig, ShardedRuntime
 from repro.core.runtime import run_spam_batch
 from repro.datasets import lingspam_like, prepare_classification_data
-from repro.twopc.session import AsyncSessionPump
 from repro.twopc.spam import SpamFilterProtocol
-from repro.twopc.transport import AsyncFramedChannel, AsyncTcpTransport
-from repro.twopc.wire import WireCodec
 
 
 def train_protocol(config):
@@ -49,31 +41,6 @@ def train_protocol(config):
     return protocol, quantized, data.test_vectors
 
 
-async def one_session_over_tcp(protocol, setup, features):
-    """Client and provider endpoints exchanging wire frames over localhost TCP."""
-    pump = AsyncSessionPump()  # provider-side: batches same-tick decrypts
-
-    def codec():
-        return WireCodec(scheme=protocol.scheme, public_key=setup.keypair.public)
-
-    async def handle_connection(transport):
-        channel = AsyncFramedChannel(transport, codec())
-        await pump.run_session(channel, "provider", protocol.provider_session(setup))
-
-    server = await AsyncTcpTransport.start_server(handle_connection, port=0)
-    port = server.sockets[0].getsockname()[1]
-
-    transport = await AsyncTcpTransport.connect("127.0.0.1", port)
-    channel = AsyncFramedChannel(transport, codec())
-    session = protocol.client_session(setup, features)
-    await AsyncSessionPump().run_session(channel, "client", session)
-    stats = (session.is_spam, channel.total_bytes(), channel.total_messages(), channel.rounds())
-    await channel.aclose()
-    server.close()
-    await server.wait_closed()
-    return stats
-
-
 def _batches(metrics: dict) -> str:
     """One worker's decrypt batches, read from its metrics snapshot."""
     (batch,) = [h for h in metrics["histograms"] if h["name"] == "decrypt_batch_ciphertexts"]
@@ -88,16 +55,7 @@ def main() -> None:
     addresses = [f"user{i}@example.com" for i in range(4)]
     setups = {address: protocol.setup(quantized) for address in addresses}
 
-    # -- 1. a real TCP session: two endpoints, an asyncio server, wire bytes --
-    verdict, nbytes, nframes, nrounds = asyncio.run(
-        one_session_over_tcp(protocol, setups[addresses[0]], test_vectors[0])
-    )
-    print(
-        f"\nOne session over real TCP: verdict={'spam' if verdict else 'ham'}, "
-        f"{nbytes} bytes in {nframes} frames ({nrounds} rounds)"
-    )
-
-    # -- 2 + 3. shard workers with windowed decrypt scheduling ----------------
+    # -- shard workers with windowed decrypt scheduling ----------------------
     waves = [
         [(address, features) for address, features in zip(addresses, test_vectors[start : start + 4])]
         for start in range(0, 12, 4)

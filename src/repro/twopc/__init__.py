@@ -8,10 +8,10 @@ provider halves multiplex across many concurrent email sessions.
 
 * :mod:`repro.twopc.wire` — typed, versioned protocol frames with real
   ``to_bytes``/``from_bytes`` codecs for everything that crosses parties.
-* :mod:`repro.twopc.transport` — :class:`Transport` (loopback and socket
-  implementations) plus :class:`FramedChannel`, the typed-frame channel with
-  per-party byte/message/round ledgers (the evaluation's "network transfers"
-  columns).
+* :mod:`repro.twopc.transport` — :class:`Transport` (in-process loopback and
+  one asyncio TCP endpoint) plus :class:`FramedChannel`, the typed-frame
+  channel with per-party byte/message/round ledgers (the evaluation's
+  "network transfers" columns).
 * :mod:`repro.twopc.session` — the :class:`ProtocolSession` state-machine
   contract and the in-process session-pair driver.
 * :mod:`repro.twopc.spam` — spam-filtering protocol: dot products + blinding +
@@ -46,14 +46,12 @@ _EXPORTS = {
     "DecryptionRequest": "repro.twopc.session",
     "SessionJob": "repro.twopc.session",
     "SessionLoop": "repro.twopc.session",
-    "AsyncSessionPump": "repro.twopc.session",
     "run_session_pair": "repro.twopc.session",
     "SessionState": "repro.twopc.wire",
     "SessionStateFrame": "repro.twopc.wire",
     "SessionStateKind": "repro.twopc.wire",
     "Transport": "repro.twopc.transport",
     "LoopbackTransport": "repro.twopc.transport",
-    "SocketTransport": "repro.twopc.transport",
     "FramedChannel": "repro.twopc.transport",
     "FaultSpec": "repro.twopc.transport",
     "FaultEvent": "repro.twopc.transport",

@@ -308,11 +308,11 @@ class AsyncReliableTransport:
 
     Wraps one async endpoint (an
     :class:`~repro.twopc.transport.AsyncTcpTransport` or its faulty wrapper)
-    and exposes the same calling convention, so it slots directly under
-    :class:`~repro.twopc.transport.AsyncFramedChannel`.  Unlike the sync
-    channel, each endpoint only controls its own side: on a poll timeout it
-    retransmits its own unacked frames, and a duplicate inbound DATA frame
-    triggers both a re-ack and a retransmit of the unacked window.
+    and exposes the same calling convention; the fabric's control link
+    (:mod:`repro.fabric.control`) is this over TCP.  Unlike the sync channel,
+    each endpoint only controls its own side: on a poll timeout it retransmits
+    its own unacked frames, and a duplicate inbound DATA frame triggers both a
+    re-ack and a retransmit of the unacked window.
     """
 
     def __init__(
@@ -335,34 +335,10 @@ class AsyncReliableTransport:
     def stats(self) -> dict[str, int]:
         return dict(self._core.stats)
 
-    # -- ledger / identity delegation ---------------------------------------
-    @property
-    def parties(self) -> tuple[str, str]:
-        return self.inner.parties
-
+    # -- identity delegation (the ledger stays on the inner endpoint) --------
     @property
     def local_party(self) -> str:
         return self.inner.local_party
-
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.inner.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.inner.messages_by_sender
-
-    def peer_of(self, party: str) -> str:
-        return self.inner.peer_of(party)
-
-    def total_bytes(self) -> int:
-        return self.inner.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.inner.total_messages()
-
-    def rounds(self) -> int:
-        return self.inner.rounds()
 
     def pending(self) -> int:
         return self.inner.pending() + len(self._state.ready) + len(self._state.out_of_order)

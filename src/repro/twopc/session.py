@@ -18,15 +18,12 @@ migrate or reconnect it) without blocking anything.
 :class:`SessionLoop` is the single frame pump every in-process driver shares;
 a one-email run (:func:`run_session_pair`) and the multi-user serving loop
 (:class:`repro.core.runtime.ProviderRuntime`) are the same loop over one job
-or many.  :class:`AsyncSessionPump` is the cross-process counterpart: it
-drives *one party's* sessions over asyncio TCP channels
-(:class:`repro.twopc.transport.AsyncTcpTransport`), with the same
-windowed cross-session decrypt batching on the provider side.
+or many.  Cross-process serving runs the same loop inside each shard worker
+(:mod:`repro.core.runtime`); only control frames cross TCP.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -472,12 +469,15 @@ class SessionLoop:
         ciphertexts = [
             ciphertext for entry in entries for ciphertext in entry.request.ciphertexts
         ]
-        _note_batch(self.decrypt_batch_sizes, len(ciphertexts))
+        self.decrypt_batch_sizes.append(len(ciphertexts))
+        if len(self.decrypt_batch_sizes) > RECENT_SAMPLE_CAP:
+            del self.decrypt_batch_sizes[0]
         self._metric_batches.inc()
         self._metric_batch_sizes.observe(len(ciphertexts))
-        slot_lists, per_ciphertext_seconds = batch_decrypt(
-            entries[0].request.scheme, entries[0].request.keypair, ciphertexts
-        )
+        request = entries[0].request
+        begin = time.perf_counter()
+        slot_lists = request.scheme.decrypt_slots_many(request.keypair, ciphertexts)
+        per_ciphertext_seconds = (time.perf_counter() - begin) / max(1, len(ciphertexts))
         offset = 0
         for entry in entries:
             count = len(entry.request.ciphertexts)
@@ -487,19 +487,12 @@ class SessionLoop:
             entry.job.dispatch(entry.party, frames)
 
 
-def _note_batch(ledger: list[int], size: int) -> None:
-    """Append one batch size to a ledger that keeps the last ``RECENT_SAMPLE_CAP``."""
-    ledger.append(size)
-    if len(ledger) > RECENT_SAMPLE_CAP:
-        del ledger[0]
-
-
 def decrypt_group_key(request: DecryptionRequest) -> tuple[int, int]:
     """The batching identity of a decryption request: its (scheme, keypair).
 
-    Every place that folds decrypts — the in-process loop, the windowed
-    scheduler, the async pump — must group by the *same* identity, so the
-    key expression lives here exactly once.
+    Both places that fold decrypts — the in-process loop and the windowed
+    scheduler — must group by the *same* identity, so the key expression
+    lives here exactly once.
     """
     return (id(request.scheme), id(request.keypair))
 
@@ -510,16 +503,6 @@ def group_by_keypair(parked: Sequence[_ParkedDecryption]) -> dict[tuple[int, int
     for entry in parked:
         groups.setdefault(decrypt_group_key(entry.request), []).append(entry)
     return groups
-
-
-def batch_decrypt(
-    scheme: AHEScheme, keypair: AHEKeyPair, ciphertexts: list[AHECiphertext]
-) -> tuple[list[list[int]], float]:
-    """One vectorised decrypt; returns (slot lists, seconds per ciphertext)."""
-    begin = time.perf_counter()
-    slot_lists = scheme.decrypt_slots_many(keypair, ciphertexts)
-    elapsed = time.perf_counter() - begin
-    return slot_lists, elapsed / max(1, len(ciphertexts))
 
 
 def run_session_pair(
@@ -552,129 +535,3 @@ def run_session_pair(
         provider_name=provider_name,
     )
     SessionLoop().run([job])
-
-
-# ---------------------------------------------------------------------------
-# The asyncio pump: one party's sessions over real TCP connections
-# ---------------------------------------------------------------------------
-class AsyncSessionPump:
-    """Drive one party's protocol sessions over async framed channels.
-
-    The cross-process twin of :class:`SessionLoop`.  A provider process runs
-    one pump for all of its live TCP connections; each connection's session is
-    a coroutine (:meth:`run_session`), so thousands of sessions share one
-    event loop.  Provider sessions that park a decryption await a shared
-    windowed flusher that folds requests *across connections* into one
-    ``decrypt_slots_many`` call per key pair — the same amortisation the
-    in-process serving loop gets, now across sockets.
-
-    ``window_seconds`` is the latency/throughput knob: ``0`` batches whatever
-    parked within the same event-loop tick; a positive window accumulates
-    decrypts across arrivals at the cost of that much added latency.
-    ``max_pending_ciphertexts`` (if set) flushes early once enough work has
-    piled up, bounding the latency a deep queue can add.
-    """
-
-    def __init__(
-        self,
-        window_seconds: float = 0.0,
-        max_pending_ciphertexts: int | None = None,
-    ) -> None:
-        if window_seconds < 0:
-            raise ProtocolError("window_seconds must be non-negative")
-        if max_pending_ciphertexts is not None and max_pending_ciphertexts < 1:
-            raise ProtocolError("max_pending_ciphertexts must be at least 1")
-        self.window_seconds = window_seconds
-        self.max_pending_ciphertexts = max_pending_ciphertexts
-        self.decrypt_batch_sizes: list[int] = []
-        self._pending: list[tuple[DecryptionRequest, "asyncio.Future"]] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
-        registry = get_registry()
-        self._metric_batches = registry.counter("decrypt_batches_total")
-        self._metric_batch_sizes = registry.histogram("decrypt_batch_ciphertexts")
-
-    async def run_session(self, channel, party: str, session: ProtocolSession) -> None:
-        """Pump one session over *channel* until it finishes.
-
-        *channel* is an :class:`~repro.twopc.transport.AsyncFramedChannel`
-        whose local party is *party*.  Frames the session emits are sent;
-        frames from the peer are received and handled; parked decryptions
-        await the pump's shared windowed flusher.
-        """
-        if not session.started:
-            for frame in session.start():
-                await channel.send(party, frame)
-        await self._service_parked(channel, party, session)
-        while not session.finished:
-            frame = await channel.receive(party)
-            for response in session.handle(frame):
-                await channel.send(party, response)
-            await self._service_parked(channel, party, session)
-
-    async def _service_parked(self, channel, party: str, session: ProtocolSession) -> None:
-        if not isinstance(session, DecryptingSession):
-            return
-        while True:
-            request = session.decryption_request()
-            if request is None:
-                return
-            future = asyncio.get_running_loop().create_future()
-            self._pending.append((request, future))
-            self._arm_flush()
-            slot_lists, attributed_seconds = await future
-            session.add_seconds(attributed_seconds)
-            for frame in session.supply_decrypted(slot_lists):
-                await channel.send(party, frame)
-
-    # -- the windowed flusher ------------------------------------------------
-    def _arm_flush(self) -> None:
-        if self.max_pending_ciphertexts is not None:
-            pending = sum(len(request.ciphertexts) for request, _ in self._pending)
-            if pending >= self.max_pending_ciphertexts:
-                if self._flush_handle is not None:
-                    self._flush_handle.cancel()
-                    self._flush_handle = None
-                self._flush()
-                return
-        if self._flush_handle is None:
-            self._flush_handle = asyncio.get_running_loop().call_later(
-                self.window_seconds, self._timer_fired
-            )
-
-    def _timer_fired(self) -> None:
-        self._flush_handle = None
-        self._flush()
-
-    def _flush(self) -> None:
-        pending, self._pending = self._pending, []
-        groups: dict[tuple[int, int], list[tuple[DecryptionRequest, "asyncio.Future"]]] = {}
-        for request, future in pending:
-            groups.setdefault(decrypt_group_key(request), []).append((request, future))
-        for entries in groups.values():
-            ciphertexts = [
-                ciphertext for request, _ in entries for ciphertext in request.ciphertexts
-            ]
-            _note_batch(self.decrypt_batch_sizes, len(ciphertexts))
-            self._metric_batches.inc()
-            self._metric_batch_sizes.observe(len(ciphertexts))
-            try:
-                slot_lists, per_ciphertext_seconds = batch_decrypt(
-                    entries[0][0].scheme, entries[0][0].keypair, ciphertexts
-                )
-            except Exception as error:  # noqa: BLE001 — must reach the sessions
-                # A failed batch (e.g. a hostile ciphertext) fails the parked
-                # sessions, never the flusher: when this runs from the timer
-                # callback an unhandled exception would leave every awaiting
-                # coroutine hung forever.
-                for _, future in entries:
-                    if not future.cancelled():
-                        future.set_exception(error)
-                continue
-            offset = 0
-            for request, future in entries:
-                count = len(request.ciphertexts)
-                if not future.cancelled():
-                    future.set_result(
-                        (slot_lists[offset : offset + count], per_ciphertext_seconds * count)
-                    )
-                offset += count

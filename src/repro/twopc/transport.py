@@ -7,40 +7,32 @@ burst of consecutive frames from one direction; Figs. 3/6/11 report rounds
 alongside bytes).  Accounting is exact: a transport charges ``len(data)`` for
 every frame it accepts, nothing is estimated.
 
-Three implementations are provided:
+Two implementations are provided:
 
-* :class:`LoopbackTransport` — an in-process FIFO, the default for unit tests,
-  benchmarks and the multi-session serving loop of :mod:`repro.core.runtime`;
-* :class:`SocketTransport` — a real OS socket pair with length-prefixed
-  frames.  Writes are drained by per-party background threads so that two
-  parties driven from a single thread can exchange frames larger than the
-  kernel buffers without deadlocking.
+* :class:`LoopbackTransport` — an in-process FIFO.  Every protocol frame runs
+  over it: one-shot drivers, tests, and the serving loop of
+  :mod:`repro.core.runtime` inside each shard worker;
 * :class:`AsyncTcpTransport` — **one endpoint** of a real TCP connection
-  (asyncio streams) using the same u32-length-prefixed framing.  This is the
-  cross-process arrangement: the client process and the provider process each
-  hold their own endpoint and their own ledger, and the serving side
-  multiplexes many connections on one event loop
-  (:class:`repro.twopc.session.AsyncSessionPump`).
+  (asyncio streams) using u32-length-prefixed framing.  Each process holds its
+  own endpoint and its own ledger; the shard fabric's control link
+  (:mod:`repro.fabric.control`) runs over it.
 
-All byte-stream transports share :class:`FrameAssembler`, the incremental
-length-prefix parser, so framing behaviour under adversarial write splits
-(1-byte writes, frame-boundary straddles) is defined — and property-tested —
-exactly once.  A closed transport (or a peer hangup mid-frame) raises
-:class:`~repro.exceptions.TransportClosedError`, never a raw ``OSError``.
+The TCP endpoint parses its byte stream with :class:`FrameAssembler`, the
+incremental length-prefix parser, so framing behaviour under adversarial write
+splits (1-byte writes, frame-boundary straddles) is defined — and
+property-tested — in one place.  A closed transport (or a peer hangup
+mid-frame) raises :class:`~repro.exceptions.TransportClosedError`, never a raw
+``OSError``.
 
 :class:`FramedChannel` layers a :class:`~repro.twopc.wire.WireCodec` on top:
 protocol code sends and receives *typed frames*, the transport sees bytes.
-:class:`AsyncFramedChannel` is its asyncio twin.
 """
 
 from __future__ import annotations
 
 import asyncio
-import queue
 import random
-import socket
 import struct
-import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -212,123 +204,6 @@ class LoopbackTransport(Transport):
 
     def pending(self) -> int:
         return sum(len(pending) for pending in self._queues.values())
-
-
-class SocketTransport(Transport):
-    """Real OS sockets (a ``socketpair``) with u32-length-prefixed frames.
-
-    Each party owns one end of the pair.  Sends are enqueued to a per-party
-    writer thread that drains into the socket, so a single-threaded driver
-    pumping both parties cannot deadlock on frames larger than the kernel
-    buffer.  Receives block (with *timeout*) on the receiving party's socket.
-    """
-
-    _LENGTH = FRAME_LENGTH_PREFIX
-
-    def __init__(
-        self,
-        parties: tuple[str, str] = ("client", "provider"),
-        name: str = "socket",
-        timeout: float = 30.0,
-    ) -> None:
-        super().__init__(parties, name)
-        self.timeout = timeout
-        left, right = socket.socketpair()
-        for sock in (left, right):
-            sock.settimeout(timeout)
-        self._sockets: dict[str, socket.socket] = {
-            self.parties[0]: left,
-            self.parties[1]: right,
-        }
-        self._outboxes: dict[str, queue.Queue] = {party: queue.Queue() for party in self.parties}
-        self._in_flight: dict[str, int] = {party: 0 for party in self.parties}
-        self._lock = threading.Lock()
-        self._closed = False
-        self._writers = []
-        for party in self.parties:
-            writer = threading.Thread(
-                target=self._drain_outbox, args=(party,), daemon=True,
-                name=f"{name}-writer-{party}",
-            )
-            writer.start()
-            self._writers.append(writer)
-
-    def _drain_outbox(self, party: str) -> None:
-        sock = self._sockets[party]
-        outbox = self._outboxes[party]
-        while True:
-            item = outbox.get()
-            if item is None:
-                return
-            try:
-                sock.sendall(item)
-            except OSError:
-                return  # peer closed; receive() will surface the error
-
-    def send(self, sender: str, data: bytes) -> int:
-        self._check_party(sender)
-        if self._closed:
-            raise TransportClosedError(f"transport {self.name!r} is closed")
-        with self._lock:
-            self._account(sender, len(data))
-            self._in_flight[self.peer_of(sender)] += 1
-        self._outboxes[sender].put(self._LENGTH.pack(len(data)) + data)
-        return len(data)
-
-    def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
-        self._check_party(receiver)
-        if self._closed:
-            raise TransportClosedError(f"transport {self.name!r} is closed")
-        sock = self._sockets[receiver]
-        if timeout_seconds is not None:
-            sock.settimeout(timeout_seconds)
-        try:
-            header = self._read_exact(sock, self._LENGTH.size)
-            length = self._LENGTH.unpack(header)[0]
-            if length > MAX_FRAME_BYTES:
-                raise WireFormatError(
-                    f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
-                )
-            data = self._read_exact(sock, length)
-        except socket.timeout as timeout:
-            raise TransportTimeoutError(
-                f"timed out waiting for a frame for {receiver!r} on {self.name!r}"
-            ) from timeout
-        except OSError as error:
-            raise TransportClosedError(
-                f"transport {self.name!r} socket failed while receiving: {error}"
-            ) from error
-        finally:
-            if timeout_seconds is not None and not self._closed:
-                sock.settimeout(self.timeout)
-        with self._lock:
-            self._in_flight[receiver] -= 1
-        return data
-
-    @staticmethod
-    def _read_exact(sock: socket.socket, count: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < count:
-            chunk = sock.recv(count - len(chunks))
-            if not chunk:
-                raise TransportClosedError("socket transport peer closed mid-frame")
-            chunks += chunk
-        return bytes(chunks)
-
-    def pending(self) -> int:
-        with self._lock:
-            return sum(self._in_flight.values())
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for party in self.parties:
-            self._outboxes[party].put(None)
-        for writer in self._writers:
-            writer.join(timeout=1.0)
-        for sock in self._sockets.values():
-            sock.close()
 
 
 class AsyncTcpTransport(Transport):
@@ -763,8 +638,8 @@ class AsyncFaultyTransport:
     Faults are injected on this endpoint's *outbound* frames (each endpoint of
     a TCP pair wraps its own side, mirroring where real damage happens), with
     the same seeded decision stream and fault ledger as the sync wrapper.
-    Exposes the async :class:`Transport` calling convention plus the ledger
-    delegation :class:`AsyncFramedChannel` expects.
+    Exposes the async :class:`Transport` calling convention; the ledger stays
+    on the inner endpoint.
     """
 
     def __init__(self, inner, spec: FaultSpec, name: str | None = None) -> None:
@@ -774,20 +649,8 @@ class AsyncFaultyTransport:
         self._injector = _FaultInjector(spec)
 
     @property
-    def parties(self) -> tuple[str, str]:
-        return self.inner.parties
-
-    @property
     def local_party(self) -> str:
         return self.inner.local_party
-
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.inner.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.inner.messages_by_sender
 
     @property
     def fault_log(self) -> list[FaultEvent]:
@@ -820,10 +683,8 @@ class AsyncFaultyTransport:
         await self._flush_due()
         return len(data)
 
-    async def _flush_due(self, force: bool = False) -> None:
-        for sender, frame in self._injector.take_due(
-            self.peer_of, force_receiver=self.local_party if force else None
-        ):
+    async def _flush_due(self) -> None:
+        for sender, frame in self._injector.take_due(self.peer_of):
             await self.inner.send(sender, frame)
 
     async def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
@@ -834,17 +695,11 @@ class AsyncFaultyTransport:
         except TransportTimeoutError:
             if not self._injector.held:
                 raise
-            await self._flush_due(force=True)
+            # An endpoint only ever holds its own outbound frames, and a quiet
+            # stream brings no later send to release them — the peer may be
+            # waiting on exactly those.  Release them, then listen once more.
+            await self.drain()
             return await self.inner.receive(receiver, timeout_seconds)
-
-    def total_bytes(self) -> int:
-        return self.inner.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.inner.total_messages()
-
-    def rounds(self) -> int:
-        return self.inner.rounds()
 
     def pending(self) -> int:
         return self.inner.pending() + len(self._injector.held)
@@ -936,58 +791,3 @@ class FramedChannel:
 
     def close(self) -> None:
         self.transport.close()
-
-
-class AsyncFramedChannel:
-    """Typed frames over an :class:`AsyncTcpTransport` (asyncio calling convention).
-
-    The async twin of :class:`FramedChannel`: ``send`` serializes and charges
-    the exact frame length, ``receive`` decodes the next assembled frame.  One
-    endpoint of a cross-process session holds one of these.
-    """
-
-    def __init__(
-        self, transport: AsyncTcpTransport, codec: WireCodec, name: str | None = None
-    ) -> None:
-        self.transport = transport
-        self.codec = codec
-        self.name = name or transport.name
-
-    # -- frame movement -----------------------------------------------------
-    async def send(self, sender: str, frame: Frame) -> int:
-        return await self.transport.send(sender, self.codec.encode(frame))
-
-    async def receive(self, receiver: str) -> Frame:
-        return self.codec.decode(await self.transport.receive(receiver))
-
-    # -- ledger (delegated) -------------------------------------------------
-    @property
-    def parties(self) -> tuple[str, str]:
-        return self.transport.parties
-
-    @property
-    def local_party(self) -> str:
-        return self.transport.local_party
-
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.transport.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.transport.messages_by_sender
-
-    def total_bytes(self) -> int:
-        return self.transport.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.transport.total_messages()
-
-    def rounds(self) -> int:
-        return self.transport.rounds()
-
-    def pending(self) -> int:
-        return self.transport.pending()
-
-    async def aclose(self) -> None:
-        await self.transport.aclose()

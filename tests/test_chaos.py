@@ -7,7 +7,9 @@ acceptance bar) must produce *bit-identical* results to a clean run — and a
 client killed mid-protocol must resume via snapshot + reconnect with zero
 resubmissions.  The raw (unreliable) transport is driven through the same
 cocktails as a control: runs the bare pipe cannot complete, the reliable
-layer must.
+layer must.  The fabric's TCP control link — reliable over faulty over a real
+localhost connection, on both ends — carries a request/response exchange
+through the same cocktails.
 
 Seeded sweeps (``@pytest.mark.chaos``) honour ``CHAOS_SEED`` so CI can run
 each build under a fresh seed (the run id) while any failure stays exactly
@@ -16,6 +18,7 @@ reproducible — the same discipline as the wire-fuzz suite.
 
 import asyncio
 import os
+from collections import deque
 
 import pytest
 
@@ -31,14 +34,13 @@ from repro.exceptions import (
     ProtocolError,
     SnapshotError,
     TransportClosedError,
+    TransportTimeoutError,
 )
 from repro.twopc.reliable import AsyncReliableTransport, chaos_channel
-from repro.twopc.session import AsyncSessionPump
 from repro.twopc.spam import SpamClientSession, SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 from repro.twopc.transport import (
     AsyncFaultyTransport,
-    AsyncFramedChannel,
     AsyncTcpTransport,
     FaultSpec,
     FaultyTransport,
@@ -222,56 +224,6 @@ class TestReconnectResume:
 
 
 # ---------------------------------------------------------------------------
-# Async arrangement: faulty + reliable endpoints over real TCP
-# ---------------------------------------------------------------------------
-class TestAsyncChaos:
-    def _run_chaotic_tcp_session(self, protocol, setup, features, rate, seed):
-        async def scenario():
-            provider_pump = AsyncSessionPump(window_seconds=0.02)
-            client_pump = AsyncSessionPump()
-            pool = protocol.make_ot_pool(setup)
-
-            def codec():
-                return WireCodec(scheme=protocol.scheme, public_key=setup.keypair.public)
-
-            async def handle_connection(transport):
-                wrapped = AsyncReliableTransport(
-                    AsyncFaultyTransport(transport, FaultSpec.loss_cocktail(rate, seed=seed))
-                )
-                channel = AsyncFramedChannel(wrapped, codec())
-                session = protocol.provider_session(setup, ot_pool=pool)
-                await provider_pump.run_session(channel, "provider", session)
-
-            server = await AsyncTcpTransport.start_server(handle_connection, port=0)
-            port = server.sockets[0].getsockname()[1]
-            transport = await AsyncTcpTransport.connect("127.0.0.1", port)
-            faulty = AsyncFaultyTransport(
-                transport, FaultSpec.loss_cocktail(rate, seed=seed + 1)
-            )
-            reliable = AsyncReliableTransport(faulty)
-            channel = AsyncFramedChannel(reliable, codec())
-            session = protocol.client_session(setup, features, ot_pool=pool)
-            try:
-                await client_pump.run_session(channel, "client", session)
-                return session.is_spam, faulty.fault_counts()
-            finally:
-                await channel.aclose()
-                server.close()
-                await server.wait_closed()
-
-        return asyncio.run(scenario())
-
-    def test_tcp_session_survives_cocktails(self, spam_setup):
-        protocol, setup = spam_setup
-        clean = protocol.classify_email(setup, SPAM_EMAILS[0])
-        for rate in COCKTAIL_RATES:
-            verdict, _faults = self._run_chaotic_tcp_session(
-                protocol, setup, SPAM_EMAILS[0], rate, CHAOS_SEED
-            )
-            assert verdict == clean.is_spam
-
-
-# ---------------------------------------------------------------------------
 # Sealed checkpoints (the AEAD satellite)
 # ---------------------------------------------------------------------------
 class TestSealedBlobs:
@@ -390,6 +342,113 @@ class TestSeededChaosSweep:
 
 
 # ---------------------------------------------------------------------------
+# The fabric's TCP link: reliable over faulty over TCP, on both ends
+# ---------------------------------------------------------------------------
+@pytest.mark.chaos
+class TestTcpReliableLinkChaos:
+    """The stack the fabric's control link runs, driven through the cocktails.
+
+    Each end wraps its own TCP endpoint in its own seeded fault injector and
+    reliable layer, as ``fabric/control.py`` and ``fabric/agent.py`` do.  The
+    provider end answers every request and keeps listening (so its poll
+    timeouts can retransmit a lost final answer) until the client hangs up.
+    """
+
+    #: 24 requests and 24 answers; request 7 is a 64 KiB frame.
+    REQUESTS = [
+        bytes([index]) * (64 * 1024 if index == 7 else 100 + index) for index in range(24)
+    ]
+
+    @staticmethod
+    def _answer(request: bytes) -> bytes:
+        return b"re:" + len(request).to_bytes(4, "big") + request[:1]
+
+    def _exchange(self, rate, seed):
+        async def scenario():
+            served = asyncio.get_running_loop().create_future()
+
+            async def serve(tcp):
+                faulty = AsyncFaultyTransport(tcp, FaultSpec.loss_cocktail(rate, seed=seed))
+                link = AsyncReliableTransport(faulty)
+                received = []
+                try:
+                    while True:
+                        request = await link.receive("provider")
+                        received.append(request)
+                        await link.send("provider", self._answer(request))
+                except TransportClosedError:
+                    served.set_result((received, faulty.fault_counts()))
+                except Exception as error:  # noqa: BLE001 — surfaced to the test
+                    served.set_exception(error)
+
+            server = await AsyncTcpTransport.start_server(serve, port=0)
+            port = AsyncTcpTransport.bound_port(server)
+            tcp = await AsyncTcpTransport.connect("127.0.0.1", port)
+            faulty = AsyncFaultyTransport(tcp, FaultSpec.loss_cocktail(rate, seed=seed + 1))
+            link = AsyncReliableTransport(faulty)
+            answers = []
+            try:
+                for request in self.REQUESTS:
+                    await link.send("client", request)
+                    answers.append(await link.receive("client"))
+            finally:
+                await link.aclose()
+            try:
+                received, server_faults = await asyncio.wait_for(served, 60)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return answers, received, faulty.fault_counts(), server_faults
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("rate", COCKTAIL_RATES)
+    def test_exchange_is_exact_and_in_order(self, rate):
+        answers, received, client_faults, server_faults = self._exchange(rate, CHAOS_SEED)
+        assert received == self.REQUESTS, f"rerun with CHAOS_SEED={CHAOS_SEED}"
+        assert answers == [self._answer(request) for request in self.REQUESTS]
+        if rate == max(COCKTAIL_RATES):
+            injected = sum(client_faults.values()) + sum(server_faults.values())
+            assert injected > 0, "a 5% cocktail injected nothing — injector is dead"
+
+
+class _RecordingInner:
+    """An async endpoint stand-in that records sends; with ``echo`` the peer
+    answers each frame it receives, and a receive with no answer times out."""
+
+    name = "recording"
+    parties = ("client", "provider")
+    local_party = "client"
+
+    def __init__(self, echo=False):
+        self.echo = echo
+        self.sent = []
+        self.inbound = deque()
+        self.receives = 0
+        self.closed = False
+
+    def peer_of(self, party):
+        return "provider" if party == "client" else "client"
+
+    def pending(self):
+        return len(self.inbound)
+
+    async def send(self, sender, frame):
+        self.sent.append((sender, bytes(frame)))
+        if self.echo:
+            self.inbound.append(b"re:" + bytes(frame))
+
+    async def receive(self, receiver, timeout_seconds=None):
+        self.receives += 1
+        if not self.inbound:
+            raise TransportTimeoutError("the peer has nothing to answer")
+        return self.inbound.popleft()
+
+    async def aclose(self):
+        self.closed = True
+
+
+# ---------------------------------------------------------------------------
 # Held-frame drain: a stranded tail frame must survive end-of-stream
 # ---------------------------------------------------------------------------
 class TestHeldFrameDrain:
@@ -425,27 +484,6 @@ class TestHeldFrameDrain:
         assert faulty.inner.messages_by_sender.get("client") == 1
 
     def test_async_drain_and_aclose_deliver_stranded_tail(self):
-        class _RecordingInner:
-            name = "recording"
-            parties = ("client", "provider")
-            local_party = "client"
-
-            def __init__(self):
-                self.sent = []
-                self.closed = False
-
-            def peer_of(self, party):
-                return "provider" if party == "client" else "client"
-
-            def pending(self):
-                return 0
-
-            async def send(self, sender, frame):
-                self.sent.append((sender, bytes(frame)))
-
-            async def aclose(self):
-                self.closed = True
-
         async def scenario():
             inner = _RecordingInner()
             faulty = AsyncFaultyTransport(
@@ -461,5 +499,22 @@ class TestHeldFrameDrain:
             await faulty.aclose()  # aclose drains before closing
             assert [frame for _, frame in inner.sent] == [b"one", b"two", b"tail"]
             assert inner.closed
+
+        asyncio.run(scenario())
+
+    def test_async_receive_timeout_releases_held_outbound_frames(self):
+        # An endpoint holds only its own outbound frames.  When a receive
+        # times out, the held request may be exactly what the peer is waiting
+        # for, so the retry must follow its release — not wait twice for an
+        # answer that cannot come.
+        async def scenario():
+            inner = _RecordingInner(echo=True)
+            faulty = AsyncFaultyTransport(inner, FaultSpec(reorder_rate=1.0, seed=CHAOS_SEED))
+            await faulty.send("client", b"request")
+            assert inner.sent == []  # held by the reorder fault
+            assert await faulty.receive("client", timeout_seconds=0.01) == b"re:request"
+            assert inner.sent == [("client", b"request")]
+            assert inner.receives == 2
+            assert faulty.pending() == 0
 
         asyncio.run(scenario())

@@ -1,4 +1,4 @@
-"""Sharded serving stack tests: windowed scheduling, worker processes, async pump.
+"""Sharded serving stack tests: windowed scheduling, worker processes.
 
 The §6.3 scaling layers must never change protocol outputs — only *when*
 decrypts run and *where* sessions live.  These tests pin:
@@ -10,12 +10,9 @@ decrypts run and *where* sessions live.  These tests pin:
   degenerate to the per-burst batching of the PR 2 loop);
 * the sharded runtime's pipe-worker specifics: stable partition, topics,
   idle-tick polling, series-for-series telemetry (what every shard-driver
-  link must do is in ``test_shard_driver.py``);
-* the asyncio pump: sessions over real TCP produce the same verdicts, with
-  cross-connection decrypt batching.
+  link must do, over pipes and over TCP, is in ``test_shard_driver.py``).
 """
 
-import asyncio
 import copy
 import math
 import pickle
@@ -39,11 +36,9 @@ from repro.exceptions import ProtocolError
 from repro.mail import VirtualClock
 from repro.obs import scoped_telemetry
 from repro.obs.metrics import RECENT_SAMPLE_CAP
-from repro.twopc.session import AsyncSessionPump, _ParkedDecryption
+from repro.twopc.session import _ParkedDecryption
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
-from repro.twopc.transport import AsyncFramedChannel, AsyncTcpTransport
-from repro.twopc.wire import WireCodec
 
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
@@ -728,65 +723,3 @@ class TestShardedTelemetry:
         sharded_hist = _histogram_entry(aggregated, "decrypt_batch_ciphertexts")
         single_hist = _histogram_entry(single, "decrypt_batch_ciphertexts")
         assert sharded_hist["sum"] == single_hist["sum"]
-
-class TestAsyncSessionPump:
-    def _run_tcp_sessions(self, protocol, setup, feature_sets, window_seconds=0.02):
-        """Run N spam sessions over real TCP through one provider pump."""
-
-        async def scenario():
-            provider_pump = AsyncSessionPump(window_seconds=window_seconds)
-            client_pump = AsyncSessionPump()
-            pool = protocol.make_ot_pool(setup)
-
-            def codec():
-                return WireCodec(scheme=protocol.scheme, public_key=setup.keypair.public)
-
-            async def handle_connection(transport):
-                channel = AsyncFramedChannel(transport, codec())
-                session = protocol.provider_session(setup, ot_pool=pool)
-                await provider_pump.run_session(channel, "provider", session)
-
-            server = await AsyncTcpTransport.start_server(handle_connection, port=0)
-            port = server.sockets[0].getsockname()[1]
-
-            async def run_client(features):
-                transport = await AsyncTcpTransport.connect("127.0.0.1", port)
-                channel = AsyncFramedChannel(transport, codec())
-                session = protocol.client_session(setup, features, ot_pool=pool)
-                await client_pump.run_session(channel, "client", session)
-                verdict = session.is_spam
-                await channel.aclose()
-                return verdict, channel.total_bytes()
-
-            try:
-                outcomes = await asyncio.gather(
-                    *(run_client(features) for features in feature_sets)
-                )
-            finally:
-                server.close()
-                await server.wait_closed()
-            return outcomes, provider_pump.decrypt_batch_sizes
-
-        return asyncio.run(scenario())
-
-    def test_single_session_over_tcp_matches_plain(self, spam_setup, spam_truth):
-        protocol, setup = spam_setup
-        outcomes, batches = self._run_tcp_sessions(protocol, setup, SPAM_EMAILS[:1])
-        assert [verdict for verdict, _ in outcomes] == spam_truth[:1]
-        assert all(total_bytes > 0 for _, total_bytes in outcomes)
-        assert batches == [setup.encrypted_model.result_ciphertext_count()]
-
-    def test_concurrent_tcp_sessions_batch_decrypts(self, spam_setup, spam_truth):
-        protocol, setup = spam_setup
-        outcomes, batches = self._run_tcp_sessions(protocol, setup, SPAM_EMAILS[:3])
-        assert [verdict for verdict, _ in outcomes] == spam_truth[:3]
-        # All three connections' decrypts folded into one windowed batch.
-        per_email = setup.encrypted_model.result_ciphertext_count()
-        assert sum(batches) == 3 * per_email
-        assert max(batches) >= 2 * per_email
-
-    def test_invalid_pump_settings_rejected(self):
-        with pytest.raises(ProtocolError):
-            AsyncSessionPump(window_seconds=-0.1)
-        with pytest.raises(ProtocolError):
-            AsyncSessionPump(max_pending_ciphertexts=0)

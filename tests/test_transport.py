@@ -1,16 +1,17 @@
-"""Transport-layer tests: loopback and socket transports, framed channels.
+"""Transport-layer tests: the loopback transport and framed channels.
 
 The transport is where byte accounting lives, so the ledger invariants are
 tested here: every accepted frame is charged exactly ``len(data)`` to its
-sender, message counts and rounds track the frame log, and both transports
-deliver FIFO per direction — including frames much larger than a socket
-buffer from a single driving thread.
+sender, message counts and rounds track the frame log, and frames are
+delivered FIFO per direction.  The TCP endpoint has its own suite in
+``test_transport_framing.py``.
 """
 
 import pytest
 
-from repro.exceptions import ProtocolError
-from repro.twopc.transport import FramedChannel, LoopbackTransport, SocketTransport
+from repro.exceptions import ProtocolError, TransportTimeoutError
+from repro.twopc.reliable import ReliableChannel
+from repro.twopc.transport import FramedChannel, LoopbackTransport
 from repro.twopc.wire import ClassifyResultFrame, FeaturesFrame, OtExtColumnsFrame, WireCodec
 
 
@@ -50,6 +51,20 @@ class TestLoopbackTransport:
         with pytest.raises(ProtocolError):
             transport.receive("client")
 
+    def test_empty_receive_is_an_immediate_timeout(self):
+        # Nothing can arrive in-process, so any deadline times out at once —
+        # the signal the reliable layer polls against.
+        transport = LoopbackTransport()
+        with pytest.raises(TransportTimeoutError):
+            transport.receive("provider", timeout_seconds=60.0)
+
+    def test_send_snapshots_the_buffer(self):
+        transport = LoopbackTransport()
+        buffer = bytearray(b"original")
+        transport.send("client", buffer)
+        buffer[:] = b"mutated!"
+        assert transport.receive("provider") == b"original"
+
     def test_unknown_party_rejected(self):
         transport = LoopbackTransport(parties=("alice", "bob"))
         with pytest.raises(ProtocolError):
@@ -63,62 +78,20 @@ class TestLoopbackTransport:
         assert transport.peer_of("bob") == "alice"
 
 
-class TestSocketTransport:
-    def test_roundtrip_and_accounting(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            transport.send("client", b"hello")
-            transport.send("provider", b"world!")
-            assert transport.receive("provider") == b"hello"
-            assert transport.receive("client") == b"world!"
-            assert transport.bytes_by_sender == {"client": 5, "provider": 6}
-            assert transport.pending() == 0
-        finally:
-            transport.close()
-
-    def test_large_frames_from_single_thread(self):
-        # Frames larger than typical kernel socket buffers must not deadlock
-        # a single-threaded driver that sends both before receiving.
-        transport = SocketTransport(timeout=30.0)
-        try:
-            big = bytes(range(256)) * 4096  # 1 MiB
-            transport.send("client", big)
-            transport.send("provider", big[::-1])
-            assert transport.receive("provider") == big
-            assert transport.receive("client") == big[::-1]
-        finally:
-            transport.close()
-
-    def test_fifo_order_preserved(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            for index in range(20):
-                transport.send("client", bytes([index]))
-            received = [transport.receive("provider") for _ in range(20)]
-            assert received == [bytes([index]) for index in range(20)]
-        finally:
-            transport.close()
-
-    def test_send_after_close_rejected(self):
-        transport = SocketTransport()
-        transport.close()
-        with pytest.raises(ProtocolError):
-            transport.send("client", b"late")
-
-
 class TestFramedChannel:
-    @pytest.mark.parametrize("make_transport", [LoopbackTransport, SocketTransport])
+    @pytest.mark.parametrize(
+        "make_transport",
+        [LoopbackTransport, lambda: ReliableChannel(LoopbackTransport())],
+        ids=["LoopbackTransport", "ReliableChannel"],
+    )
     def test_typed_frames_roundtrip(self, make_transport):
         channel = FramedChannel(make_transport(), WireCodec())
-        try:
-            sent = FeaturesFrame(((1, 2), (9, 1)))
-            size = channel.send("client", sent)
-            assert size == len(channel.codec.encode(sent))
-            assert channel.receive("provider") == sent
-            channel.send("provider", ClassifyResultFrame(3))
-            assert channel.receive("client") == ClassifyResultFrame(3)
-        finally:
-            channel.close()
+        sent = FeaturesFrame(((1, 2), (9, 1)))
+        size = channel.send("client", sent)
+        assert size == len(channel.codec.encode(sent))
+        assert channel.receive("provider") == sent
+        channel.send("provider", ClassifyResultFrame(3))
+        assert channel.receive("client") == ClassifyResultFrame(3)
 
     def test_total_bytes_is_sum_of_frame_lengths(self):
         channel = FramedChannel.loopback()

@@ -1,16 +1,13 @@
 """Framing property tests: byte-stream transports under adversarial splits.
 
-TCP (and the kernel socket layer under :class:`SocketTransport`) may deliver
-a frame one byte at a time, or glue the tail of one frame to the head of the
-next.  These tests pin the property that framing is independent of write
-splits — every frame is delivered intact and in order no matter how the byte
-stream is chopped — and that a closed transport surfaces
+TCP may deliver a frame one byte at a time, or glue the tail of one frame to
+the head of the next.  These tests pin the property that framing is
+independent of write splits — every frame is delivered intact and in order no
+matter how the byte stream is chopped — and that a closed transport surfaces
 :class:`~repro.exceptions.TransportClosedError` rather than a raw ``OSError``.
 """
 
 import asyncio
-import socket
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +20,10 @@ from repro.exceptions import (
 )
 from repro.twopc.transport import (
     FRAME_LENGTH_PREFIX,
-    AsyncFramedChannel,
+    MAX_FRAME_BYTES,
     AsyncTcpTransport,
     FrameAssembler,
-    SocketTransport,
 )
-from repro.twopc.wire import ClassifyResultFrame, FeaturesFrame, WireCodec
 
 
 def _stream_of(frames):
@@ -116,107 +111,56 @@ class TestFrameAssembler:
         assert assembler.buffered_bytes() == 0
 
 
-class TestSocketTransportFraming:
-    def test_frame_reassembles_from_one_byte_writes(self):
-        # Dribble a frame into the transport's raw socket byte by byte while
-        # the receiver runs concurrently (one-byte skbs exhaust kernel socket
-        # buffers fast); the frame must reassemble despite the segmentation.
-        import threading
-
-        transport = SocketTransport(timeout=10.0)
-        received: list[bytes] = []
-        try:
-            payload = bytes(range(200))
-            reader = threading.Thread(
-                target=lambda: received.append(transport.receive("provider"))
-            )
-            reader.start()
-            raw = transport._sockets["client"]
-            for byte in FRAME_LENGTH_PREFIX.pack(len(payload)) + payload:
-                raw.sendall(bytes([byte]))
-            reader.join(timeout=10.0)
-            assert received == [payload]
-        finally:
-            transport.close()
-
-    def test_two_frames_in_one_write(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            raw = transport._sockets["client"]
-            raw.sendall(_stream_of([b"first", b"second"]))
-            assert transport.receive("provider") == b"first"
-            assert transport.receive("provider") == b"second"
-        finally:
-            transport.close()
-
-    def test_receive_after_close_raises_transport_closed(self):
-        transport = SocketTransport()
-        transport.close()
-        with pytest.raises(TransportClosedError):
-            transport.receive("client")
-        with pytest.raises(TransportClosedError):
-            transport.send("client", b"late")
-
-    def test_peer_hangup_mid_frame_raises_transport_closed(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            raw = transport._sockets["client"]
-            raw.sendall(FRAME_LENGTH_PREFIX.pack(100) + b"only-part")
-            raw.shutdown(socket.SHUT_WR)
-            with pytest.raises(TransportClosedError):
-                transport.receive("provider")
-        finally:
-            transport.close()
-
-    def test_hostile_length_prefix_rejected(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            transport._sockets["client"].sendall(FRAME_LENGTH_PREFIX.pack(1 << 31))
-            with pytest.raises(WireFormatError):
-                transport.receive("provider")
-        finally:
-            transport.close()
-
-
 class TestReceiveTimeouts:
     """The optional receive deadline: silent peers raise instead of hanging."""
-
-    def test_socket_receive_timeout_raises(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            with pytest.raises(TransportTimeoutError):
-                transport.receive("provider", timeout_seconds=0.05)
-        finally:
-            transport.close()
-
-    def test_socket_timeout_is_a_protocol_error(self):
-        transport = SocketTransport(timeout=10.0)
-        try:
-            with pytest.raises(ProtocolError):  # subclass contract
-                transport.receive("provider", timeout_seconds=0.05)
-        finally:
-            transport.close()
-
-    def test_socket_usable_after_timeout(self):
-        # The per-call deadline must not poison the socket's default timeout.
-        transport = SocketTransport(timeout=10.0)
-        try:
-            with pytest.raises(TransportTimeoutError):
-                transport.receive("provider", timeout_seconds=0.05)
-            transport.send("client", b"after the silence")
-            assert transport.receive("provider") == b"after the silence"
-        finally:
-            transport.close()
 
     def test_async_receive_timeout_raises(self):
         async def scenario():
             server, provider, client = await _tcp_pair()()
             try:
-                with pytest.raises(TransportTimeoutError):
+                with pytest.raises(TransportTimeoutError) as raised:
                     await provider.receive("provider", timeout_seconds=0.05)
-                # Still usable afterwards.
+                assert isinstance(raised.value, ProtocolError)  # subclass contract
+                # The per-call deadline does not poison the endpoint.
                 await client.send("client", b"late but fine")
                 assert await provider.receive("provider") == b"late but fine"
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_constructor_timeout_bounds_a_receive_without_deadline(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair(timeout=0.05)()
+            try:
+                with pytest.raises(TransportTimeoutError):
+                    await client.receive("client")
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_timeout_keeps_a_partial_frame(self):
+        # Half a frame arrives, the receive times out, the rest arrives: the
+        # assembler's buffer survives the timeout and the frame is intact.
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                stream = _stream_of([b"split across a timeout"])
+                client._writer.write(stream[:7])
+                await client._writer.drain()
+                with pytest.raises(TransportTimeoutError):
+                    await provider.receive("provider", timeout_seconds=0.05)
+                client._writer.write(stream[7:])
+                await client._writer.drain()
+                assert await provider.receive("provider") == b"split across a timeout"
+                assert provider.messages_by_sender["client"] == 1
             finally:
                 await client.aclose()
                 await provider.aclose()
@@ -352,23 +296,232 @@ class TestAsyncTcpTransport:
 
         self._run(scenario())
 
-    def test_typed_frames_over_async_channel(self):
+    def test_two_frames_in_one_write(self):
         async def scenario():
             server, provider, client = await _tcp_pair()()
-            codec = WireCodec()
-            client_channel = AsyncFramedChannel(client, codec)
-            provider_channel = AsyncFramedChannel(provider, codec)
             try:
-                sent = FeaturesFrame(((1, 2), (9, 1)))
-                size = await client_channel.send("client", sent)
-                assert size == len(codec.encode(sent))
-                assert await provider_channel.receive("provider") == sent
-                await provider_channel.send("provider", ClassifyResultFrame(3))
-                assert await client_channel.receive("client") == ClassifyResultFrame(3)
-                assert client_channel.total_bytes() == provider_channel.total_bytes()
+                client._writer.write(_stream_of([b"first", b"second"]))
+                await client._writer.drain()
+                assert await provider.receive("provider") == b"first"
+                assert await provider.receive("provider") == b"second"
+                assert provider.messages_by_sender["client"] == 2
             finally:
-                await client_channel.aclose()
-                await provider_channel.aclose()
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_peer_hangup_mid_frame_raises_transport_closed(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                client._writer.write(FRAME_LENGTH_PREFIX.pack(100) + b"only-part")
+                client._writer.write_eof()
+                await client._writer.drain()
+                with pytest.raises(TransportClosedError, match="mid-frame"):
+                    await provider.receive("provider")
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_clean_peer_close_raises_transport_closed(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                await client.send("client", b"last words")
+                await client.aclose()
+                # Frames that arrived before the close are still delivered.
+                assert await provider.receive("provider") == b"last words"
+                with pytest.raises(TransportClosedError, match="peer closed$"):
+                    await provider.receive("provider")
+            finally:
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_hostile_length_prefix_rejected(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                client._writer.write(FRAME_LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1))
+                await client._writer.drain()
+                with pytest.raises(WireFormatError):
+                    await provider.receive("provider")
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_fifo_order_preserved_both_directions(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                for index in range(20):
+                    await client.send("client", bytes([index]))
+                    await provider.send("provider", bytes([255 - index]))
+                upstream = [await provider.receive("provider") for _ in range(20)]
+                downstream = [await client.receive("client") for _ in range(20)]
+                assert upstream == [bytes([index]) for index in range(20)]
+                assert downstream == [bytes([255 - index]) for index in range(20)]
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_large_frames_cross_in_both_directions(self):
+        # Both sides send a frame far larger than a socket buffer before
+        # either receives; concurrent sends and receives must not deadlock.
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            big = bytes(range(256)) * 4096  # 1 MiB
+            try:
+                sends = asyncio.gather(
+                    client.send("client", big), provider.send("provider", big[::-1])
+                )
+                received = await asyncio.gather(
+                    provider.receive("provider"), client.receive("client")
+                )
+                await sends
+                assert received == [big, big[::-1]]
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_pending_counts_assembled_frames(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                assert provider.pending() == 0
+                client._writer.write(_stream_of([b"a", b"b", b"c"]))
+                await client._writer.drain()
+                assert await provider.receive("provider") == b"a"
+                # One read assembled all three; two still wait in the inbox.
+                assert provider.pending() == 2
+                assert [await provider.receive("provider") for _ in range(2)] == [b"b", b"c"]
+                assert provider.pending() == 0
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_close_is_idempotent(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                await client.aclose()
+                await client.aclose()
+                client.close()
+                with pytest.raises(TransportClosedError):
+                    await client.send("client", b"late")
+            finally:
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_start_server_runs_one_handler_per_connection(self):
+        async def scenario():
+            served = []
+
+            async def echo_once(transport):
+                served.append(transport)
+                frame = await transport.receive("provider")
+                await transport.send("provider", frame[::-1])
+
+            server = await AsyncTcpTransport.start_server(echo_once, port=0)
+            port = AsyncTcpTransport.bound_port(server)
+            clients = [await AsyncTcpTransport.connect("127.0.0.1", port) for _ in range(2)]
+            try:
+                for index, client in enumerate(clients):
+                    await client.send("client", f"hello {index}".encode())
+                for index, client in enumerate(clients):
+                    assert await client.receive("client") == f"{index} olleh".encode()
+                    # The server closes each endpoint once its handler returns.
+                    with pytest.raises(TransportClosedError, match="peer closed$"):
+                        await client.receive("client")
+                assert len(served) == 2
+                assert all(transport.local_party == "provider" for transport in served)
+                assert served[0] is not served[1]
+            finally:
+                for client in clients:
+                    await client.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    @given(
+        st.lists(st.binary(max_size=300), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=0, max_value=10_000), max_size=12),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_frames_survive_any_write_split(self, frames, cuts):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                for chunk in _chop(_stream_of(frames), cuts):
+                    client._writer.write(chunk)
+                    await client._writer.drain()
+                received = [await provider.receive("provider") for _ in frames]
+                assert received == frames
+                assert provider.bytes_by_sender["client"] == sum(map(len, frames))
+                assert provider.pending() == 0
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_local_party_must_be_a_transport_party(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                with pytest.raises(ProtocolError):
+                    AsyncTcpTransport(client._reader, client._writer, local_party="mallory")
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_bytes_like_payloads_are_sent_verbatim(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                assert await client.send("client", bytearray(b"array")) == 5
+                assert await client.send("client", memoryview(b"view")) == 4
+                assert await provider.receive("provider") == b"array"
+                assert await provider.receive("provider") == b"view"
+                assert client.bytes_by_sender["client"] == 9
+            finally:
+                await client.aclose()
+                await provider.aclose()
                 server.close()
                 await server.wait_closed()
 
