@@ -19,7 +19,7 @@ Run with:  python examples/chaos_serving.py
 """
 
 from repro.classify.model import LinearModel, QuantizedLinearModel
-from repro.core.runtime import DecryptScheduler, ProviderRuntime, spam_job
+from repro.core.runtime import DecryptScheduler, ProviderRuntime, session_job
 from repro.crypto.bv import BVParameters, BVScheme
 from repro.crypto.dh import generate_group
 from repro.exceptions import ProtocolError
@@ -93,7 +93,7 @@ def main() -> None:
     print("\nreconnect-resume: client goes offline with its decrypt parked ...")
     pool = protocol.make_ot_pool(setup)
     runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
-    job = spam_job(protocol, setup, features, label="phone-1", ot_pool=pool)
+    job = session_job(protocol, setup, (features,), label="phone-1", ot_pool=pool)
     runtime.serve_burst([job])  # parks in the open decrypt window
     state = runtime.disconnect_job("phone-1")
     blob = state.to_bytes()

@@ -52,7 +52,7 @@ def main() -> None:
     alice_emails, bob_emails = emails[:4], emails[4:]
 
     # -- one session over a framed channel: the frames are genuine wire bytes -
-    _, alice_setup = directory.spam_of("alice@example.com")
+    _, alice_setup = directory.protocol_of("spam", "alice@example.com")
     result = protocol.classify_email(
         alice_setup, alice_emails[0], channel=protocol.make_channel(alice_setup)
     )
@@ -67,8 +67,8 @@ def main() -> None:
     sequential = [
         protocol.classify_email(setup, features)
         for setup, batch in (
-            (directory.spam_of("alice@example.com")[1], alice_emails),
-            (directory.spam_of("bob@example.com")[1], bob_emails),
+            (directory.protocol_of("spam", "alice@example.com")[1], alice_emails),
+            (directory.protocol_of("spam", "bob@example.com")[1], bob_emails),
         )
         for features in batch
     ]

@@ -37,7 +37,7 @@ from repro.core.runtime import (
     ProviderRuntime,
     checkpoint_open_windows,
     restore_open_windows,
-    spam_job,
+    session_job,
 )
 from repro.datasets import lingspam_like, prepare_classification_data
 from repro.twopc.spam import SpamFilterProtocol
@@ -67,8 +67,8 @@ def snapshot_roundtrip(protocol, setup, emails, truth):
     directory.register_spam("alice@example.com", protocol, setup)
     runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
     jobs = [
-        spam_job(protocol, setup, features, label=index,
-                 ot_pool=directory.spam_pool_of("alice@example.com"))
+        session_job(protocol, setup, (features,), label=index,
+                    ot_pool=directory.pool_of("spam", "alice@example.com"))
         for index, features in enumerate(emails)
     ]
     runtime.serve_burst(jobs)  # everything parks inside the open window

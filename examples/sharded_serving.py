@@ -21,7 +21,7 @@ import time
 from repro.classify.naive_bayes import GrahamRobinsonNaiveBayes
 from repro.classify.model import QuantizedLinearModel
 from repro.core import PretzelConfig, ShardedRuntime
-from repro.core.runtime import run_spam_batch
+from repro.core.runtime import run_batch, zip_requests
 from repro.datasets import lingspam_like, prepare_classification_data
 from repro.twopc.spam import SpamFilterProtocol
 
@@ -94,7 +94,7 @@ def main() -> None:
         for address, feature_sets in by_mailbox.items():
             singleloop_verdicts += [
                 result.is_spam
-                for result in run_spam_batch(protocol, setups[address], feature_sets)
+                for result in run_batch(protocol, setups[address], zip_requests(feature_sets))
             ]
         # (verdict order differs from the stream order; only rates compare)
     singleloop_seconds = time.perf_counter() - start

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.classify.model import LinearModel, QuantizedLinearModel
-from repro.core.runtime import DecryptScheduler, ProviderRuntime, spam_job
+from repro.core.runtime import DecryptScheduler, ProviderRuntime, session_job
 from repro.crypto.bv import BVParameters, BVScheme
 from repro.crypto.dh import generate_group
 from repro.mail.traces import VirtualClock
@@ -86,7 +86,7 @@ def main() -> None:
             )
         )
         jobs = [
-            spam_job(protocol, setup, features, label=index)
+            session_job(protocol, setup, (features,), label=index)
             for index, features in enumerate(feature_sets)
         ]
 

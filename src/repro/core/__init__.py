@@ -17,14 +17,14 @@ from repro.core.config import PretzelConfig
 from repro.core.runtime import (
     DecryptScheduler,
     MailboxDirectory,
+    ProviderFunction,
     ProviderRuntime,
     SessionJob,
     ShardedRuntime,
-    run_spam_batch,
-    run_topic_batch,
+    run_batch,
+    session_job,
     shard_of_address,
-    spam_job,
-    topic_job,
+    zip_requests,
 )
 from repro.core.spam_module import SpamFunctionModule
 from repro.core.topic_module import TopicFunctionModule
@@ -46,8 +46,8 @@ __all__ = [
     "shard_of_address",
     "MailboxDirectory",
     "SessionJob",
-    "run_spam_batch",
-    "run_topic_batch",
-    "spam_job",
-    "topic_job",
+    "ProviderFunction",
+    "run_batch",
+    "session_job",
+    "zip_requests",
 ]

@@ -21,9 +21,11 @@ the runtime layer that makes the provider half scale:
   stacked encrypted-model rows, so no email in a burst pays the one-time
   stacking cost.
 
-:func:`run_spam_batch` / :func:`run_topic_batch` are the convenience drivers
-used by the benchmarks, tests and function modules: N feature vectors in,
-N protocol results out, with every frame serialized and every byte counted.
+Every layer serves any :class:`ProviderFunction` — spam and topics are two
+instances — through one code path: the protocol object is the registration.
+:func:`run_batch` is the convenience driver used by the tests and function
+modules: N requests in, N protocol results out, with every frame serialized
+and every byte counted.
 
 Scaling past one loop (cf. the §6.3 estimates):
 
@@ -58,7 +60,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from repro.crypto.chacha import open_sealed, seal
 from repro.crypto.ot import OtExtensionPool
@@ -74,22 +76,12 @@ from repro.obs import (
     set_tracer,
 )
 from repro.twopc.session import SessionJob, SessionLoop, _ParkedDecryption, decrypt_group_key
-from repro.twopc.spam import (
-    SpamClientSession,
-    SpamFilterProtocol,
-    SpamProtocolResult,
-    SpamProviderSession,
-    SpamSetup,
-)
-from repro.twopc.topics import (
-    TopicClientSession,
-    TopicExtractionProtocol,
-    TopicProtocolResult,
-    TopicProviderSession,
-    TopicSetup,
-)
 from repro.twopc.wire import SessionState
 from repro.utils.serialization import canonical_dumps, canonical_loads
+
+if TYPE_CHECKING:  # annotations of the spam_*/topic_* convenience names only
+    from repro.twopc.spam import SpamFilterProtocol, SpamProtocolResult, SpamSetup
+    from repro.twopc.topics import TopicExtractionProtocol, TopicSetup
 
 SparseVector = Mapping[int, int]
 
@@ -875,11 +867,7 @@ def _checkpoint_payloads(
         pool_keys.add((kind, address))
     pools_payload: list[dict] = []
     for kind, address in sorted(pool_keys):
-        pool = (
-            directory.spam_pool_of(address)
-            if kind == "spam"
-            else directory.topic_pool_of(address)
-        )
+        pool = directory.pool_of(kind, address)
         if pool is not None:
             pools_payload.append(
                 {"kind": kind, "address": address, "state": pool.snapshot().to_bytes()}
@@ -916,30 +904,16 @@ def restore_open_windows(
     restored: list[tuple[int, str, str, SessionJob]] = []
     for record in data["jobs"]:
         kind, address, job_id = record["kind"], record["address"], record["job_id"]
-        if kind == "spam":
-            protocol, setup = directory.spam_of(address)
-            pool = directory.spam_pool_of(address)
-            client: Any = SpamClientSession.restore(
-                protocol, setup, SessionState.from_bytes(record["client"]), ot_pool=pool
-            )
-            provider: Any = SpamProviderSession.restore(
-                protocol, setup, SessionState.from_bytes(record["provider"]), ot_pool=pool
-            )
-        elif kind == "topics":
-            protocol, setup = directory.topics_of(address)
-            pool = directory.topic_pool_of(address)
-            client = TopicClientSession.restore(
-                protocol, setup, SessionState.from_bytes(record["client"]), ot_pool=pool
-            )
-            provider = TopicProviderSession.restore(
-                protocol, setup, SessionState.from_bytes(record["provider"]), ot_pool=pool
-            )
-        else:
-            raise SnapshotError(f"unknown job kind {kind!r} in shard checkpoint")
+        protocol, setup = directory.protocol_of(kind, address)
+        pool = directory.pool_of(kind, address)
         job = SessionJob(
             channel=protocol.make_channel(setup, name=f"resume[{job_id}]"),
-            client=client,
-            provider=provider,
+            client=protocol.restore_client(
+                setup, SessionState.from_bytes(record["client"]), ot_pool=pool
+            ),
+            provider=protocol.restore_provider(
+                setup, SessionState.from_bytes(record["provider"]), ot_pool=pool
+            ),
             label=job_id,
         )
         restored.append((job_id, kind, address, job))
@@ -1110,125 +1084,115 @@ class ShardCheckpointLog:
 
 
 # ---------------------------------------------------------------------------
-# Job builders and batch drivers
+# Provider functions, job builders and batch drivers
 # ---------------------------------------------------------------------------
-def spam_job(
-    protocol: SpamFilterProtocol,
-    setup: SpamSetup,
-    features: SparseVector,
-    label: Any = None,
-    ot_pool: OtExtensionPool | None = None,
-) -> SessionJob:
-    """One spam-classification email session, ready for a serving loop."""
-    return SessionJob(
-        channel=protocol.make_channel(setup, name=f"spam[{label}]"),
-        client=protocol.client_session(setup, features, ot_pool=ot_pool),
-        provider=protocol.provider_session(setup, ot_pool=ot_pool),
-        label=label,
-    )
+class ProviderFunction(Protocol):
+    """What the serving layer needs of a provider-supplied function.
 
-
-def topic_job(
-    protocol: TopicExtractionProtocol,
-    setup: TopicSetup,
-    features: SparseVector,
-    candidate_topics: Sequence[int] | None = None,
-    label: Any = None,
-    ot_pool: OtExtensionPool | None = None,
-) -> SessionJob:
-    """One topic-extraction email session, ready for a serving loop."""
-    return SessionJob(
-        channel=protocol.make_channel(setup, name=f"topics[{label}]"),
-        client=protocol.client_session(setup, features, candidate_topics, ot_pool=ot_pool),
-        provider=protocol.provider_session(setup, ot_pool=ot_pool),
-        label=label,
-    )
-
-
-def _spam_result(job: SessionJob) -> SpamProtocolResult:
-    client = job.client
-    assert client.is_spam is not None
-    return SpamProtocolResult(
-        is_spam=client.is_spam,
-        provider_seconds=job.provider.seconds,
-        client_seconds=client.seconds,
-        network_bytes=job.channel.total_bytes(),
-        yao_and_gates=client.yao_and_gates,
-        network_messages=job.channel.total_messages(),
-        network_rounds=job.channel.rounds(),
-    )
-
-
-def _topic_result(job: SessionJob) -> TopicProtocolResult:
-    provider = job.provider
-    assert provider.extracted_topic is not None
-    return TopicProtocolResult(
-        extracted_topic=provider.extracted_topic,
-        provider_seconds=provider.seconds,
-        client_seconds=job.client.seconds,
-        network_bytes=job.channel.total_bytes(),
-        yao_and_gates=job.client.yao_and_gates,
-        candidates_used=len(job.client.candidates),
-        network_messages=job.channel.total_messages(),
-        network_rounds=job.channel.rounds(),
-    )
-
-
-def run_spam_batch(
-    protocol: SpamFilterProtocol,
-    setup: SpamSetup,
-    feature_sets: Sequence[SparseVector],
-    runtime: ProviderRuntime | None = None,
-    ot_pool: OtExtensionPool | None = None,
-    use_ot_pool: bool = True,
-) -> list[SpamProtocolResult]:
-    """Classify N emails as N concurrent sessions with cross-session amortisation.
-
-    Provider decrypts batch across sessions, and (unless *use_ot_pool* is
-    off) the Yao OTs of every session extend one per-pair base-OT handshake
-    instead of each paying :data:`~repro.crypto.ot.SECURITY_PARAMETER` fresh
-    public-key operations.
+    :class:`~repro.twopc.spam.SpamFilterProtocol` and
+    :class:`~repro.twopc.topics.TopicExtractionProtocol` are two instances;
+    any two-party function of the same shape is served the same way.  The
+    protocol object *is* the registration: batch runs, the mailbox
+    directory, shard workers, checkpoints and reconnects all reach it
+    through this surface and never branch on which function it is.  An
+    email's *request* is the tuple of its client-side arguments
+    (``(features,)`` for spam, ``(features, candidates)`` for topics), so
+    ``client_session(setup, *request, ot_pool=pool)`` opens any of them.
     """
-    if not feature_sets:
-        return []
-    runtime = runtime or ProviderRuntime()
-    setup.encrypted_model.ensure_stacks()
-    if ot_pool is None and use_ot_pool and protocol.ot_mode == "iknp":
-        ot_pool = protocol.make_ot_pool(setup)
-    jobs = [
-        spam_job(protocol, setup, features, label=index, ot_pool=ot_pool)
-        for index, features in enumerate(feature_sets)
-    ]
-    runtime.run(jobs)
-    return [_spam_result(job) for job in jobs]
+
+    #: Names the function in registrations, worker commands and checkpoint records.
+    kind: str
+    #: ``"iknp"`` functions get a per-pair OT-extension pool at registration.
+    ot_mode: str
+
+    def make_channel(self, setup: Any, name: str) -> Any:
+        """A fresh framed channel between the pair's client and provider."""
+
+    def make_ot_pool(self, setup: Any) -> OtExtensionPool:
+        """Run the pair's one-time base-OT handshake."""
+
+    def client_session(self, setup: Any, *request: Any, ot_pool: Any = None) -> Any:
+        """The client half of one email."""
+
+    def provider_session(self, setup: Any, ot_pool: Any = None) -> Any:
+        """The provider half of one email."""
+
+    def restore_client(self, setup: Any, state: SessionState, ot_pool: Any = None) -> Any:
+        """The client half rebuilt from its snapshot."""
+
+    def restore_provider(self, setup: Any, state: SessionState, ot_pool: Any = None) -> Any:
+        """The provider half rebuilt from its snapshot."""
+
+    def result_of(self, job: SessionJob) -> Any:
+        """The outcome of one finished job, as its submitter receives it."""
 
 
-def run_topic_batch(
-    protocol: TopicExtractionProtocol,
-    setup: TopicSetup,
-    feature_sets: Sequence[SparseVector],
-    candidate_lists: Sequence[Sequence[int] | None] | None = None,
+def _warm(setup: Any) -> None:
+    """Pre-build the setup's dense encrypted-model rows (a plaintext function has none)."""
+    model = getattr(setup, "encrypted_model", None)
+    if model is not None:
+        model.ensure_stacks()
+
+
+def session_job(
+    protocol: ProviderFunction,
+    setup: Any,
+    request: Sequence[Any],
+    label: Any = None,
+    ot_pool: OtExtensionPool | None = None,
+) -> SessionJob:
+    """One email session of *protocol*, ready for a serving loop."""
+    return SessionJob(
+        channel=protocol.make_channel(setup, name=f"{protocol.kind}[{label}]"),
+        client=protocol.client_session(setup, *request, ot_pool=ot_pool),
+        provider=protocol.provider_session(setup, ot_pool=ot_pool),
+        label=label,
+    )
+
+
+def zip_requests(
+    feature_sets: Sequence[SparseVector], *columns: Sequence[Any] | None
+) -> list[tuple]:
+    """One request per email from per-argument columns.
+
+    A ``None`` column gives every email that argument's default.  A column
+    of another length raises :class:`ProtocolError`: a plain ``zip`` would
+    stop at the shortest column and silently drop emails.
+    """
+    filled = [[None] * len(feature_sets) if column is None else column for column in columns]
+    for column in filled:
+        if len(column) != len(feature_sets):
+            raise ProtocolError(
+                f"{len(feature_sets)} emails but {len(column)} values of one of their arguments"
+            )
+    return list(zip(feature_sets, *filled))
+
+
+def run_batch(
+    protocol: ProviderFunction,
+    setup: Any,
+    requests: Sequence[Sequence[Any]],
     runtime: ProviderRuntime | None = None,
     ot_pool: OtExtensionPool | None = None,
-    use_ot_pool: bool = True,
-) -> list[TopicProtocolResult]:
-    """Extract topics for N emails as N concurrent sessions with batched decrypts."""
-    if not feature_sets:
+) -> list[Any]:
+    """Serve N emails of one pair as N concurrent sessions with cross-session amortisation.
+
+    Provider decrypts batch across sessions, and the Yao OTs of every
+    session extend one per-pair base-OT handshake instead of each paying
+    :data:`~repro.crypto.ot.SECURITY_PARAMETER` fresh public-key operations.
+    """
+    if not requests:
         return []
     runtime = runtime or ProviderRuntime()
-    setup.encrypted_model.ensure_stacks()
-    if candidate_lists is None:
-        candidate_lists = [None] * len(feature_sets)
-    if len(candidate_lists) != len(feature_sets):
-        raise ProtocolError("one candidate list (or None) is required per email")
-    if ot_pool is None and use_ot_pool and protocol.ot_mode == "iknp":
+    _warm(setup)
+    if ot_pool is None and protocol.ot_mode == "iknp":
         ot_pool = protocol.make_ot_pool(setup)
     jobs = [
-        topic_job(protocol, setup, features, candidates, label=index, ot_pool=ot_pool)
-        for index, (features, candidates) in enumerate(zip(feature_sets, candidate_lists))
+        session_job(protocol, setup, request, label=index, ot_pool=ot_pool)
+        for index, request in enumerate(requests)
     ]
     runtime.run(jobs)
-    return [_topic_result(job) for job in jobs]
+    return [protocol.result_of(job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -1243,55 +1207,52 @@ POOL_RETIRE_HEADROOM = 1 << 24
 
 
 @dataclass
-class MailboxProtocols:
-    """The protocol state a provider keeps per registered mailbox."""
+class _Registration:
+    """What a provider keeps per registered (function, mailbox) pair."""
 
-    address: str
-    spam: tuple[SpamFilterProtocol, SpamSetup] | None = None
-    topics: tuple[TopicExtractionProtocol, TopicSetup] | None = None
-    spam_ot_pool: OtExtensionPool | None = None
-    topic_ot_pool: OtExtensionPool | None = None
+    protocol: ProviderFunction
+    setup: Any
+    pool: OtExtensionPool | None = None
 
 
 class MailboxDirectory:
     """Per-user protocol state the serving loop reuses across emails.
 
-    Registering a mailbox stores its setup (key pair + encrypted model) and
-    pre-builds the dense stacked model rows, so the per-email hot path never
-    pays setup or stacking costs — the "per-sender encrypted model rows"
-    cache of the deployment sketch in §6.3.
+    Registering a mailbox for a function stores its setup (key pair +
+    encrypted model) and pre-builds the dense stacked model rows, so the
+    per-email hot path never pays setup or stacking costs — the "per-sender
+    encrypted model rows" cache of the deployment sketch in §6.3.  State is
+    keyed by ``(kind, address)``: one mailbox may register several functions.
     """
 
     def __init__(self) -> None:
-        self._mailboxes: dict[str, MailboxProtocols] = {}
+        self._pairs: dict[tuple[str, str], _Registration] = {}
 
-    def _entry(self, address: str) -> MailboxProtocols:
-        entry = self._mailboxes.get(address)
+    def _pair(self, kind: str, address: str) -> _Registration:
+        entry = self._pairs.get((kind, address))
         if entry is None:
-            entry = MailboxProtocols(address=address)
-            self._mailboxes[address] = entry
+            raise ProtocolError(f"no {kind} mailbox registered for {address!r}")
         return entry
 
-    def register_spam(
-        self,
-        address: str,
-        protocol: SpamFilterProtocol,
-        setup: SpamSetup,
-        build_pool: bool = True,
+    def register(
+        self, address: str, protocol: ProviderFunction, setup: Any, build_pool: bool = True
     ) -> None:
-        """Store a mailbox's spam setup; ``build_pool=False`` defers the base OTs.
+        """Store a mailbox's setup for *protocol*; ``build_pool=False`` defers the base OTs.
 
         A restart that intends to restore a checkpoint defers pool building:
         the restored pool replaces whatever registration would have built, so
         paying the per-pair base-OT handshake just to discard it would be
-        pure recovery latency (:meth:`ensure_pools` backfills any mailbox the
-        checkpoint did not cover).
+        pure recovery latency (:meth:`ensure_pools` backfills any pair the
+        checkpoint did not cover).  Registering a pair again replaces it.
         """
-        entry = self._entry(address)
-        setup.encrypted_model.ensure_stacks()
-        entry.spam = (protocol, setup)
-        if build_pool and protocol.ot_mode == "iknp":
-            entry.spam_ot_pool = protocol.make_ot_pool(setup)
+        _warm(setup)
+        pool = protocol.make_ot_pool(setup) if build_pool and protocol.ot_mode == "iknp" else None
+        self._pairs[(protocol.kind, address)] = _Registration(protocol, setup, pool)
+
+    def register_spam(
+        self, address: str, protocol: SpamFilterProtocol, setup: SpamSetup, build_pool: bool = True
+    ) -> None:
+        self.register(address, protocol, setup, build_pool)
 
     def register_topics(
         self,
@@ -1300,43 +1261,21 @@ class MailboxDirectory:
         setup: TopicSetup,
         build_pool: bool = True,
     ) -> None:
-        entry = self._entry(address)
-        setup.encrypted_model.ensure_stacks()
-        entry.topics = (protocol, setup)
-        if build_pool and protocol.ot_mode == "iknp":
-            entry.topic_ot_pool = protocol.make_ot_pool(setup)
+        self.register(address, protocol, setup, build_pool)
 
     def ensure_pools(self) -> None:
-        """Build the OT pool of every registered mailbox that still lacks one."""
-        for entry in self._mailboxes.values():
-            if entry.spam is not None and entry.spam_ot_pool is None:
-                protocol, setup = entry.spam
-                if protocol.ot_mode == "iknp":
-                    entry.spam_ot_pool = protocol.make_ot_pool(setup)
-            if entry.topics is not None and entry.topic_ot_pool is None:
-                protocol, setup = entry.topics
-                if protocol.ot_mode == "iknp":
-                    entry.topic_ot_pool = protocol.make_ot_pool(setup)
+        """Build the OT pool of every registered pair that still lacks one."""
+        for entry in self._pairs.values():
+            if entry.pool is None and entry.protocol.ot_mode == "iknp":
+                entry.pool = entry.protocol.make_ot_pool(entry.setup)
 
-    def spam_of(self, address: str) -> tuple[SpamFilterProtocol, SpamSetup]:
-        entry = self._mailboxes.get(address)
-        if entry is None or entry.spam is None:
-            raise ProtocolError(f"no spam mailbox registered for {address!r}")
-        return entry.spam
+    def protocol_of(self, kind: str, address: str) -> tuple[ProviderFunction, Any]:
+        entry = self._pair(kind, address)
+        return entry.protocol, entry.setup
 
-    def topics_of(self, address: str) -> tuple[TopicExtractionProtocol, TopicSetup]:
-        entry = self._mailboxes.get(address)
-        if entry is None or entry.topics is None:
-            raise ProtocolError(f"no topic mailbox registered for {address!r}")
-        return entry.topics
-
-    def spam_pool_of(self, address: str) -> OtExtensionPool | None:
-        entry = self._mailboxes.get(address)
-        return entry.spam_ot_pool if entry else None
-
-    def topic_pool_of(self, address: str) -> OtExtensionPool | None:
-        entry = self._mailboxes.get(address)
-        return entry.topic_ot_pool if entry else None
+    def pool_of(self, kind: str, address: str) -> OtExtensionPool | None:
+        entry = self._pairs.get((kind, address))
+        return entry.pool if entry else None
 
     def set_pool(self, kind: str, address: str, pool: OtExtensionPool) -> None:
         """Install a restored OT pool, replacing whatever registration built.
@@ -1346,13 +1285,7 @@ class MailboxDirectory:
         from the old pool's seeds and pad cursors, and only the restored pool
         continues them bit-identically.
         """
-        entry = self._entry(address)
-        if kind == "spam":
-            entry.spam_ot_pool = pool
-        elif kind == "topics":
-            entry.topic_ot_pool = pool
-        else:
-            raise ProtocolError(f"unknown pool kind {kind!r}")
+        self._pair(kind, address).pool = pool
 
     def pool_for_new_jobs(self, kind: str, address: str) -> OtExtensionPool | None:
         """The pair's pool for emails about to start, re-handshaken once if nearly spent.
@@ -1362,28 +1295,30 @@ class MailboxDirectory:
         installed for later emails only: sessions already built keep the pool
         object they were given, ledger and all, and finish on it.
         """
-        entry = self._mailboxes[address]
-        pool = entry.spam_ot_pool if kind == "spam" else entry.topic_ot_pool
+        entry = self._pair(kind, address)
+        pool = entry.pool
         if pool is not None and pool.ready and (
             pool.receiver_state.remaining < POOL_RETIRE_HEADROOM
         ):
-            protocol, setup = entry.spam if kind == "spam" else entry.topics
-            pool = protocol.make_ot_pool(setup)
-            self.set_pool(kind, address, pool)
+            entry.pool = pool = entry.protocol.make_ot_pool(entry.setup)
         return pool
 
     def mailbox_count(self) -> int:
-        return len(self._mailboxes)
+        return len({address for _kind, address in self._pairs})
+
+    def jobs(self, kind: str, address: str, requests: Sequence[Sequence[Any]]) -> list[SessionJob]:
+        """One session job per request, labelled ``(address, index)``."""
+        protocol, setup = self.protocol_of(kind, address)
+        pool = self.pool_for_new_jobs(kind, address)
+        return [
+            session_job(protocol, setup, request, label=(address, index), ot_pool=pool)
+            for index, request in enumerate(requests)
+        ]
 
     def spam_jobs(
         self, address: str, feature_sets: Sequence[SparseVector]
     ) -> list[SessionJob]:
-        protocol, setup = self.spam_of(address)
-        pool = self.pool_for_new_jobs("spam", address)
-        return [
-            spam_job(protocol, setup, features, label=(address, index), ot_pool=pool)
-            for index, features in enumerate(feature_sets)
-        ]
+        return self.jobs("spam", address, zip_requests(feature_sets))
 
     def topic_jobs(
         self,
@@ -1391,14 +1326,7 @@ class MailboxDirectory:
         feature_sets: Sequence[SparseVector],
         candidate_lists: Sequence[Sequence[int] | None] | None = None,
     ) -> list[SessionJob]:
-        protocol, setup = self.topics_of(address)
-        pool = self.pool_for_new_jobs("topics", address)
-        if candidate_lists is None:
-            candidate_lists = [None] * len(feature_sets)
-        return [
-            topic_job(protocol, setup, features, candidates, label=(address, index), ot_pool=pool)
-            for index, (features, candidates) in enumerate(zip(feature_sets, candidate_lists))
-        ]
+        return self.jobs("topics", address, zip_requests(feature_sets, candidate_lists))
 
 
 # ---------------------------------------------------------------------------
@@ -1413,48 +1341,6 @@ def shard_of_address(address: str, num_shards: int) -> int:
     """
     digest = hashlib.sha256(address.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % num_shards
-
-
-def _worker_build_job(
-    directory: MailboxDirectory,
-    kind: str,
-    address: str,
-    features: SparseVector,
-    candidates: Sequence[int] | None,
-    job_id: int,
-) -> SessionJob:
-    if kind == "spam":
-        protocol, setup = directory.spam_of(address)
-        return spam_job(
-            protocol,
-            setup,
-            features,
-            label=job_id,
-            ot_pool=directory.pool_for_new_jobs(kind, address),
-        )
-    if kind == "topics":
-        protocol, setup = directory.topics_of(address)
-        return topic_job(
-            protocol,
-            setup,
-            features,
-            candidates,
-            label=job_id,
-            ot_pool=directory.pool_for_new_jobs(kind, address),
-        )
-    raise ProtocolError(f"unknown job kind {kind!r}")
-
-
-def _worker_results(
-    pending: dict[int, tuple[str, str]], finished: Sequence[SessionJob]
-) -> list[tuple[int, Any]]:
-    results = []
-    for job in finished:
-        job_id = job.label
-        kind, _address = pending.pop(job_id)
-        result = _spam_result(job) if kind == "spam" else _topic_result(job)
-        results.append((job_id, result))
-    return results
 
 
 class ShardWorkerCore:
@@ -1533,15 +1419,23 @@ class ShardWorkerCore:
             return
         finished = self.runtime.poll()
         if finished:
-            self._completed.extend(_worker_results(self._pending, finished))
+            self._completed.extend(self._results(finished))
             self._checkpoint()
 
     def _checkpoint(self) -> None:
         if self._log is not None:
             self._log.sync(self.runtime, self.directory, self._pending)
 
+    def _results(self, finished: Sequence[SessionJob]) -> list[tuple[int, Any]]:
+        """``(job_id, result)`` per finished job, projected by its function."""
+        results = []
+        for job in finished:
+            protocol, _setup = self.directory.protocol_of(*self._pending.pop(job.label))
+            results.append((job.label, protocol.result_of(job)))
+        return results
+
     def _take_results(self, finished: Sequence[SessionJob]) -> list[tuple[int, Any]]:
-        results, taken = _worker_results(self._pending, finished), self._completed[:]
+        results, taken = self._results(finished), self._completed[:]
         self._completed.clear()
         return taken + results
 
@@ -1554,27 +1448,19 @@ class ShardWorkerCore:
 
     def _dispatch(self, command: str, payload: Any) -> tuple[str, Any]:
         directory, runtime = self.directory, self.runtime
-        if command == "register_spam":
+        if command == "register":
             address, protocol, setup, *options = payload
-            directory.register_spam(
-                address, protocol, setup, build_pool=not (options and options[0])
-            )
-            return ("ok", None)
-        if command == "register_topics":
-            address, protocol, setup, *options = payload
-            directory.register_topics(
-                address, protocol, setup, build_pool=not (options and options[0])
-            )
+            directory.register(address, protocol, setup, build_pool=not (options and options[0]))
             return ("ok", None)
         if command == "ensure_pools":
             directory.ensure_pools()
             return ("ok", None)
         if command == "burst":
             jobs = []
-            for job_id, kind, address, features, candidates in payload:
-                jobs.append(
-                    _worker_build_job(directory, kind, address, features, candidates, job_id)
-                )
+            for job_id, kind, address, request in payload:
+                protocol, setup = directory.protocol_of(kind, address)
+                pool = directory.pool_for_new_jobs(kind, address)
+                jobs.append(session_job(protocol, setup, request, label=job_id, ot_pool=pool))
                 self._pending[job_id] = (kind, address)
             finished = runtime.serve_burst(jobs)
             results = self._take_results(finished)
@@ -1614,17 +1500,10 @@ class ShardWorkerCore:
             if job_id not in self._pending:
                 raise ProtocolError(f"no open job {job_id} on this shard")
             kind, address = self._pending[job_id]
-            client_state = SessionState.from_bytes(blob)
-            if kind == "spam":
-                protocol, setup = directory.spam_of(address)
-                client: Any = SpamClientSession.restore(
-                    protocol, setup, client_state, ot_pool=directory.spam_pool_of(address)
-                )
-            else:
-                protocol, setup = directory.topics_of(address)
-                client = TopicClientSession.restore(
-                    protocol, setup, client_state, ot_pool=directory.topic_pool_of(address)
-                )
+            protocol, setup = directory.protocol_of(kind, address)
+            client = protocol.restore_client(
+                setup, SessionState.from_bytes(blob), ot_pool=directory.pool_of(kind, address)
+            )
             channel = protocol.make_channel(setup, name=f"reconnect[{job_id}]")
             runtime.reconnect_job(job_id, channel, client)
             self._checkpoint()
@@ -1744,14 +1623,13 @@ class _OutstandingItem:
 
     This is all the state needed to resubmit the email after a worker is
     replaced (frames never leave the worker, so an email in flight on a
-    killed shard simply re-runs from its features).
+    killed shard simply re-runs from its request).
     """
 
     slot: int
     kind: str
     address: str
-    features: SparseVector
-    candidates: Sequence[int] | None = None
+    request: tuple
 
 
 class WorkerLink(Protocol):
@@ -1887,11 +1765,18 @@ class ShardDriver:
     at each burst boundary, and its replacement *resumes* them — parked
     sessions come back bit-identically, with no re-execution of completed
     protocol steps.  Whatever a checkpoint does not cover is resubmitted
-    from features — the recompute fallback.  Either way a mid-window crash
+    from its request — the recompute fallback.  Either way a mid-window crash
     never costs correctness.  :meth:`migrate` uses the same machinery to
-    move a live worker's open windows onto another worker.  Results are
-    collected by job id (:meth:`take_result`); :meth:`run_spam_stream` is
-    the submit/drain convenience the benchmarks use.
+    move a live worker's open windows onto another worker.
+
+    Any :class:`ProviderFunction` is served the same way: :meth:`register`
+    a mailbox with the protocol object, :meth:`submit` bursts of its
+    requests by ``kind``.  Results are collected by job id
+    (:meth:`take_result`).  The benchmarks reach :meth:`register` and
+    :meth:`submit` through ``register_spam``/``register_topics`` and
+    ``submit_spam``/``submit_topics``, kept as one-line calls for them;
+    :meth:`run_spam_stream` is a submit/drain convenience for tests and
+    examples.
     """
 
     def __init__(
@@ -1917,8 +1802,8 @@ class ShardDriver:
         self._links: list[WorkerLink] = []
         # Per worker: commands posted whose replies have not been absorbed.
         self._owed: list[deque[str]] = []
-        self._registrations: list[tuple[int, str, tuple]] = []  # (slot, command, payload)
-        self._registered: set[tuple[str, str]] = set()  # (kind, address)
+        # (kind, address) -> the latest (address, protocol, setup) registered.
+        self._registrations: dict[tuple[str, str], tuple] = {}
         self._outstanding: dict[int, _OutstandingItem] = {}
         self._results: dict[int, Any] = {}
         self._job_ids = itertools.count()
@@ -2080,20 +1965,20 @@ class ShardDriver:
         backfill OT pools, then resubmit every outstanding email of those
         slots that the restore did not resume.
         """
-        for slot, command, payload in self._registrations:
-            if slot in slots:
+        for (_kind, address), payload in self._registrations.items():
+            if self.shard_of(address) in slots:
                 # Defer the per-pair OT handshakes: restored pools replace
                 # them for checkpointed mailboxes (mid-stream cursors intact)
                 # and ensure_pools backfills the rest — paying base OTs only
                 # to overwrite them would be dead recovery time.
-                self._request(worker, command, (*payload, True))
+                self._request(worker, "register", (*payload, True))
         resumed: set[int] = set()
         if blob is not None or own_log:
             resumed_ids, _results, _metrics = self._request(worker, "restore", blob)
             resumed = set(resumed_ids)
         self._request(worker, "ensure_pools", None)
         resubmit = [
-            (job_id, item.kind, item.address, item.features, item.candidates)
+            (job_id, item.kind, item.address, item.request)
             for job_id, item in sorted(self._outstanding.items())
             if item.slot in slots and job_id not in resumed
         ]
@@ -2197,68 +2082,59 @@ class ShardDriver:
     def shard_of(self, address: str) -> int:
         return shard_of_address(address, self.num_slots)
 
-    def _register(self, kind: str, address: str, protocol: Any, setup: Any) -> None:
-        slot = self.shard_of(address)
+    def register(self, address: str, protocol: ProviderFunction, setup: Any) -> None:
+        """Register *address* for *protocol* on the worker that owns its slot.
+
+        The registration log holds one entry per ``(kind, address)``, the
+        latest, so a replacement worker replays each pair once however often
+        it was registered.
+        """
         payload = (address, protocol, setup)
-        self._request(self._slot_owner[slot], f"register_{kind}", payload)
-        self._registrations.append((slot, f"register_{kind}", payload))
-        self._registered.add((kind, address))
+        self._request(self._slot_owner[self.shard_of(address)], "register", payload)
+        self._registrations[(protocol.kind, address)] = payload
 
     def register_spam(
         self, address: str, protocol: SpamFilterProtocol, setup: SpamSetup
     ) -> None:
-        self._register("spam", address, protocol, setup)
+        self.register(address, protocol, setup)
 
     def register_topics(
         self, address: str, protocol: TopicExtractionProtocol, setup: TopicSetup
     ) -> None:
-        self._register("topics", address, protocol, setup)
+        self.register(address, protocol, setup)
 
-    def has_spam(self, address: str) -> bool:
-        return ("spam", address) in self._registered
-
-    def has_topics(self, address: str) -> bool:
-        return ("topics", address) in self._registered
+    def registered(self, kind: str, address: str) -> bool:
+        return (kind, address) in self._registrations
 
     # -- submission / results ------------------------------------------------
-    def _submit(self, items: list[_OutstandingItem]) -> list[int]:
-        job_ids = []
-        by_worker: dict[int, list[tuple]] = {}
-        for item in items:
-            job_id = next(self._job_ids)
-            job_ids.append(job_id)
-            self._outstanding[job_id] = item
-            by_worker.setdefault(self._slot_owner[item.slot], []).append(
-                (job_id, item.kind, item.address, item.features, item.candidates)
-            )
-        self._fanout([(worker, "burst", batch) for worker, batch in by_worker.items()])
-        return job_ids
-
-    def submit_spam(self, emails: Sequence[tuple[str, SparseVector]]) -> list[int]:
-        """Submit one burst of (address, features) emails; returns their job ids.
+    def submit(self, kind: str, emails: Sequence[tuple]) -> list[int]:
+        """Submit one burst of ``(address, *request)`` emails of *kind*; returns their job ids.
 
         Each worker runs its slice of the burst through its windowed serving
         loop; results that complete immediately (closed windows) are already
         collected when this returns — the rest arrive with later bursts,
         :meth:`poll` or :meth:`drain`.
         """
-        return self._submit(
-            [
-                _OutstandingItem(self.shard_of(address), "spam", address, features)
-                for address, features in emails
-            ]
-        )
+        job_ids = []
+        by_worker: dict[int, list[tuple]] = {}
+        for address, *request in emails:
+            job_id = next(self._job_ids)
+            job_ids.append(job_id)
+            item = _OutstandingItem(self.shard_of(address), kind, address, tuple(request))
+            self._outstanding[job_id] = item
+            by_worker.setdefault(self._slot_owner[item.slot], []).append(
+                (job_id, kind, address, item.request)
+            )
+        self._fanout([(worker, "burst", batch) for worker, batch in by_worker.items()])
+        return job_ids
+
+    def submit_spam(self, emails: Sequence[tuple[str, SparseVector]]) -> list[int]:
+        return self.submit("spam", emails)
 
     def submit_topics(
         self, emails: Sequence[tuple[str, SparseVector, Sequence[int] | None]]
     ) -> list[int]:
-        """Submit one burst of (address, features, candidates) topic emails."""
-        return self._submit(
-            [
-                _OutstandingItem(self.shard_of(address), "topics", address, features, candidates)
-                for address, features, candidates in emails
-            ]
-        )
+        return self.submit("topics", emails)
 
     def poll(self) -> int:
         """Tick every serving worker's age triggers; returns how many new results landed.

@@ -60,8 +60,6 @@ class SpamFunctionModule(FunctionModule):
             ot_mode=config.ot_mode,
         )
         self.setup: SpamSetup = self.protocol.setup(self.quantized, joint_seed=joint_seed)
-        # Per-pair OT-extension state, created lazily by the first batch run.
-        self._ot_pool = None
 
     # -- training helper ----------------------------------------------------------
     @classmethod
@@ -79,48 +77,19 @@ class SpamFunctionModule(FunctionModule):
         return cls(config, extractor, classifier.to_linear_model(), joint_seed=joint_seed)
 
     # -- per-email -------------------------------------------------------------------
-    def _run_result(self, result, num_features: int) -> ModuleRunResult:
-        return ModuleRunResult(
-            module_name=self.name,
-            output=SpamModuleOutput(is_spam=result.is_spam),
-            provider_seconds=result.provider_seconds,
-            client_seconds=result.client_seconds,
-            network_bytes=result.network_bytes,
-            network_messages=result.network_messages,
-            network_rounds=result.network_rounds,
-            details={
-                "yao_and_gates": result.yao_and_gates,
-                "features_in_email": num_features,
-            },
-        )
+    def _output(self, result) -> SpamModuleOutput:
+        return SpamModuleOutput(is_spam=result.is_spam)
 
     def process_email(self, message: EmailMessage) -> ModuleRunResult:
         features = self.extractor.transform(message.text_content(), boolean=True)
         result = self.protocol.classify_email(self.setup, features)
         return self._run_result(result, len(features))
 
-    def process_emails(self, messages: Sequence[EmailMessage]) -> list[ModuleRunResult]:
-        """Batch path: one concurrent session per email, batched provider decrypts.
-
-        The per-pair OT-extension pool persists on the module, so only the
-        first burst of this module's lifetime pays the base-OT handshake.
-        """
-        from repro.core.runtime import run_spam_batch
-
-        if not messages:
-            return []
-        feature_sets = [
-            self.extractor.transform(message.text_content(), boolean=True)
-            for message in messages
-        ]
-        if self._ot_pool is None and self.protocol.ot_mode == "iknp":
-            self._ot_pool = self.protocol.make_ot_pool(self.setup)
-        results = run_spam_batch(
-            self.protocol, self.setup, feature_sets, ot_pool=self._ot_pool
-        )
+    def requests(self, messages: Sequence[EmailMessage]) -> list[tuple]:
+        """Each email's client-side arguments: ``(features,)``."""
         return [
-            self._run_result(result, len(features))
-            for result, features in zip(results, feature_sets)
+            (self.extractor.transform(message.text_content(), boolean=True),)
+            for message in messages
         ]
 
     # -- costs -------------------------------------------------------------------------

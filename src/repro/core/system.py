@@ -180,11 +180,11 @@ class PretzelSystem:
 
         :meth:`drain_all_mailboxes` over a
         :class:`~repro.core.runtime.ShardDriver`: recipients partition across
-        its workers by mailbox hash, so each worker runs the 2PC provider
-        halves (spam, topics) for its own mailboxes with warm per-mailbox
-        state, accumulating decrypts in its windowed scheduler.  Client-only
-        modules (keyword search) have no provider half to shard and run
-        in-process as before.
+        its workers by mailbox hash, so each worker runs the provider half of
+        every module that has one (its ``protocol``) for its own mailboxes
+        with warm per-mailbox state, accumulating decrypts in its windowed
+        scheduler.  Client-only modules (keyword search) have no provider
+        half to shard and run in-process as before.
 
         Pass a *runtime* to keep workers (and their warm OT pools) alive
         across serving passes — any shard driver, whatever its links (the one
@@ -194,8 +194,6 @@ class PretzelSystem:
         created and torn down here.
         """
         from repro.core.runtime import ShardedRuntime
-        from repro.core.spam_module import SpamFunctionModule
-        from repro.core.topic_module import TopicFunctionModule
 
         owns_runtime = runtime is None
         if runtime is None:
@@ -219,46 +217,23 @@ class PretzelSystem:
                 ]
                 reports[address] = client_reports
                 for name, module in client.modules.items():
-                    if isinstance(module, SpamFunctionModule):
-                        if not runtime.has_spam(address):
-                            runtime.register_spam(address, module.protocol, module.setup)
-                        feature_sets = [
-                            module.extractor.transform(message.text_content(), boolean=True)
-                            for message in messages
-                        ]
-                        job_ids = runtime.submit_spam(
-                            [(address, features) for features in feature_sets]
-                        )
-                        placements += [
-                            (report, module, len(features), job_id)
-                            for report, features, job_id in zip(
-                                client_reports, feature_sets, job_ids
-                            )
-                        ]
-                    elif isinstance(module, TopicFunctionModule):
-                        if not runtime.has_topics(address):
-                            runtime.register_topics(address, module.protocol, module.setup)
-                        feature_sets = [
-                            module.extractor.transform(message.text_content(), boolean=False)
-                            for message in messages
-                        ]
-                        job_ids = runtime.submit_topics(
-                            [
-                                (address, features, module.candidate_topics(features))
-                                for features in feature_sets
-                            ]
-                        )
-                        placements += [
-                            (report, module, len(features), job_id)
-                            for report, features, job_id in zip(
-                                client_reports, feature_sets, job_ids
-                            )
-                        ]
-                    else:
+                    protocol = module.protocol
+                    if protocol is None:
                         for report, result in zip(
                             client_reports, module.process_emails(messages)
                         ):
                             report.module_results[name] = result
+                        continue
+                    if not runtime.registered(protocol.kind, address):
+                        runtime.register(address, protocol, module.setup)
+                    requests = module.requests(messages)
+                    job_ids = runtime.submit(
+                        protocol.kind, [(address, *request) for request in requests]
+                    )
+                    placements += [
+                        (report, module, len(request[0]), job_id)
+                        for report, request, job_id in zip(client_reports, requests, job_ids)
+                    ]
             runtime.drain()
             for report, module, num_features, job_id in placements:
                 result = runtime.take_result(job_id)

@@ -71,8 +71,6 @@ class TopicFunctionModule(FunctionModule):
             joint_seed=joint_seed,
             across_row_packing=config.across_row_packing,
         )
-        # Per-pair OT-extension state, created lazily by the first batch run.
-        self._ot_pool = None
 
     # -- training helpers ------------------------------------------------------------
     @classmethod
@@ -136,24 +134,11 @@ class TopicFunctionModule(FunctionModule):
         return model.top_categories(features, count)
 
     # -- per-email ----------------------------------------------------------------------
-    def _run_result(self, result, num_features: int) -> ModuleRunResult:
-        output = TopicModuleOutput(
+    def _output(self, result) -> TopicModuleOutput:
+        return TopicModuleOutput(
             topic_index=result.extracted_topic,
             topic_name=self.proprietary_model.category_names[result.extracted_topic],
             candidates_considered=result.candidates_used,
-        )
-        return ModuleRunResult(
-            module_name=self.name,
-            output=output,
-            provider_seconds=result.provider_seconds,
-            client_seconds=result.client_seconds,
-            network_bytes=result.network_bytes,
-            network_messages=result.network_messages,
-            network_rounds=result.network_rounds,
-            details={
-                "yao_and_gates": result.yao_and_gates,
-                "features_in_email": num_features,
-            },
         )
 
     def process_email(self, message: EmailMessage) -> ModuleRunResult:
@@ -162,34 +147,13 @@ class TopicFunctionModule(FunctionModule):
         result = self.protocol.extract_topic(self.setup, features, candidate_topics=candidates)
         return self._run_result(result, len(features))
 
-    def process_emails(self, messages: Sequence[EmailMessage]) -> list[ModuleRunResult]:
-        """Batch path: one concurrent session per email, batched provider decrypts.
-
-        The per-pair OT-extension pool persists on the module, so only the
-        first burst of this module's lifetime pays the base-OT handshake.
-        """
-        from repro.core.runtime import run_topic_batch
-
-        if not messages:
-            return []
+    def requests(self, messages: Sequence[EmailMessage]) -> list[tuple]:
+        """Each email's client-side arguments: ``(features, candidates)``."""
         feature_sets = [
             self.extractor.transform(message.text_content(), boolean=False)
             for message in messages
         ]
-        candidate_lists = [self.candidate_topics(features) for features in feature_sets]
-        if self._ot_pool is None and self.protocol.ot_mode == "iknp":
-            self._ot_pool = self.protocol.make_ot_pool(self.setup)
-        results = run_topic_batch(
-            self.protocol,
-            self.setup,
-            feature_sets,
-            candidate_lists=candidate_lists,
-            ot_pool=self._ot_pool,
-        )
-        return [
-            self._run_result(result, len(features))
-            for result, features in zip(results, feature_sets)
-        ]
+        return [(features, self.candidate_topics(features)) for features in feature_sets]
 
     # -- costs -------------------------------------------------------------------------------
     def client_storage_bytes(self) -> int:

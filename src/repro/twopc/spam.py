@@ -57,6 +57,7 @@ from repro.twopc.session import (
     BufferedProviderSession,
     DecryptionRequest,
     ProtocolSession,
+    SessionJob,
     _restore_base_fields,
     decode_state_payload,
     encode_state_payload,
@@ -294,7 +295,14 @@ class SpamProviderSession(BufferedProviderSession):
 
 
 class SpamFilterProtocol:
-    """Builds and drives the spam-filtering 2PC between a provider and a client."""
+    """Builds and drives the spam-filtering 2PC between a provider and a client.
+
+    Also a :class:`repro.core.runtime.ProviderFunction`: an email's request
+    is ``(features,)``.
+    """
+
+    #: Names the function in registrations, worker commands and checkpoint records.
+    kind = "spam"
 
     def __init__(
         self,
@@ -373,6 +381,30 @@ class SpamFilterProtocol:
         self, setup: SpamSetup, ot_pool: OtExtensionPool | None = None
     ) -> SpamProviderSession:
         return SpamProviderSession(self, setup, ot_pool=ot_pool)
+
+    def restore_client(
+        self, setup: SpamSetup, state: SessionState, ot_pool: OtExtensionPool | None = None
+    ) -> SpamClientSession:
+        return SpamClientSession.restore(self, setup, state, ot_pool=ot_pool)
+
+    def restore_provider(
+        self, setup: SpamSetup, state: SessionState, ot_pool: OtExtensionPool | None = None
+    ) -> SpamProviderSession:
+        return SpamProviderSession.restore(self, setup, state, ot_pool=ot_pool)
+
+    def result_of(self, job: SessionJob) -> SpamProtocolResult:
+        """The verdict and costs of one finished serving-loop job."""
+        client = job.client
+        assert client.is_spam is not None
+        return SpamProtocolResult(
+            is_spam=client.is_spam,
+            provider_seconds=job.provider.seconds,
+            client_seconds=client.seconds,
+            network_bytes=job.channel.total_bytes(),
+            yao_and_gates=client.yao_and_gates,
+            network_messages=job.channel.total_messages(),
+            network_rounds=job.channel.rounds(),
+        )
 
     # -- per-email computation phase ------------------------------------------------
     def classify_email(

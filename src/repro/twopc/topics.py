@@ -64,6 +64,7 @@ from repro.twopc.session import (
     BufferedProviderSession,
     DecryptionRequest,
     ProtocolSession,
+    SessionJob,
     _restore_base_fields,
     decode_state_payload,
     encode_state_payload,
@@ -381,7 +382,14 @@ class TopicProviderSession(BufferedProviderSession):
 
 
 class TopicExtractionProtocol:
-    """Builds and drives the topic-extraction 2PC between a provider and a client."""
+    """Builds and drives the topic-extraction 2PC between a provider and a client.
+
+    Also a :class:`repro.core.runtime.ProviderFunction`: an email's request
+    is ``(features, candidate_topics)``.
+    """
+
+    #: Names the function in registrations, worker commands and checkpoint records.
+    kind = "topics"
 
     def __init__(self, scheme: AHEScheme, group: DHGroup, ot_mode: str = "iknp") -> None:
         self.scheme = scheme
@@ -477,6 +485,31 @@ class TopicExtractionProtocol:
         self, setup: TopicSetup, ot_pool: OtExtensionPool | None = None
     ) -> TopicProviderSession:
         return TopicProviderSession(self, setup, ot_pool=ot_pool)
+
+    def restore_client(
+        self, setup: TopicSetup, state: SessionState, ot_pool: OtExtensionPool | None = None
+    ) -> TopicClientSession:
+        return TopicClientSession.restore(self, setup, state, ot_pool=ot_pool)
+
+    def restore_provider(
+        self, setup: TopicSetup, state: SessionState, ot_pool: OtExtensionPool | None = None
+    ) -> TopicProviderSession:
+        return TopicProviderSession.restore(self, setup, state, ot_pool=ot_pool)
+
+    def result_of(self, job: SessionJob) -> TopicProtocolResult:
+        """The extracted topic and costs of one finished serving-loop job."""
+        provider = job.provider
+        assert provider.extracted_topic is not None
+        return TopicProtocolResult(
+            extracted_topic=provider.extracted_topic,
+            provider_seconds=provider.seconds,
+            client_seconds=job.client.seconds,
+            network_bytes=job.channel.total_bytes(),
+            yao_and_gates=job.client.yao_and_gates,
+            candidates_used=len(job.client.candidates),
+            network_messages=job.channel.total_messages(),
+            network_rounds=job.channel.rounds(),
+        )
 
     # -- per-email computation phase ----------------------------------------------------
     def extract_topic(

@@ -256,11 +256,13 @@ class SessionStateFrame:
 # ---------------------------------------------------------------------------
 # Control-plane frames (the fabric's parent <-> agent channel)
 # ---------------------------------------------------------------------------
-#: Version byte stamped on every control frame an endpoint emits.  An agent
-#: announces its version in HELLO; the parent refuses a mismatch at
-#: registration time (a *frame* with a foreign version still decodes — the
-#: compatibility check is a control-plane policy, not a codec failure).
-CONTROL_VERSION = 1
+#: Version byte stamped on every control frame an endpoint emits.  Both ends
+#: check it before trusting a body, so a mixed pair is refused at HELLO (a
+#: *frame* with a foreign version still decodes — the compatibility check is
+#: a control-plane policy, not a codec failure).
+#: 2: one ``register`` command for every provider function, and ``burst``
+#: entries carry ``(job_id, kind, address, request)``.
+CONTROL_VERSION = 2
 
 
 class ControlVerb:

@@ -26,7 +26,7 @@ from repro.core.runtime import (
     DecryptScheduler,
     FileSessionStore,
     ProviderRuntime,
-    spam_job,
+    session_job,
 )
 from repro.crypto.chacha import open_sealed, seal
 from repro.exceptions import (
@@ -175,7 +175,7 @@ class TestReconnectResume:
         clean = protocol.classify_email(setup, SPAM_EMAILS[0])
 
         runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
-        job = spam_job(protocol, setup, SPAM_EMAILS[0], label=7, ot_pool=pool)
+        job = session_job(protocol, setup, (SPAM_EMAILS[0],), label=7, ot_pool=pool)
         assert runtime.serve_burst([job]) == []  # parked inside the open window
 
         state = runtime.disconnect_job(7)
@@ -208,7 +208,7 @@ class TestReconnectResume:
         pool = protocol.make_ot_pool(setup)
         runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
         jobs = [
-            spam_job(protocol, setup, features, label=index, ot_pool=pool)
+            session_job(protocol, setup, (features,), label=index, ot_pool=pool)
             for index, features in enumerate(SPAM_EMAILS[:2])
         ]
         assert runtime.serve_burst(jobs) == []
@@ -321,7 +321,7 @@ class TestSeededChaosSweep:
         clean = protocol.classify_email(setup, SPAM_EMAILS[2])
         for offset in range(3):
             runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
-            job = spam_job(protocol, setup, SPAM_EMAILS[2], label=offset, ot_pool=pool)
+            job = session_job(protocol, setup, (SPAM_EMAILS[2],), label=offset, ot_pool=pool)
             assert runtime.serve_burst([job]) == []
             state = runtime.disconnect_job(offset)
             client = SpamClientSession.restore(

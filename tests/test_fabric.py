@@ -8,8 +8,8 @@ pin the rest of the fabric's contract:
 * the versioned control codec (roundtrip, foreign-version refusal, junk);
 * the deterministic metrics projection, the streamed METRICS scrape, and
   the telemetry artifacts a real two-agent run exports;
-* HELLO refusal of an agent launched as the wrong shard, and of a HELLO
-  carrying a malformed scheduler spec;
+* HELLO refusal of an agent launched as the wrong shard, of a HELLO
+  carrying a malformed scheduler spec, and of a parent speaking control v1;
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent;
 * live migration under a 1% chaos cocktail on the control channel, and
   ``rebalance`` choosing the migration from streamed load; and
@@ -28,6 +28,7 @@ import pytest
 
 from repro.core.runtime import shard_of_address
 from repro.exceptions import ProtocolError, WireFormatError
+from repro.fabric import control
 from repro.fabric import (
     TcpLink,
     launch_fabric,
@@ -126,6 +127,13 @@ class TestControlCodec:
             payload=pickle.dumps({"incarnation": "deadbeef"}),
         )
         with pytest.raises(ProtocolError, match="version"):
+            unpack_control(WireCodec().encode(frame))
+
+    def test_a_v1_frame_is_refused_by_this_v2_build(self):
+        # v2: one ``register`` command, bursts of (job_id, kind, address, request).
+        assert CONTROL_VERSION == 2
+        frame = ControlFrame(verb=ControlVerb.HELLO, version=1, payload=pickle.dumps({}))
+        with pytest.raises(ProtocolError, match="peer speaks v1"):
             unpack_control(WireCodec().encode(frame))
 
     def test_non_control_frame_is_refused(self):
@@ -241,6 +249,18 @@ class TestFabricRecovery:
         finally:
             runtime.close()
             _reap(agents)
+
+    def test_a_v1_parent_is_refused_at_hello(self, monkeypatch):
+        """A mixed build fails at the handshake, before any registration: the
+        agent refuses the v1 HELLO unread, hangs up and exits."""
+        agent = spawn_local_agent(shard_index=0)
+        try:
+            monkeypatch.setattr(control, "CONTROL_VERSION", 1)
+            with pytest.raises(ProtocolError):
+                TcpLink(agent, 0, (1, None), "incarnation")
+            assert agent.wait(timeout=10.0) == 0
+        finally:
+            _reap([agent])
 
     @pytest.mark.parametrize(
         "spec", [(1, math.nan), ("static", 1, None, None), (True, None)], ids=repr

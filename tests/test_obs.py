@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from repro.core.runtime import DecryptScheduler, ProviderRuntime, spam_job
+from repro.core.runtime import DecryptScheduler, ProviderRuntime, session_job
 from repro.mail.traces import TraceSpec, VirtualClock, generate_trace, serve_trace
 from repro.obs import (
     MetricsRegistry,
@@ -345,7 +345,7 @@ class TestSpanChain:
                     window_bursts=100, max_delay_seconds=5.0, clock=clock
                 )
             )
-            job = spam_job(protocol, setup, SPAM_EMAILS[0], label=0)
+            job = session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)
             assert runtime.serve_burst([job]) == []  # parked in the open window
             clock.advance_to(5.0)
             finished = runtime.poll()
@@ -403,8 +403,8 @@ class TestSpanChain:
             serve_trace(
                 runtime,
                 events,
-                lambda event: spam_job(
-                    protocol, setup, SPAM_EMAILS[0], label=event.sender
+                lambda event: session_job(
+                    protocol, setup, (SPAM_EMAILS[0],), label=event.sender
                 ),
                 clock,
                 cost_model=lambda size: 0.001 * size + 0.0005,
@@ -451,7 +451,7 @@ class TestMidDrainScrape:
         with scoped_telemetry() as (registry, tracer):
             runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
             jobs = [
-                spam_job(protocol, setup, features, label=index)
+                session_job(protocol, setup, (features,), label=index)
                 for index, features in enumerate(SPAM_EMAILS)
             ]
             assert runtime.serve_burst(jobs) == []  # all parked mid-drain
@@ -478,7 +478,7 @@ class TestMidDrainScrape:
         protocol, setup = spam_setup
         with scoped_telemetry() as (registry, _):
             runtime = ProviderRuntime()
-            runtime.serve_burst([spam_job(protocol, setup, SPAM_EMAILS[0], label=0)])
+            runtime.serve_burst([session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)])
             stats = runtime.stats()
             snapshot = registry.snapshot()
         assert stats["emails_served"] == 1

@@ -13,10 +13,9 @@ from repro.core.runtime import (
     MailboxDirectory,
     ProviderRuntime,
     ShardWorkerCore,
-    run_spam_batch,
-    run_topic_batch,
-    spam_job,
-    topic_job,
+    run_batch,
+    session_job,
+    zip_requests,
 )
 from repro.crypto.ot import (
     TRANSFER_INDEX_LIMIT,
@@ -25,7 +24,7 @@ from repro.crypto.ot import (
     make_ot_receiver,
     make_ot_sender,
 )
-from repro.exceptions import OTError
+from repro.exceptions import OTError, ProtocolError
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.twopc import spam as spam_module
 from repro.twopc.noprv import NoPrivClassifier, run_noprv_session
@@ -70,7 +69,7 @@ class TestConcurrentEqualsSequential:
             protocol.classify_email(setup, features).is_spam for features in SPAM_EMAILS
         ]
         runtime = ProviderRuntime()
-        concurrent = run_spam_batch(protocol, setup, SPAM_EMAILS, runtime=runtime)
+        concurrent = run_batch(protocol, setup, zip_requests(SPAM_EMAILS), runtime=runtime)
         assert [result.is_spam for result in concurrent] == sequential
         assert sequential == [
             small_spam_model.predict_is_spam(features) for features in SPAM_EMAILS
@@ -90,8 +89,8 @@ class TestConcurrentEqualsSequential:
             for features, candidates in zip(emails, candidate_lists)
         ]
         runtime = ProviderRuntime()
-        concurrent = run_topic_batch(
-            protocol, setup, emails, candidate_lists=candidate_lists, runtime=runtime
+        concurrent = run_batch(
+            protocol, setup, zip_requests(emails, candidate_lists), runtime=runtime
         )
         assert [result.extracted_topic for result in concurrent] == sequential
         assert sequential[: len(truths)] == truths
@@ -102,10 +101,10 @@ class TestConcurrentEqualsSequential:
         topic_protocol, t_setup = topic_setup
         runtime = ProviderRuntime()
         jobs = [
-            spam_job(spam_protocol, s_setup, features, label=index)
+            session_job(spam_protocol, s_setup, (features,), label=index)
             for index, features in enumerate(SPAM_EMAILS[:3])
         ]
-        jobs.append(topic_job(topic_protocol, t_setup, TOPIC_EMAILS[0], [0, 1, 2], label="t"))
+        jobs.append(session_job(topic_protocol, t_setup, (TOPIC_EMAILS[0], [0, 1, 2]), label="t"))
         runtime.run(jobs)
         for job in jobs:
             frame_log = job.channel.transport.frame_log
@@ -121,10 +120,10 @@ class TestMultiUserBatching:
         setup_b = protocol.setup(small_spam_model)
         runtime = ProviderRuntime()
         jobs = [
-            spam_job(protocol, setup_a, SPAM_EMAILS[0], label="a0"),
-            spam_job(protocol, setup_b, SPAM_EMAILS[1], label="b0"),
-            spam_job(protocol, setup_a, SPAM_EMAILS[2], label="a1"),
-            spam_job(protocol, setup_b, SPAM_EMAILS[3], label="b1"),
+            session_job(protocol, setup_a, (SPAM_EMAILS[0],), label="a0"),
+            session_job(protocol, setup_b, (SPAM_EMAILS[1],), label="b0"),
+            session_job(protocol, setup_a, (SPAM_EMAILS[2],), label="a1"),
+            session_job(protocol, setup_b, (SPAM_EMAILS[3],), label="b1"),
         ]
         runtime.run(jobs)
         # Two mailboxes -> two batched decrypts (one per key pair), each
@@ -150,6 +149,18 @@ class TestMultiUserBatching:
         assert jobs[0].client.is_spam == small_spam_model.predict_is_spam(SPAM_EMAILS[0])
         assert jobs[1].client.is_spam == small_spam_model.predict_is_spam(SPAM_EMAILS[1])
         assert jobs[2].provider.extracted_topic == small_topic_model.predict(TOPIC_EMAILS[0])
+
+    def test_ragged_request_columns_are_refused(self, topic_setup):
+        # A plain zip would serve one email of three and drop the rest silently.
+        protocol, setup = topic_setup
+        directory = MailboxDirectory()
+        directory.register_topics("carol@example.com", protocol, setup, build_pool=False)
+        with pytest.raises(ProtocolError, match="3 emails but 1"):
+            directory.topic_jobs("carol@example.com", TOPIC_EMAILS[:3], [[0, 1, 2]])
+        with pytest.raises(ProtocolError, match="3 emails but 4"):
+            zip_requests(TOPIC_EMAILS[:3], [None] * 4)
+        defaulted = zip_requests(TOPIC_EMAILS[:2], None)
+        assert defaulted == [(TOPIC_EMAILS[0], None), (TOPIC_EMAILS[1], None)]
 
 
 class TestOtPooling:
@@ -198,14 +209,14 @@ class TestOtPooling:
             worker = ShardWorkerCore((1, None))
             directory = worker.directory
             directory.register_spam(address, protocol, setup)
-            spent = directory.spam_pool_of(address)
+            spent = directory.pool_of("spam", address)
             spent.receiver_state.next_index = TRANSFER_INDEX_LIMIT - 10
             spent.sender_state.claim(0, TRANSFER_INDEX_LIMIT - 10)
             ledger = spent.snapshot().to_bytes()
             # On its own the pool refuses, before reserving anything (the
             # codec used to fail after the range was gone, for good).
             with pytest.raises(OTError, match="run out"):
-                ProviderRuntime().run([spam_job(protocol, setup, emails[0], ot_pool=spent)])
+                ProviderRuntime().run([session_job(protocol, setup, (emails[0],), ot_pool=spent)])
             assert spent.snapshot().to_bytes() == ledger
 
             handshakes = []
@@ -221,13 +232,13 @@ class TestOtPooling:
                 ProviderRuntime().run(jobs)
                 verdicts = [job.client.is_spam for job in jobs]
             else:
-                burst = [(index, "spam", address, features, None) for index, features in enumerate(emails)]
+                burst = [(index, "spam", address, (features,)) for index, features in enumerate(emails)]
                 verb, (results, _metrics) = worker.handle("burst", burst)
                 assert verb == "results"
                 verdicts = [result.is_spam for _job_id, result in sorted(results)]
         assert verdicts == [small_spam_model.predict_is_spam(features) for features in emails]
         assert len(handshakes) == 1
-        fresh = directory.spam_pool_of(address)
+        fresh = directory.pool_of("spam", address)
         assert fresh is not spent and fresh.receiver_state.next_index == (
             2 * small_spam_model.dot_product_bits * len(emails)
         )

@@ -37,8 +37,7 @@ from repro.core.runtime import (
     ShardWorkerCore,
     checkpoint_open_windows,
     restore_open_windows,
-    spam_job,
-    topic_job,
+    session_job,
 )
 from repro.crypto.circuits import SpamCircuit
 from repro.crypto.ot import (
@@ -349,12 +348,12 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
         protocol, setup = spam_setup
         address = "upgraded@example.com"
         burst = [
-            (job_id, "spam", address, features, None)
+            (job_id, "spam", address, (features,))
             for job_id, features in enumerate(SPAM_EMAILS)
         ]
         with scoped_registry(MetricsRegistry()):
             source = ShardWorkerCore((100, None))
-            source.handle("register_spam", (address, protocol, setup))
+            source.handle("register", (address, protocol, setup))
             assert source.handle("burst", burst)[1][0] == []  # all parked mid-round
             verb, (blob, _results, _metrics) = source.handle("checkpoint", None)
             assert verb == "checkpointed"
@@ -365,12 +364,12 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
         checkpoint["pools"][0]["state"] = self.PARENT_BLOB.read_bytes()
         with scoped_registry(MetricsRegistry()):
             target = ShardWorkerCore((100, None))
-            target.handle("register_spam", (address, protocol, setup, True))  # pool deferred
+            target.handle("register", (address, protocol, setup, True))  # pool deferred
             verb, (resumed, results, _metrics) = target.handle(
                 "restore", canonical_dumps(checkpoint)
             )
             assert (verb, resumed, results) == ("restored", [], [])  # nothing resumed
-            assert target.directory.spam_pool_of(address) is None  # least of all that pool
+            assert target.directory.pool_of("spam", address) is None  # least of all that pool
             # ... so the driver backfills the pool and resubmits every email.
             assert target.handle("ensure_pools", None) == ("ok", None)
             assert target.handle("burst", burst)[1][0] == []
@@ -416,12 +415,12 @@ class TestCheckpointsAcrossTheScoreSampleChange:
         protocol, setup = spam_setup
         address = "upgraded@example.com"
         burst = [
-            (job_id, "spam", address, features, None)
+            (job_id, "spam", address, (features,))
             for job_id, features in enumerate(SPAM_EMAILS)
         ]
         with scoped_registry(MetricsRegistry()):
             target = ShardWorkerCore((100, None))
-            target.handle("register_spam", (address, protocol, setup))
+            target.handle("register", (address, protocol, setup))
             verb, (resumed, results, _metrics) = target.handle(
                 "restore", self.PARENT_CHECKPOINT.read_bytes()
             )
@@ -512,20 +511,13 @@ class TestSessionStores:
 def _park_jobs(directory, kind, address, feature_sets, candidates=None):
     """Admit jobs into a wide-open window; returns (runtime, jobs, context)."""
     runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
-    if kind == "spam":
-        protocol, setup = directory.spam_of(address)
-        jobs = [
-            spam_job(protocol, setup, features, label=index,
-                     ot_pool=directory.spam_pool_of(address))
-            for index, features in enumerate(feature_sets)
-        ]
-    else:
-        protocol, setup = directory.topics_of(address)
-        jobs = [
-            topic_job(protocol, setup, features, candidates, label=index,
-                      ot_pool=directory.topic_pool_of(address))
-            for index, features in enumerate(feature_sets)
-        ]
+    protocol, setup = directory.protocol_of(kind, address)
+    arguments = () if kind == "spam" else (candidates,)
+    jobs = [
+        session_job(protocol, setup, (features, *arguments), label=index,
+                    ot_pool=directory.pool_of(kind, address))
+        for index, features in enumerate(feature_sets)
+    ]
     finished = runtime.serve_burst(jobs)
     assert finished == []  # everything is parked inside the open window
     context = {job.label: (kind, address) for job in jobs}

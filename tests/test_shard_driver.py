@@ -18,13 +18,16 @@ METRICS, a lossy control channel; checkpoint-log tampering on disk) stays in
 """
 
 import copy
+import multiprocessing
 import os
 import signal
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 
+from repro.classify.model import LinearModel
 from repro.core.runtime import (
     DecryptScheduler,
     FileSessionStore,
@@ -40,8 +43,10 @@ from repro.fabric import launch_fabric, metrics_projection, spawn_local_agent
 from repro.obs import MetricsRegistry, merge_snapshots, scoped_registry, scoped_telemetry
 from repro.twopc import spam as spam_module
 from repro.twopc import topics as topics_module
+from repro.twopc.noprv import NoPrivClassifier, NoPrivClientSession, NoPrivProviderSession
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
+from repro.twopc.transport import FramedChannel
 
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
@@ -374,6 +379,22 @@ class TestReconnectResume:
         assert stats["disconnected_jobs"] == 0
         assert stats["restored_jobs"] == 0
 
+    def test_a_topic_email_resumes_across_a_reconnect(self, make_fleet, topic_setup):
+        protocol, setup = topic_setup
+        features, candidates = {2: 1, 3: 2, 77: 1}, [0, 1, 2]
+        clean = protocol.extract_topic(setup, features, candidate_topics=candidates)
+        fleet = make_fleet(1, window_bursts=100)
+        runtime = fleet.runtime
+        runtime.register("tablet@example.com", protocol, setup)
+        (job_id,) = runtime.submit("topics", [("tablet@example.com", features, candidates)])
+        blob = runtime.disconnect_client(job_id)
+        assert runtime.shard_stats()[0]["disconnected_jobs"] == 1
+        runtime.reconnect_client(job_id, blob)
+        runtime.drain()
+        assert runtime.take_result(job_id).extracted_topic == clean.extracted_topic
+        stats = runtime.shard_stats()[0]
+        assert (stats["disconnected_jobs"], stats["restored_jobs"]) == (0, 0)
+
     def test_disconnect_unknown_job_rejected(self, make_fleet, spam_setup):
         fleet = make_fleet(1, window_bursts=100)
         fleet.register(["mobile@example.com"], spam_setup)
@@ -485,8 +506,8 @@ class TestDriverOverFakeLinks:
             driver.register_spam(address, protocol, setup)
         driver.submit_spam([(address, SPAM_EMAILS[0]) for address in addresses])
         for slot, link in enumerate(links):
-            assert [command for command, _ in link.log] == ["register_spam", "burst"]
-            ((job_id, kind, address, _features, _candidates),) = link.log[-1][1]
+            assert [command for command, _ in link.log] == ["register", "burst"]
+            ((job_id, kind, address, _request),) = link.log[-1][1]
             assert (job_id, kind, address) == (slot, "spam", addresses[slot])
 
         spare = driver.attach_worker(None)
@@ -521,9 +542,9 @@ class TestDriverOverFakeLinks:
         assert driver.attach_replacement(0, store) == 1
         fresh = links[-1]
         assert [command for command, _ in fresh.log] == [
-            "register_spam",
-            "register_topics",
-            "register_spam",
+            "register",
+            "register",
+            "register",
             "restore",
             "ensure_pools",
             "burst",
@@ -538,6 +559,26 @@ class TestDriverOverFakeLinks:
         assert fresh.core.restored_jobs == len(checkpointed)
         driver.drain()
         assert [driver.take_result(job_id).is_spam for job_id in range(3)] == spam_truth[:3]
+
+    def test_a_pair_registered_three_times_is_replayed_once(
+        self, fake_driver, spam_setup, topic_setup
+    ):
+        # Each replayed registration costs the worker an ensure_stacks, so the
+        # log keeps the latest registration per (kind, address), not history.
+        protocol, setup = spam_setup
+        topic_protocol, topic_set = topic_setup
+        driver, links = fake_driver([None])
+        setups = [copy.copy(setup) for _ in range(3)]
+        for each in setups:
+            driver.register_spam("a@example.com", protocol, each)
+        driver.register_topics("a@example.com", topic_protocol, topic_set)
+        assert driver.attach_replacement(0, None) == 0
+        replayed = [payload for command, payload in links[-1].log if command.startswith("register")]
+        assert [(payload[1].kind, payload[0]) for payload in replayed] == [
+            ("spam", "a@example.com"),
+            ("topics", "a@example.com"),
+        ]
+        assert replayed[0][2] is setups[-1]  # the last registration wins
 
     def test_handshake_is_paid_once_per_pair_per_fleet_lifetime(
         self, fake_driver, tmp_path, spam_setup, topic_setup, spam_truth, monkeypatch
@@ -642,3 +683,73 @@ class TestDriverOverFakeLinks:
         driver.retire_worker(spare)
         assert not driver.worker_alive(spare)
         assert driver.rebalance() is None  # the only spare is gone
+
+
+# ---------------------------------------------------------------------------
+# Any provider function: one defined here, served with no runtime change
+# ---------------------------------------------------------------------------
+class NoPrivFunction:
+    """The NoPriv arm as a provider function, defined in this test only.
+
+    The provider reads the plaintext features and classifies them; the
+    pair's setup is the provider's :class:`NoPrivClassifier`.  The driver
+    serving it unchanged is what shows the serving layer is generic over
+    provider functions, not a rename of its spam/topic pairs.
+    """
+
+    kind = "noprv"
+    ot_mode = "none"
+
+    def make_channel(self, setup, name="noprv"):
+        return FramedChannel.loopback(name)
+
+    def make_ot_pool(self, setup):
+        raise AssertionError("a plaintext function runs no OTs")
+
+    def client_session(self, setup, features, ot_pool=None):
+        return NoPrivClientSession(features)
+
+    def provider_session(self, setup, ot_pool=None):
+        return NoPrivProviderSession(setup)
+
+    def restore_client(self, setup, state, ot_pool=None):
+        return NoPrivClientSession.restore(state)
+
+    def restore_provider(self, setup, state, ot_pool=None):
+        return NoPrivProviderSession.restore(setup, state)
+
+    def result_of(self, job):
+        return job.provider.result.predicted_category
+
+
+class TestAnyProviderFunction:
+    @pytest.mark.parametrize("link_kind", ["fake", "pipe"])
+    def test_a_test_local_function_is_served_through_the_driver(self, link_kind, fake_driver):
+        if link_kind == "pipe":
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("a spawned pipe worker cannot import a test-local class")
+            driver = ShardedRuntime(num_shards=2)
+        else:
+            driver, _links = fake_driver([None, None])
+        rng = np.random.default_rng(44)
+        classifier = NoPrivClassifier(
+            LinearModel(
+                weights=rng.normal(size=(200, 4)),
+                biases=rng.normal(size=4),
+                category_names=[f"class-{index}" for index in range(4)],
+            )
+        )
+        addresses = _slot_addresses(2, per_slot=1)
+        emails = [(addresses[index % 2], features) for index, features in enumerate(SPAM_EMAILS)]
+        try:
+            for address in addresses:
+                driver.register(address, NoPrivFunction(), classifier)
+            assert all(driver.registered("noprv", address) for address in addresses)
+            job_ids = driver.submit("noprv", emails)
+            driver.drain()
+            verdicts = [driver.take_result(job_id) for job_id in job_ids]
+        finally:
+            driver.close()
+        assert verdicts == [
+            classifier.classify(features).predicted_category for _, features in emails
+        ]

@@ -29,8 +29,7 @@ from repro.core.runtime import (
     ShardWorkerCore,
     checked_scheduler_spec,
     shard_of_address,
-    spam_job,
-    topic_job,
+    session_job,
 )
 from repro.exceptions import ProtocolError
 from repro.mail import VirtualClock
@@ -272,7 +271,7 @@ class TestWindowedServing:
         finished = []
         for start in range(0, len(SPAM_EMAILS), burst_size):
             jobs = [
-                spam_job(protocol, setup, features, label=start + offset, ot_pool=pool)
+                session_job(protocol, setup, (features,), label=start + offset, ot_pool=pool)
                 for offset, features in enumerate(SPAM_EMAILS[start : start + burst_size])
             ]
             finished += runtime.serve_burst(jobs)
@@ -308,7 +307,7 @@ class TestWindowedServing:
         for start in range(0, len(SPAM_EMAILS), 3):
             burst = SPAM_EMAILS[start : start + 3]
             jobs = [
-                spam_job(protocol, setup, features, label=index, ot_pool=pool)
+                session_job(protocol, setup, (features,), label=index, ot_pool=pool)
                 for index, features in enumerate(burst)
             ]
             finished = runtime.serve_burst(jobs)
@@ -346,7 +345,7 @@ class TestWindowedServing:
         )
         pool = protocol.make_ot_pool(setup)
         jobs = [
-            spam_job(protocol, setup, features, label=index, ot_pool=pool)
+            session_job(protocol, setup, (features,), label=index, ot_pool=pool)
             for index, features in enumerate(SPAM_EMAILS[:2])
         ]
         assert runtime.serve_burst(jobs) == []  # parked; clock at 0.0
@@ -378,7 +377,7 @@ class TestIdleWindowStarvation:
                 window_bursts=100, max_delay_seconds=5.0, clock=clock
             )
         )
-        job = spam_job(protocol, setup, SPAM_EMAILS[0], label=0)
+        job = session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)
         assert runtime.serve_burst([job]) == []  # parked inside the window
         assert runtime.poll() == []  # deadline not reached: still parked
         clock.now = 5.0
@@ -395,7 +394,7 @@ class TestIdleWindowStarvation:
                 window_bursts=100, max_delay_seconds=5.0, clock=clock
             )
         )
-        runtime.serve_burst([spam_job(protocol, setup, SPAM_EMAILS[0], label=0)])
+        runtime.serve_burst([session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)])
         assert runtime.scheduler.next_deadline() == 5.0
         clock.now = 4.999
         assert runtime.poll() == []
@@ -409,7 +408,7 @@ class TestIdleWindowStarvation:
                 window_bursts=100, max_delay_seconds=2.0, clock=clock
             )
         )
-        runtime.serve_burst([spam_job(protocol, setup, SPAM_EMAILS[0], label=0)])
+        runtime.serve_burst([session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)])
         finished = runtime.poll(now=2.0)  # the clock itself never moved
         assert len(finished) == 1
 
@@ -441,7 +440,7 @@ class TestFireOnArrival:
             verdicts = {}
             for first, burst in ((0, SPAM_EMAILS[:4]), (4, SPAM_EMAILS[4:])):
                 jobs = [
-                    spam_job(protocol, setups[index % 2], features, label=index)
+                    session_job(protocol, setups[index % 2], (features,), label=index)
                     for index, features in enumerate(burst, start=first)
                 ]
                 finished = runtime.serve_burst(jobs)
@@ -574,9 +573,9 @@ class TestWorkerSchedulerSpec:
         address = "ticker@example.com"
         with scoped_telemetry():
             core = ShardWorkerCore((100, delay))
-            assert core.handle("register_spam", (address, protocol, setup)) == ("ok", None)
+            assert core.handle("register", (address, protocol, setup)) == ("ok", None)
             tag, (results, _) = core.handle(
-                "burst", [(0, "spam", address, SPAM_EMAILS[0], None)]
+                "burst", [(0, "spam", address, (SPAM_EMAILS[0],))]
             )
             assert tag == "results"
             ticks = 0
@@ -664,7 +663,7 @@ class TestShardedTelemetry:
                 jobs = []
                 for _, features in wave:
                     jobs.append(
-                        spam_job(protocol, setup, features, label=label, ot_pool=pool)
+                        session_job(protocol, setup, (features,), label=label, ot_pool=pool)
                     )
                     label += 1
                 runtime.serve_burst(jobs)

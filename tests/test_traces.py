@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core.runtime import DecryptScheduler, ProviderRuntime, spam_job
+from repro.core.runtime import DecryptScheduler, ProviderRuntime, session_job
 from repro.mail import (
     ReplayGuard,
     TraceEvent,
@@ -198,8 +198,8 @@ class TestServeTrace:
         report = serve_trace(
             runtime,
             events,
-            lambda event: spam_job(
-                protocol, setup, features_by_mailbox[event.mailbox], label=event.sender
+            lambda event: session_job(
+                protocol, setup, (features_by_mailbox[event.mailbox],), label=event.sender
             ),
             clock,
             replay_guard=ReplayGuard(),
