@@ -186,8 +186,8 @@ class AHEScheme(ABC):
 
         Schemes whose ciphertexts are fixed-shape integer arrays (XPIR-BV)
         can stack an encrypted model once and evaluate every per-email
-        homomorphic dot product as a vectorised sum with lazy modular
-        reduction, instead of a Python-level ``scalar_mul``/``add`` chain.
+        homomorphic dot product as one vectorised sum, instead of a
+        Python-level ``scalar_mul``/``shift_up``/``add`` chain.
         """
         return False
 
@@ -195,16 +195,10 @@ class AHEScheme(ABC):
         """Pack ciphertexts into a scheme-specific dense batch for repeated use."""
         raise ParameterError(f"{self.name} does not support batched accumulation")
 
-    def combine_stacked(
-        self, stack: Any, rows: Sequence[int], scalars: Sequence[int]
+    def combine_windows(
+        self, stack: Any, rows: Sequence[int], scalars: Sequence[int], shifts: Sequence[int]
     ) -> AHECiphertext:
-        """Homomorphically compute ``Σ_i scalars[i] · stack[rows[i]]``."""
-        raise ParameterError(f"{self.name} does not support batched accumulation")
-
-    def combine_stacked_shifted(
-        self, stack: Any, terms: Sequence[tuple[int, int, int]]
-    ) -> AHECiphertext:
-        """Compute ``Σ scalar · x^shift · stack[row]`` over ``(row, scalar, shift)`` terms."""
+        """Homomorphically compute ``Σ_i scalars[i] · x^shifts[i] · stack[rows[i]]``."""
         raise ParameterError(f"{self.name} does not support batched accumulation")
 
     # -- wire codecs -------------------------------------------------------

@@ -16,34 +16,41 @@ scales every slot, and multiplication by the monomial ``x^k`` shifts slots —
 this last operation is what the across-row packing and the candidate-topic
 protocol (Fig. 5) use to realign and extract dot products.
 
-Performance model (the client hot path of Figs. 6–7): ciphertexts are kept
-resident in the **evaluation (NTT) domain**.  Key material is transformed
-once at key generation, encryption batches the fresh samples through one
-vectorised forward pass per prime and finishes with pointwise products, and
-every homomorphic operation — addition, scalar multiplication, slot shifts,
-and the batched dot-product accumulator behind
-:meth:`BVScheme.combine_stacked` — is pointwise on int64 arrays with lazy
-modular reduction.  Only the decryption of a *whole* ciphertext runs an
-inverse transform, followed by one vectorised CRT reconstruction.
+Performance model (the client hot path of Figs. 6–7): the client's model
+lives in the **coefficient domain**, where the realignment ``x^s · C`` of
+§4.2 is a negacyclic window of ``C`` and the term frequencies it is scaled by
+are small integers.  Key material is transformed once at key generation.
+Encryption runs one forward transform of ``u`` and one inverse transform of
+``p0̂·û`` and ``p1̂·û`` — three per ciphertext, as many as an evaluation-domain
+encryption — and adds ``t·e1 + m`` and ``t·e2`` as coefficients.
+:meth:`BVScheme.stack_ciphertexts` lays each model ciphertext out once as a
+``[−C | C]`` block whose window ``[n − s, 2n − s)`` is ``x^s · C``, wrap and
+sign included; :meth:`BVScheme.combine_windows` then evaluates a whole dot
+product as one gather of windows, one integer ``einsum`` with the
+frequencies and one ``%`` — no transform.  Spectra appear lazily where
+something asks for them: the wire form, and the decryption of a *whole*
+ciphertext, which runs one inverse transform and one vectorised CRT.
 
 **Score samples (LWE sample extraction).**  ``Dec(c0, c1)[j] = c0[j] +
 (c1·s)[j]``: opening slot ``j`` takes all of ``c1`` but *one coefficient* of
 ``c0``.  What a client sends the provider to open is therefore not a
 ciphertext but a :class:`BVSamplePayload` — ``c1``'s spectra plus the ``c0``
 coefficients of the one contiguous slot run the protocol reads
-(:meth:`BVScheme.blind_samples`).  Coefficient ``j`` of an inverse transform
-is an inner product with ``n⁻¹`` times the spectrum of ``x^{-j} = -x^{n-j}``
-(:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`), so the client
-computes ``c0[j]`` without ever forming the polynomial — one forward
-transform over ``(u, t·e2)``, ``e1`` and the message at the run only — and
-the provider decrypts ``c0[j] + ⟨ĉ1, ŝ ⊙ row_j⟩`` per prime with no inverse
-transform and a CRT over the run alone.  The provider's view (``c1`` in full,
-the run of ``c0``) is a strict subset of the blinded whole ciphertext it
-replaces, with ``(u, e1, e2)`` fresh per sample, so no assumption is added;
-the slots that never leave need no noise.  Caches: per ring, the plan's
-monomial spectra (one ``(primes, n)`` row per distinct shift or opened slot,
-at most ``2n`` rows, shared by every scheme over the same primes); per scheme,
-two residue tables of ``3`` and ``2·noise_bound + 1`` columns; per key pair,
+(:meth:`BVScheme.blind_samples`).  The shifted source is a window of its
+coefficients, so ``c1`` is one forward transform over ``(u, x^shift·c1_src +
+t·e2)`` plus ``p1̂·û``, and the run of ``c0`` is the run of the source's window
+plus ``t·e1``, the message, and the run of ``p0·u``.  Coefficient ``j`` of an
+inverse transform is an inner product with ``n⁻¹`` times the spectrum of
+``x^{-j} = -x^{n-j}`` (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`),
+so ``p0·u`` is never formed as a polynomial, and the provider decrypts
+``c0[j] + ⟨ĉ1, ŝ ⊙ row_j⟩`` per prime with no inverse transform and a CRT
+over the run alone.  The provider's view (``c1`` in full, the run of ``c0``)
+is a strict subset of the blinded whole ciphertext it replaces, with ``(u,
+e1, e2)`` fresh per sample, so no assumption is added; the slots that never
+leave need no noise.  Caches: per ring, the plan's monomial spectra (one
+``(primes, n)`` row per opened slot or evaluation-domain shift, at most
+``2n`` rows, shared by every scheme over the same primes); per scheme, two
+residue tables of ``3`` and ``2·noise_bound + 1`` columns; per key pair,
 nothing (``ŝ ⊙ row_j`` is ``n`` multiplications, recomputed per batch).
 
 Ciphertext size with the default parameters (n = 1024, two 31-bit RNS primes)
@@ -58,6 +65,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.crypto.ahe import (
     AHECiphertext,
@@ -136,19 +144,6 @@ class BVSamplePayload:
         return self.start, self.c0.shape[-1]
 
 
-@dataclass
-class BVCiphertextStack:
-    """A batch of ciphertexts as dense evaluation-domain int64 arrays.
-
-    ``c0``/``c1`` have shape ``(count, num_primes, n)``; rows are the stacked
-    spectra of the individual ciphertexts, in order.  This is the layout the
-    vectorised dot-product accumulator indexes per email.
-    """
-
-    c0: np.ndarray
-    c1: np.ndarray
-
-
 class BVScheme(AHEScheme):
     """Additive Ring-LWE AHE with coefficient-slot packing."""
 
@@ -162,15 +157,14 @@ class BVScheme(AHEScheme):
             prime_count=self.parameters.prime_count,
         )
         self._plain_modulus = 1 << self.parameters.slot_bits
-        # t reduced per prime, shaped for broadcasting against (primes, n).
-        self._t_column = self.ring.reduce_scalar(self._plain_modulus)
         # Residues of the few values fresh randomness takes, shape (primes, ·):
         # ternary u in {-1, 0, 1} and t·e for e in [-bound, bound], indexed by
         # the raw draw — a gather instead of `%` passes over whole polynomials.
         bound = self.parameters.noise_bound
         self._ternary_residues = np.arange(-1, 2) % self.ring.primes_column
         self._scaled_noise_residues = (
-            self._t_column * (np.arange(-bound, bound + 1) % self.ring.primes_column)
+            self.ring.reduce_scalar(self._plain_modulus)
+            * (np.arange(-bound, bound + 1) % self.ring.primes_column)
             % self.ring.primes_column
         )
 
@@ -229,36 +223,11 @@ class BVScheme(AHEScheme):
 
         When *prg* is supplied, the encryption randomness is drawn from that
         shared stream in a fixed order — ``n`` bytes of ternary ``u``, then
-        ``2n`` bytes each for ``e1`` and ``e2`` — which is exactly the
-        per-ciphertext chunk layout of :meth:`encrypt_slots_many`; the batched
-        path is pinned bit-identical to a loop over this method on the same
-        stream.  With ``prg=None`` each sample draws fresh local randomness.
+        ``2n`` bytes each for ``e1`` and ``e2`` — the per-ciphertext chunk
+        layout of :meth:`encrypt_slots_many`.  With ``prg=None`` the sample
+        draws fresh local randomness.
         """
-        public: BVPublic = public_key.payload
-        checked = self._check_slot_values(values)
-        ring = self.ring
-        primes_column = ring.primes_column
-        # from_int_coefficients vectorises the per-prime reduction and falls
-        # back to exact Python arithmetic for slot values beyond int64.
-        message = RingPolynomial.from_int_coefficients(ring, checked).residues
-        u = RingPolynomial.sample_ternary(ring, prg)
-        e1 = RingPolynomial.sample_noise(ring, self.parameters.noise_bound, prg)
-        e2 = RingPolynomial.sample_noise(ring, self.parameters.noise_bound, prg)
-        # The NTT is linear mod each prime, so ``t·e1 + m`` and ``t·e2`` fold
-        # in the coefficient domain first: one batched forward pass over
-        # *three* fresh polynomials instead of four, identical output.
-        t_column = self._t_column
-        a = (t_column * e1.residues % primes_column + message) % primes_column
-        b = t_column * e2.residues % primes_column
-        stacked = np.stack([u.residues, a, b])
-        u_s, a_s, b_s = ring.forward_transform(stacked)
-        c0 = (public.p0.spectra * u_s % primes_column + a_s) % primes_column
-        c1 = (public.p1.spectra * u_s % primes_column + b_s) % primes_column
-        payload = BVCiphertextPayload(
-            c0=RingPolynomial.from_spectra(ring, c0),
-            c1=RingPolynomial.from_spectra(ring, c1),
-        )
-        return AHECiphertext(self.name, payload, self.ciphertext_size_bytes())
+        return self.encrypt_slots_many(public_key, [values], prg)[0]
 
     def encrypt_slots_many(
         self,
@@ -266,18 +235,18 @@ class BVScheme(AHEScheme):
         vectors: Sequence[Sequence[int]],
         prg: Prg | None = None,
     ) -> list[AHECiphertext]:
-        """Encrypt ``B`` slot vectors with one stacked ``(3B, primes, n)`` NTT pass.
+        """Encrypt ``B`` slot vectors into coefficient-domain ciphertexts, ``3B`` transforms.
 
-        This is the ciphertext-fabrication analogue of the batched decrypt:
-        all randomness for the batch is one bulk read (per-ciphertext chunks
-        of ``5n`` bytes: ``n`` ternary + ``2n`` + ``2n`` noise, matching
-        :meth:`encrypt_slots` on a shared stream byte for byte), the ternary
-        and noise interpretation is one vectorised pass over the whole block,
-        and the fresh polynomials of the batch go through a single stacked
-        forward transform.  *vectors* may be a ``(B, ≤n)`` integer ndarray —
-        the fabrication hot paths pass their noise matrices directly, skipping
-        per-value Python validation.  The per-ciphertext outputs are
-        bit-identical to an :meth:`encrypt_slots` loop on the same stream.
+        All randomness for the batch is one bulk read (per-ciphertext chunks
+        of ``5n`` bytes: ``n`` ternary + ``2n`` + ``2n`` noise) and is
+        interpreted through the residue tables in one vectorised gather.
+        ``u`` takes one stacked forward transform, ``p0̂·û`` and ``p1̂·û`` one
+        stacked inverse transform, and ``t·e1 + m`` and ``t·e2`` are added as
+        coefficients: the NTT is an exact bijection mod each prime, so the
+        spectra these ciphertexts serialize to are the ones an
+        evaluation-domain encryption would produce.  *vectors* may be a
+        ``(B, ≤n)`` integer ndarray — the fabrication hot paths pass their
+        matrices directly, skipping per-value Python validation.
         """
         if len(vectors) == 0:
             return []
@@ -289,49 +258,25 @@ class BVScheme(AHEScheme):
         messages = self._message_residues_many(vectors)
         # One randomness block for the whole batch; chunk b serves ciphertext
         # b.  Without a caller stream the bytes come straight from the OS
-        # CSPRNG (one cheap bulk read); a caller-supplied PRG replays the
-        # exact per-ciphertext layout of :meth:`encrypt_slots`.
+        # CSPRNG (one cheap bulk read).
         chunk = 5 * n
         raw = secure_bytes(chunk * batch) if prg is None else prg.read(chunk * batch)
         block = np.frombuffer(raw, dtype=np.uint8).reshape(batch, chunk)
-        bound = self.parameters.noise_bound
-        spread = np.uint16(2 * bound + 1)
-        u_signed = (block[:, :n] % np.uint8(3)).astype(np.int64) - 1
+        spread = np.uint16(2 * self.parameters.noise_bound + 1)
         e1_raw = np.ascontiguousarray(block[:, n : 3 * n]).view(">u2")
         e2_raw = np.ascontiguousarray(block[:, 3 * n :]).view(">u2")
-        e1_signed = (e1_raw % spread).astype(np.int64) - bound
-        e2_signed = (e2_raw % spread).astype(np.int64) - bound
-        # (B, n) signed vectors -> (B, primes, n) residues.  ``t·e + m`` folds
-        # in the coefficient domain (the NTT is linear mod each prime), so the
-        # stacked forward pass covers 3B fresh polynomials, not 4B.
-        t_column = self._t_column
-        e1_res = e1_signed[:, None, :] % primes_column
-        e2_res = e2_signed[:, None, :] % primes_column
-        stacked = np.concatenate(
-            [
-                u_signed[:, None, :] % primes_column,
-                (t_column * e1_res % primes_column + messages) % primes_column,
-                t_column * e2_res % primes_column,
-            ]
+        # Table gathers are (primes, B, n); the transforms take (B, primes, n).
+        u_s = ring.forward_transform(
+            self._ternary_residues[:, block[:, :n] % np.uint8(3)].swapaxes(0, 1)
         )
-        transformed = ring.forward_transform(stacked)
-        u_s = transformed[:batch]
-        a_s = transformed[batch : 2 * batch]
-        b_s = transformed[2 * batch :]
-        c0 = (public.p0.spectra * u_s % primes_column + a_s) % primes_column
-        c1 = (public.p1.spectra * u_s % primes_column + b_s) % primes_column
-        size = self.ciphertext_size_bytes()
-        return [
-            AHECiphertext(
-                self.name,
-                BVCiphertextPayload(
-                    c0=RingPolynomial.from_spectra(ring, c0[b]),
-                    c1=RingPolynomial.from_spectra(ring, c1[b]),
-                ),
-                size,
-            )
-            for b in range(batch)
-        ]
+        p0u, p1u = ring.inverse_transform(
+            np.stack([public.p0.spectra * u_s, public.p1.spectra * u_s]) % primes_column
+        )
+        c0 = p0u + self._scaled_noise_residues[:, e1_raw % spread].swapaxes(0, 1) + messages
+        c1 = p1u + self._scaled_noise_residues[:, e2_raw % spread].swapaxes(0, 1)
+        c0 %= primes_column
+        c1 %= primes_column
+        return [self._ciphertext(c0[b], c1[b]) for b in range(batch)]
 
     def _message_residues_many(self, vectors) -> np.ndarray:
         """Per-prime message residues for a batch, shape ``(B, primes, n)``.
@@ -400,9 +345,10 @@ class BVScheme(AHEScheme):
         for run, positions in forms.items():
             members = [ciphertexts[position] for position in positions]
             if run is None:
-                stack = self.stack_ciphertexts(members)
+                c0 = np.stack([member.payload.c0.spectra for member in members])
+                c1 = np.stack([member.payload.c1.spectra for member in members])
                 phases = ring.inverse_transform(
-                    (stack.c0 + stack.c1 * secret.s.spectra % primes_column) % primes_column
+                    (c0 + c1 * secret.s.spectra % primes_column) % primes_column
                 )
             else:
                 c0 = np.stack([member.payload.c0 for member in members])
@@ -431,21 +377,6 @@ class BVScheme(AHEScheme):
         )
         return AHECiphertext(self.name, result, self.ciphertext_size_bytes())
 
-    def add_many(
-        self, lefts: Sequence[AHECiphertext], rights: Sequence[AHECiphertext]
-    ) -> list[AHECiphertext]:
-        """Pairwise addition as one stacked ``(B, primes, n)`` array pass."""
-        if len(lefts) != len(rights):
-            raise ParameterError("add_many requires equal-length batches")
-        if not lefts:
-            return []
-        left_stack = self.stack_ciphertexts(lefts)
-        right_stack = self.stack_ciphertexts(rights)
-        primes_column = self.ring.primes_column
-        c0 = (left_stack.c0 + right_stack.c0) % primes_column
-        c1 = (left_stack.c1 + right_stack.c1) % primes_column
-        return [self._wrap_spectra(c0[b], c1[b]) for b in range(len(lefts))]
-
     def blind_samples(
         self,
         public_key: AHEPublicKey,
@@ -460,15 +391,18 @@ class BVScheme(AHEScheme):
 
         *noise* holds one slot value per run slot, flat, in sample order; it
         is the message of a fresh encryption added to the shifted source, of
-        which only ``c1`` and the run of ``c0`` are ever computed:
+        which only ``c1`` and the run of ``c0`` are ever computed.  The
+        sources are read as coefficients (a whole-ciphertext source from the
+        wire is inverse-transformed once, lazily), and ``x^shift · source`` is
+        one gather of ``[−C | C]`` windows (:meth:`stack_ciphertexts`):
 
-        * one forward transform over ``(u, t·e2)`` — ``2·len(sources)``
-          polynomials; ``e1`` and the message exist at the run only;
-        * ``c1 = x^shift·c1_src + p1·u + t·e2``, pointwise in the evaluation
-          domain;
-        * ``c0[j] = (x^shift·c0_src + p0·u)[j] + t·e1[j] + noise[j]`` for ``j``
-          in the run, each an inner product
-          (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
+        * one forward transform over ``(u, x^shift·c1_src + t·e2)`` —
+          ``2·len(sources)`` polynomials; ``e1`` and the message exist at the
+          run only;
+        * ``c1 = FT(x^shift·c1_src + t·e2) + p1̂·û``, pointwise;
+        * ``c0[j] = (x^shift·c0_src)[j] + (p0·u)[j] + t·e1[j] + noise[j]`` for
+          ``j`` in the run: the first term read off the window, the second an
+          inner product (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
 
         Randomness is one bulk read: per sample ``n`` bytes of ternary ``u``
         then ``2n`` of ``e2``, for all samples, followed by two bytes of
@@ -483,8 +417,6 @@ class BVScheme(AHEScheme):
         ring = self.ring
         n = ring.n
         primes_column = ring.primes_column
-        if min(shifts) < 0:
-            raise ParameterError("shift amount must be non-negative")
         for start, length in runs:
             if not 0 <= start < start + length <= n:
                 raise ParameterError(f"slot run ({start}, {length}) outside [0, {n})")
@@ -494,6 +426,9 @@ class BVScheme(AHEScheme):
             raise ParameterError("blinding noise must be one integer per run slot")
         if int(noise.min()) < 0 or int(noise.max()) >= self.slot_modulus:
             raise ParameterError(f"slot value outside [0, 2^{self.slot_bits})")
+        shifted = self._windows_at(
+            self.stack_ciphertexts(ciphertexts), np.asarray(sources), np.asarray(shifts)
+        )
         head = 3 * n * count
         size = head + 2 * int(ends[-1])
         raw = secure_bytes(size) if prg is None else prg.read(size)
@@ -501,22 +436,20 @@ class BVScheme(AHEScheme):
         spread = np.uint16(2 * self.parameters.noise_bound + 1)
         e2_raw = np.ascontiguousarray(block[:, n:]).view(">u2")
         e1_raw = np.frombuffer(raw, dtype=">u2", offset=head)
-        # (primes, 2·count, n): u then t·e2, handed to the transform batch-major.
+        # (primes, 2·count, n): u then x^shift·c1_src + t·e2 (two residues, below
+        # 2^32, which the transform takes unreduced), handed over batch-major.
         fresh = ring.forward_transform(
             np.concatenate(
                 [
                     self._ternary_residues[:, block[:, :n] % np.uint8(3)],
-                    self._scaled_noise_residues[:, e2_raw % spread],
+                    self._scaled_noise_residues[:, e2_raw % spread]
+                    + shifted[:, 1].swapaxes(0, 1),
                 ],
                 axis=1,
             ).swapaxes(0, 1)
         )
-        u_s, b_s = fresh[:count], fresh[count:]
-        mono = ring.monomial_spectra_many(list(shifts))
-        shifted = self.stack_ciphertexts([ciphertexts[source] for source in sources])
-        # Two products of residues plus a residue stay below 2^63: one `%` each.
-        c1 = (shifted.c1 * mono + public.p1.spectra * u_s + b_s) % primes_column
-        c0 = (shifted.c0 * mono + public.p0.spectra * u_s) % primes_column
+        u_s = fresh[:count]
+        c1 = (public.p1.spectra * u_s + fresh[count:]) % primes_column
         # What is fresh at the run itself: t·e1 + noise, shape (primes, Σ length).
         at_run = self._scaled_noise_residues[:, e1_raw % spread] + noise
         samples: list[AHECiphertext | None] = [None] * count
@@ -524,8 +457,9 @@ class BVScheme(AHEScheme):
         for position, run in enumerate(runs):
             by_run.setdefault(tuple(run), []).append(position)
         for (start, length), positions in by_run.items():
-            coefficients = ring.coefficient_run(c0[positions], start, length)
-            for row, position in zip(coefficients, positions):
+            p0u = ring.coefficient_run(u_s[positions], start, length, weight=public.p0.spectra)
+            source_run = shifted[positions, 0, :, start : start + length]
+            for row, position in zip(p0u + source_run, positions):
                 end = ends[position]
                 run_c0 = (row + at_run[:, end - length : end]) % primes_column
                 payload = BVSamplePayload(c1=c1[position], start=start, c0=run_c0)
@@ -557,105 +491,73 @@ class BVScheme(AHEScheme):
         return AHECiphertext(self.name, result, self.ciphertext_size_bytes())
 
     # -- batched accumulation (the client dot-product hot path, §4.2) ------------
-    def stack_ciphertexts(self, ciphertexts: Sequence[AHECiphertext]) -> BVCiphertextStack:
-        """Stack ciphertext spectra into ``(count, primes, n)`` arrays."""
-        c0 = np.stack([ct.payload.c0.spectra for ct in ciphertexts])
-        c1 = np.stack([ct.payload.c1.spectra for ct in ciphertexts])
-        return BVCiphertextStack(c0=c0, c1=c1)
+    def stack_ciphertexts(self, ciphertexts: Sequence[AHECiphertext]) -> np.ndarray:
+        """Lay ciphertexts out as ``[−C | C]`` blocks, shape ``(count, 2, primes, 2n)``.
 
-    def _wrap_spectra(self, c0: np.ndarray, c1: np.ndarray) -> AHECiphertext:
+        Window ``[n − s, 2n − s)`` of a block is ``x^s · C``, halves ``c0`` and
+        ``c1`` alike: coefficient ``j ≥ s`` is ``C[j − s]``, and one below
+        ``s`` has wrapped past the top and comes back negated, ``−C[j − s + n]``
+        (``x^n = −1``).  Residues are below 2^31, so the uint32 blocks take
+        the bytes of the int64 coefficients they are built from.
+        """
+        n = self.ring.n
+        stack = np.empty((len(ciphertexts), 2, len(self.ring.primes), 2 * n), dtype=np.uint32)
+        for block, ciphertext in zip(stack, ciphertexts):
+            block[0, :, n:] = ciphertext.payload.c0.residues
+            block[1, :, n:] = ciphertext.payload.c1.residues
+        primes = self.ring.primes_column.astype(np.uint32)
+        negated = stack[..., :n]
+        np.subtract(primes, stack[..., n:], out=negated)
+        negated[negated == primes] = 0  # p − 0 is the residue 0
+        return stack
+
+    def _windows_at(self, stack: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """``x^shifts[i] · stack[rows[i]]`` for every ``i`` as one gather, ``(terms, 2, primes, n)``."""
+        n = self.ring.n
+        if shifts.size and (shifts.min() < 0 or shifts.max() >= n):
+            raise ParameterError("shift amounts must lie in [0, ring degree)")
+        return sliding_window_view(stack, n, axis=-1)[rows, :, :, n - shifts]
+
+    def combine_windows(
+        self,
+        stack: np.ndarray,
+        rows: Sequence[int],
+        scalars: Sequence[int],
+        shifts: Sequence[int],
+    ) -> AHECiphertext:
+        """``Σ_i scalars[i] · x^shifts[i] · stack[rows[i]]`` as a coefficient-domain ciphertext.
+
+        One gather of ``(terms, 2, primes, n)`` windows, one integer
+        ``einsum`` with the scalars reduced per prime, one ``%``.  Window
+        entries and reduced scalars are below 2^31, so terms are summed in
+        chunks that cannot overflow int64; for the small frequencies of
+        Fig. 3's quantisation that is a single chunk.
+        """
+        ring = self.ring
+        rows = np.asarray(rows, dtype=np.intp)
+        shifts = np.asarray(shifts, dtype=np.intp)
+        if not len(rows) == len(scalars) == len(shifts):
+            raise ParameterError("rows, scalars and shifts must have equal length")
+        # (terms, primes): each scalar reduced modulo each prime, exactly.
+        weights = np.array(
+            [[scalar % prime for prime in ring.primes] for scalar in scalars], dtype=np.int64
+        ).reshape(len(rows), len(ring.primes))
+        # A partial sum below p plus `chunk` terms below max(weights)·2^31 stays below 2^63.
+        chunk = ((1 << 32) - 1) // max(1, int(weights.max(initial=0)))
+        total = np.zeros((2, len(ring.primes), ring.n), dtype=np.int64)
+        for start in range(0, len(rows), chunk):
+            terms = slice(start, start + chunk)
+            windows = self._windows_at(stack, rows[terms], shifts[terms])
+            total += np.einsum("thpn,tp->hpn", windows, weights[terms])
+            total %= ring.primes_column
+        return self._ciphertext(*total)
+
+    def _ciphertext(self, c0: np.ndarray, c1: np.ndarray) -> AHECiphertext:
+        """Wrap two coefficient-domain ``(primes, n)`` residue arrays as a ciphertext."""
         payload = BVCiphertextPayload(
-            c0=RingPolynomial.from_spectra(self.ring, c0),
-            c1=RingPolynomial.from_spectra(self.ring, c1),
+            c0=RingPolynomial(self.ring, c0), c1=RingPolynomial(self.ring, c1)
         )
         return AHECiphertext(self.name, payload, self.ciphertext_size_bytes())
-
-    def combine_stacked(
-        self, stack: BVCiphertextStack, rows: Sequence[int], scalars: Sequence[int]
-    ) -> AHECiphertext:
-        """Compute ``Σ_i scalars[i] · stack[rows[i]]`` in one vectorised pass.
-
-        Scalars are reduced per prime once; the accumulation then runs in raw
-        int64 with *lazy* modular reduction — partial sums are reduced only
-        when another chunk could overflow 63 bits, which for the small
-        frequencies of Fig. 3's quantisation means exactly once, at the end.
-        """
-        if len(rows) != len(scalars):
-            raise ParameterError("rows and scalars must have equal length")
-        primes_column = self.ring.primes_column
-        num_primes, n = len(self.ring.primes), self.ring.n
-        if not rows:
-            zeros = np.zeros((num_primes, n), dtype=np.int64)
-            return self._wrap_spectra(zeros, zeros.copy())
-        row_index = np.asarray(rows, dtype=np.intp)
-        # (terms, primes): each scalar reduced modulo each prime.
-        reduced = np.asarray(
-            [[scalar % prime for prime in self.ring.primes] for scalar in scalars],
-            dtype=np.int64,
-        )
-        # Largest unreduced per-term product; spectra values are < 2^31.
-        per_term = int(reduced.max(initial=0)) * ((1 << 31) - 1)
-        chunk = max(1, ((1 << 62) - 1) // max(1, per_term))
-        acc0 = np.zeros((num_primes, n), dtype=np.int64)
-        acc1 = np.zeros((num_primes, n), dtype=np.int64)
-        for start in range(0, len(rows), chunk):
-            idx = row_index[start : start + chunk]
-            weights = reduced[start : start + chunk]
-            acc0 = (acc0 + np.einsum("mkn,mk->kn", stack.c0[idx], weights)) % primes_column
-            acc1 = (acc1 + np.einsum("mkn,mk->kn", stack.c1[idx], weights)) % primes_column
-        return self._wrap_spectra(acc0, acc1)
-
-    def combine_stacked_shifted(
-        self, stack: BVCiphertextStack, terms: Sequence[tuple[int, int, int]]
-    ) -> AHECiphertext:
-        """Compute ``Σ scalar · x^shift · stack[row]`` for ``(row, scalar, shift)`` terms.
-
-        All terms hitting the same stacked ciphertext ``C`` are folded into a
-        single combining polynomial ``P(x) = Σ scalar · x^shift``, so the whole
-        shift-and-add chain of §4.2 collapses to one spectrum-domain product
-        ``C · P`` per distinct ciphertext.  Lone monomials use the plan's cached
-        spectra; every multi-term ``P`` is stacked into one ``(k, primes, n)``
-        forward NTT, and all products accumulate in one fancy-indexed pass.
-        """
-        primes_column = self.ring.primes_column
-        num_primes, n = len(self.ring.primes), self.ring.n
-        combining: dict[int, dict[int, int]] = {}
-        for row, scalar, shift in terms:
-            if not 0 <= shift < n:
-                raise ParameterError("combining shifts must lie in [0, ring degree)")
-            poly = combining.setdefault(row, {})
-            poly[shift] = poly.get(shift, 0) + scalar
-        if not combining:
-            zeros = np.zeros((num_primes, n), dtype=np.int64)
-            return self._wrap_spectra(zeros, zeros.copy())
-        spectra = np.empty((len(combining), num_primes, n), dtype=np.int64)
-        dense: list[int] = []  # positions of the multi-term polynomials
-        entries: list[tuple[int, int, int]] = []  # their (dense slot, shift, scalar) coefficients
-        for at, poly in enumerate(combining.values()):
-            if len(poly) == 1:
-                ((shift, scalar),) = poly.items()
-                mono = self.ring.monomial_spectra(shift)
-                spectra[at] = mono * self.ring.reduce_scalar(scalar) % primes_column
-            else:
-                entries += [(len(dense), shift, scalar) for shift, scalar in poly.items()]
-                dense.append(at)
-        if dense:
-            slots, shifts, scalars = zip(*entries)
-            coefficients = np.zeros((len(dense), num_primes, n), dtype=np.int64)
-            coefficients[list(slots), :, list(shifts)] = [
-                [scalar % prime for prime in self.ring.primes] for scalar in scalars
-            ]
-            spectra[dense] = self.ring.forward_transform(coefficients)
-        # Each product is reduced below 2^31 before the sum, so the int64
-        # accumulator has room for 2^32 distinct ciphertexts.
-        index = np.asarray(list(combining), dtype=np.intp)
-        halves = []
-        for half in (stack.c0, stack.c1):
-            products = half[index]  # fancy indexing copies: safe to update in place
-            products *= spectra
-            products %= primes_column
-            halves.append(products.sum(axis=0) % primes_column)
-        return self._wrap_spectra(*halves)
 
     # -- wire codec ---------------------------------------------------------------------
     _WIRE_HEADER = ">IB"  # ring degree (u32), RNS prime count (u8)
@@ -666,11 +568,12 @@ class BVScheme(AHEScheme):
     def serialize_ciphertext(self, ciphertext: AHECiphertext) -> bytes:
         """Exact wire bytes: header + the (c0, c1) evaluation-domain residues.
 
-        Ciphertexts are NTT-resident (see the module docstring), and the NTT
-        for a fixed parameter set is a bijection both parties share, so the
-        spectra *are* the canonical wire form — serialization never pays a
-        transform.  Each residue is a u32 (< 2^31 prime), so the encoding is
-        ``5 + 8·primes·n`` bytes and round-trips bit-identically.
+        The NTT for a fixed parameter set is a bijection both parties share,
+        so the spectra are the canonical wire form; a coefficient-domain
+        ciphertext (see the module docstring) pays its forward transforms
+        here, once, and caches them.  Each residue is a u32 (< 2^31 prime),
+        so the encoding is ``5 + 8·primes·n`` bytes and round-trips
+        bit-identically.
 
         A score sample is the second form: its header names the run, then
         ``c1``'s spectra and the run's ``c0`` coefficients follow —

@@ -25,7 +25,12 @@ Two layouts are implemented:
 
 The dot-product consumer API is :meth:`PackedLinearModel.dot_products`, which
 returns one :class:`DotProductCiphertexts` holding the encrypted ``d_j`` for
-all ``B`` columns together with the slot position of each column.
+all ``B`` columns together with the slot position of each column.  On
+XPIR-BV the model stays in the coefficient domain, where a row's
+realignment ``x^shift · C`` is a window of the ``[−C | C]`` block its
+ciphertext was stacked into once: an email's dot products are, per stack,
+one gather of windows and one integer sum weighted by the term frequencies
+(:meth:`~repro.crypto.bv.BVScheme.combine_windows`), with no transform.
 """
 
 from __future__ import annotations
@@ -272,8 +277,9 @@ class PackedLinearModel:
         """
         features = []
         for row_index, frequency in sparse_features:
-            if not 0 <= row_index < self.layout.num_rows:
-                raise PackingError(f"feature row {row_index} outside the model")
+            # The last row is the bias, added once below; it is not a feature.
+            if not 0 <= row_index < self.layout.num_rows - 1:
+                raise PackingError(f"feature row {row_index} outside the model's feature rows")
             if frequency <= 0:
                 continue
             features.append((row_index, int(frequency)))
@@ -312,7 +318,8 @@ class PackedLinearModel:
         )
 
     def ensure_stacks(self) -> None:
-        """Pre-build the dense model stacks (the per-sender row cache).
+        """Pre-build the dense model stacks (the per-sender row cache): for
+        XPIR-BV, one ``[−C | C]`` coefficient block per model ciphertext.
 
         The first dot-product evaluation normally pays this; a serving loop
         can call it when a mailbox is registered so that no email in a burst
@@ -334,31 +341,23 @@ class PackedLinearModel:
     def _dot_products_batched(self, features: list[tuple[int, int]]) -> DotProductCiphertexts:
         """Vectorised evaluation over the stacked encrypted model."""
         self._ensure_stacks()
-        rows = [row for row, _ in features]
+        rows = np.array([row for row, _ in features], dtype=np.intp)
         scalars = [frequency for _, frequency in features]
+        unshifted = np.zeros_like(rows)
         segment_results = [
-            self.scheme.combine_stacked(stack, rows, scalars)
+            self.scheme.combine_windows(stack, rows, scalars, unshifted)
             for stack in self._segment_stacks
         ]
         leftover_result = None
         if self.leftover is not None:
-            if self.layout.across_rows:
-                rows_per_ct = self.layout.rows_per_leftover_ciphertext
-                k = self.layout.leftover_columns
-                # Fold every row's realignment shift (§4.2) into one combining
-                # polynomial per leftover ciphertext; the scheme evaluates each
-                # as a single spectrum-domain product.
-                terms = [
-                    (
-                        row // rows_per_ct,
-                        frequency,
-                        (rows_per_ct - 1 - row % rows_per_ct) * k,
-                    )
-                    for row, frequency in features
-                ]
-                leftover_result = self.scheme.combine_stacked_shifted(self._leftover_stack, terms)
-            else:
-                leftover_result = self.scheme.combine_stacked(self._leftover_stack, rows, scalars)
+            # Row r sits at position r mod m of leftover ciphertext r // m and
+            # is realigned onto the output region (the last position, §4.2) by
+            # x^shift; the legacy layout is m = 1, every shift 0.
+            rows_per_ct = self.layout.rows_per_leftover_ciphertext
+            shifts = (rows_per_ct - 1 - rows % rows_per_ct) * self.layout.leftover_columns
+            leftover_result = self.scheme.combine_windows(
+                self._leftover_stack, rows // rows_per_ct, scalars, shifts
+            )
         return DotProductCiphertexts(
             layout=self.layout,
             segment_results=segment_results,
@@ -367,21 +366,13 @@ class PackedLinearModel:
 
     def _leftover_term(self, row_index: int, frequency: int) -> AHECiphertext:
         assert self.leftover is not None
-        k = self.layout.leftover_columns
-        if not self.layout.across_rows:
-            term = self.leftover.ciphertexts[row_index]
-            if frequency != 1:
-                term = self.scheme.scalar_mul(term, frequency)
-            return term
-        rows_per_ct = self.layout.rows_per_leftover_ciphertext
-        ciphertext_index = row_index // rows_per_ct
-        position_in_ct = row_index % rows_per_ct
-        term = self.leftover.ciphertexts[ciphertext_index]
+        rows_per_ct = self.layout.rows_per_leftover_ciphertext  # 1 in the legacy layout
+        term = self.leftover.ciphertexts[row_index // rows_per_ct]
         if frequency != 1:
             term = self.scheme.scalar_mul(term, frequency)
         # Realign this row's k values onto the common output region (the last
         # row position): this is the homomorphic "left shift and add" of §4.2.
-        shift = (rows_per_ct - 1 - position_in_ct) * k
+        shift = (rows_per_ct - 1 - row_index % rows_per_ct) * self.layout.leftover_columns
         if shift:
             term = self.scheme.shift_up(term, shift)
         return term

@@ -10,10 +10,10 @@ factor of ``q``.  Each element carries *two* interchangeable forms:
   ring multiplication is a pointwise product.
 
 Either form is materialised lazily from the other and cached, so key material
-is transformed once at key generation and ciphertexts stay resident in the
-evaluation domain across encryption, homomorphic accumulation and slot
-shifts; only decryption pays an inverse transform and a (vectorised) CRT
-reconstruction of full-width integers.
+is transformed once at key generation and a ciphertext stays in the domain
+its producer left it in: fresh encryptions and the client's dot products in
+the coefficient domain, where a slot shift is a window (:mod:`repro.crypto.bv`),
+wire-decoded ciphertexts in the evaluation domain.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ class RingPolynomial:
 
         Linear maps commute with the NTT, so addition and negation are valid
         pointwise in either domain; prefer the one both operands already have
-        (evaluation domain wins ties — that is where ciphertexts live).
+        (evaluation domain wins ties).
         """
         if self._spectra is not None and other._spectra is not None:
             return self._spectra, other._spectra, True

@@ -20,13 +20,15 @@ columns and the Yao circuit removes it with a subtraction mod
 ``c0``) is a strict subset of a fully blinded ciphertext's, ``(u, e1, e2)``
 stay fresh per sample and the run's noise stays uniform, so nothing new is
 assumed; the slots that used to need full-range noise no longer leave the
-client.  One coefficient of ``x^shift·c0 + p0·u`` is an inner product with a
-cached monomial spectrum
-(:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`), so blinding B'
-candidates is one forward transform over ``(u, t·e2)`` — 2B' polynomials —
-and no other transform.  Cached per ring: the monomial spectra (one
-``(primes, n)`` row per distinct shift or opened slot, at most ``2n``);
-nothing is cached per key pair.
+client.  The dot-product results are coefficient-domain, so the run of
+``x^shift·c0`` is read straight off the window ``[n − shift, 2n − shift)`` of
+``[−c0 | c0]``, and ``x^shift·c1`` joins ``t·e2`` before the one forward
+transform blinding runs; only ``p0·u`` is an inner product with a cached
+monomial spectrum (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
+Blinding B' candidates is one forward transform over
+``(u, x^shift·c1 + t·e2)`` — 2B' polynomials — and no other transform.
+Cached per ring: the monomial spectra (one ``(primes, n)`` row per opened
+slot); nothing is cached per key pair.
 
 **Other schemes (Paillier): whole ciphertexts.**  Slots are bit fields in one
 big integer; every slot of every result ciphertext is blinded and the full

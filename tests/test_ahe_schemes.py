@@ -1,10 +1,13 @@
 """Tests for the two AHE schemes (Paillier and XPIR-BV) behind the common interface."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto.bv import BVParameters, BVScheme
+from repro.crypto.ahe import AHECiphertext
+from repro.crypto.bv import BVCiphertextPayload, BVParameters, BVScheme
 from repro.crypto.paillier import PaillierScheme
+from repro.crypto.ringlwe import RingPolynomial
 from repro.exceptions import ParameterError
 
 SLOT_VALUES = st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=8)
@@ -148,47 +151,67 @@ class TestBvSpecific:
         assert batched == [bv_scheme.decrypt_slots(bv_keys, ct) for ct in ciphertexts]
         assert bv_scheme.decrypt_slots_many(bv_keys, []) == []
 
-    def test_combine_stacked_matches_operation_chain(self, bv_scheme, bv_keys):
+    def test_combine_windows_matches_operation_chain(self, bv_scheme, bv_keys):
+        n = bv_scheme.num_slots
         ciphertexts = [
-            bv_scheme.encrypt_slots(bv_keys.public, [1 + index, 100 + index])
-            for index in range(4)
-        ]
-        stack = bv_scheme.stack_ciphertexts(ciphertexts)
-        rows, scalars = [0, 2, 3], [3, 1, 7]
-        batched = bv_scheme.combine_stacked(stack, rows, scalars)
-        reference = None
-        for row, scalar in zip(rows, scalars):
-            term = bv_scheme.scalar_mul(ciphertexts[row], scalar)
-            reference = term if reference is None else bv_scheme.add(reference, term)
-        assert bv_scheme.decrypt_slots(bv_keys, batched) == bv_scheme.decrypt_slots(
-            bv_keys, reference
-        )
-
-    def test_combine_stacked_shifted_matches_operation_chain(self, bv_scheme, bv_keys):
-        ciphertexts = [
-            bv_scheme.encrypt_slots(bv_keys.public, [2 + index, 30 + index])
+            bv_scheme.encrypt_slots(bv_keys.public, [2 + index, 30 + index] + [0] * (n - 3) + [9])
             for index in range(3)
         ]
         stack = bv_scheme.stack_ciphertexts(ciphertexts)
-        # Repeated rows with different shifts exercise the combining-polynomial
-        # fold (one spectrum-domain product per distinct ciphertext).
-        terms = [(0, 2, 0), (0, 1, 4), (1, 3, 2), (2, 1, 0), (0, 5, 4)]
-        batched = bv_scheme.combine_stacked_shifted(stack, terms)
+        # Repeated rows under different shifts, a repeated (row, shift) pair,
+        # shift 0, and shift n - 1, which wraps every slot but the first.
+        terms = [(0, 2, 0), (0, 1, 4), (1, 3, 2), (2, 1, 0), (0, 5, 4), (1, 1, n - 1)]
+        combined = bv_scheme.combine_windows(stack, *zip(*terms))
         reference = None
         for row, scalar, shift in terms:
-            term = bv_scheme.scalar_mul(ciphertexts[row], scalar)
-            if shift:
-                term = bv_scheme.shift_up(term, shift)
+            term = bv_scheme.shift_up(bv_scheme.scalar_mul(ciphertexts[row], scalar), shift)
             reference = term if reference is None else bv_scheme.add(reference, term)
-        assert bv_scheme.decrypt_slots(bv_keys, batched) == bv_scheme.decrypt_slots(
+        assert not combined.payload.c0.in_evaluation_domain
+        assert bv_scheme.serialize_ciphertext(combined) == bv_scheme.serialize_ciphertext(reference)
+        assert bv_scheme.decrypt_slots(bv_keys, combined) == bv_scheme.decrypt_slots(
             bv_keys, reference
         )
+
+    def test_combine_windows_of_no_terms_is_zero(self, bv_scheme, bv_keys):
+        stack = bv_scheme.stack_ciphertexts([bv_scheme.encrypt_slots(bv_keys.public, [5])])
+        empty = bv_scheme.combine_windows(stack, [], [], [])
+        assert bv_scheme.decrypt_slots(bv_keys, empty) == [0] * bv_scheme.num_slots
+
+    def test_combine_windows_validates_arguments(self, bv_scheme, bv_keys):
+        stack = bv_scheme.stack_ciphertexts([bv_scheme.encrypt_slots(bv_keys.public, [5])])
+        n = bv_scheme.num_slots
+        for rows, scalars, shifts in (([0], [1, 2], [0]), ([0], [1], [n]), ([0], [1], [-1])):
+            with pytest.raises(ParameterError):
+                bv_scheme.combine_windows(stack, rows, scalars, shifts)
+
+    @given(
+        shift=st.sampled_from([0, 1, 255]) | st.integers(0, 255),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_window_at_a_shift_is_the_monomial_product(self, bv_scheme, shift, seed):
+        """Window ``[n - s, 2n - s)`` of the ``[-C | C]`` block is ``x^s · C``."""
+        ring = bv_scheme.ring
+        n = ring.n
+        assert n == 256  # the strategy's shifts cover [0, n)
+        rng = np.random.default_rng(seed)
+        halves = [
+            RingPolynomial(ring, rng.integers(0, ring.primes_column, size=(len(ring.primes), n)))
+            for _ in range(2)
+        ]
+        halves[0].residues[:, ::7] = 0  # -0 is the residue 0, not p
+        halves[1].residues[:, 3::7] = ring.primes_column - 1
+        ciphertext = AHECiphertext(
+            bv_scheme.name, BVCiphertextPayload(*halves), bv_scheme.ciphertext_size_bytes()
+        )
+        stack = bv_scheme.stack_ciphertexts([ciphertext])
+        assert stack.dtype == np.uint32 and stack.nbytes == 2 * len(ring.primes) * n * 8
+        for window, half in zip(stack[0, :, :, n - shift : 2 * n - shift], halves):
+            assert np.array_equal(window, half.monomial_multiply(shift).residues)
 
     def test_seeded_keypair_is_reproducible_public_part(self, bv_scheme):
         keys_1 = bv_scheme.generate_keypair(seed=b"joint-seed")
         keys_2 = bv_scheme.generate_keypair(seed=b"joint-seed")
-        import numpy as np
-
         assert np.array_equal(
             keys_1.public.payload.p1.residues, keys_2.public.payload.p1.residues
         )

@@ -1,8 +1,10 @@
 """Pins for the batched ciphertext-fabrication paths and for score samples.
 
 Every vectorised fast path for the fabrication hot spots — batched
-encryption, stacked addition and Garner CRT — promises *bit-identical* output
-to its scalar reference, under a shared seeded PRG.
+encryption and Garner CRT — promises *bit-identical* output to its scalar
+reference, under a shared seeded PRG; ``TestBytePins`` holds encryption and
+blinding to digests computed before the client's model moved to the
+coefficient domain.
 
 Score samples (what an XPIR-BV client sends instead of a blinded ciphertext:
 ``c1`` and one slot run of ``c0``) are held to the *full-ciphertext path as
@@ -12,6 +14,8 @@ to the oracle's slots, unblind to the plaintext scores, come out of the
 documented randomness draw order bit for bit, and cost the transforms the
 module docstrings say it costs.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -416,6 +420,71 @@ class TestScoreSamplesAgainstTheOracle:
         opened = bv_scheme.decrypt_slots_many(bv_keys, blinded.ciphertexts + spam_like)
         assert [len(slots) for slots in opened] == [1] * 5 + [2]
         assert transforms == []
+
+
+class TestBytePins:
+    """SHA-256 of serialized ciphertexts and samples from a fully seeded pipeline.
+
+    Keys and the model draw the OS randomness, replaced here by one seeded
+    stream; encryption and blinding take their own seeded ``Prg``.  The digests
+    were computed before the client's model moved to the coefficient domain,
+    and that move must leave every byte alone.
+    """
+
+    PINS = {
+        "encrypt_slots_many": "252b33d52b9bc8e34645b6d4a85374d47b6b649b7a6e9d47b5ae8767df0a0a2d",
+        "leftover/blind_dot_products": "e69c4c69b2c97b2abf6aae1d1f2a5dcc8a92dd7f4aebcb689032774b3e6322a1",
+        "leftover/blind_extracted_candidates": "94465c557efd57fba0177bbd08414f66a8396b134dddef4751324dc46650d5e8",
+        "full-segments/blind_dot_products": "b43ca456cdc777190fc770b45e4db16bde428b2c4687e4e49bd55e3f2cff27bf",
+        "full-segments/blind_extracted_candidates": "2ba4f807caf179812d2154afb1901963a31dacdaa34c4c454dab8947ca85d644",
+    }
+    # (columns relative to the slot count, email, candidate columns)
+    MODELS = {
+        "leftover": (lambda n: 12, [(0, 2), (17, 1), (33, 3), (38, 1)], [1, 5, 9, 0, 11]),
+        "full-segments": (lambda n: n + 19, [(0, 1), (3, 4), (11, 2), (23, 1)], [2, 255, 256, 270]),
+    }
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        stream = Prg(b"byte-pins", domain=b"os-randomness")
+        monkeypatch.setattr("repro.crypto.bv.secure_bytes", stream.read)
+        monkeypatch.setattr("repro.crypto.ringlwe.secure_bytes", stream.read)
+        scheme = BVScheme(BVParameters.test_parameters())
+        return scheme, scheme.generate_keypair()
+
+    @staticmethod
+    def _digest(scheme, ciphertexts) -> str:
+        return hashlib.sha256(b"".join(_wire(scheme, ciphertexts))).hexdigest()
+
+    def test_encrypt_slots_many(self, seeded):
+        scheme, keys = seeded
+        vectors = np.random.default_rng(41).integers(
+            0, scheme.slot_modulus, size=(5, scheme.num_slots), dtype=np.uint64
+        )
+        ciphertexts = scheme.encrypt_slots_many(
+            keys.public, vectors, prg=Prg(b"pin-encrypt", domain=b"pin")
+        )
+        assert self._digest(scheme, ciphertexts) == self.PINS["encrypt_slots_many"]
+
+    @pytest.mark.parametrize("shape", sorted(MODELS))
+    def test_blinded_samples(self, seeded, shape):
+        scheme, keys = seeded
+        columns, email, candidates = self.MODELS[shape]
+        matrix = np.random.default_rng(42).integers(0, 300, size=(40, columns(scheme.num_slots)))
+        model = PackedLinearModel.encrypt(scheme, keys.public, matrix)
+        result = model.dot_products(email)
+        blinded = blind_dot_products(
+            scheme, keys.public, model, result, list(range(matrix.shape[1])), dot_bits=24,
+            prg=Prg(b"pin-dot-products", domain=b"pin"),
+        )
+        extracted = blind_extracted_candidates(
+            scheme, keys.public, model, result, candidates, dot_bits=24,
+            prg=Prg(b"pin-candidates", domain=b"pin"),
+        )
+        assert self._digest(scheme, blinded.ciphertexts) == self.PINS[f"{shape}/blind_dot_products"]
+        assert self._digest(scheme, extracted.ciphertexts) == (
+            self.PINS[f"{shape}/blind_extracted_candidates"]
+        )
 
 
 class TestCoefficientRuns:

@@ -72,7 +72,7 @@ class TestPackedDotProducts:
 
     def test_legacy_packing_dot_products_match_reference(self, bv_scheme, bv_keys, small_matrix):
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, small_matrix, across_rows=False)
-        features = [(2, 1), (3, 1), (40, 1)]
+        features = [(2, 1), (3, 1), (39, 1)]
         result = model.dot_products(features)
         assert decrypt_dot_products(bv_scheme, bv_keys, result) == _reference_dot_products(
             small_matrix, features
@@ -120,7 +120,21 @@ class TestPackedDotProducts:
     def test_out_of_range_feature_rejected(self, bv_scheme, bv_keys, small_matrix):
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, small_matrix, across_rows=True)
         with pytest.raises(PackingError):
-            model.dot_products([(41, 1)])  # the bias row is not addressable as a feature
+            model.dot_products([(41, 1)])  # outside the matrix
+        with pytest.raises(PackingError):
+            model.dot_products([(-1, 1)])
+
+    @pytest.mark.parametrize("across_rows", [True, False])
+    def test_bias_row_is_not_a_feature(self, bv_scheme, bv_keys, small_matrix, across_rows):
+        # Row 40 of the 41 is the bias, which every dot product adds once;
+        # taking it as a feature too would add it twice.
+        model = PackedLinearModel.encrypt(
+            bv_scheme, bv_keys.public, small_matrix, across_rows=across_rows
+        )
+        for features in ([(40, 1)], [(3, 1), (40, 2)]):
+            with pytest.raises(PackingError):
+                model.dot_products(features)
+        assert decrypt_dot_products(bv_scheme, bv_keys, model.dot_products([])) == small_matrix[40]
 
     def test_ragged_matrix_rejected(self, bv_scheme, bv_keys):
         with pytest.raises(PackingError):
@@ -226,13 +240,13 @@ class TestBatchedAccumulation:
 
     def test_multi_segment_batched_matches_generic(self, bv_scheme, bv_keys, wide_matrix):
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, wide_matrix, across_rows=True)
-        features = [(0, 1), (3, 4), (11, 2), (24, 1)]
+        features = [(0, 1), (3, 4), (11, 2), (23, 1)]
         values = self._assert_paths_agree(bv_scheme, bv_keys, model, features)
         assert values == _reference_dot_products(wide_matrix, features)
 
     def test_legacy_layout_batched_matches_generic(self, bv_scheme, bv_keys, small_matrix):
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, small_matrix, across_rows=False)
-        features = [(2, 1), (3, 6), (40, 2)]
+        features = [(2, 1), (3, 6), (39, 2)]
         values = self._assert_paths_agree(bv_scheme, bv_keys, model, features)
         assert values == _reference_dot_products(small_matrix, features)
 
@@ -263,6 +277,26 @@ class TestBatchedAccumulation:
         result = model.dot_products([(1, 0), (2, -1), (6, 2)])
         assert decrypt_dot_products(bv_scheme, bv_keys, result) == _reference_dot_products(
             small_matrix, [(6, 2)]
+        )
+
+    @pytest.mark.parametrize("layout", ["across-rows", "full-segment"])
+    def test_huge_frequencies_and_many_terms_cannot_overflow(
+        self, bv_scheme, bv_keys, small_matrix, wide_matrix, layout
+    ):
+        """Frequencies of 2^40 and 2^70 (reduced per prime to almost 2^31) over
+        10^4 terms: the integer sum must be chunked, and the result must be the
+        generic chain's ciphertext byte for byte (too noisy to decrypt)."""
+        matrix = small_matrix if layout == "across-rows" else wide_matrix
+        model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=True)
+        rng = np.random.default_rng(40)
+        rows = rng.integers(0, len(matrix) - 1, size=10_000).tolist()
+        frequencies = [(2**40, 2**70, 3)[index % 3] + index for index in range(10_000)]
+        features = list(zip(rows, frequencies))
+        batched = model.dot_products(features)
+        generic = model._dot_products_generic(features + [(len(matrix) - 1, 1)])
+        serialize = bv_scheme.serialize_ciphertext
+        assert list(map(serialize, batched.all_ciphertexts())) == list(
+            map(serialize, generic.all_ciphertexts())
         )
 
     def test_stacks_are_cached_across_emails(self, bv_scheme, bv_keys, small_matrix):
