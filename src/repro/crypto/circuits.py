@@ -26,10 +26,12 @@ four hashes per AND), and every gadget is the textbook one-AND-per-bit form
 * ``mux_bit`` is ``zero ^ (select & (zero ^ one))``: one AND per bit.
 
 AND budgets, as formulas the tests pin: :class:`SpamCircuit` of width ``w``
-is two subtractors and a comparator, ``3w - 2`` (94 at ``w = 32``);
-:class:`TopicCircuit` over ``B'`` candidates with ``k`` index bits is ``B'``
-subtractors and ``B' - 1`` compare-and-select steps of ``w + w + k``,
-``B'(w - 1) + (B' - 1)(2w + k)`` (958 at ``w = 32, B' = 10, k = 8``).
+is one subtractor whose top bit is the output, ``w - 1`` (27 at the
+protocol's ``w = b + 1 = 28``); :class:`TopicCircuit` over ``B'`` candidates
+with ``k`` index bits is ``B'`` subtractors and ``B' - 1`` compare-and-select
+steps of ``w + k``, all but the last also carrying the winning value forward
+(``w``): ``B'(w - 1) + (B' - 1)(w + k) + (B' - 2)w`` for ``B' >= 2`` (791 at
+``w = 27, B' = 10, k = 8``).
 
 Both parties must build the *same* gate list: the garbled tables are keyed by
 gate position, so a peer on different gadgets fails closed (tables whose AND
@@ -321,10 +323,12 @@ class CircuitBuilder:
             raise CircuitError("argmax needs matching non-empty value/payload lists")
         best_value = values[0]
         best_payload = payloads[0]
-        for value, payload in zip(values[1:], payloads[1:]):
-            is_greater = self.greater_than(value, best_value)
-            best_value = self.mux_word(is_greater, best_value, value)
-            best_payload = self.mux_word(is_greater, best_payload, payload)
+        last = len(values) - 1
+        for position in range(1, len(values)):
+            is_greater = self.greater_than(values[position], best_value)
+            if position < last:  # the last winner's value is never read
+                best_value = self.mux_word(is_greater, best_value, values[position])
+            best_payload = self.mux_word(is_greater, best_payload, payloads[position])
         return best_payload
 
     # -- finalisation -------------------------------------------------------------
@@ -353,11 +357,12 @@ _shared_build = lru_cache(maxsize=32)
 
 @dataclass
 class SpamCircuit:
-    """Unblind two dot products and compare them (Fig. 2 step 4, spam case).
+    """Unblind one value and output its top bit (Fig. 2 step 4, spam case).
 
-    Garbler (provider) inputs: blinded spam score, blinded non-spam score.
-    Evaluator (client) inputs: the two blinding noises.
-    Output (1 bit, learned by the client): 1 if the email is spam.
+    Garbler (provider) input: the blinded margin.  Evaluator (client) input:
+    its unblinding word ``ν``.  Output (1 bit, learned by the client): the
+    top bit of ``(blinded − ν) mod 2^width`` —
+    :mod:`repro.twopc.spam` chooses ``ν`` so that this bit is the verdict.
     """
 
     circuit: Circuit
@@ -367,20 +372,16 @@ class SpamCircuit:
     @_shared_build
     def build(cls, width: int) -> "SpamCircuit":
         builder = CircuitBuilder()
-        blinded_spam = builder.garbler_input(width)
-        blinded_ham = builder.garbler_input(width)
-        noise_spam = builder.evaluator_input(width)
-        noise_ham = builder.evaluator_input(width)
-        spam_score = builder.subtract_words(blinded_spam, noise_spam)
-        ham_score = builder.subtract_words(blinded_ham, noise_ham)
-        is_spam = builder.greater_than(spam_score, ham_score)
-        return cls(circuit=builder.build([is_spam]), width=width)
+        blinded = builder.garbler_input(width)
+        unblind = builder.evaluator_input(width)
+        top = builder.subtract_words(blinded, unblind)[-1]
+        return cls(circuit=builder.build([top]), width=width)
 
-    def garbler_bits(self, blinded_spam: int, blinded_ham: int) -> list[int]:
-        return int_to_bits(blinded_spam, self.width) + int_to_bits(blinded_ham, self.width)
+    def garbler_bits(self, blinded: int) -> list[int]:
+        return int_to_bits(blinded, self.width)
 
-    def evaluator_bits(self, noise_spam: int, noise_ham: int) -> list[int]:
-        return int_to_bits(noise_spam, self.width) + int_to_bits(noise_ham, self.width)
+    def evaluator_bits(self, unblind: int) -> list[int]:
+        return int_to_bits(unblind, self.width)
 
     @staticmethod
     def decode_output(bits: list[int]) -> bool:

@@ -185,6 +185,11 @@ class YaoGarblerSession(ProtocolSession):
     ) -> "YaoGarblerSession":
         payload = decode_state_payload(state, SessionStateKind.YAO_GARBLER, YAO_STATE_VERSION)
         count = payload["garbler_count"]
+        if count != len(circuit.garbler_inputs):
+            raise SnapshotError(
+                f"Yao garbler snapshot holds {count} input bits, "
+                f"the circuit takes {len(circuit.garbler_inputs)}"
+            )
         bits = bytes_to_bits(payload["garbler_bits"], count) if count else []
         session = cls(
             circuit,
@@ -282,6 +287,11 @@ class YaoEvaluatorSession(ProtocolSession):
             SessionState.from_bytes(payload["ot"]),
             _require_pool(ot_pool).receiver_state,
         )
+        if len(receiver.choices) != len(circuit.evaluator_inputs):
+            raise SnapshotError(
+                f"Yao evaluator snapshot holds {len(receiver.choices)} choices, "
+                f"the circuit takes {len(circuit.evaluator_inputs)}"
+            )
         session = cls(
             circuit,
             receiver.choices,

@@ -9,8 +9,8 @@ to output.  What it returns depends on the scheme's slot arithmetic.
 all of ``c1`` but one coefficient of ``c0`` (LWE sample extraction).  So the
 client sends, per result, ``c1`` and the ``c0`` coefficients of the one
 contiguous slot *run* the protocol opens — the extraction slot of a candidate
-(run of 1), spam's adjacent spam/ham slots (run of 2), the output region of an
-undecomposed topic result — and never computes, blinds or sends the other
+or spam's one margin slot (run of 1), the output region of an undecomposed
+topic result — and never computes, blinds or sends the other
 ``n - length`` coefficients
 (:meth:`~repro.crypto.ahe.AHEScheme.blind_samples`).  Slots are modular
 (coefficients mod ``t = 2^slot_bits``), so every run slot gets noise uniform

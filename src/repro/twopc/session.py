@@ -250,7 +250,9 @@ class BufferedProviderSession(DecryptingSession):
     # The whole park/buffer/replay skeleton snapshots here exactly once;
     # subclasses contribute their kind byte, the ciphertext-capable codec,
     # protocol-specific extras, and the inner-session rebuild.
-    STATE_VERSION = 2  # 2: pending BV blobs are score samples, the inner circuit narrower
+    # 2: pending BV blobs are score samples, the inner circuit narrower;
+    # 3: spam parks one margin slot and both inner circuits changed shape.
+    STATE_VERSION = 3
 
     _state_kind: int | None = None  # subclasses set a SessionStateKind value
 

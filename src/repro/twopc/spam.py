@@ -4,15 +4,23 @@ Parties and phases follow Fig. 2 with the spam specialisation of §6.1:
 
 *Setup phase* (once, amortised over many emails): the provider generates the
 AHE key pair — optionally from a jointly derived seed (§3.3 footnote 3) —
-quantizes and encrypts its two-column spam model, and ships the encrypted
-model to the client, who stores it (the "client storage" cost of Fig. 8).
+and encrypts its quantized two-category model as **one margin column**,
+``e_i = m[i, spam] + (2^bin − 1) − m[i, ham]`` (bias row included), which
+the client stores (the "client storage" cost of Fig. 8: one column, where
+the paper charges B = 2).  Each entry is non-negative and below
+``2^(bin+1)``, so the column packs like any other.
 
-*Per email*: the client computes the two encrypted dot products (spam and
-ham scores) over the decrypted email's features, blinds them, and sends one
+*Per email*: the client computes the one encrypted dot product
+``D = Σ f_i·e_i + e_bias = d_spam − d_ham + τ`` over the decrypted email's
+features, where ``τ = (2^bin − 1)(F + 1)`` and ``F`` is the sum of the
+email's clipped frequencies — ``τ`` bounds ``d_ham``, so ``D`` is
+non-negative and below ``2^(b+1)``.  It blinds ``D`` and sends one
 :class:`~repro.twopc.wire.BlindedScoresFrame`.  The provider decrypts.  The
-two parties then run a Yao comparison that removes the blinding and outputs a
-single bit — learned by the client only (guarantee 2 of §4.4): is this email
-spam?
+verdict ``d_spam > d_ham`` is the sign of the margin: the two parties run a
+``b + 1``-bit Yao subtraction of the client's
+``ν = noise + τ + 1 − 2^b`` from the blinded value, whose top bit is
+``[d_spam − d_ham ≥ 1]`` (ties are not spam) — learned by the client only
+(guarantee 2 of §4.4).
 
 Both halves are reentrant :class:`~repro.twopc.session.ProtocolSession` state
 machines.  :class:`SpamProviderSession` is purely reactive — it responds to
@@ -26,10 +34,10 @@ The same classes implement the paper's Baseline (Paillier + legacy packing)
 and Pretzel (XPIR-BV + across-row packing) arms; the benchmark harness just
 instantiates them with different schemes.
 
-Under XPIR-BV the blinded scores travel as one *score sample* opened at the
-two adjacent spam/ham slots (:mod:`repro.twopc.blinding`), and the Yao
-comparison is sized to the dot product (``dot_product_bits``), not to the
-slot: ``(blinded - noise) mod 2^b`` needs only the low ``b`` bits of each
+Under XPIR-BV the blinded margin travels as one *score sample* opened at one
+slot (:mod:`repro.twopc.blinding`); Paillier sends its one result ciphertext
+whole.  The Yao circuit is sized to the margin (``dot_product_bits + 1``),
+not to the slot: the subtraction needs only the low ``b + 1`` bits of each
 input.  This module only orchestrates frames — no crypto loops live here.
 """
 
@@ -38,6 +46,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from repro.classify.model import QuantizedLinearModel
 from repro.crypto.ahe import AHEKeyPair, AHEScheme
@@ -72,12 +82,29 @@ from repro.twopc.wire import (
     WireCodec,
 )
 
-SESSION_STATE_VERSION = 2  # 2: the Yao circuit is dot_product_bits wide, not slot_bits
+# 2: the Yao circuit is dot_product_bits wide, not slot_bits; 3: one margin
+# column and a dot_product_bits + 1 wide circuit that unblinds one value.
+SESSION_STATE_VERSION = 3
 
 SparseVector = Mapping[int, int]
 
+# The plaintext model's columns the margin is built from.
 SPAM_COLUMN = 0
 HAM_COLUMN = 1
+# The encrypted model's one column.
+MARGIN_COLUMN = 0
+
+
+def _circuit(setup: "SpamSetup") -> SpamCircuit:
+    # A setup of any other shape (a spam/ham pair from a build before the
+    # margin) would have its spam column unblinded as the margin: a wrong
+    # verdict and no error.  Every session path builds its circuit here.
+    if setup.encrypted_model.layout.num_columns != 1:
+        raise ProtocolError(
+            f"a spam setup packs one margin column, not "
+            f"{setup.encrypted_model.layout.num_columns}"
+        )
+    return SpamCircuit.build(setup.quantized_model.dot_product_bits + 1)
 
 
 @dataclass
@@ -109,7 +136,7 @@ class SpamProtocolResult:
 
 
 class SpamClientSession(ProtocolSession):
-    """The client half: dot products + blinding, then the Yao evaluator role."""
+    """The client half: the margin's dot product + blinding, then the Yao evaluator role."""
 
     def __init__(
         self,
@@ -133,21 +160,22 @@ class SpamClientSession(ProtocolSession):
         model = setup.quantized_model
         sparse = model.sparse_features(self.features)
         dot_result = setup.encrypted_model.dot_products(sparse)
+        circuit = _circuit(setup)
         blinded = blind_dot_products(
             protocol.scheme,
             setup.keypair.public,
             setup.encrypted_model,
             dot_result,
-            output_columns=[SPAM_COLUMN, HAM_COLUMN],
-            dot_bits=model.dot_product_bits,
+            output_columns=[MARGIN_COLUMN],
+            dot_bits=circuit.width,
         )
-        _, _, spam_noise = blinded.output_noise[SPAM_COLUMN]
-        _, _, ham_noise = blinded.output_noise[HAM_COLUMN]
-        circuit = SpamCircuit.build(setup.quantized_model.dot_product_bits)
+        _, _, noise = blinded.output_noise[MARGIN_COLUMN]
+        # blinded − ν = d_spam − d_ham − 1 + 2^b (mod 2^(b+1)): its top bit is the verdict.
+        tau = ((1 << model.value_bits) - 1) * (sum(count for _, count in sparse) + 1)
         self.yao_and_gates = circuit.circuit.and_count
         self._yao = YaoEvaluatorSession(
             circuit.circuit,
-            circuit.evaluator_bits(spam_noise, ham_noise),
+            circuit.evaluator_bits(noise + tau + 1 - (1 << model.dot_product_bits)),
             protocol.group,
             output_to="evaluator",
             ot_mode=protocol.ot_mode,
@@ -203,10 +231,9 @@ class SpamClientSession(ProtocolSession):
         session.is_spam = payload["is_spam"]
         session.yao_and_gates = int(payload["yao_and_gates"])
         if payload["yao"] is not None:
-            circuit = SpamCircuit.build(setup.quantized_model.dot_product_bits)
             session._yao = YaoEvaluatorSession.restore(
                 SessionState.from_bytes(payload["yao"]),
-                circuit.circuit,
+                _circuit(setup).circuit,
                 protocol.group,
                 ot_pool=ot_pool,
             )
@@ -250,13 +277,13 @@ class SpamProviderSession(BufferedProviderSession):
     def _build_inner_session(self, slot_lists: list[list[int]]) -> YaoGarblerSession:
         setup = self.setup
         protocol = self.protocol
-        blinded_spam, blinded_ham = open_columns(
-            protocol.scheme, setup.encrypted_model, slot_lists, [SPAM_COLUMN, HAM_COLUMN]
+        circuit = _circuit(setup)
+        (blinded,) = open_columns(
+            protocol.scheme, setup.encrypted_model, slot_lists, [MARGIN_COLUMN]
         )
-        circuit = SpamCircuit.build(setup.quantized_model.dot_product_bits)
         return YaoGarblerSession(
             circuit.circuit,
-            circuit.garbler_bits(blinded_spam, blinded_ham),
+            circuit.garbler_bits(blinded),
             protocol.group,
             output_to="evaluator",
             ot_mode=protocol.ot_mode,
@@ -276,9 +303,8 @@ class SpamProviderSession(BufferedProviderSession):
         return self.setup.keypair
 
     def _restore_inner(self, state: SessionState) -> YaoGarblerSession:
-        circuit = SpamCircuit.build(self.setup.quantized_model.dot_product_bits)
         return YaoGarblerSession.restore(
-            state, circuit.circuit, self.protocol.group, ot_pool=self.ot_pool
+            state, _circuit(self.setup).circuit, self.protocol.group, ot_pool=self.ot_pool
         )
 
     @classmethod
@@ -322,19 +348,30 @@ class SpamFilterProtocol:
         quantized_model: QuantizedLinearModel,
         joint_seed: bytes | None = None,
     ) -> SpamSetup:
-        """Provider-side setup: key generation and model encryption."""
+        """Provider-side setup: key generation and encryption of the margin column."""
         if quantized_model.num_categories != 2:
             raise ProtocolError("the spam protocol needs a two-category model")
-        if quantized_model.dot_product_bits >= self.scheme.slot_bits:
+        # Whole-ciphertext blinding (no slot shift) keeps one more guard bit.
+        guard_bits = 0 if self.scheme.supports_slot_shift else 1
+        if quantized_model.dot_product_bits + 1 + guard_bits >= self.scheme.slot_bits:
             raise ProtocolError(
-                "dot products would overflow a slot; reduce bin/fin or raise slot_bits"
+                "the spam margin would overflow a slot; reduce bin/fin or raise slot_bits"
             )
         start = time.perf_counter()
+        rows = np.asarray(quantized_model.matrix_rows())
+        top = (1 << quantized_model.value_bits) - 1
+        if not np.issubdtype(rows.dtype, np.integer) or rows.min() < 0 or rows.max() > top:
+            raise ProtocolError(
+                f"spam model entries must be integers in [0, 2^{quantized_model.value_bits})"
+            )
+        # int64 before subtracting: an unsigned matrix would wrap.
+        rows = rows.astype(np.int64)
+        margin = rows[:, SPAM_COLUMN] + top - rows[:, HAM_COLUMN]
         keypair = self.scheme.generate_keypair(seed=joint_seed)
         encrypted_model = PackedLinearModel.encrypt(
             self.scheme,
             keypair.public,
-            quantized_model.matrix_rows(),
+            margin.reshape(-1, 1),
             across_rows=self.across_row_packing,
         )
         provider_seconds = time.perf_counter() - start

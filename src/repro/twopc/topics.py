@@ -80,7 +80,9 @@ from repro.twopc.wire import (
     WireCodec,
 )
 
-SESSION_STATE_VERSION = 2  # 2: the Yao circuit is dot_product_bits wide, not slot_bits
+# 2: the Yao circuit is dot_product_bits wide, not slot_bits; 3: the argmax
+# drops its last value mux (other gate positions).
+SESSION_STATE_VERSION = 3
 
 SparseVector = Mapping[int, int]
 

@@ -289,7 +289,7 @@ class TestScoreSamplesAgainstTheOracle:
     @pytest.mark.parametrize("categories", [2, 12])
     def test_unblinded_samples_equal_the_integer_scores(self, ring_scheme, categories):
         """``(sample - recorded noise) mod 2^slot_bits`` is the plaintext score,
-        for spam's run of 2, an output region, and extracted candidates — and
+        for a two-column run of 2, an output region, and extracted candidates — and
         it is what the replaced full-ciphertext path unblinds to."""
         scheme, keys = ring_scheme
         rng = np.random.default_rng(categories)

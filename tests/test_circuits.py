@@ -115,20 +115,29 @@ class TestSpamCircuit:
     @given(
         st.integers(min_value=0, max_value=2**20 - 1),
         st.integers(min_value=0, max_value=2**20 - 1),
-        st.integers(min_value=0, max_value=2**24 - 1),
-        st.integers(min_value=0, max_value=2**24 - 1),
+        st.integers(min_value=0, max_value=2**40 - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_plain_comparison(self, spam_score, ham_score, noise_spam, noise_ham):
-        width = 24
-        circuit = SpamCircuit.build(width)
-        blinded_spam = (spam_score + noise_spam) % (1 << width)
-        blinded_ham = (ham_score + noise_ham) % (1 << width)
+    def test_matches_plain_comparison(self, spam_score, ham_score, noise):
+        # b = 20: the margin d_spam − d_ham + τ is blinded, the client's ν
+        # unblinds it with the offset that makes the top bit the verdict.
+        b, tau = 20, 2**20 - 1
+        circuit = SpamCircuit.build(b + 1)
+        blinded = spam_score - ham_score + tau + noise
         bits = circuit.circuit.evaluate_plain(
-            circuit.garbler_bits(blinded_spam, blinded_ham),
-            circuit.evaluator_bits(noise_spam, noise_ham),
+            circuit.garbler_bits(blinded),
+            circuit.evaluator_bits(noise + tau + 1 - 2**b),
         )
         assert SpamCircuit.decode_output(bits) == (spam_score > ham_score)
+
+    def test_exhaustively_the_top_bit_of_the_difference(self):
+        circuit = SpamCircuit.build(5)
+        for a in range(32):
+            for b in range(32):
+                bits = circuit.circuit.evaluate_plain(
+                    circuit.garbler_bits(a), circuit.evaluator_bits(b)
+                )
+                assert bits == [((a - b) % 32) >> 4], (a, b)
 
     def test_single_output_bit(self):
         circuit = SpamCircuit.build(8)
@@ -273,24 +282,29 @@ class TestGadgetsEqualIntegerArithmetic:
 class TestAndBudgets:
     """The AND count is the garbling cost; pinned as formulas, not as numbers."""
 
-    @pytest.mark.parametrize("width", [1, 2, 8, 24, 32])
-    def test_spam_circuit_is_two_subtractors_and_a_comparator(self, width):
-        assert SpamCircuit.build(width).circuit.and_count == 3 * width - 2
+    @pytest.mark.parametrize("width", [1, 2, 8, 24, 28, 32])
+    def test_spam_circuit_is_one_subtractor(self, width):
+        assert SpamCircuit.build(width).circuit.and_count == width - 1
 
     @pytest.mark.parametrize(
-        "width,candidates,index_bits", [(32, 10, 8), (32, 1, 8), (24, 2, 4), (8, 5, 3), (32, 20, 11)]
+        "width,candidates,index_bits",
+        [(32, 10, 8), (32, 1, 8), (24, 2, 4), (8, 5, 3), (32, 20, 11), (27, 10, 8)],
     )
     def test_topic_circuit_is_subtractors_plus_compare_and_select(
         self, width, candidates, index_bits
     ):
+        # The last compare-and-select step carries no value forward.
         circuit = TopicCircuit.build(width, candidates, index_bits).circuit
         assert circuit.and_count == (
-            candidates * (width - 1) + (candidates - 1) * (2 * width + index_bits)
+            candidates * (width - 1)
+            + (candidates - 1) * (width + index_bits)
+            + max(candidates - 2, 0) * width
         )
 
     def test_the_benchmark_shapes(self):
-        assert SpamCircuit.build(32).circuit.and_count == 94
-        assert TopicCircuit.build(32, 10, 8).circuit.and_count == 958
+        # dot_product_bits = 27: spam garbles b + 1 = 28 bits wide, topics 27.
+        assert SpamCircuit.build(28).circuit.and_count == 27
+        assert TopicCircuit.build(27, 10, 8).circuit.and_count == 791
 
     def test_builds_are_shared_per_shape(self):
         assert SpamCircuit.build(32) is SpamCircuit.build(32)

@@ -53,8 +53,8 @@ class TestGarbledEvaluation:
         labels = evaluate(
             circuit.circuit,
             garbling.tables,
-            garbling.input_labels(circuit.circuit.garbler_inputs, circuit.garbler_bits(900, 500)),
-            garbling.input_labels(circuit.circuit.evaluator_inputs, circuit.evaluator_bits(100, 100)),
+            garbling.input_labels(circuit.circuit.garbler_inputs, circuit.garbler_bits(40000)),
+            garbling.input_labels(circuit.circuit.evaluator_inputs, circuit.evaluator_bits(100)),
         )
         assert SpamCircuit.decode_output(decode_outputs(circuit.circuit, garbling.tables, labels)) is True
 
@@ -236,8 +236,8 @@ class TestYaoDriver:
         result = run_yao(
             channel,
             circuit.circuit,
-            garbler_bits=circuit.garbler_bits(1500, 700),
-            evaluator_bits=circuit.evaluator_bits(200, 300),
+            garbler_bits=circuit.garbler_bits(1500),
+            evaluator_bits=circuit.evaluator_bits(1500 - 2**15),  # top bit of 2^15
             group=dh_group,
             output_to=output_to,
         )
@@ -269,8 +269,8 @@ class TestYaoDriver:
             run_yao(
                 yao_channel("bad"),
                 circuit.circuit,
-                garbler_bits=circuit.garbler_bits(1, 2),
-                evaluator_bits=circuit.evaluator_bits(0, 0),
+                garbler_bits=circuit.garbler_bits(1),
+                evaluator_bits=circuit.evaluator_bits(0),
                 group=dh_group,
                 output_to="nobody",
             )

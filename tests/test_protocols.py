@@ -3,10 +3,17 @@
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.classify.model import QuantizedLinearModel
+from repro.core.runtime import ShardWorkerCore
+from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
 from repro.exceptions import ProtocolAbort, ProtocolError
+from repro.obs import MetricsRegistry, scoped_registry
 from repro.twopc.noprv import NoPrivClassifier
+from repro.twopc.session import run_session_pair
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 from repro.twopc.wire import GarbledCircuitFrame, WireCodec
@@ -103,6 +110,203 @@ class TestSpamProtocol:
             pretzel.setup(small_spam_model).client_storage_bytes()
             < no_pack.setup(small_spam_model).client_storage_bytes() / 10
         )
+
+
+def _two_column_model(spam, ham, bias, value_bits=4, frequency_bits=4, max_features=7, dtype=np.int64):
+    """A quantized spam/ham model from its columns (bias row last)."""
+    matrix = np.array([list(pair) for pair in zip(spam, ham)] + [list(bias)], dtype=dtype)
+    return QuantizedLinearModel(
+        matrix=matrix,
+        category_names=["spam", "ham"],
+        value_bits=value_bits,
+        frequency_bits=frequency_bits,
+        max_features_per_email=max_features,
+        scale=1.0,
+        offset=0.0,
+    )
+
+
+# value_bits = 4, fin = 4, L = 7 over nine feature rows: b = 3 + 4 + 4 = 11.
+FULL_EMAIL = {row: 15 for row in range(7)}                 # L features at maximal frequency
+MARGIN_CASES = {
+    # name: (spam column, ham column, bias, email, verdict)
+    "tie": ([3, 9, 0, 15, 7, 1, 2, 8, 4], [3, 9, 0, 15, 7, 1, 2, 8, 4], (6, 6), FULL_EMAIL, False),
+    "tie_by_other_rows": ([15] + [0] * 8, [0, 15] + [0] * 7, (2, 2), {0: 3, 1: 3}, False),
+    "max_spam_margin": ([15] * 9, [0] * 9, (15, 0), FULL_EMAIL, True),
+    "max_ham_margin": ([0] * 9, [15] * 9, (0, 15), FULL_EMAIL, False),
+    "empty_email_spam_by_one": ([0] * 9, [15] * 9, (8, 7), {}, True),
+    "empty_email_ham_by_one": ([15] * 9, [0] * 9, (7, 8), {}, False),
+    "empty_email_tie": ([15] * 9, [0] * 9, (9, 9), {}, False),
+    "spam_by_one": ([1] + [5] * 8, [0] + [5] * 8, (4, 4), {0: 1, 3: 15}, True),
+    "ham_by_one": ([0] + [5] * 8, [1] + [5] * 8, (4, 4), {0: 1, 3: 15}, False),
+}
+
+
+@pytest.fixture(scope="module", params=["bv", "paillier"])
+def margin_protocol(request, bv_scheme, paillier_scheme, dh_group):
+    if request.param == "bv":
+        return SpamFilterProtocol(bv_scheme, dh_group)
+    return SpamFilterProtocol(paillier_scheme, dh_group, across_row_packing=False)
+
+
+class TestSpamMargin:
+    """The verdict is the top bit of one unblinded margin ``d_spam − d_ham + τ``."""
+
+    @pytest.mark.parametrize("case", sorted(MARGIN_CASES))
+    def test_edge_verdicts_match_the_plaintext_model(self, margin_protocol, case):
+        spam, ham, bias, email, verdict = MARGIN_CASES[case]
+        model = _two_column_model(spam, ham, bias)
+        assert model.dot_product_bits == 11
+        assert model.predict_is_spam(email) is verdict
+        result = margin_protocol.classify_email(margin_protocol.setup(model), email)
+        assert result.is_spam is verdict
+
+    @pytest.mark.parametrize("case,dot", [("max_ham_margin", 0), ("max_spam_margin", 3180)])
+    def test_the_margin_reaches_its_bounds(self, bv_scheme, dh_group, case, dot):
+        # ±(7·15 + 1)·15 = ±1590 is the widest margin an email can have at
+        # this budget; τ = 1590 puts the encrypted dot product at 0 and at
+        # 3180 < 2^12, the ends of the b + 1 = 12 bits the circuit reads.
+        spam, ham, bias, email, _verdict = MARGIN_CASES[case]
+        setup = SpamFilterProtocol(bv_scheme, dh_group).setup(_two_column_model(spam, ham, bias))
+        pairs = setup.quantized_model.sparse_features(email)
+        result = setup.encrypted_model.dot_products(pairs)
+        assert decrypt_dot_products(bv_scheme, setup.keypair, result) == [dot]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint16])
+    def test_the_encrypted_column_is_the_shifted_margin(self, bv_scheme, dh_group, dtype):
+        # An unsigned matrix must not wrap in the subtraction (nor under NEP 50
+        # promotion); the int64 twin is the reference.
+        columns = ([255, 0, 17, 200], [0, 255, 17, 3], (128, 129))
+        model = _two_column_model(*columns, value_bits=8, dtype=dtype)
+        reference = _two_column_model(*columns, value_bits=8)
+        protocol = SpamFilterProtocol(bv_scheme, dh_group)
+        setup = protocol.setup(model)
+        assert setup.encrypted_model.layout.num_columns == 1
+        for email in ({}, {0: 15, 1: 2, 3: 7}, {1: 15, 2: 1}):
+            pairs = model.sparse_features(email)
+            d_spam, d_ham = reference.integer_scores(email).tolist()
+            tau = 255 * (sum(count for _, count in pairs) + 1)
+            dot = decrypt_dot_products(
+                bv_scheme, setup.keypair, setup.encrypted_model.dot_products(pairs)
+            )
+            assert dot == [d_spam - d_ham + tau]
+            assert protocol.classify_email(setup, email).is_spam == (d_spam > d_ham)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_match_the_plaintext_model(self, margin_protocol, data):
+        value_bits = data.draw(st.integers(min_value=2, max_value=6))
+        frequency_bits = data.draw(st.integers(min_value=1, max_value=4))
+        max_features = data.draw(st.integers(min_value=1, max_value=8))
+        rows = data.draw(st.integers(min_value=1, max_value=12))
+        entry = st.integers(min_value=0, max_value=(1 << value_bits) - 1)
+        columns = data.draw(
+            st.lists(st.tuples(entry, entry), min_size=rows + 1, max_size=rows + 1)
+        )
+        spam, ham = zip(*columns[:-1])
+        model = _two_column_model(
+            spam, ham, columns[-1], value_bits, frequency_bits, max_features
+        )
+        indices = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=rows + 2),  # a few out of vocabulary
+                max_size=max_features,
+                unique=True,
+            )
+        )
+        frequency = st.integers(min_value=0, max_value=(1 << frequency_bits) + 2)  # clipped
+        email = {index: data.draw(frequency) for index in indices}
+        result = margin_protocol.classify_email(margin_protocol.setup(model), email)
+        assert result.is_spam == model.predict_is_spam(email)
+
+    def test_one_subtractor_and_one_transfer_per_bit(self, margin_protocol):
+        model = _two_column_model([15] * 9, [0] * 9, (15, 0))
+        setup = margin_protocol.setup(model)
+        pool = margin_protocol.make_ot_pool(setup)
+        b = model.dot_product_bits
+        result = margin_protocol.classify_email(setup, FULL_EMAIL, ot_pool=pool)
+        assert result.is_spam is True
+        assert result.yao_and_gates == b
+        assert pool.receiver_state.next_index == b + 1
+
+    @pytest.mark.parametrize("bad", [16, -1])
+    def test_setup_refuses_an_entry_outside_the_value_range(self, bv_scheme, dh_group, bad):
+        model = _two_column_model([3] * 9, [4] * 9, (5, bad))
+        with pytest.raises(ProtocolError, match="entries"):
+            SpamFilterProtocol(bv_scheme, dh_group).setup(model)
+
+    def test_setup_refuses_a_float_matrix(self, bv_scheme, dh_group):
+        model = _two_column_model([3] * 9, [4] * 9, (5, 5), dtype=np.float64)
+        with pytest.raises(ProtocolError, match="entries"):
+            SpamFilterProtocol(bv_scheme, dh_group).setup(model)
+
+    def test_setup_refuses_a_margin_as_wide_as_the_slot(self, margin_protocol):
+        # b = 3 + value_bits + 8 against 32-bit slots.  BV refuses b + 1 = 32;
+        # Paillier's whole-ciphertext blinding keeps one more guard bit, so it
+        # refuses b + 1 = 31, which blinding would refuse on every email.
+        guard_bits = 0 if margin_protocol.scheme.supports_slot_shift else 1
+        widest_bits = margin_protocol.scheme.slot_bits - 13 - guard_bits
+        too_wide = _two_column_model(
+            [3] * 9, [4] * 9, (5, 5), value_bits=widest_bits + 1, frequency_bits=8
+        )
+        assert too_wide.dot_product_bits + 1 + guard_bits == margin_protocol.scheme.slot_bits
+        with pytest.raises(ProtocolError, match="overflow a slot"):
+            margin_protocol.setup(too_wide)
+        widest = _two_column_model(
+            [3] * 9, [4] * 9, (5, 5), value_bits=widest_bits, frequency_bits=8
+        )
+        setup = margin_protocol.setup(widest)
+        assert margin_protocol.classify_email(setup, {0: 1}).is_spam is False
+        assert margin_protocol.classify_email(setup, {0: 255}).is_spam is False
+
+    @staticmethod
+    def _parent_shaped(protocol, model):
+        """This build's setup with the model packed as the parent packed it: spam, ham."""
+        setup = protocol.setup(model)
+        two_columns = PackedLinearModel.encrypt(
+            protocol.scheme,
+            setup.keypair.public,
+            model.matrix_rows(),
+            across_rows=protocol.across_row_packing,
+        )
+        return setup, replace(setup, encrypted_model=two_columns)
+
+    def test_a_setup_packed_as_spam_and_ham_is_refused(self, margin_protocol):
+        # A registration pickled by a build before the margin unpickles here
+        # (same classes, same fields).  Its column 0 is the raw spam column;
+        # served as the margin it would give a verdict, and a wrong one.
+        model = _two_column_model([15] * 9, [0] * 9, (0, 15))
+        email = {0: 1}
+        assert model.predict_is_spam(email) is False
+        setup, parent_shaped = self._parent_shaped(margin_protocol, model)
+        parent_shaped = pickle.loads(pickle.dumps(parent_shaped))
+        with pytest.raises(ProtocolError, match="one margin column, not 2"):
+            margin_protocol.classify_email(parent_shaped, email)
+        with pytest.raises(ProtocolError, match="one margin column, not 2"):
+            margin_protocol.client_session(parent_shaped, email).start()
+        # A provider holding the parent shape refuses a well-formed request
+        # before it garbles anything.
+        client = margin_protocol.client_session(setup, email)
+        provider = margin_protocol.provider_session(parent_shaped)
+        with pytest.raises(ProtocolError):
+            run_session_pair(
+                margin_protocol.make_channel(setup), {"client": client, "provider": provider}
+            )
+        assert client.is_spam is None
+        assert margin_protocol.classify_email(setup, email).is_spam is False
+
+    def test_a_worker_registered_with_the_parent_shape_refuses_the_burst(self, margin_protocol):
+        model = _two_column_model([15] * 9, [0] * 9, (0, 15))
+        _setup, parent_shaped = self._parent_shaped(margin_protocol, model)
+        registration = pickle.dumps(("parent@example.com", margin_protocol, parent_shaped))
+        with scoped_registry(MetricsRegistry()):
+            worker = ShardWorkerCore((1, None))
+            assert worker.handle("register", pickle.loads(registration)) == ("ok", None)
+            verb, message = worker.handle(
+                "burst", [(0, "spam", "parent@example.com", ({0: 1},))]
+            )
+        assert verb == "error"
+        assert "one margin column, not 2" in message
 
 
 class TestTopicProtocol:

@@ -201,7 +201,7 @@ class TestOtPooling:
     ):
         # The frame's start_index is a u32: 16 M topic emails of one pair reach
         # it.  Ten indices from the end, a spam email (one transfer per input bit of
-        # the client: two dot_product_bits-wide noises) cannot start.
+        # the client: one dot_product_bits + 1 wide word) cannot start.
         protocol, setup = spam_setup
         address = "spent@example.com"
         emails = SPAM_EMAILS[:3]
@@ -240,7 +240,7 @@ class TestOtPooling:
         assert len(handshakes) == 1
         fresh = directory.pool_of("spam", address)
         assert fresh is not spent and fresh.receiver_state.next_index == (
-            2 * small_spam_model.dot_product_bits * len(emails)
+            (small_spam_model.dot_product_bits + 1) * len(emails)
         )
         assert spent.snapshot().to_bytes() == ledger  # the old pool's ledger is untouched
 

@@ -126,7 +126,8 @@ class TestProviderRefusals:
         n = bv_scheme.num_slots
         protocol, setup = spam_setup
         frame = _client_request(protocol, setup, SPAM_FEATURES)
-        assert [bv_scheme.ciphertext_run(ct) for ct in frame.ciphertexts] == [(n - 2, 2)]
+        # Spam: one margin column, the output region is the top slot.
+        assert [bv_scheme.ciphertext_run(ct) for ct in frame.ciphertexts] == [(n - 1, 1)]
         protocol, setup = topic_setup
         frame = _client_request(protocol, setup, TOPIC_FEATURES, [4, 0, 9])
         assert isinstance(frame, ExtractedCandidatesFrame)
@@ -161,13 +162,13 @@ class TestProviderRefusals:
             bv_keys.public, [source], [0], [0], [run], np.zeros(run[1], dtype=np.int64)
         )[0]
         protocol, setup = spam_setup
-        for run in ((n - 1, 1), (n - 3, 2), (n - 3, 3), (0, n)):
+        for run in ((n - 2, 1), (n - 2, 2), (n - 3, 3), (0, n)):
             provider = protocol.provider_session(setup)
             with pytest.raises(ProtocolError, match="slot run"):
                 provider.handle(BlindedScoresFrame((blind(run),)))
             assert provider.decryption_request() is None
         with pytest.raises(ProtocolError, match="expected 1"):
-            protocol.provider_session(setup).handle(BlindedScoresFrame((blind((n - 2, 2)),) * 2))
+            protocol.provider_session(setup).handle(BlindedScoresFrame((blind((n - 1, 1)),) * 2))
         protocol, setup = topic_setup
         for run in ((n - 2, 1), (n - 2, 2), (0, n)):
             provider = protocol.provider_session(setup)
@@ -241,15 +242,16 @@ def _budget_model(columns: list[list[int]], bias: list[int]) -> QuantizedLinearM
 
 
 class TestTheWidthBudget:
-    """The Yao circuit is ``dot_product_bits`` wide; ``L`` is what makes that enough."""
+    """The Yao circuits are ``dot_product_bits`` wide (spam's margin one more);
+    ``L`` is what makes that enough."""
 
     FULL = {index: 15 for index in range(7)}       # L features at maximal frequency
     OVER = {index: 15 for index in range(8)}       # L + 1
 
     def test_spam_at_the_boundary(self, bv_scheme, dh_group):
         # Spam: maximal weight everywhere, (7·15 + 1)·15 = 1590 — the top bit of
-        # 11 is set.  Ham: 7·15·9 + 15 = 960.  One bit narrower, 1590 would read
-        # as 566 and lose.
+        # 11 is set.  Ham: 7·15·9 + 15 = 960.  The margin 1590 − 960 + 106·15
+        # = 2220 needs the twelfth bit the spam circuit adds.
         model = _budget_model([[15, 9]] * 9, [15, 15])
         assert model.dot_product_bits == 11
         assert model.integer_scores(self.FULL).tolist() == [1590, 960]
@@ -258,7 +260,7 @@ class TestTheWidthBudget:
         setup = protocol.setup(model)
         result = protocol.classify_email(setup, self.FULL)
         assert result.is_spam is True is model.predict_is_spam(self.FULL)
-        assert result.yao_and_gates == 3 * 11 - 2
+        assert result.yao_and_gates == 11
         mirrored = _budget_model([[9, 15]] * 9, [15, 15])
         assert protocol.classify_email(protocol.setup(mirrored), self.FULL).is_spam is False
 

@@ -146,10 +146,10 @@ GOLDEN_STATES = {
     "yao_garbler": "1002000001314d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f744e5300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656446",  # noqa: E501
     "yao_garbler_midround": "10020000037b4d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f7442000000000000024202010000023c4d000000000000000453000000000000000866696e69736865644653000000000000000d6d6573736167655f70616972734c00000000000000084c0000000000000002420000000000000010d21efd347bc31f704d0f4411249a40f2420000000000000010fae8ffd73b9de98494c93e227247565d4c000000000000000242000000000000001070d833b160d5ee05a6dea2480e6bbee2420000000000000010582e3152208b18f17f18d87b58b6a84d4c00000000000000024200000000000000106ec608eedb6c7d05d1c81b0a46e2ab9842000000000000001046300a0d9b328bf1080e6139103fbd374c0000000000000002420000000000000010f0dfff0812d4601dfe29c9e6d0312360420000000000000010d829fdeb528a96e927efb3d586ec35cf4c0000000000000002420000000000000010b90d499e7d268e42bf49c046bcce718b42000000000000001091fb4b7d3d7878b6668fba75ea1367244c00000000000000024200000000000000100bd28bd5c40fa865d8243163037330664200000000000000102324893684515e9101e24b5055ae26c94c0000000000000002420000000000000010cb086b27764cb8b62e7c875ccbd95e76420000000000000010e3fe69c436124e42f7bafd6f9d0448d94c0000000000000002420000000000000010d2bb7504c925f6602c60042a1e494e30420000000000000010fa4d77e7897b0094f5a67e194894589f5300000000000000077365636f6e647344000000000000000053000000000000000773746172746564545300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656454",  # noqa: E501
     "yao_evaluator_midround": "11020000013d4d000000000000000653000000000000000866696e6973686564465300000000000000026f744200000000000000ab0301000000a54d000000000000000753000000000000000763686f6963657342000000000000000162530000000000000005636f756e744900000000000000010853000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e64657849000000000000000100530000000000000007737461727465645453000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e64734400000000000000005300000000000000077374617274656454",  # noqa: E501
-    "spam_client": "2002000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
-    "spam_provider": "2102000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
-    "topic_client": "22020000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
-    "topic_provider": "2302000001004d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000053000000000000000565787472614d000000000000000353000000000000000a6465636f6d706f7365645453000000000000000f6578747261637465645f746f7069634e530000000000000010696e6e65725f63616e646964617465734900000000000000010253000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
+    "spam_client": "2003000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
+    "spam_provider": "2103000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
+    "topic_client": "22030000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
+    "topic_provider": "2303000001004d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000053000000000000000565787472614d000000000000000353000000000000000a6465636f6d706f7365645453000000000000000f6578747261637465645f746f7069634e530000000000000010696e6e65725f63616e646964617465734900000000000000010253000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "noprv_client": "2401000000b54d000000000000000553000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001094900000000000000010253000000000000000866696e6973686564465300000000000000127072656469637465645f63617465676f72794e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "noprv_provider": "2501000000554d000000000000000453000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
 }
@@ -157,7 +157,10 @@ GOLDEN_STATES = {
 
 @pytest.fixture(scope="module")
 def golden_circuit():
-    return SpamCircuit.build(4)
+    # Eight garbler and eight evaluator input wires: the golden Yao states'
+    # counts, choices and label pairs (they were pinned on a two-word circuit
+    # of width 4, whose inputs were wires 0-7 and 8-15 too).
+    return SpamCircuit.build(8)
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +199,7 @@ class _GoldenContext:
         if name in ("yao_garbler", "yao_garbler_midround"):
             garbler = YaoGarblerSession(
                 self.circuit.circuit,
-                self.circuit.garbler_bits(3, 5),
+                self.circuit.garbler_bits(3 + (5 << 4)),
                 self.group,
                 output_to="evaluator",
                 ot_pool=_deterministic_pool(),
@@ -208,7 +211,7 @@ class _GoldenContext:
         if name == "yao_evaluator_midround":
             evaluator = YaoEvaluatorSession(
                 self.circuit.circuit,
-                self.circuit.evaluator_bits(2, 6),
+                self.circuit.evaluator_bits(2 + (6 << 4)),
                 self.group,
                 output_to="evaluator",
                 ot_pool=_deterministic_pool(),
@@ -434,6 +437,115 @@ class TestCheckpointsAcrossTheScoreSampleChange:
             if entry["name"] == "emails_served_total"
         ]
         assert sum(served) == len(SPAM_EMAILS)
+
+
+class TestCheckpointsAcrossTheMarginChange:
+    """Parked spam and topic emails resume only on the build that parked them.
+
+    ``data/shard_checkpoint_0c36dc6.bin`` is the ``checkpoint`` reply of a
+    ``ShardWorkerCore`` on commit 0c36dc6 with one spam email (``SPAM_EMAILS[0]``,
+    mailbox ``upgraded@example.com``) and one topic email (``TOPIC_EMAILS[0]``,
+    candidates ``[0, 1, 2]``, mailbox ``upgraded-topics@example.com``) parked
+    mid-round.  Its spam provider holds a sample opened at the two spam/ham
+    slots and expects a ``dot_product_bits``-wide two-word circuit; its topic
+    provider expects the argmax with its last value mux.  This build packs one
+    margin column, garbles ``dot_product_bits + 1`` wide and drops that mux, so
+    every state is refused by version and the worker recomputes.
+    """
+
+    PARENT_CHECKPOINT = Path(__file__).parent / "data" / "shard_checkpoint_0c36dc6.bin"
+    TOPIC_CANDIDATES = [0, 1, 2]
+
+    def test_the_parent_commit_states_are_refused_by_version(
+        self, spam_setup, topic_setup, bv_scheme
+    ):
+        checkpoint = canonical_loads(self.PARENT_CHECKPOINT.read_bytes())
+        assert [record["kind"] for record in checkpoint["jobs"]] == ["spam", "topics"]
+        for record in checkpoint["jobs"]:
+            protocol, setup = spam_setup if record["kind"] == "spam" else topic_setup
+            provider = SessionState.from_bytes(record["provider"])
+            client = SessionState.from_bytes(record["client"])
+            assert (provider.version, client.version) == (2, 2)
+            if record["kind"] == "spam":
+                (parked,) = canonical_loads(provider.payload)["pending"]
+                sample = bv_scheme.deserialize_ciphertext(parked)
+                assert bv_scheme.ciphertext_run(sample) == (bv_scheme.num_slots - 2, 2)
+            with pytest.raises(SnapshotError, match="version 2"):
+                protocol.restore_provider(setup, provider)
+            with pytest.raises(SnapshotError, match="version 2"):
+                protocol.restore_client(setup, client)
+
+    def test_a_worker_handed_the_parent_commit_checkpoint_recomputes(
+        self, spam_setup, topic_setup, spam_truth, small_topic_model
+    ):
+        scores = small_topic_model.integer_scores(TOPIC_EMAILS[0])
+        topic_truth = max(self.TOPIC_CANDIDATES, key=lambda index: (scores[index], -index))
+        burst = [
+            (0, "spam", "upgraded@example.com", (SPAM_EMAILS[0],)),
+            (1, "topics", "upgraded-topics@example.com", (TOPIC_EMAILS[0], self.TOPIC_CANDIDATES)),
+        ]
+        with scoped_registry(MetricsRegistry()):
+            target = ShardWorkerCore((100, None))
+            target.handle("register", ("upgraded@example.com", *spam_setup))
+            target.handle("register", ("upgraded-topics@example.com", *topic_setup))
+            verb, (resumed, results, _metrics) = target.handle(
+                "restore", self.PARENT_CHECKPOINT.read_bytes()
+            )
+            assert (verb, resumed, results) == ("restored", [], [])  # nothing resumed
+            # ... so the driver resubmits both emails, and each is served once.
+            assert target.handle("burst", burst)[1][0] == []
+            verb, (results, metrics) = target.handle("drain", None)
+        spam_result, topic_result = (result for _job_id, result in sorted(results))
+        assert spam_result.is_spam == spam_truth[0]
+        assert topic_result.extracted_topic == topic_truth
+        served = [
+            entry["value"] for entry in metrics["counters"]
+            if entry["name"] == "emails_served_total"
+        ]
+        assert sum(served) == len(burst)
+
+
+class TestYaoRestoreChecksTheCircuitShape:
+    """A Yao snapshot restored under another circuit shape is refused.
+
+    It used to restore: the garbler then failed on its next frame with a
+    ``CircuitError`` mid-serve instead of degrading to recompute.
+    """
+
+    @pytest.mark.parametrize("started", [False, True], ids=["fresh", "midround"])
+    def test_a_garbler_snapshot_of_another_width(self, dh_group, started):
+        wide = SpamCircuit.build(8)
+        garbler = YaoGarblerSession(
+            wide.circuit, wide.garbler_bits(0x53), dh_group,
+            ot_pool=_deterministic_pool(), garble_seed=b"\x11" * 32,
+        )
+        if started:
+            garbler.start()
+        state = garbler.snapshot()
+        with pytest.raises(SnapshotError, match="8 input bits"):
+            YaoGarblerSession.restore(
+                state, SpamCircuit.build(6).circuit, dh_group, ot_pool=_deterministic_pool()
+            )
+        restored = YaoGarblerSession.restore(
+            state, wide.circuit, dh_group, ot_pool=_deterministic_pool()
+        )
+        assert restored.snapshot() == state
+
+    def test_an_evaluator_snapshot_of_another_width(self, dh_group):
+        wide = SpamCircuit.build(8)
+        evaluator = YaoEvaluatorSession(
+            wide.circuit, wide.evaluator_bits(0x62), dh_group, ot_pool=_deterministic_pool()
+        )
+        evaluator.start()
+        state = evaluator.snapshot()
+        with pytest.raises(SnapshotError, match="8 choices"):
+            YaoEvaluatorSession.restore(
+                state, SpamCircuit.build(6).circuit, dh_group, ot_pool=_deterministic_pool()
+            )
+        restored = YaoEvaluatorSession.restore(
+            state, wide.circuit, dh_group, ot_pool=_deterministic_pool()
+        )
+        assert restored.snapshot() == state
 
 
 class TestSessionStateValidation:

@@ -9,6 +9,9 @@ definition tests do — and exist so that a later rewrite meant to keep the
 bytes can show it did, without a second implementation in ``src/``.  A change
 that means to move them re-pins them once and bumps ``OT_POOL_STATE_VERSION``
 / ``YAO_STATE_VERSION``, because snapshots written before it stop resuming.
+A change of circuit *shape* alone re-pins that shape's digests and bumps the
+session state versions that embed the circuit (``parent_spam32`` shows the
+derivation itself did not move).
 """
 
 import hashlib
@@ -28,9 +31,9 @@ from repro.crypto.garbled import LABEL_BYTES, GarbledTables, decode_outputs, eva
 from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
 from repro.crypto.prg import Prg, prf
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
-from repro.exceptions import OTError, ParameterError, ProtocolAbort
+from repro.exceptions import OTError, ParameterError, ProtocolAbort, ProtocolError
 from repro.twopc.wire import SessionState, WireCodec
-from repro.utils.bitops import xor_bytes
+from repro.utils.bitops import int_to_bits, xor_bytes
 
 
 def _digest(*parts: bytes) -> str:
@@ -62,16 +65,25 @@ def _garbling_digests(circuit, seed: bytes) -> dict[str, str]:
 
 GARBLING_PINS = {
     "spam32": {
+        "tables": "e3e02ab37ab5704759432dd7fc7d153252429422f829c66b16ac103b4136a921",
+        "zero_labels": "9e3c67f7d1a95fd13249946dfb0e73ed4e426a4148329d27988d0a8c58103455",
+        "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
+        "outputs": "22cdf81f0b771bc5558d38522b52a57c97da3534c828c21965e343962c8f9b5e",
+    },
+    "topic32x10x8": {
+        "tables": "b45f9ef4f8c7d9ac9749c927d8f9b43ad126f1636f2feb9c5cff77183ae4903b",
+        "zero_labels": "45c5559d950c960a5a6c565f31bb7ab4d6c200cb7c1c349f2c6776801b81a6f8",
+        "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
+        "outputs": "864d05aae2a119d9d636021f6d562162d6afe0a15680749745fc72f174824f5e",
+    },
+    # The spam circuit of commit 0c36dc6, rebuilt from the test-local copy
+    # below: its digests are that commit's "spam32" pins, so the gadgets and
+    # the label stream did not move — only the circuit shapes did.
+    "parent_spam32": {
         "tables": "6b43d108468996afe725de85a47d6bf8d0227ef487f0d8b0167d535f7692d08c",
         "zero_labels": "93c56741fd8f3c1c3373c7864a5156134db9a2f18be78992e22ad6eb221aaf55",
         "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
         "outputs": "f92438a1a9428eed74790d8c9c25095fb8603a25dadfbad4aadfd1ecac04e6ca",
-    },
-    "topic32x10x8": {
-        "tables": "7dd088a9c2f2d31c56b3e21450279a6e8637b25fb9177a6d4b3ea68ca6b37547",
-        "zero_labels": "89b6c4d6995cdd3938fc11b561dde539e237f0ae4623b603b66696b699532c84",
-        "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
-        "outputs": "93a3b4e70beeb105a64eae7b39750b0f0a36178d34bf853c4da2f2a9de17257c",
     },
 }
 
@@ -79,9 +91,10 @@ GARBLING_PINS = {
 @pytest.mark.parametrize("name", sorted(GARBLING_PINS))
 def test_garbling_bytes_are_pinned(name):
     circuit = {
-        "spam32": lambda: SpamCircuit.build(32),
-        "topic32x10x8": lambda: TopicCircuit.build(32, 10, 8),
-    }[name]().circuit
+        "spam32": lambda: SpamCircuit.build(32).circuit,
+        "topic32x10x8": lambda: TopicCircuit.build(32, 10, 8).circuit,
+        "parent_spam32": lambda: _parent_spam_circuit(32),
+    }[name]()
     assert _garbling_digests(circuit, seed=b"symmetric-floor-pin") == GARBLING_PINS[name]
 
 
@@ -464,8 +477,8 @@ def sha256_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: SpamCircuit.build(27), lambda: TopicCircuit.build(27, 10, 8), lambda: TopicCircuit.build(8, 3, 2)],
-    ids=["spam27", "topic27x10x8", "topic8x3x2"],
+    [lambda: SpamCircuit.build(28), lambda: TopicCircuit.build(27, 10, 8), lambda: TopicCircuit.build(8, 3, 2)],
+    ids=["spam28", "topic27x10x8", "topic8x3x2"],
 )
 def test_hash_budgets_are_exact(build, sha256_calls):
     circuit = build().circuit
@@ -504,8 +517,8 @@ def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_hash
         replace(tables, rows=tables.rows + bytes(4 * LABEL_BYTES)),
         foreign,
     ]
-    garbler_labels = garbling.input_labels(circuit.garbler_inputs, [0] * 64)
-    evaluator_labels = garbling.input_labels(circuit.evaluator_inputs, [1] * 64)
+    garbler_labels = garbling.input_labels(circuit.garbler_inputs, [0] * 32)
+    evaluator_labels = garbling.input_labels(circuit.evaluator_inputs, [1] * 32)
     sha256_calls.clear()
     for bad in refused:
         with pytest.raises(ProtocolAbort, match="AND gate"):
@@ -518,10 +531,12 @@ def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_hash
 # ---------------------------------------------------------------------------
 # A peer still on the previous derivations fails closed
 #
-# There is no negotiation layer: the gadgets and the column streams changed
-# without a wire-format change, so a mixed pair exchanges well-formed frames.
-# What must hold is that it ends in ``ProtocolAbort`` — never in a verdict.
-# The copies below are the previous build's derivations, kept here only.
+# There is no negotiation layer: the gadgets, the column streams and the spam
+# circuit's shape changed without a wire-format change, so a mixed pair
+# exchanges well-formed frames.  What must hold is that it ends in a refusal
+# (``ProtocolAbort``, or ``OTError`` when the transfer counts already differ)
+# — never in a verdict.  The copies below are earlier builds' derivations,
+# kept here only.
 # ---------------------------------------------------------------------------
 class _TwoAndBuilder(CircuitBuilder):
     """The two-ANDs-per-bit gadgets this build replaced."""
@@ -551,8 +566,9 @@ class _TwoAndBuilder(CircuitBuilder):
         return gt
 
 
-def _previous_spam_circuit(width: int) -> Circuit:
-    builder = _TwoAndBuilder()
+def _parent_spam_circuit(width: int, builder: CircuitBuilder | None = None) -> Circuit:
+    """The spam circuit of commit 0c36dc6: unblind two scores, compare them (3w - 2 ANDs)."""
+    builder = builder or CircuitBuilder()
     blinded_spam, blinded_ham = builder.garbler_input(width), builder.garbler_input(width)
     noise_spam, noise_ham = builder.evaluator_input(width), builder.evaluator_input(width)
     return builder.build(
@@ -563,6 +579,20 @@ def _previous_spam_circuit(width: int) -> Circuit:
             )
         ]
     )
+
+
+def _previous_spam_circuit(width: int) -> Circuit:
+    """The same shape on the two-AND gadgets before it."""
+    return _parent_spam_circuit(width, _TwoAndBuilder())
+
+
+def _parent_spam_bits(width: int, first: int, second: int) -> list[int]:
+    return int_to_bits(first, width) + int_to_bits(second, width)
+
+
+# (garbler bits, evaluator bits) whose output is [1] on either shape at w = 32.
+PARENT_SHAPE_INPUTS = (_parent_spam_bits(32, 1500, 700), _parent_spam_bits(32, 200, 300))
+MARGIN_SHAPE_INPUTS = (int_to_bits(1500, 32), int_to_bits(1500 - 2**31, 32))
 
 
 class _PerBatchHmacStream:
@@ -579,15 +609,14 @@ class _PerBatchHmacStream:
         ).reshape(count, KAPPA // 8)
 
 
-def _run_spam_yao(garbler_circuit, evaluator_circuit, pool):
-    """Pump one pooled spam comparison by hand; returns the evaluator's output bits."""
-    shape = SpamCircuit.build(32)
+def _run_spam_yao(garbler_circuit, evaluator_circuit, pool, garbler_inputs, evaluator_inputs):
+    """Pump one pooled spam Yao run by hand; returns the evaluator's output bits."""
+    garbler_bits, _ = garbler_inputs
+    _, evaluator_bits = evaluator_inputs
     garbler = YaoGarblerSession(
-        garbler_circuit, shape.garbler_bits(1500, 700), None, ot_pool=pool, garble_seed=b"m" * 32
+        garbler_circuit, garbler_bits, None, ot_pool=pool, garble_seed=b"m" * 32
     )
-    evaluator = YaoEvaluatorSession(
-        evaluator_circuit, shape.evaluator_bits(200, 300), None, ot_pool=pool
-    )
+    evaluator = YaoEvaluatorSession(evaluator_circuit, evaluator_bits, None, ot_pool=pool)
     to_evaluator, to_garbler = garbler.start(), evaluator.start()
     while to_evaluator or to_garbler:
         replies = [reply for frame in to_garbler for reply in garbler.handle(frame)]
@@ -598,21 +627,62 @@ def _run_spam_yao(garbler_circuit, evaluator_circuit, pool):
 
 
 def test_the_previous_gadgets_compute_the_same_function_with_twice_the_gates():
-    current, previous = SpamCircuit.build(32).circuit, _previous_spam_circuit(32)
-    assert (current.and_count, previous.and_count) == (94, 191)
-    assert (current.garbler_inputs, current.evaluator_inputs) == (
+    one_and, previous = _parent_spam_circuit(32), _previous_spam_circuit(32)
+    assert (one_and.and_count, previous.and_count) == (94, 191)
+    assert (one_and.garbler_inputs, one_and.evaluator_inputs) == (
         previous.garbler_inputs, previous.evaluator_inputs
     )
-    assert _run_spam_yao(current, current, _pinned_pool()) == [1]
-    assert _run_spam_yao(previous, previous, _pinned_pool()) == [1]
+    inputs = (PARENT_SHAPE_INPUTS, PARENT_SHAPE_INPUTS)
+    assert _run_spam_yao(one_and, one_and, _pinned_pool(), *inputs) == [1]
+    assert _run_spam_yao(previous, previous, _pinned_pool(), *inputs) == [1]
 
 
 @pytest.mark.parametrize("new_side", ["garbler", "evaluator"])
 def test_a_peer_on_the_previous_gadgets_aborts(new_side):
-    current, previous = SpamCircuit.build(32).circuit, _previous_spam_circuit(32)
-    circuits = (current, previous) if new_side == "garbler" else (previous, current)
+    one_and, previous = _parent_spam_circuit(32), _previous_spam_circuit(32)
+    circuits = (one_and, previous) if new_side == "garbler" else (previous, one_and)
     with pytest.raises(ProtocolAbort):
-        _run_spam_yao(*circuits, _pinned_pool())
+        _run_spam_yao(*circuits, _pinned_pool(), PARENT_SHAPE_INPUTS, PARENT_SHAPE_INPUTS)
+
+
+def test_the_margin_shape_runs_through_yao():
+    circuit = SpamCircuit.build(32).circuit
+    inputs = (MARGIN_SHAPE_INPUTS, MARGIN_SHAPE_INPUTS)
+    assert _run_spam_yao(circuit, circuit, _pinned_pool(), *inputs) == [1]
+
+
+def test_tables_of_the_parent_spam_shape_abort_this_evaluator():
+    # dot_product_bits = 27: the parent garbled a two-word 27-bit circuit,
+    # this build one 28-bit word.  Let this build's OT finish, then deliver
+    # the parent's tables in the garbled-circuit frame.
+    current, parent = SpamCircuit.build(28), _parent_spam_circuit(27)
+    pool = _pinned_pool()
+    garbler = YaoGarblerSession(
+        current.circuit, current.garbler_bits(5), None, ot_pool=pool, garble_seed=b"m" * 32
+    )
+    evaluator = YaoEvaluatorSession(current.circuit, current.evaluator_bits(3), None, ot_pool=pool)
+    (columns,) = evaluator.start()
+    assert garbler.start() == []
+    pairs, tables_frame = garbler.handle(columns)
+    assert evaluator.handle(pairs) == []
+    parent_tables = garble(parent, seed=b"m" * 32).tables
+    with pytest.raises(ProtocolAbort, match="AND gate"):
+        evaluator.handle(replace(tables_frame, tables=parent_tables))
+    assert not evaluator.finished and evaluator.output_bits is None
+
+
+@pytest.mark.parametrize("new_side", ["garbler", "evaluator"])
+def test_a_peer_on_the_parent_spam_shape_is_refused(new_side):
+    # 2 · 27 transfers on one side, 28 on the other: the OT refuses first.
+    current, parent = SpamCircuit.build(28).circuit, _parent_spam_circuit(27)
+    margin_inputs = (int_to_bits(5, 28), int_to_bits(3, 28))
+    parent_inputs = (_parent_spam_bits(27, 5, 6), _parent_spam_bits(27, 1, 2))
+    if new_side == "garbler":
+        arguments = (current, parent, _pinned_pool(), margin_inputs, parent_inputs)
+    else:
+        arguments = (parent, current, _pinned_pool(), parent_inputs, margin_inputs)
+    with pytest.raises(ProtocolError):
+        _run_spam_yao(*arguments)
 
 
 @pytest.mark.parametrize("new_side", ["sender", "receiver"])
@@ -628,7 +698,7 @@ def test_a_peer_on_the_previous_column_derivation_aborts(new_side):
     # The OT hands the evaluator labels that are neither of a wire's two, so
     # the output label authenticates to nothing.
     with pytest.raises(ProtocolAbort, match="does not decode"):
-        _run_spam_yao(circuit, circuit, pool)
+        _run_spam_yao(circuit, circuit, pool, MARGIN_SHAPE_INPUTS, MARGIN_SHAPE_INPUTS)
 
 
 @pytest.mark.parametrize("length", [1, 16, 32, 33, 70])

@@ -66,7 +66,7 @@ schemeless_codec = WireCodec()
 
 
 def _score_samples(scheme, keys):
-    """Two honest score samples: a candidate's run of 1 and spam's run of 2."""
+    """Two honest score samples: a candidate's run of 1 and a two-slot run."""
     source = scheme.encrypt_slots(keys.public, [7, 11, 13])
     n = scheme.num_slots
     return tuple(
