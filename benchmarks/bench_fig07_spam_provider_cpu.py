@@ -12,8 +12,9 @@ import pytest
 
 from benchmarks.conftest import make_email_features, make_quantized_model, print_table
 from repro.classify.model import LinearModel
+from repro.twopc.blinding import blind_dot_products
 from repro.twopc.noprv import NoPrivClassifier
-from repro.twopc.spam import SpamFilterProtocol
+from repro.twopc.spam import MARGIN_COLUMN, SpamFilterProtocol
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +51,13 @@ def test_fig07_private_provider_cpu(benchmark, protocols, arm):
     model_features = protocols["model"]
     sparse = model_features.sparse_features(features)
     dot = setup.encrypted_model.dot_products(sparse)
-    # The provider decrypts every returned ciphertext, so benchmark the
-    # batched decryption of the whole result, not a single ciphertext.
-    benchmark(scheme.decrypt_slots_many, setup.keypair, dot.all_ciphertexts())
+    # The provider decrypts what the client sends: the blinded result — a
+    # one-slot score sample for Pretzel, whole ciphertexts for Baseline.
+    blinded = blind_dot_products(
+        scheme, setup.keypair.public, setup.encrypted_model, dot, [MARGIN_COLUMN],
+        dot_bits=model_features.dot_product_bits + 1,
+    )
+    benchmark(scheme.decrypt_slots_many, setup.keypair, blinded.ciphertexts)
     print_table(
         f"Fig. 7 (spam provider CPU, {arm}) — full-protocol split for one email",
         ["arm", "provider_ms", "client_ms", "network_KB"],

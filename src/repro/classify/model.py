@@ -168,9 +168,19 @@ class QuantizedLinearModel:
         More than ``max_features_per_email`` in-vocabulary features are
         refused: ``dot_product_bits`` — the width of the Yao circuit — holds a
         score only within that budget, and a wider one would wrap silently.
+        So are indices and counts that are not integers (``bool`` and
+        ``float`` included; numpy integers are integers).
         """
         pairs = []
         for index, count in features.items():
+            # A fractional index or count would become a wrong row or frequency;
+            # `type(...) is int` is exact, so it refuses bool too.
+            if (type(index) is not int and not isinstance(index, np.integer)) or (
+                type(count) is not int and not isinstance(count, np.integer)
+            ):
+                raise ClassifierError(
+                    f"feature {index!r}: {count!r} is not an integer index and count"
+                )
             if 0 <= index < self.num_features:
                 clipped = self.clip_frequency(count)
                 if clipped:

@@ -176,7 +176,8 @@ class AHEScheme(ABC):
 
     def ciphertext_run(self, ciphertext: AHECiphertext) -> tuple[int, int]:
         """The ``(start, length)`` slot run *ciphertext* decrypts to: every slot,
-        unless it is a score sample (:meth:`blind_samples`)."""
+        unless it is a score sample (:meth:`blind_samples`) or a dot product
+        computed on a run (:meth:`combine_windows`)."""
         return 0, self.num_slots
 
     # -- batched accumulation (optional fast path) -------------------------
@@ -196,9 +197,16 @@ class AHEScheme(ABC):
         raise ParameterError(f"{self.name} does not support batched accumulation")
 
     def combine_windows(
-        self, stack: Any, rows: Sequence[int], scalars: Sequence[int], shifts: Sequence[int]
+        self,
+        stack: Any,
+        rows: Sequence[int],
+        scalars: Sequence[int],
+        shifts: Sequence[int],
+        run: tuple[int, int],
     ) -> AHECiphertext:
-        """Homomorphically compute ``Σ_i scalars[i] · x^shifts[i] · stack[rows[i]]``."""
+        """Homomorphically compute ``Σ_i scalars[i] · x^shifts[i] · stack[rows[i]]``;
+        the result need answer only on the slot run ``(start, length)`` the
+        caller opens (:meth:`ciphertext_run`)."""
         raise ParameterError(f"{self.name} does not support batched accumulation")
 
     # -- wire codecs -------------------------------------------------------

@@ -25,9 +25,13 @@ Encryption runs one forward transform of ``u`` and one inverse transform of
 encryption — and adds ``t·e1 + m`` and ``t·e2`` as coefficients.
 :meth:`BVScheme.stack_ciphertexts` lays each model ciphertext out once as a
 ``[−C | C]`` block whose window ``[n − s, 2n − s)`` is ``x^s · C``, wrap and
-sign included; :meth:`BVScheme.combine_windows` then evaluates a whole dot
-product as one gather of windows, one integer ``einsum`` with the
-frequencies and one ``%`` — no transform.  Spectra appear lazily where
+sign included; :meth:`BVScheme.combine_windows` then evaluates a dot product
+as a gather of windows, an integer ``einsum`` with the frequencies and a
+``%`` — no transform.  It computes ``c1`` in full but ``c0`` **only on the
+slot run the provider will open** (one coefficient for spam, the output
+region for topics): ``n``-wide windows for ``c1``, run-wide windows for
+``c0``.  Such a result (:class:`BVRunPayload`) answers only inside its run;
+whatever would read ``c0`` elsewhere refuses it.  Spectra appear lazily where
 something asks for them: the wire form, and the decryption of a *whole*
 ciphertext, which runs one inverse transform and one vectorised CRT.
 
@@ -38,17 +42,23 @@ ciphertext but a :class:`BVSamplePayload` — ``c1``'s spectra plus the ``c0``
 coefficients of the one contiguous slot run the protocol reads
 (:meth:`BVScheme.blind_samples`).  The shifted source is a window of its
 coefficients, so ``c1`` is one forward transform over ``(u, x^shift·c1_src +
-t·e2)`` plus ``p1̂·û``, and the run of ``c0`` is the run of the source's window
-plus ``t·e1``, the message, and the run of ``p0·u``.  Coefficient ``j`` of an
+t·e2)`` plus ``p1̂·û``, and the run of ``c0`` is a run-wide window of the
+source's ``c0`` — which a client's result holds on that run alone, so the
+read must stay inside it — plus ``t·e1``, the message, and the run of
+``p0·u``.  Coefficient ``j`` of an
 inverse transform is an inner product with ``n⁻¹`` times the spectrum of
 ``x^{-j} = -x^{n-j}`` (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`),
 so ``p0·u`` is never formed as a polynomial, and the provider decrypts
 ``c0[j] + ⟨ĉ1, ŝ ⊙ row_j⟩`` per prime with no inverse transform and a CRT
 over the run alone.  The provider's view (``c1`` in full, the run of ``c0``)
 is a strict subset of the blinded whole ciphertext it replaces, with ``(u,
-e1, e2)`` fresh per sample, so no assumption is added; the slots that never
-leave need no noise.  Caches: per ring, the plan's monomial spectra (one
-``(primes, n)`` row per opened slot or evaluation-domain shift, at most
+e1, e2)`` fresh per sample, so no assumption is added *relative to that
+ciphertext*; the slots that never leave need no noise.  This compares views
+of the slot only: the provider holds ``s``, so an opened coefficient also
+shows it the phase noise beneath the slot, and whether that noise reveals
+the email is open (``twopc/blinding.py``).  Caches: per ring, the plan's
+monomial spectra (one ``(primes, n)`` row per opened slot or
+evaluation-domain shift, at most
 ``2n`` rows, shared by every scheme over the same primes); per scheme, two
 residue tables of ``3`` and ``2·noise_bound + 1`` columns; per key pair,
 nothing (``ŝ ⊙ row_j`` is ``n`` multiplications, recomputed per batch).
@@ -136,6 +146,27 @@ class BVSamplePayload:
     """
 
     c1: np.ndarray
+    start: int
+    c0: np.ndarray
+
+    @property
+    def run(self) -> tuple[int, int]:
+        return self.start, self.c0.shape[-1]
+
+
+@dataclass
+class BVRunPayload:
+    """A dot product computed on one slot run: all of ``c1``, ``c0`` at the run only.
+
+    What :meth:`BVScheme.combine_windows` returns for a run narrower than the
+    ring.  ``c1`` is a coefficient-domain polynomial, ``c0`` the ``(primes,
+    length)`` coefficients of the run.  Decryption yields the run's values;
+    whatever would read ``c0`` elsewhere (:meth:`BVScheme.blind_samples`
+    outside the run, ``add``, ``scalar_mul``, ``shift_up``, the wire codec)
+    refuses it.
+    """
+
+    c1: RingPolynomial
     start: int
     c0: np.ndarray
 
@@ -329,8 +360,9 @@ class BVScheme(AHEScheme):
 
         Score samples of one run decrypt together as
         ``c0[j] + (c1·s)[j]`` — inner products, no inverse transform and a CRT
-        over the run only — and yield the run's values; full ciphertexts
-        yield all ``n`` slots.
+        over the run only — and yield the run's values, as does a dot product
+        computed on a run (:class:`BVRunPayload`, whose ``c1`` pays one forward
+        transform); full ciphertexts yield all ``n`` slots.
         """
         secret: BVSecret = keypair.secret.payload
         ring = self.ring
@@ -339,20 +371,25 @@ class BVScheme(AHEScheme):
         forms: dict[tuple[int, int] | None, list[int]] = {}
         for position, ciphertext in enumerate(ciphertexts):
             payload = ciphertext.payload
-            run = payload.run if isinstance(payload, BVSamplePayload) else None
+            run = None if isinstance(payload, BVCiphertextPayload) else payload.run
             forms.setdefault(run, []).append(position)
         slot_lists: list[list[int]] = [[]] * len(ciphertexts)
         for run, positions in forms.items():
-            members = [ciphertexts[position] for position in positions]
+            members = [ciphertexts[position].payload for position in positions]
             if run is None:
-                c0 = np.stack([member.payload.c0.spectra for member in members])
-                c1 = np.stack([member.payload.c1.spectra for member in members])
+                c0 = np.stack([member.c0.spectra for member in members])
+                c1 = np.stack([member.c1.spectra for member in members])
                 phases = ring.inverse_transform(
                     (c0 + c1 * secret.s.spectra % primes_column) % primes_column
                 )
             else:
-                c0 = np.stack([member.payload.c0 for member in members])
-                c1 = np.stack([member.payload.c1 for member in members])
+                c0 = np.stack([member.c0 for member in members])
+                c1 = np.stack(
+                    [
+                        member.c1 if isinstance(member, BVSamplePayload) else member.c1.spectra
+                        for member in members
+                    ]
+                )
                 phases = (
                     c0 + ring.coefficient_run(c1, *run, weight=secret.s.spectra)
                 ) % primes_column
@@ -361,16 +398,25 @@ class BVScheme(AHEScheme):
         return slot_lists
 
     # -- homomorphic operations ----------------------------------------------------
+    def _whole(self, ciphertext: AHECiphertext) -> BVCiphertextPayload:
+        """The payload of a whole ciphertext; one that covers only a slot run is refused."""
+        payload = ciphertext.payload
+        if not isinstance(payload, BVCiphertextPayload):
+            raise ParameterError(
+                f"a ciphertext on slot run {payload.run} has no whole c0 to operate on"
+            )
+        return payload
+
     def add(self, left: AHECiphertext, right: AHECiphertext) -> AHECiphertext:
-        lp: BVCiphertextPayload = left.payload
-        rp: BVCiphertextPayload = right.payload
+        lp = self._whole(left)
+        rp = self._whole(right)
         payload = BVCiphertextPayload(c0=lp.c0.add(rp.c0), c1=lp.c1.add(rp.c1))
         return AHECiphertext(self.name, payload, self.ciphertext_size_bytes())
 
     def scalar_mul(self, ciphertext: AHECiphertext, scalar: int) -> AHECiphertext:
         if scalar < 0:
             raise ParameterError("scalar must be non-negative")
-        payload: BVCiphertextPayload = ciphertext.payload
+        payload = self._whole(ciphertext)
         result = BVCiphertextPayload(
             c0=payload.c0.scalar_multiply(scalar),
             c1=payload.c1.scalar_multiply(scalar),
@@ -394,7 +440,8 @@ class BVScheme(AHEScheme):
         which only ``c1`` and the run of ``c0`` are ever computed.  The
         sources are read as coefficients (a whole-ciphertext source from the
         wire is inverse-transformed once, lazily), and ``x^shift · source`` is
-        one gather of ``[−C | C]`` windows (:meth:`stack_ciphertexts`):
+        a gather of ``[−C | C]`` windows (:meth:`stack_ciphertexts`) — ``n``
+        wide for ``c1``, run-wide for ``c0``:
 
         * one forward transform over ``(u, x^shift·c1_src + t·e2)`` —
           ``2·len(sources)`` polynomials; ``e1`` and the message exist at the
@@ -403,6 +450,10 @@ class BVScheme(AHEScheme):
         * ``c0[j] = (x^shift·c0_src)[j] + (p0·u)[j] + t·e1[j] + noise[j]`` for
           ``j`` in the run: the first term read off the window, the second an
           inner product (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
+
+        A source computed on a run (:class:`BVRunPayload`) has ``c0`` there
+        only, so a sample whose run, shifted back by its shift, leaves the
+        source's run is refused; a whole ciphertext's run is ``(0, n)``.
 
         Randomness is one bulk read: per sample ``n`` bytes of ternary ``u``
         then ``2n`` of ``e2``, for all samples, followed by two bytes of
@@ -420,15 +471,24 @@ class BVScheme(AHEScheme):
         for start, length in runs:
             if not 0 <= start < start + length <= n:
                 raise ParameterError(f"slot run ({start}, {length}) outside [0, {n})")
+        sources = np.asarray(sources, dtype=np.intp)
+        shifts = np.asarray(shifts, dtype=np.intp)
+        for source, shift, (start, length) in zip(sources, shifts, runs):
+            first, width = self.ciphertext_run(ciphertexts[source])
+            read = start - shift
+            if width < n and not first <= read < read + length <= first + width:
+                raise ParameterError(
+                    f"slot run ({start}, {length}) at shift {shift} reads c0 slots "
+                    f"[{read}, {read + length}) of a source computed on run ({first}, {width})"
+                )
         ends = np.cumsum([length for _, length in runs])
         noise = np.asarray(noise)
         if noise.shape != (ends[-1],) or noise.dtype.kind not in "iu":
             raise ParameterError("blinding noise must be one integer per run slot")
         if int(noise.min()) < 0 or int(noise.max()) >= self.slot_modulus:
             raise ParameterError(f"slot value outside [0, 2^{self.slot_bits})")
-        shifted = self._windows_at(
-            self.stack_ciphertexts(ciphertexts), np.asarray(sources), np.asarray(shifts)
-        )
+        stack = self.stack_ciphertexts(ciphertexts)
+        c1_shifted = self._windows_at(stack[:, 1], sources, shifts, (0, n))
         head = 3 * n * count
         size = head + 2 * int(ends[-1])
         raw = secure_bytes(size) if prg is None else prg.read(size)
@@ -443,7 +503,7 @@ class BVScheme(AHEScheme):
                 [
                     self._ternary_residues[:, block[:, :n] % np.uint8(3)],
                     self._scaled_noise_residues[:, e2_raw % spread]
-                    + shifted[:, 1].swapaxes(0, 1),
+                    + c1_shifted.swapaxes(0, 1),
                 ],
                 axis=1,
             ).swapaxes(0, 1)
@@ -458,7 +518,9 @@ class BVScheme(AHEScheme):
             by_run.setdefault(tuple(run), []).append(position)
         for (start, length), positions in by_run.items():
             p0u = ring.coefficient_run(u_s[positions], start, length, weight=public.p0.spectra)
-            source_run = shifted[positions, 0, :, start : start + length]
+            source_run = self._windows_at(
+                stack[:, 0], sources[positions], shifts[positions], (start, length)
+            )
             for row, position in zip(p0u + source_run, positions):
                 end = ends[position]
                 run_c0 = (row + at_run[:, end - length : end]) % primes_column
@@ -470,9 +532,9 @@ class BVScheme(AHEScheme):
 
     def ciphertext_run(self, ciphertext: AHECiphertext) -> tuple[int, int]:
         payload = ciphertext.payload
-        if isinstance(payload, BVSamplePayload):
-            return payload.run
-        return 0, self.ring.n
+        if isinstance(payload, BVCiphertextPayload):
+            return 0, self.ring.n
+        return payload.run
 
     def shift_up(self, ciphertext: AHECiphertext, positions: int) -> AHECiphertext:
         """Move slot ``i`` to slot ``i + positions`` via multiplication by ``x^positions``.
@@ -483,7 +545,7 @@ class BVScheme(AHEScheme):
         """
         if positions < 0:
             raise ParameterError("shift amount must be non-negative")
-        payload: BVCiphertextPayload = ciphertext.payload
+        payload = self._whole(ciphertext)
         result = BVCiphertextPayload(
             c0=payload.c0.monomial_multiply(positions),
             c1=payload.c1.monomial_multiply(positions),
@@ -498,25 +560,42 @@ class BVScheme(AHEScheme):
         ``c1`` alike: coefficient ``j ≥ s`` is ``C[j − s]``, and one below
         ``s`` has wrapped past the top and comes back negated, ``−C[j − s + n]``
         (``x^n = −1``).  Residues are below 2^31, so the uint32 blocks take
-        the bytes of the int64 coefficients they are built from.
+        the bytes of the int64 coefficients they are built from.  A dot
+        product computed on a run (:class:`BVRunPayload`) fills its ``c0``
+        half at that run and zeros elsewhere; :meth:`blind_samples`, which
+        stacks such sources, refuses to read ``c0`` outside the run.
         """
         n = self.ring.n
         stack = np.empty((len(ciphertexts), 2, len(self.ring.primes), 2 * n), dtype=np.uint32)
         for block, ciphertext in zip(stack, ciphertexts):
-            block[0, :, n:] = ciphertext.payload.c0.residues
-            block[1, :, n:] = ciphertext.payload.c1.residues
+            payload = ciphertext.payload
+            if isinstance(payload, BVRunPayload):
+                start, length = payload.run
+                block[0, :, n:] = 0
+                block[0, :, n + start : n + start + length] = payload.c0
+            else:
+                block[0, :, n:] = payload.c0.residues
+            block[1, :, n:] = payload.c1.residues
         primes = self.ring.primes_column.astype(np.uint32)
         negated = stack[..., :n]
         np.subtract(primes, stack[..., n:], out=negated)
         negated[negated == primes] = 0  # p − 0 is the residue 0
         return stack
 
-    def _windows_at(self, stack: np.ndarray, rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-        """``x^shifts[i] · stack[rows[i]]`` for every ``i`` as one gather, ``(terms, 2, primes, n)``."""
+    def _windows_at(
+        self, half: np.ndarray, rows: np.ndarray, shifts: np.ndarray, run: tuple[int, int]
+    ) -> np.ndarray:
+        """Slots *run* of ``x^shifts[i] · half[rows[i]]`` for every ``i``, one gather.
+
+        *half* is one half of a stack, ``(count, primes, 2n)``; slot ``j`` of
+        ``x^s · C`` is entry ``n − s + j`` of its block, so the run is the
+        run-wide window there.  Shape ``(terms, primes, length)``.
+        """
         n = self.ring.n
         if shifts.size and (shifts.min() < 0 or shifts.max() >= n):
             raise ParameterError("shift amounts must lie in [0, ring degree)")
-        return sliding_window_view(stack, n, axis=-1)[rows, :, :, n - shifts]
+        start, length = run
+        return sliding_window_view(half, length, axis=-1)[rows, :, n - shifts + start]
 
     def combine_windows(
         self,
@@ -524,16 +603,24 @@ class BVScheme(AHEScheme):
         rows: Sequence[int],
         scalars: Sequence[int],
         shifts: Sequence[int],
+        run: tuple[int, int],
     ) -> AHECiphertext:
-        """``Σ_i scalars[i] · x^shifts[i] · stack[rows[i]]`` as a coefficient-domain ciphertext.
+        """``Σ_i scalars[i] · x^shifts[i] · stack[rows[i]]``, with ``c0`` computed on *run* only.
 
-        One gather of ``(terms, 2, primes, n)`` windows, one integer
-        ``einsum`` with the scalars reduced per prime, one ``%``.  Window
-        entries and reduced scalars are below 2^31, so terms are summed in
-        chunks that cannot overflow int64; for the small frequencies of
-        Fig. 3's quantisation that is a single chunk.
+        ``c1`` is one gather of ``(terms, primes, n)`` windows and ``c0`` one
+        of ``(terms, primes, length)`` windows at the run, each summed by an
+        integer ``einsum`` with the scalars reduced per prime and one ``%``:
+        the result is a whole coefficient-domain ciphertext when *run* is
+        ``(0, n)`` and a :class:`BVRunPayload` otherwise.  Window entries and
+        reduced scalars are below 2^31, so terms are summed in chunks that
+        cannot overflow int64; for the small frequencies of Fig. 3's
+        quantisation that is a single chunk.
         """
         ring = self.ring
+        n = ring.n
+        start, length = run
+        if not 0 <= start < start + length <= n:
+            raise ParameterError(f"slot run ({start}, {length}) outside [0, {n})")
         rows = np.asarray(rows, dtype=np.intp)
         shifts = np.asarray(shifts, dtype=np.intp)
         if not len(rows) == len(scalars) == len(shifts):
@@ -544,13 +631,22 @@ class BVScheme(AHEScheme):
         ).reshape(len(rows), len(ring.primes))
         # A partial sum below p plus `chunk` terms below max(weights)·2^31 stays below 2^63.
         chunk = ((1 << 32) - 1) // max(1, int(weights.max(initial=0)))
-        total = np.zeros((2, len(ring.primes), ring.n), dtype=np.int64)
-        for start in range(0, len(rows), chunk):
-            terms = slice(start, start + chunk)
-            windows = self._windows_at(stack, rows[terms], shifts[terms])
-            total += np.einsum("thpn,tp->hpn", windows, weights[terms])
-            total %= ring.primes_column
-        return self._ciphertext(*total)
+        c0 = np.zeros((len(ring.primes), length), dtype=np.int64)
+        c1 = np.zeros((len(ring.primes), n), dtype=np.int64)
+        for first in range(0, len(rows), chunk):
+            terms = slice(first, first + chunk)
+            for total, half, window in ((c0, 0, run), (c1, 1, (0, n))):
+                total += np.einsum(
+                    "tpj,tp->pj",
+                    self._windows_at(stack[:, half], rows[terms], shifts[terms], window),
+                    weights[terms],
+                )
+                total %= ring.primes_column
+        if length == n:
+            return self._ciphertext(c0, c1)
+        # Never on the wire: only score samples blinded from it are.
+        payload = BVRunPayload(c1=RingPolynomial(ring, c1), start=start, c0=c0)
+        return AHECiphertext(self.name, payload, 0)
 
     def _ciphertext(self, c0: np.ndarray, c1: np.ndarray) -> AHECiphertext:
         """Wrap two coefficient-domain ``(primes, n)`` residue arrays as a ciphertext."""
@@ -577,7 +673,8 @@ class BVScheme(AHEScheme):
 
         A score sample is the second form: its header names the run, then
         ``c1``'s spectra and the run's ``c0`` coefficients follow —
-        ``13 + 4·primes·(n + length)`` bytes.
+        ``13 + 4·primes·(n + length)`` bytes.  A dot product computed on a
+        run is neither and is refused: only what is blinded from it leaves.
         """
         if ciphertext.scheme_name != self.name:
             raise ParameterError(f"cannot serialize a {ciphertext.scheme_name!r} ciphertext")
@@ -590,6 +687,7 @@ class BVScheme(AHEScheme):
                 *payload.run,
             )
             return header + payload.c1.astype(">u4").tobytes() + payload.c0.astype(">u4").tobytes()
+        payload = self._whole(ciphertext)
         header = struct.pack(self._WIRE_HEADER, self.ring.n, len(self.ring.primes))
         return (
             header

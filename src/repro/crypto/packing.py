@@ -29,8 +29,12 @@ all ``B`` columns together with the slot position of each column.  On
 XPIR-BV the model stays in the coefficient domain, where a row's
 realignment ``x^shift · C`` is a window of the ``[−C | C]`` block its
 ciphertext was stacked into once: an email's dot products are, per stack,
-one gather of windows and one integer sum weighted by the term frequencies
+a gather of windows and an integer sum weighted by the term frequencies
 (:meth:`~repro.crypto.bv.BVScheme.combine_windows`), with no transform.
+Each result's ``c1`` is computed in full but its ``c0`` only on
+:meth:`PackingLayout.result_runs` — the slots blinding opens (the output
+region of the leftover, every slot of a full segment) — so a result decrypts
+to, and answers for, that run alone.
 """
 
 from __future__ import annotations
@@ -88,8 +92,9 @@ class PackingLayout:
         """The ``(start, length)`` slot run that carries columns, per result ciphertext.
 
         Full segments use every slot; the leftover result carries its columns
-        in the output region and garbage below it.  Order follows
-        :meth:`DotProductCiphertexts.all_ciphertexts`.
+        in the output region and garbage below it.  This is what blinding
+        opens, and on XPIR-BV the only slots of ``c0`` a dot product computes.
+        Order follows :meth:`DotProductCiphertexts.all_ciphertexts`.
         """
         runs = [(0, self.slots_per_ciphertext)] * self.full_segments
         if self.leftover_columns:
@@ -145,9 +150,6 @@ class DotProductCiphertexts:
         if self.leftover_result is not None:
             results.append(self.leftover_result)
         return results
-
-    def network_bytes(self) -> int:
-        return sum(ct.size_bytes for ct in self.all_ciphertexts())
 
 
 class PackedLinearModel:
@@ -268,15 +270,26 @@ class PackedLinearModel:
         *sparse_features* yields ``(row_index, frequency)`` pairs for the
         non-zero entries of the email's feature vector; the prior/bias row
         (the last row of the matrix) is always added with frequency 1, as in
-        expressions (1) and (2) of the paper.
+        expressions (1) and (2) of the paper.  Rows and frequencies must be
+        integers (numpy integers included, ``bool`` and ``float`` not).
 
         When the scheme supports batched accumulation (XPIR-BV), the whole
         evaluation is a handful of vectorised array operations over the
-        stacked encrypted model; otherwise it falls back to the generic
-        ``scalar_mul``/``shift_up``/``add`` chain (Paillier).
+        stacked encrypted model, and each result's ``c0`` is computed only on
+        the slot run blinding opens (:meth:`PackingLayout.result_runs`);
+        otherwise it falls back to the generic ``scalar_mul``/``shift_up``/
+        ``add`` chain of whole ciphertexts (Paillier).
         """
         features = []
         for row_index, frequency in sparse_features:
+            # int() would truncate a fractional row or frequency into a wrong
+            # answer; `type(...) is int` is exact, so it refuses bool too.
+            if (type(row_index) is not int and not isinstance(row_index, np.integer)) or (
+                type(frequency) is not int and not isinstance(frequency, np.integer)
+            ):
+                raise PackingError(
+                    f"feature ({row_index!r}, {frequency!r}) is not a pair of integers"
+                )
             # The last row is the bias, added once below; it is not a feature.
             if not 0 <= row_index < self.layout.num_rows - 1:
                 raise PackingError(f"feature row {row_index} outside the model's feature rows")
@@ -344,9 +357,11 @@ class PackedLinearModel:
         rows = np.array([row for row, _ in features], dtype=np.intp)
         scalars = [frequency for _, frequency in features]
         unshifted = np.zeros_like(rows)
+        # Each result is computed on the run blinding opens: `c0` there only.
+        runs = self.layout.result_runs()
         segment_results = [
-            self.scheme.combine_windows(stack, rows, scalars, unshifted)
-            for stack in self._segment_stacks
+            self.scheme.combine_windows(stack, rows, scalars, unshifted, run)
+            for stack, run in zip(self._segment_stacks, runs)
         ]
         leftover_result = None
         if self.leftover is not None:
@@ -356,7 +371,7 @@ class PackedLinearModel:
             rows_per_ct = self.layout.rows_per_leftover_ciphertext
             shifts = (rows_per_ct - 1 - rows % rows_per_ct) * self.layout.leftover_columns
             leftover_result = self.scheme.combine_windows(
-                self._leftover_stack, rows // rows_per_ct, scalars, shifts
+                self._leftover_stack, rows // rows_per_ct, scalars, shifts, runs[-1]
             )
         return DotProductCiphertexts(
             layout=self.layout,
@@ -412,17 +427,17 @@ def decrypt_dot_products(
 
     The real protocols never decrypt unblinded results at the provider — the
     client blinds first (Fig. 2, step 2) — but unit tests use this to check
-    that packing preserves the plaintext dot products exactly.
+    that packing preserves the plaintext dot products exactly.  Each result
+    decrypts to its run (:meth:`~repro.crypto.ahe.AHEScheme.ciphertext_run`).
     """
     layout = result.layout
     ciphertexts = result.all_ciphertexts()
     decrypted = scheme.decrypt_slots_many(keypair, ciphertexts)
+    starts = [scheme.ciphertext_run(ciphertext)[0] for ciphertext in ciphertexts]
     values = []
     p = layout.slots_per_ciphertext
     for column in range(layout.num_columns):
         kind, where = layout.column_location(column)
-        if kind == "segment":
-            values.append(decrypted[column // p][column % p])
-        else:
-            values.append(decrypted[layout.full_segments][where])
+        at, slot = (column // p, column % p) if kind == "segment" else (layout.full_segments, where)
+        values.append(decrypted[at][slot - starts[at]])
     return values

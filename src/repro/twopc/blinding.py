@@ -19,12 +19,26 @@ columns and the Yao circuit removes it with a subtraction mod
 ``2^dot_bits``.  Security: the provider's view (``c1`` in full, the run of
 ``c0``) is a strict subset of a fully blinded ciphertext's, ``(u, e1, e2)``
 stay fresh per sample and the run's noise stays uniform, so nothing new is
-assumed; the slots that used to need full-range noise no longer leave the
-client.  The dot-product results are coefficient-domain, so the run of
-``x^shift·c0`` is read straight off the window ``[n − shift, 2n − shift)`` of
-``[−c0 | c0]``, and ``x^shift·c1`` joins ``t·e2`` before the one forward
-transform blinding runs; only ``p0·u`` is an inner product with a cached
-monomial spectrum (:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
+assumed *about the slot*; the slots that used to need full-range noise no
+longer leave the client.  That statement is about the slot, not the phase
+noise ``E`` beneath it: the provider holds ``s``, so decrypting an opened
+coefficient gives it ``m + t·E`` before the ``mod t``, and ``E`` is a sum of
+the email's frequencies times noises of model ciphertexts it encrypted itself,
+plus one fresh encryption's.  Whether ``E`` lets the provider test a guess
+about the email, and flooding it, are open questions, unmeasured here; the
+blinded whole ciphertext this replaces carries the same ``E``.  Paillier has
+no analogue: its decryption is exact, so nothing lies beneath a slot (its
+output slots' statistical hiding is the guard-bit matter below).
+
+The client's results are coefficient-domain and hold ``c0`` only on the run
+the protocol opens (:meth:`~repro.crypto.packing.PackingLayout.result_runs`):
+the run of ``x^shift·c0`` is read as a run-wide window at
+``n − shift + start`` of ``[−c0 | c0]`` and must lie inside that run — an
+extracted candidate reads its own slot of the output region, a result opened
+in place reads its whole run — and ``x^shift·c1`` joins ``t·e2`` before the
+one forward transform blinding runs; only ``p0·u`` is an inner product with a
+cached monomial spectrum
+(:meth:`~repro.crypto.ringlwe.RingContext.coefficient_run`).
 Blinding B' candidates is one forward transform over
 ``(u, x^shift·c1 + t·e2)`` — 2B' polynomials — and no other transform.
 Cached per ring: the monomial spectra (one ``(primes, n)`` row per opened

@@ -151,8 +151,10 @@ class TestBvSpecific:
         assert batched == [bv_scheme.decrypt_slots(bv_keys, ct) for ct in ciphertexts]
         assert bv_scheme.decrypt_slots_many(bv_keys, []) == []
 
-    def test_combine_windows_matches_operation_chain(self, bv_scheme, bv_keys):
+    @pytest.mark.parametrize("run", ["whole", "top", "first", "middle"])
+    def test_combine_windows_matches_operation_chain(self, bv_scheme, bv_keys, run):
         n = bv_scheme.num_slots
+        start, length = {"whole": (0, n), "top": (n - 1, 1), "first": (0, 3), "middle": (5, 40)}[run]
         ciphertexts = [
             bv_scheme.encrypt_slots(bv_keys.public, [2 + index, 30 + index] + [0] * (n - 3) + [9])
             for index in range(3)
@@ -161,28 +163,61 @@ class TestBvSpecific:
         # Repeated rows under different shifts, a repeated (row, shift) pair,
         # shift 0, and shift n - 1, which wraps every slot but the first.
         terms = [(0, 2, 0), (0, 1, 4), (1, 3, 2), (2, 1, 0), (0, 5, 4), (1, 1, n - 1)]
-        combined = bv_scheme.combine_windows(stack, *zip(*terms))
+        combined = bv_scheme.combine_windows(stack, *zip(*terms), (start, length))
         reference = None
         for row, scalar, shift in terms:
             term = bv_scheme.shift_up(bv_scheme.scalar_mul(ciphertexts[row], scalar), shift)
             reference = term if reference is None else bv_scheme.add(reference, term)
-        assert not combined.payload.c0.in_evaluation_domain
-        assert bv_scheme.serialize_ciphertext(combined) == bv_scheme.serialize_ciphertext(reference)
+        assert bv_scheme.ciphertext_run(combined) == (start, length)
+        assert not combined.payload.c1.in_evaluation_domain
+        whole = reference.payload
+        if run == "whole":
+            assert bv_scheme.serialize_ciphertext(combined) == bv_scheme.serialize_ciphertext(reference)
+        else:
+            assert np.array_equal(combined.payload.c1.residues, whole.c1.residues)
+            assert np.array_equal(combined.payload.c0, whole.c0.residues[:, start : start + length])
         assert bv_scheme.decrypt_slots(bv_keys, combined) == bv_scheme.decrypt_slots(
             bv_keys, reference
-        )
+        )[start : start + length]
 
     def test_combine_windows_of_no_terms_is_zero(self, bv_scheme, bv_keys):
         stack = bv_scheme.stack_ciphertexts([bv_scheme.encrypt_slots(bv_keys.public, [5])])
-        empty = bv_scheme.combine_windows(stack, [], [], [])
-        assert bv_scheme.decrypt_slots(bv_keys, empty) == [0] * bv_scheme.num_slots
+        n = bv_scheme.num_slots
+        for start, length in ((0, n), (n - 2, 2)):
+            empty = bv_scheme.combine_windows(stack, [], [], [], (start, length))
+            assert bv_scheme.decrypt_slots(bv_keys, empty) == [0] * length
 
     def test_combine_windows_validates_arguments(self, bv_scheme, bv_keys):
         stack = bv_scheme.stack_ciphertexts([bv_scheme.encrypt_slots(bv_keys.public, [5])])
         n = bv_scheme.num_slots
-        for rows, scalars, shifts in (([0], [1, 2], [0]), ([0], [1], [n]), ([0], [1], [-1])):
+        for rows, scalars, shifts, run in (
+            ([0], [1, 2], [0], (0, n)),
+            ([0], [1], [n], (0, n)),
+            ([0], [1], [-1], (0, n)),
+            ([0], [1], [0], (0, 0)),        # empty run
+            ([0], [1], [0], (n - 1, 2)),    # run past the top slot
+            ([0], [1], [0], (-1, 1)),
+        ):
             with pytest.raises(ParameterError):
-                bv_scheme.combine_windows(stack, rows, scalars, shifts)
+                bv_scheme.combine_windows(stack, rows, scalars, shifts, run)
+
+    def test_a_result_on_a_run_refuses_what_needs_a_whole_c0(self, bv_scheme, bv_keys):
+        """``add``, ``scalar_mul``, ``shift_up`` and the wire codec would read ``c0``
+        outside the run; each refuses rather than answer from coefficients never computed."""
+        n = bv_scheme.num_slots
+        source = bv_scheme.encrypt_slots(bv_keys.public, [7] * n)
+        stack = bv_scheme.stack_ciphertexts([source])
+        result = bv_scheme.combine_windows(stack, [0], [3], [0], (n - 4, 4))
+        assert bv_scheme.decrypt_slots(bv_keys, result) == [21] * 4
+        for refused in (
+            lambda: bv_scheme.add(result, source),
+            lambda: bv_scheme.add(source, result),
+            lambda: bv_scheme.scalar_mul(result, 2),
+            lambda: bv_scheme.shift_up(result, 1),
+            lambda: bv_scheme.serialize_ciphertext(result),
+        ):
+            with pytest.raises(ParameterError, match="slot run"):
+                refused()
 
     @given(
         shift=st.sampled_from([0, 1, 255]) | st.integers(0, 255),

@@ -16,6 +16,7 @@ module docstrings say it costs.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ def oracle_slots(scheme, keypair, source, shift, run, noise) -> list[int]:
     return scheme.decrypt_slots(keypair, scheme.add(shifted, fresh))[start : start + length]
 
 
+def whole_dot_products(model, features):
+    """The generic chain's result for *features*: whole ciphertexts, every slot
+    computed — what the oracles below shift, add and decrypt."""
+    return model._dot_products_generic(list(features) + [(model.layout.num_rows - 1, 1)])
+
+
 def blind_dot_products_reference(scheme, public_key, result, output_noise) -> BlindedResult:
     """The replaced path, one ciphertext at a time: every slot of every result
     ciphertext blinded and sent whole, the output slots with *output_noise*."""
@@ -210,12 +217,15 @@ def unblind_reference(blinded_value: int, noise: int, scheme) -> int:
     return (blinded_value - noise) % scheme.slot_modulus
 
 
+BLINDING_EMAIL = [(0, 2), (17, 1), (33, 3)]
+
+
 @pytest.fixture(scope="module")
 def blinding_setup(bv_scheme, bv_keys):
     rng = np.random.default_rng(31)
     matrix = rng.integers(0, 100, size=(40, 12)).tolist()
     model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=True)
-    result = model.dot_products([(0, 2), (17, 1), (33, 3)])
+    result = model.dot_products(BLINDING_EMAIL)
     return model, result
 
 
@@ -286,6 +296,32 @@ class TestScoreSamplesAgainstTheOracle:
             with pytest.raises(ParameterError):
                 blind(sources, shifts, runs, np.asarray(noise))
 
+    def test_a_read_outside_the_source_run_is_refused(self, bv_scheme, bv_keys, blinding_setup):
+        """The across-row result carries ``c0`` on its output region, slots
+        240–251 at n = 256, and nothing else: a sample that would read one slot
+        of ``c0`` beyond it is refused, one inside it is served."""
+        model, result = blinding_setup
+        n = bv_scheme.num_slots
+        (source,) = result.all_ciphertexts()
+        assert bv_scheme.ciphertext_run(source) == (240, 12)
+        blind = lambda shift, run: bv_scheme.blind_samples(  # noqa: E731
+            bv_keys.public, [source], [0], [shift], [run], np.zeros(run[1], dtype=np.int64)
+        )
+        for shift, run in (
+            (0, (0, 1)),            # slot 0, below the run
+            (0, (239, 2)),          # slot 239 and the run's first
+            (0, (251, 2)),          # the run's last and slot 252
+            (n - 1 - 239, (n - 1, 1)),   # extraction of slot 239
+            (n - 1 - 252, (n - 1, 1)),   # extraction of slot 252
+            (1, (240, 12)),         # the whole run, one slot too low
+        ):
+            with pytest.raises(ParameterError, match="computed on run"):
+                blind(shift, run)
+        inside = ((0, (240, 12)), (n - 1 - 240, (n - 1, 1)), (n - 1 - 251, (n - 1, 1)), (4, (250, 6)))
+        for shift, run in inside:
+            (sample,) = blind(shift, run)
+            assert bv_scheme.ciphertext_run(sample) == run
+
     @pytest.mark.parametrize("categories", [2, 12])
     def test_unblinded_samples_equal_the_integer_scores(self, ring_scheme, categories):
         """``(sample - recorded noise) mod 2^slot_bits`` is the plaintext score,
@@ -305,12 +341,13 @@ class TestScoreSamplesAgainstTheOracle:
         features = {3: 2, 17: 15, 44: 1, 59: 7}
         scores = quantized.integer_scores(features).tolist()
         result = model.dot_products(quantized.sparse_features(features))
+        whole = whole_dot_products(model, quantized.sparse_features(features))
         columns = list(range(categories))
 
         blinded = blind_dot_products(scheme, keys.public, model, result, columns, dot_bits=24)
         runs = score_runs(scheme, model)
         assert [scheme.ciphertext_run(ct) for ct in blinded.ciphertexts] == runs
-        reference = blind_dot_products_reference(scheme, keys.public, result, blinded.output_noise)
+        reference = blind_dot_products_reference(scheme, keys.public, whole, blinded.output_noise)
         for column in columns:
             at, slot, noise = blinded.output_noise[column]
             sample_slots = scheme.decrypt_slots(keys, blinded.ciphertexts[at])
@@ -323,7 +360,7 @@ class TestScoreSamplesAgainstTheOracle:
             scheme, keys.public, model, result, candidates, dot_bits=24
         )
         reference = blind_extracted_candidates_reference(
-            scheme, keys.public, model, result, candidates, extracted.output_noise
+            scheme, keys.public, model, whole, candidates, extracted.output_noise
         )
         top = scheme.num_slots - 1
         for position, column in enumerate(candidates):
@@ -348,7 +385,8 @@ class TestScoreSamplesAgainstTheOracle:
     ):
         """Replay ``blinding.py``'s canonical draw order from one seeded stream and
         rebuild every sample from the scheme's definition, whole polynomials and
-        all: ``c1`` and the run of ``c0`` must come out bit for bit."""
+        all (the generic chain's result as the source): ``c1`` and the run of
+        ``c0`` must come out bit for bit."""
         model, result = blinding_setup
         scheme, ring = bv_scheme, bv_scheme.ring
         n, t, bound = ring.n, scheme.slot_modulus, scheme.parameters.noise_bound
@@ -384,7 +422,7 @@ class TestScoreSamplesAgainstTheOracle:
         ]
         e1 = (np.frombuffer(stream.read(2 * total), dtype=">u2") % (2 * bound + 1)).astype(np.int64) - bound
         public = bv_keys.public.payload
-        sources = result.all_ciphertexts()
+        sources = whole_dot_products(model, BLINDING_EMAIL).all_ciphertexts()
         at = 0
         for (source, shift, (start, length)), (u, e2), sample in zip(picks, fresh, blinded.ciphertexts):
             payload = sources[source].payload
@@ -420,6 +458,83 @@ class TestScoreSamplesAgainstTheOracle:
         opened = bv_scheme.decrypt_slots_many(bv_keys, blinded.ciphertexts + spam_like)
         assert [len(slots) for slots in opened] == [1] * 5 + [2]
         assert transforms == []
+
+
+class TestBlindingReadsOnlyTheRun:
+    """The client's results carry ``c0`` on their result run only, so blinding
+    must read nothing else: over the legacy, across-row, ``B = p`` and
+    ``B = p + 19`` layouts, every ``c0`` slot a sample reads lies inside its
+    source's run, and the samples unblind to the plaintext scores."""
+
+    # name -> (columns relative to the slot count, across_rows)
+    LAYOUTS = {
+        "legacy": (lambda n: 3, False),
+        "across-row": (lambda n: 12, True),
+        "B=p": (lambda n: n, True),
+        "B=p+19": (lambda n: n + 19, True),
+    }
+
+    @pytest.fixture(scope="class")
+    def models(self, bv_scheme, bv_keys):
+        models = {}
+        for name, (columns, across_rows) in self.LAYOUTS.items():
+            matrix = np.random.default_rng(len(name)).integers(
+                0, 300, size=(30, columns(bv_scheme.num_slots))
+            )
+            models[name] = (
+                matrix,
+                PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=across_rows),
+            )
+        return models
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_read_is_inside_the_result_run(self, bv_scheme, bv_keys, models, data):
+        scheme, n = bv_scheme, bv_scheme.num_slots
+        matrix, model = models[data.draw(st.sampled_from(sorted(self.LAYOUTS)), label="layout")]
+        columns = matrix.shape[1]
+        email = data.draw(
+            st.lists(st.tuples(st.integers(0, len(matrix) - 2), st.integers(1, 15)), max_size=12),
+            label="email",
+        )
+        scores = matrix[-1] + sum((frequency * matrix[row] for row, frequency in email), 0)
+        picked = st.lists(st.integers(0, columns - 1), min_size=1, max_size=6)
+        outputs = data.draw(picked, label="output columns")
+        candidates = data.draw(picked, label="candidates")
+        result = model.dot_products(email)
+        result_runs = model.layout.result_runs()
+
+        reads = []
+        real = BVScheme.blind_samples
+
+        def spy(self, public_key, ciphertexts, sources, shifts, runs, noise, prg=None):
+            source_runs = [self.ciphertext_run(ciphertext) for ciphertext in ciphertexts]
+            for source, shift, (start, length) in zip(sources, shifts, runs):
+                # Slot j of x^shift · C reads c0 slot j − shift of C, mod n (the wrap).
+                slots = [(j - shift) % n for j in range(start, start + length)]
+                reads.append((source_runs[source], slots))
+            return real(self, public_key, ciphertexts, sources, shifts, runs, noise, prg)
+
+        with mock.patch.object(BVScheme, "blind_samples", spy):
+            blinded = blind_dot_products(scheme, bv_keys.public, model, result, outputs, dot_bits=24)
+            extracted = blind_extracted_candidates(
+                scheme, bv_keys.public, model, result, candidates, dot_bits=24
+            )
+        assert [scheme.ciphertext_run(ct) for ct in result.all_ciphertexts()] == result_runs
+        assert len(reads) == len(result_runs) + len(candidates)
+        for (first, width), slots in reads:
+            assert (first, width) in result_runs
+            assert all(first <= slot < first + width for slot in slots)
+
+        opened = scheme.decrypt_slots_many(bv_keys, blinded.ciphertexts)
+        for column in outputs:
+            at, slot, noise = blinded.output_noise[column]
+            value = opened[at][slot - result_runs[at][0]]
+            assert unblind_reference(value, noise, scheme) == scores[column]
+        opened = scheme.decrypt_slots_many(bv_keys, extracted.ciphertexts)
+        for column in candidates:
+            at, _, noise = extracted.output_noise[column]
+            assert unblind_reference(opened[at][0], noise, scheme) == scores[column]
 
 
 class TestBytePins:

@@ -141,6 +141,15 @@ class TestQuantizedLinearModel:
         pairs = quantized.sparse_features({1: 2, 999: 5})
         assert pairs == [(1, 2)]
 
+    def test_sparse_features_refuse_non_integers(self, models):
+        # Truncating {5.5: 1} to row 5 or {5: 1.7} to frequency 1 is a wrong answer.
+        _, quantized = models
+        for features in ({5.5: 1}, {5: 1.7}, {5: 2.0}, {True: 1}, {5: True}, {999.5: 1}):
+            with pytest.raises(ClassifierError, match="not an integer"):
+                quantized.sparse_features({3: 2, **features})
+        pairs = quantized.sparse_features({np.int64(5): np.uint8(2), np.int32(999): np.int64(1)})
+        assert pairs == [(5, 2)]
+
     def test_predict_is_spam_requires_two_categories(self, models):
         _, quantized = models
         with pytest.raises(ClassifierError):

@@ -15,6 +15,17 @@ def _reference_dot_products(matrix_rows, features):
     return list(scores)
 
 
+def assert_equal_on_the_run(scheme, batched, whole):
+    """*batched* is the whole ciphertext *whole* on what it computes: wire bytes
+    when its run is every slot, else ``c1`` byte for byte and ``c0`` on the run."""
+    start, length = scheme.ciphertext_run(batched)
+    if length == scheme.num_slots:
+        assert scheme.serialize_ciphertext(batched) == scheme.serialize_ciphertext(whole)
+        return
+    assert batched.payload.c1.spectra.tobytes() == whole.payload.c1.spectra.tobytes()
+    assert np.array_equal(batched.payload.c0, whole.payload.c0.residues[:, start : start + length])
+
+
 class TestPackingLayout:
     def test_across_row_geometry_small_b(self):
         layout = PackingLayout(num_columns=2, num_rows=101, slots_per_ciphertext=256, across_rows=True)
@@ -123,6 +134,17 @@ class TestPackedDotProducts:
             model.dot_products([(41, 1)])  # outside the matrix
         with pytest.raises(PackingError):
             model.dot_products([(-1, 1)])
+
+    def test_non_integer_features_rejected(self, bv_scheme, bv_keys, small_matrix):
+        # int() would have read (5, 1.7) and (5.5, 1) as (5, 1): a wrong answer.
+        model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, small_matrix, across_rows=True)
+        for feature in ((5, 1.7), (5.5, 1), (5, 2.0), (5.0, 1), (True, 1), (5, True), ("5", 1)):
+            with pytest.raises(PackingError, match="not a pair of integers"):
+                model.dot_products([(0, 1), feature])
+        numpy_typed = [(np.int64(5), np.uint8(2)), (np.int32(9), np.int64(1))]
+        assert decrypt_dot_products(
+            bv_scheme, bv_keys, model.dot_products(numpy_typed)
+        ) == _reference_dot_products(small_matrix, [(5, 2), (9, 1)])
 
     @pytest.mark.parametrize("across_rows", [True, False])
     def test_bias_row_is_not_a_feature(self, bv_scheme, bv_keys, small_matrix, across_rows):
@@ -285,7 +307,8 @@ class TestBatchedAccumulation:
     ):
         """Frequencies of 2^40 and 2^70 (reduced per prime to almost 2^31) over
         10^4 terms: the integer sum must be chunked, and the result must be the
-        generic chain's ciphertext byte for byte (too noisy to decrypt)."""
+        generic chain's ciphertext byte for byte on what it computes — all of
+        ``c1`` and ``c0`` on the result run (too noisy to decrypt)."""
         matrix = small_matrix if layout == "across-rows" else wide_matrix
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, matrix, across_rows=True)
         rng = np.random.default_rng(40)
@@ -294,10 +317,10 @@ class TestBatchedAccumulation:
         features = list(zip(rows, frequencies))
         batched = model.dot_products(features)
         generic = model._dot_products_generic(features + [(len(matrix) - 1, 1)])
-        serialize = bv_scheme.serialize_ciphertext
-        assert list(map(serialize, batched.all_ciphertexts())) == list(
-            map(serialize, generic.all_ciphertexts())
-        )
+        runs = [bv_scheme.ciphertext_run(ct) for ct in batched.all_ciphertexts()]
+        assert runs == model.layout.result_runs()
+        for ours, chain in zip(batched.all_ciphertexts(), generic.all_ciphertexts()):
+            assert_equal_on_the_run(bv_scheme, ours, chain)
 
     def test_stacks_are_cached_across_emails(self, bv_scheme, bv_keys, small_matrix):
         model = PackedLinearModel.encrypt(bv_scheme, bv_keys.public, small_matrix, across_rows=True)

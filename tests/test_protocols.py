@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.classify.model import QuantizedLinearModel
 from repro.core.runtime import ShardWorkerCore
 from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
-from repro.exceptions import ProtocolAbort, ProtocolError
+from repro.exceptions import ClassifierError, ProtocolAbort, ProtocolError
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.twopc.noprv import NoPrivClassifier
 from repro.twopc.session import run_session_pair
@@ -51,6 +51,13 @@ class TestSpamProtocol:
         protocol, setup = spam_setup
         result = protocol.classify_email(setup, features)
         assert result.is_spam == small_spam_model.predict_is_spam(features)
+
+    @pytest.mark.parametrize("features", [{5.5: 1}, {5: 1.7}], ids=["row", "count"])
+    def test_a_fractional_feature_is_refused_not_truncated(self, spam_setup, features):
+        # The row was read as row 5 and gave a verdict; the count broke τ.
+        protocol, setup = spam_setup
+        with pytest.raises(ClassifierError, match="not an integer"):
+            protocol.classify_email(setup, {1: 1, **features})
 
     def test_cost_accounting_is_populated(self, spam_setup):
         protocol, setup = spam_setup

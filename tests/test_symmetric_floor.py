@@ -729,7 +729,8 @@ def test_a_built_circuit_is_immutable_and_counts_its_gates_once():
 # The stacked combining NTT
 # ---------------------------------------------------------------------------
 def test_stacked_combining_ntt_matches_the_generic_chain(bv_scheme, bv_keys):
-    """A 10-ciphertext leftover stack: batched result vs ``_dot_products_generic``."""
+    """A 10-ciphertext leftover stack: batched result vs ``_dot_products_generic``,
+    ``c1`` in full and ``c0`` on the output region, the one run it computes."""
     rng = np.random.default_rng(12)
     slots = bv_scheme.num_slots
     columns = 2
@@ -740,16 +741,14 @@ def test_stacked_combining_ntt_matches_the_generic_chain(bv_scheme, bv_keys):
     picked = sorted(rng.choice(rows - 1, size=60, replace=False).tolist())
     features = [(row, int(rng.integers(1, 16))) for row in picked] + [(rows - 1, 1)]
 
-    batched = model._dot_products_batched(features)
-    generic = model._dot_products_generic(features)
-    assert np.array_equal(
-        batched.leftover_result.payload.c0.spectra, generic.leftover_result.payload.c0.spectra
-    )
-    assert np.array_equal(
-        batched.leftover_result.payload.c1.spectra, generic.leftover_result.payload.c1.spectra
-    )
+    result = model._dot_products_batched(features)
+    batched = result.leftover_result.payload
+    generic = model._dot_products_generic(features).leftover_result.payload
+    assert batched.run == (slots - columns, columns)
+    assert np.array_equal(batched.c1.spectra, generic.c1.spectra)
+    assert np.array_equal(batched.c0, generic.c0.residues[:, slots - columns :])
     expected = [
         sum(matrix[row][column] * frequency for row, frequency in features)
         for column in range(columns)
     ]
-    assert decrypt_dot_products(bv_scheme, bv_keys, batched) == expected
+    assert decrypt_dot_products(bv_scheme, bv_keys, result) == expected
