@@ -11,7 +11,7 @@ This module provides a small circuit IR (XOR / AND / NOT gates over wires)
 and a :class:`CircuitBuilder` with the arithmetic gadgets those two functions
 need.  XOR and NOT gates are free under the free-XOR garbling optimisation, so
 the AND-gate count is what a garbled email pays for (four table rows and
-four hashes per AND), and every gadget is the textbook one-AND-per-bit form
+four fixed-key AES blocks per AND), and every gadget is the textbook one-AND-per-bit form
 (Kolesnikov–Schneider; what the paper's Obliv-C back end emits):
 
 * full-adder carry ``majority(a, b, c) = c ^ ((a ^ c) & (b ^ c))``;
@@ -82,9 +82,9 @@ class GatePlan:
       free-XOR offset, so the output's 0-label is the input's 1-label.
     * ``and_positions``: the AND gates' positions, ascending — the garbled
       table's record keys; ``and_index_block`` is the same positions as a
-      read-only ``(ANDs, 4)`` block of the big-endian bytes the gate hash
-      binds.  ``and_inputs`` is every AND's first input wire, then every
-      AND's second; ``and_outputs`` their output wires.
+      read-only ``(ANDs, 4)`` block of big-endian bytes, the part of each
+      gate's tweak that names it.  ``and_inputs`` is every AND's first input
+      wire, then every AND's second; ``and_outputs`` their output wires.
 
     All of it is computed once per circuit shape, so nothing rescans the gate
     list per email.

@@ -8,9 +8,37 @@ Classic point-and-permute garbling with the free-XOR optimisation:
 * XOR gates are free (output label = XOR of input labels);
 * NOT gates are free (the output's 0-label is the input's 1-label);
 * AND gates carry a four-row garbled table; each row encrypts the correct
-  output label under ``H(label_a, label_b, gate_index)`` and rows are ordered
-  by the inputs' colour bits, so the evaluator decrypts exactly one row
-  without learning anything about the plaintext values.
+  output label under the pad of its input labels, and rows are ordered by
+  the inputs' colour bits, so the evaluator decrypts exactly one row without
+  learning anything about the plaintext values.  Every AND output takes a
+  fresh label.
+
+*The gate hash* is the fixed-key-blockcipher construction of
+Bellare–Hoang–Keelveedhi–Rogaway ("Efficient garbling from a fixed-key
+blockcipher", S&P 2013) in the tweakable form of Guo–Katz–Wang–Yu
+("Efficient and secure multiparty computation from fixed-key block ciphers",
+S&P 2020).  The row of input labels ``A``, ``B`` at the gate in position
+``p`` has the key ``K = 2·A ⊕ 4·B ⊕ T`` and the pad ``π(K) ⊕ K``, where
+
+* ``π`` is AES-128 under a public, fixed key
+  (:func:`repro.crypto.hashes.fixed_key_permutation`);
+* doubling is multiplication by ``x`` in GF(2¹²⁸) modulo
+  ``x¹²⁸ + x⁷ + x² + x + 1``, a label's big-endian value read as the
+  polynomial (bit ``i`` is the coefficient of ``xⁱ``);
+* ``T`` is the tweak ``"garble-gate" ‖ 0x00 ‖ p`` (``p`` a big-endian u32):
+  it binds the row to its gate, the way an IKNP pad's tweak binds the pad to
+  its transfer (:mod:`repro.crypto.ot`).
+
+Its security is argued with ``π`` an ideal (random) permutation whose key
+everyone knows; a fixed key must never be mistaken for a secret one.
+Free-XOR needs more of the hash than correlation robustness: the pad of a
+row is XORed with labels that are themselves offset by ``R``, so the hash
+must be *circular* correlation robust, which ``π(K) ⊕ K`` on keys of this
+linear form is, in that model.  Guo et al. also point out that the bound is
+multi-instance: an adversary facing many garblings under the one public key
+gains with the total number of ``π`` calls across all of them (and with its
+own offline ``π`` queries), so a large deployment should budget for every
+email of every user at once — or draw the key per session.
 
 A seeded garbling draws every fresh label — the offset ``R``, one 0-label per
 input wire, one per AND output, in that order — from one sequential read of
@@ -24,12 +52,16 @@ garbler session snapshots.
 1. *Labels.*  Every AND output takes a fresh label, so one Python pass over
    the XOR and NOT gates assigns every other 0-label, in a list indexed by
    wire.  Nothing is hashed here.
-2. *One hash sweep.*  All ``4·ANDs`` gate-hash inputs ``tag ‖ A ‖ B ‖ index``
-   are written into one numpy block and hashed in a single ``sha256`` loop
-   over a memoryview of it.
+2. *One π sweep.*  With free-XOR the four keys of a gate are
+   ``K₀₀ ⊕ {0, 4R, 2R, 6R}``, so every gate's ``K₀₀`` is a few numpy ops on
+   its input 0-labels, and the ``4·ANDs`` pads are one ``update`` call of
+   the permutation.
 3. *One block.*  The pads encrypt the output labels and the rows are put in
    colour order with array ops: the garbled circuit is one ``bytes`` of 64
    bytes per AND gate, in gate order.
+
+The evaluator computes one key per AND — the two doublings as shifts plus a
+four-entry reduction table on the bits shifted out — and one ``π`` block.
 
 :class:`GarbledTables` is that block plus the AND positions and the output
 decode digests, and its wire form is unchanged: a ``>u4`` count, then per
@@ -37,10 +69,10 @@ AND gate its ``>u4`` position and four rows, then the decode digests.  The
 codec is one structured-dtype copy each way, and the decoder refuses
 positions that are not strictly increasing, so decode and encode are inverse
 bijections.  :func:`evaluate` reads row ``64·ordinal + 16·colour`` straight
-from the block, and refuses — before it hashes anything — tables whose
+from the block, and refuses — before it computes any pad — tables whose
 positions are not the circuit's AND positions or whose block is not four
 rows per AND.  :func:`decode_outputs` refuses a decode table that does not
-have one digest pair per output.
+have one digest pair per output; the decode digests stay SHA-256.
 
 The paper's prototype uses Obliv-C with an actively-secure variant [71, 77];
 here we implement the standard passively-secure construction plus the
@@ -58,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crypto.circuits import PLAN_AND, PLAN_XOR, Circuit
-from repro.crypto.hashes import sha256
+from repro.crypto.hashes import fixed_key_permutation, sha256
 from repro.exceptions import CircuitError, ParameterError, ProtocolAbort, WireFormatError
 from repro.utils.rand import secure_bytes
 from repro.utils.serialization import ByteReader
@@ -66,8 +98,17 @@ from repro.utils.serialization import ByteReader
 LABEL_BYTES = 16
 GATE_ROWS_BYTES = 4 * LABEL_BYTES  # one AND gate's four rows in the block
 
-_GATE_TAG = b"garble-gate"
-_HASH_INPUT = len(_GATE_TAG) + 2 * LABEL_BYTES + 4  # tag ‖ label_a ‖ label_b ‖ index
+# The gate tweak T = "garble-gate" ‖ 0x00 ‖ position, positions being u32.
+_GATE_TWEAK = int.from_bytes(b"garble-gate\x00", "big") << 32
+_MASK = (1 << 128) - 1
+_POLY = 0x87  # x^128 = x^7 + x^2 + x + 1
+# 2·A ⊕ 4·B as one shifted value: bit 128 (A's top bit ⊕ B's second) reduces
+# to 0x87, bit 129 (B's top bit) to 0x87 · x = 0x10E.
+_REDUCE = (0, _POLY, _POLY << 1, _POLY ^ (_POLY << 1))
+# The garbler's vectorised form of the same: uint64 (high, low) words.
+_LOW_MASK = (1 << 64) - 1
+_REDUCE_WORDS = np.array(_REDUCE, dtype=np.uint64)
+_TWEAK_HIGH, _TWEAK_LOW = np.uint64(_GATE_TWEAK >> 64), np.uint64(_GATE_TWEAK & _LOW_MASK)
 _RECORD = np.dtype([("position", ">u4"), ("rows", f"V{GATE_ROWS_BYTES}")])
 _U32 = struct.Struct(">I")
 _U32_LIMIT = 1 << 32
@@ -173,6 +214,35 @@ def _output_digest(label: bytes, wire: int) -> bytes:
     return sha256(b"garble-output", label, wire.to_bytes(4, "big"))[:LABEL_BYTES]
 
 
+def _times_two(value: int) -> int:
+    """``2·value`` in GF(2¹²⁸)."""
+    value <<= 1
+    return (value & _MASK) ^ _REDUCE[value >> 128]
+
+
+def _gate_keys(a0: np.ndarray, b0: np.ndarray, positions: np.ndarray, offset: int) -> np.ndarray:
+    """The four row keys ``K = 2·A ⊕ 4·B ⊕ T`` of every AND gate, ``(ANDs, 4, 16)`` bytes.
+
+    *a0* and *b0* are the gates' input 0-labels as ``(ANDs, 16)`` big-endian
+    bytes, *positions* their gate positions.  ``K₀₀`` is the evaluator's
+    shifted value on ``(high, low)`` uint64 words; key ``k = 2·va + vb`` is
+    that of labels ``a0 ⊕ va·R`` and ``b0 ⊕ vb·R``: ``K₀₀ ⊕ (0, 4R, 2R, 6R)[k]``.
+    """
+    a, b = a0.view(">u8").astype(np.uint64), b0.view(">u8").astype(np.uint64)
+    one, two, top = np.uint64(1), np.uint64(2), np.uint64(63)
+    shifted_out = (b[:, 0] >> np.uint64(62)) ^ (a[:, 0] >> top)  # bits 129, 128 of the sum
+    high = (a[:, 0] << one) ^ (a[:, 1] >> top) ^ (b[:, 0] << two) ^ (b[:, 1] >> np.uint64(62))
+    low = (a[:, 1] << one) ^ (b[:, 1] << two) ^ _REDUCE_WORDS[shifted_out]
+    low ^= positions.astype(np.uint64) | _TWEAK_LOW
+    twice = _times_two(offset)
+    four = _times_two(twice)
+    shifts = [0, four, twice, twice ^ four]
+    keys = np.empty((len(a), 4, 2), ">u8")
+    keys[:, :, 0] = (high ^ _TWEAK_HIGH)[:, None] ^ np.array([k >> 64 for k in shifts], np.uint64)
+    keys[:, :, 1] = low[:, None] ^ np.array([k & _LOW_MASK for k in shifts], np.uint64)
+    return keys.view(np.uint8).reshape(len(a), 4, LABEL_BYTES)
+
+
 def garble(circuit: Circuit, seed: bytes | None = None) -> GarblingResult:
     """Garble *circuit*; deterministic given *seed*.
 
@@ -206,29 +276,20 @@ def garble(circuit: Circuit, seed: bytes | None = None) -> GarblingResult:
         zero[wire_out] = zero[wire_a] ^ zero[wire_b]
     zero.pop()
 
-    # 2. One hash sweep over every gate-hash input.  Input value pair
-    # (va, vb) is hash k = 2·va + vb of its gate: label_a = a0 ^ va·R.
+    # 2. One π sweep over every row key.  Input value pair (va, vb) is key
+    # k = 2·va + vb of its gate: label_a = a0 ^ va·R.
     labels = b"".join([zero[wire].to_bytes(size, "big") for wire in plan.and_inputs])
     a0, b0 = np.frombuffer(labels, np.uint8).reshape(2, ands, size)
-    r = np.frombuffer(offset.to_bytes(size, "big"), np.uint8)
-    block = np.empty((ands, 4, _HASH_INPUT), np.uint8)
-    block[:, :, : len(_GATE_TAG)] = np.frombuffer(_GATE_TAG, np.uint8)
-    a_field = block[:, :, len(_GATE_TAG) : len(_GATE_TAG) + size]
-    b_field = block[:, :, len(_GATE_TAG) + size : -4]
-    a_field[:, :2], a_field[:, 2:] = a0[:, None], (a0 ^ r)[:, None]
-    b_field[:, 0::2], b_field[:, 1::2] = b0[:, None], (b0 ^ r)[:, None]
-    block[:, :, -4:] = plan.and_index_block[:, None]
-    view, sha = memoryview(block.reshape(-1)), hashlib.sha256
-    digests = b"".join(
-        [sha(view[at : at + _HASH_INPUT]).digest() for at in range(0, len(view), _HASH_INPUT)]
-    )
+    keys = _gate_keys(a0, b0, plan.and_index_block.view(">u4")[:, 0], offset)
+    pads = np.frombuffer(fixed_key_permutation()(keys.tobytes()), np.uint8).reshape(keys.shape)
 
     # 3. One block: row k encrypts the output's 0-label, except k = 3 (1 AND 1)
-    # the 1-label, under the top half of its digest.  Flipping an input value
-    # flips its colour, so hash k lands on row ``first ^ k`` and the four rows
-    # of a gate never collide.
+    # the 1-label, under pad π(K) ⊕ K.  Flipping an input value flips its
+    # colour, so key k lands on row ``first ^ k`` and the four rows of a gate
+    # never collide.
+    r = np.frombuffer(offset.to_bytes(size, "big"), np.uint8)
     out0 = np.frombuffer(stream, np.uint8, offset=size * (1 + len(inputs))).reshape(ands, size)
-    encrypted = np.frombuffer(digests, np.uint8).reshape(ands, 4, 32)[:, :, :size] ^ out0[:, None]
+    encrypted = pads ^ keys ^ out0[:, None]
     encrypted[:, 3] ^= r
     first = ((a0[:, -1] & 1) << 1) | (b0[:, -1] & 1)
     rows = encrypted[np.arange(ands)[:, None], first[:, None] ^ np.arange(4)]
@@ -262,7 +323,8 @@ def evaluate(
         raise ProtocolAbort("garbled tables are not keyed by this circuit's AND gates")
     if len(rows) != GATE_ROWS_BYTES * plan.and_count:
         raise ProtocolAbort("garbled row block is not four rows per AND gate")
-    as_int, sha, tag, size = int.from_bytes, hashlib.sha256, _GATE_TAG, LABEL_BYTES
+    as_int, size = int.from_bytes, LABEL_BYTES
+    permute, tweak, mask, reduce = fixed_key_permutation(), _GATE_TWEAK, _MASK, _REDUCE
     active = [0] * circuit.num_wires
     for wire, label in zip(
         circuit.garbler_inputs + circuit.evaluator_inputs,
@@ -279,10 +341,12 @@ def evaluate(
             active[wire_out] = active[wire_a]
         else:
             label_a, label_b = active[wire_a], active[wire_b]
-            # tag ‖ label_a ‖ label_b ‖ position as one 36-byte integer.
-            pad = sha(tag + ((label_a << 160) | (label_b << 32) | position).to_bytes(36, "big"))
+            # K = 2·label_a ⊕ 4·label_b ⊕ T, reduced from one shifted value.
+            shifted = (label_a << 1) ^ (label_b << 2)
+            key = (shifted & mask) ^ reduce[shifted >> 128] ^ tweak ^ position
+            pad = as_int(permute(key.to_bytes(size, "big")), "big") ^ key
             at = gate_at + (((label_a & 1) << 5) | ((label_b & 1) << 4))
-            active[wire_out] = as_int(pad.digest()[:size], "big") ^ as_int(rows[at : at + size], "big")
+            active[wire_out] = pad ^ as_int(rows[at : at + size], "big")
             gate_at += GATE_ROWS_BYTES
     return [active[wire].to_bytes(LABEL_BYTES, "big") for wire in circuit.outputs]
 

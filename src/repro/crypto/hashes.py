@@ -1,19 +1,47 @@
-"""Hashing, HMAC and key-derivation helpers.
+"""Hashing, HMAC, key-derivation helpers and the fixed-key permutation.
 
-The garbled-circuit construction keys its gate "encryptions" off SHA-256; the
-e2e module derives symmetric keys through HKDF; the replay-defence and the OT
-extension need keyed PRFs.  Everything here wraps :mod:`hashlib`/:mod:`hmac`
-from the standard library — no third-party crypto.
+The e2e module derives symmetric keys through HKDF; the replay-defence, the
+base OT and the garbler's output decode table use SHA-256 and HMAC from the
+standard library.  The garbled-circuit gate pads and the IKNP pads are
+hashes built from one fixed-key block cipher (:func:`fixed_key_permutation`,
+AES-128 from the ``cryptography`` package), so a whole batch of them is one
+C call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import threading
+from typing import Callable
+
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.exceptions import ParameterError
 
 HASH_BYTES = 32
+
+# The permutation's key is public and the same everywhere: the security of the
+# hashes built on it rests on AES-128 under this key behaving as a random
+# permutation, not on the key being secret.
+FIXED_KEY = b"pretzel-fixedkey"
+_contexts = threading.local()
+
+
+def fixed_key_permutation() -> Callable[[bytes], bytes]:
+    """π on every 16-byte block of its argument: AES-128 under :data:`FIXED_KEY`.
+
+    Returns this thread's ECB encryptor's ``update``.  Building one costs far
+    more than a block (the first in a process loads the library's cipher
+    tables), and a context is not safe to share between threads, so each
+    thread builds its own once.  Callers pass whole blocks only: ECB holds a
+    partial block back, which would shift every later output of the context.
+    """
+    update = getattr(_contexts, "update", None)
+    if update is None:
+        encryptor = Cipher(algorithms.AES(FIXED_KEY), modes.ECB()).encryptor()
+        update = _contexts.update = encryptor.update
+    return update
 
 
 def sha256(*parts: bytes) -> bytes:

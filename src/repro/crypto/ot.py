@@ -32,7 +32,7 @@ oblivious transfer per input bit.
   *Stream indexing.*  Each base-OT seed is read as **one** stream for the
   life of the pair (:class:`ColumnStream`): column ``j`` of the pair's bit
   matrix is ``SHAKE-256(seed_j || domain || chunk_no)``, and transfer ``i`` —
-  the pool's global transfer index, the same number that labels its pads —
+  the pool's global transfer index, the same number its pads' tweaks carry —
   is bit ``i`` of every column.  A batch of ``m`` transfers starting at
   index ``start`` is therefore rows ``start .. start + m - 1`` of that
   matrix, whatever the batch's size, alignment or arrival order; the
@@ -47,16 +47,31 @@ oblivious transfer per input bit.
   rebuilt from the seeds on demand and never enter a snapshot, a pickle or
   ``==``.
 
-  *Pads.*  The pad of message ``b`` of transfer ``i`` is one hash,
-  ``sha256(label_i || row || b)`` with ``row = q_i xor b s`` on the sender
-  and ``t_i`` on the receiver (for messages past 32 bytes, counter blocks
-  ``sha256(label_i || row || b || k)`` follow).  ``label_i`` binds the global
-  index, so a pad is a function of ``(pool, i, b)`` alone: encrypting two
-  different batches over the same index would reuse it.  Nothing else can —
-  rows of distinct indices are distinct stream positions under distinct
-  labels — which is why the sender's :meth:`~OtExtensionSenderState.claim`
-  ledger, refusing any overlap with an already-extended range, is all the
-  replay protection the extension needs.
+  *Pads.*  The pad of message ``b`` of transfer ``i`` is the tweakable
+  correlation-robust hash of Guo–Katz–Wang–Yu ("Efficient and secure
+  multiparty computation from fixed-key block ciphers", S&P 2020),
+  ``H(x, t) = π(σ(x) ⊕ t) ⊕ σ(x)``: ``x = q_i xor b s`` on the sender and
+  ``t_i`` on the receiver, ``σ(x_L ‖ x_R) = (x_L ⊕ x_R) ‖ x_L`` on the two
+  64-bit halves, and the tweak ``t = domain ‖ i ‖ b ‖ k`` (3 bytes, u64, u8,
+  u32, big-endian) for the ``k``-th 16-byte block of the pad, so a message of
+  ``ℓ`` bytes takes ``⌈ℓ/16⌉`` blocks.  ``π`` is AES-128 under a public,
+  fixed key (:func:`repro.crypto.hashes.fixed_key_permutation`) — the same
+  for everyone, never a secret.  IKNP needs the pad hash to be correlation
+  robust, because the sender's two inputs of every row differ by the one
+  secret ``s``; ``H`` is, with ``π`` an ideal permutation (free-XOR's rows
+  need the stronger *circular* version: :mod:`repro.crypto.garbled`).  The
+  tweak's index keeps every pad of a pool on its own input, and, as Guo et al. note, the
+  bound is multi-instance — it weakens with the total number of ``π`` calls
+  made under the one key, over every pool at once.  A batch's pads are one
+  ``π`` call: ``2·m·⌈ℓ/16⌉`` blocks on the sender, ``m·⌈ℓ/16⌉`` on the
+  receiver, which first refuses a pairs frame whose messages are not all of
+  one length.  ``i`` is the global index, so a pad is a function of
+  ``(pool, i, b)`` alone: encrypting two different batches over the same
+  index would reuse it.  Nothing else can — rows of distinct indices are
+  distinct stream positions under distinct tweaks — which is why the
+  sender's :meth:`~OtExtensionSenderState.claim` ledger, refusing any
+  overlap with an already-extended range, is all the replay protection the
+  extension needs.
 
   *The ceiling.*  The index travels as the frame's ``u32 start_index``, so a
   pool serves :data:`TRANSFER_INDEX_LIMIT` transfers (16 M topic emails at
@@ -84,7 +99,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.crypto.dh import DHGroup, DHKeyPair, FixedBase
-from repro.crypto.hashes import sha256
+from repro.crypto.hashes import fixed_key_permutation, sha256
 from repro.crypto.prg import prf
 from repro.exceptions import OTError
 from repro.twopc.session import (
@@ -270,19 +285,31 @@ class _DerivedStreams:
         }
 
 
-def _pad(material: bytes, length: int) -> bytes:
-    """``sha256(material)`` cut to *length*.
+# One pad block's tweak: domain ‖ transfer index ‖ message bit ‖ block counter.
+_TWEAK = np.dtype([("domain", "S3"), ("index", ">u8"), ("bit", "u1"), ("counter", ">u4")])
+_BOTH_BITS = np.array([[0, 1]], dtype=np.uint8)  # the sender pads messages 0 and 1
 
-    Past 32 bytes the pad continues with ``sha256(material || k)`` for
-    ``k = 1, 2, ...`` (4 bytes, big-endian).
+
+def _pads(rows: np.ndarray, domain: bytes, start: int, bits: np.ndarray, length: int) -> np.ndarray:
+    """``H(x, t) = π(σ(x) ⊕ t) ⊕ σ(x)`` for every row, cut to *length* bytes.
+
+    *rows* is ``(m, c, kappa / 8)``: ``c`` rows for transfer ``start + i``,
+    the ``j``-th padding message ``bits[i, j]``.  Returns ``(m, c, length)``
+    pads from one call of the permutation over ``m·c·⌈length/16⌉`` blocks.
     """
-    pad = hashlib.sha256(material).digest()
-    if length > len(pad):
-        pad += b"".join(
-            hashlib.sha256(material + counter.to_bytes(4, "big")).digest()
-            for counter in range(1, -(-length // len(pad)))
-        )
-    return pad[:length]
+    count, copies, _ = rows.shape
+    blocks = -(-length // ROW_BYTES)
+    half = ROW_BYTES // 2
+    sigma = np.concatenate([rows[..., :half] ^ rows[..., half:], rows[..., :half]], axis=-1)
+    tweaks = np.empty((count, copies, blocks), _TWEAK)
+    tweaks["domain"] = domain
+    tweaks["index"] = np.arange(start, start + count, dtype=np.uint64)[:, None, None]
+    tweaks["bit"] = bits[..., None]
+    tweaks["counter"] = np.arange(blocks, dtype=np.uint32)
+    keys = tweaks.view(np.uint8).reshape(count, copies, blocks, ROW_BYTES) ^ sigma[:, :, None]
+    permuted = np.frombuffer(fixed_key_permutation()(keys.tobytes()), np.uint8)
+    pads = (permuted.reshape(keys.shape) ^ sigma[:, :, None]).reshape(count, copies, -1)
+    return pads[..., :length]
 
 
 def _extend_receiver(
@@ -307,7 +334,7 @@ def _extend_sender(
     start: int,
     message_pairs: list[tuple[bytes, bytes]],
     length: int,
-    labels: list[bytes],
+    domain: bytes,
 ) -> tuple[tuple[bytes, bytes], ...]:
     """Encrypt every message pair under the pads of its Q-matrix row (step 5)."""
     count = len(message_pairs)
@@ -319,13 +346,9 @@ def _extend_sender(
     # comes from q_i, pad 1 from q_i XOR s.
     s_row = np.frombuffer(bits_to_bytes(s_bits), dtype=np.uint8)
     rows0 = stream.rows(start, count) ^ (_row_block(b"".join(columns), count) & s_row)
-    flat0, flat1 = rows0.tobytes(), (rows0 ^ s_row).tobytes()
-    pads = []
-    for label, at in zip(labels, range(0, len(flat0), ROW_BYTES)):
-        pads.append(_pad(label + flat0[at : at + ROW_BYTES] + b"0", length))
-        pads.append(_pad(label + flat1[at : at + ROW_BYTES] + b"1", length))
+    pads = _pads(np.stack([rows0, rows0 ^ s_row], axis=1), domain, start, _BOTH_BITS, length)
     messages = [message for pair in message_pairs for message in pair]
-    encrypted = xor_bytes(b"".join(pads), b"".join(messages))
+    encrypted = xor_bytes(pads.tobytes(), b"".join(messages))
     return tuple(
         (encrypted[at : at + length], encrypted[at + length : at + 2 * length])
         for at in range(0, len(encrypted), 2 * length)
@@ -336,36 +359,29 @@ def _decrypt_chosen(
     t_rows: np.ndarray,
     choices: list[int],
     pairs: tuple[tuple[bytes, bytes], ...],
-    labels: list[bytes],
+    domain: bytes,
+    start: int,
 ) -> list[bytes]:
-    """The receiver's last step: unpad the chosen message of every pair with its T row."""
-    flat = t_rows.tobytes()
+    """The receiver's last step: unpad the chosen message of every pair with its T row.
+
+    Every message of the frame must have the first one's length: the pads of
+    a batch are derived at one length, before any of them is computed.
+    """
+    length = len(pairs[0][0])
+    if any(len(message) != length for pair in pairs for message in pair):
+        raise OTError("IKNP message pairs are not all of one length")
+    bits = np.array(choices, dtype=np.uint8)[:, None]
+    pads = _pads(t_rows[:, None], domain, start, bits, length)
     chosen = [pair[choice] for pair, choice in zip(pairs, choices)]
-    pads = [
-        _pad(label + flat[at : at + ROW_BYTES] + (b"0", b"1")[choice], len(message))
-        for label, at, choice, message in zip(
-            labels, range(0, len(flat), ROW_BYTES), choices, chosen
-        )
-    ]
-    plain = xor_bytes(b"".join(pads), b"".join(chosen))
-    results, at = [], 0
-    for message in chosen:
-        results.append(plain[at : at + len(message)])
-        at += len(message)
-    return results
-
-
-def _one_shot_labels(count: int) -> list[bytes]:
-    return [b"iknp-pad" + index.to_bytes(4, "big") for index in range(count)]
-
-
-def _pool_labels(start: int, count: int) -> list[bytes]:
-    """Pads of pooled batches are bound to globally unique transfer indices."""
-    return [b"iknp-pool-pad" + index.to_bytes(8, "big") for index in range(start, start + count)]
+    plain = xor_bytes(pads.tobytes(), b"".join(chosen))
+    return [plain[at : at + length] for at in range(0, len(plain), length)]
 
 
 _ONE_SHOT_DOMAIN = b"iknp-column"
 _POOL_DOMAIN = b"iknp-pool-column"
+# Pad tweak domains: one-shot runs index from 0, pools by global transfer index.
+_ONE_SHOT_PAD = b"ot1"
+_POOL_PAD = b"otp"
 
 
 class OtMachine(ProtocolSession):
@@ -490,7 +506,7 @@ class IknpSenderMachine(OtMachine):
                 0,
                 self.message_pairs,
                 self.message_length,
-                _one_shot_labels(len(self.message_pairs)),
+                _ONE_SHOT_PAD,
             )
             self.finished = True
             return [OtExtPairsFrame(encrypted_pairs)]
@@ -541,7 +557,8 @@ class IknpReceiverMachine(OtMachine):
                 self._stream0.rows(0, len(self.choices)),
                 self.choices,
                 frame.pairs,
-                _one_shot_labels(len(self.choices)),
+                _ONE_SHOT_PAD,
+                0,
             )
             self.finished = True
             return []
@@ -652,8 +669,9 @@ class OtExtensionReceiverState(_DerivedStreams):
 
 
 # 2: a pool's seeds are read as column streams indexed by the global transfer
-# index (version 1 re-keyed a PRG per batch) — same payload layout, other rows.
-OT_POOL_STATE_VERSION = 2
+# index (version 1 re-keyed a PRG per batch) — same payload layout, other rows;
+# 3: pads are fixed-key AES hashes (version 2: SHA-256) — same rows, other pads.
+OT_POOL_STATE_VERSION = 3
 
 
 @dataclass
@@ -779,7 +797,8 @@ class PooledIknpSenderMachine(OtMachine):
             self.finished = True
         return []
 
-    POOLED_OT_STATE_VERSION = 1
+    # 2: a restored machine pads with fixed-key AES hashes (1: SHA-256).
+    POOLED_OT_STATE_VERSION = 2
 
     def snapshot(self) -> SessionState:
         return SessionState(
@@ -823,7 +842,7 @@ class PooledIknpSenderMachine(OtMachine):
             start,
             self.message_pairs,
             self.message_length,
-            _pool_labels(start, count),
+            _POOL_PAD,
         )
         self.finished = True
         return [OtExtPairsFrame(encrypted_pairs)]
@@ -851,7 +870,8 @@ class PooledIknpReceiverMachine(OtMachine):
         )
         return [OtExtColumnsFrame(u_columns, start_index=self._start_index)]
 
-    POOLED_OT_STATE_VERSION = 1
+    # 2: a restored machine pads with fixed-key AES hashes (1: SHA-256).
+    POOLED_OT_STATE_VERSION = 2
 
     def snapshot(self) -> SessionState:
         return SessionState(
@@ -897,7 +917,8 @@ class PooledIknpReceiverMachine(OtMachine):
             self.state.stream0.rows(self._start_index, len(self.choices)),
             self.choices,
             frame.pairs,
-            _pool_labels(self._start_index, len(self.choices)),
+            _POOL_PAD,
+            self._start_index,
         )
         self.finished = True
         return []

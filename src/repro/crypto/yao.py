@@ -55,8 +55,10 @@ from repro.utils.timing import Stopwatch
 GARBLE_SEED_BYTES = 32
 # 2: the garbler's seed expands through SHAKE-256 and the circuits use the
 # one-AND gadgets (version 1: an HMAC stream, two-AND gadgets) — same payload
-# layout, other labels, so an older snapshot is refused rather than resumed.
-YAO_STATE_VERSION = 2
+# layout, other labels, so an older snapshot is refused rather than resumed;
+# 3: rows and OT pads are fixed-key AES hashes (2: SHA-256) — same labels,
+# other tables and pads.
+YAO_STATE_VERSION = 3
 
 
 def _require_pool(ot_pool: OtExtensionPool | None) -> OtExtensionPool:

@@ -251,8 +251,9 @@ class BufferedProviderSession(DecryptingSession):
     # subclasses contribute their kind byte, the ciphertext-capable codec,
     # protocol-specific extras, and the inner-session rebuild.
     # 2: pending BV blobs are score samples, the inner circuit narrower;
-    # 3: spam parks one margin slot and both inner circuits changed shape.
-    STATE_VERSION = 3
+    # 3: spam parks one margin slot and both inner circuits changed shape;
+    # 4: the inner Yao rows and OT pads are fixed-key AES hashes.
+    STATE_VERSION = 4
 
     _state_kind: int | None = None  # subclasses set a SessionStateKind value
 

@@ -83,8 +83,9 @@ from repro.twopc.wire import (
 )
 
 # 2: the Yao circuit is dot_product_bits wide, not slot_bits; 3: one margin
-# column and a dot_product_bits + 1 wide circuit that unblinds one value.
-SESSION_STATE_VERSION = 3
+# column and a dot_product_bits + 1 wide circuit that unblinds one value;
+# 4: the Yao rows and OT pads it resumes are fixed-key AES hashes.
+SESSION_STATE_VERSION = 4
 
 SparseVector = Mapping[int, int]
 

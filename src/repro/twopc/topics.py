@@ -81,8 +81,9 @@ from repro.twopc.wire import (
 )
 
 # 2: the Yao circuit is dot_product_bits wide, not slot_bits; 3: the argmax
-# drops its last value mux (other gate positions).
-SESSION_STATE_VERSION = 3
+# drops its last value mux (other gate positions); 4: the Yao rows and OT pads
+# it resumes are fixed-key AES hashes.
+SESSION_STATE_VERSION = 4
 
 SparseVector = Mapping[int, int]
 

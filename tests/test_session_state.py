@@ -141,15 +141,15 @@ def _zeroed(session):
 
 # Pinned encodings: regenerate ONLY together with a state-version bump.
 GOLDEN_STATES = {
-    "ot_pool": "0102000001d34d000000000000000253000000000000000872656365697665724d000000000000000253000000000000000a6e6578745f696e6465784900000000000000010853000000000000000a736565645f70616972734c00000000000000044c000000000000000242000000000000000400000000420000000000000004010101014c000000000000000242000000000000000401010101420000000000000004020202024c000000000000000242000000000000000402020202420000000000000004030303034c0000000000000002420000000000000004030303034200000000000000040404040453000000000000000673656e6465724d0000000000000005530000000000000007636c61696d65644c00000000000000014c000000000000000249000000000000000100490000000000000001085300000000000000056b617070614900000000000000010453000000000000000a6e6578745f696e64657849000000000000000108530000000000000006735f626974734200000000000000010d530000000000000009736565645f6b6579734c000000000000000442000000000000000400000000420000000000000004010101014200000000000000040202020242000000000000000403030303",  # noqa: E501
-    "pooled_ot_receiver_midround": "0301000000a54d000000000000000753000000000000000763686f696365734200000000000000010d530000000000000005636f756e744900000000000000010453000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e646578490000000000000001005300000000000000077374617274656454",  # noqa: E501
-    "yao_garbler": "1002000001314d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f744e5300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656446",  # noqa: E501
-    "yao_garbler_midround": "10020000037b4d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f7442000000000000024202010000023c4d000000000000000453000000000000000866696e69736865644653000000000000000d6d6573736167655f70616972734c00000000000000084c0000000000000002420000000000000010d21efd347bc31f704d0f4411249a40f2420000000000000010fae8ffd73b9de98494c93e227247565d4c000000000000000242000000000000001070d833b160d5ee05a6dea2480e6bbee2420000000000000010582e3152208b18f17f18d87b58b6a84d4c00000000000000024200000000000000106ec608eedb6c7d05d1c81b0a46e2ab9842000000000000001046300a0d9b328bf1080e6139103fbd374c0000000000000002420000000000000010f0dfff0812d4601dfe29c9e6d0312360420000000000000010d829fdeb528a96e927efb3d586ec35cf4c0000000000000002420000000000000010b90d499e7d268e42bf49c046bcce718b42000000000000001091fb4b7d3d7878b6668fba75ea1367244c00000000000000024200000000000000100bd28bd5c40fa865d8243163037330664200000000000000102324893684515e9101e24b5055ae26c94c0000000000000002420000000000000010cb086b27764cb8b62e7c875ccbd95e76420000000000000010e3fe69c436124e42f7bafd6f9d0448d94c0000000000000002420000000000000010d2bb7504c925f6602c60042a1e494e30420000000000000010fa4d77e7897b0094f5a67e194894589f5300000000000000077365636f6e647344000000000000000053000000000000000773746172746564545300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656454",  # noqa: E501
-    "yao_evaluator_midround": "11020000013d4d000000000000000653000000000000000866696e6973686564465300000000000000026f744200000000000000ab0301000000a54d000000000000000753000000000000000763686f6963657342000000000000000162530000000000000005636f756e744900000000000000010853000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e64657849000000000000000100530000000000000007737461727465645453000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e64734400000000000000005300000000000000077374617274656454",  # noqa: E501
-    "spam_client": "2003000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
-    "spam_provider": "2103000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
-    "topic_client": "22030000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
-    "topic_provider": "2303000001004d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000053000000000000000565787472614d000000000000000353000000000000000a6465636f6d706f7365645453000000000000000f6578747261637465645f746f7069634e530000000000000010696e6e65725f63616e646964617465734900000000000000010253000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
+    "ot_pool": "0103000001d34d000000000000000253000000000000000872656365697665724d000000000000000253000000000000000a6e6578745f696e6465784900000000000000010853000000000000000a736565645f70616972734c00000000000000044c000000000000000242000000000000000400000000420000000000000004010101014c000000000000000242000000000000000401010101420000000000000004020202024c000000000000000242000000000000000402020202420000000000000004030303034c0000000000000002420000000000000004030303034200000000000000040404040453000000000000000673656e6465724d0000000000000005530000000000000007636c61696d65644c00000000000000014c000000000000000249000000000000000100490000000000000001085300000000000000056b617070614900000000000000010453000000000000000a6e6578745f696e64657849000000000000000108530000000000000006735f626974734200000000000000010d530000000000000009736565645f6b6579734c000000000000000442000000000000000400000000420000000000000004010101014200000000000000040202020242000000000000000403030303",  # noqa: E501
+    "pooled_ot_receiver_midround": "0302000000a54d000000000000000753000000000000000763686f696365734200000000000000010d530000000000000005636f756e744900000000000000010453000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e646578490000000000000001005300000000000000077374617274656454",  # noqa: E501
+    "yao_garbler": "1003000001314d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f744e5300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656446",  # noqa: E501
+    "yao_garbler_midround": "10030000037b4d000000000000000b53000000000000000866696e69736865644653000000000000000c676172626c65725f626974734200000000000000015353000000000000000d676172626c65725f636f756e74490000000000000001085300000000000000026f7442000000000000024202020000023c4d000000000000000453000000000000000866696e69736865644653000000000000000d6d6573736167655f70616972734c00000000000000084c0000000000000002420000000000000010d21efd347bc31f704d0f4411249a40f2420000000000000010fae8ffd73b9de98494c93e227247565d4c000000000000000242000000000000001070d833b160d5ee05a6dea2480e6bbee2420000000000000010582e3152208b18f17f18d87b58b6a84d4c00000000000000024200000000000000106ec608eedb6c7d05d1c81b0a46e2ab9842000000000000001046300a0d9b328bf1080e6139103fbd374c0000000000000002420000000000000010f0dfff0812d4601dfe29c9e6d0312360420000000000000010d829fdeb528a96e927efb3d586ec35cf4c0000000000000002420000000000000010b90d499e7d268e42bf49c046bcce718b42000000000000001091fb4b7d3d7878b6668fba75ea1367244c00000000000000024200000000000000100bd28bd5c40fa865d8243163037330664200000000000000102324893684515e9101e24b5055ae26c94c0000000000000002420000000000000010cb086b27764cb8b62e7c875ccbd95e76420000000000000010e3fe69c436124e42f7bafd6f9d0448d94c0000000000000002420000000000000010d2bb7504c925f6602c60042a1e494e30420000000000000010fa4d77e7897b0094f5a67e194894589f5300000000000000077365636f6e647344000000000000000053000000000000000773746172746564545300000000000000076f745f6d6f6465530000000000000004696b6e7053000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e647344000000000000000053000000000000000473656564420000000000000020111111111111111111111111111111111111111111111111111111111111111153000000000000000b73656e745f7461626c6573465300000000000000077374617274656454",  # noqa: E501
+    "yao_evaluator_midround": "11030000013d4d000000000000000653000000000000000866696e6973686564465300000000000000026f744200000000000000ab0302000000a54d000000000000000753000000000000000763686f6963657342000000000000000162530000000000000005636f756e744900000000000000010853000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e647344000000000000000053000000000000000b73746172745f696e64657849000000000000000100530000000000000007737461727465645453000000000000000b6f75747075745f626974734e5300000000000000096f75747075745f746f5300000000000000096576616c7561746f725300000000000000077365636f6e64734400000000000000005300000000000000077374617274656454",  # noqa: E501
+    "spam_client": "2004000000d74d000000000000000753000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000103490000000000000001014c0000000000000002490000000000000001074900000000000000010253000000000000000866696e69736865644653000000000000000769735f7370616d4e5300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
+    "spam_provider": "2104000000c54d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000142000000000000000c5a010300000001000000010553000000000000000565787472614d000000000000000053000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
+    "topic_client": "22040000010a4d000000000000000853000000000000000a63616e646964617465734c0000000000000002490000000000000001004900000000000000010253000000000000000a6465636f6d706f7365645453000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001024900000000000000010353000000000000000866696e6973686564465300000000000000077365636f6e6473440000000000000000530000000000000007737461727465644653000000000000000379616f4e53000000000000000d79616f5f616e645f676174657349000000000000000100",  # noqa: E501
+    "topic_provider": "2304000001004d00000000000000085300000000000000106177616974696e675f726571756573744653000000000000000862756666657265644c000000000000000053000000000000000565787472614d000000000000000353000000000000000a6465636f6d706f7365645453000000000000000f6578747261637465645f746f7069634e530000000000000010696e6e65725f63616e646964617465734900000000000000010253000000000000000866696e697368656446530000000000000005696e6e65724e53000000000000000770656e64696e674e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "noprv_client": "2401000000b54d000000000000000553000000000000000866656174757265734c00000000000000024c000000000000000249000000000000000101490000000000000001014c0000000000000002490000000000000001094900000000000000010253000000000000000866696e6973686564465300000000000000127072656469637465645f63617465676f72794e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
     "noprv_provider": "2501000000554d000000000000000453000000000000000866696e697368656446530000000000000006726573756c744e5300000000000000077365636f6e64734400000000000000005300000000000000077374617274656446",  # noqa: E501
 }
@@ -297,34 +297,42 @@ class TestGoldenSessionStates:
         assert decoded.state == state
 
 
-class TestPoolSnapshotsAcrossTheColumnStreamChange:
+class TestPoolSnapshotsAcrossDerivationChanges:
     """A pool snapshot resumes only on the derivation that wrote it.
 
     ``data/ot_pool_bfe22cc.bin`` is ``OtExtensionPool.snapshot().to_bytes()``
     taken on commit bfe22cc (state version 1: a column PRG re-keyed per
-    batch).  Its payload *layout* is unchanged, but this build reads the same
-    seeds as column streams, so resuming it would extend with other rows than
-    its in-flight sessions were started on: it is refused by version, and a
-    worker handed a checkpoint that carries it recomputes instead.
+    batch).  ``data/ot_pool_v2.bin`` is the same recipe on state version 2 —
+    column streams and SHA-256 pads, what commit 7cb42f0 writes and resumes:
+    a pool seeded by a real handshake on the benchmark's 256-bit group and
+    extended once (13 transfers), so the pad cursors are mid-stream.  Their
+    payload *layout* is this build's, but resuming either would extend with
+    other rows or other pads than its in-flight sessions were started on: both
+    are refused by version, and a worker handed a checkpoint that carries one
+    recomputes instead.
 
-    ``data/ot_pool_v2.bin`` is the same recipe on this build (state version
-    2): a pool seeded by a real handshake on the benchmark's 256-bit group and
-    extended once (13 transfers), so the pad cursors are mid-stream.  The
-    digests are the next 64-transfer extension of the restored pool as this
-    commit produced it — what a later same-bytes rewrite has to reproduce.
+    ``data/ot_pool_v3.bin`` is that version-2 pool snapshotted by this build
+    (state version 3: fixed-key AES pads).  The digests are the next
+    64-transfer extension of the restored pool as this commit produced it —
+    what a later same-bytes rewrite has to reproduce.  The columns digest is
+    the one version 2 pinned: only the pads moved.
     """
 
-    PARENT_BLOB = Path(__file__).parent / "data" / "ot_pool_bfe22cc.bin"
-    BLOB = Path(__file__).parent / "data" / "ot_pool_v2.bin"
+    PARENT_BLOBS = {
+        1: Path(__file__).parent / "data" / "ot_pool_bfe22cc.bin",
+        2: Path(__file__).parent / "data" / "ot_pool_v2.bin",
+    }
+    BLOB = Path(__file__).parent / "data" / "ot_pool_v3.bin"
     NEXT_EXTENSION = (
         "6c07611ceb95532ffbc864305b917cda11d11dc5e35cbc2a138d380b19791a87",  # OT_EXT_COLUMNS
-        "17cb6be39dc057e0b517b855b5268b43141746e199c1a61d877e815e686fbc3e",  # OT_EXT_PAIRS
+        "27af72a5546142ed84c4ed76471217b48552454eed3cdb1bac36eeef7ac66356",  # OT_EXT_PAIRS
     )
 
-    def test_the_parent_commit_snapshot_is_refused_by_version(self):
-        state = SessionState.from_bytes(self.PARENT_BLOB.read_bytes())
-        assert (state.kind, state.version) == (SessionStateKind.OT_POOL, 1)
-        with pytest.raises(SnapshotError, match="version 1"):
+    @pytest.mark.parametrize("version", sorted(PARENT_BLOBS))
+    def test_a_parent_commit_snapshot_is_refused_by_version(self, version):
+        state = SessionState.from_bytes(self.PARENT_BLOBS[version].read_bytes())
+        assert (state.kind, state.version) == (SessionStateKind.OT_POOL, version)
+        with pytest.raises(SnapshotError, match=f"version {version}"):
             OtExtensionPool.restore(state)
 
     def test_restores_and_extends_bit_identically(self):
@@ -347,7 +355,10 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
             hashlib.sha256(codec.encode(encrypted)).hexdigest(),
         ) == self.NEXT_EXTENSION
 
-    def test_a_worker_handed_a_parent_commit_checkpoint_recomputes(self, spam_setup, spam_truth):
+    @pytest.mark.parametrize("version", sorted(PARENT_BLOBS))
+    def test_a_worker_handed_a_parent_commit_checkpoint_recomputes(
+        self, version, spam_setup, spam_truth
+    ):
         protocol, setup = spam_setup
         address = "upgraded@example.com"
         burst = [
@@ -360,11 +371,11 @@ class TestPoolSnapshotsAcrossTheColumnStreamChange:
             assert source.handle("burst", burst)[1][0] == []  # all parked mid-round
             verb, (blob, _results, _metrics) = source.handle("checkpoint", None)
             assert verb == "checkpointed"
-        # The same checkpoint as the parent commit would have written it: the
-        # pool record is a version-1 snapshot.
+        # The same checkpoint as a parent commit would have written it: the
+        # pool record is that commit's snapshot.
         checkpoint = canonical_loads(blob)
         assert [record["address"] for record in checkpoint["pools"]] == [address]
-        checkpoint["pools"][0]["state"] = self.PARENT_BLOB.read_bytes()
+        checkpoint["pools"][0]["state"] = self.PARENT_BLOBS[version].read_bytes()
         with scoped_registry(MetricsRegistry()):
             target = ShardWorkerCore((100, None))
             target.handle("register", (address, protocol, setup, True))  # pool deferred
@@ -478,31 +489,84 @@ class TestCheckpointsAcrossTheMarginChange:
     def test_a_worker_handed_the_parent_commit_checkpoint_recomputes(
         self, spam_setup, topic_setup, spam_truth, small_topic_model
     ):
-        scores = small_topic_model.integer_scores(TOPIC_EMAILS[0])
-        topic_truth = max(self.TOPIC_CANDIDATES, key=lambda index: (scores[index], -index))
-        burst = [
-            (0, "spam", "upgraded@example.com", (SPAM_EMAILS[0],)),
-            (1, "topics", "upgraded-topics@example.com", (TOPIC_EMAILS[0], self.TOPIC_CANDIDATES)),
-        ]
-        with scoped_registry(MetricsRegistry()):
-            target = ShardWorkerCore((100, None))
-            target.handle("register", ("upgraded@example.com", *spam_setup))
-            target.handle("register", ("upgraded-topics@example.com", *topic_setup))
-            verb, (resumed, results, _metrics) = target.handle(
-                "restore", self.PARENT_CHECKPOINT.read_bytes()
-            )
-            assert (verb, resumed, results) == ("restored", [], [])  # nothing resumed
-            # ... so the driver resubmits both emails, and each is served once.
-            assert target.handle("burst", burst)[1][0] == []
-            verb, (results, metrics) = target.handle("drain", None)
-        spam_result, topic_result = (result for _job_id, result in sorted(results))
-        assert spam_result.is_spam == spam_truth[0]
-        assert topic_result.extracted_topic == topic_truth
-        served = [
-            entry["value"] for entry in metrics["counters"]
-            if entry["name"] == "emails_served_total"
-        ]
-        assert sum(served) == len(burst)
+        _recomputes_both_parked_emails(
+            self.PARENT_CHECKPOINT, spam_setup, topic_setup, spam_truth, small_topic_model
+        )
+
+
+class TestCheckpointsAcrossTheFixedKeyChange:
+    """Parked emails of the SHA-256 build are recomputed, never resumed.
+
+    ``data/shard_checkpoint_7cb42f0.bin`` is the same recipe as
+    ``shard_checkpoint_0c36dc6.bin`` (one spam and one topic email parked
+    mid-round) on commit 7cb42f0: spam/topic session states of version 3 and
+    version-2 OT pools, whose garbled rows and IKNP pads were SHA-256.  This
+    build derives both from fixed-key AES, so resuming a parked garbler against
+    a fresh evaluator (or a restored pool against in-flight pads) would hand
+    the evaluator labels that decode to nothing: every state and pool is
+    refused by version and the worker recomputes.
+    """
+
+    PARENT_CHECKPOINT = Path(__file__).parent / "data" / "shard_checkpoint_7cb42f0.bin"
+
+    def test_the_parent_commit_states_and_pools_are_refused_by_version(
+        self, spam_setup, topic_setup
+    ):
+        checkpoint = canonical_loads(self.PARENT_CHECKPOINT.read_bytes())
+        assert [record["kind"] for record in checkpoint["jobs"]] == ["spam", "topics"]
+        for record in checkpoint["jobs"]:
+            protocol, setup = spam_setup if record["kind"] == "spam" else topic_setup
+            provider = SessionState.from_bytes(record["provider"])
+            client = SessionState.from_bytes(record["client"])
+            assert (provider.version, client.version) == (3, 3)
+            with pytest.raises(SnapshotError, match="version 3"):
+                protocol.restore_provider(setup, provider)
+            with pytest.raises(SnapshotError, match="version 3"):
+                protocol.restore_client(setup, client)
+        assert len(checkpoint["pools"]) == 2
+        for record in checkpoint["pools"]:
+            state = SessionState.from_bytes(record["state"])
+            assert (state.kind, state.version) == (SessionStateKind.OT_POOL, 2)
+            with pytest.raises(SnapshotError, match="version 2"):
+                OtExtensionPool.restore(state)
+
+    def test_a_worker_handed_the_parent_commit_checkpoint_recomputes(
+        self, spam_setup, topic_setup, spam_truth, small_topic_model
+    ):
+        _recomputes_both_parked_emails(
+            self.PARENT_CHECKPOINT, spam_setup, topic_setup, spam_truth, small_topic_model
+        )
+
+
+def _recomputes_both_parked_emails(blob_path, spam_setup, topic_setup, spam_truth, topic_model):
+    """Restore a parent checkpoint of one parked spam and one parked topic email.
+
+    Nothing resumes; the driver resubmits both, and each is served once with
+    the right answer.
+    """
+    candidates = TestCheckpointsAcrossTheMarginChange.TOPIC_CANDIDATES
+    scores = topic_model.integer_scores(TOPIC_EMAILS[0])
+    topic_truth = max(candidates, key=lambda index: (scores[index], -index))
+    burst = [
+        (0, "spam", "upgraded@example.com", (SPAM_EMAILS[0],)),
+        (1, "topics", "upgraded-topics@example.com", (TOPIC_EMAILS[0], candidates)),
+    ]
+    with scoped_registry(MetricsRegistry()):
+        target = ShardWorkerCore((100, None))
+        target.handle("register", ("upgraded@example.com", *spam_setup))
+        target.handle("register", ("upgraded-topics@example.com", *topic_setup))
+        verb, (resumed, results, _metrics) = target.handle("restore", blob_path.read_bytes())
+        assert (verb, resumed, results) == ("restored", [], [])  # nothing resumed
+        assert target.handle("burst", burst)[1][0] == []
+        verb, (results, metrics) = target.handle("drain", None)
+    spam_result, topic_result = (result for _job_id, result in sorted(results))
+    assert spam_result.is_spam == spam_truth[0]
+    assert topic_result.extracted_topic == topic_truth
+    served = [
+        entry["value"] for entry in metrics["counters"]
+        if entry["name"] == "emails_served_total"
+    ]
+    assert sum(served) == len(burst)
 
 
 class TestYaoRestoreChecksTheCircuitShape:

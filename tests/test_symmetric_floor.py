@@ -1,7 +1,8 @@
 """Definitions, byte pins, properties and refusals for the symmetric hot path.
 
-The garbler's label stream, the IKNP column streams and the one-hash pads are
-first proved from their *definitions* (raw ``shake_256`` / ``sha256`` output,
+The garbler's label stream, the IKNP column streams, the garbled rows and the
+IKNP pads are first proved from their *definitions* (raw ``shake_256`` output
+one bit at a time, raw AES-128 output one block at a time, GF(2¹²⁸) doubling
 one bit at a time).  The digests (``GARBLING_PINS``, ``POOLED_PINS``,
 ``ONE_SHOT_PINS``) were then produced by this commit's code with the recipes in
 this file: they say nothing about *which* derivation is right — the
@@ -11,29 +12,34 @@ that means to move them re-pins them once and bumps ``OT_POOL_STATE_VERSION``
 / ``YAO_STATE_VERSION``, because snapshots written before it stop resuming.
 A change of circuit *shape* alone re-pins that shape's digests and bumps the
 session state versions that embed the circuit (``parent_spam32`` shows the
-derivation itself did not move).
+derivation itself did not move).  The move from SHA-256 to fixed-key AES rows
+and pads re-pinned only the ``tables`` digests and the pairs frames: labels,
+offsets, outputs and columns kept their bytes.
 """
 
 import hashlib
 import hmac
 import pickle
 import random
+import sys
+import threading
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import ot
-from repro.crypto.circuits import Circuit, CircuitBuilder, SpamCircuit, TopicCircuit
+from repro.crypto import garbled, hashes, ot
+from repro.crypto.circuits import PLAN_AND, Circuit, CircuitBuilder, SpamCircuit, TopicCircuit
 from repro.crypto.garbled import LABEL_BYTES, GarbledTables, decode_outputs, evaluate, garble
 from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
 from repro.crypto.prg import Prg, prf
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import OTError, ParameterError, ProtocolAbort, ProtocolError
 from repro.twopc.wire import SessionState, WireCodec
-from repro.utils.bitops import int_to_bits, xor_bytes
+from repro.utils.bitops import bits_to_bytes, int_to_bits, xor_bytes
 
 
 def _digest(*parts: bytes) -> str:
@@ -65,22 +71,23 @@ def _garbling_digests(circuit, seed: bytes) -> dict[str, str]:
 
 GARBLING_PINS = {
     "spam32": {
-        "tables": "e3e02ab37ab5704759432dd7fc7d153252429422f829c66b16ac103b4136a921",
+        "tables": "290d271cc71aac79806ca372989a630ea896b62ab585e93039647982cdbb2335",
         "zero_labels": "9e3c67f7d1a95fd13249946dfb0e73ed4e426a4148329d27988d0a8c58103455",
         "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
         "outputs": "22cdf81f0b771bc5558d38522b52a57c97da3534c828c21965e343962c8f9b5e",
     },
     "topic32x10x8": {
-        "tables": "b45f9ef4f8c7d9ac9749c927d8f9b43ad126f1636f2feb9c5cff77183ae4903b",
+        "tables": "c36756a10014da549b2739d397798f4672fa9fb3bb96217d2ff3024e7bfd6fcb",
         "zero_labels": "45c5559d950c960a5a6c565f31bb7ab4d6c200cb7c1c349f2c6776801b81a6f8",
         "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
         "outputs": "864d05aae2a119d9d636021f6d562162d6afe0a15680749745fc72f174824f5e",
     },
     # The spam circuit of commit 0c36dc6, rebuilt from the test-local copy
-    # below: its digests are that commit's "spam32" pins, so the gadgets and
-    # the label stream did not move — only the circuit shapes did.
+    # below: its labels, offset and outputs are that commit's "spam32" pins,
+    # so the gadgets and the label stream did not move — only the circuit
+    # shapes did, and then the row derivation (its tables were 6b43d108…).
     "parent_spam32": {
-        "tables": "6b43d108468996afe725de85a47d6bf8d0227ef487f0d8b0167d535f7692d08c",
+        "tables": "024fde0debde5378b1ce2c6195c28bdbbb6abf9ae65d71f6eba5b2dc9303eeb4",
         "zero_labels": "93c56741fd8f3c1c3373c7864a5156134db9a2f18be78992e22ad6eb221aaf55",
         "offset": "1d4e1ddc8cc257b3e604409f392add0d0ef30e6d323fb3837418364766068af4",
         "outputs": "f92438a1a9428eed74790d8c9c25095fb8603a25dadfbad4aadfd1ecac04e6ca",
@@ -113,6 +120,112 @@ def test_garbling_labels_are_one_sequential_shake_read():
     assert [zero_labels[wire] for wire in wires] == labels[1:]
     with pytest.raises(ParameterError):
         garble(circuit, seed=b"")
+
+
+# -- fixed-key AES and GF(2^128), from their definitions ------------------------
+def _aes_block(block: bytes) -> bytes:
+    """One block of AES-128 under the public fixed key, from a fresh context."""
+    assert len(block) == 16
+    return Cipher(algorithms.AES(b"pretzel-fixedkey"), modes.ECB()).encryptor().update(block)
+
+
+def _gf_times(constant: int, value: int) -> int:
+    """``constant · value`` in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, one bit at a time."""
+    product = 0
+    for bit in range(constant.bit_length()):
+        if (constant >> bit) & 1:
+            product ^= value << bit
+    for bit in range(product.bit_length() - 1, 127, -1):
+        if (product >> bit) & 1:
+            product ^= ((1 << 128) | 0b10000111) << (bit - 128)
+    return product
+
+
+def _row_key(label_a: int, label_b: int, position: int) -> int:
+    """``K = 2·A ⊕ 4·B ⊕ T`` with ``T = "garble-gate" ‖ 0x00 ‖ position``."""
+    tweak = int.from_bytes(b"garble-gate\x00" + position.to_bytes(4, "big"), "big")
+    return _gf_times(2, label_a) ^ _gf_times(4, label_b) ^ tweak
+
+
+def test_garbled_rows_are_fixed_key_aes_pads_from_the_definition():
+    """Every row of every AND gate, rebuilt one raw AES block at a time."""
+    circuit = SpamCircuit.build(8).circuit
+    garbling = garble(circuit, seed=b"row-definition")
+    zero, offset = garbling.zero_labels, garbling.offset
+    ands = [step for step in circuit.plan.steps if step[0] == PLAN_AND]
+    assert len(garbling.tables.rows) == 64 * len(ands) > 0
+    for ordinal, (_kind, wire_a, wire_b, wire_out, position) in enumerate(ands):
+        gate_rows = garbling.tables.rows[64 * ordinal : 64 * ordinal + 64]
+        for va in (0, 1):
+            for vb in (0, 1):
+                label_a, label_b = zero[wire_a] ^ va * offset, zero[wire_b] ^ vb * offset
+                key = _row_key(label_a, label_b, position).to_bytes(16, "big")
+                pad = xor_bytes(_aes_block(key), key)
+                output = (zero[wire_out] ^ (va & vb) * offset).to_bytes(16, "big")
+                colour = 2 * (label_a & 1) + (label_b & 1)
+                assert gate_rows[16 * colour : 16 * colour + 16] == xor_bytes(pad, output)
+
+
+@given(
+    gates=st.lists(
+        st.tuples(
+            st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1), st.integers(0, 2**32 - 1)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    offset=st.integers(0, 2**127 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_vectorised_row_keys_equal_the_bitwise_field_reference(gates, offset):
+    offset = 2 * offset + 1  # a free-XOR offset has its colour bit set
+    a0 = np.frombuffer(b"".join(a.to_bytes(16, "big") for a, _, _ in gates), np.uint8)
+    b0 = np.frombuffer(b"".join(b.to_bytes(16, "big") for _, b, _ in gates), np.uint8)
+    positions = np.array([position for *_, position in gates], dtype=np.uint32)
+    keys = garbled._gate_keys(a0.reshape(-1, 16), b0.reshape(-1, 16), positions, offset)
+    assert keys.shape == (len(gates), 4, 16)
+    for (a, b, position), gate_keys in zip(gates, keys):
+        expected = [
+            _row_key(a ^ va * offset, b ^ vb * offset, position) for va in (0, 1) for vb in (0, 1)
+        ]
+        got = [int.from_bytes(key.tobytes(), "big") for key in gate_keys]
+        assert got == expected
+        assert len(set(got)) == 4  # the four rows of a gate never share a key
+
+
+def test_threads_garbling_at_once_reproduce_the_pins():
+    """Each thread holds its own cipher context; none of them corrupts another's blocks."""
+    builds = {
+        "spam32": lambda: SpamCircuit.build(32).circuit,
+        "topic32x10x8": lambda: TopicCircuit.build(32, 10, 8).circuit,
+    }
+    circuits = {name: build() for name, build in builds.items()}
+    workers = 4  # more threads than the cores of a small CI box
+    start, results, errors = threading.Barrier(workers), [], []
+
+    def work():
+        try:
+            start.wait(timeout=30)
+            for _ in range(3):
+                for name, circuit in circuits.items():
+                    results.append((name, _garbling_digests(circuit, seed=b"symmetric-floor-pin")))
+        except Exception as error:  # surfaced below, in the test's own thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the garble/evaluate calls
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(results) == workers * 3 * len(circuits)
+    for name, digests in results:
+        assert digests == GARBLING_PINS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +264,15 @@ def _pooled_exchange(pool, count: int, message_bytes: int = 16):
 POOLED_PINS = {
     13: (
         "af8a5a487be0d6c6554d7179aa544c7a3a427c7771004dcf277bfd5e1a25bd3c",
-        "6be440b673c648321048470f78a6aa122d44ed52f8d4a62c4307f6e74ea002ef",
+        "3763b66233d4e5769bedd3cca631e6ff61c041805b29daed6b964f9c96d33899",
     ),
     64: (
         "88cc4c0c357eaad8aa916a0ceba72c5a7bf487ddc4cf50b65a5b2ca7ef96e2c9",
-        "0dcd8ad2e104694361f042fc0538c5ee8a1b283c830a771dff9a2d8331da1e53",
+        "cdc52e9c789720acebafaa9b67323e2001da7c88127e5d922133956b0387f0fa",
     ),
     320: (
         "f69fd9370d5c1c3010deb14390ffd656f507b067480e96c6af8125bc21465a3e",
-        "b467d274944040ae61116ab9960b62b5dea05d119b3ee56307e0a43ada4eb85a",
+        "1a5186598335d098a5d3061b57c02a9ce8bb2bb030c87be4eeffb2c139d6c3fa",
     ),
 }
 
@@ -261,7 +374,22 @@ def test_column_streams_never_reach_a_pickle_a_snapshot_or_equality():
     assert _pooled_exchange(copy, 13)[0] == _pooled_exchange(pool, 13)[0]
 
 
-def test_pads_are_one_hash_of_label_row_and_bit():
+def _sigma(row: bytes) -> bytes:
+    """``σ(x_L ‖ x_R) = (x_L ⊕ x_R) ‖ x_L`` on the two 64-bit halves."""
+    return xor_bytes(row[:8], row[8:]) + row[:8]
+
+
+def _definition_pad(row: bytes, domain: bytes, index: int, bit: int, length: int) -> bytes:
+    """``H(x, t) = π(σ(x) ⊕ t) ⊕ σ(x)`` per block ``k``, ``t = domain ‖ index ‖ bit ‖ k``.
+    """
+    blocks = []
+    for counter in range(-(-length // 16)):
+        tweak = domain + index.to_bytes(8, "big") + bytes([bit]) + counter.to_bytes(4, "big")
+        blocks.append(xor_bytes(_aes_block(xor_bytes(_sigma(row), tweak)), _sigma(row)))
+    return b"".join(blocks)[:length]
+
+
+def test_pads_are_one_fixed_key_hash_of_row_and_tweak():
     """Both frames of a pooled batch, rebuilt from the definitions alone."""
     pool, start, count = _pinned_pool(), 1000, 64  # straddles the first chunk boundary
     pool.receiver_state.next_index = start
@@ -284,21 +412,28 @@ def test_pads_are_one_hash_of_label_row_and_bit():
         u_row = xor_bytes(xor_bytes(t_row, g_row), bytes([0xFF * choices[i]]) * 16)
         for j in range(KAPPA):  # U is published by column
             assert (columns_frame.columns[j][i // 8] >> (i % 8)) & 1 == (u_row[j // 8] >> (j % 8)) & 1
-        label = b"iknp-pool-pad" + (start + i).to_bytes(8, "big")
-        # q_i = t_i XOR (r_i * s); message b is padded with H(label, q_i XOR b * s, b).
+        # q_i = t_i XOR (r_i * s); message b is padded with H(q_i XOR b * s, (otp, i, b, 0)).
         q_row = xor_bytes(t_row, s_row) if choices[i] else t_row
-        pad0 = hashlib.sha256(label + q_row + b"0").digest()[:16]
-        pad1 = hashlib.sha256(label + xor_bytes(q_row, s_row) + b"1").digest()[:16]
+        pad0 = _definition_pad(q_row, b"otp", start + i, 0, 16)
+        pad1 = _definition_pad(xor_bytes(q_row, s_row), b"otp", start + i, 1, 16)
         assert pairs_frame.pairs[i] == (xor_bytes(pad0, pairs[i][0]), xor_bytes(pad1, pairs[i][1]))
+        # The receiver unpads its chosen message with t_i, which is q_i XOR r_i * s.
+        assert _definition_pad(t_row, b"otp", start + i, choices[i], 16) == (pad0, pad1)[choices[i]]
 
 
 def test_long_pads_continue_with_counter_blocks():
-    material = b"label" + bytes(16) + b"1"
-    blocks = [hashlib.sha256(material).digest()] + [
-        hashlib.sha256(material + counter.to_bytes(4, "big")).digest() for counter in (1, 2)
-    ]
-    for length in (1, 16, 32, 33, 64, 70):
-        assert ot._pad(material, length) == b"".join(blocks)[:length]
+    stream = Prg(b"long-pads", domain=b"pin-pads")
+    rows = np.frombuffer(stream.read(3 * 2 * 16), np.uint8).reshape(3, 2, 16)
+    bits = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+    for length in (1, 16, 17, 32, 33, 45, 70):
+        pads = ot._pads(rows, b"otp", 1000, bits, length)
+        assert pads.shape == (3, 2, length)
+        for i in range(3):
+            for j in range(2):
+                expected = _definition_pad(
+                    rows[i, j].tobytes(), b"otp", 1000 + i, bits[i, j], length
+                )
+                assert pads[i, j].tobytes() == expected
 
 
 def test_receiver_restored_across_a_chunk_boundary_rederives_its_rows():
@@ -374,7 +509,7 @@ def _one_shot_exchange(group, stream):
 
 ONE_SHOT_PINS = (
     "567627cf2a1a243c1445b0fe1bb8dead5b2035594edfe9b0cd3d5fa584565e11",
-    "d655f57f48e5cd48ba351da769ddf66a80e40eae6c7c9bb8c8e1af49100cab2a",
+    "4912fa7e3f91384f4c334dcf9c928ebfad0f06e3cb05552eb2a6e357f0baf699",
 )
 
 
@@ -425,6 +560,49 @@ def test_pooled_sender_refuses_a_short_column():
         sender.handle(type(frame)(tuple(columns), start_index=frame.start_index))
 
 
+def _receiver_awaiting_pairs(kind, group, choices, pairs):
+    """A pooled or one-shot receiver one frame from done, and the sender's pairs frame."""
+    if kind == "pooled":
+        pool = _pinned_pool()
+        receiver = ot.PooledIknpReceiverMachine(None, choices, pool.receiver_state)
+        sender = ot.PooledIknpSenderMachine(None, pairs, pool.sender_state)
+        (columns_frame,) = receiver.start()
+        sender.start()
+        (pairs_frame,) = sender.handle(columns_frame)
+        return receiver, pairs_frame
+    sender, receiver = ot.IknpSenderMachine(group, pairs), ot.IknpReceiverMachine(group, choices)
+    (publics,) = receiver.start()
+    sender.start()
+    (responses,) = sender.handle(publics)
+    cipher_pairs, columns_frame = receiver.handle(responses)
+    sender.handle(cipher_pairs)
+    (pairs_frame,) = sender.handle(columns_frame)
+    return receiver, pairs_frame
+
+
+@pytest.mark.parametrize("kind", ["pooled", "one_shot"])
+@pytest.mark.parametrize("tamper", ["chosen_short", "other_long", "first_long"])
+def test_receivers_refuse_pairs_of_mixed_lengths_before_any_pad(kind, tamper, dh_group, pi_calls):
+    """A batch's pads are derived at one length: a crafted frame never reaches them."""
+    choices = [1, 0, 1] * 7
+    pairs = [(bytes([i]) * 16, bytes([i + 100]) * 16) for i in range(21)]
+    receiver, frame = _receiver_awaiting_pairs(kind, dh_group, choices, pairs)
+    crafted = [list(pair) for pair in frame.pairs]
+    if tamper == "chosen_short":
+        crafted[4][choices[4]] = crafted[4][choices[4]][:-1]
+    elif tamper == "other_long":
+        crafted[5][1 - choices[5]] += b"\x00"  # the message the receiver never opens
+    else:
+        crafted[0][0] += b"\x00"  # the first message disagrees with every other
+    pi_calls.clear()
+    with pytest.raises(OTError, match="one length"):
+        receiver.handle(ot.OtExtPairsFrame(tuple(tuple(pair) for pair in crafted)))
+    assert pi_calls == [] and receiver.result is None and not receiver.finished
+    # The frame as sent still decrypts.
+    assert receiver.handle(frame) == []
+    assert receiver.result == [pair[choice] for pair, choice in zip(pairs, choices)]
+
+
 # ---------------------------------------------------------------------------
 # Refusals at the label/table boundary
 # ---------------------------------------------------------------------------
@@ -464,7 +642,7 @@ def test_evaluate_refuses_a_short_table_row_and_a_missing_gate():
 
 @pytest.fixture
 def sha256_calls(monkeypatch):
-    """Every ``hashlib.sha256`` call the garbling code makes, gate hashes and digests alike."""
+    """Every ``hashlib.sha256`` call the symmetric code makes (decode digests, base-OT keys)."""
     calls, real = [], hashlib.sha256
 
     def counting(*args):
@@ -475,30 +653,73 @@ def sha256_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def pi_calls(monkeypatch):
+    """The block count of every call of the fixed-key permutation, garbler, evaluator and OT."""
+    calls, real = [], hashes.fixed_key_permutation
+
+    def counting_permutation():
+        update = real()
+
+        def counted(data):
+            assert len(data) % 16 == 0  # whole blocks only
+            calls.append(len(data) // 16)
+            return update(data)
+
+        return counted
+
+    for module in (garbled, ot):
+        monkeypatch.setattr(module, "fixed_key_permutation", counting_permutation)
+    return calls
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: SpamCircuit.build(28), lambda: TopicCircuit.build(27, 10, 8), lambda: TopicCircuit.build(8, 3, 2)],
     ids=["spam28", "topic27x10x8", "topic8x3x2"],
 )
-def test_hash_budgets_are_exact(build, sha256_calls):
+def test_hash_budgets_are_exact(build, sha256_calls, pi_calls):
     circuit = build().circuit
     garbling = garble(circuit, seed=b"budget")
-    # Four gate hashes per AND, two decode digests per output — nothing else.
-    assert len(sha256_calls) == 4 * circuit.and_count + 2 * len(circuit.outputs)
+    # One permutation call over four row keys per AND; two decode digests per output.
+    assert pi_calls == [4 * circuit.and_count]
+    assert len(sha256_calls) == 2 * len(circuit.outputs)
     sha256_calls.clear()
+    pi_calls.clear()
     labels = evaluate(
         circuit,
         garbling.tables,
         garbling.input_labels(circuit.garbler_inputs, [1] * len(circuit.garbler_inputs)),
         garbling.input_labels(circuit.evaluator_inputs, [0] * len(circuit.evaluator_inputs)),
     )
-    assert len(sha256_calls) == circuit.and_count
-    sha256_calls.clear()
+    assert pi_calls == [1] * circuit.and_count and sha256_calls == []
+    pi_calls.clear()
     decode_outputs(circuit, garbling.tables, labels)
-    assert len(sha256_calls) == len(circuit.outputs)
+    assert pi_calls == [] and len(sha256_calls) == len(circuit.outputs)
 
 
-def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_hash(sha256_calls):
+@pytest.mark.parametrize("count,message_bytes", [(13, 16), (64, 16), (320, 16), (9, 45), (5, 1)])
+def test_pad_budgets_are_exact(count, message_bytes, sha256_calls, pi_calls):
+    pool = _pinned_pool()
+    stream = Prg(b"pad-budget", domain=b"pin-batch")
+    choices = stream.read_bits(count)
+    pairs = [(stream.read(message_bytes), stream.read(message_bytes)) for _ in range(count)]
+    receiver = ot.PooledIknpReceiverMachine(None, choices, pool.receiver_state)
+    sender = ot.PooledIknpSenderMachine(None, pairs, pool.sender_state)
+    (columns_frame,) = receiver.start()
+    blocks = -(-message_bytes // 16)
+    sha256_calls.clear()  # the batch's own draws above run HMAC
+    (pairs_frame,) = sender.handle(columns_frame)
+    assert pi_calls == [2 * count * blocks]
+    pi_calls.clear()
+    receiver.handle(pairs_frame)
+    assert pi_calls == [count * blocks] and sha256_calls == []
+    assert receiver.result == [pair[choice] for pair, choice in zip(pairs, choices)]
+
+
+def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_pad(
+    sha256_calls, pi_calls
+):
     circuit = SpamCircuit.build(32).circuit
     garbling = garble(circuit, seed=b"refusals")
     tables, positions = garbling.tables, garbling.tables.positions
@@ -520,12 +741,13 @@ def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_hash
     garbler_labels = garbling.input_labels(circuit.garbler_inputs, [0] * 32)
     evaluator_labels = garbling.input_labels(circuit.evaluator_inputs, [1] * 32)
     sha256_calls.clear()
+    pi_calls.clear()
     for bad in refused:
         with pytest.raises(ProtocolAbort, match="AND gate"):
             evaluate(circuit, bad, garbler_labels, evaluator_labels)
-    assert sha256_calls == []
+    assert sha256_calls == [] and pi_calls == []
     evaluate(circuit, tables, garbler_labels, evaluator_labels)
-    assert len(sha256_calls) == circuit.and_count
+    assert pi_calls == [1] * circuit.and_count and sha256_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +921,115 @@ def test_a_peer_on_the_previous_column_derivation_aborts(new_side):
     # the output label authenticates to nothing.
     with pytest.raises(ProtocolAbort, match="does not decode"):
         _run_spam_yao(circuit, circuit, pool, MARGIN_SHAPE_INPUTS, MARGIN_SHAPE_INPUTS)
+
+
+# -- the SHA-256 rows and pads of commit 7cb42f0 ------------------------------
+def _parent_rows(circuit: Circuit, garbling) -> GarbledTables:
+    """This garbling's labels under 7cb42f0's rows, ``sha256(tag ‖ A ‖ B ‖ p)[:16]``."""
+    zero, offset, rows = garbling.zero_labels, garbling.offset, []
+    for kind, wire_a, wire_b, wire_out, position in circuit.plan.steps:
+        if kind != PLAN_AND:
+            continue
+        gate = [b""] * 4
+        for va in (0, 1):
+            for vb in (0, 1):
+                label_a = (zero[wire_a] ^ va * offset).to_bytes(16, "big")
+                label_b = (zero[wire_b] ^ vb * offset).to_bytes(16, "big")
+                pad = hashlib.sha256(
+                    b"garble-gate" + label_a + label_b + position.to_bytes(4, "big")
+                ).digest()[:16]
+                output = (zero[wire_out] ^ (va & vb) * offset).to_bytes(16, "big")
+                gate[2 * (label_a[-1] & 1) + (label_b[-1] & 1)] = xor_bytes(pad, output)
+        rows.append(b"".join(gate))
+    return replace(garbling.tables, rows=b"".join(rows))
+
+
+def _parent_pad(material: bytes, length: int) -> bytes:
+    pad = hashlib.sha256(material).digest()
+    for counter in range(1, -(-length // 32)):
+        pad += hashlib.sha256(material + counter.to_bytes(4, "big")).digest()
+    return pad[:length]
+
+
+def _parent_extend_sender(columns, stream, s_bits, start, message_pairs, length, _domain):
+    """7cb42f0's pooled sender step: ``sha256(label_i ‖ row ‖ b)`` pads."""
+    count = len(message_pairs)
+    s_row = np.frombuffer(bits_to_bytes(s_bits), dtype=np.uint8)
+    rows0 = stream.rows(start, count) ^ (ot._row_block(b"".join(columns), count) & s_row)
+    encrypted = []
+    for i, (m0, m1) in enumerate(message_pairs):
+        label = b"iknp-pool-pad" + (start + i).to_bytes(8, "big")
+        row0, row1 = rows0[i].tobytes(), (rows0[i] ^ s_row).tobytes()
+        encrypted.append(
+            (
+                xor_bytes(_parent_pad(label + row0 + b"0", length), m0),
+                xor_bytes(_parent_pad(label + row1 + b"1", length), m1),
+            )
+        )
+    return tuple(encrypted)
+
+
+def _parent_decrypt_chosen(t_rows, choices, pairs, _domain, start):
+    """7cb42f0's pooled receiver step."""
+    plain = []
+    for i, (pair, choice) in enumerate(zip(pairs, choices)):
+        label = b"iknp-pool-pad" + (start + i).to_bytes(8, "big")
+        material = label + t_rows[i].tobytes() + (b"0", b"1")[choice]
+        plain.append(xor_bytes(_parent_pad(material, len(pair[choice])), pair[choice]))
+    return plain
+
+
+def test_the_parent_derivations_kept_here_are_that_commits():
+    """Fed this build's labels and rows, the copies reproduce 7cb42f0's pins."""
+    circuit = SpamCircuit.build(32).circuit
+    parent_tables = _parent_rows(circuit, garble(circuit, seed=b"symmetric-floor-pin")).to_bytes()
+    assert _digest(parent_tables) == "e3e02ab37ab5704759432dd7fc7d153252429422f829c66b16ac103b4136a921"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ot, "_extend_sender", _parent_extend_sender)
+        patch.setattr(ot, "_decrypt_chosen", _parent_decrypt_chosen)
+        columns_frame, pairs_frame, received, expected = _pooled_exchange(_pinned_pool(), 13)
+    assert received == expected
+    assert _digest(WireCodec().encode(pairs_frame)) == (
+        "6be440b673c648321048470f78a6aa122d44ed52f8d4a62c4307f6e74ea002ef"
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: SpamCircuit.build(28), lambda: TopicCircuit.build(27, 10, 8)], ids=["spam", "topic"]
+)
+def test_parent_rows_abort_this_evaluator(build):
+    """Well-formed tables of the parent's rows: evaluation yields labels that decode to nothing."""
+    circuit = build().circuit
+    garbling = garble(circuit, seed=b"mixed-build")
+    parent_tables = GarbledTables.from_bytes(_parent_rows(circuit, garbling).to_bytes())
+    stream = Prg(b"mixed-build", domain=b"pin-inputs")
+    garbler_labels = garbling.input_labels(
+        circuit.garbler_inputs, stream.read_bits(len(circuit.garbler_inputs))
+    )
+    evaluator_labels = garbling.input_labels(
+        circuit.evaluator_inputs, stream.read_bits(len(circuit.evaluator_inputs))
+    )
+    outputs = evaluate(circuit, parent_tables, garbler_labels, evaluator_labels)
+    with pytest.raises(ProtocolAbort, match="does not decode"):
+        decode_outputs(circuit, parent_tables, outputs)
+    # This build's own tables decode the same labels.
+    outputs = evaluate(circuit, garbling.tables, garbler_labels, evaluator_labels)
+    assert len(decode_outputs(circuit, garbling.tables, outputs)) == len(circuit.outputs)
+
+
+@pytest.mark.parametrize("parent_side", ["sender", "receiver"])
+def test_a_peer_on_the_parent_pads_aborts_a_yao_round(parent_side, monkeypatch):
+    if parent_side == "sender":
+        monkeypatch.setattr(ot, "_extend_sender", _parent_extend_sender)
+    else:
+        monkeypatch.setattr(ot, "_decrypt_chosen", _parent_decrypt_chosen)
+    circuit = SpamCircuit.build(28).circuit
+    inputs = (int_to_bits(1500, 28), int_to_bits(700, 28))
+    # The OT hands the evaluator labels that are neither of a wire's two.
+    with pytest.raises(ProtocolAbort, match="does not decode"):
+        _run_spam_yao(circuit, circuit, _pinned_pool(), inputs, inputs)
+    monkeypatch.undo()
+    assert _run_spam_yao(circuit, circuit, _pinned_pool(), inputs, inputs) in ([0], [1])
 
 
 @pytest.mark.parametrize("length", [1, 16, 32, 33, 70])
