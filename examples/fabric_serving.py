@@ -7,7 +7,8 @@ This example drives the three fabric layers on one machine:
 
 1. **Worker agents** — two standalone processes, each serving one shard of
    the mailbox hash partition over a versioned control protocol (HELLO
-   handshake, command/reply, heartbeats) on a reliable transport;
+   handshake, command/reply, heartbeats) straight over TCP, each frame
+   checked by its CRC32;
 2. **The control plane** — the shard driver over one ``TcpLink`` per
    agent: it replays registrations, routes emails by stable mailbox hash,
    and aggregates each agent's streamed metrics snapshots fold-once;

@@ -10,14 +10,21 @@ decrypt windows to a :class:`~repro.core.runtime.FileSessionStore` at each
 burst boundary, and a replacement worker **resumes** the parked sessions —
 no dot products, blinding, or OT handshakes re-run.
 
+The same records carry a *client* across a lost connection: a phone whose
+decrypt is parked in the provider's open window goes offline holding its
+snapshot, and resumes on a fresh channel when it comes back.
+
 This walkthrough:
 
 1. serializes one live mid-window session pair to bytes and restores it in a
    fresh serving loop (the in-process view of the contract);
-2. SIGKILLs a shard worker with an open window and lets ``restart_shard``
+2. disconnects a client mid-protocol, carries its snapshot away, reconnects
+   it on a fresh channel and drains it to the same verdict — zero
+   resubmissions;
+3. SIGKILLs a shard worker with an open window and lets ``restart_shard``
    resume from the on-disk checkpoint, comparing recovery against the
    recompute fallback;
-3. verifies both recoveries produce verdicts bit-identical to an
+4. verifies every recovery produces verdicts bit-identical to an
    uninterrupted run.
 
 Run with:  python examples/resumable_serving.py
@@ -40,7 +47,8 @@ from repro.core.runtime import (
     session_job,
 )
 from repro.datasets import lingspam_like, prepare_classification_data
-from repro.twopc.spam import SpamFilterProtocol
+from repro.twopc.spam import SpamClientSession, SpamFilterProtocol
+from repro.twopc.wire import SessionState
 
 
 def train_protocol(config):
@@ -89,6 +97,27 @@ def snapshot_roundtrip(protocol, setup, emails, truth):
     assert resumed == truth
 
 
+def disconnect_and_reconnect(protocol, setup, features, verdict):
+    """A client goes offline mid-protocol, then resumes on a fresh channel."""
+    print("== 2. disconnect a client mid-protocol, reconnect, resume ==")
+    pool = protocol.make_ot_pool(setup)
+    runtime = ProviderRuntime(scheduler=DecryptScheduler(window_bursts=100))
+    job = session_job(protocol, setup, (features,), label="phone-1", ot_pool=pool)
+    runtime.serve_burst([job])  # parks in the open decrypt window
+    blob = runtime.disconnect_job("phone-1").to_bytes()
+    print(f"   disconnected: the provider holds the parked decrypt, "
+          f"the client carries a {len(blob)}-byte SessionState snapshot")
+
+    client = SpamClientSession.restore(
+        protocol, setup, SessionState.from_bytes(blob), ot_pool=pool
+    )
+    runtime.reconnect_job("phone-1", protocol.make_channel(setup, name="reconnect"), client)
+    resumed = runtime.drain()[0].client.is_spam
+    print(f"   reconnected and drained: is_spam={resumed} "
+          f"(matches uninterrupted run: {resumed == verdict}, zero resubmissions)")
+    assert resumed == verdict
+
+
 def crash_and_recover(protocol, setup, emails, truth, checkpoint_dir):
     """SIGKILL a worker mid-window; resume (or recompute) and compare."""
     results = {}
@@ -125,8 +154,10 @@ def main():
     print(f"baseline verdicts (uninterrupted): {truth}\n")
 
     snapshot_roundtrip(protocol, setup, emails, truth)
+    print()
+    disconnect_and_reconnect(protocol, setup, emails[0], truth[0])
 
-    print("\n== 2. SIGKILL a shard worker mid-window, recover both ways ==")
+    print("\n== 3. SIGKILL a shard worker mid-window, recover both ways ==")
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         results = crash_and_recover(protocol, setup, emails, truth, checkpoint_dir)
     resume_ms, resubmitted = results["resume"]

@@ -64,10 +64,6 @@ class TransportTimeoutError(ProtocolError):
     """No frame arrived within the receive deadline (the peer may be silent)."""
 
 
-class ReliabilityError(ProtocolError):
-    """The ack/retransmit layer exhausted its retries without making progress."""
-
-
 class SnapshotError(ProtocolError):
     """A session cannot be snapshotted or restored at its current position."""
 

@@ -7,7 +7,8 @@ process serving one :class:`~repro.core.runtime.ShardWorkerCore` — the shard
 brain every worker runs — and :class:`~repro.fabric.control.TcpLink` is the
 driver's link to it: the versioned CONTROL frame family of
 :mod:`repro.twopc.wire` (HELLO handshake, seq-tagged COMMAND/REPLY,
-HEARTBEAT health, streamed METRICS snapshots) over a reliable TCP channel.
+HEARTBEAT health, streamed METRICS snapshots) over one TCP connection,
+whose frames carry a CRC32; TCP itself does the delivering.
 Routing, registration replay, crash recovery, live migration
 (:meth:`~repro.core.runtime.ShardDriver.migrate`: checkpoint the open
 decrypt windows on host A, restore them bit-identically on host B, redirect
@@ -37,7 +38,7 @@ __all__ = [
     "unpack_control",
 ]
 
-_LINK_OPTIONS = ("heartbeat_interval", "heartbeat_timeout", "metrics_interval", "fault_spec")
+_LINK_OPTIONS = ("heartbeat_interval", "heartbeat_timeout", "metrics_interval")
 
 
 def launch_fabric(
@@ -49,7 +50,7 @@ def launch_fabric(
 
     The two-line on-ramp the example, the end-to-end benchmark and the tests
     use.  *options* are :class:`~repro.fabric.control.TcpLink`'s link options
-    (heartbeats, metrics interval, fault spec) and
+    (heartbeats, metrics interval) and
     :class:`~repro.core.runtime.ShardDriver`'s scheduler options
     (``window_bursts``, ``max_delay_seconds``).  The
     caller owns both halves: ``runtime.close()`` retires the agents (they

@@ -6,8 +6,9 @@ An agent is the cross-host twin of the in-box pipe worker
 It binds a TCP port (``--port 0`` for an OS-assigned one, announced as
 ``PORT <n>`` on stdout so a parent script can harvest it), accepts one
 parent connection, and speaks the versioned control protocol of
-:mod:`repro.fabric.control` over a reliable transport — so commands survive
-a lossy link exactly once, in order.
+:mod:`repro.fabric.control` directly over that TCP connection — TCP delivers
+commands once and in order, and a frame that fails its CRC32 ends the
+connection.
 
 Lifecycle: the parent's HELLO delivers the scheduler spec and fabric
 incarnation (the agent checks the spec and builds its core only then — the
@@ -18,7 +19,8 @@ aged decrypt windows between commands, pushes HEARTBEAT beacons, and
 streams cumulative METRICS snapshots on the configured interval.  The agent
 exits when the parent says BYE (or ``stop``), when the connection dies, or
 when the parent stays silent past its advertised timeout — an orphaned
-agent never lingers.
+agent never lingers.  A read deadline that passes is only silence; the
+command loop keeps reading and the housekeeping clock judges the parent.
 
 With ``--checkpoint-dir``, open windows are synced to the agent's own
 append-only :class:`~repro.core.runtime.ShardCheckpointLog` at every burst
@@ -38,15 +40,9 @@ import time
 from dataclasses import dataclass
 
 from repro.core.runtime import FileSessionStore, ShardWorkerCore, checked_scheduler_spec
-from repro.exceptions import ProtocolError, ReliabilityError, TransportClosedError
-from repro.fabric.control import (
-    CONTROL_MAX_ATTEMPTS,
-    CONTROL_PARTIES,
-    pack_control,
-    unpack_control,
-)
+from repro.exceptions import ProtocolError, TransportClosedError, TransportTimeoutError
+from repro.fabric.control import CONTROL_PARTIES, pack_control, unpack_control
 from repro.obs import MetricsRegistry, SpanTracer, get_registry, scoped_registry, set_registry, set_tracer
-from repro.twopc.reliable import AsyncReliableTransport
 from repro.twopc.transport import AsyncTcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
@@ -56,15 +52,17 @@ _TICK_SECONDS = 0.05
 
 
 async def _serve_connection(
-    link: AsyncReliableTransport,
+    link: AsyncTcpTransport,
     checkpoint_dir: str | None,
     shard_index: int,
 ) -> None:
-    """Serve one parent over one connection until BYE/stop/death."""
+    """Serve one parent over one connection until BYE/stop/death.
+
+    The parent has *link*'s read deadline to send its HELLO; after that a
+    passed deadline is only silence.
+    """
     try:
-        verb, hello = unpack_control(
-            await link.receive("agent", timeout_seconds=30.0)
-        )
+        verb, hello = unpack_control(await link.receive("agent"))
     except ProtocolError:
         return
     if verb != ControlVerb.HELLO:
@@ -122,7 +120,10 @@ async def _serve_connection(
     async def command_loop() -> None:
         try:
             while not stop.is_set():
-                raw = await link.receive("agent")
+                try:
+                    raw = await link.receive("agent")
+                except TransportTimeoutError:
+                    continue
                 last_parent[0] = time.monotonic()
                 verb, body = unpack_control(raw)
                 if verb == ControlVerb.BYE:
@@ -137,10 +138,8 @@ async def _serve_connection(
                 )
                 if body["command"] == "stop":
                     return
-        except (TransportClosedError, ReliabilityError):
-            # The parent is gone (hangup) or unreachable past the retry
-            # budget; either way this agent has no one to serve.
-            return
+        except TransportClosedError:
+            return  # the parent hung up: no one is left to serve
         finally:
             stop.set()
 
@@ -178,7 +177,7 @@ async def _serve_connection(
                     if deadline is None
                     else min(_TICK_SECONDS, max(deadline, 0.005))
                 )
-        except (TransportClosedError, ReliabilityError):
+        except TransportClosedError:
             return
         finally:
             stop.set()
@@ -208,26 +207,21 @@ async def serve(
         # The control link's own accounting must not pollute the serving
         # registry: agent snapshots have to merge with in-box worker
         # snapshots, which never see a TCP control channel.  Instruments
-        # bind at construction, so building the whole link stack under a
-        # scratch registry keeps every control-plane counter (tcp frames,
-        # reliable retransmits) out of the serving series.
+        # bind at construction, so building the link under a scratch
+        # registry keeps the control plane's frame counters out of the
+        # serving series.
         with scoped_registry(MetricsRegistry()):
-            tcp = AsyncTcpTransport(
+            link = AsyncTcpTransport(
                 reader,
                 writer,
                 local_party="agent",
                 parties=CONTROL_PARTIES,
                 name=f"agent[{shard_index}]",
             )
-            link = AsyncReliableTransport(
-                tcp,
-                name=f"agent-link[{shard_index}]",
-                max_attempts=CONTROL_MAX_ATTEMPTS,
-            )
         try:
             await _serve_connection(link, checkpoint_dir, shard_index)
         finally:
-            await tcp.aclose()
+            await link.aclose()
             done.set()
 
     server = await asyncio.start_server(handler, host, port)

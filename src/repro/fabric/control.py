@@ -12,12 +12,13 @@ replaces, so rich registration payloads (protocols, setups) ride whole.
 :class:`TcpLink` is the driver's :class:`~repro.core.runtime.WorkerLink`
 over that codec.
 
-The channel stack is ``ControlFrame`` over
-:class:`~repro.twopc.reliable.AsyncReliableTransport` over
-:class:`~repro.twopc.transport.AsyncTcpTransport` (optionally with an
-:class:`~repro.twopc.transport.AsyncFaultyTransport` chaos layer between
-them, which the migration-under-chaos tests exploit): commands survive
-drops, duplication and reordering, and arrive in order exactly once.
+The channel stack is ``ControlFrame`` directly over
+:class:`~repro.twopc.transport.AsyncTcpTransport`, as
+:class:`~repro.core.runtime.PipeLink` runs over its pipe: TCP delivers each
+frame once and in order, and a frame whose CRC32 does not verify ends the
+link, which then recovers the way any dead worker does
+(``attach_replacement``).  A read deadline that passes is silence, not
+failure.
 
 Health and telemetry ride the same link.  Agents push HEARTBEAT beacons
 and streamed cumulative METRICS snapshots on configured intervals; the link
@@ -37,20 +38,12 @@ import time
 from typing import Any, Mapping
 
 from repro.core.runtime import ShardDriver
-from repro.exceptions import ProtocolError, WireFormatError
-from repro.twopc.reliable import AsyncReliableTransport
-from repro.twopc.transport import AsyncFaultyTransport, AsyncTcpTransport, FaultSpec
+from repro.exceptions import ProtocolError, TransportTimeoutError, WireFormatError
+from repro.twopc.transport import AsyncTcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, WireCodec
 
 #: Parties of every control link: the fabric parent dials, the agent serves.
 CONTROL_PARTIES = ("parent", "agent")
-
-#: Reliable-layer retry budget on control links.  Much higher than the
-#: protocol-channel default: a shard deep in a multi-second decrypt burst
-#: legitimately goes quiet (its event loop is busy computing), and the
-#: parent's reader must outwait that without declaring the link dead —
-#: liveness policy belongs to the heartbeat watchdog, not the retry loop.
-CONTROL_MAX_ATTEMPTS = 64
 
 _CODEC = WireCodec()  # control frames never carry ciphertexts; schemeless is fine
 
@@ -145,9 +138,10 @@ def metrics_projection(snapshot: Mapping[str, Any]) -> dict:
     }
 
 
-#: How long dialing and the HELLO exchange may take, and how long a posted
-#: command may go unanswered before :meth:`TcpLink.wait` gives up on it (the
-#: driver still absorbs the reply if it arrives later).
+#: How long dialing and the HELLO exchange may take (and how long one read of
+#: the link waits; after HELLO a passed deadline is silence), and how long a
+#: posted command may go unanswered before :meth:`TcpLink.wait` gives up on
+#: it (the driver still absorbs the reply if it arrives later).
 CONNECT_TIMEOUT_SECONDS = 10.0
 REQUEST_TIMEOUT_SECONDS = 300.0
 
@@ -180,12 +174,11 @@ class TcpLink:
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float = 30.0,
         metrics_interval: float = 0.2,
-        fault_spec: FaultSpec | None = None,
     ) -> None:
         self.index = index
         self.pid: int | None = None
         self.metrics: dict | None = None
-        self.transport: AsyncReliableTransport | None = None
+        self.transport: AsyncTcpTransport | None = None
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._failure: BaseException | None = None
@@ -214,7 +207,7 @@ class TcpLink:
             "parent_timeout": max(heartbeat_timeout * 4, 60.0),
         }
         try:
-            self._call(self._handshake(host, port, hello, fault_spec))
+            self._call(self._handshake(host, port, hello))
         except BaseException:
             self.close()
             raise
@@ -234,11 +227,9 @@ class TcpLink:
                 f"agent {self.index}: control operation timed out after {timeout:.0f}s"
             ) from None
 
-    async def _handshake(
-        self, host: str, port: int, hello: dict, fault_spec: FaultSpec | None
-    ) -> None:
+    async def _handshake(self, host: str, port: int, hello: dict) -> None:
         index = self.index
-        tcp = await asyncio.wait_for(
+        self.transport = await asyncio.wait_for(
             AsyncTcpTransport.connect(
                 host,
                 port,
@@ -248,12 +239,6 @@ class TcpLink:
                 timeout=CONNECT_TIMEOUT_SECONDS,
             ),
             CONNECT_TIMEOUT_SECONDS,
-        )
-        inner: Any = tcp
-        if fault_spec is not None:
-            inner = AsyncFaultyTransport(tcp, fault_spec, name=f"fabric-chaos[{index}]")
-        self.transport = AsyncReliableTransport(
-            inner, name=f"fabric-link[{index}]", max_attempts=CONTROL_MAX_ATTEMPTS
         )
         await self.transport.send("parent", pack_control(ControlVerb.HELLO, hello))
         verb, body = unpack_control(
@@ -286,10 +271,18 @@ class TcpLink:
         ]
 
     async def _reader(self) -> None:
-        """Route every inbound frame (the only ``receive`` caller after HELLO)."""
+        """Route every inbound frame (the only ``receive`` caller after HELLO).
+
+        A read deadline that passes is silence: a shard deep in a long
+        decrypt sends nothing, and judging silence is the keepalive's job.
+        """
         try:
             while True:
-                verb, body = unpack_control(await self.transport.receive("parent"))
+                try:
+                    raw = await self.transport.receive("parent")
+                except TransportTimeoutError:
+                    continue
+                verb, body = unpack_control(raw)
                 self._last_seen = time.monotonic()
                 if verb == ControlVerb.REPLY:
                     seq, reply = body
@@ -321,9 +314,9 @@ class TcpLink:
     async def _keepalive(self) -> None:
         """Parent-side heartbeats out, liveness policy in.
 
-        Outbound beacons keep an idle agent's reliable receive loop fed (its
-        retry budget measures silence, and silence is normal between
-        bursts); the timeout check evicts an agent that has said nothing for
+        Outbound beacons tell an idle agent its parent is still there (it
+        exits once the parent stays silent past its advertised timeout);
+        the timeout check evicts an agent that has said nothing for
         ``heartbeat_timeout`` — unless a command is in flight, because a
         shard mid-burst is compute-bound, not gone.
         """

@@ -9,9 +9,10 @@ provider halves multiplex across many concurrent email sessions.
 * :mod:`repro.twopc.wire` — typed, versioned protocol frames with real
   ``to_bytes``/``from_bytes`` codecs for everything that crosses parties.
 * :mod:`repro.twopc.transport` — :class:`Transport` (in-process loopback and
-  one asyncio TCP endpoint) plus :class:`FramedChannel`, the typed-frame
-  channel with per-party byte/message/round ledgers (the evaluation's
-  "network transfers" columns).
+  one asyncio TCP endpoint, whose frames carry a CRC32 and rely on TCP for
+  order and delivery) plus :class:`FramedChannel`, the typed-frame channel
+  with per-party byte/message/round ledgers (the evaluation's "network
+  transfers" columns).
 * :mod:`repro.twopc.session` — the :class:`ProtocolSession` state-machine
   contract and the in-process session-pair driver.
 * :mod:`repro.twopc.spam` — spam-filtering protocol: dot products + blinding +
@@ -21,10 +22,6 @@ provider halves multiplex across many concurrent email sessions.
   argmax reveals only the winning topic index to the provider (§4.3, Fig. 5).
 * :mod:`repro.twopc.noprv` — the NoPriv baseline: the provider classifies
   plaintext directly (the status quo the paper compares against).
-* :mod:`repro.twopc.reliable` — the ack/retransmit layer: exactly-once
-  in-order frames over lossy transports (sequence numbers, CRC32, cumulative
-  acks), plus :class:`FaultyTransport` in :mod:`repro.twopc.transport`, the
-  seeded fault injector the chaos suite drives it with.
 """
 
 # The protocol modules import crypto modules that in turn build on the wire /
@@ -53,13 +50,6 @@ _EXPORTS = {
     "Transport": "repro.twopc.transport",
     "LoopbackTransport": "repro.twopc.transport",
     "FramedChannel": "repro.twopc.transport",
-    "FaultSpec": "repro.twopc.transport",
-    "FaultEvent": "repro.twopc.transport",
-    "FaultKind": "repro.twopc.transport",
-    "FaultyTransport": "repro.twopc.transport",
-    "AsyncFaultyTransport": "repro.twopc.transport",
-    "ReliableChannel": "repro.twopc.reliable",
-    "AsyncReliableTransport": "repro.twopc.reliable",
     "WireCodec": "repro.twopc.wire",
 }
 

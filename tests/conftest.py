@@ -79,3 +79,26 @@ def small_topic_model():
     return QuantizedLinearModel.from_linear_model(
         linear, value_bits=10, frequency_bits=4, max_features_per_email=512
     )
+
+
+@pytest.fixture
+def sent_frame_sizes():
+    """Record the encoded length of every frame a channel sends.
+
+    ``record(channel)`` wraps ``channel.send`` and returns the list it fills:
+    one ``len(channel.codec.encode(frame))`` per frame, in send order — the
+    reference the exact byte ledgers are checked against.
+    """
+
+    def record(channel) -> list[int]:
+        sizes: list[int] = []
+        send = channel.send
+
+        def recording_send(sender, frame):
+            sizes.append(len(channel.codec.encode(frame)))
+            return send(sender, frame)
+
+        channel.send = recording_send
+        return sizes
+
+    return record

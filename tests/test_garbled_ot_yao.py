@@ -115,13 +115,15 @@ class TestObliviousTransfer:
         with pytest.raises(OTError):
             ObliviousTransfer(dh_group, mode="quantum")
 
-    def test_network_bytes_accounted(self, dh_group):
+    def test_network_bytes_accounted(self, dh_group, sent_frame_sizes):
         channel = ot_channel()
+        sent = sent_frame_sizes(channel)
         pairs = [(b"x" * 16, b"y" * 16)] * 8
         ObliviousTransfer(dh_group, mode="iknp").run(channel, pairs, [1] * 8)
         assert channel.total_bytes() > 0
         # Exact accounting: the total equals the sum of serialized frame sizes.
-        assert channel.total_bytes() == sum(size for _, size in channel.transport.frame_log)
+        assert channel.total_bytes() == sum(sent)
+        assert channel.total_messages() == len(sent)
 
 
 class TestBaseOtConstruction:

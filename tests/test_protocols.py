@@ -73,15 +73,15 @@ class TestSpamProtocol:
         protocol.classify_email(setup, SPAM_TEST_EMAILS[1], channel=channel)
         assert channel.pending() == 0
 
-    def test_network_bytes_equal_serialized_frame_lengths(self, spam_setup):
+    def test_network_bytes_equal_serialized_frame_lengths(self, spam_setup, sent_frame_sizes):
         # Acceptance: reported network_bytes is the sum of the actual
         # serialized frame lengths on the transport — no estimator anywhere.
         protocol, setup = spam_setup
         channel = protocol.make_channel(setup, name="spam-exact")
+        sent = sent_frame_sizes(channel)
         result = protocol.classify_email(setup, SPAM_TEST_EMAILS[0], channel=channel)
-        frame_log = channel.transport.frame_log
-        assert result.network_bytes == sum(size for _, size in frame_log)
-        assert result.network_messages == len(frame_log)
+        assert result.network_bytes == sum(sent)
+        assert result.network_messages == len(sent)
         assert result.network_rounds >= 2
 
     def test_client_storage_reported(self, spam_setup):

@@ -96,7 +96,7 @@ class TestConcurrentEqualsSequential:
         assert sequential[: len(truths)] == truths
         assert len(runtime.decrypt_batch_sizes) == 1
 
-    def test_batch_results_account_exact_bytes(self, spam_setup, topic_setup):
+    def test_batch_results_account_exact_bytes(self, spam_setup, topic_setup, sent_frame_sizes):
         spam_protocol, s_setup = spam_setup
         topic_protocol, t_setup = topic_setup
         runtime = ProviderRuntime()
@@ -105,11 +105,12 @@ class TestConcurrentEqualsSequential:
             for index, features in enumerate(SPAM_EMAILS[:3])
         ]
         jobs.append(session_job(topic_protocol, t_setup, (TOPIC_EMAILS[0], [0, 1, 2]), label="t"))
+        sizes = [sent_frame_sizes(job.channel) for job in jobs]
         runtime.run(jobs)
-        for job in jobs:
-            frame_log = job.channel.transport.frame_log
-            assert job.channel.total_bytes() == sum(size for _, size in frame_log)
-            assert job.channel.total_messages() == len(frame_log)
+        for job, sent in zip(jobs, sizes):
+            assert sent
+            assert job.channel.total_bytes() == sum(sent)
+            assert job.channel.total_messages() == len(sent)
             assert job.channel.pending() == 0
 
 

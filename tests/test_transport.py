@@ -2,7 +2,7 @@
 
 The transport is where byte accounting lives, so the ledger invariants are
 tested here: every accepted frame is charged exactly ``len(data)`` to its
-sender, message counts and rounds track the frame log, and frames are
+sender, message counts and rounds track the frames sent, and frames are
 delivered FIFO per direction.  The TCP endpoint has its own suite in
 ``test_transport_framing.py``.
 """
@@ -10,7 +10,6 @@ delivered FIFO per direction.  The TCP endpoint has its own suite in
 import pytest
 
 from repro.exceptions import ProtocolError, TransportTimeoutError
-from repro.twopc.reliable import ReliableChannel
 from repro.twopc.transport import FramedChannel, LoopbackTransport
 from repro.twopc.wire import ClassifyResultFrame, FeaturesFrame, OtExtColumnsFrame, WireCodec
 
@@ -33,7 +32,7 @@ class TestLoopbackTransport:
         assert transport.bytes_by_sender == {"client": 100, "provider": 50}
         assert transport.total_bytes() == 150
         assert transport.total_messages() == 2
-        assert transport.frame_log == [("client", 100), ("provider", 50)]
+        assert transport.messages_by_sender == {"client": 1, "provider": 1}
 
     def test_rounds_count_direction_bursts(self):
         transport = LoopbackTransport()
@@ -52,11 +51,10 @@ class TestLoopbackTransport:
             transport.receive("client")
 
     def test_empty_receive_is_an_immediate_timeout(self):
-        # Nothing can arrive in-process, so any deadline times out at once —
-        # the signal the reliable layer polls against.
+        # Nothing can arrive in-process, so waiting could never help.
         transport = LoopbackTransport()
         with pytest.raises(TransportTimeoutError):
-            transport.receive("provider", timeout_seconds=60.0)
+            transport.receive("provider")
 
     def test_send_snapshots_the_buffer(self):
         transport = LoopbackTransport()
@@ -79,13 +77,8 @@ class TestLoopbackTransport:
 
 
 class TestFramedChannel:
-    @pytest.mark.parametrize(
-        "make_transport",
-        [LoopbackTransport, lambda: ReliableChannel(LoopbackTransport())],
-        ids=["LoopbackTransport", "ReliableChannel"],
-    )
-    def test_typed_frames_roundtrip(self, make_transport):
-        channel = FramedChannel(make_transport(), WireCodec())
+    def test_typed_frames_roundtrip(self):
+        channel = FramedChannel(LoopbackTransport(), WireCodec())
         sent = FeaturesFrame(((1, 2), (9, 1)))
         size = channel.send("client", sent)
         assert size == len(channel.codec.encode(sent))
@@ -106,6 +99,4 @@ class TestFramedChannel:
             channel.send("client", frame)
         assert channel.total_bytes() == expected
         assert channel.total_messages() == len(frames)
-        assert [size for _, size in channel.transport.frame_log] == [
-            len(channel.codec.encode(frame)) for frame in frames
-        ]
+        assert channel.bytes_by_sender == {"client": expected, "provider": 0}

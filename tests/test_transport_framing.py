@@ -3,11 +3,15 @@
 TCP may deliver a frame one byte at a time, or glue the tail of one frame to
 the head of the next.  These tests pin the property that framing is
 independent of write splits — every frame is delivered intact and in order no
-matter how the byte stream is chopped — and that a closed transport surfaces
+matter how the byte stream is chopped — that a frame damaged in transit is
+refused by its CRC32 rather than delivered, that a long-lived endpoint keeps
+no per-frame state, and that a closed transport surfaces
 :class:`~repro.exceptions.TransportClosedError` rather than a raw ``OSError``.
 """
 
 import asyncio
+import zlib
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,15 +23,16 @@ from repro.exceptions import (
     WireFormatError,
 )
 from repro.twopc.transport import (
-    FRAME_LENGTH_PREFIX,
+    FRAME_HEADER,
     MAX_FRAME_BYTES,
     AsyncTcpTransport,
     FrameAssembler,
+    encode_frame,
 )
 
 
 def _stream_of(frames):
-    return b"".join(FRAME_LENGTH_PREFIX.pack(len(frame)) + frame for frame in frames)
+    return b"".join(encode_frame(frame) for frame in frames)
 
 
 def _chop(data: bytes, cuts) -> list[bytes]:
@@ -79,7 +84,7 @@ class TestFrameAssembler:
     def test_hostile_length_prefix_rejected(self):
         assembler = FrameAssembler(max_frame_bytes=1024)
         with pytest.raises(WireFormatError):
-            assembler.feed(FRAME_LENGTH_PREFIX.pack(1 << 30))
+            assembler.feed(FRAME_HEADER.pack(1 << 30, 0))
 
     def test_zero_length_frames(self):
         assembler = FrameAssembler()
@@ -97,18 +102,58 @@ class TestFrameAssembler:
         limit = 1024
         assembler = FrameAssembler(max_frame_bytes=limit)
         with pytest.raises(WireFormatError):
-            assembler.feed(FRAME_LENGTH_PREFIX.pack(limit + 1))
+            assembler.feed(FRAME_HEADER.pack(limit + 1, 0))
 
-    def test_length_prefix_split_across_five_one_byte_feeds(self):
-        # The u32 prefix arrives one byte per feed; the fifth feed carries
+    def test_header_split_across_nine_one_byte_feeds(self):
+        # The 8-byte header arrives one byte per feed; the ninth feed carries
         # the single payload byte.  No feed may deliver early or misparse.
         stream = _stream_of([b"z"])
-        assert len(stream) == 5
+        assert len(stream) == FRAME_HEADER.size + 1 == 9
         assembler = FrameAssembler()
         deliveries = [assembler.feed(bytes([byte])) for byte in stream]
-        assert deliveries[:4] == [[], [], [], []]
-        assert deliveries[4] == [b"z"]
+        assert deliveries[:8] == [[]] * 8
+        assert deliveries[8] == [b"z"]
         assert assembler.buffered_bytes() == 0
+
+    def test_checksum_covers_length_and_payload(self):
+        # u32 length ‖ u32 CRC32(length ‖ payload) ‖ payload, big-endian.
+        frame = encode_frame(b"abc")
+        assert frame == (
+            b"\x00\x00\x00\x03"
+            + zlib.crc32(b"\x00\x00\x00\x03abc").to_bytes(4, "big")
+            + b"abc"
+        )
+
+    @given(
+        st.lists(st.binary(max_size=64), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=0, max_value=10_000), max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_single_bit_flip_is_refused(self, frames, cuts, data):
+        """For any frames, write split and single bit flip: only a prefix of
+        the original frames is delivered, and the damaged frame never is."""
+        stream = _stream_of(frames)
+        bit = data.draw(st.integers(min_value=0, max_value=len(stream) * 8 - 1))
+        damaged = bytearray(stream)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        ends = [len(_stream_of(frames[: count + 1])) for count in range(len(frames))]
+        hit = next(index for index, end in enumerate(ends) if bit // 8 < end)
+        in_length_field = bit // 8 - (ends[hit - 1] if hit else 0) < 4
+        assembler = FrameAssembler()
+        delivered = []
+        refused = False
+        try:
+            for chunk in _chop(bytes(damaged), cuts):
+                delivered += assembler.feed(chunk)
+        except WireFormatError:
+            refused = True
+        assert delivered == frames[: len(delivered)]
+        assert len(delivered) <= hit
+        # A flipped length bit may instead promise more bytes than ever
+        # arrive: the frame stays incomplete, and the endpoint reports the
+        # hangup that follows as a peer that closed mid-frame.
+        assert refused or (in_length_field and assembler.buffered_bytes() > 0)
 
 
 class TestReceiveTimeouts:
@@ -231,7 +276,7 @@ class TestAsyncTcpTransport:
             provider = await accepted
             try:
                 payload = bytes(range(256)) * 3
-                for byte in FRAME_LENGTH_PREFIX.pack(len(payload)) + payload:
+                for byte in encode_frame(payload):
                     writer.write(bytes([byte]))
                     await writer.drain()
                 assert await provider.receive("provider") == payload
@@ -317,7 +362,7 @@ class TestAsyncTcpTransport:
         async def scenario():
             server, provider, client = await _tcp_pair()()
             try:
-                client._writer.write(FRAME_LENGTH_PREFIX.pack(100) + b"only-part")
+                client._writer.write(encode_frame(bytes(100))[:20])
                 client._writer.write_eof()
                 await client._writer.drain()
                 with pytest.raises(TransportClosedError, match="mid-frame"):
@@ -351,7 +396,7 @@ class TestAsyncTcpTransport:
         async def scenario():
             server, provider, client = await _tcp_pair()()
             try:
-                client._writer.write(FRAME_LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1))
+                client._writer.write(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1, 0))
                 await client._writer.drain()
                 with pytest.raises(WireFormatError):
                     await provider.receive("provider")
@@ -519,6 +564,59 @@ class TestAsyncTcpTransport:
                 assert await provider.receive("provider") == b"array"
                 assert await provider.receive("provider") == b"view"
                 assert client.bytes_by_sender["client"] == 9
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_a_damaged_frame_is_refused_at_the_endpoint(self):
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                await client.send("client", b"intact")
+                assert await provider.receive("provider") == b"intact"
+                damaged = bytearray(encode_frame(b"registration body"))
+                damaged[-1] ^= 0x01
+                client._writer.write(bytes(damaged))
+                await client._writer.drain()
+                with pytest.raises(WireFormatError, match="CRC32"):
+                    await provider.receive("provider")
+                assert provider.messages_by_sender["client"] == 1
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_ten_thousand_frames_grow_no_endpoint_container(self):
+        """A control link lives for days at ~13 frames/s each way, so an
+        endpoint may keep counters but nothing that grows per frame."""
+
+        def sizes(endpoint):
+            found = {}
+            for owner in (endpoint, endpoint._assembler):
+                for name, value in vars(owner).items():
+                    if isinstance(value, (list, tuple, dict, set, deque, bytearray)):
+                        found[type(owner).__name__, name] = len(value)
+            return found
+
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                before = sizes(client), sizes(provider)
+                assert ("AsyncTcpTransport", "_inbound") in before[0]
+                for index in range(5_000):
+                    await client.send("client", index.to_bytes(4, "big"))
+                    request = await provider.receive("provider")
+                    await provider.send("provider", request)
+                    assert await client.receive("client") == request
+                assert client.total_messages() == provider.total_messages() == 10_000
+                assert (sizes(client), sizes(provider)) == before
             finally:
                 await client.aclose()
                 await provider.aclose()
