@@ -22,6 +22,7 @@ from repro.exceptions import (
     TransportTimeoutError,
     WireFormatError,
 )
+from repro.fabric import pack_control, unpack_control
 from repro.twopc.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -29,6 +30,7 @@ from repro.twopc.transport import (
     FrameAssembler,
     encode_frame,
 )
+from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
 
 def _stream_of(frames):
@@ -154,6 +156,73 @@ class TestFrameAssembler:
         # arrive: the frame stays incomplete, and the endpoint reports the
         # hangup that follows as a peer that closed mid-frame.
         assert refused or (in_length_field and assembler.buffered_bytes() > 0)
+
+
+class TestFrameLayout:
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 65_536, (1 << 20) + 3])
+    def test_header_is_length_then_crc_of_length_and_payload(self, size):
+        payload = (bytes(range(251)) * (size // 251 + 1))[:size]
+        frame = encode_frame(payload)
+        length, checksum = FRAME_HEADER.unpack_from(frame)
+        assert FRAME_HEADER.size == 8
+        assert frame[:4] == size.to_bytes(4, "big") and length == size
+        assert checksum == zlib.crc32(frame[:4] + payload)
+        assert frame[FRAME_HEADER.size :] == payload
+        assert FrameAssembler().feed(frame) == [payload]
+
+
+def _damaged(frame: bytes, offset: int, mask: int = 0x01) -> bytes:
+    damaged = bytearray(frame)
+    damaged[offset] ^= mask
+    return bytes(damaged)
+
+
+class TestFrameDamage:
+    """Deterministic damage, field by field (the property is above)."""
+
+    PAYLOAD = b"a registration body"
+
+    @pytest.mark.parametrize(
+        "offset", [4, 7, 8, -1], ids=["crc-first", "crc-last", "payload-first", "payload-last"]
+    )
+    def test_a_damaged_checksum_or_payload_byte_is_refused(self, offset):
+        assembler = FrameAssembler()
+        with pytest.raises(WireFormatError, match="CRC32"):
+            assembler.feed(_damaged(encode_frame(self.PAYLOAD), offset))
+
+    def test_a_shorter_length_is_refused(self):
+        # The checksum covers the length, so a frame cut short by its own
+        # header is refused rather than delivered truncated.
+        frame = encode_frame(self.PAYLOAD)
+        shorter = (len(self.PAYLOAD) - 1).to_bytes(4, "big") + frame[4:]
+        with pytest.raises(WireFormatError, match="CRC32"):
+            FrameAssembler().feed(shorter)
+
+    def test_a_longer_length_swallows_the_next_frame_and_is_refused(self):
+        frame = encode_frame(self.PAYLOAD)
+        longer = (len(self.PAYLOAD) + 1).to_bytes(4, "big") + frame[4:]
+        assembler = FrameAssembler()
+        assert assembler.feed(longer) == []  # still waiting for one more byte
+        assert assembler.buffered_bytes() == len(longer)
+        with pytest.raises(WireFormatError, match="CRC32"):
+            assembler.feed(encode_frame(b"next"))
+
+    def test_a_refused_stream_stays_refused(self):
+        # The assembler never resynchronises past damage onto later frames:
+        # the link ends, and a replacement link starts a fresh stream.
+        assembler = FrameAssembler()
+        with pytest.raises(WireFormatError):
+            assembler.feed(_damaged(encode_frame(b"first"), -1))
+        for _ in range(3):
+            with pytest.raises(WireFormatError):
+                assembler.feed(encode_frame(b"intact"))
+
+    def test_frames_of_earlier_feeds_are_kept_and_of_the_same_feed_dropped(self):
+        good, bad = encode_frame(b"good"), _damaged(encode_frame(b"bad"), -1)
+        assembler = FrameAssembler()
+        assert assembler.feed(good) == [b"good"]
+        with pytest.raises(WireFormatError):
+            assembler.feed(good + bad)  # the second b"good" is dropped with it
 
 
 class TestReceiveTimeouts:
@@ -617,6 +686,59 @@ class TestAsyncTcpTransport:
                     assert await client.receive("client") == request
                 assert client.total_messages() == provider.total_messages() == 10_000
                 assert (sizes(client), sizes(provider)) == before
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    def test_send_after_peer_hangup_raises_transport_closed(self):
+        # The first write after a hangup may still land in the socket buffer;
+        # the peer's reset then surfaces as a closed transport, not OSError.
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                await provider.aclose()
+                with pytest.raises(TransportClosedError):
+                    for _ in range(200):
+                        await client.send("client", bytes(1024))
+                        await asyncio.sleep(0.01)
+            finally:
+                await client.aclose()
+                server.close()
+                await server.wait_closed()
+
+        self._run(scenario())
+
+    CONTROL_BODIES = {
+        ControlVerb.HELLO: {"version": CONTROL_VERSION, "pid": 4242, "shard_index": 1},
+        ControlVerb.COMMAND: {"seq": 3, "command": "burst", "payload": bytes(range(256)) * 64},
+        ControlVerb.REPLY: (3, {"finished": [7, 8], "served": 2}),
+        ControlVerb.HEARTBEAT: {},
+        ControlVerb.METRICS: {"metrics": {"emails_served_total": 12.0}},
+        ControlVerb.BYE: {},
+    }
+
+    @pytest.mark.parametrize(
+        "verb", sorted(CONTROL_BODIES), ids=lambda verb: f"verb-{verb:#04x}"
+    )
+    def test_control_frames_cross_byte_exact(self, verb):
+        # The control link sends ControlFrame bytes unchanged: the endpoint
+        # adds only the 8-byte header and charges the frame's own length.
+        raw = pack_control(verb, self.CONTROL_BODIES[verb])
+
+        async def scenario():
+            server, provider, client = await _tcp_pair()()
+            try:
+                await client.send("client", raw)
+                received = await provider.receive("provider")
+                await provider.send("provider", received)
+                echoed = await client.receive("client")
+                assert received == echoed == raw
+                assert unpack_control(received) == (verb, self.CONTROL_BODIES[verb])
+                assert provider.bytes_by_sender == {"client": len(raw), "provider": len(raw)}
             finally:
                 await client.aclose()
                 await provider.aclose()
