@@ -84,3 +84,32 @@ def test_fig10_decomposition_shape(benchmark, setups):
         ],
     )
     assert pruned.provider_seconds < full.provider_seconds
+
+
+def test_fig10_baseline_provider_cpu(benchmark, paillier_scheme_small, dh_group):
+    """The Baseline arm (§3.3): Paillier, one model row per ciphertext, B'=B.
+
+    Topic features carry frequencies, so the client's dot product scales
+    ciphertexts (``scalar_mul``) as well as adding them.
+    """
+    categories = CATEGORY_COUNTS[0]
+    model = make_quantized_model(MODEL_FEATURES, categories, seed=categories)
+    protocol = TopicExtractionProtocol(paillier_scheme_small, dh_group)
+    setup = protocol.setup(model, across_row_packing=False)
+    features = make_email_features(MODEL_FEATURES, 60, boolean=False)
+    assert max(features.values()) > 1
+    result = benchmark.pedantic(
+        protocol.extract_topic, args=(setup, features), kwargs={"candidate_topics": None},
+        rounds=1, iterations=1,
+    )
+    assert result.extracted_topic == model.predict(features)
+    print_table(
+        f"Fig. 10 — topic extraction, B={categories}, B'=B",
+        ["arm", "provider_ms", "client_ms", "network_KB"],
+        [[
+            "baseline (paillier)",
+            f"{result.provider_seconds*1e3:.2f}",
+            f"{result.client_seconds*1e3:.2f}",
+            f"{result.network_bytes/1024:.1f}",
+        ]],
+    )

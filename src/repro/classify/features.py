@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.exceptions import ClassifierError
 
@@ -81,29 +81,3 @@ class FeatureExtractor:
     def transform_many(self, documents: Iterable[str], boolean: bool = False) -> list[SparseVector]:
         return [self.transform(document, boolean=boolean) for document in documents]
 
-    # -- vocabulary surgery (feature selection, §4.3) ----------------------------
-    def restrict(self, keep_indices: Iterable[int]) -> tuple["FeatureExtractor", dict[int, int]]:
-        """Return a new extractor keeping only *keep_indices*; also the old->new map."""
-        keep = sorted(set(keep_indices))
-        remap = {old: new for new, old in enumerate(keep)}
-        index_to_token = {index: token for token, index in self.vocabulary.items()}
-        new_vocab = {
-            index_to_token[old]: new for old, new in remap.items() if old in index_to_token
-        }
-        restricted = FeatureExtractor(max_features=len(new_vocab))
-        restricted.vocabulary = new_vocab
-        restricted.document_frequency = {
-            remap[old]: freq for old, freq in self.document_frequency.items() if old in remap
-        }
-        restricted._frozen = True
-        return restricted, remap
-
-
-def remap_sparse(vector: Mapping[int, int], remap: Mapping[int, int]) -> SparseVector:
-    """Project a sparse vector onto a restricted feature set."""
-    return {remap[index]: count for index, count in vector.items() if index in remap}
-
-
-def num_features_in_email(vector: Mapping[int, int]) -> int:
-    """The paper's ``L``: number of distinct features present in one email."""
-    return len(vector)

@@ -80,19 +80,6 @@ class BinaryLogisticRegression:
         )
         return score > 0.0
 
-    def to_linear_model(self) -> LinearModel:
-        """Two-column model: column 0 scores "spam", column 1 scores "ham".
-
-        A single discriminant ``w·x + b`` maps onto the two-column form by
-        putting the positive weights in the spam column and zeros in the ham
-        column, so "spam wins" iff the discriminant is positive.
-        """
-        if self._weights is None:
-            raise ClassifierError("classifier must be fitted first")
-        weights = np.stack([self._weights, np.zeros_like(self._weights)], axis=1)
-        biases = np.array([self._bias, 0.0])
-        return LinearModel(weights=weights, biases=biases, category_names=list(self.category_names))
-
 
 @dataclass
 class MultinomialLogisticRegression:
@@ -152,5 +139,3 @@ class MultinomialLogisticRegression:
             category_names=list(self.category_names),
         )
 
-    def predict(self, document: SparseVector) -> int:
-        return self.to_linear_model().predict(document)

@@ -44,25 +44,6 @@ def precision_recall(
     return precision, recall
 
 
-def confusion_counts(
-    predicted: Sequence[int], actual: Sequence[int], positive_label: int = 1
-) -> dict[str, int]:
-    """Binary confusion-matrix counts (tp / fp / tn / fn)."""
-    if len(predicted) != len(actual):
-        raise ClassifierError("prediction and truth lengths differ")
-    counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    for p, a in zip(predicted, actual):
-        if p == positive_label and a == positive_label:
-            counts["tp"] += 1
-        elif p == positive_label:
-            counts["fp"] += 1
-        elif a == positive_label:
-            counts["fn"] += 1
-        else:
-            counts["tn"] += 1
-    return counts
-
-
 def candidate_recall(candidate_lists: Sequence[Sequence[int]], actual: Sequence[int]) -> float:
     """Fraction of documents whose true category appears among the candidates.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -66,24 +66,12 @@ class LinearModel:
         """Index of the highest-scoring category."""
         return int(np.argmax(self.decision_scores(features)))
 
-    def predict_name(self, features: SparseVector) -> str:
-        return self.category_names[self.predict(features)]
-
     def top_categories(self, features: SparseVector, count: int) -> list[int]:
         """Indices of the *count* highest-scoring categories (candidate topics, §4.3)."""
         scores = self.decision_scores(features)
         count = min(count, self.num_categories)
         order = np.argsort(scores)[::-1]
         return [int(index) for index in order[:count]]
-
-    def restrict_features(self, keep_indices: Sequence[int]) -> "LinearModel":
-        """Model over a reduced feature set (feature selection, §4.3)."""
-        keep = list(keep_indices)
-        return LinearModel(
-            weights=self.weights[keep, :],
-            biases=self.biases.copy(),
-            category_names=list(self.category_names),
-        )
 
     def plaintext_size_bytes(self, bytes_per_weight: int = 4) -> int:
         """Size of the unencrypted model (the "Non-encrypted" rows of Figs. 8/12)."""

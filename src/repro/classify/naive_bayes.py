@@ -71,9 +71,6 @@ class MultinomialNaiveBayes:
             category_names=list(self.category_names),
         )
 
-    def predict(self, document: SparseVector) -> int:
-        return self.to_linear_model().predict(document)
-
 
 @dataclass
 class GrahamRobinsonNaiveBayes:

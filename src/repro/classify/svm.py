@@ -76,13 +76,6 @@ class LinearSVM:
         )
         return score > 0.0
 
-    def to_linear_model(self) -> LinearModel:
-        if self._weights is None:
-            raise ClassifierError("classifier must be fitted first")
-        weights = np.stack([self._weights, np.zeros_like(self._weights)], axis=1)
-        biases = np.array([self._bias, 0.0])
-        return LinearModel(weights=weights, biases=biases, category_names=list(self.category_names))
-
 
 @dataclass
 class OneVsAllSVM:
@@ -144,5 +137,3 @@ class OneVsAllSVM:
             category_names=list(self.category_names),
         )
 
-    def predict(self, document: SparseVector) -> int:
-        return self.to_linear_model().predict(document)

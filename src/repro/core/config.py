@@ -100,7 +100,7 @@ class PretzelConfig:
         )
 
     def build_group(self) -> DHGroup:
-        """Return the DH group used by the e2e module, OT and parameter agreement."""
+        """Return the DH group used by the e2e module and OT."""
         if self.use_standard_group:
             return rfc3526_group_2048()
         return _cached_group(self.dh_group_bits)

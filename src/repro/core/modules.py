@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.mail.message import EmailMessage
 
@@ -44,23 +44,17 @@ class FunctionModule(ABC):
 
     A module with a provider half sets :attr:`protocol` (a
     :class:`~repro.core.runtime.ProviderFunction`) and :attr:`setup`, and
-    implements :meth:`requests` and :meth:`_output`; a client-only module
+    implements :meth:`_output`; a client-only module
     (keyword search) leaves ``protocol`` as ``None``.
     """
 
     name: str = "abstract"
     protocol: Any = None
     setup: Any = None
-    # Per-pair OT-extension state, created lazily by the first batch run.
-    _ot_pool: Any = None
 
     @abstractmethod
     def process_email(self, message: EmailMessage) -> ModuleRunResult:
         """Run the module's protocol over one decrypted email."""
-
-    def requests(self, messages: Sequence[EmailMessage]) -> list[tuple]:
-        """Each email's client-side protocol arguments, as one request tuple."""
-        raise NotImplementedError(f"{type(self).__name__} has no provider half")
 
     def _output(self, result: Any) -> Any:
         """What the module reports for one protocol result."""
@@ -82,35 +76,7 @@ class FunctionModule(ABC):
             },
         )
 
-    def process_emails(self, messages: Sequence[EmailMessage]) -> list[ModuleRunResult]:
-        """Run the module over a batch of decrypted emails.
-
-        A client-only module runs its per-email path sequentially.  A module
-        with a provider half runs the batch as concurrent sessions through
-        the serving loop (:func:`repro.core.runtime.run_batch`), with
-        cross-session batched decrypts; its per-pair OT-extension pool
-        persists on the module, so only the first burst of its lifetime pays
-        the base-OT handshake.
-        """
-        if self.protocol is None:
-            return [self.process_email(message) for message in messages]
-        from repro.core.runtime import run_batch
-
-        if not messages:
-            return []
-        requests = self.requests(messages)
-        if self._ot_pool is None and self.protocol.ot_mode == "iknp":
-            self._ot_pool = self.protocol.make_ot_pool(self.setup)
-        results = run_batch(self.protocol, self.setup, requests, ot_pool=self._ot_pool)
-        return [
-            self._run_result(result, len(request[0]))
-            for result, request in zip(results, requests)
-        ]
-
     def client_storage_bytes(self) -> int:
         """Client-side storage this module requires (encrypted models, indexes)."""
         return 0
 
-    def setup_network_bytes(self) -> int:
-        """One-time setup-phase transfer (encrypted model shipping)."""
-        return 0

@@ -68,7 +68,6 @@ from repro.exceptions import IntegrityError, ProtocolError, SnapshotError
 from repro.obs import (
     MetricsRegistry,
     SpanTracer,
-    empty_snapshot,
     get_registry,
     get_tracer,
     merge_snapshots,
@@ -282,9 +281,6 @@ class DecryptScheduler:
     def pending_ciphertexts(self) -> int:
         return sum(window.ciphertext_count for window in self._windows.values())
 
-    def pending_sessions(self) -> int:
-        return sum(len(window.entries) for window in self._windows.values())
-
     def parked_requests(self) -> dict[int, Any]:
         """``id(session) -> DecryptionRequest`` for every entry in an open window.
 
@@ -400,19 +396,6 @@ class ProviderRuntime(SessionLoop):
         reply_start = decrypt_end if decrypt_end is not None else admitted
         self._tracer.record(trace_id, "reply", reply_start, now)
         self._tracer.record(trace_id, "email", admitted, now, label=str(job.label))
-
-    def stats(self) -> dict[str, Any]:
-        """One serving-state summary, read from the registry and scheduler.
-
-        The same shape the shard workers report, so single-process and
-        sharded deployments expose comparable views.
-        """
-        return {
-            "outstanding_jobs": self.outstanding_jobs(),
-            "disconnected_jobs": self.disconnected_jobs(),
-            "pending_window_ciphertexts": self.scheduler.pending_ciphertexts(),
-            "emails_served": int(self._metric_emails.value),
-        }
 
     # -- reconnect-resume ----------------------------------------------------
     def disconnect_job(self, label: Any) -> SessionState:
@@ -2103,9 +2086,6 @@ class ShardDriver:
     ) -> None:
         self.register(address, protocol, setup)
 
-    def registered(self, kind: str, address: str) -> bool:
-        return (kind, address) in self._registrations
-
     # -- submission / results ------------------------------------------------
     def submit(self, kind: str, emails: Sequence[tuple]) -> list[int]:
         """Submit one burst of ``(address, *request)`` emails of *kind*; returns their job ids.
@@ -2228,7 +2208,7 @@ class ShardDriver:
         snaps = self._metrics_base + [
             link.metrics for link in self._links if link.metrics is not None
         ]
-        return merge_snapshots(*snaps) if snaps else empty_snapshot()
+        return merge_snapshots(*snaps)
 
     # -- shutdown ------------------------------------------------------------
     def close(self) -> None:

@@ -39,7 +39,6 @@ class SpamFunctionModule(FunctionModule):
         config: PretzelConfig,
         extractor: FeatureExtractor,
         linear_model: LinearModel,
-        joint_seed: bytes | None = None,
     ) -> None:
         if linear_model.num_categories != 2:
             raise ClassifierError("the spam module needs a two-category model")
@@ -59,7 +58,7 @@ class SpamFunctionModule(FunctionModule):
             across_row_packing=config.across_row_packing,
             ot_mode=config.ot_mode,
         )
-        self.setup: SpamSetup = self.protocol.setup(self.quantized, joint_seed=joint_seed)
+        self.setup: SpamSetup = self.protocol.setup(self.quantized)
 
     # -- training helper ----------------------------------------------------------
     @classmethod
@@ -69,12 +68,11 @@ class SpamFunctionModule(FunctionModule):
         extractor: FeatureExtractor,
         documents: Sequence[dict[int, int]],
         labels: Sequence[int],
-        joint_seed: bytes | None = None,
     ) -> "SpamFunctionModule":
         """Train a GR-NB spam model (label 1 = spam) and build the module."""
         classifier = GrahamRobinsonNaiveBayes(num_features=extractor.num_features)
         classifier.fit(documents, labels)
-        return cls(config, extractor, classifier.to_linear_model(), joint_seed=joint_seed)
+        return cls(config, extractor, classifier.to_linear_model())
 
     # -- per-email -------------------------------------------------------------------
     def _output(self, result) -> SpamModuleOutput:
@@ -85,16 +83,7 @@ class SpamFunctionModule(FunctionModule):
         result = self.protocol.classify_email(self.setup, features)
         return self._run_result(result, len(features))
 
-    def requests(self, messages: Sequence[EmailMessage]) -> list[tuple]:
-        """Each email's client-side arguments: ``(features,)``."""
-        return [
-            (self.extractor.transform(message.text_content(), boolean=True),)
-            for message in messages
-        ]
-
     # -- costs -------------------------------------------------------------------------
     def client_storage_bytes(self) -> int:
         return self.setup.client_storage_bytes()
 
-    def setup_network_bytes(self) -> int:
-        return self.setup.setup_network_bytes

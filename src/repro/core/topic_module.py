@@ -49,7 +49,6 @@ class TopicFunctionModule(FunctionModule):
         extractor: FeatureExtractor,
         proprietary_model: LinearModel,
         public_model: LinearModel | None = None,
-        joint_seed: bytes | None = None,
     ) -> None:
         if proprietary_model.num_categories < 2:
             raise ClassifierError("the topic module needs at least two categories")
@@ -68,7 +67,6 @@ class TopicFunctionModule(FunctionModule):
         self.protocol = TopicExtractionProtocol(self.scheme, self.group, ot_mode=config.ot_mode)
         self.setup: TopicSetup = self.protocol.setup(
             self.quantized,
-            joint_seed=joint_seed,
             across_row_packing=config.across_row_packing,
         )
 
@@ -81,7 +79,6 @@ class TopicFunctionModule(FunctionModule):
         documents: Sequence[dict[int, int]],
         labels: Sequence[int],
         category_names: Sequence[str],
-        joint_seed: bytes | None = None,
         seed: int = 29,
     ) -> "TopicFunctionModule":
         """Train the proprietary model on all data and the public model on a fraction.
@@ -121,7 +118,6 @@ class TopicFunctionModule(FunctionModule):
             extractor,
             proprietary.to_linear_model(),
             public_model=public_model,
-            joint_seed=joint_seed,
         )
 
     # -- decomposition step (i): candidate selection at the client ----------------------
@@ -147,14 +143,6 @@ class TopicFunctionModule(FunctionModule):
         result = self.protocol.extract_topic(self.setup, features, candidate_topics=candidates)
         return self._run_result(result, len(features))
 
-    def requests(self, messages: Sequence[EmailMessage]) -> list[tuple]:
-        """Each email's client-side arguments: ``(features, candidates)``."""
-        feature_sets = [
-            self.extractor.transform(message.text_content(), boolean=False)
-            for message in messages
-        ]
-        return [(features, self.candidate_topics(features)) for features in feature_sets]
-
     # -- costs -------------------------------------------------------------------------------
     def client_storage_bytes(self) -> int:
         storage = self.setup.client_storage_bytes()
@@ -162,5 +150,3 @@ class TopicFunctionModule(FunctionModule):
             storage += self.public_model.plaintext_size_bytes()
         return storage
 
-    def setup_network_bytes(self) -> int:
-        return self.setup.setup_network_bytes

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import ParameterError
 
@@ -48,9 +48,6 @@ class MicrobenchmarkConstants:
     lookup_seconds: float = 0.17e-6
     float_add_seconds: float = 0.001e-6
     feature_extract_seconds: float = 0.17e-6
-
-    def with_overrides(self, **overrides: float) -> "MicrobenchmarkConstants":
-        return replace(self, **overrides)
 
     @classmethod
     def paper_values(cls) -> "MicrobenchmarkConstants":

@@ -95,8 +95,8 @@ class AHEScheme(ABC):
 
     # -- key management -------------------------------------------------
     @abstractmethod
-    def generate_keypair(self, seed: bytes | None = None) -> AHEKeyPair:
-        """Generate a key pair; *seed* (if given) injects joint randomness (§3.3 fn. 3)."""
+    def generate_keypair(self) -> AHEKeyPair:
+        """Generate a key pair from fresh local randomness."""
 
     # -- core operations -------------------------------------------------
     @abstractmethod
@@ -270,10 +270,3 @@ class AHEScheme(ABC):
                 )
         return checked
 
-    def encrypt_single(self, public_key: AHEPublicKey, value: int) -> AHECiphertext:
-        """Convenience: encrypt a single value in slot 0."""
-        return self.encrypt_slots(public_key, [value])
-
-    def decrypt_single(self, keypair: AHEKeyPair, ciphertext: AHECiphertext) -> int:
-        """Convenience: decrypt slot 0."""
-        return self.decrypt_slots(keypair, ciphertext)[0]

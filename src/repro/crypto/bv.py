@@ -217,20 +217,15 @@ class BVScheme(AHEScheme):
         return True
 
     # -- key management --------------------------------------------------------
-    def generate_keypair(self, seed: bytes | None = None) -> AHEKeyPair:
-        """Generate a key pair.
+    def generate_keypair(self) -> AHEKeyPair:
+        """Generate a key pair from fresh local randomness.
 
-        When *seed* is supplied, the public uniform element ``p1`` is derived
-        from it deterministically, implementing the jointly-randomised
-        parameter generation of §3.3 footnote 3 (both parties contribute to
-        the seed via DH, so neither controls ``p1``).  The secret key and the
-        noise are always drawn from fresh local randomness.
+        The key owner alone draws the public uniform element ``p1``; §3.3
+        footnote 3 has both parties inject randomness into it, which no
+        served pair does (see :mod:`repro.crypto.dh`).
         """
         t = self._plain_modulus
-        if seed is None:
-            p1 = RingPolynomial.sample_uniform(self.ring)
-        else:
-            p1 = RingPolynomial.sample_uniform(self.ring, Prg(seed, domain=b"bv-public-a"))
+        p1 = RingPolynomial.sample_uniform(self.ring)
         s = RingPolynomial.sample_ternary(self.ring)
         noise = RingPolynomial.sample_noise(self.ring, self.parameters.noise_bound)
         p0 = p1.multiply(s).negate().add(noise.scalar_multiply(t))
@@ -758,7 +753,3 @@ class BVScheme(AHEScheme):
             self.ring.n + length
         )
 
-    # -- misc ---------------------------------------------------------------------------
-    def encrypt_zero(self, public_key: AHEPublicKey) -> AHECiphertext:
-        """Fresh encryption of the all-zero slot vector (used for re-randomisation)."""
-        return self.encrypt_slots(public_key, [])

@@ -10,7 +10,6 @@ reasonably fast pure-Python implementation is practical.
 from __future__ import annotations
 
 import os
-import struct
 
 import numpy as np
 
@@ -18,50 +17,6 @@ from repro.crypto.hashes import constant_time_equal, hkdf, hmac_sha256
 from repro.exceptions import IntegrityError, ParameterError
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
-_MASK32 = 0xFFFFFFFF
-
-
-def _rotl32(value: int, count: int) -> int:
-    return ((value << count) | (value >> (32 - count))) & _MASK32
-
-
-def _quarter_round(state: list[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 7)
-
-
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """Produce one 64-byte ChaCha20 keystream block."""
-    if len(key) != 32:
-        raise ParameterError("ChaCha20 key must be 32 bytes")
-    if len(nonce) != 12:
-        raise ParameterError("ChaCha20 nonce must be 12 bytes")
-    if not 0 <= counter < 2**32:
-        raise ParameterError("ChaCha20 block counter out of range")
-    state = list(_CONSTANTS)
-    state += list(struct.unpack("<8L", key))
-    state.append(counter)
-    state += list(struct.unpack("<3L", nonce))
-    working = list(state)
-    for _ in range(10):
-        # Column rounds.
-        _quarter_round(working, 0, 4, 8, 12)
-        _quarter_round(working, 1, 5, 9, 13)
-        _quarter_round(working, 2, 6, 10, 14)
-        _quarter_round(working, 3, 7, 11, 15)
-        # Diagonal rounds.
-        _quarter_round(working, 0, 5, 10, 15)
-        _quarter_round(working, 1, 6, 11, 12)
-        _quarter_round(working, 2, 7, 8, 13)
-        _quarter_round(working, 3, 4, 9, 14)
-    output = [(working[i] + state[i]) & _MASK32 for i in range(16)]
-    return struct.pack("<16L", *output)
 
 
 def _quarter_round_vec(state: np.ndarray, a: int, b: int, c: int, d: int) -> None:
@@ -89,7 +44,8 @@ def _keystream(key: bytes, nonce: bytes, initial_counter: int, block_count: int)
 
     Every block shares the same 20 rounds, so the whole run is 16 uint32
     lanes of length *block_count* — the same batched-transform trick the NTT
-    uses.  Output is bit-identical to :func:`chacha20_block` per block.
+    uses.  Output is bit-identical, block by block, to the scalar RFC 8439
+    block function the tests keep (``tests/oracles.py::chacha20_block``).
     """
     state = np.empty((16, block_count), dtype=np.uint32)
     state[:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]

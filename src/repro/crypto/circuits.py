@@ -143,41 +143,9 @@ class Circuit:
             xor_count=sum(1 for step in steps if step[0] == PLAN_XOR),
         )
 
-    def __getstate__(self) -> dict:
-        # The plan is derived state: recompiled on first use after a pickle
-        # hop, so registrations do not ship it to every agent.
-        return {name: value for name, value in self.__dict__.items() if name != "plan"}
-
     @property
     def and_count(self) -> int:
         return self.plan.and_count
-
-    @property
-    def xor_count(self) -> int:
-        return self.plan.xor_count
-
-    def evaluate_plain(self, garbler_bits: list[int], evaluator_bits: list[int]) -> list[int]:
-        """Evaluate in the clear (used for testing and for the NoPriv baseline)."""
-        if len(garbler_bits) != len(self.garbler_inputs):
-            raise CircuitError("wrong number of garbler input bits")
-        if len(evaluator_bits) != len(self.evaluator_inputs):
-            raise CircuitError("wrong number of evaluator input bits")
-        values: dict[int, int] = {}
-        for wire, bit in zip(self.garbler_inputs, garbler_bits):
-            values[wire] = bit & 1
-        for wire, bit in zip(self.evaluator_inputs, evaluator_bits):
-            values[wire] = bit & 1
-        for gate in self.gates:
-            a = values[gate.input_a]
-            if gate.kind is GateKind.NOT:
-                values[gate.output] = 1 - a
-            else:
-                b = values[gate.input_b]
-                values[gate.output] = (a ^ b) if gate.kind is GateKind.XOR else (a & b)
-        try:
-            return [values[wire] for wire in self.outputs]
-        except KeyError as missing:
-            raise CircuitError(f"output wire {missing} was never assigned") from missing
 
 
 class CircuitBuilder:
@@ -238,10 +206,6 @@ class CircuitBuilder:
         self._assigned.add(out)
         return out
 
-    def or_(self, a: int, b: int) -> int:
-        # a OR b = (a XOR b) XOR (a AND b): one AND gate, two free XORs.
-        return self.xor(self.xor(a, b), self.and_(a, b))
-
     def mux_bit(self, select: int, when_zero: int, when_one: int) -> int:
         """Return ``when_one`` if *select* else ``when_zero`` (one AND gate)."""
         difference = self.xor(when_zero, when_one)
@@ -279,12 +243,6 @@ class CircuitBuilder:
             )
         return result
 
-    def add_words(self, a: list[int], b: list[int]) -> list[int]:
-        """Ripple-carry addition modulo 2^width (little-endian wire lists)."""
-        if len(a) != len(b):
-            raise CircuitError("adder operands must have equal width")
-        return self._ripple(a, b, borrow=False)
-
     def subtract_words(self, a: list[int], b: list[int]) -> list[int]:
         """``a - b`` modulo 2^width (ripple-borrow)."""
         if len(a) != len(b):
@@ -305,10 +263,6 @@ class CircuitBuilder:
                 gt = self.xor(bit_a, self.and_(self.xor(bit_a, gt), self.xor(bit_b, gt)))
         assert gt is not None
         return gt
-
-    def greater_or_equal(self, a: list[int], b: list[int]) -> int:
-        """Unsigned ``a >= b``."""
-        return self.not_(self.greater_than(b, a))
 
     def argmax(self, values: list[list[int]], payloads: list[list[int]]) -> list[int]:
         """Return the payload associated with the maximum value.

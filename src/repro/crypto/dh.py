@@ -1,15 +1,12 @@
-"""Diffie–Hellman groups, key exchange, and joint parameter agreement.
+"""Diffie–Hellman groups and key pairs.
 
-Two roles in the paper:
+The e2e module's public-key primitives (ElGamal KEM, Schnorr signatures) and
+the base OTs operate in a prime-order subgroup of Z_p^* described by
+:class:`DHGroup`.
 
-* The e2e module's public-key primitives (ElGamal KEM, Schnorr signatures)
-  operate in a prime-order subgroup of Z_p^* described by :class:`DHGroup`.
-* §3.3 (footnote 3) requires that the AHE public parameters not be chosen
-  unilaterally by one party: "Pretzel determines these parameters with
-  Diffie–Hellman key exchange, so that both parties inject randomness into
-  these parameters."  :func:`joint_parameter_seed` implements that step: both
-  parties contribute a random share, run DH, and hash the transcript into a
-  seed from which the AHE scheme derives its public randomness.
+Paper-fidelity gap: §3.3 footnote 3 has both parties inject randomness into
+the AHE public parameters through a DH exchange, but here the provider alone
+picks BV's ``p1`` at setup and no served pair runs such an exchange.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.crypto.hashes import sha256
 from repro.crypto.numtheory import find_generator, generate_safe_prime, is_probable_prime
 from repro.exceptions import ParameterError, ProtocolAbort
 from repro.utils.rand import secure_randbelow
@@ -149,19 +145,6 @@ def generate_group(bits: int) -> DHGroup:
     return DHGroup(p=p, q=q, g=g)
 
 
-def default_group(security: str = "test") -> DHGroup:
-    """Return a group sized for the requested profile.
-
-    ``"test"`` uses a small (fast) freshly generated group; ``"standard"``
-    returns the vetted 2048-bit RFC 3526 group used by the benchmarks.
-    """
-    if security == "standard":
-        return rfc3526_group_2048()
-    if security == "test":
-        return generate_group(256)
-    raise ParameterError(f"unknown security profile {security!r}")
-
-
 @dataclass
 class DHKeyPair:
     """An ephemeral or long-term DH key pair."""
@@ -174,33 +157,6 @@ class DHKeyPair:
     def generate(cls, group: DHGroup) -> "DHKeyPair":
         secret = group.random_exponent()
         return cls(group=group, secret=secret, public=group.generator_power(secret))
-
-    def shared_secret(self, peer_public: int) -> bytes:
-        """Raw DH shared secret with subgroup validation of the peer share."""
-        if not self.group.is_valid_element(peer_public):
-            raise ProtocolAbort("peer DH share failed subgroup-membership validation")
-        shared = self.group.power(peer_public, self.secret)
-        return self.group.encode_element(shared)
-
-
-def joint_parameter_seed(
-    group: DHGroup,
-    own_keypair: DHKeyPair,
-    peer_public: int,
-    own_nonce: bytes,
-    peer_nonce: bytes,
-    context: bytes = b"pretzel-ahe-parameters",
-) -> bytes:
-    """Derive a jointly random 32-byte seed for AHE public parameters.
-
-    Both parties contribute a nonce and a DH share; the seed is a hash of the
-    full transcript, so neither party can steer the resulting parameters
-    (§3.3 footnote 3).  The ordering of nonces in the hash is canonicalised
-    (lexicographic) so both parties compute the same value.
-    """
-    shared = own_keypair.shared_secret(peer_public)
-    first, second = sorted([own_nonce, peer_nonce])
-    return sha256(context, shared, first, second)
 
 
 def validate_group(group: DHGroup) -> None:

@@ -35,9 +35,6 @@ class ElGamalPrivateKey:
     group: DHGroup
     exponent: int
 
-    def public_key(self) -> ElGamalPublicKey:
-        return ElGamalPublicKey(self.group, self.group.generator_power(self.exponent))
-
 
 @dataclass
 class ElGamalKeyPair:
@@ -56,9 +53,6 @@ class KemCiphertext:
     """Encapsulation: the ephemeral public share."""
 
     ephemeral: int
-
-    def encoded_size(self, group: DHGroup) -> int:
-        return group.element_bytes
 
 
 def encapsulate(public_key: ElGamalPublicKey, key_length: int = 32, info: bytes = b"pretzel-e2e-kem") -> tuple[KemCiphertext, bytes]:

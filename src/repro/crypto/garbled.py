@@ -186,16 +186,6 @@ class GarblingResult:
     zero_labels: list[int]  # wire -> its 0-label
     offset: int  # the free-XOR offset R (lowest bit set)
 
-    @property
-    def wire_zero_labels(self) -> dict[int, bytes]:
-        return {
-            wire: label.to_bytes(LABEL_BYTES, "big") for wire, label in enumerate(self.zero_labels)
-        }
-
-    @property
-    def free_xor_offset(self) -> bytes:
-        return self.offset.to_bytes(LABEL_BYTES, "big")
-
     def labels_for(self, wire: int, value: int) -> bytes:
         zero = self.zero_labels[wire]
         return (zero if value == 0 else zero ^ self.offset).to_bytes(LABEL_BYTES, "big")

@@ -96,19 +96,3 @@ def hkdf(input_key_material: bytes, info: bytes, length: int, salt: bytes = b"")
     return hkdf_expand(hkdf_extract(salt, input_key_material), info, length)
 
 
-def hash_to_group_element(data: bytes, modulus: int) -> int:
-    """Hash arbitrary bytes to an integer in ``[1, modulus)``.
-
-    Used by the oblivious-transfer protocol to derive one-time pads from
-    Diffie–Hellman shared values and by the DH parameter-agreement step
-    (§3.3 footnote 3) to turn a joint transcript into group parameters.
-    """
-    if modulus <= 2:
-        raise ParameterError("modulus too small")
-    counter = 0
-    needed_bytes = (modulus.bit_length() + 7) // 8 + 8
-    stream = b""
-    while len(stream) < needed_bytes:
-        stream += sha256(data, counter.to_bytes(4, "big"))
-        counter += 1
-    return 1 + int.from_bytes(stream[:needed_bytes], "big") % (modulus - 1)

@@ -180,9 +180,6 @@ class NttPlan:
         # Stacked (num_primes, n) spectra of x^k, filled on demand.
         self._monomial_cache: dict[int, np.ndarray] = {}
 
-    def __reduce__(self):
-        return get_ntt_plan, (self.n, self.primes)
-
     def _limb_pair(self, exponents: np.ndarray, scale: "np.ndarray | int" = 1) -> tuple[np.ndarray, np.ndarray]:
         """Centred float64 tables of ``scale·ψ^exponents`` and of ``2^16`` times it."""
         primes = self._prime_column[:, :, None]

@@ -8,8 +8,6 @@ cryptosystem (§4.1).
 
 from __future__ import annotations
 
-import math
-
 from repro.exceptions import ParameterError
 from repro.utils.rand import secure_randbelow, secure_randbits
 
@@ -118,28 +116,6 @@ def generate_distinct_primes(bits: int) -> tuple[int, int]:
             return p, q
 
 
-def find_ntt_prime(bits: int, order: int) -> int:
-    """Find a prime ``q`` with ``q ≡ 1 (mod order)`` of roughly *bits* bits.
-
-    Such primes admit a primitive *order*-th root of unity, which the
-    negacyclic NTT (``order = 2n``) requires.
-    """
-    if order <= 0 or order & (order - 1):
-        raise ParameterError("order must be a positive power of two")
-    candidate = ((1 << bits) // order) * order + 1
-    while candidate.bit_length() <= bits + 1:
-        if candidate.bit_length() >= bits - 1 and is_probable_prime(candidate):
-            return candidate
-        candidate += order
-    # Walk downward if the upward walk crossed the size budget.
-    candidate = ((1 << bits) // order) * order + 1 - order
-    while candidate > order:
-        if is_probable_prime(candidate):
-            return candidate
-        candidate -= order
-    raise ParameterError(f"no NTT-friendly prime of ~{bits} bits with order {order}")
-
-
 def find_primitive_root_of_unity(order: int, modulus: int) -> int:
     """Find a primitive *order*-th root of unity modulo a prime *modulus*."""
     if (modulus - 1) % order != 0:
@@ -168,13 +144,3 @@ def find_generator(p: int, q: int) -> int:
             return g
 
 
-def lcm(a: int, b: int) -> int:
-    """Least common multiple."""
-    return a // math.gcd(a, b) * b
-
-
-def isqrt(value: int) -> int:
-    """Integer square root (floor)."""
-    if value < 0:
-        raise ParameterError("isqrt of a negative number")
-    return math.isqrt(value)

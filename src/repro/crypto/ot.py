@@ -85,9 +85,8 @@ Each party of each variant is an explicit frame-driven state machine
 to typed wire frames (:mod:`repro.twopc.wire`) with response frames and never
 blocks, so the machines compose into the larger Yao sessions of
 :mod:`repro.crypto.yao` and multiplex across concurrent email sessions.
-:class:`ObliviousTransfer` remains the in-process driver: it pumps a
-sender/receiver machine pair over a framed channel, which is also how the
-byte costs of an OT batch are measured.
+The tests pump a bare sender/receiver pair over a framed channel with
+``tests/oracles.py::ObliviousTransfer``, which also counts an OT batch's bytes.
 """
 
 from __future__ import annotations
@@ -963,39 +962,3 @@ def make_ot_receiver(
 # ---------------------------------------------------------------------------
 # Whole-protocol driver (pumps both machines in-process over a framed channel)
 # ---------------------------------------------------------------------------
-class ObliviousTransfer:
-    """Batch 1-out-of-2 OT of fixed-length messages.
-
-    ``mode="base"`` runs one DH-based OT per transfer; ``mode="iknp"`` runs
-    :data:`SECURITY_PARAMETER` base OTs and extends.  :meth:`run` drives a
-    sender and a receiver machine over a framed *channel*, so every byte that
-    would cross the network is serialized and accounted exactly as in a real
-    deployment.
-    """
-
-    def __init__(self, group: DHGroup, mode: str = "iknp") -> None:
-        if mode not in ("base", "iknp"):
-            raise OTError(f"unknown OT mode {mode!r}")
-        self.group = group
-        self.mode = mode
-
-    def run(
-        self,
-        channel: FramedChannel | None,
-        sender_pairs: list[tuple[bytes, bytes]],
-        receiver_choices: list[int],
-        sender_name: str = "sender",
-        receiver_name: str = "receiver",
-    ) -> list[bytes]:
-        if len(sender_pairs) != len(receiver_choices):
-            raise OTError("sender and receiver disagree on the number of transfers")
-        if not sender_pairs:
-            return []
-        channel = channel or FramedChannel.loopback(
-            "ot", parties=(sender_name, receiver_name)
-        )
-        sender = make_ot_sender(self.group, sender_pairs, self.mode)
-        receiver = make_ot_receiver(self.group, receiver_choices, self.mode)
-        run_session_pair(channel, {sender_name: sender, receiver_name: receiver})
-        assert receiver.result is not None
-        return receiver.result

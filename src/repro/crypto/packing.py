@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.crypto.ahe import AHECiphertext, AHEKeyPair, AHEPublicKey, AHEScheme
+from repro.crypto.ahe import AHECiphertext, AHEPublicKey, AHEScheme
 from repro.exceptions import PackingError, ParameterError
 
 
@@ -418,26 +418,3 @@ class PackedLinearModel:
         return self._column_slot_map
 
 
-def decrypt_dot_products(
-    scheme: AHEScheme,
-    keypair: AHEKeyPair,
-    result: DotProductCiphertexts,
-) -> list[int]:
-    """Decrypt a dot-product result into the per-column values (testing helper).
-
-    The real protocols never decrypt unblinded results at the provider — the
-    client blinds first (Fig. 2, step 2) — but unit tests use this to check
-    that packing preserves the plaintext dot products exactly.  Each result
-    decrypts to its run (:meth:`~repro.crypto.ahe.AHEScheme.ciphertext_run`).
-    """
-    layout = result.layout
-    ciphertexts = result.all_ciphertexts()
-    decrypted = scheme.decrypt_slots_many(keypair, ciphertexts)
-    starts = [scheme.ciphertext_run(ciphertext)[0] for ciphertext in ciphertexts]
-    values = []
-    p = layout.slots_per_ciphertext
-    for column in range(layout.num_columns):
-        kind, where = layout.column_location(column)
-        at, slot = (column // p, column % p) if kind == "segment" else (layout.full_segments, where)
-        values.append(decrypted[at][slot - starts[at]])
-    return values

@@ -29,7 +29,6 @@ from repro.crypto.ahe import (
     AHESecretKey,
 )
 from repro.crypto.numtheory import crt_pair, generate_distinct_primes, invmod
-from repro.crypto.prg import Prg
 from repro.exceptions import DecryptionError, ParameterError, WireFormatError
 from repro.utils.bitops import pack_fields, unpack_fields
 from repro.utils.rand import secure_randbelow
@@ -40,10 +39,6 @@ class PaillierPublic:
     n: int
     n_squared: int
     generator: int  # fixed to n + 1
-
-    @property
-    def modulus_bits(self) -> int:
-        return self.n.bit_length()
 
 
 @dataclass
@@ -86,24 +81,11 @@ class PaillierScheme(AHEScheme):
     def supports_slot_shift(self) -> bool:
         return False
 
-    @property
-    def modulus_bits(self) -> int:
-        return self._modulus_bits
-
     # -- key management ---------------------------------------------------
-    def generate_keypair(self, seed: bytes | None = None) -> AHEKeyPair:
-        """Generate a Paillier key pair.
-
-        When *seed* is provided the primes are derived deterministically from
-        it; the Pretzel protocols pass a jointly computed DH seed here so
-        neither party unilaterally controls the public parameters
-        (§3.3 footnote 3).
-        """
+    def generate_keypair(self) -> AHEKeyPair:
+        """Generate a Paillier key pair from fresh local randomness."""
         half_bits = self._modulus_bits // 2
-        if seed is None:
-            p, q = generate_distinct_primes(half_bits)
-        else:
-            p, q = self._derive_primes(seed, half_bits)
+        p, q = generate_distinct_primes(half_bits)
         n = p * q
         n_squared = n * n
         public = PaillierPublic(n=n, n_squared=n_squared, generator=n + 1)
@@ -117,18 +99,6 @@ class PaillierScheme(AHEScheme):
             public=AHEPublicKey(self.name, public, public_size),
             secret=AHESecretKey(self.name, secret),
         )
-
-    @staticmethod
-    def _derive_primes(seed: bytes, half_bits: int) -> tuple[int, int]:
-        from repro.crypto.numtheory import is_probable_prime
-
-        prg = Prg(seed, domain=b"paillier-prime-derivation")
-        primes: list[int] = []
-        while len(primes) < 2:
-            candidate = prg.read_int(1 << half_bits) | (1 << (half_bits - 1)) | 1
-            if is_probable_prime(candidate) and candidate not in primes:
-                primes.append(candidate)
-        return primes[0], primes[1]
 
     @staticmethod
     def _l_function(value: int, modulus: int) -> int:

@@ -13,7 +13,6 @@ import hashlib
 import hmac
 
 from repro.exceptions import ParameterError
-from repro.utils.bitops import bytes_to_bits
 
 
 class Prg:
@@ -46,28 +45,6 @@ class Prg:
             self._buffer = b"".join(blocks)
         out, self._buffer = self._buffer[:length], self._buffer[length:]
         return out
-
-    def read_bits(self, count: int) -> list[int]:
-        """Return the next *count* pseudorandom bits (little-endian per byte)."""
-        data = self.read((count + 7) // 8)
-        return bytes_to_bits(data, count)
-
-    def read_int(self, upper: int) -> int:
-        """Uniform-ish integer in ``[0, upper)`` via rejection-free modular reduction.
-
-        The modulo bias is negligible because we draw 16 extra bytes beyond
-        the size of *upper*.
-        """
-        if upper <= 0:
-            raise ParameterError("upper must be positive")
-        width = (upper.bit_length() + 7) // 8 + 16
-        return int.from_bytes(self.read(width), "big") % upper
-
-    def read_signed_int(self, bound: int) -> int:
-        """Uniform integer in ``[-bound, bound]`` (noise sampling helper)."""
-        if bound < 0:
-            raise ParameterError("bound must be non-negative")
-        return self.read_int(2 * bound + 1) - bound
 
 
 def prf(key: bytes, message: bytes, length: int = 32) -> bytes:

@@ -106,10 +106,6 @@ class RingContext:
         """Per-prime inverse NTT of a ``(..., num_primes, n)`` spectrum array."""
         return self.plan.inverse(spectra)
 
-    def monomial_spectra(self, exponent: int) -> np.ndarray:
-        """Stacked per-prime spectra of ``x^exponent``, shape ``(num_primes, n)``."""
-        return self.plan.monomial_spectra(exponent)
-
     def monomial_spectra_many(self, exponents: list[int] | tuple[int, ...]) -> np.ndarray:
         """Stacked spectra for many shifts, shape ``(len(exponents), num_primes, n)``."""
         return self.plan.monomial_spectra_many(exponents)
@@ -196,13 +192,6 @@ class RingContext:
         # big-integer modulo is needed, only the centering.
         return np.where(total > half, total - q, total)
 
-    def crt_reconstruct(self, residues: np.ndarray) -> list[int]:
-        """Combine RNS residues (shape ``(num_primes, n)``) into centered integers.
-
-        Returns coefficients in ``(-q/2, q/2]`` as Python integers.
-        """
-        return self.crt_reconstruct_array(residues).tolist()
-
 
 class RingPolynomial:
     """A ring element in RNS representation with lazily cached dual domains.
@@ -242,16 +231,6 @@ class RingPolynomial:
         if self._spectra is None:
             self._spectra = self.context.forward_transform(self._residues)
         return self._spectra
-
-    @property
-    def in_evaluation_domain(self) -> bool:
-        """Whether the evaluation-domain form is currently materialised."""
-        return self._spectra is not None
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, context: RingContext) -> "RingPolynomial":
-        return cls(context, np.zeros((len(context.primes), context.n), dtype=np.int64))
 
     @classmethod
     def from_int_coefficients(cls, context: RingContext, coefficients: list[int]) -> "RingPolynomial":
@@ -339,11 +318,6 @@ class RingPolynomial:
         left, right, in_spectra = self._pair_arrays(other)
         return self._wrap((left + right) % self.context.primes_column, in_spectra)
 
-    def subtract(self, other: "RingPolynomial") -> "RingPolynomial":
-        self._check_same_ring(other)
-        left, right, in_spectra = self._pair_arrays(other)
-        return self._wrap((left - right) % self.context.primes_column, in_spectra)
-
     def negate(self) -> "RingPolynomial":
         in_spectra = self._spectra is not None
         array = self._spectra if in_spectra else self._residues
@@ -368,7 +342,7 @@ class RingPolynomial:
         n = self.context.n
         exponent %= 2 * n
         if self._spectra is not None:
-            mono = self.context.monomial_spectra(exponent)
+            mono = self.context.plan.monomial_spectra(exponent)
             spectra = self._spectra * mono % self.context.primes_column
             return RingPolynomial(self.context, spectra=spectra)
         effective = exponent % n
@@ -392,18 +366,6 @@ class RingPolynomial:
         self._check_same_ring(other)
         spectra = self.spectra * other.spectra % self.context.primes_column
         return RingPolynomial(self.context, spectra=spectra)
-
-    # -- conversions ----------------------------------------------------------
-    def to_centered_coefficients(self) -> list[int]:
-        """Full-precision centered coefficients in ``(-q/2, q/2]``."""
-        return self.context.crt_reconstruct(self.residues)
-
-    def copy(self) -> "RingPolynomial":
-        return RingPolynomial(
-            self.context,
-            residues=None if self._residues is None else self._residues.copy(),
-            spectra=None if self._spectra is None else self._spectra.copy(),
-        )
 
     def serialized_size_bytes(self) -> int:
         """Wire size: n coefficients of ceil(log2 q) bits each."""

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.crypto.dh import DHGroup, DHKeyPair
 from repro.crypto.hashes import sha256_int
-from repro.exceptions import SignatureError
 
 
 @dataclass
@@ -25,9 +24,6 @@ class SchnorrPublicKey:
 class SchnorrPrivateKey:
     group: DHGroup
     exponent: int
-
-    def public_key(self) -> SchnorrPublicKey:
-        return SchnorrPublicKey(self.group, self.group.generator_power(self.exponent))
 
 
 @dataclass
@@ -50,11 +46,6 @@ class SchnorrSignature:
 
     challenge: int
     response: int
-
-    def encoded_size(self, group: DHGroup) -> int:
-        """Approximate wire size in bytes (two exponent-sized integers)."""
-        q_bytes = (group.q.bit_length() + 7) // 8
-        return 2 * q_bytes
 
 
 def _challenge(group: DHGroup, commitment: int, public_element: int, message: bytes) -> int:
@@ -91,7 +82,3 @@ def verify(public_key: SchnorrPublicKey, message: bytes, signature: SchnorrSigna
     return expected == signature.challenge
 
 
-def verify_or_raise(public_key: SchnorrPublicKey, message: bytes, signature: SchnorrSignature) -> None:
-    """Verify and raise :class:`SignatureError` on failure."""
-    if not verify(public_key, message, signature):
-        raise SignatureError("Schnorr signature verification failed")

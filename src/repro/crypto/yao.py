@@ -12,15 +12,12 @@ Each party is a reentrant :class:`~repro.twopc.session.ProtocolSession`
 (:class:`YaoGarblerSession`, :class:`YaoEvaluatorSession`) that owns its OT
 machine and reacts to typed wire frames, so the protocol halves embed
 directly into the spam/topics sessions and the multi-user serving loop.
-:func:`run_yao` is the in-process driver: it pumps the two sessions over a
-framed channel, which serializes every message, so the byte counts match a
-networked deployment exactly (Yao network cost per input value is Fig. 6's
-``sz_per-in``).
+Every message crosses a framed channel serialized, so the byte counts match
+a networked deployment exactly (Yao network cost per input value is Fig. 6's
+``sz_per-in``).  The tests pump a bare pair with ``tests/oracles.py::run_yao``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.crypto.circuits import Circuit
 from repro.crypto.dh import DHGroup
@@ -38,9 +35,7 @@ from repro.twopc.session import (
     _restore_base_fields,
     decode_state_payload,
     encode_state_payload,
-    run_session_pair,
 )
-from repro.twopc.transport import FramedChannel
 from repro.twopc.wire import (
     Frame,
     GarbledCircuitFrame,
@@ -50,7 +45,6 @@ from repro.twopc.wire import (
 )
 from repro.utils.bitops import bits_to_bytes, bytes_to_bits
 from repro.utils.rand import secure_bytes
-from repro.utils.timing import Stopwatch
 
 GARBLE_SEED_BYTES = 32
 # 2: the garbler's seed expands through SHAKE-256 and the circuits use the
@@ -67,17 +61,6 @@ def _require_pool(ot_pool: OtExtensionPool | None) -> OtExtensionPool:
             "restoring a Yao session mid-round needs the restored per-pair OT pool"
         )
     return ot_pool
-
-
-@dataclass
-class YaoRunResult:
-    """Outcome of one Yao execution."""
-
-    output_bits: list[int]
-    garbler_seconds: float
-    evaluator_seconds: float
-    network_bytes: int
-    and_gates: int
 
 
 def _check_output_to(output_to: str) -> None:
@@ -309,42 +292,3 @@ class YaoEvaluatorSession(ProtocolSession):
         return session
 
 
-def run_yao(
-    channel: FramedChannel | None,
-    circuit: Circuit,
-    garbler_bits: list[int],
-    evaluator_bits: list[int],
-    group: DHGroup,
-    output_to: str = "evaluator",
-    garbler_name: str = "garbler",
-    evaluator_name: str = "evaluator",
-    ot_mode: str = "iknp",
-    stopwatch: Stopwatch | None = None,
-) -> YaoRunResult:
-    """Execute Yao's protocol once in-process and return the decoded output bits.
-
-    ``output_to`` selects which party learns the cleartext result: the other
-    party only ever sees labels or garbled material.  The *channel*'s two
-    parties must be *garbler_name* and *evaluator_name* (a loopback channel is
-    created when ``channel`` is ``None``).
-    """
-    _check_output_to(output_to)
-    stopwatch = stopwatch or Stopwatch()
-    channel = channel or FramedChannel.loopback(
-        "yao", parties=(garbler_name, evaluator_name)
-    )
-    bytes_before = channel.total_bytes()
-    garbler = YaoGarblerSession(circuit, garbler_bits, group, output_to, ot_mode)
-    evaluator = YaoEvaluatorSession(circuit, evaluator_bits, group, output_to, ot_mode)
-    run_session_pair(channel, {garbler_name: garbler, evaluator_name: evaluator})
-    output_bits = garbler.output_bits if output_to == "garbler" else evaluator.output_bits
-    assert output_bits is not None
-    stopwatch.add("yao.garbler", garbler.seconds)
-    stopwatch.add("yao.evaluator", evaluator.seconds)
-    return YaoRunResult(
-        output_bits=output_bits,
-        garbler_seconds=garbler.seconds,
-        evaluator_seconds=evaluator.seconds,
-        network_bytes=channel.total_bytes() - bytes_before,
-        and_gates=circuit.and_count,
-    )

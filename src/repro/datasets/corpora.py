@@ -56,9 +56,6 @@ class LabeledCorpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def category_count(self) -> int:
-        return len(self.category_names)
-
     def subset(self, indices: list[int]) -> "LabeledCorpus":
         return LabeledCorpus(
             name=self.name,

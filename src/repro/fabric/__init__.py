@@ -22,7 +22,6 @@ from repro.fabric.agent import AgentProcess, spawn_local_agent
 from repro.fabric.control import (
     FabricRuntime,
     TcpLink,
-    metrics_projection,
     pack_control,
     unpack_control,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "FabricRuntime",
     "TcpLink",
     "launch_fabric",
-    "metrics_projection",
     "pack_control",
     "spawn_local_agent",
     "unpack_control",

@@ -287,9 +287,6 @@ class AgentProcess:
     def kill(self) -> None:
         self.process.kill()
 
-    def terminate(self) -> None:
-        self.process.terminate()
-
     def wait(self, timeout: float | None = 10.0) -> int | None:
         try:
             return self.process.wait(timeout=timeout)

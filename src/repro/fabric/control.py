@@ -35,7 +35,7 @@ import pickle
 import queue
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.runtime import ShardDriver
 from repro.exceptions import ProtocolError, TransportTimeoutError, WireFormatError
@@ -77,65 +77,6 @@ def unpack_control(data: bytes) -> tuple[int, Any]:
     except Exception as error:  # pickle raises a zoo of types on bad bytes
         raise WireFormatError(f"undecodable control payload: {error}") from error
     return frame.verb, body
-
-
-# -- deterministic metrics projection ----------------------------------------
-#
-# Serving metrics split into two families: pure *work accounting* (emails,
-# decrypt batches, protocol frames — identical however the stream is
-# partitioned) and *timing* (decrypt ages, latencies — wall-clock noise by
-# nature).  Cross-fabric equivalence is asserted on the first
-# family; byte counters are excluded too, because big-integer wire encodings
-# vary by a byte when a random group element happens to have leading zeros.
-_DETERMINISTIC_COUNTERS = frozenset(
-    {
-        "emails_served_total",
-        "decrypt_batches_total",
-        "transport_frames_total",
-        "transport_rounds_total",
-    }
-)
-_DETERMINISTIC_HISTOGRAMS = frozenset(
-    {
-        "decrypt_batch_ciphertexts",
-        "window_flush_ciphertexts",
-        "window_flush_sessions",
-    }
-)
-
-
-def metrics_projection(snapshot: Mapping[str, Any]) -> dict:
-    """The partition-invariant slice of a metrics snapshot.
-
-    Two runs that served the same emails — whatever mix of in-box shards and
-    remote agents did the serving, and however many migrations happened in
-    between — must agree on this projection exactly.  The shard-driver
-    equivalence and migration tests compare these.
-    """
-    counters: dict[tuple, float] = {}
-    for entry in snapshot.get("counters", []):
-        if entry["name"] in _DETERMINISTIC_COUNTERS:
-            key = (entry["name"], tuple(sorted(entry["labels"].items())))
-            counters[key] = counters.get(key, 0) + entry["value"]
-    histograms: dict[tuple, dict] = {}
-    for entry in snapshot.get("histograms", []):
-        if entry["name"] not in _DETERMINISTIC_HISTOGRAMS:
-            continue
-        key = (entry["name"], tuple(sorted(entry["labels"].items())))
-        slot = histograms.setdefault(
-            key, {"count": 0, "sum": 0, "counts": [0] * len(entry["counts"])}
-        )
-        slot["count"] += entry["count"]
-        slot["sum"] += entry["sum"]
-        for index, bucket in enumerate(entry["counts"]):
-            slot["counts"][index] += bucket
-    return {
-        "counters": counters,
-        "histograms": {
-            key: dict(value, counts=tuple(value["counts"]))
-            for key, value in histograms.items()
-        },
-    }
 
 
 #: How long dialing and the HELLO exchange may take (and how long one read of

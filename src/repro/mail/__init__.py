@@ -13,7 +13,7 @@ from repro.mail.e2e import E2EIdentity, E2EModule
 from repro.mail.provider import MailProvider
 from repro.mail.client import MailClient
 from repro.mail.replay import ReplayGuard
-from repro.mail.traces import TraceEvent, TraceReport, TraceSpec, VirtualClock, generate_trace, serve_trace
+from repro.mail.traces import TraceEvent, TraceSpec, VirtualClock, generate_trace
 
 __all__ = [
     "EmailMessage",
@@ -24,9 +24,7 @@ __all__ = [
     "MailClient",
     "ReplayGuard",
     "TraceEvent",
-    "TraceReport",
     "TraceSpec",
     "VirtualClock",
     "generate_trace",
-    "serve_trace",
 ]

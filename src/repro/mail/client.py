@@ -76,11 +76,6 @@ class MailClient:
         """Compose-and-send convenience."""
         return self.send(self.compose(recipient, subject, body), recipient_provider)
 
-    # -- receiving ------------------------------------------------------------------
-    def pending_email_count(self) -> int:
-        """Emails waiting at the provider beyond this client's fetch cursor."""
-        return self.provider.pending_count(self.address, self._fetch_cursor)
-
     def fetch_and_decrypt(self, enforce_replay_guard: bool = True) -> list[EmailMessage]:
         """Fetch new encrypted emails from the provider, verify and decrypt them.
 

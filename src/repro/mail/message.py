@@ -110,21 +110,3 @@ class EncryptedEmail:
             }
         )
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EncryptedEmail":
-        decoded = canonical_loads(data)
-        if not isinstance(decoded, dict):
-            raise MailError("malformed encrypted email encoding")
-        try:
-            return cls(
-                sender=decoded["sender"],
-                recipient=decoded["recipient"],
-                kem_ephemeral=decoded["kem"],
-                nonce=decoded["nonce"],
-                ciphertext=decoded["ciphertext"],
-                mac_tag=decoded["mac"],
-                signature_challenge=decoded["sig_c"],
-                signature_response=decoded["sig_s"],
-            )
-        except KeyError as missing:
-            raise MailError(f"encrypted email missing field {missing}") from missing

@@ -29,20 +29,11 @@ class Mailbox:
             )
         self.emails.append(email)
 
-    def fetch_all(self) -> list[EncryptedEmail]:
-        return list(self.emails)
-
     def fetch_since(self, index: int) -> list[EncryptedEmail]:
         """IMAP-style incremental fetch: everything at or after *index*."""
         if index < 0:
             raise MailError("fetch index must be non-negative")
         return list(self.emails[index:])
-
-    def __len__(self) -> int:
-        return len(self.emails)
-
-    def storage_bytes(self) -> int:
-        return sum(email.size_bytes() for email in self.emails)
 
 
 class MailProvider:
@@ -61,9 +52,6 @@ class MailProvider:
             mailbox = Mailbox(address=address)
             self._mailboxes[address] = mailbox
         return mailbox
-
-    def has_user(self, address: str) -> bool:
-        return address in self._mailboxes
 
     def accept_delivery(self, email: EncryptedEmail) -> None:
         """SMTP-equivalent: accept an inbound encrypted email for a local user."""
@@ -84,19 +72,3 @@ class MailProvider:
         """IMAP-equivalent: fetch a user's encrypted emails."""
         return self.mailbox(address).fetch_since(since_index)
 
-    def pending_count(self, address: str, since_index: int = 0) -> int:
-        """How many emails a user has beyond its fetch cursor (burst size)."""
-        if since_index < 0:
-            raise MailError("fetch index must be non-negative")
-        return max(0, len(self.mailbox(address)) - since_index)
-
-    def mailboxes_with_mail(self) -> list[str]:
-        """Addresses with at least one stored email, in registration order.
-
-        The multi-user serving loop (:mod:`repro.core.runtime`) uses this to
-        decide which mailboxes participate in a drain pass.
-        """
-        return [address for address, mailbox in self._mailboxes.items() if len(mailbox)]
-
-    def user_count(self) -> int:
-        return len(self._mailboxes)

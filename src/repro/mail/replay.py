@@ -62,6 +62,3 @@ class ReplayGuard:
             return False
         return sequence_number not in window.recent
 
-    def seen_count(self, sender: str) -> int:
-        window = self._senders.get(sender)
-        return len(window.recent) if window else 0

@@ -6,37 +6,21 @@ time of day, and traffic clumps into bursts.  :func:`generate_trace` produces
 such a workload from one seed — a thinned inhomogeneous Poisson process whose
 rate is a diurnal sinusoid times a burst multiplier, with mailboxes drawn
 from a Zipf distribution and per-sender sequence numbers (plus a configurable
-sprinkle of injected duplicates, so the §4.4 :class:`~repro.mail.replay.ReplayGuard`
-finally has live traffic to police).
+sprinkle of injected duplicates for the §4.4
+:class:`~repro.mail.replay.ReplayGuard`).  The trace is deterministic given
+the :class:`TraceSpec` seed.
 
-:func:`serve_trace` replays a trace against a serving runtime under a
-:class:`VirtualClock`: the clock jumps to each arrival, provider *compute* is
-charged to it (measured CPU, or a deterministic per-batch cost model), and
-between arrivals the clock advances to the scheduler's next age deadline and
-ticks ``poll()`` — the idle-window flush (before the poll tick, a lull in
-arrivals left parked decrypts waiting for the next burst).  Queueing delay
-and window waits both land in the email latencies, so a wide window really
-does hold the tail email longer.
-
-The trace itself is deterministic given the :class:`TraceSpec` seed, and a
-replay under a ``cost_model`` is deterministic end to end; the bit-identical
-telemetry tests depend on both.
+:class:`VirtualClock` is a hand-advanced clock for schedulers and tracers
+whose timings must not depend on the machine.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Sequence
-
-from repro.exceptions import ReplayError
-from repro.mail.replay import ReplayGuard
-from repro.obs import get_registry
-from repro.utils.timing import percentile, summarize_latencies
 
 
 @dataclass(frozen=True)
@@ -82,6 +66,13 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A NaN rate or an infinite duration would keep generate_trace drawing
+        # arrivals forever; a NaN fails every comparison below, so refuse it first.
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
+        if self.mean_burst_seconds <= 0 or self.diurnal_period_seconds <= 0:
+            raise ValueError("mean_burst_seconds and diurnal_period_seconds must be positive")
         if self.mailboxes < 1 or self.senders_per_mailbox < 1:
             raise ValueError("need at least one mailbox and one sender per mailbox")
         if self.mean_rate_per_second <= 0 or self.duration_seconds <= 0:
@@ -167,207 +158,21 @@ def generate_trace(spec: TraceSpec) -> list[TraceEvent]:
 
 
 class VirtualClock:
-    """A monotonic clock the replay harness advances by hand.
+    """A monotonic clock advanced by hand.
 
-    Inject it as the scheduler's ``clock`` and as :func:`serve_trace`'s
-    clock: arrivals jump it forward, measured provider CPU is charged to it,
-    and it never goes backwards (so a CPU charge overlapping the next
-    arrival is modelled as the queue backing up, not as time travel).
-
-    Inside a :meth:`charge` block virtual time *flows* at real wall-clock
-    rate, so code running under the charge (a serving call parking decrypt
-    windows, a scheduler reading ``clock()`` mid-batch) sees truthful
-    timestamps: a window opened halfway through an expensive call really is
-    younger than one opened at its start.  Charging only at the end of the
-    call would stamp every mid-call event with the stale pre-call time —
-    and make any batching delay shorter than the call invisible.
+    Inject it as a scheduler's ``clock`` (and a telemetry tracer's) so that
+    window ages, deadlines and span timestamps are virtual seconds: the same
+    schedule of calls then yields the same timings and the same flight
+    recording, whatever the machine.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self.now = float(start)
-        self._charge_base: tuple[float, float] | None = None  # (virtual, real) at entry
 
     def __call__(self) -> float:
-        if self._charge_base is not None:
-            virtual, real = self._charge_base
-            return virtual + (time.perf_counter() - real)
         return self.now
-
-    def advance_to(self, when: float) -> None:
-        if self._charge_base is not None:
-            raise ValueError("cannot jump a clock while real time is being charged")
-        self.now = max(self.now, float(when))
 
     def advance(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("a virtual clock cannot go backwards")
-        if self._charge_base is not None:
-            raise ValueError("cannot jump a clock while real time is being charged")
         self.now += seconds
-
-    def charge(self, call: Callable[[], Any]) -> tuple[Any, float]:
-        """Run *call* with virtual time flowing; returns (result, seconds charged)."""
-        start = time.perf_counter()
-        self._charge_base = (self.now, start)
-        try:
-            result = call()
-        finally:
-            elapsed = time.perf_counter() - start
-            self._charge_base = None
-            self.now += elapsed
-        return result, elapsed
-
-
-@dataclass
-class TraceReport:
-    """What one :func:`serve_trace` replay measured."""
-
-    latencies: list[float] = field(default_factory=list)  # arrival → result, virtual s
-    served: int = 0
-    rejected_duplicates: int = 0
-    provider_cpu_seconds: float = 0.0
-    decrypt_batch_sizes: list[float] = field(default_factory=list)
-
-    def summary(self) -> dict[str, float]:
-        """Flat row: latency percentiles plus throughput and batch sizes."""
-        row = {
-            f"latency_{key}": value for key, value in summarize_latencies(self.latencies).items()
-        }
-        row["served"] = float(self.served)
-        row["rejected_duplicates"] = float(self.rejected_duplicates)
-        row["provider_cpu_seconds"] = self.provider_cpu_seconds
-        row["throughput_per_cpu_second"] = (
-            self.served / self.provider_cpu_seconds if self.provider_cpu_seconds > 0 else 0.0
-        )
-        row["mean_decrypt_batch"] = (
-            sum(self.decrypt_batch_sizes) / len(self.decrypt_batch_sizes)
-            if self.decrypt_batch_sizes
-            else 0.0
-        )
-        # The batch-size *distribution*, not just its mean: a policy can buy
-        # a good mean with a few giant flushes while most windows release
-        # nearly empty — p95 is what tells those stories apart.
-        row["p95_decrypt_batch"] = (
-            percentile(self.decrypt_batch_sizes, 95.0) if self.decrypt_batch_sizes else 0.0
-        )
-        return row
-
-
-def serve_trace(
-    runtime: Any,
-    events: Sequence[TraceEvent],
-    make_job: Callable[[TraceEvent], Any],
-    clock: VirtualClock,
-    replay_guard: ReplayGuard | None = None,
-    batch_seconds: float = 0.0,
-    cost_model: Callable[[float], float] | None = None,
-) -> TraceReport:
-    """Replay *events* against *runtime* under *clock*; measure email latency.
-
-    *runtime* is a :class:`~repro.core.runtime.ProviderRuntime` whose
-    scheduler was built with ``clock=clock`` — the harness owns time — under
-    the current metrics registry (its ``decrypt_batches_total`` counter says
-    how many batches each call flushed).  For
-    each arrival the clock first advances through every scheduler age
-    deadline that falls before it, ticking ``runtime.poll()`` at each (this
-    is how aged windows fire during a lull — the idle-starvation fix made
-    this loop possible; without ``poll`` the only flush points were later
-    bursts).  Then the email is checked against *replay_guard* (duplicates
-    are rejected and never reach the runtime), turned into a job by
-    *make_job*, and served.
-
-    Service time can be charged to the virtual clock two ways.  Without
-    *cost_model*, real CPU spent inside each runtime call flows into the
-    clock as measured — realistic, but every latency sample inherits the
-    machine's scheduling jitter.  With *cost_model* — a callable mapping a
-    flushed decrypt batch's ciphertext count to virtual service seconds —
-    the clock is instead advanced by ``cost_model(size)`` for each batch the
-    call flushed: the replay becomes **deterministic** given the trace and
-    the scheduler policy, while real CPU is still measured separately for
-    the throughput figures.  The batches a call flushed are the last Δ
-    entries of ``runtime.decrypt_batch_sizes``, Δ read from the counter;
-    that is exact while Δ stays within the ledger's ``RECENT_SAMPLE_CAP``.
-
-    *batch_seconds* coalesces arrivals closer together than the given gap
-    into one ``serve_burst`` call, modelling a front-end that picks up every
-    connection ready in the same accept round.
-
-    A job's latency is ``finish − arrival`` in virtual seconds, recorded when
-    the runtime reports the job finished.
-    """
-    report = TraceReport()
-    arrivals: dict[int, float] = {}  # id(job) → arrival time
-    registry = get_registry()
-    metric_latency = registry.histogram("trace_email_latency_seconds")
-    batches = registry.counter("decrypt_batches_total")
-
-    def note_finished(finished: Sequence[Any]) -> None:
-        now = clock()
-        for job in finished:
-            latency = now - arrivals.pop(id(job))
-            report.latencies.append(latency)
-            metric_latency.observe(latency)
-            report.served += 1
-
-    def timed(call: Callable[[], Any]) -> Any:
-        before = batches.value
-        if cost_model is None:
-            result, elapsed = clock.charge(call)
-            report.provider_cpu_seconds += elapsed
-        else:
-            # Deterministic charging: the clock holds still during the call
-            # (windows opened by an arrival are stamped with the arrival
-            # time), then advances by the modelled cost of each flushed batch.
-            start = time.perf_counter()
-            result = call()
-            report.provider_cpu_seconds += time.perf_counter() - start
-        flushed = int(batches.value - before)
-        sizes = runtime.decrypt_batch_sizes[-flushed:] if flushed else []
-        report.decrypt_batch_sizes.extend(float(size) for size in sizes)
-        if cost_model is not None:
-            for size in sizes:
-                clock.advance(cost_model(size))
-        return result
-
-    def poll_until(horizon: float | None) -> None:
-        while True:
-            deadline = runtime.scheduler.next_deadline()
-            if deadline is None or (horizon is not None and deadline >= horizon):
-                return
-            clock.advance_to(deadline)
-            note_finished(timed(runtime.poll))
-
-    pending_batch: list[Any] = []
-    batch_started: float | None = None
-    for event in sorted(events, key=lambda item: item.arrival_seconds):
-        flush_now = pending_batch and (
-            batch_started is None or event.arrival_seconds - batch_started > batch_seconds
-        )
-        if flush_now:
-            batch, pending_batch, batch_started = pending_batch, [], None
-            note_finished(timed(lambda: runtime.serve_burst(batch)))
-        poll_until(event.arrival_seconds)
-        clock.advance_to(event.arrival_seconds)
-        if replay_guard is not None:
-            try:
-                replay_guard.check_and_record(event.sender, event.sequence_number)
-            except ReplayError:
-                report.rejected_duplicates += 1
-                continue
-        job = make_job(event)
-        # Latency counts from the *arrival*, not from when the (possibly
-        # backlogged) clock got around to admitting it — the queue wait is
-        # part of what the percentiles must see.
-        arrivals[id(job)] = event.arrival_seconds
-        if batch_seconds > 0.0:
-            if not pending_batch:
-                batch_started = event.arrival_seconds
-            pending_batch.append(job)
-        else:
-            note_finished(timed(lambda: runtime.serve_burst([job])))
-    if pending_batch:
-        batch = pending_batch
-        note_finished(timed(lambda: runtime.serve_burst(batch)))
-    poll_until(None)  # serve out every remaining age deadline
-    note_finished(timed(runtime.drain))  # windows with no age trigger
-    return report

@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    empty_snapshot,
     get_registry,
     merge_snapshots,
     scoped_registry,
@@ -71,7 +70,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SpanTracer",
-    "empty_snapshot",
     "get_registry",
     "get_tracer",
     "merge_snapshots",

@@ -53,20 +53,6 @@ def render_key(name: str, labels: dict[str, str]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank-with-interpolation percentile (numpy 'linear' method)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
 class Counter:
     """Monotonic counter.  ``inc`` is the only mutator."""
 
@@ -90,9 +76,6 @@ class Gauge:
         self.name = name
         self.labels = labels
         self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
@@ -138,13 +121,6 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.recent.append(value)
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Percentile over the recent-sample window (exact for <= cap samples)."""
-        return _percentile(list(self.recent), q)
 
 
 class MetricsRegistry:
@@ -261,19 +237,9 @@ class MetricsRegistry:
                     hist.max = entry["max"]
             hist.recent.extend(entry["recent"])
 
-    def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
-
-def empty_snapshot() -> dict:
-    return {"schema": SNAPSHOT_SCHEMA, "counters": [], "gauges": [], "histograms": []}
-
 
 def merge_snapshots(*snaps: dict) -> dict:
-    """Merge snapshots into one (associative, identity = empty_snapshot())."""
+    """Merge snapshots into one (associative; merging none gives an empty snapshot)."""
     merged = MetricsRegistry()
     for snap in snaps:
         merged.merge_snapshot(snap)

@@ -112,16 +112,6 @@ class SpanTracer:
         with self._lock:
             return [dict(span, meta=dict(span["meta"])) for span in self._spans]
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self.dropped = 0
-            self.sampled_out = 0
-
 
 _default_tracer = SpanTracer()
 

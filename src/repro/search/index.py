@@ -41,20 +41,6 @@ class KeywordSearchIndex:
             postings.append(document_id)
         return document_id
 
-    def remove_document(self, document_id: int) -> None:
-        """Remove a document from the index (e.g. email deleted)."""
-        if document_id not in self._documents:
-            raise SearchIndexError(f"document id {document_id} is not indexed")
-        del self._documents[document_id]
-        empty_tokens = []
-        for token, postings in self._postings.items():
-            if document_id in postings:
-                postings.remove(document_id)
-                if not postings:
-                    empty_tokens.append(token)
-        for token in empty_tokens:
-            del self._postings[token]
-
     # -- queries -------------------------------------------------------------
     def query(self, keyword: str) -> list[int]:
         """Document ids containing *keyword* (Fig. 15 "query time")."""
@@ -62,27 +48,6 @@ class KeywordSearchIndex:
         if len(normalized) != 1:
             raise SearchIndexError("query() takes exactly one keyword; use query_all/query_any")
         return sorted(self._postings.get(normalized[0], []))
-
-    def query_all(self, phrase: str) -> list[int]:
-        """Documents containing *every* keyword in *phrase* (AND semantics)."""
-        tokens = tokenize(phrase)
-        if not tokens:
-            return []
-        result: set[int] | None = None
-        for token in tokens:
-            postings = set(self._postings.get(token, []))
-            result = postings if result is None else (result & postings)
-            if not result:
-                return []
-        return sorted(result or [])
-
-    def query_any(self, phrase: str) -> list[int]:
-        """Documents containing *any* keyword in *phrase* (OR semantics)."""
-        tokens = tokenize(phrase)
-        result: set[int] = set()
-        for token in tokens:
-            result.update(self._postings.get(token, []))
-        return sorted(result)
 
     # -- accounting ----------------------------------------------------------------
     def document_count(self) -> int:

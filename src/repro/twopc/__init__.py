@@ -23,43 +23,3 @@ provider halves multiplex across many concurrent email sessions.
 * :mod:`repro.twopc.noprv` — the NoPriv baseline: the provider classifies
   plaintext directly (the status quo the paper compares against).
 """
-
-# The protocol modules import crypto modules that in turn build on the wire /
-# transport / session layers of this package, so the package initialiser must
-# not import the protocol modules eagerly (that would close an import cycle
-# through a half-initialised repro.crypto.ot).  Names resolve lazily instead
-# (PEP 562): `from repro.twopc import SpamFilterProtocol` works as before.
-from importlib import import_module
-
-_EXPORTS = {
-    "NoPrivClassifier": "repro.twopc.noprv",
-    "SpamFilterProtocol": "repro.twopc.spam",
-    "SpamProtocolResult": "repro.twopc.spam",
-    "TopicExtractionProtocol": "repro.twopc.topics",
-    "TopicProtocolResult": "repro.twopc.topics",
-    "ProtocolSession": "repro.twopc.session",
-    "DecryptingSession": "repro.twopc.session",
-    "BufferedProviderSession": "repro.twopc.session",
-    "DecryptionRequest": "repro.twopc.session",
-    "SessionJob": "repro.twopc.session",
-    "SessionLoop": "repro.twopc.session",
-    "run_session_pair": "repro.twopc.session",
-    "SessionState": "repro.twopc.wire",
-    "SessionStateFrame": "repro.twopc.wire",
-    "SessionStateKind": "repro.twopc.wire",
-    "Transport": "repro.twopc.transport",
-    "LoopbackTransport": "repro.twopc.transport",
-    "FramedChannel": "repro.twopc.transport",
-    "WireCodec": "repro.twopc.wire",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module_name), name)
-    globals()[name] = value
-    return value

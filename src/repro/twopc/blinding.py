@@ -91,9 +91,6 @@ class BlindedResult:
     # column index -> (ciphertext position in `ciphertexts`, slot, noise value)
     output_noise: dict[int, tuple[int, int, int]]
 
-    def network_bytes(self) -> int:
-        return sum(ct.size_bytes for ct in self.ciphertexts)
-
 
 def blind_dot_products(
     scheme: AHEScheme,

@@ -390,7 +390,7 @@ class SessionLoop:
 
     This is the *only* frame pump in the repository — the single-session
     drivers (``run_session_pair``, and through it the protocol ``classify``
-    methods, ``run_yao`` and ``ObliviousTransfer.run``) and the multi-user
+    methods and the base-OT handshake) and the multi-user
     serving loop (:class:`repro.core.runtime.ProviderRuntime`) all run this
     same loop, so delivery order, decrypt servicing and deadlock detection
     cannot diverge between arrangements.

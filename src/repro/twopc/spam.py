@@ -3,8 +3,9 @@
 Parties and phases follow Fig. 2 with the spam specialisation of §6.1:
 
 *Setup phase* (once, amortised over many emails): the provider generates the
-AHE key pair — optionally from a jointly derived seed (§3.3 footnote 3) —
-and encrypts its quantized two-category model as **one margin column**,
+AHE key pair from its own randomness (§3.3 footnote 3 would have the client
+contribute too; :mod:`repro.crypto.dh` names the gap) and encrypts its
+quantized two-category model as **one margin column**,
 ``e_i = m[i, spam] + (2^bin − 1) − m[i, ham]`` (bias row included), which
 the client stores (the "client storage" cost of Fig. 8: one column, where
 the paper charges B = 2).  Each entry is non-negative and below
@@ -347,7 +348,6 @@ class SpamFilterProtocol:
     def setup(
         self,
         quantized_model: QuantizedLinearModel,
-        joint_seed: bytes | None = None,
     ) -> SpamSetup:
         """Provider-side setup: key generation and encryption of the margin column."""
         if quantized_model.num_categories != 2:
@@ -368,7 +368,7 @@ class SpamFilterProtocol:
         # int64 before subtracting: an unsigned matrix would wrap.
         rows = rows.astype(np.int64)
         margin = rows[:, SPAM_COLUMN] + top - rows[:, HAM_COLUMN]
-        keypair = self.scheme.generate_keypair(seed=joint_seed)
+        keypair = self.scheme.generate_keypair()
         encrypted_model = PackedLinearModel.encrypt(
             self.scheme,
             keypair.public,

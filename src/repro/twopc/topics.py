@@ -403,7 +403,6 @@ class TopicExtractionProtocol:
     def setup(
         self,
         quantized_model: QuantizedLinearModel,
-        joint_seed: bytes | None = None,
         across_row_packing: bool = True,
     ) -> TopicSetup:
         """Provider-side setup: key generation and encryption of the topic model."""
@@ -414,7 +413,7 @@ class TopicExtractionProtocol:
                 "dot products would overflow a slot; reduce bin/fin or raise slot_bits"
             )
         start = time.perf_counter()
-        keypair = self.scheme.generate_keypair(seed=joint_seed)
+        keypair = self.scheme.generate_keypair()
         encrypted_model = PackedLinearModel.encrypt(
             self.scheme,
             keypair.public,

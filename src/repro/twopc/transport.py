@@ -169,10 +169,6 @@ class Transport(ABC):
         raises :class:`~repro.exceptions.TransportTimeoutError` at once.
         """
 
-    @abstractmethod
-    def pending(self) -> int:
-        """Frames accepted but not yet received (0 after a completed protocol)."""
-
     # -- ledger -------------------------------------------------------------
     def total_bytes(self) -> int:
         return sum(self.bytes_by_sender.values())
@@ -212,9 +208,6 @@ class LoopbackTransport(Transport):
                 f"no pending frame for {receiver!r} on transport {self.name!r}"
             )
         return pending.popleft()
-
-    def pending(self) -> int:
-        return sum(len(pending) for pending in self._queues.values())
 
 
 class AsyncTcpTransport(Transport):
@@ -268,32 +261,6 @@ class AsyncTcpTransport(Transport):
         """Dial a serving endpoint and return the connecting side's transport."""
         reader, writer = await asyncio.open_connection(host, port)
         return cls(reader, writer, local_party, parties, name, timeout)
-
-    @classmethod
-    async def start_server(
-        cls,
-        connection_handler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        local_party: str = "provider",
-        parties: tuple[str, str] = ("client", "provider"),
-        name: str = "tcp-server",
-        timeout: float = 30.0,
-    ) -> asyncio.base_events.Server:
-        """Serve TCP connections; *connection_handler(transport)* runs per peer.
-
-        Returns the :class:`asyncio.Server` (use ``server.sockets[0]
-        .getsockname()[1]`` for the bound port when *port* is 0).
-        """
-
-        async def on_connect(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            transport = cls(reader, writer, local_party, parties, name, timeout)
-            try:
-                await connection_handler(transport)
-            finally:
-                await transport.aclose()
-
-        return await asyncio.start_server(on_connect, host, port)
 
     @staticmethod
     def bound_port(server: asyncio.base_events.Server) -> int:
@@ -350,10 +317,6 @@ class AsyncTcpTransport(Transport):
                 self._account(peer, len(frame))
                 self._inbound.append(frame)
         return self._inbound.popleft()
-
-    def pending(self) -> int:
-        """Frames assembled at this endpoint but not yet received."""
-        return len(self._inbound)
 
     async def aclose(self) -> None:
         if self._closed:
@@ -418,14 +381,6 @@ class FramedChannel:
     def parties(self) -> tuple[str, str]:
         return self.transport.parties
 
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.transport.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.transport.messages_by_sender
-
     def total_bytes(self) -> int:
         return self.transport.total_bytes()
 
@@ -435,8 +390,3 @@ class FramedChannel:
     def rounds(self) -> int:
         return self.transport.rounds()
 
-    def pending(self) -> int:
-        return self.transport.pending()
-
-    def close(self) -> None:
-        self.transport.close()

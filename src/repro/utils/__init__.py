@@ -1,37 +1,22 @@
 """Shared utilities: bit manipulation, deterministic randomness, timing, serialization."""
 
 from repro.utils.bitops import (
-    bit_length,
     bits_to_int,
-    bytes_needed,
-    ceil_div,
-    int_from_bytes,
     int_to_bits,
-    int_to_bytes,
     pack_fields,
     unpack_fields,
 )
-from repro.utils.rand import DeterministicRandom, secure_randbelow, secure_randbits, secure_randint
+from repro.utils.rand import DeterministicRandom, secure_randbelow, secure_randbits
 from repro.utils.serialization import canonical_dumps, canonical_loads
-from repro.utils.timing import Stopwatch, format_duration, time_call
 
 __all__ = [
-    "bit_length",
     "bits_to_int",
-    "bytes_needed",
-    "ceil_div",
-    "int_from_bytes",
     "int_to_bits",
-    "int_to_bytes",
     "pack_fields",
     "unpack_fields",
     "DeterministicRandom",
     "secure_randbelow",
     "secure_randbits",
-    "secure_randint",
     "canonical_dumps",
     "canonical_loads",
-    "Stopwatch",
-    "format_duration",
-    "time_call",
 ]

@@ -14,44 +14,6 @@ import numpy as np
 from repro.exceptions import PackingError, ParameterError
 
 
-def ceil_div(numerator: int, denominator: int) -> int:
-    """Integer ceiling division for non-negative numerators."""
-    if denominator <= 0:
-        raise ParameterError(f"denominator must be positive, got {denominator}")
-    return -(-numerator // denominator)
-
-
-def bit_length(value: int) -> int:
-    """Bit length of a non-negative integer; 0 has bit length 1 by convention."""
-    if value < 0:
-        raise ParameterError("bit_length is defined for non-negative integers only")
-    return max(1, value.bit_length())
-
-
-def bytes_needed(value: int) -> int:
-    """Number of bytes required to hold a non-negative integer."""
-    return ceil_div(bit_length(value), 8)
-
-
-def int_to_bytes(value: int, length: int | None = None) -> bytes:
-    """Encode a non-negative integer as big-endian bytes.
-
-    When *length* is omitted the minimal number of bytes is used (at least 1).
-    """
-    if value < 0:
-        raise ParameterError("cannot encode a negative integer")
-    if length is None:
-        length = bytes_needed(value)
-    if value >= 1 << (8 * length):
-        raise ParameterError(f"value does not fit in {length} bytes")
-    return value.to_bytes(length, "big")
-
-
-def int_from_bytes(data: bytes) -> int:
-    """Decode a big-endian byte string into a non-negative integer."""
-    return int.from_bytes(data, "big")
-
-
 def int_to_bits(value: int, width: int) -> list[int]:
     """Little-endian bit decomposition of *value*, exactly *width* bits.
 

@@ -34,13 +34,6 @@ def secure_randbelow(upper: int) -> int:
     return secrets.randbelow(upper)
 
 
-def secure_randint(low: int, high: int) -> int:
-    """Uniform random integer in ``[low, high]`` inclusive (cryptographic source)."""
-    if high < low:
-        raise ParameterError("high must be >= low")
-    return low + secrets.randbelow(high - low + 1)
-
-
 def secure_bytes(length: int) -> bytes:
     """Cryptographically random byte string of the given length."""
     if length < 0:
@@ -48,48 +41,17 @@ def secure_bytes(length: int) -> bytes:
     return secrets.token_bytes(length)
 
 
-def secure_uniform_ints(upper: int, count: int, prg=None) -> list[int]:
-    """*count* independent uniform integers in ``[0, upper)`` (cryptographic source).
-
-    Power-of-two bounds up to 2^64 — the common case for slot-wide blinding
-    noise — are drawn as the top bits of one vectorised byte-stream read
-    (exactly uniform, no rejection).  Other bounds fall back to per-element
-    :func:`secure_randbelow`.
-
-    *prg* (any object with a ``read(num_bytes) -> bytes`` method, e.g.
-    :class:`repro.crypto.prg.Prg`) replaces :mod:`secrets` as the byte source;
-    the interpretation of the bytes is identical, so batched and sequential
-    draws from one stream agree value for value — the bit-identity tests of
-    the vectorised blinding path rely on this.  Deterministic draws are only
-    defined for the power-of-two bounds (the rejection-free case).
-    """
-    if upper <= 0:
-        raise ParameterError("upper bound must be positive")
-    if count < 0:
-        raise ParameterError("count must be non-negative")
-    if count == 0:
-        return []
-    bits = upper.bit_length() - 1
-    if upper == 1 << bits and 0 < bits <= 64:
-        raw_bytes = secrets.token_bytes(8 * count) if prg is None else prg.read(8 * count)
-        raw = np.frombuffer(raw_bytes, dtype="<u8")
-        return (raw >> np.uint64(64 - bits)).tolist()
-    if upper == 1:
-        return [0] * count
-    if prg is not None:
-        raise ParameterError(
-            "deterministic uniform draws require a power-of-two upper bound"
-        )
-    return [secrets.randbelow(upper) for _ in range(count)]
-
-
 def secure_uniform_array(upper: int, count: int, prg=None) -> np.ndarray:
-    """Like :func:`secure_uniform_ints` but returns an int64 ndarray.
+    """*count* independent uniform integers in ``[0, upper)``, as an int64 ndarray.
 
     Only power-of-two bounds up to 2^63 are supported (the blinding bounds
-    are always powers of two); value-for-value identical to the list variant
-    on the same byte source, without the 10k-element ``tolist`` round trip the
-    fabrication hot path would immediately undo.
+    are always powers of two): each value is the top bits of one
+    little-endian 8-byte read, so there is no rejection.  *prg* (any object
+    with a ``read(num_bytes) -> bytes`` method, e.g.
+    :class:`repro.crypto.prg.Prg`) replaces :mod:`secrets` as the byte
+    source, so batched and sequential draws from one stream agree value for
+    value; the tests check that against the list form
+    (``tests/oracles.py::secure_uniform_ints``).
     """
     if upper <= 0:
         raise ParameterError("upper bound must be positive")

@@ -140,11 +140,6 @@ def canonical_loads(data: bytes) -> Any:
     return value
 
 
-def encoded_size(value: Any) -> int:
-    """Byte size of the canonical encoding (used for network accounting)."""
-    return len(canonical_dumps(value))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-width wire primitives
 #
@@ -217,9 +212,6 @@ class ByteWriter:
     def getvalue(self) -> bytes:
         return bytes(self._buffer)
 
-    def __len__(self) -> int:
-        return len(self._buffer)
-
 
 class ByteReader:
     """Sequential reader matching :class:`ByteWriter`'s encodings."""
@@ -269,9 +261,6 @@ class ByteReader:
 
     def big_uint(self) -> int:
         return int.from_bytes(self.blob(), "big")
-
-    def remaining(self) -> int:
-        return len(self.data) - self.offset
 
     def expect_end(self) -> None:
         if self.offset != len(self.data):

@@ -73,10 +73,6 @@ class TestCommonInterface:
         ciphertext = scheme.encrypt_slots(keys.public, [1])
         assert ciphertext.size_bytes == scheme.ciphertext_size_bytes() > 0
 
-    def test_encrypt_single_decrypt_single(self, scheme_and_keys):
-        scheme, keys = scheme_and_keys
-        assert scheme.decrypt_single(keys, scheme.encrypt_single(keys.public, 999)) == 999
-
     def test_encryption_randomised(self, scheme_and_keys):
         scheme, keys = scheme_and_keys
         first = scheme.encrypt_slots(keys.public, [1, 2])
@@ -169,7 +165,7 @@ class TestBvSpecific:
             term = bv_scheme.shift_up(bv_scheme.scalar_mul(ciphertexts[row], scalar), shift)
             reference = term if reference is None else bv_scheme.add(reference, term)
         assert bv_scheme.ciphertext_run(combined) == (start, length)
-        assert not combined.payload.c1.in_evaluation_domain
+        assert not combined.payload.c1._spectra is not None
         whole = reference.payload
         if run == "whole":
             assert bv_scheme.serialize_ciphertext(combined) == bv_scheme.serialize_ciphertext(reference)
@@ -244,13 +240,6 @@ class TestBvSpecific:
         for window, half in zip(stack[0, :, :, n - shift : 2 * n - shift], halves):
             assert np.array_equal(window, half.monomial_multiply(shift).residues)
 
-    def test_seeded_keypair_is_reproducible_public_part(self, bv_scheme):
-        keys_1 = bv_scheme.generate_keypair(seed=b"joint-seed")
-        keys_2 = bv_scheme.generate_keypair(seed=b"joint-seed")
-        assert np.array_equal(
-            keys_1.public.payload.p1.residues, keys_2.public.payload.p1.residues
-        )
-
     def test_ciphertext_size_matches_parameters(self):
         scheme = BVScheme(BVParameters.test_parameters())
         # Wire codec header (u32 n + u8 primes) plus two polynomials of
@@ -299,12 +288,6 @@ class TestPaillierSpecific:
         b = paillier_scheme.encrypt_slots(other_keys.public, [2])
         with pytest.raises(ParameterError):
             paillier_scheme.add(a, b)
-
-    def test_seeded_keypair_reproducible(self):
-        scheme = PaillierScheme(modulus_bits=128, slot_bits=16)
-        keys_1 = scheme.generate_keypair(seed=b"seed")
-        keys_2 = scheme.generate_keypair(seed=b"seed")
-        assert keys_1.public.payload.n == keys_2.public.payload.n
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):

@@ -35,7 +35,9 @@ from repro.twopc.blinding import (
     blind_extracted_candidates,
     score_runs,
 )
-from repro.utils.rand import secure_uniform_array, secure_uniform_ints
+from repro.utils.rand import secure_uniform_array
+
+from oracles import secure_uniform_ints
 
 
 def _wire(scheme, ciphertexts):
@@ -141,7 +143,7 @@ class TestBatchedHomomorphicOps:
         stacked = ring.monomial_spectra_many(exponents)
         assert stacked.shape == (len(exponents), len(ring.primes), ring.n)
         for row, exponent in enumerate(exponents):
-            assert np.array_equal(stacked[row], ring.monomial_spectra(exponent))
+            assert np.array_equal(stacked[row], ring.plan.monomial_spectra(exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +379,7 @@ class TestScoreSamplesAgainstTheOracle:
         )
         assert len(blinded.ciphertexts) == len(columns)
         assert blinded.output_noise[5][0] == 2  # the record is the last mention's
-        assert blinded.network_bytes() == len(columns) * bv_scheme.sample_size_bytes(1)
+        assert sum(ct.size_bytes for ct in blinded.ciphertexts) == len(columns) * bv_scheme.sample_size_bytes(1)
 
     @pytest.mark.parametrize("entry", ["dot_products", "candidates"])
     def test_randomness_is_read_in_the_documented_order(
@@ -640,7 +642,7 @@ class TestCoefficientRuns:
         primes = ring.primes
         spectra = np.broadcast_to(ring.primes_column - 1, (len(primes), degree)).copy()
         for slot in (0, 1, degree // 2, degree - 1):
-            rows = ring.monomial_spectra(-slot).astype(object)
+            rows = ring.plan.monomial_spectra(-slot).astype(object)
             # The weight that drives every entry of n⁻¹ · row ⊙ weight to p - 1.
             weight = np.array(
                 [

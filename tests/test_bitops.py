@@ -7,41 +7,6 @@ from repro.exceptions import PackingError, ParameterError
 from repro.utils import bitops
 
 
-class TestCeilDiv:
-    def test_exact_division(self):
-        assert bitops.ceil_div(10, 5) == 2
-
-    def test_rounds_up(self):
-        assert bitops.ceil_div(11, 5) == 3
-
-    def test_zero_numerator(self):
-        assert bitops.ceil_div(0, 7) == 0
-
-    def test_rejects_zero_denominator(self):
-        with pytest.raises(ParameterError):
-            bitops.ceil_div(4, 0)
-
-
-class TestIntBytes:
-    def test_roundtrip_minimal_length(self):
-        assert bitops.int_from_bytes(bitops.int_to_bytes(123456789)) == 123456789
-
-    def test_explicit_length_pads(self):
-        assert bitops.int_to_bytes(1, 4) == b"\x00\x00\x00\x01"
-
-    def test_value_too_large_for_length(self):
-        with pytest.raises(ParameterError):
-            bitops.int_to_bytes(256, 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            bitops.int_to_bytes(-1)
-
-    @given(st.integers(min_value=0, max_value=2**256))
-    def test_roundtrip_property(self, value):
-        assert bitops.int_from_bytes(bitops.int_to_bytes(value)) == value
-
-
 class TestBits:
     def test_int_to_bits_little_endian(self):
         assert bitops.int_to_bits(6, 4) == [0, 1, 1, 0]

@@ -57,8 +57,8 @@ class TestBlinding:
             assert sorted(blinded.output_noise) == [0, 3]
             (sample,) = blinded.ciphertexts
             assert sample.payload.c0.shape == (len(bv_scheme.ring.primes), 12)
-            assert blinded.network_bytes() == bv_scheme.sample_size_bytes(12)
-            assert blinded.network_bytes() < bv_scheme.ciphertext_size_bytes() * 0.55
+            assert sum(ct.size_bytes for ct in blinded.ciphertexts) == bv_scheme.sample_size_bytes(12)
+            assert sum(ct.size_bytes for ct in blinded.ciphertexts) < bv_scheme.ciphertext_size_bytes() * 0.55
             opened.append(bv_scheme.decrypt_slots(bv_keys, sample))
         unrecorded = [at for at in range(12) if at not in (0, 3)]  # column c sits at run offset c
         assert all(opened[0][at] != opened[1][at] for at in unrecorded)
@@ -83,7 +83,7 @@ class TestBlinding:
             bv_scheme, bv_keys.public, model, result, candidate_columns=[0, 1], dot_bits=20
         )
         assert len(blinded.ciphertexts) == 2
-        assert blinded.network_bytes() == 2 * bv_scheme.sample_size_bytes(1)
+        assert sum(ct.size_bytes for ct in blinded.ciphertexts) == 2 * bv_scheme.sample_size_bytes(1)
 
     def test_unknown_column_rejected(self, bv_scheme, bv_keys, packed_model):
         _, model = packed_model

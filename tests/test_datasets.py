@@ -58,7 +58,7 @@ class TestGeneration:
     )
     def test_named_corpora_structure(self, factory, categories):
         corpus = factory(scale=0.2)
-        assert corpus.category_count() == categories
+        assert len(corpus.category_names) == categories
         assert len(corpus) > 0
         assert max(corpus.labels) == categories - 1
 

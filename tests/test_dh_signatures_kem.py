@@ -1,4 +1,4 @@
-"""Tests for DH groups, joint parameter agreement, Schnorr signatures, ElGamal KEM."""
+"""Tests for DH groups, Schnorr signatures, ElGamal KEM."""
 
 import pickle
 
@@ -9,13 +9,12 @@ from repro.crypto.dh import (
     DHGroup,
     DHKeyPair,
     FixedBase,
-    joint_parameter_seed,
     rfc3526_group_2048,
     validate_group,
 )
 from repro.crypto.elgamal import ElGamalKeyPair, KemCiphertext, decapsulate, encapsulate
-from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, sign, verify, verify_or_raise
-from repro.exceptions import ParameterError, ProtocolAbort, SignatureError
+from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, sign, verify
+from repro.exceptions import ParameterError
 
 
 class TestDHGroup:
@@ -36,16 +35,6 @@ class TestDHGroup:
         assert dh_group.is_valid_element(keys.public)
         assert not dh_group.is_valid_element(0)
         assert not dh_group.is_valid_element(dh_group.p)
-
-    def test_shared_secret_agreement(self, dh_group):
-        alice = DHKeyPair.generate(dh_group)
-        bob = DHKeyPair.generate(dh_group)
-        assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
-
-    def test_shared_secret_rejects_invalid_share(self, dh_group):
-        alice = DHKeyPair.generate(dh_group)
-        with pytest.raises(ProtocolAbort):
-            alice.shared_secret(dh_group.p - 1)  # order-2 element
 
     def test_validate_group_accepts_good_group(self, dh_group):
         validate_group(dh_group)
@@ -99,24 +88,6 @@ class TestFixedBase:
         assert keys.public == pow(dh_group.g, keys.secret, dh_group.p)
 
 
-class TestJointParameterSeed:
-    def test_both_parties_derive_same_seed(self, dh_group):
-        alice = DHKeyPair.generate(dh_group)
-        bob = DHKeyPair.generate(dh_group)
-        nonce_a, nonce_b = b"alice-nonce", b"bob-nonce"
-        seed_a = joint_parameter_seed(dh_group, alice, bob.public, nonce_a, nonce_b)
-        seed_b = joint_parameter_seed(dh_group, bob, alice.public, nonce_b, nonce_a)
-        assert seed_a == seed_b
-        assert len(seed_a) == 32
-
-    def test_nonce_changes_seed(self, dh_group):
-        alice = DHKeyPair.generate(dh_group)
-        bob = DHKeyPair.generate(dh_group)
-        seed_1 = joint_parameter_seed(dh_group, alice, bob.public, b"n1", b"peer")
-        seed_2 = joint_parameter_seed(dh_group, alice, bob.public, b"n2", b"peer")
-        assert seed_1 != seed_2
-
-
 class TestSchnorr:
     def test_sign_verify_roundtrip(self, dh_group):
         keys = SchnorrKeyPair.generate(dh_group)
@@ -144,13 +115,6 @@ class TestSchnorr:
         keys = SchnorrKeyPair.generate(dh_group)
         bad = SchnorrSignature(challenge=dh_group.q, response=0)
         assert not verify(keys.public, b"msg", bad)
-
-    def test_verify_or_raise(self, dh_group):
-        keys = SchnorrKeyPair.generate(dh_group)
-        signature = sign(keys.private, b"msg")
-        verify_or_raise(keys.public, b"msg", signature)
-        with pytest.raises(SignatureError):
-            verify_or_raise(keys.public, b"other", signature)
 
 
 class TestElGamalKem:

@@ -15,9 +15,7 @@ pin the rest of the fabric's contract:
   eviction (a passed deadline is silence, not failure);
 * mixed builds: an agent and a parent of the build that framed control
   frames with an ack/retransmit header refuse this build's peers at HELLO;
-* ``rebalance`` choosing the migration from streamed load; and
-* :meth:`PretzelSystem.drain_all_mailboxes_sharded` running unchanged with
-  a fabric runtime as its ``runtime=``.
+* ``rebalance`` choosing the migration from streamed load.
 """
 
 import asyncio
@@ -44,7 +42,6 @@ from repro.fabric import (
     FabricRuntime,
     TcpLink,
     launch_fabric,
-    metrics_projection,
     pack_control,
     spawn_local_agent,
     unpack_control,
@@ -53,6 +50,8 @@ from repro.obs.export import validate_chrome_trace, validate_snapshot, write_art
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.transport import AsyncTcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, OtPublicsFrame, WireCodec
+
+from oracles import metrics_projection
 
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
@@ -578,45 +577,3 @@ class TestFabricMigration:
             _reap(agents)
 
 
-class TestSystemIntegration:
-    def test_drain_all_mailboxes_sharded_accepts_a_fabric(self, test_config):
-        """The system-level drive loop cannot tell the fabrics apart."""
-        from repro.core import PretzelSystem, SpamFunctionModule
-        from repro.datasets import lingspam_like, prepare_classification_data
-
-        data = prepare_classification_data(
-            lingspam_like(scale=0.1, seed=9), boolean=True, max_features=600
-        )
-        labels = [1 if label == 1 else 0 for label in data.train_labels]
-        module = SpamFunctionModule.train(
-            test_config, data.extractor, data.train_vectors, labels
-        )
-        system = PretzelSystem(test_config)
-        system.add_user("alice@example.com")
-        for address in ("bob@example.com", "carol@example.com"):
-            system.add_user(address).attach_module(module)
-        bodies = ["w000001 w000002", "w000500 w000900 w000002", "w000010 w000001"]
-        for recipient in ("bob@example.com", "carol@example.com"):
-            for body in bodies:
-                system.send_email("alice@example.com", recipient, "s", body)
-
-        runtime, agents = launch_fabric(2)
-        try:
-            over_fabric = system.drain_all_mailboxes_sharded(runtime=runtime)
-        finally:
-            runtime.close()
-            _reap(agents)
-        assert set(over_fabric) == {"bob@example.com", "carol@example.com"}
-
-        for recipient in ("bob@example.com", "carol@example.com"):
-            for body in bodies:
-                system.send_email("alice@example.com", recipient, "s", body)
-        in_process = system.drain_all_mailboxes()
-        for address in over_fabric:
-            assert [
-                report.output_of("spam-filter").is_spam
-                for report in over_fabric[address]
-            ] == [
-                report.output_of("spam-filter").is_spam
-                for report in in_process[address]
-            ]

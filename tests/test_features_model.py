@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.classify.features import FeatureExtractor, num_features_in_email, remap_sparse, tokenize
+from repro.classify.features import FeatureExtractor, tokenize
 from repro.classify.model import LinearModel, QuantizedLinearModel
 from repro.exceptions import ClassifierError, ParameterError
 
@@ -51,17 +51,6 @@ class TestFeatureExtractor:
         assert extractor.num_features == 2
         assert "a" in extractor.vocabulary and "b" in extractor.vocabulary
 
-    def test_restrict_remaps_indices(self, extractor):
-        keep = [extractor.vocabulary["spam"], extractor.vocabulary["coffee"]]
-        restricted, remap = extractor.restrict(keep)
-        assert restricted.num_features == 2
-        vector = extractor.transform("spam toast coffee")
-        projected = remap_sparse(vector, remap)
-        assert len(projected) == 2
-
-    def test_num_features_in_email(self, extractor):
-        assert num_features_in_email(extractor.transform("spam eggs eggs")) == 2
-
 
 class TestLinearModel:
     @pytest.fixture(scope="class")
@@ -82,11 +71,6 @@ class TestLinearModel:
 
     def test_top_categories_clipped_to_b(self, model):
         assert len(model.top_categories({0: 1}, 10)) == 2
-
-    def test_restrict_features(self, model):
-        restricted = model.restrict_features([0, 2])
-        assert restricted.num_features == 2
-        assert restricted.predict({0: 1}) == model.predict({0: 1})
 
     def test_shape_validation(self):
         with pytest.raises(ClassifierError):

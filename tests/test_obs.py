@@ -23,11 +23,10 @@ import json
 import pytest
 
 from repro.core.runtime import DecryptScheduler, ProviderRuntime, session_job
-from repro.mail.traces import TraceSpec, VirtualClock, generate_trace, serve_trace
+from repro.mail.traces import TraceSpec, VirtualClock, generate_trace
 from repro.obs import (
     MetricsRegistry,
     SpanTracer,
-    empty_snapshot,
     get_registry,
     get_tracer,
     merge_snapshots,
@@ -98,22 +97,20 @@ class TestRegistry:
         counter.inc()
         counter.inc(2.5)
         gauge = registry.gauge("depth")
-        gauge.set(7.0)
+        gauge.inc(7.0)
         gauge.inc(3.0)
         gauge.dec()
         snapshot = registry.snapshot()
         assert counter_value(snapshot, "ops_total") == 3.5
         assert gauge_value(snapshot, "depth") == 9.0
 
-    def test_histogram_buckets_mean_percentile(self):
+    def test_histogram_buckets(self):
         registry = MetricsRegistry()
         hist = registry.histogram("lat_seconds")
         for value in (0.001, 0.01, 0.1, 1.0):
             hist.observe(value)
         assert hist.count == 4
-        assert hist.mean() == pytest.approx(0.27775)
-        assert hist.percentile(0.0) == pytest.approx(0.001)
-        assert hist.percentile(100.0) == pytest.approx(1.0)
+        assert hist.sum == pytest.approx(1.111)
         entry = histogram_entry(registry.snapshot(), "lat_seconds")
         assert sum(entry["counts"]) == 4
         assert len(entry["counts"]) == len(DEFAULT_BUCKET_BOUNDS) + 1
@@ -157,7 +154,7 @@ class TestRegistry:
         left_first = merge_snapshots(merge_snapshots(snaps[0], snaps[1]), snaps[2])
         right_first = merge_snapshots(snaps[0], merge_snapshots(snaps[1], snaps[2]))
         assert left_first == right_first
-        assert merge_snapshots(empty_snapshot(), snaps[0]) == merge_snapshots(snaps[0])
+        assert merge_snapshots(merge_snapshots(), snaps[0]) == merge_snapshots(snaps[0])
 
     def test_merge_rejects_schema_and_bound_mismatches(self):
         registry = MetricsRegistry()
@@ -203,7 +200,7 @@ class TestSpanTracer:
         tracer = SpanTracer(capacity=3)
         for index in range(5):
             tracer.record(f"t{index}", "step", 0.0, 1.0)
-        assert len(tracer) == 3
+        assert len(tracer.snapshot()) == 3
         assert tracer.dropped == 2
         assert [span["trace_id"] for span in tracer.snapshot()] == ["t2", "t3", "t4"]
 
@@ -233,16 +230,9 @@ class TestSpanSampling:
             tracer.record(lost, name, 0.0, 1.0)
         recorded = {span["trace_id"] for span in tracer.snapshot()}
         assert recorded == {kept}  # never a ragged chain
-        assert len(tracer) == 4
+        assert len(tracer.snapshot()) == 4
         assert tracer.sampled_out == 4
         assert tracer.dropped == 0  # sampling is not capacity pressure
-
-    def test_sampled_out_resets_with_clear(self):
-        tracer = SpanTracer(sample_rate=0.0)
-        tracer.record("t", "step", 0.0, 1.0)
-        assert tracer.sampled_out == 1 and len(tracer) == 0
-        tracer.clear()
-        assert tracer.sampled_out == 0
 
     def test_rate_is_validated(self):
         with pytest.raises(ValueError):
@@ -255,7 +245,7 @@ class TestExporters:
     def _populated(self):
         registry = MetricsRegistry()
         registry.counter("frames_total", party="client").inc(3)
-        registry.gauge("depth").set(2.0)
+        registry.gauge("depth").inc(2.0)
         registry.histogram("lat_seconds").observe(0.5)
         return registry
 
@@ -347,7 +337,7 @@ class TestSpanChain:
             )
             job = session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)
             assert runtime.serve_burst([job]) == []  # parked in the open window
-            clock.advance_to(5.0)
+            clock.advance(5.0)
             finished = runtime.poll()
             assert [job.label for job in finished] == [0]
             return registry.snapshot(), tracer.snapshot()
@@ -400,15 +390,15 @@ class TestSpanChain:
                     clock=clock,
                 )
             )
-            serve_trace(
-                runtime,
-                events,
-                lambda event: session_job(
-                    protocol, setup, (SPAM_EMAILS[0],), label=event.sender
-                ),
-                clock,
-                cost_model=lambda size: 0.001 * size + 0.0005,
-            )
+            # Each arrival jumps the clock, ticks the scheduler's age
+            # deadlines, then serves the email; service takes no virtual time.
+            for event in events:
+                clock.advance(event.arrival_seconds - clock())
+                runtime.poll()
+                runtime.serve_burst(
+                    [session_job(protocol, setup, (SPAM_EMAILS[0],), label=event.sender)]
+                )
+            runtime.drain()
             return registry.snapshot(), tracer.snapshot()
 
     @staticmethod
@@ -427,9 +417,8 @@ class TestSpanChain:
         )
 
     def test_seeded_trace_replay_is_bit_identical(self, spam_setup):
-        # The acceptance pin: same seed + same policy under VirtualClock and
-        # a deterministic cost model -> byte-equal telemetry artifacts, spans
-        # and metrics both.
+        # The acceptance pin: same seed + same policy under VirtualClock ->
+        # byte-equal telemetry artifacts, spans and metrics both.
         protocol, setup = spam_setup
         first_snapshot, first_spans = self._replay_trace(protocol, setup)
         second_snapshot, second_spans = self._replay_trace(protocol, setup)
@@ -460,7 +449,7 @@ class TestMidDrainScrape:
             assert prometheus_text(mid)  # scrape renders while windows are open
             assert gauge_value(mid, "pending_window_ciphertexts") > 0
             assert counter_value(mid, "emails_served_total") == 0
-            assert len(tracer) == 0  # spans close at finish, not admission
+            assert tracer.snapshot() == []  # spans close at finish, not admission
 
             finished = runtime.drain()
             assert len(finished) == len(SPAM_EMAILS)
@@ -474,15 +463,13 @@ class TestMidDrainScrape:
             assert len([s for s in spans if s["name"] == "email"]) == len(SPAM_EMAILS)
             validate_chrome_trace(chrome_trace(spans))
 
-    def test_runtime_stats_reads_the_registry(self, spam_setup):
+    def test_one_served_email_reaches_the_registry(self, spam_setup):
         protocol, setup = spam_setup
         with scoped_telemetry() as (registry, _):
             runtime = ProviderRuntime()
             runtime.serve_burst([session_job(protocol, setup, (SPAM_EMAILS[0],), label=0)])
-            stats = runtime.stats()
             snapshot = registry.snapshot()
-        assert stats["emails_served"] == 1
-        assert stats["outstanding_jobs"] == 0
-        assert stats["pending_window_ciphertexts"] == 0
+        assert counter_value(snapshot, "emails_served_total") == 1
+        assert gauge_value(snapshot, "pending_window_ciphertexts") == 0
         assert histogram_entry(snapshot, "decrypt_batch_ciphertexts")["count"] == 1
         assert histogram_entry(snapshot, "decrypt_age_seconds")["count"] >= 1

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.crypto.packing import PackedLinearModel, PackingLayout, decrypt_dot_products
+from repro.crypto.packing import PackedLinearModel, PackingLayout
+
+from oracles import decrypt_dot_products
 from repro.exceptions import PackingError, ParameterError
 
 

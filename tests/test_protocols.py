@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.classify.model import QuantizedLinearModel
 from repro.core.runtime import ShardWorkerCore
-from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
+from repro.crypto.packing import PackedLinearModel
 from repro.exceptions import ClassifierError, ProtocolAbort, ProtocolError
 from repro.obs import MetricsRegistry, scoped_registry
 from repro.twopc.noprv import NoPrivClassifier
@@ -17,6 +17,8 @@ from repro.twopc.session import run_session_pair
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 from repro.twopc.wire import GarbledCircuitFrame, WireCodec
+
+from oracles import decrypt_dot_products, pending_frames
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +73,7 @@ class TestSpamProtocol:
         protocol, setup = spam_setup
         channel = protocol.make_channel(setup, name="spam-test")
         protocol.classify_email(setup, SPAM_TEST_EMAILS[1], channel=channel)
-        assert channel.pending() == 0
+        assert pending_frames(channel) == 0
 
     def test_network_bytes_equal_serialized_frame_lengths(self, spam_setup, sent_frame_sizes):
         # Acceptance: reported network_bytes is the sum of the actual

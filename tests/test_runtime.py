@@ -19,7 +19,6 @@ from repro.core.runtime import (
 )
 from repro.crypto.ot import (
     TRANSFER_INDEX_LIMIT,
-    ObliviousTransfer,
     initialize_ot_pool,
     make_ot_receiver,
     make_ot_sender,
@@ -32,6 +31,8 @@ from repro.twopc.session import run_session_pair
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 from repro.twopc.transport import FramedChannel
+
+from oracles import ObliviousTransfer, pending_frames
 
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
@@ -111,7 +112,7 @@ class TestConcurrentEqualsSequential:
             assert sent
             assert job.channel.total_bytes() == sum(sent)
             assert job.channel.total_messages() == len(sent)
-            assert job.channel.pending() == 0
+            assert pending_frames(job.channel) == 0
 
 
 class TestMultiUserBatching:
@@ -270,4 +271,4 @@ class TestNoPrivSessions:
         assert result.predicted_category == classifier.classify(features).predicted_category
         assert network_bytes == channel.total_bytes()
         assert network_bytes > 0
-        assert channel.pending() == 0
+        assert pending_frames(channel) == 0

@@ -27,14 +27,6 @@ class TestIndexing:
         doc = index.add_document("spam spam spam")
         assert index.query("spam") == [doc]
 
-    def test_query_all_and_any(self):
-        index = KeywordSearchIndex()
-        doc_a = index.add_document("alpha beta gamma")
-        doc_b = index.add_document("alpha delta")
-        assert index.query_all("alpha beta") == [doc_a]
-        assert index.query_any("beta delta") == sorted([doc_a, doc_b])
-        assert index.query_all("alpha missing") == []
-
     def test_multi_word_single_query_rejected(self):
         index = KeywordSearchIndex()
         index.add_document("a b c")
@@ -47,16 +39,6 @@ class TestIndexing:
         assert index.query("first") == [10]
         with pytest.raises(SearchIndexError):
             index.add_document("again", document_id=10)
-
-    def test_remove_document(self):
-        index = KeywordSearchIndex()
-        doc_a = index.add_document("shared word here")
-        doc_b = index.add_document("shared other text")
-        index.remove_document(doc_a)
-        assert index.query("shared") == [doc_b]
-        assert index.document_count() == 1
-        with pytest.raises(SearchIndexError):
-            index.remove_document(doc_a)
 
 
 class TestAccounting:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ParameterError
-from repro.utils.serialization import canonical_dumps, canonical_loads, encoded_size
+from repro.utils.serialization import canonical_dumps, canonical_loads
 
 
 SIMPLE_VALUES = [
@@ -84,10 +84,3 @@ class TestErrors:
             canonical_loads(b"Z")
 
 
-class TestSizes:
-    def test_encoded_size_matches_dumps(self):
-        value = {"key": [1, 2, 3], "blob": b"x" * 100}
-        assert encoded_size(value) == len(canonical_dumps(value))
-
-    def test_bigger_payload_bigger_size(self):
-        assert encoded_size(b"x" * 1000) > encoded_size(b"x" * 10)

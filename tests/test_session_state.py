@@ -81,6 +81,11 @@ TOPIC_EMAILS = [
 ]
 
 
+def _read_bits(stream, count: int) -> list[int]:
+    """The next *count* bits of a Prg stream, little-endian per byte."""
+    return bytes_to_bits(stream.read((count + 7) // 8), count)
+
+
 @pytest.fixture(scope="module")
 def spam_setup(bv_scheme, dh_group, small_spam_model):
     protocol = SpamFilterProtocol(bv_scheme, dh_group)
@@ -341,7 +346,7 @@ class TestPoolSnapshotsAcrossDerivationChanges:
         assert pool.ready and pool.snapshot().to_bytes() == blob
         assert pool.receiver_state.next_index == 13 and pool.sender_state.claimed == [(0, 13)]
         stream = Prg(b"parent-pool-batch" + (64).to_bytes(4, "big"), domain=b"pin-batch")
-        choices = stream.read_bits(64)
+        choices = _read_bits(stream, 64)
         pairs = [(stream.read(16), stream.read(16)) for _ in range(64)]
         receiver = PooledIknpReceiverMachine(None, choices, pool.receiver_state)
         sender = PooledIknpSenderMachine(None, pairs, pool.sender_state)

@@ -34,16 +34,31 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import garbled, hashes, ot
 from repro.crypto.circuits import PLAN_AND, Circuit, CircuitBuilder, SpamCircuit, TopicCircuit
 from repro.crypto.garbled import LABEL_BYTES, GarbledTables, decode_outputs, evaluate, garble
-from repro.crypto.packing import PackedLinearModel, decrypt_dot_products
+from repro.crypto.packing import PackedLinearModel
 from repro.crypto.prg import Prg, prf
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession
 from repro.exceptions import OTError, ParameterError, ProtocolAbort, ProtocolError
 from repro.twopc.wire import SessionState, WireCodec
-from repro.utils.bitops import bits_to_bytes, int_to_bits, xor_bytes
+from repro.utils.bitops import bits_to_bytes, bytes_to_bits, int_to_bits, xor_bytes
+
+from oracles import decrypt_dot_products
+
+
+def _read_bits(stream, count: int) -> list[int]:
+    """The next *count* bits of a Prg stream, little-endian per byte."""
+    return bytes_to_bits(stream.read((count + 7) // 8), count)
 
 
 def _digest(*parts: bytes) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def _wire_zero_labels(garbling) -> dict[int, bytes]:
+    return {wire: label.to_bytes(LABEL_BYTES, "big") for wire, label in enumerate(garbling.zero_labels)}
+
+
+def _free_xor_offset(garbling) -> bytes:
+    return garbling.offset.to_bytes(LABEL_BYTES, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +66,10 @@ def _digest(*parts: bytes) -> str:
 # ---------------------------------------------------------------------------
 def _garbling_digests(circuit, seed: bytes) -> dict[str, str]:
     stream = Prg(seed, domain=b"pin-inputs")
-    garbler_bits = stream.read_bits(len(circuit.garbler_inputs))
-    evaluator_bits = stream.read_bits(len(circuit.evaluator_inputs))
+    garbler_bits = _read_bits(stream, len(circuit.garbler_inputs))
+    evaluator_bits = _read_bits(stream, len(circuit.evaluator_inputs))
     garbling = garble(circuit, seed=seed)
-    zero_labels = garbling.wire_zero_labels
+    zero_labels = _wire_zero_labels(garbling)
     outputs = evaluate(
         circuit,
         GarbledTables.from_bytes(garbling.tables.to_bytes()),
@@ -64,7 +79,7 @@ def _garbling_digests(circuit, seed: bytes) -> dict[str, str]:
     return {
         "tables": _digest(garbling.tables.to_bytes()),
         "zero_labels": _digest(*(zero_labels[wire] for wire in sorted(zero_labels))),
-        "offset": _digest(garbling.free_xor_offset),
+        "offset": _digest(_free_xor_offset(garbling)),
         "outputs": _digest(*outputs),
     }
 
@@ -115,8 +130,8 @@ def test_garbling_labels_are_one_sequential_shake_read():
         LABEL_BYTES * (1 + len(wires))
     )
     labels = [stream[at : at + LABEL_BYTES] for at in range(0, len(stream), LABEL_BYTES)]
-    assert garbling.free_xor_offset == labels[0][:-1] + bytes([labels[0][-1] | 1])
-    zero_labels = garbling.wire_zero_labels
+    assert _free_xor_offset(garbling) == labels[0][:-1] + bytes([labels[0][-1] | 1])
+    zero_labels = _wire_zero_labels(garbling)
     assert [zero_labels[wire] for wire in wires] == labels[1:]
     with pytest.raises(ParameterError):
         garble(circuit, seed=b"")
@@ -236,7 +251,7 @@ KAPPA = ot.SECURITY_PARAMETER
 
 def _pinned_pool() -> ot.OtExtensionPool:
     stream = Prg(b"symmetric-floor-pool", domain=b"pin-pool")
-    s_bits = stream.read_bits(KAPPA)
+    s_bits = _read_bits(stream, KAPPA)
     seed_pairs = [(stream.read(16), stream.read(16)) for _ in range(KAPPA)]
     return ot.OtExtensionPool(
         sender_state=ot.OtExtensionSenderState(
@@ -249,7 +264,7 @@ def _pinned_pool() -> ot.OtExtensionPool:
 def _pooled_exchange(pool, count: int, message_bytes: int = 16):
     """One pooled batch: (columns frame, pairs frame, chosen messages, expected)."""
     stream = Prg(b"symmetric-floor-batch" + count.to_bytes(4, "big"), domain=b"pin-batch")
-    choices = stream.read_bits(count)
+    choices = _read_bits(stream, count)
     pairs = [(stream.read(message_bytes), stream.read(message_bytes)) for _ in range(count)]
     receiver = ot.PooledIknpReceiverMachine(None, choices, pool.receiver_state)
     sender = ot.PooledIknpSenderMachine(None, pairs, pool.sender_state)
@@ -399,7 +414,7 @@ def test_pads_are_one_fixed_key_hash_of_row_and_tweak():
     columns_frame, pairs_frame, received, expected = _pooled_exchange(pool, count)
     assert received == expected and columns_frame.start_index == start
     stream = Prg(b"symmetric-floor-batch" + count.to_bytes(4, "big"), domain=b"pin-batch")
-    choices = stream.read_bits(count)
+    choices = _read_bits(stream, count)
     pairs = [(stream.read(16), stream.read(16)) for _ in range(count)]
     domain = b"iknp-pool-column"
     s_row = bytes(
@@ -440,7 +455,7 @@ def test_receiver_restored_across_a_chunk_boundary_rederives_its_rows():
     pool, start = _pinned_pool(), CHUNK - 20
     pool.receiver_state.next_index = start
     stream = Prg(b"restore-batch", domain=b"pin-batch")
-    choices = stream.read_bits(64)
+    choices = _read_bits(stream, 64)
     pairs = [(stream.read(16), stream.read(16)) for _ in range(64)]
     receiver = ot.PooledIknpReceiverMachine(None, choices, pool.receiver_state)
     (columns_frame,) = receiver.start()
@@ -491,7 +506,7 @@ def _one_shot_exchange(group, stream):
     The seed base OTs are randomised (DH exponents) but deliver fixed seeds,
     so the extension frames that follow are a function of the stream alone.
     """
-    choices = stream.read_bits(21)
+    choices = _read_bits(stream, 21)
     pairs = [(stream.read(16), stream.read(16)) for _ in range(21)]
     sender = ot.IknpSenderMachine(group, pairs)
     receiver = ot.IknpReceiverMachine(group, choices)
@@ -702,7 +717,7 @@ def test_hash_budgets_are_exact(build, sha256_calls, pi_calls):
 def test_pad_budgets_are_exact(count, message_bytes, sha256_calls, pi_calls):
     pool = _pinned_pool()
     stream = Prg(b"pad-budget", domain=b"pin-batch")
-    choices = stream.read_bits(count)
+    choices = _read_bits(stream, count)
     pairs = [(stream.read(message_bytes), stream.read(message_bytes)) for _ in range(count)]
     receiver = ot.PooledIknpReceiverMachine(None, choices, pool.receiver_state)
     sender = ot.PooledIknpSenderMachine(None, pairs, pool.sender_state)
@@ -762,6 +777,10 @@ def test_evaluate_refuses_foreign_positions_or_a_mis_sized_block_before_any_pad(
 # ---------------------------------------------------------------------------
 class _TwoAndBuilder(CircuitBuilder):
     """The two-ANDs-per-bit gadgets this build replaced."""
+
+    def or_(self, a, b):
+        # a OR b = (a XOR b) XOR (a AND b): one AND gate, two free XORs.
+        return self.xor(self.xor(a, b), self.and_(a, b))
 
     def subtract_words(self, a, b):
         not_b = [self.not_(bit) for bit in b]
@@ -1004,10 +1023,10 @@ def test_parent_rows_abort_this_evaluator(build):
     parent_tables = GarbledTables.from_bytes(_parent_rows(circuit, garbling).to_bytes())
     stream = Prg(b"mixed-build", domain=b"pin-inputs")
     garbler_labels = garbling.input_labels(
-        circuit.garbler_inputs, stream.read_bits(len(circuit.garbler_inputs))
+        circuit.garbler_inputs, _read_bits(stream, len(circuit.garbler_inputs))
     )
     evaluator_labels = garbling.input_labels(
-        circuit.evaluator_inputs, stream.read_bits(len(circuit.evaluator_inputs))
+        circuit.evaluator_inputs, _read_bits(stream, len(circuit.evaluator_inputs))
     )
     outputs = evaluate(circuit, parent_tables, garbler_labels, evaluator_labels)
     with pytest.raises(ProtocolAbort, match="does not decode"):
@@ -1053,7 +1072,7 @@ def test_a_built_circuit_is_immutable_and_counts_its_gates_once():
     assert isinstance(circuit.gates, tuple)
     assert circuit.plan is circuit.plan
     assert circuit.and_count == sum(1 for gate in circuit.gates if gate.kind.value == "and")
-    assert circuit.xor_count == sum(1 for gate in circuit.gates if gate.kind.value == "xor")
+    assert circuit.plan.xor_count == sum(1 for gate in circuit.gates if gate.kind.value == "xor")
 
 
 # ---------------------------------------------------------------------------

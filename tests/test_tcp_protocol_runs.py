@@ -28,6 +28,8 @@ from repro.twopc.transport import (
 )
 from repro.twopc.wire import SessionState, WireCodec
 
+from oracles import pending_frames
+
 SPAM_EMAILS = [
     {1: 1, 5: 1, 9: 1},
     {100: 1, 150: 1, 199: 1, 42: 1},
@@ -112,7 +114,7 @@ class TcpPairTransport(Transport):
         return self._loop.run_until_complete(endpoint.receive(receiver, timeout_seconds=10.0))
 
     def pending(self) -> int:
-        return sum(endpoint.pending() for endpoint in self.endpoints.values())
+        return sum(pending_frames(endpoint) for endpoint in self.endpoints.values())
 
     def close(self) -> None:
         async def shut():
@@ -138,7 +140,7 @@ def _assert_endpoint_ledgers_match(transport: TcpPairTransport) -> None:
         assert endpoint.bytes_by_sender == transport.bytes_by_sender
         assert endpoint.messages_by_sender == transport.messages_by_sender
         assert endpoint.rounds() == transport.rounds()
-    assert transport.pending() == 0
+    assert pending_frames(transport) == 0
 
 
 def _flip(offset_of):
@@ -177,7 +179,7 @@ class TestSpamOverTcp:
             over_tcp = protocol.classify_email(setup, features, channel=channel)
             _assert_endpoint_ledgers_match(transport)
         finally:
-            channel.close()
+            channel.transport.close()
         assert over_tcp.is_spam == clean.is_spam == small_spam_model.predict_is_spam(features)
         assert over_tcp.yao_and_gates == clean.yao_and_gates
         assert over_tcp.network_messages == clean.network_messages == len(sizes)
@@ -201,7 +203,7 @@ class TestTopicOverTcp:
             )
             _assert_endpoint_ledgers_match(transport)
         finally:
-            channel.close()
+            channel.transport.close()
         assert over_tcp.extracted_topic == clean.extracted_topic
         assert over_tcp.candidates_used == clean.candidates_used
         assert over_tcp.yao_and_gates == clean.yao_and_gates
@@ -229,7 +231,7 @@ class TestDamageOverTcp:
             )
             assert delivered <= target
         finally:
-            channel.close()
+            channel.transport.close()
 
 
 class TestHangupOverTcp:
@@ -243,7 +245,7 @@ class TestHangupOverTcp:
                 protocol.classify_email(setup, SPAM_EMAILS[1], channel=channel)
             assert transport.hung_up in ("client", "provider")
         finally:
-            channel.close()
+            channel.transport.close()
 
 
 class TestResumeOverTcp:
@@ -268,4 +270,4 @@ class TestResumeOverTcp:
             assert transport.total_messages() > 0  # the rest of the run crossed TCP
             _assert_endpoint_ledgers_match(transport)
         finally:
-            channel.close()
+            channel.transport.close()

@@ -1,41 +1,9 @@
-"""Trace-driven workload tests: generation, virtual time, replay, percentiles.
-
-Trace replay stands on three legs — a seeded trace generator, a virtual
-clock that owns replay time, and the latency summaries — and the
-bit-identical telemetry pins in ``test_obs.py`` assume all three are
-deterministic and honest.  These tests pin each leg down.
-"""
-
-import time
+"""Trace-driven workload tests: the seeded generator, virtual time, percentiles."""
 
 import pytest
 
-from repro.core.runtime import DecryptScheduler, ProviderRuntime, session_job
-from repro.mail import (
-    ReplayGuard,
-    TraceEvent,
-    TraceSpec,
-    VirtualClock,
-    generate_trace,
-    serve_trace,
-)
-from repro.obs import scoped_telemetry
-from repro.obs.metrics import RECENT_SAMPLE_CAP
-from repro.twopc.spam import SpamFilterProtocol
-from repro.utils.timing import percentile, summarize_latencies
-
-SPAM_EMAILS = [
-    {1: 1, 5: 1, 9: 1},
-    {100: 1, 150: 1, 199: 1, 42: 1},
-    {0: 1},
-    {i: 1 for i in range(0, 200, 7)},
-]
-
-
-@pytest.fixture(scope="module")
-def spam_setup(bv_scheme, dh_group, small_spam_model):
-    protocol = SpamFilterProtocol(bv_scheme, dh_group)
-    return protocol, protocol.setup(small_spam_model)
+from repro.mail import TraceSpec, VirtualClock, generate_trace
+from repro.utils.timing import percentile
 
 
 class TestGenerateTrace:
@@ -107,45 +75,42 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             TraceSpec(duplicate_fraction=1.0)
 
+    # Values each range check let through: with a NaN rate or an infinite
+    # duration generate_trace never returns, and a zero burst length or
+    # diurnal period divides by zero inside it.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_rate_per_second", float("nan")),
+            ("mean_rate_per_second", float("inf")),
+            ("duration_seconds", float("nan")),
+            ("duration_seconds", float("inf")),
+            ("diurnal_period_seconds", float("nan")),
+            ("diurnal_period_seconds", float("inf")),
+            ("diurnal_period_seconds", 0.0),
+            ("burst_rate_multiplier", float("nan")),
+            ("burst_rate_multiplier", float("inf")),
+            ("mean_burst_seconds", float("nan")),
+            ("mean_burst_seconds", float("inf")),
+            ("mean_burst_seconds", 0.0),
+            ("zipf_exponent", float("nan")),
+            ("zipf_exponent", float("inf")),
+        ],
+    )
+    def test_spec_refuses_values_the_generator_cannot_use(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TraceSpec(**{field: value})
+
 
 class TestVirtualClock:
     def test_advance_is_monotonic(self):
-        clock = VirtualClock()
-        clock.advance_to(3.0)
-        clock.advance_to(1.0)  # never backwards
+        clock = VirtualClock(start=3.0)
         assert clock() == 3.0
         clock.advance(0.5)
         assert clock() == 3.5
         with pytest.raises(ValueError):
             clock.advance(-0.1)
-
-    def test_charge_flows_and_accumulates(self):
-        clock = VirtualClock(start=10.0)
-
-        readings = []
-
-        def call():
-            readings.append(clock())
-            time.sleep(0.01)
-            readings.append(clock())
-
-        _, elapsed = clock.charge(call)
-        assert elapsed >= 0.01
-        assert clock() == pytest.approx(10.0 + elapsed)
-        # Mid-call reads saw time flowing, not the stale entry timestamp.
-        assert readings[0] >= 10.0
-        assert readings[1] - readings[0] >= 0.01
-
-    def test_cannot_jump_while_charging(self):
-        clock = VirtualClock()
-
-        def call():
-            with pytest.raises(ValueError):
-                clock.advance_to(99.0)
-            with pytest.raises(ValueError):
-                clock.advance(1.0)
-
-        clock.charge(call)
+        assert clock() == 3.5
 
 
 class TestPercentiles:
@@ -161,95 +126,3 @@ class TestPercentiles:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_summary_schema(self):
-        summary = summarize_latencies([0.1, 0.2, 0.3])
-        assert set(summary) == {"count", "mean", "max", "p50", "p95", "p99"}
-        assert summary["count"] == 3.0
-        assert summary["p50"] == pytest.approx(0.2)
-        empty = summarize_latencies([])
-        assert empty["count"] == 0.0 and empty["p99"] == 0.0
-
-
-class TestServeTrace:
-    SPEC = TraceSpec(
-        mailboxes=3,
-        senders_per_mailbox=2,
-        mean_rate_per_second=5.0,
-        duration_seconds=2.0,
-        duplicate_fraction=0.2,
-        seed=7,
-    )
-
-    def _replay(self, spam_setup, cost_model, ledger=()):
-        protocol, setup = spam_setup
-        events = generate_trace(self.SPEC)
-        clock = VirtualClock()
-        runtime = ProviderRuntime(
-            scheduler=DecryptScheduler(
-                window_bursts=10**9, max_delay_seconds=0.05, clock=clock
-            )
-        )
-        runtime.decrypt_batch_sizes.extend(ledger)
-        features_by_mailbox = {
-            f"user{index}@trace.example": SPAM_EMAILS[index % len(SPAM_EMAILS)]
-            for index in range(self.SPEC.mailboxes)
-        }
-        report = serve_trace(
-            runtime,
-            events,
-            lambda event: session_job(
-                protocol, setup, (features_by_mailbox[event.mailbox],), label=event.sender
-            ),
-            clock,
-            replay_guard=ReplayGuard(),
-            cost_model=cost_model,
-        )
-        return events, report
-
-    def test_real_runtime_serves_the_whole_trace(self, spam_setup):
-        events, report = self._replay(spam_setup, cost_model=lambda size: 0.01 + 0.002 * size)
-        fresh = [event for event in events if not event.duplicate]
-        duplicates = len(events) - len(fresh)
-        assert report.served == len(fresh)
-        assert report.rejected_duplicates == duplicates > 0
-        assert len(report.latencies) == report.served
-        # Every latency includes at least its own batch's service charge,
-        # and the 50 ms age trigger bounds the window wait.
-        assert all(latency > 0.01 for latency in report.latencies)
-        assert max(report.latencies) < 1.0
-        assert report.provider_cpu_seconds > 0.0
-        assert sum(report.decrypt_batch_sizes) > 0
-
-    def test_cost_model_replay_is_deterministic(self, spam_setup):
-        cost_model = lambda size: 0.01 + 0.002 * size
-        _, first = self._replay(spam_setup, cost_model)
-        _, second = self._replay(spam_setup, cost_model)
-        # Bit-identical virtual timelines: policies compare without
-        # wall-clock jitter.
-        assert first.latencies == second.latencies
-        assert first.decrypt_batch_sizes == second.decrypt_batch_sizes
-
-    def test_summary_row_shape(self, spam_setup):
-        _, report = self._replay(spam_setup, cost_model=lambda size: 0.01)
-        row = report.summary()
-        assert row["served"] == float(report.served)
-        assert row["throughput_per_cpu_second"] > 0.0
-        assert row["latency_p99"] >= row["latency_p50"] > 0.0
-        assert row["mean_decrypt_batch"] >= 1.0
-        # The batch-size distribution row rides along: p95 can never sit
-        # below the mean's floor and must bound the observed maximum.
-        assert row["p95_decrypt_batch"] >= 1.0
-        assert row["p95_decrypt_batch"] <= max(report.decrypt_batch_sizes)
-
-    def test_a_full_batch_ledger_still_charges_every_flushed_batch(self, spam_setup):
-        # A long-lived runtime's ledger sits at RECENT_SAMPLE_CAP and no longer
-        # grows, so the replay reads how many batches each call flushed off
-        # the decrypt_batches_total counter.
-        cost_model = lambda size: 0.01 + 0.002 * size
-        _, fresh = self._replay(spam_setup, cost_model)
-        with scoped_telemetry() as (registry, _):
-            _, full = self._replay(spam_setup, cost_model, ledger=[1] * RECENT_SAMPLE_CAP)
-        assert full.latencies == fresh.latencies
-        assert full.decrypt_batch_sizes == fresh.decrypt_batch_sizes
-        assert len(full.decrypt_batch_sizes) == registry.counter("decrypt_batches_total").value

@@ -13,6 +13,8 @@ from repro.exceptions import ProtocolError, TransportTimeoutError
 from repro.twopc.transport import FramedChannel, LoopbackTransport
 from repro.twopc.wire import ClassifyResultFrame, FeaturesFrame, OtExtColumnsFrame, WireCodec
 
+from oracles import pending_frames
+
 
 class TestLoopbackTransport:
     def test_fifo_per_direction(self):
@@ -23,7 +25,7 @@ class TestLoopbackTransport:
         assert transport.receive("provider") == b"first"
         assert transport.receive("provider") == b"second"
         assert transport.receive("client") == b"reply"
-        assert transport.pending() == 0
+        assert pending_frames(transport) == 0
 
     def test_exact_byte_accounting(self):
         transport = LoopbackTransport()
@@ -99,4 +101,4 @@ class TestFramedChannel:
             channel.send("client", frame)
         assert channel.total_bytes() == expected
         assert channel.total_messages() == len(frames)
-        assert channel.bytes_by_sender == {"client": expected, "provider": 0}
+        assert channel.transport.bytes_by_sender == {"client": expected, "provider": 0}

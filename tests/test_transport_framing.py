@@ -32,6 +32,8 @@ from repro.twopc.transport import (
 )
 from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
+from oracles import pending_frames
+
 
 def _stream_of(frames):
     return b"".join(encode_frame(frame) for frame in frames)
@@ -523,14 +525,14 @@ class TestAsyncTcpTransport:
         async def scenario():
             server, provider, client = await _tcp_pair()()
             try:
-                assert provider.pending() == 0
+                assert pending_frames(provider) == 0
                 client._writer.write(_stream_of([b"a", b"b", b"c"]))
                 await client._writer.drain()
                 assert await provider.receive("provider") == b"a"
                 # One read assembled all three; two still wait in the inbox.
-                assert provider.pending() == 2
+                assert pending_frames(provider) == 2
                 assert [await provider.receive("provider") for _ in range(2)] == [b"b", b"c"]
-                assert provider.pending() == 0
+                assert pending_frames(provider) == 0
             finally:
                 await client.aclose()
                 await provider.aclose()
@@ -555,37 +557,6 @@ class TestAsyncTcpTransport:
 
         self._run(scenario())
 
-    def test_start_server_runs_one_handler_per_connection(self):
-        async def scenario():
-            served = []
-
-            async def echo_once(transport):
-                served.append(transport)
-                frame = await transport.receive("provider")
-                await transport.send("provider", frame[::-1])
-
-            server = await AsyncTcpTransport.start_server(echo_once, port=0)
-            port = AsyncTcpTransport.bound_port(server)
-            clients = [await AsyncTcpTransport.connect("127.0.0.1", port) for _ in range(2)]
-            try:
-                for index, client in enumerate(clients):
-                    await client.send("client", f"hello {index}".encode())
-                for index, client in enumerate(clients):
-                    assert await client.receive("client") == f"{index} olleh".encode()
-                    # The server closes each endpoint once its handler returns.
-                    with pytest.raises(TransportClosedError, match="peer closed$"):
-                        await client.receive("client")
-                assert len(served) == 2
-                assert all(transport.local_party == "provider" for transport in served)
-                assert served[0] is not served[1]
-            finally:
-                for client in clients:
-                    await client.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
-
     @given(
         st.lists(st.binary(max_size=300), min_size=1, max_size=6),
         st.lists(st.integers(min_value=0, max_value=10_000), max_size=12),
@@ -601,7 +572,7 @@ class TestAsyncTcpTransport:
                 received = [await provider.receive("provider") for _ in frames]
                 assert received == frames
                 assert provider.bytes_by_sender["client"] == sum(map(len, frames))
-                assert provider.pending() == 0
+                assert pending_frames(provider) == 0
             finally:
                 await client.aclose()
                 await provider.aclose()
