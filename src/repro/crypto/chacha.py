@@ -45,7 +45,7 @@ def _keystream(key: bytes, nonce: bytes, initial_counter: int, block_count: int)
     Every block shares the same 20 rounds, so the whole run is 16 uint32
     lanes of length *block_count* — the same batched-transform trick the NTT
     uses.  Output is bit-identical, block by block, to the scalar RFC 8439
-    block function the tests keep (``tests/oracles.py::chacha20_block``).
+    block function the tests keep in ``tests/oracles.py``.
     """
     state = np.empty((16, block_count), dtype=np.uint32)
     state[:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]

@@ -14,12 +14,11 @@ the AND-gate count is what a garbled email pays for (four table rows and
 four fixed-key AES blocks per AND), and every gadget is the textbook one-AND-per-bit form
 (Kolesnikov–Schneider; what the paper's Obliv-C back end emits):
 
-* full-adder carry ``majority(a, b, c) = c ^ ((a ^ c) & (b ^ c))``;
-  ``add_words`` is ``sum_i = a_i ^ b_i ^ c_i`` with ``c_0 = 0`` and
-  ``c_{i+1} = majority(a_i, b_i, c_i)``; ``subtract_words`` is the same
-  ripple with the borrow ``majority(~a_i, b_i, c_i)``.  Both work modulo
-  ``2^w`` and never compute the carry out of the top bit, which nobody reads:
-  ``w - 1`` ANDs.
+* ``subtract_words`` is a ripple ``diff_i = a_i ^ b_i ^ c_i`` with
+  ``c_0 = 0`` and the borrow ``c_{i+1} = majority(~a_i, b_i, c_i)``, where
+  ``majority(a, b, c) = c ^ ((a ^ c) & (b ^ c))`` is a full adder's carry.
+  It works modulo ``2^w`` and never computes the borrow out of the top bit,
+  which nobody reads: ``w - 1`` ANDs.
 * ``greater_than`` scans from the least significant bit with
   ``gt <- a_i ^ ((a_i ^ gt) & (b_i ^ gt))`` — ``gt`` survives an equal bit
   pair and is overwritten by ``a_i`` on an unequal one: ``w`` ANDs.
@@ -222,32 +221,27 @@ class CircuitBuilder:
         """``c ^ ((a ^ c) & (b ^ c))``: a full adder's carry in one AND gate."""
         return self.xor(c, self.and_(self.xor(a, c), self.xor(b, c)))
 
-    def _ripple(self, a: list[int], b: list[int], borrow: bool) -> list[int]:
-        """``a + b`` (or ``a - b`` when *borrow*) modulo 2^width, ``width - 1`` ANDs.
+    def subtract_words(self, a: list[int], b: list[int]) -> list[int]:
+        """``a - b`` modulo 2^width, ``width - 1`` ANDs.
 
-        Bit ``i`` of either result is ``a_i ^ b_i ^ c_i``; the carry into the
-        next bit is ``majority(a_i, b_i, c_i)``, the borrow
-        ``majority(~a_i, b_i, c_i)``, and ``c_0 = 0`` makes the first one a
-        plain AND.  The carry out of the top bit is never computed.
+        Bit ``i`` of the result is ``a_i ^ b_i ^ c_i``; the borrow into the
+        next bit is ``majority(~a_i, b_i, c_i)``, and ``c_0 = 0`` makes the
+        first one a plain AND.  The borrow out of the top bit is never computed.
         """
-        carry: int | None = None
+        if len(a) != len(b):
+            raise CircuitError("subtractor operands must have equal width")
+        borrow: int | None = None
         result = []
         for position, (bit_a, bit_b) in enumerate(zip(a, b)):
             total = self.xor(bit_a, bit_b)
-            result.append(total if carry is None else self.xor(total, carry))
+            result.append(total if borrow is None else self.xor(total, borrow))
             if position == len(a) - 1:
                 break
-            left = self.not_(bit_a) if borrow else bit_a
-            carry = (
-                self.and_(left, bit_b) if carry is None else self._majority(left, bit_b, carry)
+            left = self.not_(bit_a)
+            borrow = (
+                self.and_(left, bit_b) if borrow is None else self._majority(left, bit_b, borrow)
             )
         return result
-
-    def subtract_words(self, a: list[int], b: list[int]) -> list[int]:
-        """``a - b`` modulo 2^width (ripple-borrow)."""
-        if len(a) != len(b):
-            raise CircuitError("subtractor operands must have equal width")
-        return self._ripple(a, b, borrow=True)
 
     def greater_than(self, a: list[int], b: list[int]) -> int:
         """Unsigned ``a > b`` (single output bit), one AND gate per bit."""

@@ -85,8 +85,8 @@ Each party of each variant is an explicit frame-driven state machine
 to typed wire frames (:mod:`repro.twopc.wire`) with response frames and never
 blocks, so the machines compose into the larger Yao sessions of
 :mod:`repro.crypto.yao` and multiplex across concurrent email sessions.
-The tests pump a bare sender/receiver pair over a framed channel with
-``tests/oracles.py::ObliviousTransfer``, which also counts an OT batch's bytes.
+The tests pump a bare sender/receiver pair over a framed channel with a
+driver in ``tests/oracles.py``, which also counts an OT batch's bytes.
 """
 
 from __future__ import annotations
@@ -271,17 +271,6 @@ class ColumnStream:
         block = blocks[0] if first == last else np.concatenate(blocks)
         offset = start - first * CHUNK_TRANSFERS
         return block[offset : offset + count]
-
-
-class _DerivedStreams:
-    """Mixin for a pool half: its cached streams are rebuilt on demand, never pickled."""
-
-    def __getstate__(self) -> dict:
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if not isinstance(value, ColumnStream)
-        }
 
 
 # One pad block's tweak: domain ‖ transfer index ‖ message bit ‖ block counter.
@@ -581,7 +570,7 @@ class IknpReceiverMachine(OtMachine):
 # (passively secure, like the rest of this prototype).
 # ---------------------------------------------------------------------------
 @dataclass
-class OtExtensionSenderState(_DerivedStreams):
+class OtExtensionSenderState:
     """The extension sender's half of the pair state (holds ``s`` + seeds).
 
     ``next_index`` is a high-water mark mirroring the receiver's allocation
@@ -635,7 +624,7 @@ class OtExtensionSenderState(_DerivedStreams):
 
 
 @dataclass
-class OtExtensionReceiverState(_DerivedStreams):
+class OtExtensionReceiverState:
     """The extension receiver's half of the pair state (holds the seed pairs)."""
 
     seed_pairs: list[tuple[bytes, bytes]]

@@ -14,7 +14,8 @@ machine and reacts to typed wire frames, so the protocol halves embed
 directly into the spam/topics sessions and the multi-user serving loop.
 Every message crosses a framed channel serialized, so the byte counts match
 a networked deployment exactly (Yao network cost per input value is Fig. 6's
-``sz_per-in``).  The tests pump a bare pair with ``tests/oracles.py::run_yao``.
+``sz_per-in``).  The tests pump a bare garbler/evaluator pair with a driver
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

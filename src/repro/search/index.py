@@ -46,7 +46,7 @@ class KeywordSearchIndex:
         """Document ids containing *keyword* (Fig. 15 "query time")."""
         normalized = tokenize(keyword)
         if len(normalized) != 1:
-            raise SearchIndexError("query() takes exactly one keyword; use query_all/query_any")
+            raise SearchIndexError("query() takes exactly one keyword")
         return sorted(self._postings.get(normalized[0], []))
 
     # -- accounting ----------------------------------------------------------------

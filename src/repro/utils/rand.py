@@ -50,8 +50,7 @@ def secure_uniform_array(upper: int, count: int, prg=None) -> np.ndarray:
     with a ``read(num_bytes) -> bytes`` method, e.g.
     :class:`repro.crypto.prg.Prg`) replaces :mod:`secrets` as the byte
     source, so batched and sequential draws from one stream agree value for
-    value; the tests check that against the list form
-    (``tests/oracles.py::secure_uniform_ints``).
+    value; the tests check that against the list form in ``tests/oracles.py``.
     """
     if upper <= 0:
         raise ParameterError("upper bound must be positive")

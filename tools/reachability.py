@@ -213,7 +213,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "repro.crypto.yao:YaoGarblerSession.restore",
         "repro.crypto.ot:PooledIknpSenderMachine.snapshot",
         "repro.crypto.ot:PooledIknpSenderMachine.restore",
-        "repro.crypto.ot:_DerivedStreams.__getstate__",
         "repro.twopc.spam:SpamProviderSession._restore_inner",
         "repro.twopc.topics:TopicClientSession.snapshot",
         "repro.twopc.topics:TopicClientSession.restore",
