@@ -311,11 +311,11 @@ class Function(NamedTuple):
         return f"{self.module}:{self.qualname}"
 
 
-def universe(package: Path = PACKAGE) -> list[Function]:
-    """Every module-level function and class method defined under *package*."""
+def universe() -> list[Function]:
+    """Every module-level function and class method defined under ``src/repro``."""
     functions: list[Function] = []
-    for path in sorted(package.rglob("*.py")):
-        relative = path.relative_to(package.parent)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = path.relative_to(SOURCE)
         module = ".".join(relative.with_suffix("").parts)
         if module.endswith(".__init__"):
             module = module[: -len(".__init__")]
