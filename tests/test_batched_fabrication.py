@@ -679,6 +679,29 @@ class TestUniformDraws:
         assert secure_uniform_array(8, 0).tolist() == []
         assert secure_uniform_array(1, 3).tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("bits", [1, 2, 7, 8, 16, 31, 32, 33, 48, 63])
+    def test_array_and_list_draws_agree_at_every_width(self, bits):
+        upper = 1 << bits
+        as_list = secure_uniform_ints(upper, 64, Prg(b"uniform", domain=b"width"))
+        as_array = secure_uniform_array(upper, 64, Prg(b"uniform", domain=b"width"))
+        assert as_array.dtype == np.int64
+        assert as_array.tolist() == as_list
+        assert 0 <= as_array.min() and as_array.max() < upper
+
+    @pytest.mark.parametrize("split", [0, 1, 7, 20])
+    def test_sequential_draws_continue_one_batched_draw(self, split):
+        # Each value is one 8-byte read, so splitting a draw reads the same stream.
+        whole = secure_uniform_array(1 << 20, 20, Prg(b"uniform", domain=b"split"))
+        stream = Prg(b"uniform", domain=b"split")
+        head = secure_uniform_array(1 << 20, split, stream)
+        tail = secure_uniform_array(1 << 20, 20 - split, stream)
+        assert head.tolist() + tail.tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("upper, count", [(0, 4), (-8, 4), (3, 4), (6, 4), (1 << 65, 4), (8, -1)])
+    def test_array_draw_refusals(self, upper, count):
+        with pytest.raises(ParameterError):
+            secure_uniform_array(upper, count)
+
 
 def crt_reference(ring: RingContext, residues: np.ndarray) -> np.ndarray:
     """Textbook CRT over Python integers: ``Σ r_i·M_i·(M_i⁻¹ mod p_i) mod q``, centered."""

@@ -99,3 +99,15 @@ class TestNttPrimes:
             find_ntt_prime(30, 100)
 
 
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 256, 2048, 8192])
+    def test_root_of_unity_has_exactly_the_order(self, order):
+        prime = find_ntt_prime(31, order)
+        root = numtheory.find_primitive_root_of_unity(order, prime)
+        assert pow(root, order, prime) == 1
+        # Every proper divisor of a power of two divides order / 2.
+        assert pow(root, order // 2, prime) == prime - 1
+
+    def test_root_of_unity_needs_order_dividing_p_minus_one(self):
+        with pytest.raises(ParameterError):
+            numtheory.find_primitive_root_of_unity(64, 97)  # 96 = 2^5 · 3

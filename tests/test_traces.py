@@ -95,6 +95,14 @@ class TestGenerateTrace:
             ("mean_burst_seconds", 0.0),
             ("zipf_exponent", float("nan")),
             ("zipf_exponent", float("inf")),
+            ("diurnal_amplitude", float("nan")),
+            ("diurnal_amplitude", float("inf")),
+            ("burst_fraction", float("nan")),
+            ("burst_fraction", float("inf")),
+            ("duplicate_fraction", float("nan")),
+            ("duplicate_fraction", float("-inf")),
+            ("diurnal_period_seconds", -1.0),
+            ("mean_burst_seconds", -0.5),
         ],
     )
     def test_spec_refuses_values_the_generator_cannot_use(self, field, value):
