@@ -59,7 +59,11 @@ class MultinomialNaiveBayes:
         self._log_likelihoods = np.log(
             (counts + self.alpha) / (totals + self.alpha * self.num_features)
         )
-        self._log_priors = np.log(doc_counts / doc_counts.sum())
+        # Add-alpha on the priors too: a category with no training document
+        # gets a finite prior below every seen category's, not log(0).
+        self._log_priors = np.log(
+            (doc_counts + self.alpha) / (doc_counts.sum() + self.alpha * num_categories)
+        )
         return self
 
     def to_linear_model(self) -> LinearModel:

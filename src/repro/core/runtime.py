@@ -1606,13 +1606,18 @@ class _OutstandingItem:
 
     This is all the state needed to resubmit the email after a worker is
     replaced (frames never leave the worker, so an email in flight on a
-    killed shard simply re-runs from its request).
+    killed shard simply re-runs from its request).  *posted_at* is the
+    ``time.monotonic()`` instant :meth:`ShardDriver.submit` posted the
+    email's burst; it is set once and never moved later (not by a
+    migration, a resubmission or a reconnect), which is what lets
+    :meth:`ShardDriver.poll` skip workers that cannot have a result.
     """
 
     slot: int
     kind: str
     address: str
     request: tuple
+    posted_at: float
 
 
 class WorkerLink(Protocol):
@@ -1624,6 +1629,13 @@ class WorkerLink(Protocol):
     workers compute their slices of a burst concurrently.  Two transports
     implement it (:class:`PipeLink` here, ``TcpLink`` in
     :mod:`repro.fabric.control`); the driver tests add an in-memory one.
+
+    A link is asked for ``poll`` only while its worker owns an outstanding
+    email posted at least ``max_delay_seconds`` ago — before that no window
+    of the worker can be due, so the reply could carry nothing (the
+    argument is in :meth:`ShardDriver.poll`).  So a worker with nothing
+    aged hears no command between bursts; its own idle tick fires its aged
+    windows and stashes their results for the next reply.
     """
 
     #: OS pid of the worker process, once known (crash drills kill this).
@@ -2097,10 +2109,13 @@ class ShardDriver:
         """
         job_ids = []
         by_worker: dict[int, list[tuple]] = {}
+        posted_at = time.monotonic()
         for address, *request in emails:
             job_id = next(self._job_ids)
             job_ids.append(job_id)
-            item = _OutstandingItem(self.shard_of(address), kind, address, tuple(request))
+            item = _OutstandingItem(
+                self.shard_of(address), kind, address, tuple(request), posted_at
+            )
             self._outstanding[job_id] = item
             by_worker.setdefault(self._slot_owner[item.slot], []).append(
                 (job_id, kind, address, item.request)
@@ -2117,16 +2132,46 @@ class ShardDriver:
         return self.submit("topics", emails)
 
     def poll(self) -> int:
-        """Tick every serving worker's age triggers; returns how many new results landed.
+        """Tick the workers that can have a result; returns how many new results landed.
 
         Workers also self-tick while their link is idle, so calling this is
         never *required* for progress — it exists so tests and latency-probe
         loops can force the flush deterministically and observe the results
         synchronously (each worker's ``poll`` reply carries any jobs its idle
         ticks finished since the last results-bearing reply).
+
+        Only a serving worker that owns an outstanding email whose burst was
+        posted at least ``max_delay_seconds`` ago is sent ``poll``; with no
+        age trigger (``max_delay_seconds=None``) nothing is sent.  Skipping
+        the others is exact:
+
+        * a window fires at ``opened_at + max_delay_seconds``;
+        * it opens when its first email is parked, after the driver posted
+          that email's burst (``DecryptScheduler.enqueue`` stamps its clock
+          then; a restored window reopens at restore time, later still);
+        * that email stays outstanding until the window fires, and its
+          ``posted_at`` never moves later;
+        * so whenever any window on worker *w* is due, *w* owns an
+          outstanding email past its cutoff;
+        * burst-count triggers fire inside ``serve_burst`` (``end_burst``,
+          then ``take_due``), so their results ride the burst reply, and a
+          worker's idle-tick results come only from windows that came due.
+
+        A skipped worker's reply would therefore have carried no result, and
+        a result is picked up at the same call as when every worker is
+        ticked.
         """
+        delay = self._scheduler_spec[1]
+        if delay is None:
+            return 0
+        now = time.monotonic()
+        owners = {
+            self._slot_owner[item.slot]
+            for item in self._outstanding.values()
+            if now >= item.posted_at + delay
+        }
         before = len(self._results)
-        self._fanout([(worker, "poll", None) for worker in self._serving()])
+        self._fanout([(worker, "poll", None) for worker in self._serving() if worker in owners])
         return len(self._results) - before
 
     def drain(self) -> None:

@@ -16,7 +16,9 @@ parent owns serving policy; a malformed spec is refused with BYE and no core
 is built), after which two tasks share the single connection: the *command
 loop* turns COMMANDs into REPLYs one at a time, and *housekeeping* fires
 aged decrypt windows between commands, pushes HEARTBEAT beacons, and
-streams cumulative METRICS snapshots on the configured interval.  The agent
+takes a cumulative metrics snapshot on the configured interval, sending it
+as METRICS only when it differs from the last one pushed (the first always
+goes out; an idle agent then sends none).  The agent
 exits when the parent says BYE (or ``stop``), when the connection dies, or
 when the parent stays silent past its advertised timeout — an orphaned
 agent never lingers.  A read deadline that passes is only silence; the
@@ -146,6 +148,7 @@ async def _serve_connection(
     async def housekeeping() -> None:
         next_heartbeat = 0.0
         next_metrics = 0.0
+        pushed = None  # the last snapshot this agent pushed
         try:
             while not stop.is_set():
                 now = time.monotonic()
@@ -160,14 +163,15 @@ async def _serve_connection(
                     and not core.quiesced
                 ):
                     # Streamed scrape: cumulative snapshot, so a lost push
-                    # costs freshness, never correctness.
-                    await link.send(
-                        "agent",
-                        pack_control(
-                            ControlVerb.METRICS,
-                            {"metrics": get_registry().snapshot()},
-                        ),
-                    )
+                    # costs freshness, never correctness — and an unchanged
+                    # one tells the parent nothing it does not hold already.
+                    snapshot = get_registry().snapshot()
+                    if snapshot != pushed:
+                        await link.send(
+                            "agent",
+                            pack_control(ControlVerb.METRICS, {"metrics": snapshot}),
+                        )
+                        pushed = snapshot
                     next_metrics = now + metrics_interval
                 deadline = core.next_timeout()
                 if deadline is not None and deadline <= 0:

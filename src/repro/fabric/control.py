@@ -21,9 +21,11 @@ link, which then recovers the way any dead worker does
 failure.
 
 Health and telemetry ride the same link.  Agents push HEARTBEAT beacons
-and streamed cumulative METRICS snapshots on configured intervals; the link
-keeps only the *latest* snapshot, which is all the driver's
-replace-latest/fold-once aggregation needs.  An agent that stays silent
+on a configured interval, and take a cumulative metrics snapshot on
+another, sending it as METRICS only when it changed since their last push;
+the link keeps only the *latest* snapshot, which is all the driver's
+replace-latest/fold-once aggregation needs, so an unsent duplicate loses
+nothing.  An agent that stays silent
 past ``heartbeat_timeout`` (and has no command in flight — a shard deep in
 a decrypt burst is busy, not dead) is evicted.
 """

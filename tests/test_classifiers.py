@@ -1,5 +1,8 @@
 """Tests for the classifiers: GR-NB, multinomial NB, LR, SVM, selection, metrics."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.classify.logistic import BinaryLogisticRegression, MultinomialLogisticRegression
@@ -79,6 +82,17 @@ class TestMultinomialNB:
             recalls.append(candidate_recall(candidates, topic_data.test_labels))
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[-1] > 0.9
+
+    def test_a_category_without_documents_gets_a_finite_lowest_prior(self):
+        # Category 1 has no training document; add-alpha smoothing covers the
+        # priors as well as the likelihoods, so no log(0) is taken.
+        documents = [{0: 2}, {1: 1}, {2: 3}]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = MultinomialNaiveBayes(num_features=3).fit(documents, [0, 2, 2]).to_linear_model()
+        assert np.all(np.isfinite(model.biases))
+        assert model.biases[1] < min(model.biases[0], model.biases[2])
+        assert np.allclose(np.exp(model.biases), [2 / 6, 1 / 6, 3 / 6])
 
     def test_mismatched_lengths_rejected(self, topic_data):
         classifier = MultinomialNaiveBayes(num_features=topic_data.num_features)

@@ -220,6 +220,40 @@ class TestFabricEquivalence:
             runtime.close()
             _reap(agents)
 
+    def test_an_idle_agent_pushes_metrics_only_when_they_change(
+        self, monkeypatch, spam_setup, spam_truth
+    ):
+        """METRICS goes out only when the snapshot differs from the agent's
+        last push: an idle agent sends its first snapshot and then nothing,
+        and one served email brings one fresh push that counts it."""
+        pushes: list[dict] = []
+
+        def recording_unpack(data):
+            verb, body = unpack_control(data)
+            if verb == ControlVerb.METRICS:
+                pushes.append(body["metrics"])
+            return verb, body
+
+        monkeypatch.setattr(control, "unpack_control", recording_unpack)
+        runtime, agents = launch_fabric(1, metrics_interval=0.05)
+        try:
+            assert _wait_until(lambda: pushes, timeout=10.0)
+            time.sleep(0.5)  # ten intervals with nothing new to report
+            assert len(pushes) == 1
+            (address,) = _slot_addresses(1, per_slot=1)
+            _register_all(runtime, [address], spam_setup)
+            time.sleep(0.5)  # registration's own counters, pushed once
+            before = len(pushes)
+            (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
+            assert runtime.take_result(job_id).is_spam == spam_truth[0]
+            assert _wait_until(lambda: len(pushes) > before, timeout=10.0)
+            time.sleep(0.5)
+            assert len(pushes) == before + 1
+            assert _served_total(pushes[-1]) == 1
+        finally:
+            runtime.close()
+            _reap(agents)
+
 
 class TestFabricTelemetryArtifacts:
     def test_two_agent_run_exports_valid_artifacts(self, spam_setup, spam_truth, tmp_path):
@@ -406,7 +440,9 @@ class _ParentBuildAgent:
     """An agent stub speaking the parent build's framing on a localhost port.
 
     Like the parent build, it drops a frame that fails its reliability
-    header and answers a HELLO it can read with its own HELLO.
+    header, acks every data frame but delivers each sequence number once
+    (a retransmitted HELLO is a duplicate), and answers a HELLO it can read
+    with its own HELLO.
     """
 
     def __init__(self) -> None:
@@ -424,6 +460,7 @@ class _ParentBuildAgent:
             return
         buffer = bytearray()
         sent = 0
+        delivered: set[int] = set()
         with connection:
             connection.settimeout(10.0)
             try:
@@ -437,6 +474,9 @@ class _ParentBuildAgent:
                         if frame_type != _OLD_DATA:
                             continue
                         connection.sendall(_old_socket_frame(_OLD_ACK, sequence))
+                        if sequence in delivered:
+                            continue
+                        delivered.add(sequence)
                         verb, _ = unpack_control(payload)
                         self.verbs.append(verb)
                         if verb == ControlVerb.HELLO:

@@ -251,6 +251,25 @@ class TestServing:
         fleet.runtime.drain()
         assert fleet.runtime.take_result(job_id) is not None
 
+    def test_parent_poll_releases_aged_window_without_drain(
+        self, make_fleet, spam_setup, spam_truth
+    ):
+        # The sharded face of the starvation fix: one email parks inside a
+        # 100-burst window, no drain is ever called, and the result still
+        # arrives once the age deadline passes — via poll() alone.
+        fleet = make_fleet(2, window_bursts=100, max_delay_seconds=0.05)
+        fleet.register(["poller@example.com"], spam_setup)
+        runtime = fleet.runtime
+        (job_id,) = runtime.submit_spam([("poller@example.com", SPAM_EMAILS[0])])
+        released = 0
+        deadline = time.monotonic() + 10.0
+        while not released and time.monotonic() < deadline:
+            time.sleep(0.02)
+            released = runtime.poll()
+        assert released == 1
+        assert runtime.take_result(job_id).is_spam == spam_truth[0]
+        assert runtime.outstanding_count() == 0
+
     def test_closed_runtime_rejects_work(self, make_fleet):
         fleet = make_fleet(1)
         fleet.runtime.close()
@@ -676,6 +695,55 @@ class TestDriverOverFakeLinks:
         driver.drain()  # absorbs the old rejection, then its own reply
         with pytest.raises(ProtocolError, match="rejected"):
             driver.submit_spam([("ghost@example.com", SPAM_EMAILS[0])])
+
+    def test_poll_posts_only_to_the_owner_of_an_aged_email(
+        self, fake_driver, spam_setup, spam_truth
+    ):
+        protocol, setup = spam_setup
+        addresses = _slot_addresses(2, per_slot=1)
+        driver, links = fake_driver([None, None], window_bursts=100, max_delay_seconds=0.05)
+        for address in addresses:
+            driver.register_spam(address, protocol, setup)
+
+        def polls(first: int = 0) -> list[int]:
+            return [sum(command == "poll" for command, _ in link.log) for link in links[first:]]
+
+        (aged,) = driver.submit_spam([(addresses[1], SPAM_EMAILS[0])])
+        assert driver.poll() == 0 and polls() == [0, 0]  # nothing can be due yet
+        time.sleep(0.06)
+        (fresh,) = driver.submit_spam([(addresses[0], SPAM_EMAILS[1])])
+        assert driver.poll() == 1 and polls() == [0, 1]  # the aged email's owner only
+        assert driver.take_result(aged).is_spam == spam_truth[0]
+        assert driver.poll() == 0 and polls() == [0, 1]  # landed; the other is young
+        time.sleep(0.06)
+        assert driver.poll() == 1 and polls() == [1, 1]
+        assert driver.take_result(fresh).is_spam == spam_truth[1]
+        assert driver.poll() == 0 and polls() == [1, 1]
+
+        driver, _ = fake_driver([None, None], window_bursts=100)  # links 2 and 3
+        for address in addresses:
+            driver.register_spam(address, protocol, setup)
+        job_ids = driver.submit_spam([(address, SPAM_EMAILS[2]) for address in addresses])
+        time.sleep(0.06)
+        assert driver.poll() == 0 and polls(2) == [0, 0]  # no age trigger: never
+        driver.drain()
+        assert [driver.take_result(job_id).is_spam for job_id in job_ids] == [spam_truth[2]] * 2
+
+    def test_poll_cutoff_survives_a_resubmission(self, fake_driver, spam_setup, spam_truth):
+        # The cutoff is when the driver first posted the email; a replacement
+        # worker re-parks it later, so the driver asks early, never late.
+        protocol, setup = spam_setup
+        driver, links = fake_driver([None], window_bursts=100, max_delay_seconds=0.05)
+        driver.register_spam("a@example.com", protocol, setup)
+        (job_id,) = driver.submit_spam([("a@example.com", SPAM_EMAILS[0])])
+        time.sleep(0.06)
+        links[0].alive = False
+        assert driver.attach_replacement(0, None) == 1
+        assert driver.poll() == 0  # asked; the re-parked window is not due yet
+        assert [command for command, _ in links[-1].log][-1] == "poll"
+        time.sleep(0.06)
+        assert driver.poll() == 1
+        assert driver.take_result(job_id).is_spam == spam_truth[0]
 
     def test_retiring_a_serving_worker_is_refused(self, fake_driver):
         driver, _links = fake_driver([None, None])

@@ -606,28 +606,6 @@ class TestShardedRuntime:
             extracted = [runtime.take_result(job_id).extracted_topic for job_id in job_ids]
         assert extracted == truths
 
-    def test_parent_poll_releases_aged_window_without_drain(
-        self, spam_setup, spam_truth
-    ):
-        # The sharded face of the starvation fix: one email parks inside a
-        # 100-burst window, no drain is ever called, and the result still
-        # arrives once the age deadline passes — via poll() alone.
-        protocol, setup = spam_setup
-        address = "poller@example.com"
-        with ShardedRuntime(
-            num_shards=2, window_bursts=100, max_delay_seconds=0.05
-        ) as runtime:
-            runtime.register_spam(address, protocol, setup)
-            (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
-            released = 0
-            deadline = time.monotonic() + 10.0
-            while not released and time.monotonic() < deadline:
-                time.sleep(0.02)
-                released = runtime.poll()
-            assert released == 1
-            assert runtime.take_result(job_id).is_spam == spam_truth[0]
-            assert runtime.outstanding_count() == 0
-
 
 def _counter_value(snapshot, name):
     for entry in snapshot["counters"]:
