@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """The cross-host shard fabric: TCP agents, a control plane, live migration.
 
-``sharded_serving.py`` reaches its workers over local pipes; the fabric
-gives the same shard driver TCP links so shards can run on remote hosts.
+``sharded_serving.py`` forks its agents in this box onto socketpairs; here
+the same shard driver and link reach agents over TCP, so shards can run on
+remote hosts.
 This example drives the three fabric layers on one machine:
 
 1. **Worker agents** — two standalone processes, each serving one shard of

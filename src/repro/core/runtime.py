@@ -41,18 +41,19 @@ Scaling past one loop (cf. the §6.3 estimates):
   its slots (stable SHA-256 partition) with its own
   :class:`MailboxDirectory` (warm OT pools, stacked model rows) and windowed
   :class:`ProviderRuntime`.  Shards are embarrassingly parallel because all
-  decrypt batching is per key pair, which never crosses a mailbox.  The
-  driver reaches a worker through a :class:`WorkerLink`:
-  :class:`ShardedRuntime` forks :class:`PipeLink` workers in this box,
-  :func:`repro.fabric.launch_fabric` dials agents on other hosts over TCP.
+  decrypt batching is per key pair, which never crosses a mailbox.  Every
+  worker is a :mod:`repro.fabric` agent and the driver reaches each through
+  the one control link, :class:`repro.fabric.control.TcpLink`:
+  :class:`ShardedRuntime` forks its agents in this box onto socketpairs,
+  :func:`repro.fabric.launch_fabric` dials agents over TCP.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
-import multiprocessing
 import numbers
 import os
 import time
@@ -65,15 +66,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 from repro.crypto.chacha import open_sealed, seal
 from repro.crypto.ot import OtExtensionPool
 from repro.exceptions import IntegrityError, ProtocolError, SnapshotError
-from repro.obs import (
-    MetricsRegistry,
-    SpanTracer,
-    get_registry,
-    get_tracer,
-    merge_snapshots,
-    set_registry,
-    set_tracer,
-)
+from repro.obs import get_registry, get_tracer, merge_snapshots
 from repro.twopc.session import SessionJob, SessionLoop, _ParkedDecryption, decrypt_group_key
 from repro.twopc.wire import SessionState
 from repro.utils.serialization import canonical_dumps, canonical_loads
@@ -128,9 +121,9 @@ def _check_window(window_bursts: Any, max_delay_seconds: Any) -> None:
 def checked_scheduler_spec(spec: Any) -> tuple[int, float | None]:
     """A worker's ``(window_bursts, max_delay_seconds)``, checked before any use.
 
-    The spec crosses a process boundary (a pipe worker's arguments, an
-    agent's HELLO body), so a worker refuses a malformed one here instead
-    of failing somewhere inside its serving loop.
+    The spec crosses a process boundary (an agent's HELLO body), so a
+    worker refuses a malformed one here instead of failing somewhere inside
+    its serving loop.
     """
     if not isinstance(spec, (tuple, list)) or len(spec) != 2:
         raise ProtocolError(
@@ -1332,10 +1325,9 @@ class ShardWorkerCore:
     Owns the shard's :class:`MailboxDirectory`, windowed
     :class:`ProviderRuntime`, pending-job table and append-only checkpoint
     log, and turns ``(command, payload)`` tuples into exactly one reply
-    tuple each.  Both serving loops wrap it: the in-box pipe worker
-    (:func:`_shard_worker_main`) and the cross-host TCP agent
-    (:mod:`repro.fabric.agent`) differ only in how commands arrive and
-    replies leave, so the two fabrics cannot drift in semantics.
+    tuple each.  One serving loop wraps it, the agent of
+    :mod:`repro.fabric.agent`, whether it was forked in this box or
+    launched on another host.
 
     Every results-bearing reply (``burst``/``drain``/``poll``/``restore``)
     piggybacks a *cumulative* snapshot of this worker's metrics registry.
@@ -1543,63 +1535,6 @@ class ShardWorkerCore:
         return ("restored", (resumed_ids, results, get_registry().snapshot()))
 
 
-def _shard_worker_main(
-    connection,
-    scheduler_spec: tuple,
-    checkpoint_dir: str | None = None,
-    shard_index: int = 0,
-    incarnation: str = "",
-) -> None:
-    """Pipe loop around a :class:`ShardWorkerCore` — the in-box worker.
-
-    The parent speaks a small request/response protocol over the pipe; every
-    command gets exactly one reply.  Errors are caught and shipped back as
-    ``("error", message)`` so a protocol mistake in one shard surfaces in the
-    parent instead of killing the worker silently.
-
-    The wait for the next command is *bounded by the scheduler's next age
-    deadline*: when the pipe stays quiet past it, the worker ticks
-    :meth:`ProviderRuntime.poll` so aged decrypt windows fire with no new
-    traffic (the idle-starvation fix — before this tick, a quiet shard held
-    parked decrypts until the next burst or drain).
-
-    A malformed *scheduler_spec* builds no core: the worker answers the
-    first command with the refusal and exits.
-    """
-    try:
-        checked_scheduler_spec(scheduler_spec)
-    except ProtocolError as error:
-        try:
-            connection.recv()
-            connection.send(("error", f"refused scheduler spec: {error}"))
-        except (EOFError, OSError):
-            pass
-        return
-    # A fresh registry/tracer per worker process: under the fork start method
-    # the child would otherwise inherit (and re-report) every count the
-    # parent accumulated before the spawn.
-    set_registry(MetricsRegistry())
-    set_tracer(SpanTracer())
-    store = FileSessionStore(checkpoint_dir) if checkpoint_dir is not None else None
-    core = ShardWorkerCore(
-        scheduler_spec,
-        checkpoint_store=store,
-        shard_index=shard_index,
-        incarnation=incarnation,
-    )
-    while True:
-        try:
-            if not connection.poll(core.next_timeout()):
-                core.idle_tick()
-                continue
-            command, payload = connection.recv()
-        except (EOFError, OSError):
-            return
-        connection.send(core.handle(command, payload))
-        if command == "stop":
-            return
-
-
 @dataclass
 class _OutstandingItem:
     """Parent-side record of a submitted email, kept until its result lands.
@@ -1626,9 +1561,9 @@ class WorkerLink(Protocol):
     A link is a FIFO: every posted command is answered by exactly one
     ``(tag, body)`` reply, and replies come back in posting order — so the
     driver can post to many links before waiting on any of them, and the
-    workers compute their slices of a burst concurrently.  Two transports
-    implement it (:class:`PipeLink` here, ``TcpLink`` in
-    :mod:`repro.fabric.control`); the driver tests add an in-memory one.
+    workers compute their slices of a burst concurrently.  One transport
+    implements it, ``TcpLink`` in :mod:`repro.fabric.control`; the driver
+    tests add an in-memory one.
 
     A link is asked for ``poll`` only while its worker owns an outstanding
     email posted at least ``max_delay_seconds`` ago — before that no window
@@ -1662,79 +1597,6 @@ class WorkerLink(Protocol):
         """Dismiss the worker and release the transport (idempotent)."""
 
 
-#: Start method of pipe workers: fork where the platform has it (the worker
-#: inherits the imported program), spawn elsewhere.
-_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-class PipeLink:
-    """A :class:`WorkerLink` to a worker process in this box, over a pipe.
-
-    The worker's *endpoint* is its checkpoint directory (or ``None``): the
-    one thing a replacement needs to find the state its predecessor left.
-    """
-
-    def __init__(
-        self, checkpoint_dir: str | None, index: int, scheduler_spec: tuple, incarnation: str
-    ) -> None:
-        context = multiprocessing.get_context(_START_METHOD)
-        self._connection, child_connection = context.Pipe()
-        self._process = context.Process(
-            target=_shard_worker_main,
-            args=(child_connection, scheduler_spec, checkpoint_dir, index, incarnation),
-            daemon=True,
-        )
-        self._process.start()
-        child_connection.close()
-        self._hung_up = False
-        self.metrics: dict | None = None
-
-    @property
-    def pid(self) -> int | None:
-        return self._process.pid
-
-    @property
-    def alive(self) -> bool:
-        return not self._hung_up and self._process.is_alive()
-
-    def _died(self, error: BaseException) -> ProtocolError:
-        self._hung_up = True
-        return ProtocolError(f"pipe worker {self.pid} died: {error!r}")
-
-    def post(self, command: str, payload: Any) -> None:
-        try:
-            self._connection.send((command, payload))
-        except (EOFError, OSError) as error:
-            raise self._died(error) from error
-
-    def wait(self) -> tuple[str, Any]:
-        try:
-            return self._connection.recv()
-        except (EOFError, OSError) as error:
-            raise self._died(error) from error
-
-    def join(self, timeout: float) -> None:
-        """Wait for the worker process to exit (after a kill)."""
-        self._process.join(timeout=timeout)
-
-    def close(self) -> None:
-        if not self._hung_up:
-            # Ask, then read until the worker hangs up: it must never find
-            # the pipe closed under a reply it is still writing.
-            try:
-                self._connection.send(("stop", None))
-                while self._connection.poll(10.0):
-                    self._connection.recv()
-            except (EOFError, OSError):
-                pass
-            self._hung_up = True
-        self._connection.close()
-        self._process.join(timeout=10.0)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=10.0)
-
-
 class ShardDriver:
     """Partition the serving loop across workers by mailbox hash.
 
@@ -1752,8 +1614,9 @@ class ShardDriver:
     landed results, and the replace-latest/fold-once metrics discipline.
     How a worker is reached is a :class:`WorkerLink`; *connect* builds one
     as ``connect(endpoint, index, scheduler_spec, incarnation)``.  The two
-    entry points differ only in that argument: :class:`ShardedRuntime`
-    forks pipe workers, :func:`repro.fabric.launch_fabric` dials TCP agents.
+    entry points differ only in their endpoints: :class:`ShardedRuntime`
+    forks agents onto socketpairs, :func:`repro.fabric.launch_fabric` spawns
+    agents that listen on TCP ports.
 
     The driver survives worker loss two ways.  A worker with a checkpoint
     store persists its open decrypt windows as ``SessionState`` snapshots
@@ -2271,8 +2134,13 @@ class ShardDriver:
 
 
 class ShardedRuntime(ShardDriver):
-    """A :class:`ShardDriver` over ``num_shards`` pipe workers it forks itself.
+    """A :class:`ShardDriver` over ``num_shards`` agents it forks in this box.
 
+    Each shard is a child process running the fabric agent on one end of a
+    socketpair (:func:`repro.fabric.agent.fork_local_agent`), driven through
+    :class:`~repro.fabric.control.TcpLink` like any remote agent, so a local
+    shard has the HELLO version check, heartbeats and streamed METRICS too.
+    Every shard is forked before the first link starts its loop thread.
     With a *checkpoint_dir*, every worker persists its open decrypt windows
     there and :meth:`restart_shard` resumes them; without one it recomputes.
     """
@@ -2284,20 +2152,31 @@ class ShardedRuntime(ShardDriver):
         max_delay_seconds: float | None = None,
         checkpoint_dir: str | Path | None = None,
     ) -> None:
+        from repro.fabric.agent import fork_local_agent  # fabric imports this module
+        from repro.fabric.control import TcpLink
+
         if num_shards < 1:
             raise ProtocolError("a sharded runtime needs at least one shard")
-        self._checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
-        super().__init__(
-            PipeLink,
-            [self._checkpoint_dir] * num_shards,
-            window_bursts=window_bursts,
-            max_delay_seconds=max_delay_seconds,
-        )
+        _check_window(window_bursts, max_delay_seconds)  # before forking anything
+        self._fork_agent = functools.partial(fork_local_agent, checkpoint_dir=checkpoint_dir)
+        agents = [self._fork_agent(index) for index in range(num_shards)]
+        try:
+            super().__init__(
+                TcpLink,
+                agents,
+                window_bursts=window_bursts,
+                max_delay_seconds=max_delay_seconds,
+            )
+        except BaseException:
+            for agent in agents:  # those without a link yet are reaped here
+                agent.socket.close()
+                agent.reap()
+            raise
 
     def restart_shard(self, shard: int) -> int:
         """Kill one worker and rebuild it in place; see :meth:`attach_replacement`."""
-        return self.attach_replacement(shard, self._checkpoint_dir)
+        return self.attach_replacement(shard, self._fork_agent(shard))
 
     def join_worker(self, shard: int, timeout: float = 10.0) -> None:
-        """Wait for one shard's worker process to exit (after a kill)."""
-        self._link(shard).join(timeout)
+        """Wait for one shard's worker process to exit (after a kill) and reap it."""
+        self._link(shard).agent.wait(timeout)

@@ -1,14 +1,16 @@
-"""Cross-host shard fabric: TCP agents and a versioned control plane.
+"""Shard fabric: worker agents and a versioned control plane.
 
 :class:`~repro.core.runtime.ShardDriver` scales Pretzel's serving loop
-across workers; this package puts a host boundary between the driver and a
-worker.  Each remote **agent** (:mod:`repro.fabric.agent`) is a standalone
-process serving one :class:`~repro.core.runtime.ShardWorkerCore` — the shard
-brain every worker runs — and :class:`~repro.fabric.control.TcpLink` is the
-driver's link to it: the versioned CONTROL frame family of
-:mod:`repro.twopc.wire` (HELLO handshake, seq-tagged COMMAND/REPLY,
-HEARTBEAT health, streamed METRICS snapshots) over one TCP connection,
-whose frames carry a CRC32; TCP itself does the delivering.
+across workers; this package puts a process boundary, and over TCP a host
+boundary, between the driver and a worker.  Each **agent**
+(:mod:`repro.fabric.agent`) is a process serving one
+:class:`~repro.core.runtime.ShardWorkerCore` — the shard brain every worker
+runs — and :class:`~repro.fabric.control.TcpLink` is the driver's one link
+to it: the versioned CONTROL frame family of :mod:`repro.twopc.wire` (HELLO
+handshake, seq-tagged COMMAND/REPLY, HEARTBEAT health, streamed METRICS
+snapshots) over one stream socket — a TCP connection, or a socketpair to an
+agent forked in this box — whose frames carry a CRC32; the stream itself
+does the delivering.
 Routing, registration replay, crash recovery, live migration
 (:meth:`~repro.core.runtime.ShardDriver.migrate`: checkpoint the open
 decrypt windows on host A, restore them bit-identically on host B, redirect

@@ -1,14 +1,18 @@
-"""The fabric worker agent: one shard served over TCP, as its own process.
+"""The fabric worker agent: one shard served over one stream, as its own process.
 
-An agent is the cross-host twin of the in-box pipe worker
-(:func:`repro.core.runtime._shard_worker_main`): the same
-:class:`~repro.core.runtime.ShardWorkerCore` brain, a different envelope.
-It binds a TCP port (``--port 0`` for an OS-assigned one, announced as
-``PORT <n>`` on stdout so a parent script can harvest it), accepts one
-parent connection, and speaks the versioned control protocol of
-:mod:`repro.fabric.control` directly over that TCP connection — TCP delivers
-commands once and in order, and a frame that fails its CRC32 ends the
-connection.
+An agent is the only shard worker there is: a
+:class:`~repro.core.runtime.ShardWorkerCore` behind the versioned control
+protocol of :mod:`repro.fabric.control`, spoken directly over one stream
+socket — the stream delivers commands once and in order, and a frame that
+fails its CRC32 ends the connection.  It reaches its parent one of two ways:
+
+* ``python -m repro.fabric`` (:func:`spawn_local_agent` in tests and the
+  fleet) binds a TCP port (``--port 0`` for an OS-assigned one, announced as
+  ``PORT <n>`` on stdout so a parent script can harvest it) and accepts one
+  parent connection — a host boundary;
+* :func:`fork_local_agent` forks a child of the parent that serves one end
+  of a ``socket.socketpair()`` — an in-box shard of
+  :class:`~repro.core.runtime.ShardedRuntime`, with no interpreter start.
 
 Lifecycle: the parent's HELLO delivers the scheduler spec and fabric
 incarnation (the agent checks the spec and builds its core only then — the
@@ -36,9 +40,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
+import signal
+import socket
 import subprocess
 import sys
 import time
+import traceback
+import weakref
 from dataclasses import dataclass
 
 from repro.core.runtime import FileSessionStore, ShardWorkerCore, checked_scheduler_spec
@@ -197,6 +205,36 @@ async def _serve_connection(
             pass
 
 
+async def _serve_streams(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    checkpoint_dir: str | None,
+    shard_index: int,
+) -> None:
+    """Serve one parent over one connected stream, then close it."""
+    # The control link's own accounting must not pollute the serving
+    # registry: agent snapshots have to merge with an in-process serving
+    # run's, which never sees a control channel.  Instruments bind at
+    # construction, so building the link under a scratch registry keeps the
+    # control plane's frame counters out of the serving series.
+    with scoped_registry(MetricsRegistry()):
+        link = AsyncTcpTransport(
+            reader,
+            writer,
+            local_party="agent",
+            parties=CONTROL_PARTIES,
+            name=f"agent[{shard_index}]",
+        )
+    try:
+        await _serve_connection(link, checkpoint_dir, shard_index)
+    finally:
+        await link.aclose()
+
+
+async def _serve_socket(sock: socket.socket, checkpoint_dir, shard_index: int) -> None:
+    await _serve_streams(*await asyncio.open_connection(sock=sock), checkpoint_dir, shard_index)
+
+
 async def serve(
     host: str = "127.0.0.1",
     port: int = 0,
@@ -208,24 +246,9 @@ async def serve(
     done = asyncio.Event()
 
     async def handler(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        # The control link's own accounting must not pollute the serving
-        # registry: agent snapshots have to merge with in-box worker
-        # snapshots, which never see a TCP control channel.  Instruments
-        # bind at construction, so building the link under a scratch
-        # registry keeps the control plane's frame counters out of the
-        # serving series.
-        with scoped_registry(MetricsRegistry()):
-            link = AsyncTcpTransport(
-                reader,
-                writer,
-                local_party="agent",
-                parties=CONTROL_PARTIES,
-                name=f"agent[{shard_index}]",
-            )
         try:
-            await _serve_connection(link, checkpoint_dir, shard_index)
+            await _serve_streams(reader, writer, checkpoint_dir, shard_index)
         finally:
-            await link.aclose()
             done.set()
 
     server = await asyncio.start_server(handler, host, port)
@@ -342,6 +365,77 @@ def spawn_local_agent(
         port=int(line.split()[1]),
         shard_index=shard_index,
     )
+
+
+#: Parent ends of the socketpairs of agents this process forked.  A child
+#: forked later closes its copies, so an agent whose parent goes away reads
+#: end-of-stream at once instead of waiting out its parent timeout.
+_PARENT_ENDS: weakref.WeakSet[socket.socket] = weakref.WeakSet()
+
+
+@dataclass
+class LocalAgent:
+    """An agent forked from this process: its pid and the parent's socket end.
+
+    :class:`~repro.fabric.control.TcpLink` takes it as an endpoint, talks
+    over :attr:`socket`, and reaps the child when the link closes.
+    """
+
+    socket: socket.socket
+    pid: int
+    returncode: int | None = None
+
+    def wait(self, timeout: float | None = 10.0) -> int | None:
+        """Reap the child; its exit code, or ``None`` while it runs past *timeout*."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif deadline is not None and time.monotonic() >= deadline:
+                return None
+            else:
+                time.sleep(0.005)
+        return self.returncode
+
+    def reap(self, timeout: float = 10.0) -> int:
+        """Wait for the child to exit, SIGKILL it if it has not after *timeout*."""
+        if self.wait(timeout) is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.wait(None)
+        return self.returncode
+
+
+def fork_local_agent(shard_index: int = 0, checkpoint_dir=None) -> LocalAgent:
+    """Fork a child that serves one shard on one end of a socketpair.
+
+    The child inherits the imported program, so it starts in milliseconds
+    where ``python -m repro.fabric`` pays an interpreter start; from there it
+    serves exactly as that agent does, under a fresh registry and tracer
+    (it would otherwise re-report every count the parent made before the
+    fork).  It runs only its own new event loop, so the parent's link
+    threads, alive or not when it forks, have nothing it uses; it closes its
+    copies of the other agents' parent ends, and ends with ``os._exit``.
+    """
+    parent_end, child_end = socket.socketpair()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            parent_end.close()
+            for inherited in list(_PARENT_ENDS):
+                inherited.close()
+            set_registry(MetricsRegistry())
+            set_tracer(SpanTracer())
+            asyncio.run(_serve_socket(child_end, checkpoint_dir, shard_index))
+            status = 0
+        except BaseException:  # noqa: BLE001 — report, then leave without unwinding
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    child_end.close()
+    _PARENT_ENDS.add(parent_end)
+    return LocalAgent(socket=parent_end, pid=pid)
 
 
 if __name__ == "__main__":

@@ -1,24 +1,22 @@
-"""The fabric's control plane: versioned frames and the parent's TCP link.
+"""The fabric's control plane: versioned frames and the parent's link to an agent.
 
-A remote agent runs the same :class:`~repro.core.runtime.ShardWorkerCore`
-a pipe worker runs, and the same :class:`~repro.core.runtime.ShardDriver`
-steers both; this module supplies what is particular to crossing a host
-boundary.  Every message on the wire is a
+Every shard worker is an agent (:mod:`repro.fabric.agent`) serving a
+:class:`~repro.core.runtime.ShardWorkerCore`, and the one
+:class:`~repro.core.runtime.ShardDriver` steers every agent through this
+module's :class:`TcpLink`, whether the agent is on another host or a child
+forked in this box.  Every message on the wire is a
 :class:`~repro.twopc.wire.ControlFrame`: a verb byte, the
 :data:`~repro.twopc.wire.CONTROL_VERSION` stamp both ends check before
 trusting a body, and an opaque payload this module pickles — the
-parent<->agent link is a trusted deployment channel, like the pipe it
-replaces, so rich registration payloads (protocols, setups) ride whole.
-:class:`TcpLink` is the driver's :class:`~repro.core.runtime.WorkerLink`
-over that codec.
+parent<->agent link is a trusted deployment channel, so rich registration
+payloads (protocols, setups) ride whole.
 
 The channel stack is ``ControlFrame`` directly over
-:class:`~repro.twopc.transport.AsyncTcpTransport`, as
-:class:`~repro.core.runtime.PipeLink` runs over its pipe: TCP delivers each
-frame once and in order, and a frame whose CRC32 does not verify ends the
-link, which then recovers the way any dead worker does
-(``attach_replacement``).  A read deadline that passes is silence, not
-failure.
+:class:`~repro.twopc.transport.AsyncTcpTransport` on one stream socket (a
+TCP connection, or one end of a socketpair): the stream delivers each frame
+once and in order, and a frame whose CRC32 does not verify ends the link,
+which then recovers the way any dead worker does (``attach_replacement``).
+A read deadline that passes is silence, not failure.
 
 Health and telemetry ride the same link.  Agents push HEARTBEAT beacons
 on a configured interval, and take a cumulative metrics snapshot on
@@ -90,12 +88,14 @@ REQUEST_TIMEOUT_SECONDS = 300.0
 
 
 class TcpLink:
-    """A :class:`~repro.core.runtime.WorkerLink` to one remote agent.
+    """A :class:`~repro.core.runtime.WorkerLink` to one agent.
 
     *endpoint* names the agent: a ``(host, port)`` pair or any object with
     ``host``/``port`` attributes (an
-    :class:`~repro.fabric.agent.AgentProcess` qualifies).  Construction
-    dials it and runs the HELLO handshake, which delivers the scheduler
+    :class:`~repro.fabric.agent.AgentProcess` qualifies), which the link
+    dials; or a forked :class:`~repro.fabric.agent.LocalAgent`, whose
+    connected ``socket`` the link drives and whose child :meth:`close`
+    reaps.  Construction runs the HELLO handshake, which delivers the scheduler
     spec ``(window_bursts, max_delay_seconds)`` and the driver's
     incarnation — the agent checks the spec and builds its worker core only
     then, or refuses the HELLO — and refuses an agent that speaks another
@@ -136,7 +136,11 @@ class TcpLink:
             target=self._loop.run_forever, name=f"fabric-link[{index}]", daemon=True
         )
         self._thread.start()
-        if hasattr(endpoint, "host") and hasattr(endpoint, "port"):
+        #: The forked child behind a socket endpoint (``None`` for a dialed one).
+        self.agent = endpoint if hasattr(endpoint, "socket") else None
+        if self.agent is not None:
+            host = port = None
+        elif hasattr(endpoint, "host") and hasattr(endpoint, "port"):
             host, port = endpoint.host, endpoint.port
         else:
             host, port = endpoint
@@ -170,8 +174,11 @@ class TcpLink:
                 f"agent {self.index}: control operation timed out after {timeout:.0f}s"
             ) from None
 
-    async def _handshake(self, host: str, port: int, hello: dict) -> None:
+    async def _handshake(self, host: str | None, port: int | None, hello: dict) -> None:
         index = self.index
+        where = (
+            f"agent at {host}:{port}" if self.agent is None else f"forked agent {self.agent.pid}"
+        )
         self.transport = await asyncio.wait_for(
             AsyncTcpTransport.connect(
                 host,
@@ -180,6 +187,7 @@ class TcpLink:
                 parties=CONTROL_PARTIES,
                 name=f"fabric[{index}]",
                 timeout=CONNECT_TIMEOUT_SECONDS,
+                sock=None if self.agent is None else self.agent.socket,
             ),
             CONNECT_TIMEOUT_SECONDS,
         )
@@ -189,21 +197,21 @@ class TcpLink:
         )
         if verb == ControlVerb.BYE:
             raise ProtocolError(
-                f"agent at {host}:{port} refused registration: "
+                f"{where} refused registration: "
                 f"{body.get('error', 'no reason given')}"
             )
         if verb != ControlVerb.HELLO:
             raise ProtocolError(
-                f"agent at {host}:{port} broke the HELLO handshake (verb 0x{verb:02x})"
+                f"{where} broke the HELLO handshake (verb 0x{verb:02x})"
             )
         if body.get("version") != CONTROL_VERSION:
             raise ProtocolError(
-                f"agent at {host}:{port} speaks control v{body.get('version')}, "
+                f"{where} speaks control v{body.get('version')}, "
                 f"this parent speaks v{CONTROL_VERSION}"
             )
         if body.get("shard_index") != index:
             raise ProtocolError(
-                f"agent at {host}:{port} serves shard {body.get('shard_index')}, "
+                f"{where} serves shard {body.get('shard_index')}, "
                 f"expected {index} (checkpoints would not line up)"
             )
         self.pid = body.get("pid")
@@ -316,18 +324,20 @@ class TcpLink:
         return reply
 
     def close(self) -> None:
-        """Say BYE (the agent exits on it), then stop the loop thread."""
-        if not self._thread.is_alive():
-            return
-        try:
-            self._call(self._retire(), 5.0)
-        except ProtocolError:
-            pass  # the BYE is best-effort; the loop stops either way
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        # run_forever has returned; a close() on a live loop would raise.
-        if not self._loop.is_running():
-            self._loop.close()
+        """Say BYE (the agent exits on it), stop the loop thread, reap a forked agent."""
+        if self._thread.is_alive():
+            try:
+                self._call(self._retire(), 5.0)
+            except ProtocolError:
+                pass  # the BYE is best-effort; the loop stops either way
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=10.0)
+            # run_forever has returned; a close() on a live loop would raise.
+            if not self._loop.is_running():
+                self._loop.close()
+        if self.agent is not None:
+            self.agent.socket.close()  # a child still waiting for HELLO reads EOF
+            self.agent.reap()
 
     async def _retire(self) -> None:
         if self._failure is None:

@@ -8,8 +8,8 @@ Design constraints, in order:
    bind instruments once at construction (``self._frames =
    registry.counter("transport_frames_total", party="client")``) and bump
    the bound object.
-2. **Mergeable snapshots.**  `ShardedRuntime` workers ship their registry
-   state to the parent piggybacked on pipe replies, so a snapshot is a
+2. **Mergeable snapshots.**  Shard workers ship their registry state to
+   the parent on control-link replies and METRICS pushes, so a snapshot is a
    plain picklable dict and merging two snapshots of disjoint work equals
    one registry that saw both streams: counters and gauges add, histograms
    add bucket-wise (all histograms share the same fixed bounds).
@@ -173,7 +173,7 @@ class MetricsRegistry:
         """Plain-dict copy of every instrument, sorted by rendered key.
 
         Picklable, JSON-able, and deterministic for deterministic work —
-        the unit shard workers piggyback on pipe replies.
+        the unit shard workers send on control-link replies and pushes.
         """
         with self._lock:
             counters = [

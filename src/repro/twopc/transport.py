@@ -34,6 +34,7 @@ protocol code sends and receives *typed frames*, the transport sees bytes.
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 import zlib
 from abc import ABC, abstractmethod
@@ -251,15 +252,17 @@ class AsyncTcpTransport(Transport):
     @classmethod
     async def connect(
         cls,
-        host: str,
-        port: int,
+        host: str | None,
+        port: int | None,
         local_party: str = "client",
         parties: tuple[str, str] = ("client", "provider"),
         name: str = "tcp-client",
         timeout: float = 30.0,
+        sock: socket.socket | None = None,
     ) -> "AsyncTcpTransport":
-        """Dial a serving endpoint and return the connecting side's transport."""
-        reader, writer = await asyncio.open_connection(host, port)
+        """Dial a serving endpoint (or adopt the connected *sock*) and return
+        this side's transport."""
+        reader, writer = await asyncio.open_connection(host, port, sock=sock)
         return cls(reader, writer, local_party, parties, name, timeout)
 
     @staticmethod

@@ -268,7 +268,7 @@ DETERMINISTIC_HISTOGRAMS = frozenset(
 def metrics_projection(snapshot: Mapping[str, Any]) -> dict:
     """The slice of a metrics snapshot two runs over the same emails must agree on.
 
-    Whatever mix of pipe shards and TCP agents did the serving, and however
+    Whatever mix of forked and TCP agents did the serving, and however
     many migrations happened in between.
     """
     counters: dict[tuple, float] = {}

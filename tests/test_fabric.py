@@ -1,9 +1,9 @@
-"""Cross-host fabric tests: what only the TCP link can do.
+"""Fabric tests: the control plane of the one link to an agent.
 
-Everything a shard driver does whatever its links — verdicts, metrics
-equivalence, SIGKILL recovery, reconnect-resume, live migration — is
-asserted once for both transports in ``test_shard_driver.py``.  These tests
-pin the rest of the fabric's contract:
+Everything a shard driver does whichever way it reaches its agents —
+verdicts, metrics equivalence, SIGKILL recovery, reconnect-resume, live
+migration — is asserted once for forked and TCP agents in
+``test_shard_driver.py``.  These tests pin the rest of the fabric's contract:
 
 * the versioned control codec (roundtrip, foreign-version refusal, junk);
 * the deterministic metrics projection, the streamed METRICS scrape, and
@@ -13,8 +13,9 @@ pin the rest of the fabric's contract:
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent, and a command
   that blocks its agent past both ends' read deadlines completing with no
   eviction (a passed deadline is silence, not failure);
-* mixed builds: an agent and a parent of the build that framed control
-  frames with an ack/retransmit header refuse this build's peers at HELLO;
+* mixed builds: an agent (spawned or forked) and a parent of the build that
+  framed control frames with an ack/retransmit header refuse this build's
+  peers at HELLO;
 * ``rebalance`` choosing the migration from streamed load.
 """
 
@@ -34,7 +35,7 @@ import zlib
 
 import pytest
 
-from repro.core.runtime import ShardWorkerCore, shard_of_address
+from repro.core.runtime import ShardedRuntime, ShardWorkerCore, shard_of_address
 from repro.exceptions import ProtocolError, WireFormatError
 from repro.fabric import agent as agent_module
 from repro.fabric import control
@@ -220,12 +221,14 @@ class TestFabricEquivalence:
             runtime.close()
             _reap(agents)
 
+    @pytest.mark.parametrize("kind", ["local", "tcp"])
     def test_an_idle_agent_pushes_metrics_only_when_they_change(
-        self, monkeypatch, spam_setup, spam_truth
+        self, monkeypatch, spam_setup, spam_truth, kind
     ):
         """METRICS goes out only when the snapshot differs from the agent's
         last push: an idle agent sends its first snapshot and then nothing,
-        and one served email brings one fresh push that counts it."""
+        and one served email brings one fresh push that counts it.  A local
+        shard streams METRICS on the link's default interval (0.2 s)."""
         pushes: list[dict] = []
 
         def recording_unpack(data):
@@ -235,19 +238,22 @@ class TestFabricEquivalence:
             return verb, body
 
         monkeypatch.setattr(control, "unpack_control", recording_unpack)
-        runtime, agents = launch_fabric(1, metrics_interval=0.05)
+        if kind == "local":
+            runtime, agents = ShardedRuntime(num_shards=1), []
+        else:
+            runtime, agents = launch_fabric(1, metrics_interval=0.05)
         try:
             assert _wait_until(lambda: pushes, timeout=10.0)
-            time.sleep(0.5)  # ten intervals with nothing new to report
+            time.sleep(0.6)  # three intervals or more with nothing new to report
             assert len(pushes) == 1
             (address,) = _slot_addresses(1, per_slot=1)
             _register_all(runtime, [address], spam_setup)
-            time.sleep(0.5)  # registration's own counters, pushed once
+            time.sleep(0.6)  # registration's own counters, pushed once
             before = len(pushes)
             (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
             assert runtime.take_result(job_id).is_spam == spam_truth[0]
             assert _wait_until(lambda: len(pushes) > before, timeout=10.0)
-            time.sleep(0.5)
+            time.sleep(0.6)
             assert len(pushes) == before + 1
             assert _served_total(pushes[-1]) == 1
         finally:
@@ -397,8 +403,8 @@ def _old_frames(buffer: bytearray):
         yield frame
 
 
-def _old_parent_hello(port: int) -> tuple[list[int], bool]:
-    """Greet an agent as the parent build did; return (verbs read, closed).
+def _old_parent_hello(sock: socket.socket) -> tuple[list[int], bool]:
+    """Greet the agent on *sock* as the parent build did; return (verbs read, closed).
 
     The parent build resent an unacknowledged frame on its first 50 ms poll
     timeout, so the HELLO goes out twice.
@@ -417,23 +423,30 @@ def _old_parent_hello(port: int) -> tuple[list[int], bool]:
     )
     verbs: list[int] = []
     buffer = bytearray()
-    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+    sock.settimeout(10.0)
+    sock.sendall(_old_socket_frame(_OLD_DATA, 1, hello))
+    time.sleep(0.05)
+    try:
         sock.sendall(_old_socket_frame(_OLD_DATA, 1, hello))
-        time.sleep(0.05)
-        sock.sendall(_old_socket_frame(_OLD_DATA, 1, hello))
-        while ControlVerb.HELLO not in verbs:
-            try:
-                chunk = sock.recv(65536)
-            except ConnectionResetError:
-                chunk = b""
-            if not chunk:
-                return verbs, True
-            buffer += chunk
-            for frame in _old_frames(buffer):
-                frame_type, _, payload = decode_reliable(frame)
-                if frame_type == _OLD_DATA:
-                    verbs.append(unpack_control(payload)[0])
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the agent already hung up on the first copy
+    while ControlVerb.HELLO not in verbs:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return verbs, True
+        buffer += chunk
+        for frame in _old_frames(buffer):
+            frame_type, _, payload = decode_reliable(frame)
+            if frame_type == _OLD_DATA:
+                verbs.append(unpack_control(payload)[0])
     return verbs, False
+
+
+def _dial(port: int) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", port), timeout=10.0)
 
 
 class _ParentBuildAgent:
@@ -499,7 +512,8 @@ class TestMixedBuilds:
         # The stub is faithful: the refusals below come from the framing.
         stub = _ParentBuildAgent()
         try:
-            verbs, _ = _old_parent_hello(stub.port)
+            with _dial(stub.port) as sock:
+                verbs, _ = _old_parent_hello(sock)
             assert verbs == [ControlVerb.HELLO]
         finally:
             stub.close()
@@ -507,11 +521,24 @@ class TestMixedBuilds:
     def test_a_parent_build_hello_is_refused_by_this_agent(self):
         agent = spawn_local_agent(shard_index=0)
         try:
-            verbs, closed = _old_parent_hello(agent.port)
+            with _dial(agent.port) as sock:
+                verbs, closed = _old_parent_hello(sock)
             assert verbs == [] and closed
             assert agent.wait(timeout=10.0) == 0
         finally:
             _reap([agent])
+
+    def test_a_parent_build_hello_is_refused_by_a_forked_agent(self):
+        # The socketpair link of a local shard runs the same refusal: no
+        # HELLO back, let alone a verdict, and the child exits cleanly.
+        agent = agent_module.fork_local_agent(shard_index=0)
+        try:
+            verbs, closed = _old_parent_hello(agent.socket)
+            assert verbs == [] and closed
+            assert agent.wait(timeout=10.0) == 0
+        finally:
+            agent.socket.close()
+            agent.reap()
 
     def test_this_parent_refuses_a_parent_build_agent(self, monkeypatch):
         monkeypatch.setattr(control, "CONNECT_TIMEOUT_SECONDS", 1.0)

@@ -1,24 +1,24 @@
-"""One shard driver, two links: the suite every transport must pass.
+"""One shard driver, one link, two ways to reach an agent: the suite both pass.
 
 :class:`~repro.core.runtime.ShardDriver` owns routing, registration replay,
 recovery, migration and metrics aggregation; a
-:class:`~repro.core.runtime.WorkerLink` only moves commands.  So the
-behaviour is asserted once and run over both production links —
+:class:`~repro.core.runtime.WorkerLink` only moves commands.  The one
+production link is :class:`~repro.fabric.control.TcpLink`, and the
+behaviour is asserted once and run over both ways it reaches an agent —
 
-* ``pipe`` — :class:`~repro.core.runtime.ShardedRuntime` forking
-  :class:`~repro.core.runtime.PipeLink` workers, and
+* ``local`` — :class:`~repro.core.runtime.ShardedRuntime` forking agents
+  onto socketpairs (:func:`~repro.fabric.agent.fork_local_agent`), and
 * ``tcp`` — :func:`repro.fabric.launch_fabric` dialing localhost agent
-  processes over :class:`~repro.fabric.control.TcpLink`;
+  processes;
 
 and the driver's own bookkeeping is unit-tested with no process at all, over
 an in-memory link wrapping a :class:`~repro.core.runtime.ShardWorkerCore`.
-What only one transport can do (HELLO refusal, heartbeat eviction, streamed
-METRICS, a lossy control channel; checkpoint-log tampering on disk) stays in
+The control plane's own contract (HELLO refusals, heartbeat eviction,
+streamed METRICS, mixed builds; checkpoint-log tampering on disk) stays in
 ``test_fabric.py`` / ``test_session_state.py``.
 """
 
 import copy
-import multiprocessing
 import os
 import signal
 import time
@@ -40,6 +40,7 @@ from repro.core.runtime import (
 )
 from repro.exceptions import ProtocolError
 from repro.fabric import launch_fabric, spawn_local_agent
+from repro.fabric.agent import fork_local_agent
 from repro.obs import MetricsRegistry, merge_snapshots, scoped_registry, scoped_telemetry
 from repro.twopc import spam as spam_module
 from repro.twopc import topics as topics_module
@@ -115,14 +116,14 @@ def _wait_until(predicate, timeout: float = 15.0) -> bool:
 
 
 class _Fleet:
-    """A shard driver and the worker processes behind it, for either link."""
+    """A shard driver and the worker processes behind it, for either agent kind."""
 
     def __init__(self, link: str, workers: int, checkpoint_dir=None, **options) -> None:
         self.link = link
         self.workers = workers
         self.checkpoint_dir = checkpoint_dir
         self.agents: list = []
-        if link == "pipe":
+        if link == "local":
             self.runtime: ShardDriver = ShardedRuntime(
                 num_shards=workers, checkpoint_dir=checkpoint_dir, **options
             )
@@ -143,7 +144,7 @@ class _Fleet:
 
     def replace(self, worker: int) -> int:
         """Put a fresh process in *worker*'s position; returns resubmissions."""
-        if self.link == "pipe":
+        if self.link == "local":
             return self.runtime.restart_shard(worker)
         agent = spawn_local_agent(shard_index=worker, checkpoint_dir=self.checkpoint_dir)
         self.agents.append(agent)
@@ -151,11 +152,12 @@ class _Fleet:
 
     def attach_spare(self) -> int:
         """Attach one more worker that owns no slots yet."""
-        if self.link == "pipe":
-            return self.runtime.attach_worker(None)
-        agent = spawn_local_agent(shard_index=self.workers)
+        if self.link == "local":
+            agent = fork_local_agent(shard_index=self.workers)  # its link reaps it
+        else:
+            agent = spawn_local_agent(shard_index=self.workers)
+            self.agents.append(agent)
         self.workers += 1
-        self.agents.append(agent)
         return self.runtime.attach_worker(agent)
 
     def close(self) -> None:
@@ -168,7 +170,7 @@ class _Fleet:
                 agent.process.stdout.close()
 
 
-@pytest.fixture(params=["pipe", "tcp"])
+@pytest.fixture(params=["local", "tcp"])
 def link(request):
     return request.param
 
@@ -304,8 +306,8 @@ class TestCrashRecovery:
         # What the snapshot saves, as a count instead of a stopwatch: every
         # mailbox of the victim had an open window, so its pools come back
         # from the checkpoint and the replacement runs no base-OT handshake.
-        # (A forked pipe worker inherits this patch and would answer the
-        # rebuild with an error; a TCP agent is a separate program, so there
+        # (A forked agent inherits this patch and would answer the rebuild
+        # with an error; a spawned TCP agent is a separate program, so there
         # the same statement is the in-process count over FakeLink below.)
         monkeypatch.setattr(spam_module, "initialize_ot_pool", _refuse_handshake)
         assert fleet.replace(victim) == 0
@@ -793,11 +795,9 @@ class NoPrivFunction:
 
 
 class TestAnyProviderFunction:
-    @pytest.mark.parametrize("link_kind", ["fake", "pipe"])
+    @pytest.mark.parametrize("link_kind", ["fake", "local"])
     def test_a_test_local_function_is_served_through_the_driver(self, link_kind, fake_driver):
-        if link_kind == "pipe":
-            if "fork" not in multiprocessing.get_all_start_methods():
-                pytest.skip("a spawned pipe worker cannot import a test-local class")
+        if link_kind == "local":
             driver = ShardedRuntime(num_shards=2)
         else:
             driver, _links = fake_driver([None, None])

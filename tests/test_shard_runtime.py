@@ -8,14 +8,19 @@ decrypts run and *where* sessions live.  These tests pin:
 * output equivalence of the windowed serving loop against sequential runs
   under every window setting, including ``window_bursts=1`` (which must
   degenerate to the per-burst batching of the PR 2 loop);
-* the sharded runtime's pipe-worker specifics: stable partition, topics,
-  idle-tick polling, series-for-series telemetry (what every shard-driver
-  link must do, over pipes and over TCP, is in ``test_shard_driver.py``).
+* the sharded runtime's local-shard specifics: stable partition, topics,
+  idle-tick polling, series-for-series telemetry, a forked agent's HELLO
+  refusal, and no forked process outliving its runtime (what every
+  shard-driver deployment must do, forked and over TCP, is in
+  ``test_shard_driver.py``).
 """
 
 import copy
 import math
+import multiprocessing
+import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -23,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.runtime import (
     DecryptScheduler,
-    PipeLink,
     ProviderRuntime,
     ShardedRuntime,
     ShardWorkerCore,
@@ -32,6 +36,8 @@ from repro.core.runtime import (
     session_job,
 )
 from repro.exceptions import ProtocolError
+from repro.fabric.agent import fork_local_agent
+from repro.fabric.control import TcpLink
 from repro.mail import VirtualClock
 from repro.obs import scoped_telemetry
 from repro.obs.metrics import RECENT_SAMPLE_CAP
@@ -544,16 +550,12 @@ class TestWorkerSchedulerSpec:
         with pytest.raises(ProtocolError, match="max_delay_seconds"):
             ShardedRuntime(num_shards=1, max_delay_seconds=math.nan)
 
-    def test_pipe_worker_answers_a_malformed_spec_with_a_refusal(self):
-        link = PipeLink(None, 0, (1, math.nan), "incarnation")
-        try:
-            link.post("stats", None)
-            tag, body = link.wait()
-            assert tag == "error" and "refused scheduler spec" in body
-            link.join(10.0)
-            assert not link.alive
-        finally:
-            link.close()
+    def test_a_forked_agent_answers_a_malformed_spec_with_bye_and_exits(self):
+        agent = fork_local_agent(shard_index=0)
+        with pytest.raises(ProtocolError, match="refused registration: bad scheduler spec"):
+            TcpLink(agent, 0, (1, math.nan), "incarnation")
+        assert agent.wait(timeout=10.0) == 0  # the failed link reaped it
+        _assert_reaped(agent.pid)
 
     @pytest.mark.parametrize("delay, expected_ticks", [(0.0, 0), (0.05, 1)])
     def test_aged_window_fires_on_the_next_tick_without_spinning(
@@ -582,6 +584,12 @@ class TestWorkerSchedulerSpec:
         assert [(job_id, result.is_spam) for job_id, result in results] == [(0, spam_truth[0])]
 
 
+def _assert_reaped(pid: int) -> None:
+    """*pid* was a child of this process and has exited and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
 class TestShardedRuntime:
     def test_partition_is_stable_and_total(self):
         addresses = [f"user{i}@example.com" for i in range(64)]
@@ -605,6 +613,45 @@ class TestShardedRuntime:
             runtime.drain()
             extracted = [runtime.take_result(job_id).extracted_topic for job_id in job_ids]
         assert extracted == truths
+
+
+    def test_no_forked_process_outlives_its_runtime(self, spam_setup, spam_truth):
+        # Each restart forks while the other shard's link thread is live (the
+        # fork-with-threads case); the children still serve, and every pid
+        # this runtime forked is reaped by a kill drill's join_worker or by
+        # close().
+        protocol, setup = spam_setup
+        addresses = [f"user{index}@example.com" for index in range(8)]
+        addresses = [
+            next(address for address in addresses if shard_of_address(address, 2) == shard)
+            for shard in (0, 1)
+        ]
+        stream = [
+            (addresses[index % 2], features) for index, features in enumerate(SPAM_EMAILS)
+        ]
+        with ShardedRuntime(num_shards=2, window_bursts=100) as runtime:
+            for address in addresses:
+                runtime.register_spam(address, protocol, setup)
+            forked = [runtime.worker_pid(shard) for shard in (0, 1)]
+            job_ids = runtime.submit_spam(stream[:3])
+            for _ in range(3):
+                assert runtime.worker_alive(1)
+                runtime.restart_shard(0)
+                forked.append(runtime.worker_pid(0))
+            job_ids += runtime.submit_spam(stream[3:])
+            runtime.drain()
+            verdicts = [runtime.take_result(job_id).is_spam for job_id in job_ids]
+            killed = runtime.worker_pid(1)
+            os.kill(killed, signal.SIGKILL)
+            runtime.join_worker(1)
+            _assert_reaped(killed)
+            assert multiprocessing.active_children() == []
+            live = [runtime.worker_pid(0)]
+        assert verdicts == spam_truth
+        assert len(set(forked)) == 5 and live == forked[-1:]
+        assert multiprocessing.active_children() == []
+        for pid in forked:
+            _assert_reaped(pid)
 
 
 def _counter_value(snapshot, name):

@@ -157,11 +157,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
     ),
     **_entries(
         FAULT_PATH,
-        "a pipe worker died: the driver's recovery path, entered by the SIGKILL drills",
-        "repro.core.runtime:PipeLink._died",
-    ),
-    **_entries(
-        FAULT_PATH,
         "liveness probe the kill drills and eviction tests wait on",
         "repro.core.runtime:ShardDriver.worker_alive",
     ),
@@ -169,11 +164,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         FAULT_PATH,
         "reaps agents when launching a fabric fails",
         "repro.fabric.agent:AgentProcess.kill",
-    ),
-    **_entries(
-        FAULT_PATH,
-        "tells a peer that hung up mid-frame from a clean close",
-        "repro.twopc.transport:FrameAssembler.buffered_bytes",
     ),
     **_entries(
         FAULT_PATH,
