@@ -7,10 +7,10 @@ boundary, between the driver and a worker.  Each **agent**
 :class:`~repro.core.runtime.ShardWorkerCore` — the shard brain every worker
 runs — and :class:`~repro.fabric.control.TcpLink` is the driver's one link
 to it: the versioned CONTROL frame family of :mod:`repro.twopc.wire` (HELLO
-handshake, seq-tagged COMMAND/REPLY, HEARTBEAT health, streamed METRICS
-snapshots) over one stream socket — a TCP connection, or a socketpair to an
-agent forked in this box — whose frames carry a CRC32; the stream itself
-does the delivering.
+handshake, seq-tagged COMMAND/REPLY, HEARTBEAT beacons on silence,
+streamed METRICS snapshots) over one stream socket — a TCP connection, or
+a socketpair to an agent forked in this box — whose frames carry a CRC32;
+the stream itself does the delivering.
 Routing, registration replay, crash recovery, live migration
 (:meth:`~repro.core.runtime.ShardDriver.migrate`: checkpoint the open
 decrypt windows on host A, restore them bit-identically on host B, redirect
@@ -66,5 +66,6 @@ def launch_fabric(
     except BaseException:
         for agent in agents:
             agent.kill()
+            agent.wait()
         raise
     return runtime, agents

@@ -14,15 +14,19 @@ fails its CRC32 ends the connection.  It reaches its parent one of two ways:
   of a ``socket.socketpair()`` — an in-box shard of
   :class:`~repro.core.runtime.ShardedRuntime`, with no interpreter start.
 
-Lifecycle: the parent's HELLO delivers the scheduler spec and fabric
-incarnation (the agent checks the spec and builds its core only then — the
-parent owns serving policy; a malformed spec is refused with BYE and no core
-is built), after which two tasks share the single connection: the *command
-loop* turns COMMANDs into REPLYs one at a time, and *housekeeping* fires
-aged decrypt windows between commands, pushes HEARTBEAT beacons, and
-takes a cumulative metrics snapshot on the configured interval, sending it
-as METRICS only when it differs from the last one pushed (the first always
-goes out; an idle agent then sends none).  The agent
+Lifecycle: the parent's HELLO delivers the scheduler spec, the fabric
+incarnation and the intervals (the agent checks them and builds its core
+only then — the parent owns serving policy; a malformed spec or interval is
+refused with BYE and no core is built), after which two tasks share the
+single connection: the *command loop* turns COMMANDs into REPLYs one at a
+time, and *housekeeping* sleeps until something is due or a command was
+handled.  What can be due: an aged decrypt window to fire, a HEARTBEAT
+beacon (sent only when the agent has sent no frame for the heartbeat
+interval), the orphan check, and — only while the serving registry is
+*dirty*, i.e. after a command or a fired window — a cumulative metrics
+snapshot, taken at most once per metrics interval and sent as METRICS only
+when it differs from the last one pushed (the first always goes out).  An
+idle agent wakes for beacons alone and takes no snapshot.  The agent
 exits when the parent says BYE (or ``stop``), when the connection dies, or
 when the parent stays silent past its advertised timeout — an orphaned
 agent never lingers.  A read deadline that passes is only silence; the
@@ -39,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
+import numbers
 import os
 import signal
 import socket
@@ -51,14 +57,42 @@ from dataclasses import dataclass
 
 from repro.core.runtime import FileSessionStore, ShardWorkerCore, checked_scheduler_spec
 from repro.exceptions import ProtocolError, TransportClosedError, TransportTimeoutError
-from repro.fabric.control import CONTROL_PARTIES, pack_control, unpack_control
+from repro.fabric.control import (
+    CONTROL_PARTIES,
+    HEARTBEAT_INTERVAL_SECONDS,
+    pack_control,
+    unpack_control,
+)
 from repro.obs import MetricsRegistry, SpanTracer, get_registry, scoped_registry, set_registry, set_tracer
 from repro.twopc.transport import AsyncTcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
-#: Housekeeping granularity: the longest the agent sleeps between checking
-#: window deadlines, heartbeat/metrics due times and parent liveness.
-_TICK_SECONDS = 0.05
+#: Shortest housekeeping sleep toward a window deadline.
+_WINDOW_FLOOR_SECONDS = 0.005
+
+
+def _checked_intervals(hello: dict) -> tuple[float, float, float]:
+    """The HELLO's ``(heartbeat_interval, metrics_interval, parent_timeout)``.
+
+    Housekeeping sleeps until the earliest deadline these set, so a negative
+    or ``nan`` one would spin it and an infinite one would never beacon: all
+    three must be finite, the beacon interval and the parent timeout above
+    zero, the metrics interval at least zero (zero turns METRICS off).
+    """
+    heartbeat, metrics, parent = values = (
+        hello.get("heartbeat_interval", HEARTBEAT_INTERVAL_SECONDS),
+        hello.get("metrics_interval", 0.0),
+        hello.get("parent_timeout", 60.0),
+    )
+    if not all(
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        for value in values
+    ) or not (heartbeat > 0 and metrics >= 0 and parent > 0):
+        raise ProtocolError(
+            f"got heartbeat_interval={heartbeat!r}, metrics_interval={metrics!r}, "
+            f"parent_timeout={parent!r}"
+        )
+    return float(heartbeat), float(metrics), float(parent)
 
 
 async def _serve_connection(
@@ -102,6 +136,13 @@ async def _serve_connection(
             "agent", pack_control(ControlVerb.BYE, {"error": f"bad scheduler spec: {error}"})
         )
         return
+    try:
+        heartbeat_interval, metrics_interval, parent_timeout = _checked_intervals(hello)
+    except ProtocolError as error:
+        await link.send(
+            "agent", pack_control(ControlVerb.BYE, {"error": f"bad intervals: {error}"})
+        )
+        return
     store = FileSessionStore(checkpoint_dir) if checkpoint_dir is not None else None
     core = ShardWorkerCore(
         hello["scheduler_spec"],
@@ -121,11 +162,14 @@ async def _serve_connection(
             },
         ),
     )
-    heartbeat_interval = float(hello.get("heartbeat_interval", 0.25))
-    metrics_interval = float(hello.get("metrics_interval", 0.0))
-    parent_timeout = float(hello.get("parent_timeout", 60.0))
     stop = asyncio.Event()
+    handled = asyncio.Event()  # the command loop handled a command
     last_parent = [time.monotonic()]
+    last_sent = [time.monotonic()]
+
+    async def send(verb: int, body) -> None:
+        await link.send("agent", pack_control(verb, body))
+        last_sent[0] = time.monotonic()
 
     async def command_loop() -> None:
         try:
@@ -143,9 +187,8 @@ async def _serve_connection(
                 if verb != ControlVerb.COMMAND:
                     continue
                 reply = core.handle(body["command"], body["payload"])
-                await link.send(
-                    "agent", pack_control(ControlVerb.REPLY, (body["seq"], reply))
-                )
+                await send(ControlVerb.REPLY, (body["seq"], reply))
+                handled.set()
                 if body["command"] == "stop":
                     return
         except TransportClosedError:
@@ -154,41 +197,45 @@ async def _serve_connection(
             stop.set()
 
     async def housekeeping() -> None:
-        next_heartbeat = 0.0
         next_metrics = 0.0
         pushed = None  # the last snapshot this agent pushed
+        # Only commands and fired windows write the serving registry (the
+        # link counts under a scratch one), so a clean registry needs no
+        # snapshot.  The first snapshot always goes out.
+        dirty = True
         try:
             while not stop.is_set():
                 now = time.monotonic()
-                if now - last_parent[0] > parent_timeout:
+                if now - last_parent[0] >= parent_timeout:
                     return  # orphaned: the parent stopped talking entirely
-                if now >= next_heartbeat:
-                    await link.send("agent", pack_control(ControlVerb.HEARTBEAT, {}))
-                    next_heartbeat = now + heartbeat_interval
-                if (
-                    metrics_interval > 0
-                    and now >= next_metrics
-                    and not core.quiesced
-                ):
+                if now - last_sent[0] >= heartbeat_interval:
+                    await send(ControlVerb.HEARTBEAT, {})
+                metrics_due = metrics_interval > 0 and dirty and not core.quiesced
+                if metrics_due and now >= next_metrics:
                     # Streamed scrape: cumulative snapshot, so a lost push
                     # costs freshness, never correctness — and an unchanged
                     # one tells the parent nothing it does not hold already.
                     snapshot = get_registry().snapshot()
                     if snapshot != pushed:
-                        await link.send(
-                            "agent",
-                            pack_control(ControlVerb.METRICS, {"metrics": snapshot}),
-                        )
+                        await send(ControlVerb.METRICS, {"metrics": snapshot})
                         pushed = snapshot
+                    dirty = metrics_due = False
                     next_metrics = now + metrics_interval
-                deadline = core.next_timeout()
-                if deadline is not None and deadline <= 0:
+                window = core.next_timeout()
+                if window is not None and window <= 0:
                     core.idle_tick()
-                await asyncio.sleep(
-                    _TICK_SECONDS
-                    if deadline is None
-                    else min(_TICK_SECONDS, max(deadline, 0.005))
-                )
+                    dirty = True
+                due = [last_sent[0] + heartbeat_interval, last_parent[0] + parent_timeout]
+                if window is not None:
+                    due.append(now + max(window, _WINDOW_FLOOR_SECONDS))
+                if metrics_due:
+                    due.append(next_metrics)
+                try:
+                    await asyncio.wait_for(handled.wait(), max(0.0, min(due) - time.monotonic()))
+                except asyncio.TimeoutError:
+                    continue
+                handled.clear()
+                dirty = True
         except TransportClosedError:
             return
         finally:
@@ -315,10 +362,14 @@ class AgentProcess:
         self.process.kill()
 
     def wait(self, timeout: float | None = 10.0) -> int | None:
+        """Reap the process (closing its announce pipe); ``None`` while it runs."""
         try:
-            return self.process.wait(timeout=timeout)
+            returncode = self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
+        if self.process.stdout is not None:
+            self.process.stdout.close()
+        return returncode
 
 
 def spawn_local_agent(

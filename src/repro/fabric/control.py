@@ -18,19 +18,23 @@ once and in order, and a frame whose CRC32 does not verify ends the link,
 which then recovers the way any dead worker does (``attach_replacement``).
 A read deadline that passes is silence, not failure.
 
-Health and telemetry ride the same link.  Agents push HEARTBEAT beacons
-on a configured interval, and take a cumulative metrics snapshot on
-another, sending it as METRICS only when it changed since their last push;
-the link keeps only the *latest* snapshot, which is all the driver's
-replace-latest/fold-once aggregation needs, so an unsent duplicate loses
-nothing.  An agent that stays silent
-past ``heartbeat_timeout`` (and has no command in flight — a shard deep in
-a decrypt burst is busy, not dead) is evicted.
+Health and telemetry ride the same link.  Either end sends a HEARTBEAT
+beacon only on silence: when it has sent no frame for ``heartbeat_interval``
+(2.5 s by default, a dozen beacons inside the 30-s ``heartbeat_timeout``),
+so a link that carries commands carries no beacons.  Agents take a
+cumulative metrics snapshot at most once per metrics interval, and only
+after a command or a fired window changed their serving registry, sending
+it as METRICS only when it changed since their last push; the link keeps
+only the *latest* snapshot, which is all the driver's replace-latest/
+fold-once aggregation needs, so an unsent duplicate loses nothing.  An
+agent that stays silent past ``heartbeat_timeout`` (and has no command in
+flight — a shard deep in a decrypt burst is busy, not dead) is evicted.
 """
 
 from __future__ import annotations
 
 import asyncio
+import numbers
 import pickle
 import queue
 import threading
@@ -86,6 +90,9 @@ def unpack_control(data: bytes) -> tuple[int, Any]:
 CONNECT_TIMEOUT_SECONDS = 10.0
 REQUEST_TIMEOUT_SECONDS = 300.0
 
+#: Default silence after which either end of a link sends a HEARTBEAT.
+HEARTBEAT_INTERVAL_SECONDS = 2.5
+
 
 class TcpLink:
     """A :class:`~repro.core.runtime.WorkerLink` to one agent.
@@ -104,8 +111,12 @@ class TcpLink:
     replacement could never find its predecessor's).
 
     Network plumbing lives on a private asyncio loop thread: a reader task
-    that routes every inbound frame, and a keepalive task.  The public
-    surface is synchronous and is called from the driver's thread.
+    that routes every inbound frame, and a keepalive task that wakes only
+    when a beacon or the eviction check is due.  A beacon goes out only
+    after ``heartbeat_interval`` (default 2.5 s) in which the link sent
+    nothing; an interval that is not above zero and below
+    ``heartbeat_timeout`` is refused at construction.  The public surface
+    is synchronous and is called from the driver's thread.
     """
 
     def __init__(
@@ -114,10 +125,18 @@ class TcpLink:
         index: int,
         scheduler_spec: tuple,
         incarnation: str,
-        heartbeat_interval: float = 0.25,
+        heartbeat_interval: float = HEARTBEAT_INTERVAL_SECONDS,
         heartbeat_timeout: float = 30.0,
         metrics_interval: float = 0.2,
     ) -> None:
+        if not (
+            isinstance(heartbeat_interval, numbers.Real)
+            and 0 < heartbeat_interval < heartbeat_timeout
+        ):
+            raise ProtocolError(
+                f"heartbeat_interval must be > 0 and < heartbeat_timeout "
+                f"({heartbeat_timeout!r}), got {heartbeat_interval!r}"
+            )
         self.index = index
         self.pid: int | None = None
         self.metrics: dict | None = None
@@ -129,7 +148,7 @@ class TcpLink:
         # Loop-thread state: commands sent, replies read, last frame heard.
         self._next_seq = 0
         self._next_reply = 0
-        self._last_seen = time.monotonic()
+        self._last_seen = self._last_sent = time.monotonic()
         self._tasks: list[asyncio.Task] = []
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -191,7 +210,7 @@ class TcpLink:
             ),
             CONNECT_TIMEOUT_SECONDS,
         )
-        await self.transport.send("parent", pack_control(ControlVerb.HELLO, hello))
+        await self._send(pack_control(ControlVerb.HELLO, hello))
         verb, body = unpack_control(
             await self.transport.receive("parent", timeout_seconds=CONNECT_TIMEOUT_SECONDS)
         )
@@ -262,33 +281,44 @@ class TcpLink:
             if self.transport is not None:
                 self.transport.close()
 
+    async def _send(self, frame: bytes) -> None:
+        await self.transport.send("parent", frame)
+        self._last_sent = time.monotonic()
+
     async def _keepalive(self) -> None:
         """Parent-side heartbeats out, liveness policy in.
 
-        Outbound beacons tell an idle agent its parent is still there (it
-        exits once the parent stays silent past its advertised timeout);
-        the timeout check evicts an agent that has said nothing for
-        ``heartbeat_timeout`` — unless a command is in flight, because a
-        shard mid-burst is compute-bound, not gone.
+        A beacon tells an idle agent its parent is still there (it exits
+        once the parent stays silent past its advertised timeout), so it
+        goes out only when the link has sent nothing for
+        ``heartbeat_interval``.  The timeout check evicts an agent that has
+        said nothing for ``heartbeat_timeout`` — unless a command is in
+        flight, because a shard mid-burst is compute-bound, not gone.  The
+        task sleeps until the earlier of the two is due.
         """
         beacon = pack_control(ControlVerb.HEARTBEAT, {})
+        interval, timeout = self._heartbeat_interval, self._heartbeat_timeout
         while self._failure is None:
-            await asyncio.sleep(self._heartbeat_interval)
-            if self._failure is not None or self._next_seq != self._next_reply:
+            if self._next_seq != self._next_reply:
+                await asyncio.sleep(interval)
                 continue
-            silent = time.monotonic() - self._last_seen
-            if silent > self._heartbeat_timeout:
+            now = time.monotonic()
+            silent = now - self._last_seen
+            if silent >= timeout:
                 self._fail(
                     ProtocolError(
-                        f"agent {self.index} unheard from for "
-                        f"{silent:.1f}s (> {self._heartbeat_timeout}s)"
+                        f"agent {self.index} unheard from for {silent:.1f}s (timeout {timeout}s)"
                     )
                 )
                 return
-            try:
-                await self.transport.send("parent", beacon)
-            except ProtocolError as error:
-                self._fail(error)
+            if now - self._last_sent >= interval:
+                try:
+                    await self._send(beacon)
+                except ProtocolError as error:
+                    self._fail(error)
+                    return
+            due = min(self._last_sent + interval, self._last_seen + timeout)
+            await asyncio.sleep(max(0.0, due - time.monotonic()))
 
     # -- the WorkerLink surface ----------------------------------------------
     def post(self, command: str, payload: Any) -> None:
@@ -300,12 +330,11 @@ class TcpLink:
         seq = self._next_seq
         self._next_seq += 1
         try:
-            await self.transport.send(
-                "parent",
+            await self._send(
                 pack_control(
                     ControlVerb.COMMAND,
                     {"seq": seq, "command": command, "payload": payload},
-                ),
+                )
             )
         except ProtocolError as error:
             self._fail(error)

@@ -13,6 +13,10 @@ migration — is asserted once for forked and TCP agents in
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent, and a command
   that blocks its agent past both ends' read deadlines completing with no
   eviction (a passed deadline is silence, not failure);
+* housekeeping that wakes only when something is due: an idle agent
+  sleeps between beacons and takes no snapshot, an aged window fires with
+  no command, an orphaned agent exits, and a HELLO or link with an
+  interval that would spin or silence the agent is refused;
 * mixed builds: an agent (spawned or forked) and a parent of the build that
   framed control frames with an ack/retransmit header refuse this build's
   peers at HELLO;
@@ -49,7 +53,7 @@ from repro.fabric import (
 )
 from repro.obs.export import validate_chrome_trace, validate_snapshot, write_artifacts
 from repro.twopc.spam import SpamFilterProtocol
-from repro.twopc.transport import AsyncTcpTransport
+from repro.twopc.transport import AsyncTcpTransport, FrameAssembler, encode_frame
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, OtPublicsFrame, WireCodec
 
 from oracles import metrics_projection
@@ -123,6 +127,30 @@ def _reap(agents) -> None:
         if agent.wait(timeout=10.0) is None:
             agent.kill()
             agent.wait(timeout=10.0)
+
+
+def _agent_in_thread() -> tuple[threading.Thread, int]:
+    """Run :func:`agent_module.serve` in a thread of this process; the thread
+    and the port it announced."""
+    announce = io.StringIO()
+    thread = threading.Thread(
+        target=asyncio.run, args=(agent_module.serve(announce=announce),), daemon=True
+    )
+    thread.start()
+    assert _wait_until(lambda: announce.getvalue().startswith("PORT "), timeout=10.0)
+    return thread, int(announce.getvalue().split()[1])
+
+
+def _recording_unpack(pushes: list):
+    """``unpack_control`` that also appends every METRICS snapshot to *pushes*."""
+
+    def recording_unpack(data):
+        verb, body = unpack_control(data)
+        if verb == ControlVerb.METRICS:
+            pushes.append(body["metrics"])
+        return verb, body
+
+    return recording_unpack
 
 
 class TestControlCodec:
@@ -230,14 +258,7 @@ class TestFabricEquivalence:
         and one served email brings one fresh push that counts it.  A local
         shard streams METRICS on the link's default interval (0.2 s)."""
         pushes: list[dict] = []
-
-        def recording_unpack(data):
-            verb, body = unpack_control(data)
-            if verb == ControlVerb.METRICS:
-                pushes.append(body["metrics"])
-            return verb, body
-
-        monkeypatch.setattr(control, "unpack_control", recording_unpack)
+        monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
         if kind == "local":
             runtime, agents = ShardedRuntime(num_shards=1), []
         else:
@@ -578,13 +599,7 @@ class TestReadDeadlines:
             return handle(core, command, payload)
 
         monkeypatch.setattr(ShardWorkerCore, "handle", slow_handle)
-        announce = io.StringIO()
-        thread = threading.Thread(
-            target=asyncio.run, args=(agent_module.serve(announce=announce),), daemon=True
-        )
-        thread.start()
-        assert _wait_until(lambda: announce.getvalue().startswith("PORT "), timeout=10.0)
-        port = int(announce.getvalue().split()[1])
+        thread, port = _agent_in_thread()
         connect = functools.partial(
             TcpLink, heartbeat_interval=3 * deadline, heartbeat_timeout=60.0, metrics_interval=0.0
         )
@@ -606,6 +621,145 @@ class TestReadDeadlines:
             runtime.close()
             thread.join(timeout=15.0)
         assert not thread.is_alive()
+
+
+def _raw_hello(**overrides) -> bytes:
+    """This build's HELLO as one socket frame, with *overrides* in its body."""
+    body = {
+        "version": CONTROL_VERSION,
+        "incarnation": "raw",
+        "scheduler_spec": (1, None),
+        "agent_index": 0,
+        "heartbeat_interval": 0.25,
+        "metrics_interval": 0.0,
+        "parent_timeout": 60.0,
+        **overrides,
+    }
+    return encode_frame(pack_control(ControlVerb.HELLO, body))
+
+
+def _read_until_hangup(sock: socket.socket, timeout: float) -> tuple[list, float]:
+    """Every control message read off *sock* until the agent hangs up, and
+    the seconds that took; a socket timeout if it stays open past *timeout*."""
+    assembler = FrameAssembler()
+    messages = []
+    begin = time.monotonic()
+    while True:
+        sock.settimeout(max(begin + timeout - time.monotonic(), 1e-3))
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return messages, time.monotonic() - begin
+        messages += [unpack_control(frame) for frame in assembler.feed(chunk)]
+
+
+class TestHousekeeping:
+    """The agent wakes when something is due, not on a clock."""
+
+    def test_an_idle_agent_sleeps_between_beacons(self, monkeypatch, spam_setup):
+        """Idle for 1 s with 0.25-s beacons: a handful of wake-ups (one per
+        beacon) and no METRICS, where a 50-ms tick would wake 20 times."""
+        wakes = [0]
+        next_timeout = ShardWorkerCore.next_timeout
+
+        def counting_next_timeout(core):
+            wakes[0] += 1
+            return next_timeout(core)
+
+        pushes: list[dict] = []
+        monkeypatch.setattr(ShardWorkerCore, "next_timeout", counting_next_timeout)
+        monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
+        thread, port = _agent_in_thread()
+        connect = functools.partial(TcpLink, heartbeat_interval=0.25, metrics_interval=0.05)
+        runtime = FabricRuntime(connect, [("127.0.0.1", port)])
+        try:
+            protocol, setup = spam_setup
+            runtime.register_spam("a@example.com", protocol, setup)
+            # The registration's snapshot goes out within one metrics interval.
+            assert _wait_until(lambda: pushes, timeout=10.0)
+            time.sleep(0.2)
+            wakes_before, pushes_before = wakes[0], len(pushes)
+            time.sleep(1.0)
+            assert wakes[0] - wakes_before <= 8
+            assert len(pushes) == pushes_before
+            assert runtime.worker_alive(0)
+        finally:
+            runtime.close()
+            thread.join(timeout=15.0)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("kind", ["local", "tcp"])
+    def test_an_aged_window_fires_with_no_command(
+        self, monkeypatch, spam_setup, spam_truth, kind
+    ):
+        """One email parked in a two-burst window and nothing sent after it:
+        the window's age deadline alone wakes the agent, which serves the
+        email and pushes the snapshot that counts it."""
+        delay = 0.2
+        pushes: list[dict] = []
+        monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
+        if kind == "local":
+            runtime = ShardedRuntime(num_shards=1, window_bursts=2, max_delay_seconds=delay)
+            agents = []
+        else:
+            runtime, agents = launch_fabric(
+                1, window_bursts=2, max_delay_seconds=delay, metrics_interval=0.05
+            )
+        try:
+            (address,) = _slot_addresses(1, per_slot=1)
+            _register_all(runtime, [address], spam_setup)
+            (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
+            assert runtime.outstanding_count() == 1
+            assert _wait_until(
+                lambda: pushes and _served_total(pushes[-1]) == 1, timeout=delay + 0.5
+            ), "the aged window did not fire without a command"
+            assert runtime.poll() == 1  # the idle tick's result rides the poll reply
+            assert runtime.take_result(job_id).is_spam == spam_truth[0]
+        finally:
+            runtime.close()
+            _reap(agents)
+
+    def test_an_orphaned_agent_exits(self):
+        """The parent goes silent but keeps the socket open: the agent judges
+        it gone after its advertised timeout and hangs up."""
+        agent = agent_module.fork_local_agent(shard_index=0)
+        try:
+            agent.socket.sendall(_raw_hello(parent_timeout=0.5))
+            messages, waited = _read_until_hangup(agent.socket, 10.0)
+            assert messages[0][0] == ControlVerb.HELLO
+            assert ControlVerb.HEARTBEAT in [verb for verb, _ in messages]
+            assert waited < 2.0
+            assert agent.wait(timeout=10.0) == 0
+        finally:
+            agent.socket.close()
+            agent.reap()
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=repr)
+    @pytest.mark.parametrize("field", ["heartbeat_interval", "metrics_interval", "parent_timeout"])
+    def test_a_hello_with_a_bad_interval_is_refused(self, field, value):
+        """A wait computed from a negative or ``nan`` interval would spin the
+        agent, from an infinite one never beacon: BYE, no core, exit 0."""
+        agent = agent_module.fork_local_agent(shard_index=0)
+        try:
+            agent.socket.sendall(_raw_hello(**{field: value}))
+            messages, _ = _read_until_hangup(agent.socket, 10.0)
+            assert [verb for verb, _ in messages] == [ControlVerb.BYE]
+            assert messages[0][1]["error"].startswith("bad intervals")
+            assert agent.wait(timeout=10.0) == 0
+        finally:
+            agent.socket.close()
+            agent.reap()
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, 30.0, 45.0], ids=repr)
+    def test_a_link_refuses_a_bad_interval(self, interval):
+        """A beacon interval must be above zero and below the eviction
+        timeout (30 s here); the link refuses one before it starts a thread."""
+        threads = threading.active_count()
+        with pytest.raises(ProtocolError, match="heartbeat_interval"):
+            TcpLink(("127.0.0.1", 9), 0, (1, None), "incarnation", heartbeat_interval=interval)
+        assert threading.active_count() == threads
 
 
 class TestFabricMigration:
