@@ -1376,6 +1376,10 @@ class ShardWorkerCore:
         #: tick firing after the handover would serve the same email the
         #: target is about to resume, double-counting its metrics).
         self.quiesced = False
+        #: The last snapshot this worker handed its parent, on a reply (see
+        #: :meth:`_snapshot`) or pushed by its serving loop; an equal one
+        #: need not be sent again.
+        self.reported_snapshot: dict | None = None
 
     def next_timeout(self) -> float | None:
         """Seconds until the next decrypt-window age deadline, or ``None``."""
@@ -1414,6 +1418,11 @@ class ShardWorkerCore:
         self._completed.clear()
         return taken + results
 
+    def _snapshot(self) -> dict:
+        """The registry's cumulative snapshot for a reply, remembered as reported."""
+        self.reported_snapshot = get_registry().snapshot()
+        return self.reported_snapshot
+
     def handle(self, command: str, payload: Any) -> tuple[str, Any]:
         """Execute one command; every failure comes back as ``("error", …)``."""
         try:
@@ -1440,16 +1449,16 @@ class ShardWorkerCore:
             finished = runtime.serve_burst(jobs)
             results = self._take_results(finished)
             self._checkpoint()
-            return ("results", (results, get_registry().snapshot()))
+            return ("results", (results, self._snapshot()))
         if command == "drain":
             results = self._take_results(runtime.drain())
             self._checkpoint()
-            return ("results", (results, get_registry().snapshot()))
+            return ("results", (results, self._snapshot()))
         if command == "poll":
             results = self._take_results(runtime.poll())
             if results:
                 self._checkpoint()
-            return ("results", (results, get_registry().snapshot()))
+            return ("results", (results, self._snapshot()))
         if command == "restore":
             return self._restore(payload)
         if command == "checkpoint":
@@ -1465,7 +1474,7 @@ class ShardWorkerCore:
                 runtime, directory, self._pending, self._incarnation
             )
             results = self._take_results([])
-            return ("checkpointed", (blob, results, get_registry().snapshot()))
+            return ("checkpointed", (blob, results, self._snapshot()))
         if command == "disconnect":
             state = runtime.disconnect_job(payload)
             self._checkpoint()
@@ -1492,7 +1501,7 @@ class ShardWorkerCore:
                     "disconnected_jobs": runtime.disconnected_jobs(),
                     "pending_window_ciphertexts": runtime.scheduler.pending_ciphertexts(),
                     "restored_jobs": self.restored_jobs,
-                    "metrics": get_registry().snapshot(),
+                    "metrics": self._snapshot(),
                 },
             )
         if command == "stop":
@@ -1532,7 +1541,7 @@ class ShardWorkerCore:
         finished = self.runtime.serve_burst(jobs) if jobs else []
         results = self._take_results(finished)
         self._checkpoint()
-        return ("restored", (resumed_ids, results, get_registry().snapshot()))
+        return ("restored", (resumed_ids, results, self._snapshot()))
 
 
 @dataclass
@@ -2140,7 +2149,7 @@ class ShardedRuntime(ShardDriver):
     socketpair (:func:`repro.fabric.agent.fork_local_agent`), driven through
     :class:`~repro.fabric.control.TcpLink` like any remote agent, so a local
     shard has the HELLO version check, heartbeats and streamed METRICS too.
-    Every shard is forked before the first link starts its loop thread.
+    Every shard is forked before the first link starts its reader thread.
     With a *checkpoint_dir*, every worker persists its open decrypt windows
     there and :meth:`restart_shard` resumes them; without one it recomputes.
     """

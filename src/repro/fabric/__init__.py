@@ -8,9 +8,11 @@ boundary, between the driver and a worker.  Each **agent**
 runs — and :class:`~repro.fabric.control.TcpLink` is the driver's one link
 to it: the versioned CONTROL frame family of :mod:`repro.twopc.wire` (HELLO
 handshake, seq-tagged COMMAND/REPLY, HEARTBEAT beacons on silence,
-streamed METRICS snapshots) over one stream socket — a TCP connection, or
-a socketpair to an agent forked in this box — whose frames carry a CRC32;
-the stream itself does the delivering.
+streamed METRICS snapshots) over one blocking stream socket — a TCP
+connection, or a socketpair to an agent forked in this box — whose frames
+carry a CRC32; the stream itself does the delivering.  Neither end runs an
+event loop: the link is the caller's thread plus one reader thread, the
+agent one single-threaded loop.
 Routing, registration replay, crash recovery, live migration
 (:meth:`~repro.core.runtime.ShardDriver.migrate`: checkpoint the open
 decrypt windows on host A, restore them bit-identically on host B, redirect

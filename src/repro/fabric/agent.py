@@ -17,20 +17,22 @@ fails its CRC32 ends the connection.  It reaches its parent one of two ways:
 Lifecycle: the parent's HELLO delivers the scheduler spec, the fabric
 incarnation and the intervals (the agent checks them and builds its core
 only then — the parent owns serving policy; a malformed spec or interval is
-refused with BYE and no core is built), after which two tasks share the
-single connection: the *command loop* turns COMMANDs into REPLYs one at a
-time, and *housekeeping* sleeps until something is due or a command was
-handled.  What can be due: an aged decrypt window to fire, a HEARTBEAT
-beacon (sent only when the agent has sent no frame for the heartbeat
-interval), the orphan check, and — only while the serving registry is
-*dirty*, i.e. after a command or a fired window — a cumulative metrics
-snapshot, taken at most once per metrics interval and sent as METRICS only
-when it differs from the last one pushed (the first always goes out).  An
-idle agent wakes for beacons alone and takes no snapshot.  The agent
-exits when the parent says BYE (or ``stop``), when the connection dies, or
-when the parent stays silent past its advertised timeout — an orphaned
-agent never lingers.  A read deadline that passes is only silence; the
-command loop keeps reading and the housekeeping clock judges the parent.
+refused with BYE and no core is built), after which one single-threaded
+loop serves the connection over a blocking
+:class:`~repro.twopc.transport.TcpTransport`.  Each pass does the
+*housekeeping* that is due, then waits on the socket until the next
+deadline or until it has turned one COMMAND into its REPLY.  What can be
+due: an aged decrypt window to fire, a HEARTBEAT beacon (sent only when
+the agent has sent no frame for the heartbeat interval), the orphan check,
+and — only while the serving registry is *dirty*, i.e. after a command or
+a fired window — a cumulative metrics snapshot, taken at most once per
+metrics interval and sent as METRICS only when it differs from the last
+one the agent reported, on a push or on a results or stats reply (the
+first always goes out).  An idle agent wakes for beacons alone and takes
+no snapshot.  The agent exits when the parent says BYE (or ``stop``),
+when the connection dies, or when the parent stays silent past its
+advertised timeout — an orphaned agent never lingers.  A read deadline
+that passes is only silence: the loop does its housekeeping and reads on.
 
 With ``--checkpoint-dir``, open windows are synced to the agent's own
 append-only :class:`~repro.core.runtime.ShardCheckpointLog` at every burst
@@ -42,7 +44,6 @@ migration ships them to a *different* agent via ``checkpoint``/``restore``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import math
 import numbers
 import os
@@ -56,7 +57,7 @@ import weakref
 from dataclasses import dataclass
 
 from repro.core.runtime import FileSessionStore, ShardWorkerCore, checked_scheduler_spec
-from repro.exceptions import ProtocolError, TransportClosedError, TransportTimeoutError
+from repro.exceptions import ProtocolError, TransportTimeoutError
 from repro.fabric.control import (
     CONTROL_PARTIES,
     HEARTBEAT_INTERVAL_SECONDS,
@@ -64,7 +65,7 @@ from repro.fabric.control import (
     unpack_control,
 )
 from repro.obs import MetricsRegistry, SpanTracer, get_registry, scoped_registry, set_registry, set_tracer
-from repro.twopc.transport import AsyncTcpTransport
+from repro.twopc.transport import TcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
 #: Shortest housekeeping sleep toward a window deadline.
@@ -95,8 +96,8 @@ def _checked_intervals(hello: dict) -> tuple[float, float, float]:
     return float(heartbeat), float(metrics), float(parent)
 
 
-async def _serve_connection(
-    link: AsyncTcpTransport,
+def _serve_connection(
+    link: TcpTransport,
     checkpoint_dir: str | None,
     shard_index: int,
 ) -> None:
@@ -106,17 +107,17 @@ async def _serve_connection(
     passed deadline is only silence.
     """
     try:
-        verb, hello = unpack_control(await link.receive("agent"))
+        verb, hello = unpack_control(link.receive("agent"))
     except ProtocolError:
         return
     if verb != ControlVerb.HELLO:
-        await link.send(
+        link.send(
             "agent",
             pack_control(ControlVerb.BYE, {"error": "expected HELLO first"}),
         )
         return
     if hello.get("version") != CONTROL_VERSION:
-        await link.send(
+        link.send(
             "agent",
             pack_control(
                 ControlVerb.BYE,
@@ -132,14 +133,14 @@ async def _serve_connection(
     try:
         checked_scheduler_spec(hello.get("scheduler_spec"))
     except ProtocolError as error:
-        await link.send(
+        link.send(
             "agent", pack_control(ControlVerb.BYE, {"error": f"bad scheduler spec: {error}"})
         )
         return
     try:
-        heartbeat_interval, metrics_interval, parent_timeout = _checked_intervals(hello)
+        intervals = _checked_intervals(hello)
     except ProtocolError as error:
-        await link.send(
+        link.send(
             "agent", pack_control(ControlVerb.BYE, {"error": f"bad intervals: {error}"})
         )
         return
@@ -150,7 +151,7 @@ async def _serve_connection(
         shard_index=shard_index,
         incarnation=hello.get("incarnation", ""),
     )
-    await link.send(
+    link.send(
         "agent",
         pack_control(
             ControlVerb.HELLO,
@@ -162,127 +163,105 @@ async def _serve_connection(
             },
         ),
     )
-    stop = asyncio.Event()
-    handled = asyncio.Event()  # the command loop handled a command
-    last_parent = [time.monotonic()]
-    last_sent = [time.monotonic()]
+    try:
+        _serve_commands(link, core, *intervals)
+    except ProtocolError:
+        return  # the parent hung up, or sent a frame that failed its checks
 
-    async def send(verb: int, body) -> None:
-        await link.send("agent", pack_control(verb, body))
-        last_sent[0] = time.monotonic()
 
-    async def command_loop() -> None:
-        try:
-            while not stop.is_set():
-                try:
-                    raw = await link.receive("agent")
-                except TransportTimeoutError:
-                    continue
-                last_parent[0] = time.monotonic()
-                verb, body = unpack_control(raw)
-                if verb == ControlVerb.BYE:
-                    return
-                if verb == ControlVerb.HEARTBEAT:
-                    continue
-                if verb != ControlVerb.COMMAND:
-                    continue
+def _serve_commands(
+    link: TcpTransport,
+    core: ShardWorkerCore,
+    heartbeat_interval: float,
+    metrics_interval: float,
+    parent_timeout: float,
+) -> None:
+    """The agent's one loop: housekeeping, then wait for a command or a deadline.
+
+    Housekeeping runs once per wake-up: it judges the parent, beacons,
+    pushes metrics and fires an aged window when each is due, and sets the
+    next deadline.  The wait that follows ends at that deadline or after a
+    COMMAND is answered; a HEARTBEAT only refreshes the orphan clock.
+    """
+    last_parent = last_sent = time.monotonic()
+    next_metrics = 0.0
+    # Only commands and fired windows write the serving registry (the link
+    # counts under a scratch one), so a clean registry needs no snapshot.
+    # The first snapshot always goes out.
+    dirty = True
+
+    def send(verb: int, body) -> None:
+        nonlocal last_sent
+        link.send("agent", pack_control(verb, body))
+        last_sent = time.monotonic()
+
+    while True:
+        now = time.monotonic()
+        if now - last_parent >= parent_timeout:
+            return  # orphaned: the parent stopped talking entirely
+        if now - last_sent >= heartbeat_interval:
+            send(ControlVerb.HEARTBEAT, {})
+        metrics_due = metrics_interval > 0 and dirty and not core.quiesced
+        if metrics_due and now >= next_metrics:
+            # Streamed scrape: cumulative snapshot, so a lost push costs
+            # freshness, never correctness — and one the parent already
+            # holds, from a reply or a push, tells it nothing.
+            snapshot = get_registry().snapshot()
+            if snapshot != core.reported_snapshot:
+                send(ControlVerb.METRICS, {"metrics": snapshot})
+                core.reported_snapshot = snapshot
+            dirty = metrics_due = False
+            next_metrics = now + metrics_interval
+        window = core.next_timeout()
+        if window is not None and window <= 0:
+            core.idle_tick()
+            dirty = True
+        due = [last_sent + heartbeat_interval, last_parent + parent_timeout]
+        if window is not None:
+            due.append(now + max(window, _WINDOW_FLOOR_SECONDS))
+        if metrics_due:
+            due.append(next_metrics)
+        deadline = min(due)
+        while True:
+            try:
+                raw = link.receive("agent", max(0.0, deadline - time.monotonic()))
+            except TransportTimeoutError:
+                break
+            last_parent = time.monotonic()
+            verb, body = unpack_control(raw)
+            if verb == ControlVerb.BYE:
+                return
+            if verb == ControlVerb.COMMAND:
                 reply = core.handle(body["command"], body["payload"])
-                await send(ControlVerb.REPLY, (body["seq"], reply))
-                handled.set()
+                send(ControlVerb.REPLY, (body["seq"], reply))
                 if body["command"] == "stop":
                     return
-        except TransportClosedError:
-            return  # the parent hung up: no one is left to serve
-        finally:
-            stop.set()
-
-    async def housekeeping() -> None:
-        next_metrics = 0.0
-        pushed = None  # the last snapshot this agent pushed
-        # Only commands and fired windows write the serving registry (the
-        # link counts under a scratch one), so a clean registry needs no
-        # snapshot.  The first snapshot always goes out.
-        dirty = True
-        try:
-            while not stop.is_set():
-                now = time.monotonic()
-                if now - last_parent[0] >= parent_timeout:
-                    return  # orphaned: the parent stopped talking entirely
-                if now - last_sent[0] >= heartbeat_interval:
-                    await send(ControlVerb.HEARTBEAT, {})
-                metrics_due = metrics_interval > 0 and dirty and not core.quiesced
-                if metrics_due and now >= next_metrics:
-                    # Streamed scrape: cumulative snapshot, so a lost push
-                    # costs freshness, never correctness — and an unchanged
-                    # one tells the parent nothing it does not hold already.
-                    snapshot = get_registry().snapshot()
-                    if snapshot != pushed:
-                        await send(ControlVerb.METRICS, {"metrics": snapshot})
-                        pushed = snapshot
-                    dirty = metrics_due = False
-                    next_metrics = now + metrics_interval
-                window = core.next_timeout()
-                if window is not None and window <= 0:
-                    core.idle_tick()
-                    dirty = True
-                due = [last_sent[0] + heartbeat_interval, last_parent[0] + parent_timeout]
-                if window is not None:
-                    due.append(now + max(window, _WINDOW_FLOOR_SECONDS))
-                if metrics_due:
-                    due.append(next_metrics)
-                try:
-                    await asyncio.wait_for(handled.wait(), max(0.0, min(due) - time.monotonic()))
-                except asyncio.TimeoutError:
-                    continue
-                handled.clear()
                 dirty = True
-        except TransportClosedError:
-            return
-        finally:
-            stop.set()
-
-    commands = asyncio.ensure_future(command_loop())
-    chores = asyncio.ensure_future(housekeeping())
-    await stop.wait()
-    for task in (commands, chores):
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, ProtocolError):
-            pass
+                break
+            # HEARTBEAT (or a verb this build ignores): keep waiting.
 
 
-async def _serve_streams(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    checkpoint_dir: str | None,
-    shard_index: int,
-) -> None:
-    """Serve one parent over one connected stream, then close it."""
+def _serve_socket(sock: socket.socket, checkpoint_dir: str | None, shard_index: int) -> None:
+    """Serve one parent over one connected stream socket, then close it."""
     # The control link's own accounting must not pollute the serving
     # registry: agent snapshots have to merge with an in-process serving
     # run's, which never sees a control channel.  Instruments bind at
     # construction, so building the link under a scratch registry keeps the
     # control plane's frame counters out of the serving series.
     with scoped_registry(MetricsRegistry()):
-        link = AsyncTcpTransport(
-            reader,
-            writer,
+        link = TcpTransport(
+            sock,
             local_party="agent",
             parties=CONTROL_PARTIES,
             name=f"agent[{shard_index}]",
         )
     try:
-        await _serve_connection(link, checkpoint_dir, shard_index)
+        _serve_connection(link, checkpoint_dir, shard_index)
     finally:
-        await link.aclose()
+        link.close()
 
 
-async def _serve_socket(sock: socket.socket, checkpoint_dir, shard_index: int) -> None:
-    await _serve_streams(*await asyncio.open_connection(sock=sock), checkpoint_dir, shard_index)
-
-
-async def serve(
+def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     checkpoint_dir: str | None = None,
@@ -290,25 +269,14 @@ async def serve(
     announce=None,
 ) -> None:
     """Bind, announce ``PORT <n>``, serve one parent connection, exit."""
-    done = asyncio.Event()
-
-    async def handler(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        try:
-            await _serve_streams(reader, writer, checkpoint_dir, shard_index)
-        finally:
-            done.set()
-
-    server = await asyncio.start_server(handler, host, port)
-    print(
-        f"PORT {AsyncTcpTransport.bound_port(server)}",
-        file=announce or sys.stdout,
-        flush=True,
-    )
-    try:
-        await done.wait()
-    finally:
-        server.close()
-        await server.wait_closed()
+    with socket.create_server((host, port)) as server:
+        print(
+            f"PORT {server.getsockname()[1]}",
+            file=announce or sys.stdout,
+            flush=True,
+        )
+        connection, _ = server.accept()
+    _serve_socket(connection, checkpoint_dir, shard_index)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,13 +301,11 @@ def main(argv: list[str] | None = None) -> int:
     # snapshots merge cleanly with in-box worker snapshots.
     set_registry(MetricsRegistry())
     set_tracer(SpanTracer())
-    asyncio.run(
-        serve(
-            host=args.host,
-            port=args.port,
-            checkpoint_dir=args.checkpoint_dir,
-            shard_index=args.shard_index,
-        )
+    serve(
+        host=args.host,
+        port=args.port,
+        checkpoint_dir=args.checkpoint_dir,
+        shard_index=args.shard_index,
     )
     return 0
 
@@ -464,9 +430,10 @@ def fork_local_agent(shard_index: int = 0, checkpoint_dir=None) -> LocalAgent:
     where ``python -m repro.fabric`` pays an interpreter start; from there it
     serves exactly as that agent does, under a fresh registry and tracer
     (it would otherwise re-report every count the parent made before the
-    fork).  It runs only its own new event loop, so the parent's link
-    threads, alive or not when it forks, have nothing it uses; it closes its
-    copies of the other agents' parent ends, and ends with ``os._exit``.
+    fork).  It serves on the calling thread alone and builds its own
+    transport, so the parent's link threads, alive or not when it forks,
+    have nothing it uses; it closes its copies of the other agents' parent
+    ends, and ends with ``os._exit``.
     """
     parent_end, child_end = socket.socketpair()
     pid = os.fork()
@@ -478,7 +445,7 @@ def fork_local_agent(shard_index: int = 0, checkpoint_dir=None) -> LocalAgent:
                 inherited.close()
             set_registry(MetricsRegistry())
             set_tracer(SpanTracer())
-            asyncio.run(_serve_socket(child_end, checkpoint_dir, shard_index))
+            _serve_socket(child_end, checkpoint_dir, shard_index)
             status = 0
         except BaseException:  # noqa: BLE001 — report, then leave without unwinding
             traceback.print_exc()

@@ -12,11 +12,14 @@ parent<->agent link is a trusted deployment channel, so rich registration
 payloads (protocols, setups) ride whole.
 
 The channel stack is ``ControlFrame`` directly over
-:class:`~repro.twopc.transport.AsyncTcpTransport` on one stream socket (a
-TCP connection, or one end of a socketpair): the stream delivers each frame
-once and in order, and a frame whose CRC32 does not verify ends the link,
-which then recovers the way any dead worker does (``attach_replacement``).
-A read deadline that passes is silence, not failure.
+:class:`~repro.twopc.transport.TcpTransport` on one blocking stream socket
+(a TCP connection, or one end of a socketpair): the stream delivers each
+frame once and in order, and a frame whose CRC32 does not verify ends the
+link, which then recovers the way any dead worker does
+(``attach_replacement``).  A read deadline that passes is silence, not
+failure.  There is no event loop at either end: the parent writes each
+command from the caller's thread and reads on one plain thread per link,
+and the agent serves one single-threaded loop.
 
 Health and telemetry ride the same link.  Either end sends a HEARTBEAT
 beacon only on silence: when it has sent no frame for ``heartbeat_interval``
@@ -24,16 +27,16 @@ beacon only on silence: when it has sent no frame for ``heartbeat_interval``
 so a link that carries commands carries no beacons.  Agents take a
 cumulative metrics snapshot at most once per metrics interval, and only
 after a command or a fired window changed their serving registry, sending
-it as METRICS only when it changed since their last push; the link keeps
-only the *latest* snapshot, which is all the driver's replace-latest/
-fold-once aggregation needs, so an unsent duplicate loses nothing.  An
-agent that stays silent past ``heartbeat_timeout`` (and has no command in
-flight — a shard deep in a decrypt burst is busy, not dead) is evicted.
+it as METRICS only when it differs from the last snapshot they reported —
+pushed, or carried on a results or stats reply; the link keeps only the
+*latest* snapshot, which is all the driver's replace-latest/fold-once
+aggregation needs, so an unsent duplicate loses nothing.  An agent that
+stays silent past ``heartbeat_timeout`` (and has no command in flight — a
+shard deep in a decrypt burst is busy, not dead) is evicted.
 """
 
 from __future__ import annotations
 
-import asyncio
 import numbers
 import pickle
 import queue
@@ -43,7 +46,7 @@ from typing import Any
 
 from repro.core.runtime import ShardDriver
 from repro.exceptions import ProtocolError, TransportTimeoutError, WireFormatError
-from repro.twopc.transport import AsyncTcpTransport
+from repro.twopc.transport import TcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, WireCodec
 
 #: Parties of every control link: the fabric parent dials, the agent serves.
@@ -110,13 +113,17 @@ class TcpLink:
     *index* (its checkpoint log is keyed by that shard index, so a
     replacement could never find its predecessor's).
 
-    Network plumbing lives on a private asyncio loop thread: a reader task
-    that routes every inbound frame, and a keepalive task that wakes only
-    when a beacon or the eviction check is due.  A beacon goes out only
-    after ``heartbeat_interval`` (default 2.5 s) in which the link sent
-    nothing; an interval that is not above zero and below
-    ``heartbeat_timeout`` is refused at construction.  The public surface
-    is synchronous and is called from the driver's thread.
+    The caller's thread packs each command and writes it whole under a send
+    lock.  One plain reader thread per link routes every inbound frame in
+    stream order and keeps the liveness deadlines between frames: it waits
+    for the socket to turn readable only until a beacon or the eviction
+    check is due.  A beacon goes out only after ``heartbeat_interval``
+    (default 2.5 s) in which the link sent nothing, and never waits for the
+    send lock — a send in progress means the link is not silent — so the
+    reader keeps draining replies while a large command is being written.
+    An interval that is not above zero and below ``heartbeat_timeout`` is
+    refused at construction.  The public surface is synchronous and is
+    called from the driver's thread.
     """
 
     def __init__(
@@ -140,21 +147,18 @@ class TcpLink:
         self.index = index
         self.pid: int | None = None
         self.metrics: dict | None = None
-        self.transport: AsyncTcpTransport | None = None
+        self.transport: TcpTransport | None = None
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._failure: BaseException | None = None
         self._replies: queue.SimpleQueue = queue.SimpleQueue()
-        # Loop-thread state: commands sent, replies read, last frame heard.
+        # Commands sent (caller's thread), replies read, last frame heard
+        # (reader thread), last frame sent (either, under the send lock).
+        self._send_lock = threading.Lock()
         self._next_seq = 0
         self._next_reply = 0
         self._last_seen = self._last_sent = time.monotonic()
-        self._tasks: list[asyncio.Task] = []
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name=f"fabric-link[{index}]", daemon=True
-        )
-        self._thread.start()
+        self._thread: threading.Thread | None = None
         #: The forked child behind a socket endpoint (``None`` for a dialed one).
         self.agent = endpoint if hasattr(endpoint, "socket") else None
         if self.agent is not None:
@@ -173,47 +177,36 @@ class TcpLink:
             "parent_timeout": max(heartbeat_timeout * 4, 60.0),
         }
         try:
-            self._call(self._handshake(host, port, hello))
+            self._handshake(host, port, hello)
         except BaseException:
             self.close()
             raise
+        self._thread = threading.Thread(
+            target=self._reader, name=f"fabric-link[{index}]", daemon=True
+        )
+        self._thread.start()
 
     @property
     def alive(self) -> bool:
         return self._failure is None
 
-    # -- loop plumbing -------------------------------------------------------
-    def _call(self, coro, timeout: float = REQUEST_TIMEOUT_SECONDS):
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(timeout)
-        except TimeoutError:
-            future.cancel()
-            raise ProtocolError(
-                f"agent {self.index}: control operation timed out after {timeout:.0f}s"
-            ) from None
-
-    async def _handshake(self, host: str | None, port: int | None, hello: dict) -> None:
+    def _handshake(self, host: str | None, port: int | None, hello: dict) -> None:
         index = self.index
         where = (
             f"agent at {host}:{port}" if self.agent is None else f"forked agent {self.agent.pid}"
         )
-        self.transport = await asyncio.wait_for(
-            AsyncTcpTransport.connect(
-                host,
-                port,
-                local_party="parent",
-                parties=CONTROL_PARTIES,
-                name=f"fabric[{index}]",
-                timeout=CONNECT_TIMEOUT_SECONDS,
-                sock=None if self.agent is None else self.agent.socket,
-            ),
-            CONNECT_TIMEOUT_SECONDS,
+        options = dict(
+            local_party="parent",
+            parties=CONTROL_PARTIES,
+            name=f"fabric[{index}]",
+            timeout=CONNECT_TIMEOUT_SECONDS,
         )
-        await self._send(pack_control(ControlVerb.HELLO, hello))
-        verb, body = unpack_control(
-            await self.transport.receive("parent", timeout_seconds=CONNECT_TIMEOUT_SECONDS)
-        )
+        if self.agent is None:
+            self.transport = TcpTransport.connect(host, port, **options)
+        else:
+            self.transport = TcpTransport(self.agent.socket, **options)
+        self._send(pack_control(ControlVerb.HELLO, hello))
+        verb, body = unpack_control(self.transport.receive("parent"))
         if verb == ControlVerb.BYE:
             raise ProtocolError(
                 f"{where} refused registration: "
@@ -235,21 +228,49 @@ class TcpLink:
             )
         self.pid = body.get("pid")
         self._last_seen = time.monotonic()
-        self._tasks = [
-            asyncio.ensure_future(self._reader()),
-            asyncio.ensure_future(self._keepalive()),
-        ]
 
-    async def _reader(self) -> None:
-        """Route every inbound frame (the only ``receive`` caller after HELLO).
+    def _send(self, frame: bytes) -> None:
+        """Write one frame; the caller holds the send lock (or is the only thread)."""
+        self.transport.send("parent", frame)
+        self._last_sent = time.monotonic()
 
-        A read deadline that passes is silence: a shard deep in a long
-        decrypt sends nothing, and judging silence is the keepalive's job.
+    def _reader(self) -> None:
+        """Route every inbound frame and keep the liveness deadlines.
+
+        A beacon tells an idle agent its parent is still there (it exits
+        once the parent stays silent past its advertised timeout), so it
+        goes out only when the link has sent nothing for
+        ``heartbeat_interval``.  An agent that has said nothing for
+        ``heartbeat_timeout`` is evicted — unless a command is in flight,
+        because a shard mid-burst is compute-bound, not gone.  Between
+        frames the thread waits until the earlier of the two is due: a
+        read deadline that passes is silence, never failure.
         """
+        beacon = pack_control(ControlVerb.HEARTBEAT, {})
+        interval, timeout = self._heartbeat_interval, self._heartbeat_timeout
         try:
             while True:
+                now = time.monotonic()
+                wait = interval  # a command in flight: no beacon, no eviction
+                if self._next_seq == self._next_reply:
+                    silent = now - self._last_seen
+                    if silent >= timeout:
+                        raise ProtocolError(
+                            f"agent {self.index} unheard from for {silent:.1f}s "
+                            f"(timeout {timeout}s)"
+                        )
+                    if now - self._last_sent >= interval and self._send_lock.acquire(
+                        blocking=False
+                    ):
+                        try:
+                            self._send(beacon)
+                        finally:
+                            self._send_lock.release()
+                    due = min(self._last_sent + interval, self._last_seen + timeout)
+                    if due > now:  # else a send in progress took the beacon's place
+                        wait = due - now
                 try:
-                    raw = await self.transport.receive("parent")
+                    raw = self.transport.receive("parent", timeout_seconds=wait)
                 except TransportTimeoutError:
                     continue
                 verb, body = unpack_control(raw)
@@ -268,77 +289,39 @@ class TcpLink:
                 elif verb == ControlVerb.BYE:
                     raise ProtocolError("agent said BYE")
                 # HEARTBEAT: last_seen is the whole message.
-        except asyncio.CancelledError:
-            raise
         except BaseException as error:  # noqa: BLE001 — any reader death ends the link
             self._fail(error)
 
     def _fail(self, error: BaseException) -> None:
-        """Mark the link dead (loop thread) and wake whoever waits on it."""
+        """Mark the link dead and wake whoever waits on or writes to it.
+
+        The socket is shut down, not closed: a thread still blocked on it
+        wakes, and its descriptor stays ours until :meth:`close` joins the
+        reader.
+        """
         if self._failure is None:
             self._failure = error
             self._replies.put(None)
             if self.transport is not None:
-                self.transport.close()
-
-    async def _send(self, frame: bytes) -> None:
-        await self.transport.send("parent", frame)
-        self._last_sent = time.monotonic()
-
-    async def _keepalive(self) -> None:
-        """Parent-side heartbeats out, liveness policy in.
-
-        A beacon tells an idle agent its parent is still there (it exits
-        once the parent stays silent past its advertised timeout), so it
-        goes out only when the link has sent nothing for
-        ``heartbeat_interval``.  The timeout check evicts an agent that has
-        said nothing for ``heartbeat_timeout`` — unless a command is in
-        flight, because a shard mid-burst is compute-bound, not gone.  The
-        task sleeps until the earlier of the two is due.
-        """
-        beacon = pack_control(ControlVerb.HEARTBEAT, {})
-        interval, timeout = self._heartbeat_interval, self._heartbeat_timeout
-        while self._failure is None:
-            if self._next_seq != self._next_reply:
-                await asyncio.sleep(interval)
-                continue
-            now = time.monotonic()
-            silent = now - self._last_seen
-            if silent >= timeout:
-                self._fail(
-                    ProtocolError(
-                        f"agent {self.index} unheard from for {silent:.1f}s (timeout {timeout}s)"
-                    )
-                )
-                return
-            if now - self._last_sent >= interval:
-                try:
-                    await self._send(beacon)
-                except ProtocolError as error:
-                    self._fail(error)
-                    return
-            due = min(self._last_sent + interval, self._last_seen + timeout)
-            await asyncio.sleep(max(0.0, due - time.monotonic()))
+                self.transport.shutdown()
 
     # -- the WorkerLink surface ----------------------------------------------
     def post(self, command: str, payload: Any) -> None:
-        self._call(self._send_command(command, payload))
-
-    async def _send_command(self, command: str, payload: Any) -> None:
-        if self._failure is not None:
-            raise ProtocolError(f"agent {self.index} is gone: {self._failure}")
-        seq = self._next_seq
-        self._next_seq += 1
-        try:
-            await self._send(
-                pack_control(
-                    ControlVerb.COMMAND,
-                    {"seq": seq, "command": command, "payload": payload},
+        with self._send_lock:
+            if self._failure is not None:
+                raise ProtocolError(f"agent {self.index} is gone: {self._failure}")
+            seq = self._next_seq
+            self._next_seq += 1
+            try:
+                self._send(
+                    pack_control(
+                        ControlVerb.COMMAND,
+                        {"seq": seq, "command": command, "payload": payload},
+                    )
                 )
-            )
-        except ProtocolError as error:
-            self._fail(error)
-            raise
+            except ProtocolError as error:
+                self._fail(error)
+                raise
 
     def wait(self) -> tuple[str, Any]:
         try:
@@ -353,31 +336,26 @@ class TcpLink:
         return reply
 
     def close(self) -> None:
-        """Say BYE (the agent exits on it), stop the loop thread, reap a forked agent."""
-        if self._thread.is_alive():
+        """Say BYE (the agent exits on it), stop the reader, reap a forked agent."""
+        if (
+            self._failure is None
+            and self.transport is not None
+            and self._send_lock.acquire(timeout=5.0)
+        ):
             try:
-                self._call(self._retire(), 5.0)
+                self._send(pack_control(ControlVerb.BYE, {}))
             except ProtocolError:
-                pass  # the BYE is best-effort; the loop stops either way
-            self._loop.call_soon_threadsafe(self._loop.stop)
+                pass  # the BYE is best-effort; the link ends either way
+            finally:
+                self._send_lock.release()
+        self._fail(ProtocolError(f"agent {self.index} retired"))
+        if self._thread is not None:
             self._thread.join(timeout=10.0)
-            # run_forever has returned; a close() on a live loop would raise.
-            if not self._loop.is_running():
-                self._loop.close()
+        if self.transport is not None:
+            self.transport.close()
         if self.agent is not None:
             self.agent.socket.close()  # a child still waiting for HELLO reads EOF
             self.agent.reap()
-
-    async def _retire(self) -> None:
-        if self._failure is None:
-            try:
-                await self.transport.send("parent", pack_control(ControlVerb.BYE, {}))
-            except ProtocolError:
-                pass
-            self._fail(ProtocolError(f"agent {self.index} retired"))
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
 
 
 #: The fabric's runtime *is* the shard driver: built with :class:`TcpLink` as

@@ -9,7 +9,7 @@ provider halves multiplex across many concurrent email sessions.
 * :mod:`repro.twopc.wire` — typed, versioned protocol frames with real
   ``to_bytes``/``from_bytes`` codecs for everything that crosses parties.
 * :mod:`repro.twopc.transport` — :class:`Transport` (in-process loopback and
-  one asyncio TCP endpoint, whose frames carry a CRC32 and rely on TCP for
+  one blocking TCP endpoint, whose frames carry a CRC32 and rely on TCP for
   order and delivery) plus :class:`FramedChannel`, the typed-frame channel
   with per-party byte/message/round ledgers (the evaluation's "network
   transfers" columns).

@@ -12,9 +12,12 @@ Two implementations are provided:
 * :class:`LoopbackTransport` — an in-process FIFO.  Every protocol frame runs
   over it: one-shot drivers, tests, and the serving loop of
   :mod:`repro.core.runtime` inside each shard worker;
-* :class:`AsyncTcpTransport` — **one endpoint** of a real TCP connection
-  (asyncio streams).  Each process holds its own endpoint and its own ledger;
-  the shard fabric's control link (:mod:`repro.fabric.control`) runs over it.
+* :class:`TcpTransport` — **one endpoint** of a real TCP connection (or of
+  a socketpair) over a blocking socket.  Each process holds its own
+  endpoint and its own ledger; the shard fabric's control link
+  (:mod:`repro.fabric.control`) runs over it.  ``receive`` waits on a
+  selector, not on the socket's timeout, so one thread can read with a
+  deadline while another writes.
 
 TCP already delivers a connection's bytes once and in order, so the TCP
 endpoint adds no acks or retransmits: each frame is
@@ -33,9 +36,12 @@ protocol code sends and receives *typed frames*, the transport sees bytes.
 
 from __future__ import annotations
 
-import asyncio
+import os
+import selectors
 import socket
 import struct
+import threading
+import time
 import zlib
 from abc import ABC, abstractmethod
 from collections import deque
@@ -211,28 +217,34 @@ class LoopbackTransport(Transport):
         return pending.popleft()
 
 
-class AsyncTcpTransport(Transport):
-    """One endpoint of a real TCP connection speaking checksummed frames.
+class TcpTransport(Transport):
+    """One endpoint of a real stream connection speaking checksummed frames.
 
-    Unlike the in-process transports, which own both ends, an
-    :class:`AsyncTcpTransport` lives in one process and talks to a peer
-    endpoint across the network — the deployment arrangement of §6.3, where a
-    provider serves remote clients.  The party owning this endpoint is
+    Unlike the in-process transports, which own both ends, a
+    :class:`TcpTransport` lives in one process and talks to a peer endpoint
+    across the network — the deployment arrangement of §6.3, where a
+    provider serves remote clients.  It drives one connected blocking
+    stream socket (a TCP connection, or one end of a socketpair) and owns
+    it: :meth:`close` closes it.  The party owning this endpoint is
     ``local_party``; sends are accounted to it at :meth:`send`, and inbound
-    frames are accounted to the peer as they are assembled, so each endpoint's
-    ledger converges to the shared-transport ledger of the in-process case.
+    frames are accounted to the peer as they are assembled, so each
+    endpoint's ledger converges to the shared-transport ledger of the
+    in-process case.
 
-    ``send``/``receive`` are coroutines (the :class:`Transport` ledger
-    contract is unchanged, only the calling convention differs).  Frame
-    reassembly under arbitrary TCP segmentation is delegated to
-    :class:`FrameAssembler`.  A closed endpoint, or a peer hangup mid-frame,
-    raises :class:`~repro.exceptions.TransportClosedError`.
+    :meth:`send` writes the whole frame before it returns.  :meth:`receive`
+    waits for readability, never on the socket's own timeout, so a deadline
+    on one thread's reads leaves another thread's writes blocking; it raises
+    :class:`~repro.exceptions.TransportTimeoutError` when its deadline
+    passes (a partial frame stays buffered for the next call).  One thread
+    may send while another receives — their ledger updates share one lock
+    — but concurrent senders must serialise their sends themselves.  A
+    closed or shut-down endpoint, or a peer hangup, raises
+    :class:`~repro.exceptions.TransportClosedError`.
     """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        sock: socket.socket,
         local_party: str = "client",
         parties: tuple[str, str] = ("client", "provider"),
         name: str = "tcp",
@@ -242,33 +254,35 @@ class AsyncTcpTransport(Transport):
         self._check_party(local_party)
         self.local_party = local_party
         self.timeout = timeout
-        self._reader = reader
-        self._writer = writer
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Each frame reaches the kernel whole: send it without waiting for an ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(sock, selectors.EVENT_READ)
         self._assembler = FrameAssembler()
         self._inbound: deque[bytes] = deque()
         self._closed = False
 
-    # -- connection establishment -------------------------------------------
     @classmethod
-    async def connect(
+    def connect(
         cls,
-        host: str | None,
-        port: int | None,
+        host: str,
+        port: int,
         local_party: str = "client",
         parties: tuple[str, str] = ("client", "provider"),
         name: str = "tcp-client",
         timeout: float = 30.0,
-        sock: socket.socket | None = None,
-    ) -> "AsyncTcpTransport":
-        """Dial a serving endpoint (or adopt the connected *sock*) and return
-        this side's transport."""
-        reader, writer = await asyncio.open_connection(host, port, sock=sock)
-        return cls(reader, writer, local_party, parties, name, timeout)
-
-    @staticmethod
-    def bound_port(server: asyncio.base_events.Server) -> int:
-        """The port a server actually bound (for ``port=0`` OS assignment)."""
-        return server.sockets[0].getsockname()[1]
+    ) -> "TcpTransport":
+        """Dial a serving endpoint (within *timeout*) and return this side's transport."""
+        try:
+            sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as error:
+            raise TransportClosedError(
+                f"transport {name!r} could not reach {host}:{port}: {error}"
+            ) from error
+        sock.settimeout(None)
+        return cls(sock, local_party, parties, name, timeout)
 
     def _local_only(self, party: str) -> None:
         self._check_party(party)
@@ -278,35 +292,45 @@ class AsyncTcpTransport(Transport):
                 f"{party!r} lives across the network"
             )
 
-    # -- byte movement (async) ----------------------------------------------
-    async def send(self, sender: str, data: bytes) -> int:
+    #: One lock for every endpoint's ledger: a sending and a reading thread
+    #: update one endpoint's ledger, and every endpoint's updates land in
+    #: the same process-wide registry counters.
+    _ledger_lock = threading.Lock()
+
+    def _account(self, sender: str, size: int) -> None:
+        with self._ledger_lock:
+            super()._account(sender, size)
+
+    # -- byte movement --------------------------------------------------------
+    def send(self, sender: str, data: bytes) -> int:
         self._local_only(sender)
         if self._closed:
             raise TransportClosedError(f"transport {self.name!r} is closed")
         self._account(sender, len(data))
-        self._writer.write(encode_frame(data))
         try:
-            await self._writer.drain()
-        except (ConnectionError, OSError) as error:
+            self._sock.sendall(encode_frame(data))
+        except OSError as error:
             raise TransportClosedError(
                 f"transport {self.name!r} peer went away while sending: {error}"
             ) from error
         return len(data)
 
-    async def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
+    def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
         self._local_only(receiver)
         peer = self.peer_of(receiver)
-        deadline = timeout_seconds if timeout_seconds is not None else self.timeout
+        deadline = time.monotonic() + (
+            timeout_seconds if timeout_seconds is not None else self.timeout
+        )
         while not self._inbound:
             if self._closed:
                 raise TransportClosedError(f"transport {self.name!r} is closed")
-            try:
-                chunk = await asyncio.wait_for(self._reader.read(65536), deadline)
-            except asyncio.TimeoutError as timeout:
+            if not self._selector.select(max(0.0, deadline - time.monotonic())):
                 raise TransportTimeoutError(
                     f"timed out waiting for a frame for {receiver!r} on {self.name!r}"
-                ) from timeout
-            except (ConnectionError, OSError) as error:
+                )
+            try:
+                chunk = self._sock.recv(65536)
+            except OSError as error:
                 raise TransportClosedError(
                     f"transport {self.name!r} connection failed: {error}"
                 ) from error
@@ -321,25 +345,32 @@ class AsyncTcpTransport(Transport):
                 self._inbound.append(frame)
         return self._inbound.popleft()
 
-    async def aclose(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def shutdown(self) -> None:
+        """End the connection but keep the descriptor: a thread blocked in
+        :meth:`send` or :meth:`receive` wakes with
+        :class:`~repro.exceptions.TransportClosedError`, and no other file
+        can take the descriptor's number while it might still use it."""
         try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
 
     def close(self) -> None:
-        """Synchronous best-effort close (prefer :meth:`aclose` inside a loop)."""
+        """Shut the connection down and release the socket (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        try:
-            self._writer.close()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
+        self.shutdown()
+        self._selector.close()
+        self._sock.close()
+
+
+def _new_ledger_lock() -> None:
+    # A child forked while another thread held the lock would wait forever.
+    TcpTransport._ledger_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_ledger_lock)
 
 
 class FramedChannel:

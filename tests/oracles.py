@@ -36,7 +36,7 @@ from repro.crypto.ot import make_ot_receiver, make_ot_sender
 from repro.crypto.yao import YaoEvaluatorSession, YaoGarblerSession, _check_output_to
 from repro.exceptions import CircuitError, OTError, ParameterError
 from repro.twopc.session import run_session_pair
-from repro.twopc.transport import AsyncTcpTransport, FramedChannel, LoopbackTransport
+from repro.twopc.transport import FramedChannel, LoopbackTransport, TcpTransport
 
 # -- ChaCha20, one block at a time (RFC 8439 §2.3) ------------------------------
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
@@ -327,6 +327,6 @@ def pending_frames(endpoint) -> int:
     transport = getattr(endpoint, "transport", endpoint)
     if isinstance(transport, LoopbackTransport):
         return sum(len(queue) for queue in transport._queues.values())
-    if isinstance(transport, AsyncTcpTransport):
+    if isinstance(transport, TcpTransport):
         return len(transport._inbound)
     return transport.pending()

@@ -6,8 +6,9 @@ migration — is asserted once for forked and TCP agents in
 ``test_shard_driver.py``.  These tests pin the rest of the fabric's contract:
 
 * the versioned control codec (roundtrip, foreign-version refusal, junk);
-* the deterministic metrics projection, the streamed METRICS scrape, and
-  the telemetry artifacts a real two-agent run exports;
+* the deterministic metrics projection, the streamed METRICS scrape (a
+  snapshot already on a reply is not pushed again), and the telemetry
+  artifacts a real two-agent run exports;
 * HELLO refusal of an agent launched as the wrong shard, of a HELLO
   carrying a malformed scheduler spec, and of a parent speaking control v1;
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent, and a command
@@ -17,13 +18,16 @@ migration — is asserted once for forked and TCP agents in
   sleeps between beacons and takes no snapshot, an aged window fires with
   no command, an orphaned agent exits, and a HELLO or link with an
   interval that would spin or silence the agent is refused;
+* the thread-per-link design: a large command posted while the agent
+  writes a large reply completes, ``close()`` leaves no link thread, the
+  ledger stays exact while commands and beacons interleave, and importing
+  the fabric loads no event loop;
 * mixed builds: an agent (spawned or forked) and a parent of the build that
   framed control frames with an ack/retransmit header refuse this build's
   peers at HELLO;
 * ``rebalance`` choosing the migration from streamed load.
 """
 
-import asyncio
 import functools
 import io
 import json
@@ -33,9 +37,12 @@ import pickle
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -51,9 +58,10 @@ from repro.fabric import (
     spawn_local_agent,
     unpack_control,
 )
+from repro.obs import get_registry
 from repro.obs.export import validate_chrome_trace, validate_snapshot, write_artifacts
 from repro.twopc.spam import SpamFilterProtocol
-from repro.twopc.transport import AsyncTcpTransport, FrameAssembler, encode_frame
+from repro.twopc.transport import FrameAssembler, TcpTransport, encode_frame
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, OtPublicsFrame, WireCodec
 
 from oracles import metrics_projection
@@ -134,7 +142,7 @@ def _agent_in_thread() -> tuple[threading.Thread, int]:
     and the port it announced."""
     announce = io.StringIO()
     thread = threading.Thread(
-        target=asyncio.run, args=(agent_module.serve(announce=announce),), daemon=True
+        target=agent_module.serve, kwargs={"announce": announce}, daemon=True
     )
     thread.start()
     assert _wait_until(lambda: announce.getvalue().startswith("PORT "), timeout=10.0)
@@ -253,10 +261,11 @@ class TestFabricEquivalence:
     def test_an_idle_agent_pushes_metrics_only_when_they_change(
         self, monkeypatch, spam_setup, spam_truth, kind
     ):
-        """METRICS goes out only when the snapshot differs from the agent's
-        last push: an idle agent sends its first snapshot and then nothing,
-        and one served email brings one fresh push that counts it.  A local
-        shard streams METRICS on the link's default interval (0.2 s)."""
+        """METRICS goes out only when the snapshot differs from the last one
+        the agent reported, on a push or on a reply: an idle agent sends its
+        first snapshot and then nothing, and a served email's count arrives
+        on its results reply with no push after it.  A local shard streams
+        METRICS on the link's default interval (0.2 s)."""
         pushes: list[dict] = []
         monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
         if kind == "local":
@@ -273,10 +282,9 @@ class TestFabricEquivalence:
             before = len(pushes)
             (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
             assert runtime.take_result(job_id).is_spam == spam_truth[0]
-            assert _wait_until(lambda: len(pushes) > before, timeout=10.0)
+            assert _served_total(runtime.aggregated_metrics()) == 1
             time.sleep(0.6)
-            assert len(pushes) == before + 1
-            assert _served_total(pushes[-1]) == 1
+            assert len(pushes) == before
         finally:
             runtime.close()
             _reap(agents)
@@ -583,14 +591,15 @@ class TestReadDeadlines:
         silence: the verdict arrives and nobody is evicted."""
         deadline, block = 0.3, 1.5
 
-        class ShortDeadlineTransport(AsyncTcpTransport):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.timeout = deadline
+        class ShortDeadlineTransport(TcpTransport):
+            def receive(self, receiver, timeout_seconds=None):
+                if timeout_seconds is None or timeout_seconds > deadline:
+                    timeout_seconds = deadline
+                return super().receive(receiver, timeout_seconds)
 
         # Both ends' endpoints: the parent's reader and the agent's loop.
-        monkeypatch.setattr(control, "AsyncTcpTransport", ShortDeadlineTransport)
-        monkeypatch.setattr(agent_module, "AsyncTcpTransport", ShortDeadlineTransport)
+        monkeypatch.setattr(control, "TcpTransport", ShortDeadlineTransport)
+        monkeypatch.setattr(agent_module, "TcpTransport", ShortDeadlineTransport)
         handle = ShardWorkerCore.handle
 
         def slow_handle(core, command, payload):
@@ -621,6 +630,130 @@ class TestReadDeadlines:
             runtime.close()
             thread.join(timeout=15.0)
         assert not thread.is_alive()
+
+
+class TestLinkThreads:
+    """One caller that sends and one reader thread per link, and no event loop."""
+
+    def test_a_large_command_posted_during_a_large_reply_completes(self, monkeypatch):
+        """The agent writes a multi-MiB reply while the caller writes a
+        multi-MiB command: each write waits for the other side to read, and
+        only the link's reader thread, which never waits on the send lock,
+        can drain the reply.  Both replies arrive in bounded time."""
+        size = 8 * 1024 * 1024
+        handle = ShardWorkerCore.handle
+
+        def echo_handle(core, command, payload):
+            if command == "echo":
+                return ("echo", payload[::-1])
+            return handle(core, command, payload)
+
+        monkeypatch.setattr(ShardWorkerCore, "handle", echo_handle)
+        agent = agent_module.fork_local_agent(shard_index=0)  # inherits the patch
+        link = TcpLink(agent, 0, (1, None), "incarnation", heartbeat_interval=0.01)
+        commands = [bytes(range(256)) * (size // 256), b"\x01\x02" * (size // 2)]
+        replies = []
+
+        def drive():
+            for payload in commands:
+                link.post("echo", payload)
+            replies.extend(link.wait() for _ in commands)
+
+        driver = threading.Thread(target=drive, daemon=True)
+        try:
+            driver.start()
+            driver.join(timeout=60.0)
+            assert not driver.is_alive(), "the link deadlocked"
+            assert replies == [("echo", payload[::-1]) for payload in commands]
+            assert link.alive
+        finally:
+            link.close()
+        assert agent.returncode == 0
+
+    @pytest.mark.parametrize("fate", ["serving", "killed"])
+    def test_close_leaves_no_link_thread(self, fate):
+        """``close()`` shuts the socket down, joins the reader, and only then
+        closes the descriptor — whether the agent is serving or dead."""
+        agent = agent_module.fork_local_agent(shard_index=3)
+        link = TcpLink(agent, 3, (1, None), "incarnation")
+        assert any(thread.name == "fabric-link[3]" for thread in threading.enumerate())
+        if fate == "killed":
+            os.kill(agent.pid, signal.SIGKILL)
+            assert _wait_until(lambda: not link.alive, timeout=10.0)
+        link.close()
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("fabric-link[")
+        ]
+        assert agent.socket.fileno() == -1
+        assert agent.returncode == (0 if fate == "serving" else -signal.SIGKILL)
+
+    def test_the_ledger_is_exact_when_commands_and_beacons_interleave(self, monkeypatch):
+        """The caller's commands, the reader's beacons and the frames it
+        reads all reach one endpoint's ledger from two threads: every frame
+        the parent sent is one the agent received, byte for byte, and the
+        registry's counters agree with the ledger."""
+        agent_ends: list[TcpTransport] = []
+
+        class RecordingTransport(TcpTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                agent_ends.append(self)
+
+        monkeypatch.setattr(agent_module, "TcpTransport", RecordingTransport)
+        registry = get_registry()
+        counters = {
+            (name, party): registry.counter(name, party=party)
+            for name in ("transport_bytes_total", "transport_frames_total")
+            for party in control.CONTROL_PARTIES
+        }
+        before = {key: counter.value for key, counter in counters.items()}
+        thread, port = _agent_in_thread()
+        link = TcpLink(
+            ("127.0.0.1", port), 0, (1, None), "incarnation",
+            heartbeat_interval=0.002, metrics_interval=0.0,
+        )
+        commands = 100
+        try:
+            for _ in range(commands):
+                link.post("stats", None)
+                assert link.wait()[0] == "stats"
+                time.sleep(0.005)  # silence enough for a beacon or two
+        finally:
+            link.close()
+            thread.join(timeout=15.0)
+        (agent_end,) = agent_ends
+        parent_end = link.transport
+        assert agent_end.messages_by_sender["parent"] == parent_end.messages_by_sender["parent"]
+        assert agent_end.bytes_by_sender["parent"] == parent_end.bytes_by_sender["parent"]
+        beacons = parent_end.messages_by_sender["parent"] - commands - 2  # HELLO, BYE
+        assert beacons > 0
+        assert parent_end.messages_by_sender["agent"] > commands  # replies and beacons
+        for (name, party), counter in counters.items():
+            ledger = (
+                parent_end.bytes_by_sender
+                if name == "transport_bytes_total"
+                else parent_end.messages_by_sender
+            )
+            assert counter.value - before[name, party] == ledger[party]
+
+    def test_importing_the_fabric_loads_no_event_loop(self):
+        """Both ends of the control link are plain sockets and threads."""
+        source = str(Path(agent_module.__file__).parents[2])  # the directory holding repro/
+        code = (
+            "import sys, repro.fabric; "
+            "loaded = sorted(name for name in sys.modules if name.startswith('asyncio')); "
+            "assert not loaded, loaded"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": source},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 def _raw_hello(**overrides) -> bytes:

@@ -2,7 +2,7 @@
 
 The in-process protocol runs use :class:`LoopbackTransport`; a deployment
 moves the same frames over TCP (§6.3).  TCP delivers a live connection's
-bytes once and in order, so over :class:`AsyncTcpTransport` a spam or topic
+bytes once and in order, so over :class:`TcpTransport` a spam or topic
 run must give *bit-identical* results and ledgers to the in-process run —
 each endpoint charging every frame's payload once, never its header.  What
 TCP cannot promise is handled by the framing and the serving stack: a frame
@@ -12,7 +12,7 @@ verdict, a peer that hangs up mid-run surfaces as
 away resumes over a fresh TCP connection with the clean run's verdict.
 """
 
-import asyncio
+import socket
 
 import pytest
 
@@ -21,8 +21,8 @@ from repro.exceptions import TransportClosedError, WireFormatError
 from repro.twopc.spam import SpamClientSession, SpamFilterProtocol
 from repro.twopc.topics import TopicExtractionProtocol
 from repro.twopc.transport import (
-    AsyncTcpTransport,
     FramedChannel,
+    TcpTransport,
     Transport,
     encode_frame,
 )
@@ -59,10 +59,12 @@ def topic_setup(bv_scheme, dh_group, small_topic_model):
 class TcpPairTransport(Transport):
     """Both parties of one localhost TCP connection behind the sync interface.
 
-    Each party owns one :class:`AsyncTcpTransport` endpoint; one private
-    event loop drives whichever end the protocol calls.  The pair keeps the
-    shared ledger a :class:`LoopbackTransport` would (charged at ``send``),
-    and each endpoint keeps its own, so the three can be compared.
+    Each party owns one :class:`TcpTransport` endpoint, and the protocol
+    drives both from its one thread: a send writes the whole frame into the
+    socket before the peer reads it, which the frames of these runs (a dozen
+    KiB at most) fit with room to spare.  The pair keeps the shared ledger a
+    :class:`LoopbackTransport` would (charged at ``send``), and each
+    endpoint keeps its own, so the three can be compared.
 
     ``tamper(index, wire)`` may rewrite the bytes of the *index*-th frame
     written (0-based, either direction); ``hangup_after`` makes the sender of
@@ -75,23 +77,11 @@ class TcpPairTransport(Transport):
         self._hangup_after = hangup_after
         self._written = 0
         self.hung_up: str | None = None
-        self._loop = asyncio.new_event_loop()
-        self._server, provider, client = self._loop.run_until_complete(self._connect())
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            client = TcpTransport.connect("127.0.0.1", server.getsockname()[1])
+            accepted, _ = server.accept()
+        provider = TcpTransport(accepted, local_party="provider")
         self.endpoints = {"client": client, "provider": provider}
-
-    @staticmethod
-    async def _connect():
-        accepted = asyncio.get_running_loop().create_future()
-
-        async def on_connect(reader, writer):
-            accepted.set_result(AsyncTcpTransport(reader, writer, local_party="provider"))
-            await asyncio.Event().wait()  # keep the connection open
-
-        server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-        client = await AsyncTcpTransport.connect(
-            "127.0.0.1", AsyncTcpTransport.bound_port(server)
-        )
-        return server, await accepted, client
 
     def send(self, sender: str, data: bytes) -> int:
         self._check_party(sender)
@@ -99,32 +89,24 @@ class TcpPairTransport(Transport):
         index, self._written = self._written, self._written + 1
         if index == self._hangup_after:
             self.hung_up = sender
-            self._loop.run_until_complete(endpoint.aclose())
+            endpoint.close()
             return len(data)
         self._account(sender, len(data))
         if self._tamper is None:
-            self._loop.run_until_complete(endpoint.send(sender, data))
+            endpoint.send(sender, data)
         else:
-            endpoint._writer.write(self._tamper(index, encode_frame(data)))
-            self._loop.run_until_complete(endpoint._writer.drain())
+            endpoint._sock.sendall(self._tamper(index, encode_frame(data)))
         return len(data)
 
     def receive(self, receiver: str) -> bytes:
-        endpoint = self.endpoints[receiver]
-        return self._loop.run_until_complete(endpoint.receive(receiver, timeout_seconds=10.0))
+        return self.endpoints[receiver].receive(receiver, timeout_seconds=10.0)
 
     def pending(self) -> int:
         return sum(pending_frames(endpoint) for endpoint in self.endpoints.values())
 
     def close(self) -> None:
-        async def shut():
-            for endpoint in self.endpoints.values():
-                await endpoint.aclose()
-            self._server.close()
-            await self._server.wait_closed()
-
-        self._loop.run_until_complete(shut())
-        self._loop.close()
+        for endpoint in self.endpoints.values():
+            endpoint.close()
 
 
 def _tcp_channel(protocol, setup, **kwargs) -> tuple[FramedChannel, TcpPairTransport]:

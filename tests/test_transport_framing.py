@@ -9,7 +9,11 @@ no per-frame state, and that a closed transport surfaces
 :class:`~repro.exceptions.TransportClosedError` rather than a raw ``OSError``.
 """
 
-import asyncio
+import contextlib
+import socket
+import sys
+import threading
+import time
 import zlib
 from collections import deque
 
@@ -23,11 +27,12 @@ from repro.exceptions import (
     WireFormatError,
 )
 from repro.fabric import pack_control, unpack_control
+from repro.obs import get_registry
 from repro.twopc.transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
-    AsyncTcpTransport,
     FrameAssembler,
+    TcpTransport,
     encode_frame,
 )
 from repro.twopc.wire import CONTROL_VERSION, ControlVerb
@@ -230,332 +235,210 @@ class TestFrameDamage:
 class TestReceiveTimeouts:
     """The optional receive deadline: silent peers raise instead of hanging."""
 
-    def test_async_receive_timeout_raises(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                with pytest.raises(TransportTimeoutError) as raised:
-                    await provider.receive("provider", timeout_seconds=0.05)
-                assert isinstance(raised.value, ProtocolError)  # subclass contract
-                # The per-call deadline does not poison the endpoint.
-                await client.send("client", b"late but fine")
-                assert await provider.receive("provider") == b"late but fine"
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
+    def test_receive_timeout_raises(self):
+        with _tcp_pair() as (provider, client):
+            with pytest.raises(TransportTimeoutError) as raised:
+                provider.receive("provider", timeout_seconds=0.05)
+            assert isinstance(raised.value, ProtocolError)  # subclass contract
+            # The per-call deadline does not poison the endpoint.
+            client.send("client", b"late but fine")
+            assert provider.receive("provider") == b"late but fine"
 
     def test_constructor_timeout_bounds_a_receive_without_deadline(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair(timeout=0.05)()
-            try:
-                with pytest.raises(TransportTimeoutError):
-                    await client.receive("client")
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
+        with _tcp_pair(timeout=0.05) as (provider, client):
+            begin = time.monotonic()
+            with pytest.raises(TransportTimeoutError):
+                client.receive("client")
+            assert time.monotonic() - begin < 5.0
 
     def test_timeout_keeps_a_partial_frame(self):
         # Half a frame arrives, the receive times out, the rest arrives: the
         # assembler's buffer survives the timeout and the frame is intact.
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                stream = _stream_of([b"split across a timeout"])
-                client._writer.write(stream[:7])
-                await client._writer.drain()
-                with pytest.raises(TransportTimeoutError):
-                    await provider.receive("provider", timeout_seconds=0.05)
-                client._writer.write(stream[7:])
-                await client._writer.drain()
-                assert await provider.receive("provider") == b"split across a timeout"
-                assert provider.messages_by_sender["client"] == 1
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
+        with _tcp_pair() as (provider, client):
+            stream = _stream_of([b"split across a timeout"])
+            client._sock.sendall(stream[:7])
+            with pytest.raises(TransportTimeoutError):
+                provider.receive("provider", timeout_seconds=0.05)
+            client._sock.sendall(stream[7:])
+            assert provider.receive("provider") == b"split across a timeout"
+            assert provider.messages_by_sender["client"] == 1
 
 
+@contextlib.contextmanager
 def _tcp_pair(**kwargs):
-    """A connected (server_transport, client_transport) pair on localhost."""
-
-    async def build():
-        accepted = asyncio.get_running_loop().create_future()
-
-        async def on_connect(reader, writer):
-            accepted.set_result(
-                AsyncTcpTransport(reader, writer, local_party="provider", name="tcp-test")
-            )
-            await asyncio.Event().wait()  # keep the connection open
-
-        server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        client = await AsyncTcpTransport.connect("127.0.0.1", port, **kwargs)
-        return server, await accepted, client
-
-    return build
+    """A connected ``(provider, client)`` endpoint pair on localhost, closed
+    on exit; *kwargs* go to the client's :meth:`TcpTransport.connect`."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = TcpTransport.connect("127.0.0.1", server.getsockname()[1], **kwargs)
+        accepted, _ = server.accept()
+    provider = TcpTransport(accepted, local_party="provider", name="tcp-test")
+    try:
+        yield provider, client
+    finally:
+        client.close()
+        provider.close()
 
 
-class TestAsyncTcpTransport:
-    def _run(self, coroutine):
-        return asyncio.run(coroutine)
+def _send_many(endpoint, party, count):
+    for _ in range(count):
+        endpoint.send(party, b"abc")
 
+
+def _receive_many(endpoint, party, count):
+    for _ in range(count):
+        assert endpoint.receive(party) == b"abc"
+
+
+def _in_thread(function, *args):
+    """Start ``function(*args)`` on a thread; the returned call joins it and
+    gives back the result (or raises what the call raised)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = function(*args)
+        except BaseException as error:  # noqa: BLE001 — re-raised on join
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def join():
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), f"{function} did not return"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return join
+
+
+class TestTcpTransport:
     def test_roundtrip_and_accounting(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await client.send("client", b"hello")
-                assert await provider.receive("provider") == b"hello"
-                await provider.send("provider", b"world!")
-                assert await client.receive("client") == b"world!"
-                # Each endpoint sees both directions in its ledger.
-                assert client.bytes_by_sender == {"client": 5, "provider": 6}
-                assert provider.bytes_by_sender == {"client": 5, "provider": 6}
-                assert client.rounds() == provider.rounds() == 2
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client.send("client", b"hello")
+            assert provider.receive("provider") == b"hello"
+            provider.send("provider", b"world!")
+            assert client.receive("client") == b"world!"
+            # Each endpoint sees both directions in its ledger.
+            assert client.bytes_by_sender == {"client": 5, "provider": 6}
+            assert provider.bytes_by_sender == {"client": 5, "provider": 6}
+            assert client.rounds() == provider.rounds() == 2
 
     def test_frames_survive_one_byte_writes(self):
-        async def scenario():
-            accepted = asyncio.get_running_loop().create_future()
-
-            async def on_connect(reader, writer):
-                accepted.set_result(
-                    AsyncTcpTransport(reader, writer, local_party="provider")
-                )
-                await asyncio.Event().wait()
-
-            server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
+        with socket.create_server(("127.0.0.1", 0)) as server:
             # A raw writer that dribbles the frame one byte at a time.
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            provider = await accepted
-            try:
-                payload = bytes(range(256)) * 3
-                for byte in encode_frame(payload):
-                    writer.write(bytes([byte]))
-                    await writer.drain()
-                assert await provider.receive("provider") == payload
-            finally:
-                writer.close()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+            writer = socket.create_connection(server.getsockname())
+            accepted, _ = server.accept()
+        provider = TcpTransport(accepted, local_party="provider")
+        try:
+            payload = bytes(range(256)) * 3
+            for byte in encode_frame(payload):
+                writer.sendall(bytes([byte]))
+            assert provider.receive("provider") == payload
+        finally:
+            writer.close()
+            provider.close()
 
     def test_one_mebibyte_frame(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            big = bytes(range(256)) * 4096  # 1 MiB
-            try:
-                send = asyncio.create_task(client.send("client", big))
-                received = await provider.receive("provider")
-                await send
-                assert received == big
-                assert provider.bytes_by_sender["client"] == len(big)
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        big = bytes(range(256)) * 4096  # 1 MiB
+        with _tcp_pair() as (provider, client):
+            sent = _in_thread(client.send, "client", big)
+            received = provider.receive("provider")
+            assert sent() == len(big)
+            assert received == big
+            assert provider.bytes_by_sender["client"] == len(big)
 
     def test_receive_on_closed_endpoint_raises_transport_closed(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await client.aclose()
-                with pytest.raises(TransportClosedError):
-                    await client.receive("client")
-                with pytest.raises(TransportClosedError):
-                    await client.send("client", b"late")
-                # The peer sees the hangup as a closed transport, not OSError.
-                with pytest.raises(TransportClosedError):
-                    await provider.receive("provider")
-            finally:
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client.close()
+            with pytest.raises(TransportClosedError):
+                client.receive("client")
+            with pytest.raises(TransportClosedError):
+                client.send("client", b"late")
+            # The peer sees the hangup as a closed transport, not OSError.
+            with pytest.raises(TransportClosedError):
+                provider.receive("provider")
 
     def test_remote_party_cannot_use_local_endpoint(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                with pytest.raises(ProtocolError):
-                    await client.send("provider", b"spoof")
-                with pytest.raises(ProtocolError):
-                    await provider.receive("client")
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            with pytest.raises(ProtocolError):
+                client.send("provider", b"spoof")
+            with pytest.raises(ProtocolError):
+                provider.receive("client")
 
     def test_two_frames_in_one_write(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                client._writer.write(_stream_of([b"first", b"second"]))
-                await client._writer.drain()
-                assert await provider.receive("provider") == b"first"
-                assert await provider.receive("provider") == b"second"
-                assert provider.messages_by_sender["client"] == 2
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client._sock.sendall(_stream_of([b"first", b"second"]))
+            assert provider.receive("provider") == b"first"
+            assert provider.receive("provider") == b"second"
+            assert provider.messages_by_sender["client"] == 2
 
     def test_peer_hangup_mid_frame_raises_transport_closed(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                client._writer.write(encode_frame(bytes(100))[:20])
-                client._writer.write_eof()
-                await client._writer.drain()
-                with pytest.raises(TransportClosedError, match="mid-frame"):
-                    await provider.receive("provider")
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client._sock.sendall(encode_frame(bytes(100))[:20])
+            client._sock.shutdown(socket.SHUT_WR)
+            with pytest.raises(TransportClosedError, match="mid-frame"):
+                provider.receive("provider")
 
     def test_clean_peer_close_raises_transport_closed(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await client.send("client", b"last words")
-                await client.aclose()
-                # Frames that arrived before the close are still delivered.
-                assert await provider.receive("provider") == b"last words"
-                with pytest.raises(TransportClosedError, match="peer closed$"):
-                    await provider.receive("provider")
-            finally:
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client.send("client", b"last words")
+            client.close()
+            # Frames that arrived before the close are still delivered.
+            assert provider.receive("provider") == b"last words"
+            with pytest.raises(TransportClosedError, match="peer closed$"):
+                provider.receive("provider")
 
     def test_hostile_length_prefix_rejected(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                client._writer.write(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1, 0))
-                await client._writer.drain()
-                with pytest.raises(WireFormatError):
-                    await provider.receive("provider")
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client._sock.sendall(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1, 0))
+            with pytest.raises(WireFormatError):
+                provider.receive("provider")
 
     def test_fifo_order_preserved_both_directions(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                for index in range(20):
-                    await client.send("client", bytes([index]))
-                    await provider.send("provider", bytes([255 - index]))
-                upstream = [await provider.receive("provider") for _ in range(20)]
-                downstream = [await client.receive("client") for _ in range(20)]
-                assert upstream == [bytes([index]) for index in range(20)]
-                assert downstream == [bytes([255 - index]) for index in range(20)]
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            for index in range(20):
+                client.send("client", bytes([index]))
+                provider.send("provider", bytes([255 - index]))
+            upstream = [provider.receive("provider") for _ in range(20)]
+            downstream = [client.receive("client") for _ in range(20)]
+            assert upstream == [bytes([index]) for index in range(20)]
+            assert downstream == [bytes([255 - index]) for index in range(20)]
 
     def test_large_frames_cross_in_both_directions(self):
         # Both sides send a frame far larger than a socket buffer before
         # either receives; concurrent sends and receives must not deadlock.
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            big = bytes(range(256)) * 4096  # 1 MiB
-            try:
-                sends = asyncio.gather(
-                    client.send("client", big), provider.send("provider", big[::-1])
-                )
-                received = await asyncio.gather(
-                    provider.receive("provider"), client.receive("client")
-                )
-                await sends
-                assert received == [big, big[::-1]]
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        big = bytes(range(256)) * 4096  # 1 MiB
+        with _tcp_pair() as (provider, client):
+            sends = [
+                _in_thread(client.send, "client", big),
+                _in_thread(provider.send, "provider", big[::-1]),
+            ]
+            received = [
+                _in_thread(provider.receive, "provider"),
+                _in_thread(client.receive, "client"),
+            ]
+            assert [join() for join in received] == [big, big[::-1]]
+            assert [join() for join in sends] == [len(big), len(big)]
 
     def test_pending_counts_assembled_frames(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                assert pending_frames(provider) == 0
-                client._writer.write(_stream_of([b"a", b"b", b"c"]))
-                await client._writer.drain()
-                assert await provider.receive("provider") == b"a"
-                # One read assembled all three; two still wait in the inbox.
-                assert pending_frames(provider) == 2
-                assert [await provider.receive("provider") for _ in range(2)] == [b"b", b"c"]
-                assert pending_frames(provider) == 0
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            assert pending_frames(provider) == 0
+            client._sock.sendall(_stream_of([b"a", b"b", b"c"]))
+            assert provider.receive("provider") == b"a"
+            # One read assembled all three; two still wait in the inbox.
+            assert pending_frames(provider) == 2
+            assert [provider.receive("provider") for _ in range(2)] == [b"b", b"c"]
+            assert pending_frames(provider) == 0
 
     def test_close_is_idempotent(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await client.aclose()
-                await client.aclose()
-                client.close()
-                with pytest.raises(TransportClosedError):
-                    await client.send("client", b"late")
-            finally:
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client.close()
+            client.close()
+            client.shutdown()
+            with pytest.raises(TransportClosedError):
+                client.send("client", b"late")
 
     @given(
         st.lists(st.binary(max_size=300), min_size=1, max_size=6),
@@ -563,75 +446,37 @@ class TestAsyncTcpTransport:
     )
     @settings(max_examples=15, deadline=None)
     def test_frames_survive_any_write_split(self, frames, cuts):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                for chunk in _chop(_stream_of(frames), cuts):
-                    client._writer.write(chunk)
-                    await client._writer.drain()
-                received = [await provider.receive("provider") for _ in frames]
-                assert received == frames
-                assert provider.bytes_by_sender["client"] == sum(map(len, frames))
-                assert pending_frames(provider) == 0
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            for chunk in _chop(_stream_of(frames), cuts):
+                client._sock.sendall(chunk)
+            received = [provider.receive("provider") for _ in frames]
+            assert received == frames
+            assert provider.bytes_by_sender["client"] == sum(map(len, frames))
+            assert pending_frames(provider) == 0
 
     def test_local_party_must_be_a_transport_party(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                with pytest.raises(ProtocolError):
-                    AsyncTcpTransport(client._reader, client._writer, local_party="mallory")
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            with pytest.raises(ProtocolError):
+                TcpTransport(client._sock, local_party="mallory")
 
     def test_bytes_like_payloads_are_sent_verbatim(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                assert await client.send("client", bytearray(b"array")) == 5
-                assert await client.send("client", memoryview(b"view")) == 4
-                assert await provider.receive("provider") == b"array"
-                assert await provider.receive("provider") == b"view"
-                assert client.bytes_by_sender["client"] == 9
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            assert client.send("client", bytearray(b"array")) == 5
+            assert client.send("client", memoryview(b"view")) == 4
+            assert provider.receive("provider") == b"array"
+            assert provider.receive("provider") == b"view"
+            assert client.bytes_by_sender["client"] == 9
 
     def test_a_damaged_frame_is_refused_at_the_endpoint(self):
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await client.send("client", b"intact")
-                assert await provider.receive("provider") == b"intact"
-                damaged = bytearray(encode_frame(b"registration body"))
-                damaged[-1] ^= 0x01
-                client._writer.write(bytes(damaged))
-                await client._writer.drain()
-                with pytest.raises(WireFormatError, match="CRC32"):
-                    await provider.receive("provider")
-                assert provider.messages_by_sender["client"] == 1
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client.send("client", b"intact")
+            assert provider.receive("provider") == b"intact"
+            damaged = bytearray(encode_frame(b"registration body"))
+            damaged[-1] ^= 0x01
+            client._sock.sendall(bytes(damaged))
+            with pytest.raises(WireFormatError, match="CRC32"):
+                provider.receive("provider")
+            assert provider.messages_by_sender["client"] == 1
 
     def test_ten_thousand_frames_grow_no_endpoint_container(self):
         """A control link lives for days at ~13 frames/s each way, so an
@@ -645,43 +490,84 @@ class TestAsyncTcpTransport:
                         found[type(owner).__name__, name] = len(value)
             return found
 
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                before = sizes(client), sizes(provider)
-                assert ("AsyncTcpTransport", "_inbound") in before[0]
-                for index in range(5_000):
-                    await client.send("client", index.to_bytes(4, "big"))
-                    request = await provider.receive("provider")
-                    await provider.send("provider", request)
-                    assert await client.receive("client") == request
-                assert client.total_messages() == provider.total_messages() == 10_000
-                assert (sizes(client), sizes(provider)) == before
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            before = sizes(client), sizes(provider)
+            assert ("TcpTransport", "_inbound") in before[0]
+            for index in range(5_000):
+                client.send("client", index.to_bytes(4, "big"))
+                request = provider.receive("provider")
+                provider.send("provider", request)
+                assert client.receive("client") == request
+            assert client.total_messages() == provider.total_messages() == 10_000
+            assert (sizes(client), sizes(provider)) == before
 
     def test_send_after_peer_hangup_raises_transport_closed(self):
         # The first write after a hangup may still land in the socket buffer;
         # the peer's reset then surfaces as a closed transport, not OSError.
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await provider.aclose()
-                with pytest.raises(TransportClosedError):
-                    for _ in range(200):
-                        await client.send("client", bytes(1024))
-                        await asyncio.sleep(0.01)
-            finally:
-                await client.aclose()
-                server.close()
-                await server.wait_closed()
+        with _tcp_pair() as (provider, client):
+            provider.close()
+            with pytest.raises(TransportClosedError):
+                for _ in range(200):
+                    client.send("client", bytes(1024))
+                    time.sleep(0.01)
 
-        self._run(scenario())
+    def test_a_send_blocked_on_a_full_socket_wakes_on_shutdown(self):
+        # The parent link shuts a socket down from its reader thread while
+        # the caller may be blocked writing to it: the write must end, as a
+        # closed transport, and the descriptor must stay open until close.
+        near, far = socket.socketpair()  # a socketpair's buffers are small
+        client = TcpTransport(near, local_party="client")
+        try:
+            blocked = _in_thread(client.send, "client", bytes(4 * 1024 * 1024))
+            time.sleep(0.2)  # the peer reads nothing: the send fills the buffers
+            client.shutdown()
+            with pytest.raises(TransportClosedError):
+                blocked()
+            assert near.fileno() >= 0
+        finally:
+            client.close()
+            far.close()
+        assert near.fileno() == -1
+
+    def test_concurrent_accounting_loses_no_update(self):
+        """Threads account frames at once, on one endpoint (its sender
+        against its reader) and across endpoints (every endpoint of a party
+        counts into the same registry counters): no update may be lost."""
+        frames = 1_500
+        registry = get_registry()
+        names = ("transport_bytes_total", "transport_frames_total")
+        counters = {
+            (name, party): registry.counter(name, party=party)
+            for name in names
+            for party in ("client", "provider")
+        }
+        rounds = registry.counter("transport_rounds_total")
+        before = {key: counter.value for key, counter in counters.items()}
+        rounds_before = rounds.value
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _tcp_pair() as first, _tcp_pair() as second:
+                endpoints = [*first, *second]
+                calls = []
+                for endpoint in endpoints:
+                    party = endpoint.local_party
+                    calls.append(_in_thread(_send_many, endpoint, party, frames))
+                    calls.append(_in_thread(_receive_many, endpoint, party, frames))
+                for join in calls:
+                    join()
+        finally:
+            sys.setswitchinterval(switch)
+        for endpoint in endpoints:
+            assert endpoint.messages_by_sender == {"client": frames, "provider": frames}
+            assert endpoint.bytes_by_sender == {"client": 3 * frames, "provider": 3 * frames}
+        for (name, party), counter in counters.items():
+            ledgers = [
+                (endpoint.bytes_by_sender if name == names[0] else endpoint.messages_by_sender)
+                for endpoint in endpoints
+            ]
+            assert counter.value - before[name, party] == sum(l[party] for l in ledgers)
+        assert rounds.value - rounds_before == sum(e.rounds() for e in endpoints)
 
     CONTROL_BODIES = {
         ControlVerb.HELLO: {"version": CONTROL_VERSION, "pid": 4242, "shard_index": 1},
@@ -699,21 +585,11 @@ class TestAsyncTcpTransport:
         # The control link sends ControlFrame bytes unchanged: the endpoint
         # adds only the 8-byte header and charges the frame's own length.
         raw = pack_control(verb, self.CONTROL_BODIES[verb])
-
-        async def scenario():
-            server, provider, client = await _tcp_pair()()
-            try:
-                await client.send("client", raw)
-                received = await provider.receive("provider")
-                await provider.send("provider", received)
-                echoed = await client.receive("client")
-                assert received == echoed == raw
-                assert unpack_control(received) == (verb, self.CONTROL_BODIES[verb])
-                assert provider.bytes_by_sender == {"client": len(raw), "provider": len(raw)}
-            finally:
-                await client.aclose()
-                await provider.aclose()
-                server.close()
-                await server.wait_closed()
-
-        self._run(scenario())
+        with _tcp_pair() as (provider, client):
+            client.send("client", raw)
+            received = provider.receive("provider")
+            provider.send("provider", received)
+            echoed = client.receive("client")
+            assert received == echoed == raw
+            assert unpack_control(received) == (verb, self.CONTROL_BODIES[verb])
+            assert provider.bytes_by_sender == {"client": len(raw), "provider": len(raw)}
