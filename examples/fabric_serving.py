@@ -12,7 +12,8 @@ This example drives the three fabric layers on one machine:
    checked by its CRC32;
 2. **The control plane** — the shard driver over one ``TcpLink`` per
    agent: it replays registrations, routes emails by stable mailbox hash,
-   and aggregates each agent's streamed metrics snapshots fold-once;
+   and aggregates the metrics snapshot each agent's replies carry, beside
+   the results it counts, fold-once;
 3. **Live shard migration** — mid-stream, with decrypt windows still open,
    agent 0's whole hash range is checkpointed, restored onto a freshly
    spawned third process and retired — zero emails resubmitted, verdicts
@@ -63,7 +64,7 @@ def main() -> None:
     setups = {address: protocol.setup(quantized) for address in addresses}
 
     print("\nSpawning 2 fabric agents (own processes, reached only over TCP) ...")
-    runtime, agents = launch_fabric(2, window_bursts=2, metrics_interval=0.1)
+    runtime, agents = launch_fabric(2, window_bursts=2)
     try:
         for agent in agents:
             print(f"  agent {agent.shard_index}: pid {agent.pid}, port {agent.port}")

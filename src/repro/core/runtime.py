@@ -1329,12 +1329,15 @@ class ShardWorkerCore:
     :mod:`repro.fabric.agent`, whether it was forked in this box or
     launched on another host.
 
-    Every results-bearing reply (``burst``/``drain``/``poll``/``restore``)
-    piggybacks a *cumulative* snapshot of this worker's metrics registry.
-    Cumulative — not a delta — so a lost reply or a killed worker can never
-    leave the parent holding a partial increment; the parent keeps only the
-    latest snapshot per worker incarnation and folds dead incarnations in
-    exactly once (see :meth:`ShardedRuntime.aggregated_metrics`).
+    A *cumulative* snapshot of this worker's metrics registry leaves only on
+    a reply (``burst``/``drain``/``poll``/``restore``/``checkpoint``/
+    ``stats``), and every such reply also carries every finished result
+    still waiting for a ride — so the snapshot the parent holds counts
+    exactly the emails whose results it holds.  Cumulative — not a delta —
+    so a lost reply or a killed worker can never leave the parent holding a
+    partial increment; the parent keeps only the latest snapshot per worker
+    incarnation and folds dead incarnations in exactly once (see
+    :meth:`ShardDriver.aggregated_metrics`).
 
     With a *checkpoint_store*, open decrypt windows are synced to a
     :class:`ShardCheckpointLog` at every burst/drain boundary (before the
@@ -1376,10 +1379,6 @@ class ShardWorkerCore:
         #: tick firing after the handover would serve the same email the
         #: target is about to resume, double-counting its metrics).
         self.quiesced = False
-        #: The last snapshot this worker handed its parent, on a reply (see
-        #: :meth:`_snapshot`) or pushed by its serving loop; an equal one
-        #: need not be sent again.
-        self.reported_snapshot: dict | None = None
 
     def next_timeout(self) -> float | None:
         """Seconds until the next decrypt-window age deadline, or ``None``."""
@@ -1418,11 +1417,6 @@ class ShardWorkerCore:
         self._completed.clear()
         return taken + results
 
-    def _snapshot(self) -> dict:
-        """The registry's cumulative snapshot for a reply, remembered as reported."""
-        self.reported_snapshot = get_registry().snapshot()
-        return self.reported_snapshot
-
     def handle(self, command: str, payload: Any) -> tuple[str, Any]:
         """Execute one command; every failure comes back as ``("error", …)``."""
         try:
@@ -1449,16 +1443,16 @@ class ShardWorkerCore:
             finished = runtime.serve_burst(jobs)
             results = self._take_results(finished)
             self._checkpoint()
-            return ("results", (results, self._snapshot()))
+            return ("results", (results, get_registry().snapshot()))
         if command == "drain":
             results = self._take_results(runtime.drain())
             self._checkpoint()
-            return ("results", (results, self._snapshot()))
+            return ("results", (results, get_registry().snapshot()))
         if command == "poll":
             results = self._take_results(runtime.poll())
             if results:
                 self._checkpoint()
-            return ("results", (results, self._snapshot()))
+            return ("results", (results, get_registry().snapshot()))
         if command == "restore":
             return self._restore(payload)
         if command == "checkpoint":
@@ -1474,7 +1468,7 @@ class ShardWorkerCore:
                 runtime, directory, self._pending, self._incarnation
             )
             results = self._take_results([])
-            return ("checkpointed", (blob, results, self._snapshot()))
+            return ("checkpointed", (blob, results, get_registry().snapshot()))
         if command == "disconnect":
             state = runtime.disconnect_job(payload)
             self._checkpoint()
@@ -1493,17 +1487,14 @@ class ShardWorkerCore:
             self._checkpoint()
             return ("ok", None)
         if command == "stats":
-            return (
-                "stats",
-                {
-                    "mailboxes": directory.mailbox_count(),
-                    "outstanding_jobs": runtime.outstanding_jobs(),
-                    "disconnected_jobs": runtime.disconnected_jobs(),
-                    "pending_window_ciphertexts": runtime.scheduler.pending_ciphertexts(),
-                    "restored_jobs": self.restored_jobs,
-                    "metrics": self._snapshot(),
-                },
-            )
+            stats = {
+                "mailboxes": directory.mailbox_count(),
+                "outstanding_jobs": runtime.outstanding_jobs(),
+                "disconnected_jobs": runtime.disconnected_jobs(),
+                "pending_window_ciphertexts": runtime.scheduler.pending_ciphertexts(),
+                "restored_jobs": self.restored_jobs,
+            }
+            return ("stats", (stats, self._take_results([]), get_registry().snapshot()))
         if command == "stop":
             return ("ok", None)
         return ("error", f"unknown shard command {command!r}")
@@ -1541,7 +1532,7 @@ class ShardWorkerCore:
         finished = self.runtime.serve_burst(jobs) if jobs else []
         results = self._take_results(finished)
         self._checkpoint()
-        return ("restored", (resumed_ids, results, self._snapshot()))
+        return ("restored", (resumed_ids, results, get_registry().snapshot()))
 
 
 @dataclass
@@ -1584,11 +1575,6 @@ class WorkerLink(Protocol):
 
     #: OS pid of the worker process, once known (crash drills kill this).
     pid: int | None
-    #: Latest *cumulative* metrics snapshot of the worker.  The driver
-    #: replaces it from every reply that carries one, a link may replace it
-    #: from a pushed scrape; it outlives the worker (its final value is what
-    #: the driver folds into the base when the worker is replaced).
-    metrics: dict | None
 
     @property
     def alive(self) -> bool:
@@ -1674,11 +1660,10 @@ class ShardDriver:
         self._outstanding: dict[int, _OutstandingItem] = {}
         self._results: dict[int, Any] = {}
         self._job_ids = itertools.count()
-        # Cross-worker metrics aggregation.  Workers report *cumulative*
-        # registry snapshots; the driver keeps only each link's latest
-        # (replacing, never adding) plus this base of the final snapshots of
-        # replaced workers — so a replaced worker's counts are folded in
-        # exactly once and nothing double-counts.
+        # Per worker: the latest *cumulative* snapshot a reply carried,
+        # replaced (never added to) by each newer one.  It outlives its
+        # worker; a replacement folds the final one into this base once.
+        self._metrics: list[dict | None] = []
         self._metrics_base: list[dict] = []
         self._closed = False
         try:
@@ -1713,7 +1698,9 @@ class ShardDriver:
         that failed elsewhere, a wait that timed out) is still first in line
         the next time this worker is touched: its results land and its
         metrics replace — a late reply is absorbed, never discarded, and
-        never mistaken for the answer to a newer command.
+        never mistaken for the answer to a newer command.  A reply's snapshot
+        and its results land together, so the snapshot held for a worker
+        counts exactly the results already landed from it.
         """
         link, owed = self._links[worker], self._owed[worker]
         body = None
@@ -1728,14 +1715,12 @@ class ShardDriver:
                     f"(attach_replacement can recover a dead one): {error}"
                 ) from error
             command = owed.popleft()
-            if tag in ("results", "restored", "checkpointed"):
+            if tag in ("results", "restored", "checkpointed", "stats"):
                 *_, results, metrics = body
+                self._metrics[worker] = metrics
                 for job_id, result in results:
                     self._results[job_id] = result
                     self._outstanding.pop(job_id, None)
-                link.metrics = metrics
-            elif tag == "stats":
-                link.metrics = body["metrics"]
             elif tag == "error" and not owed:
                 # Only the command being awaited raises; an error reply to a
                 # command whose caller already gave up has no one to tell.
@@ -1792,6 +1777,7 @@ class ShardDriver:
         link = self._connect(endpoint, worker, self._scheduler_spec, self._incarnation)
         self._links.append(link)
         self._owed.append(deque())
+        self._metrics.append(None)
         return worker
 
     def attach_replacement(self, worker: int, endpoint: Any) -> int:
@@ -1807,11 +1793,10 @@ class ShardDriver:
         emails, so ``0`` means every in-flight email resumed from its
         snapshot.
         """
-        old = self._link(worker)
-        old.close()
-        if old.metrics is not None:
-            self._metrics_base.append(old.metrics)
-            old.metrics = None
+        self._link(worker).close()
+        if self._metrics[worker] is not None:
+            self._metrics_base.append(self._metrics[worker])
+            self._metrics[worker] = None
         self._links[worker] = self._connect(
             endpoint, worker, self._scheduler_spec, self._incarnation
         )
@@ -1898,7 +1883,7 @@ class ShardDriver:
         """
 
         def served(worker: int) -> float:
-            snapshot = self._links[worker].metrics or {}
+            snapshot = self._metrics[worker] or {}
             return sum(
                 entry["value"]
                 for entry in snapshot.get("counters", [])
@@ -2111,20 +2096,21 @@ class ShardDriver:
         """
         live = [worker for worker, link in enumerate(self._links) if link.alive]
         replies = self._fanout([(worker, "stats", None) for worker in live])
-        return [dict(reply, worker=worker) for worker, reply in zip(live, replies)]
+        return [
+            dict(stats, metrics=metrics, worker=worker)
+            for worker, (stats, _results, metrics) in zip(live, replies)
+        ]
 
     def aggregated_metrics(self) -> dict:
         """One merged metrics snapshot covering every worker, past and present.
 
-        The sum of the replaced-worker base and every link's latest
-        cumulative snapshot (a dead or retired link keeps its final one).
+        The sum of the replaced-worker base and every worker's latest
+        cumulative snapshot (a dead or retired worker keeps its final one).
         Because workers report cumulatively and the driver replaces (never
         adds) the latest, kills, replacements and migrations cannot
         double-count — the property the crash-recovery metrics tests pin.
         """
-        snaps = self._metrics_base + [
-            link.metrics for link in self._links if link.metrics is not None
-        ]
+        snaps = self._metrics_base + [snap for snap in self._metrics if snap is not None]
         return merge_snapshots(*snaps)
 
     # -- shutdown ------------------------------------------------------------
@@ -2148,7 +2134,7 @@ class ShardedRuntime(ShardDriver):
     Each shard is a child process running the fabric agent on one end of a
     socketpair (:func:`repro.fabric.agent.fork_local_agent`), driven through
     :class:`~repro.fabric.control.TcpLink` like any remote agent, so a local
-    shard has the HELLO version check, heartbeats and streamed METRICS too.
+    shard has the HELLO version check and heartbeats too.
     Every shard is forked before the first link starts its reader thread.
     With a *checkpoint_dir*, every worker persists its open decrypt windows
     there and :meth:`restart_shard` resumes them; without one it recomputes.

@@ -7,17 +7,18 @@ boundary, between the driver and a worker.  Each **agent**
 :class:`~repro.core.runtime.ShardWorkerCore` — the shard brain every worker
 runs — and :class:`~repro.fabric.control.TcpLink` is the driver's one link
 to it: the versioned CONTROL frame family of :mod:`repro.twopc.wire` (HELLO
-handshake, seq-tagged COMMAND/REPLY, HEARTBEAT beacons on silence,
-streamed METRICS snapshots) over one blocking stream socket — a TCP
-connection, or a socketpair to an agent forked in this box — whose frames
-carry a CRC32; the stream itself does the delivering.  Neither end runs an
-event loop: the link is the caller's thread plus one reader thread, the
-agent one single-threaded loop.
+handshake, seq-tagged COMMAND/REPLY, HEARTBEAT beacons on silence, BYE)
+over one blocking stream socket — a TCP connection, or a socketpair to an
+agent forked in this box — whose frames carry a CRC32; the stream itself
+does the delivering.  Neither end runs an event loop: the link is the
+caller's thread plus one reader thread, the agent one single-threaded loop.
 Routing, registration replay, crash recovery, live migration
 (:meth:`~repro.core.runtime.ShardDriver.migrate`: checkpoint the open
 decrypt windows on host A, restore them bit-identically on host B, redirect
 the mailbox hash range, retire A — zero resubmissions, no email lost or
-served twice) and metrics aggregation are the driver's, whatever the link.
+served twice) and metrics aggregation are the driver's, whatever the link:
+a worker's cumulative snapshot reaches it only on a reply, together with
+every result that snapshot counts.
 """
 
 import functools
@@ -40,7 +41,7 @@ __all__ = [
     "unpack_control",
 ]
 
-_LINK_OPTIONS = ("heartbeat_interval", "heartbeat_timeout", "metrics_interval")
+_LINK_OPTIONS = ("heartbeat_interval", "heartbeat_timeout")
 
 
 def launch_fabric(
@@ -52,7 +53,7 @@ def launch_fabric(
 
     The two-line on-ramp the example, the end-to-end benchmark and the tests
     use.  *options* are :class:`~repro.fabric.control.TcpLink`'s link options
-    (heartbeats, metrics interval) and
+    (beacon interval, eviction timeout) and
     :class:`~repro.core.runtime.ShardDriver`'s scheduler options
     (``window_bursts``, ``max_delay_seconds``).  The
     caller owns both halves: ``runtime.close()`` retires the agents (they

@@ -15,21 +15,19 @@ fails its CRC32 ends the connection.  It reaches its parent one of two ways:
   :class:`~repro.core.runtime.ShardedRuntime`, with no interpreter start.
 
 Lifecycle: the parent's HELLO delivers the scheduler spec, the fabric
-incarnation and the intervals (the agent checks them and builds its core
-only then — the parent owns serving policy; a malformed spec or interval is
-refused with BYE and no core is built), after which one single-threaded
-loop serves the connection over a blocking
-:class:`~repro.twopc.transport.TcpTransport`.  Each pass does the
+incarnation, the beacon interval and the parent timeout (the agent checks
+them and builds its core only then — the parent owns serving policy; a
+malformed spec or interval is refused with BYE and no core is built),
+after which one single-threaded loop serves the connection over a
+blocking :class:`~repro.twopc.transport.TcpTransport`.  Each pass does the
 *housekeeping* that is due, then waits on the socket until the next
 deadline or until it has turned one COMMAND into its REPLY.  What can be
 due: an aged decrypt window to fire, a HEARTBEAT beacon (sent only when
-the agent has sent no frame for the heartbeat interval), the orphan check,
-and — only while the serving registry is *dirty*, i.e. after a command or
-a fired window — a cumulative metrics snapshot, taken at most once per
-metrics interval and sent as METRICS only when it differs from the last
-one the agent reported, on a push or on a results or stats reply (the
-first always goes out).  An idle agent wakes for beacons alone and takes
-no snapshot.  The agent exits when the parent says BYE (or ``stop``),
+the agent has sent no frame for the heartbeat interval), and the orphan
+check.  A fired window's results wait in the core for the next reply that
+carries a snapshot, and leave on it together with the counts they added:
+the agent never speaks unasked except to beacon, and an idle agent wakes
+for beacons alone.  The agent exits when the parent says BYE (or ``stop``),
 when the connection dies, or when the parent stays silent past its
 advertised timeout — an orphaned agent never lingers.  A read deadline
 that passes is only silence: the loop does its housekeeping and reads on.
@@ -64,7 +62,7 @@ from repro.fabric.control import (
     pack_control,
     unpack_control,
 )
-from repro.obs import MetricsRegistry, SpanTracer, get_registry, scoped_registry, set_registry, set_tracer
+from repro.obs import MetricsRegistry, SpanTracer, scoped_registry, set_registry, set_tracer
 from repro.twopc.transport import TcpTransport
 from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
@@ -72,28 +70,28 @@ from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 _WINDOW_FLOOR_SECONDS = 0.005
 
 
-def _checked_intervals(hello: dict) -> tuple[float, float, float]:
-    """The HELLO's ``(heartbeat_interval, metrics_interval, parent_timeout)``.
+def _checked_intervals(hello: dict) -> tuple[float, float]:
+    """The HELLO's ``(heartbeat_interval, parent_timeout)``.
 
     Housekeeping sleeps until the earliest deadline these set, so a negative
-    or ``nan`` one would spin it and an infinite one would never beacon: all
-    three must be finite, the beacon interval and the parent timeout above
-    zero, the metrics interval at least zero (zero turns METRICS off).
+    or ``nan`` one would spin it and an infinite one would never beacon:
+    both must be finite and above zero.
     """
-    heartbeat, metrics, parent = values = (
+    heartbeat, parent = values = (
         hello.get("heartbeat_interval", HEARTBEAT_INTERVAL_SECONDS),
-        hello.get("metrics_interval", 0.0),
         hello.get("parent_timeout", 60.0),
     )
     if not all(
-        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
         for value in values
-    ) or not (heartbeat > 0 and metrics >= 0 and parent > 0):
+    ):
         raise ProtocolError(
-            f"got heartbeat_interval={heartbeat!r}, metrics_interval={metrics!r}, "
-            f"parent_timeout={parent!r}"
+            f"got heartbeat_interval={heartbeat!r}, parent_timeout={parent!r}"
         )
-    return float(heartbeat), float(metrics), float(parent)
+    return float(heartbeat), float(parent)
 
 
 def _serve_connection(
@@ -173,22 +171,16 @@ def _serve_commands(
     link: TcpTransport,
     core: ShardWorkerCore,
     heartbeat_interval: float,
-    metrics_interval: float,
     parent_timeout: float,
 ) -> None:
     """The agent's one loop: housekeeping, then wait for a command or a deadline.
 
-    Housekeeping runs once per wake-up: it judges the parent, beacons,
-    pushes metrics and fires an aged window when each is due, and sets the
-    next deadline.  The wait that follows ends at that deadline or after a
-    COMMAND is answered; a HEARTBEAT only refreshes the orphan clock.
+    Housekeeping runs once per wake-up: it judges the parent, beacons and
+    fires an aged window when each is due, and sets the next deadline.  The
+    wait that follows ends at that deadline or after a COMMAND is answered;
+    a HEARTBEAT only refreshes the orphan clock.
     """
     last_parent = last_sent = time.monotonic()
-    next_metrics = 0.0
-    # Only commands and fired windows write the serving registry (the link
-    # counts under a scratch one), so a clean registry needs no snapshot.
-    # The first snapshot always goes out.
-    dirty = True
 
     def send(verb: int, body) -> None:
         nonlocal last_sent
@@ -201,26 +193,12 @@ def _serve_commands(
             return  # orphaned: the parent stopped talking entirely
         if now - last_sent >= heartbeat_interval:
             send(ControlVerb.HEARTBEAT, {})
-        metrics_due = metrics_interval > 0 and dirty and not core.quiesced
-        if metrics_due and now >= next_metrics:
-            # Streamed scrape: cumulative snapshot, so a lost push costs
-            # freshness, never correctness — and one the parent already
-            # holds, from a reply or a push, tells it nothing.
-            snapshot = get_registry().snapshot()
-            if snapshot != core.reported_snapshot:
-                send(ControlVerb.METRICS, {"metrics": snapshot})
-                core.reported_snapshot = snapshot
-            dirty = metrics_due = False
-            next_metrics = now + metrics_interval
         window = core.next_timeout()
         if window is not None and window <= 0:
             core.idle_tick()
-            dirty = True
         due = [last_sent + heartbeat_interval, last_parent + parent_timeout]
         if window is not None:
             due.append(now + max(window, _WINDOW_FLOOR_SECONDS))
-        if metrics_due:
-            due.append(next_metrics)
         deadline = min(due)
         while True:
             try:
@@ -236,7 +214,6 @@ def _serve_commands(
                 send(ControlVerb.REPLY, (body["seq"], reply))
                 if body["command"] == "stop":
                     return
-                dirty = True
                 break
             # HEARTBEAT (or a verb this build ignores): keep waiting.
 

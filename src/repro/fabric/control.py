@@ -21,18 +21,14 @@ failure.  There is no event loop at either end: the parent writes each
 command from the caller's thread and reads on one plain thread per link,
 and the agent serves one single-threaded loop.
 
-Health and telemetry ride the same link.  Either end sends a HEARTBEAT
-beacon only on silence: when it has sent no frame for ``heartbeat_interval``
-(2.5 s by default, a dozen beacons inside the 30-s ``heartbeat_timeout``),
-so a link that carries commands carries no beacons.  Agents take a
-cumulative metrics snapshot at most once per metrics interval, and only
-after a command or a fired window changed their serving registry, sending
-it as METRICS only when it differs from the last snapshot they reported —
-pushed, or carried on a results or stats reply; the link keeps only the
-*latest* snapshot, which is all the driver's replace-latest/fold-once
-aggregation needs, so an unsent duplicate loses nothing.  An agent that
-stays silent past ``heartbeat_timeout`` (and has no command in flight — a
-shard deep in a decrypt burst is busy, not dead) is evicted.
+Health rides the same link.  Either end sends a HEARTBEAT beacon only on
+silence: when it has sent no frame for ``heartbeat_interval`` (2.5 s by
+default, a dozen beacons inside the 30-s ``heartbeat_timeout``), so a link
+that carries commands carries no beacons.  An agent that stays silent past
+``heartbeat_timeout`` (and has no command in flight — a shard deep in a
+decrypt burst is busy, not dead) is evicted.  Metrics are not the link's:
+a worker's cumulative snapshot rides only on replies, beside the results
+it counts, and the driver keeps it.
 """
 
 from __future__ import annotations
@@ -134,7 +130,6 @@ class TcpLink:
         incarnation: str,
         heartbeat_interval: float = HEARTBEAT_INTERVAL_SECONDS,
         heartbeat_timeout: float = 30.0,
-        metrics_interval: float = 0.2,
     ) -> None:
         if not (
             isinstance(heartbeat_interval, numbers.Real)
@@ -146,7 +141,6 @@ class TcpLink:
             )
         self.index = index
         self.pid: int | None = None
-        self.metrics: dict | None = None
         self.transport: TcpTransport | None = None
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
@@ -173,7 +167,6 @@ class TcpLink:
             "scheduler_spec": scheduler_spec,
             "agent_index": index,
             "heartbeat_interval": heartbeat_interval,
-            "metrics_interval": metrics_interval,
             "parent_timeout": max(heartbeat_timeout * 4, 60.0),
         }
         try:
@@ -283,9 +276,6 @@ class TcpLink:
                         )
                     self._next_reply += 1
                     self._replies.put(reply)
-                elif verb == ControlVerb.METRICS:
-                    # Streamed scrape: cumulative, so replace — never add.
-                    self.metrics = body["metrics"]
                 elif verb == ControlVerb.BYE:
                     raise ProtocolError("agent said BYE")
                 # HEARTBEAT: last_seen is the whole message.

@@ -9,10 +9,10 @@ Design constraints, in order:
    registry.counter("transport_frames_total", party="client")``) and bump
    the bound object.
 2. **Mergeable snapshots.**  Shard workers ship their registry state to
-   the parent on control-link replies and METRICS pushes, so a snapshot is a
-   plain picklable dict and merging two snapshots of disjoint work equals
-   one registry that saw both streams: counters and gauges add, histograms
-   add bucket-wise (all histograms share the same fixed bounds).
+   the parent on control-link replies, so a snapshot is a plain picklable
+   dict and merging two snapshots of disjoint work equals one registry
+   that saw both streams: counters and gauges add, histograms add
+   bucket-wise (all histograms share the same fixed bounds).
 3. **Determinism.**  Snapshots are sorted by rendered key and contain no
    wall-clock or pid material, so equal work yields byte-equal snapshots —
    the property the shard-vs-single-process equivalence tests pin.

@@ -262,7 +262,10 @@ class SessionStateFrame:
 #: a control-plane policy, not a codec failure).
 #: 2: one ``register`` command for every provider function, and ``burst``
 #: entries carry ``(job_id, kind, address, request)``.
-CONTROL_VERSION = 2
+#: 3: verb 0x05 (the agent's unsolicited snapshot push) is gone; the
+#: ``stats`` reply carries stashed results beside the snapshot that counts
+#: them, like every other snapshot-bearing reply.
+CONTROL_VERSION = 3
 
 
 class ControlVerb:
@@ -271,8 +274,8 @@ class ControlVerb:
     HELLO = 0x01      # agent -> parent: shard index, incarnation, version
     COMMAND = 0x02    # parent -> agent: one shard command (burst, drain, ...)
     REPLY = 0x03      # agent -> parent: the command's single reply
-    HEARTBEAT = 0x04  # agent -> parent: liveness beacon (health/eviction)
-    METRICS = 0x05    # agent -> parent: streamed cumulative registry snapshot
+    HEARTBEAT = 0x04  # either side: liveness beacon on silence (health/eviction)
+    # 0x05 stays unassigned, so a v2 peer's snapshot push fails to decode.
     BYE = 0x06        # either side: orderly teardown announcement
 
 

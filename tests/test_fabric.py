@@ -5,19 +5,20 @@ verdicts, metrics equivalence, SIGKILL recovery, reconnect-resume, live
 migration — is asserted once for forked and TCP agents in
 ``test_shard_driver.py``.  These tests pin the rest of the fabric's contract:
 
-* the versioned control codec (roundtrip, foreign-version refusal, junk);
-* the deterministic metrics projection, the streamed METRICS scrape (a
-  snapshot already on a reply is not pushed again), and the telemetry
-  artifacts a real two-agent run exports;
+* the versioned control codec (roundtrip, foreign-version refusal, junk,
+  and the retired verb 0x05 of control v2's snapshot push);
+* the deterministic metrics projection and the telemetry artifacts a real
+  two-agent run exports;
 * HELLO refusal of an agent launched as the wrong shard, of a HELLO
-  carrying a malformed scheduler spec, and of a parent speaking control v1;
+  carrying a malformed scheduler spec, and of a parent speaking control v2;
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent, and a command
   that blocks its agent past both ends' read deadlines completing with no
   eviction (a passed deadline is silence, not failure);
 * housekeeping that wakes only when something is due: an idle agent
-  sleeps between beacons and takes no snapshot, an aged window fires with
-  no command, an orphaned agent exits, and a HELLO or link with an
-  interval that would spin or silence the agent is refused;
+  sleeps between beacons, an aged window fires with no command (its
+  result and the count it added wait for the next reply), an orphaned
+  agent exits, and a HELLO or link with an interval that would spin or
+  silence the agent is refused;
 * the thread-per-link design: a large command posted while the agent
   writes a large reply completes, ``close()`` leaves no link thread, the
   ledger stays exact while commands and beacons interleave, and importing
@@ -25,7 +26,7 @@ migration — is asserted once for forked and TCP agents in
 * mixed builds: an agent (spawned or forked) and a parent of the build that
   framed control frames with an ack/retransmit header refuse this build's
   peers at HELLO;
-* ``rebalance`` choosing the migration from streamed load.
+* ``rebalance`` choosing the migration from the load the replies report.
 """
 
 import functools
@@ -62,7 +63,14 @@ from repro.obs import get_registry
 from repro.obs.export import validate_chrome_trace, validate_snapshot, write_artifacts
 from repro.twopc.spam import SpamFilterProtocol
 from repro.twopc.transport import FrameAssembler, TcpTransport, encode_frame
-from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, OtPublicsFrame, WireCodec
+from repro.twopc.wire import (
+    CONTROL_VERSION,
+    KNOWN_CONTROL_VERBS,
+    ControlFrame,
+    ControlVerb,
+    OtPublicsFrame,
+    WireCodec,
+)
 
 from oracles import metrics_projection
 
@@ -149,18 +157,6 @@ def _agent_in_thread() -> tuple[threading.Thread, int]:
     return thread, int(announce.getvalue().split()[1])
 
 
-def _recording_unpack(pushes: list):
-    """``unpack_control`` that also appends every METRICS snapshot to *pushes*."""
-
-    def recording_unpack(data):
-        verb, body = unpack_control(data)
-        if verb == ControlVerb.METRICS:
-            pushes.append(body["metrics"])
-        return verb, body
-
-    return recording_unpack
-
-
 class TestControlCodec:
     def test_roundtrip_preserves_verb_and_body(self):
         body = {"seq": 7, "command": "burst", "payload": [(0, "spam", "a@x", {1: 1}, None)]}
@@ -177,12 +173,21 @@ class TestControlCodec:
         with pytest.raises(ProtocolError, match="version"):
             unpack_control(WireCodec().encode(frame))
 
-    def test_a_v1_frame_is_refused_by_this_v2_build(self):
-        # v2: one ``register`` command, bursts of (job_id, kind, address, request).
-        assert CONTROL_VERSION == 2
-        frame = ControlFrame(verb=ControlVerb.HELLO, version=1, payload=pickle.dumps({}))
-        with pytest.raises(ProtocolError, match="peer speaks v1"):
+    def test_a_v2_frame_is_refused_by_this_v3_build(self):
+        # v3: no snapshot push, and the ``stats`` reply carries stashed results.
+        assert CONTROL_VERSION == 3
+        frame = ControlFrame(verb=ControlVerb.HELLO, version=2, payload=pickle.dumps({}))
+        with pytest.raises(ProtocolError, match="peer speaks v2"):
             unpack_control(WireCodec().encode(frame))
+
+    def test_a_frame_with_the_retired_verb_fails_decode(self):
+        """Verb 0x05 was control v2's unsolicited snapshot push; five verbs
+        remain, and a frame carrying 0x05 is a wire error, never a message."""
+        assert sorted(KNOWN_CONTROL_VERBS) == [0x01, 0x02, 0x03, 0x04, 0x06]
+        encoded = bytearray(pack_control(ControlVerb.HEARTBEAT, {}))
+        encoded[3] = 0x05  # the verb byte, right after the codec's 3-byte header
+        with pytest.raises(WireFormatError, match="unknown control verb 0x05"):
+            unpack_control(bytes(encoded))
 
     def test_non_control_frame_is_refused(self):
         data = WireCodec().encode(OtPublicsFrame(elements=[1, 2, 3]))
@@ -241,55 +246,6 @@ class TestMetricsProjection:
         assert projected["counters"][("emails_served_total", ())] == 5
 
 
-class TestFabricEquivalence:
-    def test_metrics_stream_without_a_results_reply(self, spam_setup):
-        """The streamed scrape: registrations alone never carry a snapshot,
-        so anything aggregated before the first burst must have arrived via
-        pushed METRICS frames on the control channel."""
-        addresses = _slot_addresses(2, per_slot=1)
-        runtime, agents = launch_fabric(2, metrics_interval=0.05)
-        try:
-            _register_all(runtime, addresses, spam_setup)
-            assert _wait_until(
-                lambda: runtime.aggregated_metrics()["counters"], timeout=10.0
-            ), "no streamed metrics snapshot arrived"
-        finally:
-            runtime.close()
-            _reap(agents)
-
-    @pytest.mark.parametrize("kind", ["local", "tcp"])
-    def test_an_idle_agent_pushes_metrics_only_when_they_change(
-        self, monkeypatch, spam_setup, spam_truth, kind
-    ):
-        """METRICS goes out only when the snapshot differs from the last one
-        the agent reported, on a push or on a reply: an idle agent sends its
-        first snapshot and then nothing, and a served email's count arrives
-        on its results reply with no push after it.  A local shard streams
-        METRICS on the link's default interval (0.2 s)."""
-        pushes: list[dict] = []
-        monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
-        if kind == "local":
-            runtime, agents = ShardedRuntime(num_shards=1), []
-        else:
-            runtime, agents = launch_fabric(1, metrics_interval=0.05)
-        try:
-            assert _wait_until(lambda: pushes, timeout=10.0)
-            time.sleep(0.6)  # three intervals or more with nothing new to report
-            assert len(pushes) == 1
-            (address,) = _slot_addresses(1, per_slot=1)
-            _register_all(runtime, [address], spam_setup)
-            time.sleep(0.6)  # registration's own counters, pushed once
-            before = len(pushes)
-            (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
-            assert runtime.take_result(job_id).is_spam == spam_truth[0]
-            assert _served_total(runtime.aggregated_metrics()) == 1
-            time.sleep(0.6)
-            assert len(pushes) == before
-        finally:
-            runtime.close()
-            _reap(agents)
-
-
 class TestFabricTelemetryArtifacts:
     def test_two_agent_run_exports_valid_artifacts(self, spam_setup, spam_truth, tmp_path):
         """What an operator exports after a fleet run: the Prometheus text,
@@ -330,12 +286,12 @@ class TestFabricRecovery:
             runtime.close()
             _reap(agents)
 
-    def test_a_v1_parent_is_refused_at_hello(self, monkeypatch):
+    def test_a_v2_parent_is_refused_at_hello(self, monkeypatch):
         """A mixed build fails at the handshake, before any registration: the
-        agent refuses the v1 HELLO unread, hangs up and exits."""
+        agent refuses the v2 HELLO unread, hangs up and exits."""
         agent = spawn_local_agent(shard_index=0)
         try:
-            monkeypatch.setattr(control, "CONTROL_VERSION", 1)
+            monkeypatch.setattr(control, "CONTROL_VERSION", 2)
             with pytest.raises(ProtocolError):
                 TcpLink(agent, 0, (1, None), "incarnation")
             assert agent.wait(timeout=10.0) == 0
@@ -446,7 +402,6 @@ def _old_parent_hello(sock: socket.socket) -> tuple[list[int], bool]:
             "scheduler_spec": (1, None),
             "agent_index": 0,
             "heartbeat_interval": 0.25,
-            "metrics_interval": 0.0,
             "parent_timeout": 60.0,
         },
     )
@@ -610,7 +565,7 @@ class TestReadDeadlines:
         monkeypatch.setattr(ShardWorkerCore, "handle", slow_handle)
         thread, port = _agent_in_thread()
         connect = functools.partial(
-            TcpLink, heartbeat_interval=3 * deadline, heartbeat_timeout=60.0, metrics_interval=0.0
+            TcpLink, heartbeat_interval=3 * deadline, heartbeat_timeout=60.0
         )
         runtime = FabricRuntime(connect, [("127.0.0.1", port)])
         try:
@@ -712,7 +667,7 @@ class TestLinkThreads:
         thread, port = _agent_in_thread()
         link = TcpLink(
             ("127.0.0.1", port), 0, (1, None), "incarnation",
-            heartbeat_interval=0.002, metrics_interval=0.0,
+            heartbeat_interval=0.002,
         )
         commands = 100
         try:
@@ -764,7 +719,6 @@ def _raw_hello(**overrides) -> bytes:
         "scheduler_spec": (1, None),
         "agent_index": 0,
         "heartbeat_interval": 0.25,
-        "metrics_interval": 0.0,
         "parent_timeout": 60.0,
         **overrides,
     }
@@ -793,7 +747,7 @@ class TestHousekeeping:
 
     def test_an_idle_agent_sleeps_between_beacons(self, monkeypatch, spam_setup):
         """Idle for 1 s with 0.25-s beacons: a handful of wake-ups (one per
-        beacon) and no METRICS, where a 50-ms tick would wake 20 times."""
+        beacon), where a 50-ms tick would wake 20 times."""
         wakes = [0]
         next_timeout = ShardWorkerCore.next_timeout
 
@@ -801,22 +755,18 @@ class TestHousekeeping:
             wakes[0] += 1
             return next_timeout(core)
 
-        pushes: list[dict] = []
         monkeypatch.setattr(ShardWorkerCore, "next_timeout", counting_next_timeout)
-        monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
         thread, port = _agent_in_thread()
-        connect = functools.partial(TcpLink, heartbeat_interval=0.25, metrics_interval=0.05)
+        connect = functools.partial(TcpLink, heartbeat_interval=0.25)
         runtime = FabricRuntime(connect, [("127.0.0.1", port)])
         try:
             protocol, setup = spam_setup
+            # The registration's reply is the last frame the agent owes.
             runtime.register_spam("a@example.com", protocol, setup)
-            # The registration's snapshot goes out within one metrics interval.
-            assert _wait_until(lambda: pushes, timeout=10.0)
             time.sleep(0.2)
-            wakes_before, pushes_before = wakes[0], len(pushes)
+            wakes_before = wakes[0]
             time.sleep(1.0)
             assert wakes[0] - wakes_before <= 8
-            assert len(pushes) == pushes_before
             assert runtime.worker_alive(0)
         finally:
             runtime.close()
@@ -824,31 +774,65 @@ class TestHousekeeping:
         assert not thread.is_alive()
 
     @pytest.mark.parametrize("kind", ["local", "tcp"])
-    def test_an_aged_window_fires_with_no_command(
-        self, monkeypatch, spam_setup, spam_truth, kind
-    ):
+    def test_an_aged_window_fires_with_no_command(self, spam_setup, spam_truth, kind):
         """One email parked in a two-burst window and nothing sent after it:
         the window's age deadline alone wakes the agent, which serves the
-        email and pushes the snapshot that counts it."""
+        email and keeps its result and count for the next reply.  A command
+        sent before the window fired would fire it only after its reply,
+        so one ``stats`` after the silence tells which woke the agent."""
         delay = 0.2
-        pushes: list[dict] = []
-        monkeypatch.setattr(control, "unpack_control", _recording_unpack(pushes))
         if kind == "local":
             runtime = ShardedRuntime(num_shards=1, window_bursts=2, max_delay_seconds=delay)
             agents = []
         else:
-            runtime, agents = launch_fabric(
-                1, window_bursts=2, max_delay_seconds=delay, metrics_interval=0.05
-            )
+            runtime, agents = launch_fabric(1, window_bursts=2, max_delay_seconds=delay)
         try:
             (address,) = _slot_addresses(1, per_slot=1)
             _register_all(runtime, [address], spam_setup)
             (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
-            assert runtime.outstanding_count() == 1
-            assert _wait_until(
-                lambda: pushes and _served_total(pushes[-1]) == 1, timeout=delay + 0.5
-            ), "the aged window did not fire without a command"
-            assert runtime.poll() == 1  # the idle tick's result rides the poll reply
+            time.sleep(delay + 0.4)  # no command: only the window's age can wake the agent
+            assert runtime.outstanding_count() == 1  # the driver still holds the job
+            (stats,) = runtime.shard_stats()
+            assert stats["outstanding_jobs"] == 0, "the aged window did not fire without a command"
+            assert _served_total(stats["metrics"]) == 1
+            # The stashed result rode the stats reply beside the count it added.
+            assert runtime.outstanding_count() == 0
+            assert runtime.take_result(job_id).is_spam == spam_truth[0]
+        finally:
+            runtime.close()
+            _reap(agents)
+
+    @pytest.mark.parametrize("kind", ["local", "tcp"])
+    def test_an_idle_agent_reports_a_fired_window_only_when_asked(
+        self, monkeypatch, spam_setup, spam_truth, kind
+    ):
+        """The agent fires the aged window in its own loop and says nothing
+        about it: with beacons 2.5 s apart, no frame reaches the parent
+        between the burst's reply and the next command, whose reply then
+        carries the result."""
+        verbs: list[int] = []
+
+        def recording_unpack(data):
+            verb, body = unpack_control(data)
+            verbs.append(verb)
+            return verb, body
+
+        monkeypatch.setattr(control, "unpack_control", recording_unpack)
+        delay = 0.1
+        if kind == "local":
+            runtime = ShardedRuntime(num_shards=1, window_bursts=2, max_delay_seconds=delay)
+            agents = []
+        else:
+            runtime, agents = launch_fabric(1, window_bursts=2, max_delay_seconds=delay)
+        try:
+            (address,) = _slot_addresses(1, per_slot=1)
+            _register_all(runtime, [address], spam_setup)
+            (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
+            heard = len(verbs)
+            time.sleep(delay + 0.5)
+            assert verbs[heard:] == []
+            assert runtime.poll() == 1
+            assert verbs[heard:] == [ControlVerb.REPLY]
             assert runtime.take_result(job_id).is_spam == spam_truth[0]
         finally:
             runtime.close()
@@ -870,7 +854,7 @@ class TestHousekeeping:
             agent.reap()
 
     @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=repr)
-    @pytest.mark.parametrize("field", ["heartbeat_interval", "metrics_interval", "parent_timeout"])
+    @pytest.mark.parametrize("field", ["heartbeat_interval", "parent_timeout"])
     def test_a_hello_with_a_bad_interval_is_refused(self, field, value):
         """A wait computed from a negative or ``nan`` interval would spin the
         agent, from an infinite one never beacon: BYE, no core, exit 0."""
@@ -900,7 +884,7 @@ class TestFabricMigration:
         self, spam_setup, spam_truth
     ):
         addresses = _slot_addresses(2)
-        runtime, agents = launch_fabric(2, metrics_interval=0.05)
+        runtime, agents = launch_fabric(2)
         try:
             _register_all(runtime, addresses, spam_setup)
             # Skew the load: every email lands on slot 0's addresses.

@@ -14,7 +14,7 @@ behaviour is asserted once and run over both ways it reaches an agent —
 and the driver's own bookkeeping is unit-tested with no process at all, over
 an in-memory link wrapping a :class:`~repro.core.runtime.ShardWorkerCore`.
 The control plane's own contract (HELLO refusals, heartbeat eviction,
-streamed METRICS, mixed builds; checkpoint-log tampering on disk) stays in
+mixed builds; checkpoint-log tampering on disk) stays in
 ``test_fabric.py`` / ``test_session_state.py``.
 """
 
@@ -360,6 +360,33 @@ class TestCrashRecovery:
         assert [result.is_spam for result in results] == spam_truth[3:]
         assert _counter(runtime.aggregated_metrics(), "emails_served_total") == len(SPAM_EMAILS)
 
+    @pytest.mark.parametrize("probe", ["silent", "stats"])
+    def test_an_idle_tick_result_is_counted_once_across_a_kill(
+        self, make_fleet, spam_setup, spam_truth, probe
+    ):
+        # The agent's own idle tick serves a parked email while the driver
+        # sends nothing; the worker is SIGKILLed before any results reply.
+        # The count the tick added may reach the driver only together with
+        # the result: then either both arrived (a ``stats`` reply) and
+        # nothing is resubmitted, or neither did and the email is served
+        # again on the replacement — counted once either way.
+        fleet = make_fleet(1, window_bursts=2, max_delay_seconds=0.05)
+        runtime = fleet.runtime
+        (address,) = _slot_addresses(1, per_slot=1)
+        fleet.register([address], spam_setup)
+        (job_id,) = runtime.submit_spam([(address, SPAM_EMAILS[0])])
+        time.sleep(0.6)  # no command: the window ages and fires on its own
+        if probe == "stats":
+            (stats,) = runtime.shard_stats()
+            assert stats["outstanding_jobs"] == 0  # the tick fired before the kill
+        fleet.kill(0)
+        resubmitted = fleet.replace(0)
+        runtime.drain()
+        assert _counter(runtime.aggregated_metrics(), "emails_served_total") == 1
+        assert resubmitted == (1 if probe == "silent" else 0)  # stats carried the result
+        assert runtime.take_result(job_id).is_spam == spam_truth[0]
+        assert runtime.outstanding_count() == 0
+
     def test_failed_fan_out_leaves_no_reply_unread(self, make_fleet, spam_setup, spam_truth):
         # A burst spanning a dead worker raises — but the live worker's reply
         # must still be collected, or every later exchange with it reads the
@@ -481,7 +508,6 @@ class FakeLink:
                 scheduler_spec, checkpoint_store=store, shard_index=index, incarnation=incarnation
             )
         self.pid = None
-        self.metrics = None
         self.alive = True
         self.log: list[tuple[str, object]] = []
         self.timeouts = 0
@@ -671,6 +697,51 @@ class TestDriverOverFakeLinks:
         driver.shard_stats()
         assert _counter(driver.aggregated_metrics(), "emails_served_total") == 4
 
+    def test_a_stats_reply_carries_the_idle_tick_results_it_counts(
+        self, fake_driver, spam_setup, spam_truth
+    ):
+        # The worker's idle tick serves a parked email and stashes its
+        # result; a ``stats`` reply follows, then the worker dies.  Had the
+        # reply carried the tick's count without the result, the fold would
+        # keep the count and the resubmission would count the email again.
+        protocol, setup = spam_setup
+        driver, links = fake_driver([None], window_bursts=2, max_delay_seconds=0.01)
+        driver.register_spam("a@example.com", protocol, setup)
+        (job_id,) = driver.submit_spam([("a@example.com", SPAM_EMAILS[0])])
+        time.sleep(0.05)
+        with scoped_registry(links[0].registry):
+            links[0].core.idle_tick()
+        driver.shard_stats()
+        links[0].alive = False
+        resubmitted = driver.attach_replacement(0, None)
+        driver.drain()
+        assert _counter(driver.aggregated_metrics(), "emails_served_total") == 1
+        assert resubmitted == 0  # the result rode the stats reply
+        assert driver.take_result(job_id).is_spam == spam_truth[0]
+        assert driver.outstanding_count() == 0
+
+    def test_a_checkpoint_reply_carries_the_idle_tick_results_it_counts(
+        self, fake_driver, spam_setup, spam_truth
+    ):
+        # The same stashed result across a migration: the source's final
+        # snapshot counts it, so the handover must land it, and the target
+        # must neither resume nor resubmit it.
+        protocol, setup = spam_setup
+        addresses = _slot_addresses(2, per_slot=1)
+        driver, links = fake_driver([None, None], window_bursts=2, max_delay_seconds=0.01)
+        for address in addresses:
+            driver.register_spam(address, protocol, setup)
+        (job_id,) = driver.submit_spam([(addresses[0], SPAM_EMAILS[0])])
+        time.sleep(0.05)
+        with scoped_registry(links[0].registry):
+            links[0].core.idle_tick()
+        assert driver.outstanding_count() == 1
+        assert driver.migrate(0, 1) == 0
+        assert driver.outstanding_count() == 0
+        assert driver.take_result(job_id).is_spam == spam_truth[0]
+        driver.drain()
+        assert _counter(driver.aggregated_metrics(), "emails_served_total") == 1
+
     def test_late_reply_is_absorbed_not_discarded(self, fake_driver, spam_setup, spam_truth):
         # The link gives up on a reply that later arrives.  The worker has
         # already forgotten those jobs, so dropping the reply would leave
@@ -755,6 +826,45 @@ class TestDriverOverFakeLinks:
         driver.retire_worker(spare)
         assert not driver.worker_alive(spare)
         assert driver.rebalance() is None  # the only spare is gone
+
+
+class TestWorkerReplies:
+    """What a :class:`ShardWorkerCore` puts on the replies the driver reads."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("burst", []),
+            ("poll", None),
+            ("drain", None),
+            ("stats", None),
+            ("restore", None),
+            ("checkpoint", None),
+        ],
+    )
+    def test_every_snapshot_bearing_reply_carries_the_stashed_results(
+        self, spam_setup, spam_truth, command, payload
+    ):
+        """An idle tick serves a parked email and stashes its result; the
+        next reply that carries a snapshot carries that result too, and a
+        later one does not carry it again."""
+        protocol, setup = spam_setup
+        with scoped_telemetry():
+            core = ShardWorkerCore((2, 0.01))
+            core.handle("register", ("a@example.com", protocol, setup))
+            tag, (results, snapshot) = core.handle(
+                "burst", [(7, "spam", "a@example.com", (SPAM_EMAILS[0],))]
+            )
+            assert (tag, results, _counter(snapshot, "emails_served_total")) == ("results", [], 0)
+            time.sleep(0.05)
+            core.idle_tick()
+            *_, results, snapshot = core.handle(command, payload)[1]
+            assert [(job_id, result.is_spam) for job_id, result in results] == [
+                (7, spam_truth[0])
+            ]
+            assert _counter(snapshot, "emails_served_total") == 1
+            *_, again, _snapshot = core.handle(command, payload)[1]
+            assert again == []
 
 
 # ---------------------------------------------------------------------------

@@ -501,7 +501,7 @@ class TestBoundedLedgers:
             first = stats_bytes_after(RECENT_SAMPLE_CAP + 1)
             assert len(core.runtime.decrypt_batch_sizes) == RECENT_SAMPLE_CAP
             second = stats_bytes_after(RECENT_SAMPLE_CAP)
-            stats = core.handle("stats", None)[1]
+            stats, results, metrics = core.handle("stats", None)[1]
         assert len(core.runtime.decrypt_batch_sizes) == RECENT_SAMPLE_CAP
         assert second == first
         assert set(stats) == {
@@ -510,11 +510,9 @@ class TestBoundedLedgers:
             "disconnected_jobs",
             "pending_window_ciphertexts",
             "restored_jobs",
-            "metrics",
         }
-        assert _counter_value(stats["metrics"], "decrypt_batches_total") == (
-            2 * RECENT_SAMPLE_CAP + 1
-        )
+        assert results == []
+        assert _counter_value(metrics, "decrypt_batches_total") == 2 * RECENT_SAMPLE_CAP + 1
 
 
 class TestWorkerSchedulerSpec:

@@ -574,7 +574,6 @@ class TestTcpTransport:
         ControlVerb.COMMAND: {"seq": 3, "command": "burst", "payload": bytes(range(256)) * 64},
         ControlVerb.REPLY: (3, {"finished": [7, 8], "served": 2}),
         ControlVerb.HEARTBEAT: {},
-        ControlVerb.METRICS: {"metrics": {"emails_served_total": 12.0}},
         ControlVerb.BYE: {},
     }
 
