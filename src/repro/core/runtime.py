@@ -1653,9 +1653,11 @@ class ShardDriver:
         self.num_slots = len(endpoints)
         self._slot_owner = list(range(self.num_slots))
         self._links: list[WorkerLink] = []
-        # Per worker: commands posted whose replies have not been absorbed.
-        self._owed: list[deque[str]] = []
-        # (kind, address) -> the latest (address, protocol, setup) registered.
+        # Per worker: ``(command, payload)`` of each command posted whose reply
+        # has not been absorbed; the payload is kept for ``register`` only.
+        self._owed: list[deque[tuple[str, tuple | None]]] = []
+        # (kind, address) -> the latest (address, protocol, setup) a worker
+        # accepted: an entry is written when the ``register`` reply is absorbed.
         self._registrations: dict[tuple[str, str], tuple] = {}
         self._outstanding: dict[int, _OutstandingItem] = {}
         self._results: dict[int, Any] = {}
@@ -1689,7 +1691,7 @@ class ShardDriver:
             raise ProtocolError(
                 f"worker {worker} is gone (attach_replacement can recover it): {error}"
             ) from error
-        self._owed[worker].append(command)
+        self._owed[worker].append((command, payload if command == "register" else None))
 
     def _collect(self, worker: int) -> Any:
         """Absorb every reply *worker* owes, oldest first; return the last body.
@@ -1701,21 +1703,41 @@ class ShardDriver:
         never mistaken for the answer to a newer command.  A reply's snapshot
         and its results land together, so the snapshot held for a worker
         counts exactly the results already landed from it.
+
+        A ``register`` reply is where a registration enters the log (or, for
+        a refused replay, leaves it).  A refused registration always raises,
+        naming its address — after every owed reply has been absorbed, so
+        the results riding those replies still land.  Any other error reply
+        raises only when it answers the command being awaited.
         """
         link, owed = self._links[worker], self._owed[worker]
         body = None
+        errors: list[str] = []
         while owed:
             try:
                 tag, body = link.wait()
             except ProtocolError as error:
-                if not link.alive:
-                    owed.clear()  # a dead worker answers nothing more
                 raise ProtocolError(
-                    f"worker {worker} is gone or silent "
-                    f"(attach_replacement can recover a dead one): {error}"
+                    "; ".join([
+                        f"worker {worker} is gone or silent "
+                        f"(attach_replacement can recover a dead one): {error}",
+                        *errors,
+                    ])
                 ) from error
-            command = owed.popleft()
-            if tag in ("results", "restored", "checkpointed", "stats"):
+            command, payload = owed.popleft()
+            if command == "register":
+                address, protocol, setup, *deferred = payload
+                key = (protocol.kind, address)
+                if tag != "error":
+                    self._registrations[key] = (address, protocol, setup)
+                else:
+                    errors.append(
+                        f"worker {worker} refused the {protocol.kind} registration "
+                        f"of {address!r}: {body}"
+                    )
+                    if deferred:  # a refused replay: the worker holds nothing for the pair
+                        self._registrations.pop(key, None)
+            elif tag in ("results", "restored", "checkpointed", "stats"):
                 *_, results, metrics = body
                 self._metrics[worker] = metrics
                 for job_id, result in results:
@@ -1724,7 +1746,9 @@ class ShardDriver:
             elif tag == "error" and not owed:
                 # Only the command being awaited raises; an error reply to a
                 # command whose caller already gave up has no one to tell.
-                raise ProtocolError(f"worker {worker} rejected {command!r}: {body}")
+                errors.append(f"worker {worker} rejected {command!r}: {body}")
+        if errors:
+            raise ProtocolError("; ".join(errors))
         return body
 
     def _fanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
@@ -1732,7 +1756,8 @@ class ShardDriver:
 
         Posting first lets the workers compute concurrently.  Every posted
         command is collected before an error propagates, so one failing
-        worker can never leave another's reply unread.
+        worker can never leave another's reply unread, and the error raised
+        names every worker that failed.
         """
         posted: list[int] = []
         errors: list[ProtocolError] = []
@@ -1748,6 +1773,8 @@ class ShardDriver:
                 bodies.append(self._collect(worker))
             except ProtocolError as error:
                 errors.append(error)
+        if len(errors) > 1:
+            raise ProtocolError("; ".join(map(str, errors))) from errors[0]
         if errors:
             raise errors[0]
         return bodies
@@ -1797,33 +1824,52 @@ class ShardDriver:
         if self._metrics[worker] is not None:
             self._metrics_base.append(self._metrics[worker])
             self._metrics[worker] = None
+        # Registrations the old worker never answered are replayed with the
+        # logged ones; the replacement's replies decide whether they enter the log.
+        unanswered = [
+            payload[:3] for command, payload in self._owed[worker] if command == "register"
+        ]
         self._links[worker] = self._connect(
             endpoint, worker, self._scheduler_spec, self._incarnation
         )
         self._owed[worker] = deque()
-        return self._rebuild(worker, self._slots_of(worker), own_log=True)
+        return self._rebuild(worker, self._slots_of(worker), own_log=True, unanswered=unanswered)
 
     def _slots_of(self, worker: int) -> set[int]:
         return {slot for slot, owner in enumerate(self._slot_owner) if owner == worker}
 
     def _rebuild(
-        self, worker: int, slots: set[int], blob: bytes | None = None, own_log: bool = False
+        self,
+        worker: int,
+        slots: set[int],
+        blob: bytes | None = None,
+        own_log: bool = False,
+        unanswered: Sequence[tuple] = (),
     ) -> int:
         """Make *worker* the server of *slots*; returns the emails resubmitted.
 
-        Replay the slots' registrations, restore open windows — from *blob*
-        (a ``checkpoint`` reply handed over by :meth:`migrate`) or, with
-        *own_log*, from whatever checkpoint log the worker finds on disk —
-        backfill OT pools, then resubmit every outstanding email of those
-        slots that the restore did not resume.
+        Replay the slots' registrations (the logged ones, then the
+        *unanswered* ones a dead predecessor never replied to; the latest per
+        pair), restore open windows — from *blob* (a ``checkpoint`` reply
+        handed over by :meth:`migrate`) or, with *own_log*, from whatever
+        checkpoint log the worker finds on disk — backfill OT pools, then
+        resubmit every outstanding email of those slots that the restore did
+        not resume.  The replays are posted back to back and the ``restore``
+        collects them all, so a refused replay raises from there.
         """
-        for (_kind, address), payload in self._registrations.items():
-            if self.shard_of(address) in slots:
-                # Defer the per-pair OT handshakes: restored pools replace
-                # them for checkpointed mailboxes (mid-stream cursors intact)
-                # and ensure_pools backfills the rest — paying base OTs only
-                # to overwrite them would be dead recovery time.
-                self._request(worker, "register", (*payload, True))
+        replay = {
+            key: payload
+            for key, payload in self._registrations.items()
+            if self.shard_of(payload[0]) in slots
+        }
+        for payload in unanswered:
+            replay[(payload[1].kind, payload[0])] = payload
+        for payload in replay.values():
+            # Defer the per-pair OT handshakes: restored pools replace them
+            # for checkpointed mailboxes (mid-stream cursors intact) and
+            # ensure_pools backfills the rest — paying base OTs only to
+            # overwrite them would be dead recovery time.
+            self._post(worker, "register", (*payload, True))
         resumed: set[int] = set()
         if blob is not None or own_log:
             resumed_ids, _results, _metrics = self._request(worker, "restore", blob)
@@ -1864,6 +1910,10 @@ class ShardDriver:
         slots = self._slots_of(source)
         if not slots:
             raise ProtocolError(f"worker {source} owns no slots; nothing to migrate")
+        # A registration refused by either side raises here, before the
+        # source quiesces; accepted ones enter the log the replay reads.
+        self._collect(source)
+        self._collect(target)
         blob, _results, _metrics = self._request(source, "checkpoint", None)
         resubmitted = self._rebuild(target, slots, blob)
         for slot in slots:
@@ -1937,13 +1987,22 @@ class ShardDriver:
     def register(self, address: str, protocol: ProviderFunction, setup: Any) -> None:
         """Register *address* for *protocol* on the worker that owns its slot.
 
-        The registration log holds one entry per ``(kind, address)``, the
-        latest, so a replacement worker replays each pair once however often
-        it was registered.
+        Pipelined: the ``register`` command is posted and this returns
+        without waiting, so the worker runs the registration (model rows,
+        base-OT handshake) while the caller prepares the next one.  The reply
+        is absorbed by the next call that collects from that worker
+        (:meth:`submit`, :meth:`poll`, :meth:`drain`, :meth:`shard_stats`,
+        …).  A refused registration raises :class:`ProtocolError`, naming
+        the address, from that call, after the results in every reply it
+        absorbed have landed.
+
+        The registration log holds what workers accepted — one entry per
+        ``(kind, address)``, the latest — so a replacement worker replays
+        each pair once however often it was registered, and never a refused
+        one.
         """
-        payload = (address, protocol, setup)
-        self._request(self._slot_owner[self.shard_of(address)], "register", payload)
-        self._registrations[(protocol.kind, address)] = payload
+        worker = self._slot_owner[self.shard_of(address)]
+        self._post(worker, "register", (address, protocol, setup))
 
     def register_spam(
         self, address: str, protocol: SpamFilterProtocol, setup: SpamSetup

@@ -55,16 +55,21 @@ def launch_fabric(
     use.  *options* are :class:`~repro.fabric.control.TcpLink`'s link options
     (beacon interval, eviction timeout) and
     :class:`~repro.core.runtime.ShardDriver`'s scheduler options
-    (``window_bursts``, ``max_delay_seconds``).  The
-    caller owns both halves: ``runtime.close()`` retires the agents (they
-    exit on BYE), then ``agent.wait()``/``agent.kill()`` reaps the processes.
+    (``window_bursts``, ``max_delay_seconds``).  Every agent is started
+    before the driver waits on any: dialing agent *k* waits for its port
+    announcement while the later agents are still starting.  A failure
+    anywhere in spawning, dialing or the HELLO kills and reaps every agent
+    already spawned.  The caller owns both halves: ``runtime.close()``
+    retires the agents (they exit on BYE), then
+    ``agent.wait()``/``agent.kill()`` reaps the processes.  Registrations
+    on the returned runtime are pipelined (see
+    :meth:`~repro.core.runtime.ShardDriver.register`).
     """
     link_options = {name: options.pop(name) for name in _LINK_OPTIONS if name in options}
-    agents = [
-        spawn_local_agent(shard_index=index, checkpoint_dir=checkpoint_dir)
-        for index in range(num_agents)
-    ]
+    agents: list[AgentProcess] = []
     try:
+        for index in range(num_agents):
+            agents.append(spawn_local_agent(shard_index=index, checkpoint_dir=checkpoint_dir))
         runtime = FabricRuntime(functools.partial(TcpLink, **link_options), agents, **options)
     except BaseException:
         for agent in agents:

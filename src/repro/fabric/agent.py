@@ -9,7 +9,8 @@ fails its CRC32 ends the connection.  It reaches its parent one of two ways:
 * ``python -m repro.fabric`` (:func:`spawn_local_agent` in tests and the
   fleet) binds a TCP port (``--port 0`` for an OS-assigned one, announced as
   ``PORT <n>`` on stdout so a parent script can harvest it) and accepts one
-  parent connection — a host boundary;
+  parent connection — a host boundary.  An agent that no parent dials
+  within :data:`ACCEPT_TIMEOUT_SECONDS` exits non-zero;
 * :func:`fork_local_agent` forks a child of the parent that serves one end
   of a ``socket.socketpair()`` — an in-box shard of
   :class:`~repro.core.runtime.ShardedRuntime`, with no interpreter start.
@@ -52,7 +53,7 @@ import sys
 import time
 import traceback
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.runtime import FileSessionStore, ShardWorkerCore, checked_scheduler_spec
 from repro.exceptions import ProtocolError, TransportTimeoutError
@@ -68,6 +69,11 @@ from repro.twopc.wire import CONTROL_VERSION, ControlVerb
 
 #: Shortest housekeeping sleep toward a window deadline.
 _WINDOW_FLOOR_SECONDS = 0.005
+
+#: How long a ``python -m repro.fabric`` agent waits for its parent to dial:
+#: the order of the parent timeout an agent applies once it is serving, so
+#: an agent whose parent died before dialing does not block in ``accept()``.
+ACCEPT_TIMEOUT_SECONDS = 60.0
 
 
 def _checked_intervals(hello: dict) -> tuple[float, float]:
@@ -244,16 +250,25 @@ def serve(
     checkpoint_dir: str | None = None,
     shard_index: int = 0,
     announce=None,
-) -> None:
-    """Bind, announce ``PORT <n>``, serve one parent connection, exit."""
+) -> int:
+    """Bind, announce ``PORT <n>``, serve one parent connection; the exit status.
+
+    ``1`` when no parent dialed within :data:`ACCEPT_TIMEOUT_SECONDS`,
+    ``0`` once a connection was served.
+    """
     with socket.create_server((host, port)) as server:
         print(
             f"PORT {server.getsockname()[1]}",
             file=announce or sys.stdout,
             flush=True,
         )
-        connection, _ = server.accept()
+        server.settimeout(ACCEPT_TIMEOUT_SECONDS)
+        try:
+            connection, _ = server.accept()
+        except TimeoutError:
+            return 1
     _serve_socket(connection, checkpoint_dir, shard_index)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,28 +293,52 @@ def main(argv: list[str] | None = None) -> int:
     # snapshots merge cleanly with in-box worker snapshots.
     set_registry(MetricsRegistry())
     set_tracer(SpanTracer())
-    serve(
+    return serve(
         host=args.host,
         port=args.port,
         checkpoint_dir=args.checkpoint_dir,
         shard_index=args.shard_index,
     )
-    return 0
 
 
 # -- parent-side spawning helpers --------------------------------------------
 @dataclass
 class AgentProcess:
-    """A locally spawned agent: its process handle and announced endpoint."""
+    """A locally spawned agent: its process handle and announced endpoint.
+
+    The agent announces its port once its interpreter has started and bound
+    it; :attr:`port` reads that announcement the first time something asks
+    for it (a :class:`~repro.fabric.control.TcpLink` dialing the agent), so
+    a fleet's agents all start before the parent waits on any of them.
+    """
 
     process: subprocess.Popen
     host: str
-    port: int
     shard_index: int
+    _port: int | None = field(default=None, init=False, repr=False)
 
     @property
     def pid(self) -> int:
         return self.process.pid
+
+    @property
+    def port(self) -> int:
+        """The announced port; blocks until the agent announces it.
+
+        An agent that exits (or closes its stdout) before announcing is
+        killed and reaped, and :class:`ProtocolError` is raised.
+        """
+        if self._port is None:
+            line = self.process.stdout.readline() if self.process.stdout else ""
+            if not line.startswith("PORT "):
+                self.kill()
+                self.wait()
+                raise ProtocolError(
+                    f"fabric agent {self.shard_index} exited before announcing its port "
+                    f"(returncode {self.process.returncode})"
+                )
+            self._port = int(line.split()[1])
+        return self._port
 
     def kill(self) -> None:
         self.process.kill()
@@ -320,12 +359,14 @@ def spawn_local_agent(
     checkpoint_dir=None,
     host: str = "127.0.0.1",
 ) -> AgentProcess:
-    """Launch ``python -m repro.fabric.agent`` and harvest its bound port.
+    """Launch ``python -m repro.fabric`` and return without waiting for it.
 
     In-test stand-in for a remote host: the agent is a genuinely separate
     process reached only over TCP — nothing is shared but the wire (and,
     when *checkpoint_dir* is given, the checkpoint directory a replacement
-    agent restores from).
+    agent restores from).  This returns right after the process starts;
+    the returned handle's :attr:`AgentProcess.port` waits for the ``PORT``
+    announcement, so dialing the agent is the wait.
     """
     command = [
         sys.executable,
@@ -345,20 +386,7 @@ def spawn_local_agent(
         stdout=subprocess.PIPE,
         text=True,
     )
-    line = process.stdout.readline() if process.stdout else ""
-    if not line.startswith("PORT "):
-        process.kill()
-        process.wait(timeout=10.0)
-        raise ProtocolError(
-            f"fabric agent {shard_index} exited before announcing its port "
-            f"(returncode {process.returncode})"
-        )
-    return AgentProcess(
-        process=process,
-        host=host,
-        port=int(line.split()[1]),
-        shard_index=shard_index,
-    )
+    return AgentProcess(process=process, host=host, shard_index=shard_index)
 
 
 #: Parent ends of the socketpairs of agents this process forked.  A child

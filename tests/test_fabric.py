@@ -11,9 +11,13 @@ migration — is asserted once for forked and TCP agents in
   two-agent run exports;
 * HELLO refusal of an agent launched as the wrong shard, of a HELLO
   carrying a malformed scheduler spec, and of a parent speaking control v2;
-* heartbeat-timeout eviction of a hung (SIGSTOPped) agent, and a command
-  that blocks its agent past both ends' read deadlines completing with no
-  eviction (a passed deadline is silence, not failure);
+* heartbeat-timeout eviction of a hung (SIGSTOPped) agent that owes no
+  reply, an agent hung with a registration in flight reported by the next
+  call once the request timeout passes, and a command that blocks its agent
+  past both ends' read deadlines completing with no eviction (a passed
+  deadline is silence, not failure);
+* no agent outlives a launch that failed in spawn, dial or HELLO, and an
+  agent that no parent dials exits non-zero;
 * housekeeping that wakes only when something is due: an idle agent
   sleeps between beacons, an aged window fires with no command (its
   result and the count it added wait for the next reply), an orphaned
@@ -49,6 +53,7 @@ import pytest
 
 from repro.core.runtime import ShardedRuntime, ShardWorkerCore, shard_of_address
 from repro.exceptions import ProtocolError, WireFormatError
+import repro.fabric as fabric_package
 from repro.fabric import agent as agent_module
 from repro.fabric import control
 from repro.fabric import (
@@ -143,6 +148,19 @@ def _reap(agents) -> None:
         if agent.wait(timeout=10.0) is None:
             agent.kill()
             agent.wait(timeout=10.0)
+
+
+def _child_pids() -> set[int]:
+    """Pids whose parent is this process, zombies included (an unreaped child is left too)."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process exited while we looked
+        if int(fields[1]) == os.getpid():
+            children.add(int(stat.parent.name))
+    return children
 
 
 def _agent_in_thread() -> tuple[threading.Thread, int]:
@@ -322,6 +340,10 @@ class TestFabricRecovery:
         stopped = None
         try:
             _register_all(runtime, addresses, spam_setup)
+            # Precondition: nothing in flight.  Registration is pipelined, and
+            # a link never evicts an agent that owes it a reply, so collect
+            # the registrations before the agent hangs.
+            runtime.shard_stats()
             victim = 1
             stopped = runtime.worker_pid(victim)
             os.kill(stopped, signal.SIGSTOP)
@@ -343,6 +365,79 @@ class TestFabricRecovery:
             for agent in agents:
                 agent.kill()
                 agent.wait(timeout=10.0)
+
+    def test_an_agent_hung_mid_registration_is_reported_by_the_next_call(
+        self, monkeypatch, spam_setup
+    ):
+        """A registration in flight suspends eviction, so the request timeout
+        is what reports an agent that hangs during one: the next call raises
+        instead of waiting on it, and the reply still lands once it comes."""
+        monkeypatch.setattr(control, "REQUEST_TIMEOUT_SECONDS", 1.0)
+        (address,) = _slot_addresses(1, per_slot=1)
+        runtime, agents = launch_fabric(1, heartbeat_interval=0.05, heartbeat_timeout=0.5)
+        stopped = runtime.worker_pid(0)
+        try:
+            os.kill(stopped, signal.SIGSTOP)
+            began = time.monotonic()
+            _register_all(runtime, [address], spam_setup)
+            assert time.monotonic() - began < 1.0  # posted, not waited on
+            time.sleep(1.0)  # past heartbeat_timeout: the registration is in flight
+            assert runtime.worker_alive(0)
+            with pytest.raises(ProtocolError, match="silent"):
+                runtime.shard_stats()
+            assert time.monotonic() - began < 10.0
+            os.kill(stopped, signal.SIGCONT)
+            (stats,) = runtime.shard_stats()  # absorbs the late registration reply
+            assert stats["mailboxes"] == 1
+        finally:
+            os.kill(stopped, signal.SIGCONT)
+            runtime.close()
+            _reap(agents)
+
+
+class TestAgentLeaks:
+    """No agent process outlives the parent's use of it."""
+
+    @pytest.mark.parametrize("failure", ["spawn", "announce", "hello"])
+    def test_a_failed_launch_kills_and_reaps_every_agent(self, monkeypatch, failure):
+        """Agent 1 of 3 fails to start, exits before announcing its port, or
+        every agent refuses the HELLO: each agent already spawned is killed
+        and reaped, and no child of this process is left."""
+        before = _child_pids()
+        spawned = []
+        real_spawn = spawn_local_agent
+
+        def spawn(shard_index, checkpoint_dir=None):
+            if shard_index == 1 and failure == "spawn":
+                raise OSError("no more processes")
+            if shard_index == 1 and failure == "announce":
+                shard_index = "not-a-shard"  # the agent's argument parser exits
+            spawned.append(real_spawn(shard_index=shard_index, checkpoint_dir=checkpoint_dir))
+            return spawned[-1]
+
+        monkeypatch.setattr(fabric_package, "spawn_local_agent", spawn)
+        if failure == "hello":
+            monkeypatch.setattr(control, "CONTROL_VERSION", 2)
+        with pytest.raises((OSError, ProtocolError)):
+            launch_fabric(3)
+        assert spawned and all(agent.process.returncode is not None for agent in spawned)
+        assert _child_pids() <= before
+
+    def test_an_agent_no_parent_dials_exits(self, monkeypatch):
+        """The accept has a deadline: past it the agent returns status 1 and
+        its port is closed."""
+        monkeypatch.setattr(agent_module, "ACCEPT_TIMEOUT_SECONDS", 0.2)
+        announce = io.StringIO()
+        status: list[int] = []
+        thread = threading.Thread(
+            target=lambda: status.append(agent_module.serve(announce=announce)), daemon=True
+        )
+        thread.start()
+        thread.join(timeout=10.0)
+        assert status == [1]
+        port = int(announce.getvalue().split()[1])
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
 
 
 # -- the parent build's control framing, kept test-locally ---------------------

@@ -19,6 +19,7 @@ mixed builds; checkpoint-log tampering on disk) stays in
 """
 
 import copy
+import dataclasses
 import os
 import signal
 import time
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.classify.model import LinearModel
+from repro.core import runtime as runtime_module
 from repro.core.runtime import (
     DecryptScheduler,
     FileSessionStore,
@@ -39,7 +41,7 @@ from repro.core.runtime import (
     shard_of_address,
 )
 from repro.exceptions import ProtocolError
-from repro.fabric import launch_fabric, spawn_local_agent
+from repro.fabric import TcpLink, launch_fabric, spawn_local_agent
 from repro.fabric.agent import fork_local_agent
 from repro.obs import MetricsRegistry, merge_snapshots, scoped_registry, scoped_telemetry
 from repro.twopc import spam as spam_module
@@ -496,9 +498,10 @@ class FakeLink:
     """A :class:`WorkerLink` that runs its worker core inline.
 
     The *endpoint* is the worker's checkpoint store (or ``None``).  ``log``
-    records every ``(command, payload)`` posted; ``timeouts`` makes that
-    many ``wait`` calls give up while the replies stay queued; clearing
-    ``alive`` kills the worker the way SIGKILL would.
+    records every ``(command, payload)`` posted, ``waits`` the length of
+    ``log`` at each ``wait``; ``timeouts`` makes that many ``wait`` calls
+    give up while the replies stay queued; clearing ``alive`` kills the
+    worker the way SIGKILL would.
     """
 
     def __init__(self, store, index, scheduler_spec, incarnation) -> None:
@@ -510,6 +513,7 @@ class FakeLink:
         self.pid = None
         self.alive = True
         self.log: list[tuple[str, object]] = []
+        self.waits: list[int] = []
         self.timeouts = 0
         self._replies: deque = deque()
 
@@ -521,6 +525,7 @@ class FakeLink:
             self._replies.append(self.core.handle(command, payload))
 
     def wait(self):
+        self.waits.append(len(self.log))
         if not self.alive:
             raise ProtocolError("fake worker is dead")
         if self.timeouts:
@@ -865,6 +870,166 @@ class TestWorkerReplies:
             assert _counter(snapshot, "emails_served_total") == 1
             *_, again, _snapshot = core.handle(command, payload)[1]
             assert again == []
+
+
+class TestPipelinedRegistration:
+    """``register`` posts and returns; the worker's reply is absorbed later.
+
+    The registration log takes a pair when its reply is absorbed, a refusal
+    raises from the call that absorbs it (naming the address) and never
+    enters the log, and a replacement posts every replay before it waits.
+    """
+
+    def test_a_replacement_posts_every_replay_before_its_first_wait(
+        self, fake_driver, spam_setup
+    ):
+        protocol, setup = spam_setup
+        addresses = [f"user{index}@example.com" for index in range(5)]
+        driver, links = fake_driver([None])
+        for address in addresses:
+            driver.register_spam(address, protocol, setup)
+        assert links[0].waits == []  # nothing waited on yet
+        driver.shard_stats()
+        assert links[0].waits[0] == len(addresses) + 1  # five registers and the stats
+        assert driver.attach_replacement(0, None) == 0
+        fresh = links[-1]
+        assert [command for command, _ in fresh.log] == ["register"] * 5 + [
+            "restore",
+            "ensure_pools",
+        ]
+        assert fresh.waits[0] == len(addresses) + 1  # every replay and the restore
+
+    def test_a_refused_replay_raises_from_attach_replacement(
+        self, fake_driver, spam_setup, monkeypatch
+    ):
+        protocol, setup = spam_setup
+        refused = copy.copy(setup)
+        driver, links = fake_driver([None])
+        driver.register_spam("a@example.com", protocol, setup)
+        driver.register_spam("b@example.com", protocol, refused)
+        driver.shard_stats()
+        real_warm = runtime_module._warm
+
+        def refusing_warm(each):
+            if each is refused:
+                raise ValueError("unreadable model rows")
+            real_warm(each)
+
+        monkeypatch.setattr(runtime_module, "_warm", refusing_warm)
+        with pytest.raises(ProtocolError, match="'b@example.com'"):
+            driver.attach_replacement(0, None)
+        assert links[-1].waits[0] == 3  # raised from the one wait after both replays
+        monkeypatch.undo()
+        # The replacement holds nothing for the refused pair, and neither does the log.
+        assert driver.attach_replacement(0, None) == 0
+        assert [
+            payload[0] for command, payload in links[-1].log if command == "register"
+        ] == ["a@example.com"]
+
+    @pytest.mark.parametrize("kind", ["fake", "tcp"])
+    def test_a_refused_registration_is_reported_and_never_replayed(
+        self, kind, fake_driver, spam_setup, spam_truth, monkeypatch
+    ):
+        protocol, setup = spam_setup
+        # The worker's _warm reads the model rows and raises on these.
+        broken = dataclasses.replace(setup, encrypted_model="unreadable")
+        posted: list[tuple[str, object]] = []
+        agents: list = []
+        if kind == "fake":
+            driver, links = fake_driver([None])
+        else:
+            real_post = TcpLink.post
+
+            def recording_post(link, command, payload):
+                posted.append((command, payload))
+                real_post(link, command, payload)
+
+            monkeypatch.setattr(TcpLink, "post", recording_post)
+            driver, agents = launch_fabric(1)
+        try:
+            driver.register_spam("a@example.com", protocol, setup)
+            driver.register_spam("b@example.com", protocol, broken)  # returns
+            with pytest.raises(ProtocolError, match="'b@example.com'"):
+                driver.submit_spam([("a@example.com", SPAM_EMAILS[0])])
+            # The burst's reply was absorbed by the same collect: its result landed.
+            assert driver.outstanding_count() == 0
+            assert driver.take_result(0).is_spam == spam_truth[0]
+            (stats,) = driver.shard_stats()  # reported once
+            assert stats["mailboxes"] == 1
+
+            if kind == "fake":
+                assert driver.attach_replacement(0, None) == 0
+                posted = links[-1].log
+            else:
+                agents.append(spawn_local_agent(shard_index=0))
+                del posted[:]
+                assert driver.attach_replacement(0, agents[-1]) == 0
+            replayed = [payload[0] for command, payload in posted if command == "register"]
+            assert replayed == ["a@example.com"]
+            (stats,) = driver.shard_stats()
+            assert stats["mailboxes"] == 1
+        finally:
+            driver.close()
+            for agent in agents:
+                if agent.wait(timeout=10.0) is None:
+                    agent.kill()
+                    agent.wait(timeout=10.0)
+
+    def test_refusals_on_two_workers_are_both_reported(self, fake_driver, spam_setup):
+        protocol, setup = spam_setup
+        broken = dataclasses.replace(setup, encrypted_model="unreadable")
+        addresses = _slot_addresses(2, per_slot=1)
+        driver, _links = fake_driver([None, None])
+        for address in addresses:
+            driver.register_spam(address, protocol, broken)
+        with pytest.raises(ProtocolError) as refused:
+            driver.shard_stats()
+        assert all(repr(address) in str(refused.value) for address in addresses)
+
+    def test_a_refused_re_registration_keeps_the_accepted_one(
+        self, fake_driver, spam_setup, spam_truth
+    ):
+        protocol, setup = spam_setup
+        broken = dataclasses.replace(setup, encrypted_model="unreadable")
+        driver, links = fake_driver([None])
+        driver.register_spam("a@example.com", protocol, setup)
+        driver.register_spam("a@example.com", protocol, broken)
+        with pytest.raises(ProtocolError, match="refused the spam registration of 'a@example.com'"):
+            driver.shard_stats()
+        # The worker still holds the accepted setup, and so does the log.
+        (job_id,) = driver.submit_spam([("a@example.com", SPAM_EMAILS[0])])
+        assert driver.take_result(job_id).is_spam == spam_truth[0]
+        assert driver.attach_replacement(0, None) == 0
+        replayed = [payload for command, payload in links[-1].log if command == "register"]
+        assert len(replayed) == 1 and replayed[0][2] is setup
+
+    def test_a_registration_a_dead_worker_never_answered_is_replayed(
+        self, fake_driver, spam_setup
+    ):
+        protocol, setup = spam_setup
+        driver, links = fake_driver([None])
+        driver.register_spam("a@example.com", protocol, setup)
+        links[0].alive = False  # dies before any call collects the reply
+        connect = driver._connect
+
+        def refuse(*_arguments):
+            raise ProtocolError("connection refused")
+
+        driver._connect = refuse  # a replacement that cannot be dialed loses nothing
+        with pytest.raises(ProtocolError, match="connection refused"):
+            driver.attach_replacement(0, None)
+        driver._connect = connect
+        assert driver.attach_replacement(0, None) == 0
+        assert [command for command, _ in links[-1].log] == [
+            "register",
+            "restore",
+            "ensure_pools",
+        ]
+        (stats,) = driver.shard_stats()
+        assert stats["mailboxes"] == 1
+        # The replacement accepted it, so the log holds it from now on.
+        assert driver.attach_replacement(0, None) == 0
+        assert [command for command, _ in links[-1].log][0] == "register"
 
 
 # ---------------------------------------------------------------------------
